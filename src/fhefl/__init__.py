@@ -10,7 +10,6 @@ federated task, attackers, and experiment driver), `cli` (the command line).
 from .aggregation import (
     AGGREGATORS,
     EncryptedUpdate,
-    GradientUpdate,
     encrypt_update,
     fedavg,
     krum,

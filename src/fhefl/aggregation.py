@@ -21,6 +21,9 @@ The encrypted path mirrors the plain one stage for stage:
                 user u decrypts the blinded scalar and returns a fresh
                 encryption of it, and the server subtracts rho_u again.  The
                 user only ever sees p_u + rho_u; the server never sees p_u.
+                The fresh rate is exact (no float rounding) and sits at
+                scale * 2^flood_sigma_bits, so the flooding noise of the
+                aggregate leg's partial decryptions stays far below it.
 5. check:       sum_u [p~_u] is opened under the masked group key and must be
                 ~1, so a user cannot inflate their weight while re-encrypting.
 6. aggregate:   sum_u [p~_u] * [g_u] is opened with partial decryptions;
@@ -40,12 +43,12 @@ from .he import (
     Ciphertext,
     EvalKey,
     common_poly,
-    decrypt,
     encode,
     encrypt,
     he_add,
     he_mult_relin,
     plain_affine,
+    reencrypt,
 )
 from .multikey import (
     UserKeyring,
@@ -62,32 +65,18 @@ from .multikey import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GradientUpdate:
-    """One user's local update for a round: the effective gradient and its step."""
-
-    user_id: int
-    grad: np.ndarray
-    eta: float
-
-    def __post_init__(self) -> None:
-        self.grad = np.asarray(self.grad, dtype=np.float64)
-        if self.grad.ndim != 1 or not np.isfinite(self.grad).all():
-            raise ParameterError("gradient updates must be finite 1-d vectors")
-
-
 def _as_matrix(updates) -> np.ndarray:
     if isinstance(updates, np.ndarray):
         mat = np.atleast_2d(np.asarray(updates, dtype=np.float64))
     else:
-        mat = np.stack([np.asarray(getattr(u, "grad", u), dtype=np.float64) for u in updates])
+        mat = np.stack([np.asarray(u, dtype=np.float64) for u in updates])
     if not np.isfinite(mat).all():
         raise ParameterError("non-finite entries in update matrix")
     return mat
 
 
 def sq_norm_plain(g) -> float:
-    g = np.asarray(getattr(g, "grad", g), dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
     return float(g @ g)
 
 
@@ -380,6 +369,10 @@ def secure_aggregate_round(
 
     with _stage("re-encrypt"):
         a2 = common_poly(params, seed=round_tag + b"|a2")
+        # The aggregate leg's partial decryptions carry sigma * 2^flood_sigma_bits
+        # flooding noise; a rate at the scale raised by the same factor keeps
+        # that noise from setting the precision of the opened update.
+        fresh_scale = params.scale * 2.0**params.flood_sigma_bits
         bound = _blind_bound(p_cts[users[0]])
         if bound < 4.0:
             raise ProtocolError(
@@ -395,11 +388,10 @@ def secure_aggregate_round(
             # server -> user: additively blinded rate (still under s_u only)
             blinded = pct.copy()
             blinded.comps = (blinded.comps[0].add(mask), blinded.comps[1])
-            # user: decrypt the readout coefficient, re-encrypt it fresh
-            opened = float(decrypt(blinded, keyrings[u].sk).values[ri])
-            fresh = encrypt(params, [opened], keyrings[u].sk, a2, rng)
+            # user: re-encrypt the blinded readout coefficient fresh
+            fresh = reencrypt(blinded, keyrings[u].sk, a2, rng, index=ri, scale=fresh_scale)
             # server: strip the blind homomorphically
-            unmask = encode(params, [blinds[u]], fresh.level).to_ntt()
+            unmask = encode(params, [blinds[u]], fresh.level, scale=fresh.scale).to_ntt()
             fresh.comps = (fresh.comps[0].sub(unmask), fresh.comps[1])
             fresh.msg_bound = 1.0
             p_fresh[u] = fresh

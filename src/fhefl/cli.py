@@ -14,6 +14,7 @@ FHEFL_THREADS environment variable (default 1 worker).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -126,10 +127,15 @@ def cmd_bench(args) -> int:
     grads = rng.normal(0, 1, (10, dim))
     w_prev = np.zeros(dim)
 
+    rounds = itertools.count()
+
     def one_round():
-        a_r = common_poly(params, seed=b"bench-round-a")
+        # a fresh common polynomial and round tag per repetition: a reused tag
+        # lets two mask layers cancel outside the intended sum
+        tag = b"bench-round-%d" % next(rounds)
+        a_r = common_poly(params, seed=tag + b"|a")
         enc = {u: encrypt_update(keyrings[u], grads[u], a_r, rng) for u in users}
-        secure_aggregate_round(enc, keyrings, w_prev, 0.1, rng, round_tag=b"bench")
+        secure_aggregate_round(enc, keyrings, w_prev, 0.1, rng, round_tag=tag)
 
     round_reps = max(1, args.reps // 5)
     rows.append(("aggregate_round(10 users)", *_timeit(one_round, round_reps)))

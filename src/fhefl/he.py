@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .ring import (
     RingElement,
     RingParams,
     find_ntt_primes,
+    rns_digits,
     sample_error,
     sample_ternary,
     sample_uniform,
@@ -147,6 +149,33 @@ class PlainVector:
             raise EncodingError(f"unknown packing direction {self.direction!r}")
 
 
+def _scaled_round(scale: float, v: float) -> int:
+    """round(scale * v) of the exact product, ties to even."""
+    vn, vd = v.as_integer_ratio()
+    sn, sd = scale.as_integer_ratio()
+    q, r = divmod(vn * sn, vd * sd)
+    return q + (2 * r > vd * sd or (2 * r == vd * sd and q & 1))
+
+
+def _plaintext(params: HeParams, ints: list[int], level: int, direction: str) -> RingElement:
+    """Place fixed-point integers on the packing coefficients, checking headroom."""
+    ring = params.ring
+    big_q, _ = ring.crt_constants(ring.moduli(level))
+    bound = big_q // 2
+    worst = max((abs(x) for x in ints), default=0)
+    if worst >= bound:
+        raise EncodingError(
+            f"encoded magnitude 2^{worst.bit_length()} overflows modulus headroom "
+            f"2^{bound.bit_length() - 1} at level {level}"
+        )
+    m = len(ints)
+    coeffs = [0] * ring.n
+    for k, x in enumerate(ints):
+        idx = k if direction == "forward" else m - 1 - k
+        coeffs[idx] = x
+    return RingElement.from_int_coeffs(ring, coeffs, level)
+
+
 def encode(
     params: HeParams,
     values,
@@ -156,30 +185,16 @@ def encode(
     direction: str = "forward",
 ) -> RingElement:
     """Fixed-point packing: coefficient k (forward) or len-1-k (reversed)
-    holds round(scale * v_k)."""
+    holds round(scale * v_k), rounded once from the exact product."""
     pv = values if isinstance(values, PlainVector) else PlainVector(values, direction)
-    ring = params.ring
-    level = ring.max_level if level is None else level
+    level = params.ring.max_level if level is None else level
     scale = params.scale if scale is None else float(scale)
-    m = pv.values.size
-    if m > params.capacity:
+    if pv.values.size > params.capacity:
         raise EncodingError(
-            f"vector of length {m} exceeds packing capacity {params.capacity}"
+            f"vector of length {pv.values.size} exceeds packing capacity {params.capacity}"
         )
-    ints = [int(round(scale * float(v))) for v in pv.values]
-    big_q, _ = ring.crt_constants(ring.moduli(level))
-    bound = big_q // 2
-    worst = max((abs(x) for x in ints), default=0)
-    if worst >= bound:
-        raise EncodingError(
-            f"encoded magnitude 2^{worst.bit_length()} overflows modulus headroom "
-            f"2^{bound.bit_length() - 1} at level {level}"
-        )
-    coeffs = [0] * ring.n
-    for k, x in enumerate(ints):
-        idx = k if pv.direction == "forward" else m - 1 - k
-        coeffs[idx] = x
-    return RingElement.from_int_coeffs(ring, coeffs, level)
+    ints = [_scaled_round(scale, float(v)) for v in pv.values]
+    return _plaintext(params, ints, level, pv.direction)
 
 
 def decode(
@@ -302,26 +317,57 @@ def encrypt(
     scale: float | None = None,
     direction: str = "forward",
 ) -> Ciphertext:
-    ring = params.ring
-    level = ring.max_level if level is None else level
+    level = params.ring.max_level if level is None else level
     scale = params.scale if scale is None else float(scale)
     pv = values if isinstance(values, PlainVector) else PlainVector(values, direction)
-    m = encode(params, pv, level, scale=scale).to_ntt()
+    m = encode(params, pv, level, scale=scale)
+    return _encrypt_plaintext(
+        params, m, sk, a, rng, scale, pv.values.size, pv.direction,
+        float(np.abs(pv.values).max()),
+    )
+
+
+def _encrypt_plaintext(
+    params: HeParams,
+    m: RingElement,
+    sk: SecretKey,
+    a: RingElement,
+    rng: np.random.Generator,
+    scale: float,
+    length: int,
+    direction: str,
+    msg_bound: float,
+) -> Ciphertext:
+    """c0 = a*s + m + e, c1 = a at the level of the encoded plaintext m."""
+    level = m.level
     if a.level != level or a.special or not a.ntt:
         a = a.mod_reduce_to(level).to_ntt() if not a.ntt else a.mod_reduce_to(level)
-    e = sample_error(ring, rng, params.sigma, level=level).to_ntt()
+    e = sample_error(params.ring, rng, params.sigma, level=level).to_ntt()
     s_l = sk.s.mod_reduce_to(level)
-    c0 = a.mul(s_l).add(m).add(e)
+    c0 = a.mul(s_l).add(m.to_ntt()).add(e)
     return Ciphertext(
         params=params,
         comps=(c0, a.copy()),
         level=level,
         scale=scale,
-        length=pv.values.size,
-        direction=pv.direction,
+        length=length,
+        direction=direction,
         noise_log2=math.log2(6 * params.sigma + 0.5),
-        msg_bound=float(np.abs(pv.values).max()),
+        msg_bound=msg_bound,
     )
+
+
+def _phase(ct: Ciphertext, sk: SecretKey) -> RingElement:
+    """c0 - c1*s (+ c2*s^2 ...) in the coefficient domain."""
+    s = sk.s.mod_reduce_to(ct.level)
+    phase = ct.comps[0]
+    s_pow = s
+    for k, comp in enumerate(ct.comps[1:], start=1):
+        term = comp.mul(s_pow)
+        phase = phase.sub(term) if k % 2 == 1 else phase.add(term)
+        if k < len(ct.comps) - 1:
+            s_pow = s_pow.mul(s)
+    return phase.to_coeff()
 
 
 def decrypt(ct: Ciphertext, sk: SecretKey) -> PlainVector:
@@ -331,16 +377,32 @@ def decrypt(ct: Ciphertext, sk: SecretKey) -> PlainVector:
             f"tracked noise 2^{ct.noise_log2:.1f} exceeds half the scale "
             f"2^{math.log2(ct.scale):.1f}; precision has collapsed"
         )
-    s = sk.s.mod_reduce_to(ct.level)
-    phase = ct.comps[0]
-    s_pow = s
-    for k, comp in enumerate(ct.comps[1:], start=1):
-        term = comp.mul(s_pow)
-        phase = phase.sub(term) if k % 2 == 1 else phase.add(term)
-        if k < len(ct.comps) - 1:
-            s_pow = s_pow.mul(s)
-    vals = decode(phase.to_coeff(), ct.scale, ct.length, ct.direction)
+    vals = decode(_phase(ct, sk), ct.scale, ct.length, ct.direction)
     return PlainVector(vals, ct.direction)
+
+
+def reencrypt(
+    ct: Ciphertext,
+    sk: SecretKey,
+    a: RingElement,
+    rng: np.random.Generator,
+    *,
+    index: int = 0,
+    scale: float | None = None,
+) -> Ciphertext:
+    """The key holder's fresh encryption of coefficient ``index`` of ct's plaintext.
+
+    The coefficient is read from the phase as an exact integer and re-encoded
+    at ``scale`` on coefficient 0 at the top level, rounding the exact
+    rational once: unlike a decrypt-then-encrypt, the value never passes
+    through a float, whose 53 bits would cap its precision.
+    """
+    params = ct.params
+    scale = params.scale if scale is None else float(scale)
+    coeff = int(_phase(ct, sk).to_int_coeffs(indices=[index])[0])
+    value = Fraction(coeff) / Fraction(ct.scale)
+    m = _plaintext(params, [round(value * Fraction(scale))], params.ring.max_level, "forward")
+    return _encrypt_plaintext(params, m, sk, a, rng, scale, 1, "forward", abs(float(value)))
 
 
 def he_add(x: Ciphertext, y: Ciphertext) -> Ciphertext:
@@ -401,37 +463,29 @@ def _he_mult_raw(x: Ciphertext, y: Ciphertext) -> Ciphertext:
     )
 
 
-def _key_switch_quadratic(d2: RingElement, evk: EvalKey, params: HeParams):
+def _key_switch_quadratic(d2: RingElement, evk: EvalKey):
     """RNS-digit key switch of a quadratic component back to (u0, u1).
 
     u0 - u1*s = d2*s^2 + p^-1 * sum_i digit_i * e_i  (mod the active chain),
     realized by multiplying each digit against its key pair over the extended
-    basis and exactly divide-and-rounding by the special prime.
+    basis and exactly divide-and-rounding by the special prime, all in the
+    NTT domain.
     """
-    ring = params.ring
     level = d2.level
-    d2c = d2.to_coeff()
-    acc0 = RingElement.zeros(ring, level, special=True, ntt=True)
-    acc1 = RingElement.zeros(ring, level, special=True, ntt=True)
-    mods = ring.moduli(level, special=True)
-    for i in range(level + 1):
-        digit = d2c.data[i]
-        ext = np.empty((len(mods), ring.n), dtype=np.uint64)
-        for j, qj in enumerate(mods):
-            ext[j] = digit % np.uint64(qj)
-        ext_el = RingElement(ring, ext, level, special=True, ntt=False).to_ntt()
-        acc0 = acc0.add(ext_el.mul(evk.ks_b[i].mod_reduce_to(level, special=True)))
-        acc1 = acc1.add(ext_el.mul(evk.ks_a[i].mod_reduce_to(level, special=True)))
-    u0 = acc0.to_coeff().drop_last_modulus().to_ntt()
-    u1 = acc1.to_coeff().drop_last_modulus().to_ntt()
-    return u0, u1
+    acc0 = acc1 = None
+    for i, digit in enumerate(rns_digits(d2)):
+        t0 = digit.mul(evk.ks_b[i].mod_reduce_to(level, special=True))
+        t1 = digit.mul(evk.ks_a[i].mod_reduce_to(level, special=True))
+        acc0 = t0 if acc0 is None else acc0.add(t0)
+        acc1 = t1 if acc1 is None else acc1.add(t1)
+    return acc0.drop_last_modulus(), acc1.drop_last_modulus()
 
 
 def relinearize(ct: Ciphertext, evk: EvalKey) -> Ciphertext:
     if len(ct.comps) != 3:
         raise LevelError("relinearize expects a three-component ciphertext")
     d0, d1, d2 = ct.comps
-    u0, u1 = _key_switch_quadratic(d2, evk, ct.params)
+    u0, u1 = _key_switch_quadratic(d2, evk)
     ring = ct.params.ring
     ks_noise = (
         math.log2(ct.level + 1)
@@ -450,9 +504,7 @@ def relinearize(ct: Ciphertext, evk: EvalKey) -> Ciphertext:
 def rescale(ct: Ciphertext) -> Ciphertext:
     """Exact divide-and-round by the last chain prime; scale divides with it."""
     q_last = ct.params.ring.chain[ct.level]
-    comps = tuple(
-        c.to_coeff().drop_last_modulus().to_ntt() for c in ct.comps
-    )
+    comps = tuple(c.drop_last_modulus() for c in ct.comps)
     nz = _log2_add(
         ct.noise_log2 - math.log2(q_last),
         math.log2(ct.params.ring.n) / 2 + 1.0,  # rounding folded through the key
@@ -538,19 +590,30 @@ def ciphertext_from_bytes(buf: bytes, params: HeParams | None = None) -> Ciphert
     if version != _CT_VERSION:
         raise SerializationError(f"unsupported ciphertext version {version}")
     off = fixed
-    name = buf[off : off + name_len].decode()
+    try:
+        name = buf[off : off + name_len].decode()
+    except UnicodeDecodeError as exc:
+        raise SerializationError("ciphertext preset name is not UTF-8") from exc
     off += name_len
     tail_fmt = "<BBBId"
     if len(buf) < off + struct.calcsize(tail_fmt):
         raise SerializationError("truncated ciphertext header fields")
     level, ncomp, dir_flag, length, scale = struct.unpack_from(tail_fmt, buf, off)
     off += struct.calcsize(tail_fmt)
+    if ncomp not in (2, 3):
+        raise SerializationError(f"ciphertext has {ncomp} components, expected 2 or 3")
+    if dir_flag not in (0, 1):
+        raise SerializationError(f"unknown packing direction flag {dir_flag}")
     if params is None:
         if name not in _PRESET_SPECS:
             raise SerializationError(
                 f"ciphertext references preset {name!r}; pass params explicitly"
             )
         params = get_params(name)
+    if not 1 <= length <= params.ring.n:
+        raise SerializationError(f"packed length {length} outside 1..{params.ring.n}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise SerializationError(f"scale {scale} is not a positive finite number")
     comps = []
     for _ in range(ncomp):
         if len(buf) < off + 4:
@@ -561,7 +624,15 @@ def ciphertext_from_bytes(buf: bytes, params: HeParams | None = None) -> Ciphert
             raise SerializationError(
                 f"truncated component: need {blen} bytes, have {len(buf) - off}"
             )
-        comps.append(RingElement.from_bytes(buf[off : off + blen], params.ring))
+        comp = RingElement.from_bytes(buf[off : off + blen], params.ring)
+        # every component of a ciphertext is an NTT-domain chain element at
+        # the header's level
+        if (comp.level, comp.special, comp.ntt) != (level, False, True):
+            raise SerializationError(
+                f"component at (level {comp.level}, special {comp.special}, "
+                f"ntt {comp.ntt}) in a level-{level} ciphertext"
+            )
+        comps.append(comp)
         off += blen
     if off != len(buf):
         raise SerializationError(f"{len(buf) - off} trailing bytes after ciphertext")

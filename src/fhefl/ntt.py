@@ -1,9 +1,9 @@
-"""Negacyclic number-theoretic transform over word-sized primes.
+"""Negacyclic number-theoretic transform and the modular kernels under it.
 
 All heavy arithmetic in the package bottoms out here.  Residues are stored as
-``numpy.uint64`` and multiplied with a vectorized Montgomery reduction built
-from 32-bit limbs, so the whole thing stays exact for any odd modulus below
-2^62 without bignum fallbacks in the hot path.
+``numpy.uint64``; every kernel works on a whole ``(rows, n)`` residue matrix
+with the modulus broadcast as a per-row ``(rows, 1)`` column, and stays exact
+for any odd modulus below 2^62 without bignum fallbacks.
 
 The transform is the standard ψ-twisted (negacyclic) NTT for the ring
 Z_q[X]/(X^n + 1): the forward pass is a Cooley-Tukey decimation-in-time that
@@ -12,8 +12,26 @@ bit-reversed order, the inverse is the matching Gentleman-Sande pass.  Since
 every pointwise operation is order-agnostic we never bit-reverse explicitly;
 "NTT domain" throughout the package means this bit-reversed evaluation order.
 
-Twiddle tables hold ψ^brv(i) (respectively ψ^-brv(i)) in Montgomery form,
-which makes every butterfly a single Montgomery multiply.
+Twiddles are Shoup-precomputed: next to each w = ψ^brv(i) the tables hold the
+32-bit halves of w' = floor(w·2^64/q), so a butterfly multiply is three
+32x32-bit partial products for the quotient estimate and two wrapping 64-bit
+products for the remainder (Harvey, "Faster arithmetic for number-theoretic
+transforms", JSC 2014).  The estimate drops the low partial product, so the
+remainder lands in [0, 4q) rather than [0, 2q).  Butterflies are lazy:
+
+* forward: operands live in [0, 4q); the even input is brought into [0, 2q)
+  and the twiddled odd input into [0, 2q), so both outputs are again < 4q;
+* inverse: operands live in [0, 2q); the sum is brought back into [0, 2q)
+  and the twiddled difference likewise.  The last stage folds in n^-1.
+
+Values are reduced into [0, q) once, at the end of a transform.  q < 2^62
+keeps 4q below 2^64, which is what makes the lazy ranges exact.
+
+Transforms run over blocks of rows of at most ``BLOCK_ELEMS`` residues: all
+rows at once for small rings, one row at a time at n = 16384, so the
+temporaries of a stage stay in a core's L2 cache.  The stages whose
+butterflies span fewer than ``_TAIL`` residues run on a transposed copy of
+the block, which keeps numpy's inner loops long.
 """
 
 from __future__ import annotations
@@ -26,67 +44,111 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _WORD = 1 << 64
 
+# Residues per transform block: 2^14 uint64 (128 KiB) keeps a stage's dozen
+# temporaries inside a 2 MiB L2; whole-matrix stages at n = 16384 spill it.
+BLOCK_ELEMS = 1 << 14
+
 # ---------------------------------------------------------------------------
-# modular helpers (all inputs reduced mod q, q < 2^62)
+# modular kernels (inputs reduced mod q, q < 2^62, q broadcast per row)
+#
+# The conditional subtractions use unsigned wrap-around: for s in [0, 2q),
+# s - q wraps to a huge value exactly when s < q, so min(s, s - q) is s mod q.
 # ---------------------------------------------------------------------------
 
 
 def add_mod(a, b, q):
     s = a + b
-    return np.where(s >= q, s - q, s)
+    return np.minimum(s, s - q)
 
 
 def sub_mod(a, b, q):
-    d = a + q - b
-    return np.where(d >= q, d - q, d)
+    d = a - b
+    return np.minimum(d, d + q)
 
 
 def neg_mod(a, q):
-    return np.where(a == 0, np.uint64(0), q - a)
+    d = q - a
+    return np.minimum(d, d - q)
 
 
 def mont_mul(a, b, q, neg_qinv):
     """Montgomery product a*b*2^-64 mod q, elementwise with broadcasting.
 
     If ``b`` is kept in Montgomery form (b*2^64 mod q) the result is the plain
-    product a*b mod q.  All operands must already be reduced mod q.
+    product a*b mod q.  All operands must already be reduced mod q < 2^62, so
+    the high halves are below 2^30 and the middle sums cannot overflow.
     """
     a_lo = a & _MASK32
     a_hi = a >> _SHIFT32
     b_lo = b & _MASK32
     b_hi = b >> _SHIFT32
-
     ll = a_lo * b_lo
-    mid = a_lo * b_hi + (ll >> _SHIFT32)
-    hl = a_hi * b_lo
-    mid2 = mid + hl
-    carry = (mid2 < hl).astype(np.uint64)
-    t_hi = a_hi * b_hi + (mid2 >> _SHIFT32) + (carry << _SHIFT32)
-    t_lo = (mid2 << _SHIFT32) + (ll & _MASK32)
+    mid = a_lo * b_hi + a_hi * b_lo + (ll >> _SHIFT32)
+    t_hi = a_hi * b_hi + (mid >> _SHIFT32)
+    t_lo = a * b  # wraps mod 2^64, by design
 
-    m = t_lo * neg_qinv  # wraps mod 2^64, by design
+    m = t_lo * neg_qinv
     m_lo = m & _MASK32
     m_hi = m >> _SHIFT32
     q_lo = q & _MASK32
     q_hi = q >> _SHIFT32
-
-    ll2 = m_lo * q_lo
-    mid3 = m_lo * q_hi + (ll2 >> _SHIFT32)
-    hl2 = m_hi * q_lo
-    mid4 = mid3 + hl2
-    carry2 = (mid4 < hl2).astype(np.uint64)
-    mq_hi = m_hi * q_hi + (mid4 >> _SHIFT32) + (carry2 << _SHIFT32)
+    mid = m_hi * q_lo + ((m_lo * q_lo) >> _SHIFT32)
+    mq_hi = m_hi * q_hi + (mid >> _SHIFT32) + ((m_lo * q_hi + (mid & _MASK32)) >> _SHIFT32)
 
     # t_lo + (m*q mod 2^64) == 0 mod 2^64 by construction, so the carry out of
     # the low word is 1 exactly when t_lo != 0.
-    res = t_hi + mq_hi + (t_lo != 0).astype(np.uint64)
-    return np.where(res >= q, res - q, res)
+    res = t_hi + mq_hi + (t_lo != 0)
+    return np.minimum(res, res - q)
 
 
-def mul_mod(a, b, ctx: "PrimeContext"):
-    """Plain modular product of two standard-form arrays."""
-    t = mont_mul(a, b, ctx.q_u64, ctx.neg_qinv)
-    return mont_mul(t, ctx.r2_u64, ctx.q_u64, ctx.neg_qinv)
+def shoup_halves(w: int, q: int) -> tuple[int, int]:
+    """The 32-bit halves of the Shoup quotient floor(w * 2^64 / q)."""
+    ws = (w << 64) // q
+    return ws >> 32, ws & 0xFFFFFFFF
+
+
+def _mul_shoup_lazy(x, w, w_hi, w_lo, q):
+    """x*w mod q, up to a multiple: the result is in [0, 4q) for any x < 2^64.
+
+    The quotient estimate floor(x*w'/2^64) is assembled from three 32-bit
+    partial products; leaving out x_lo*w_lo and the carries undershoots it by
+    at most 2, which adds at most 2q to the [0, 2q) of exact Shoup.
+    """
+    x_hi = x >> _SHIFT32
+    est = x_hi * w_hi
+    tmp = x_hi * w_lo
+    tmp >>= _SHIFT32
+    est += tmp
+    np.bitwise_and(x, _MASK32, out=x_hi)
+    np.multiply(x_hi, w_hi, out=tmp)
+    tmp >>= _SHIFT32
+    est += tmp
+    est *= q
+    np.multiply(x, w, out=tmp)
+    tmp -= est
+    return tmp
+
+
+def mul_shoup(x, w, w_hi, w_lo, q):
+    """x*w mod q in [0, q) for a fixed multiplier w with Shoup halves (w_hi, w_lo)."""
+    r = _mul_shoup_lazy(x, w, w_hi, w_lo, q)
+    r = np.minimum(r, r - 2 * q)
+    return np.minimum(r, r - q)
+
+
+def mul_mod(a: np.ndarray, b: np.ndarray, tab: NttTables, rows) -> np.ndarray:
+    """Plain row-wise product a*b mod q of two standard-form residue matrices.
+
+    One Montgomery reduction leaves a*b*2^-64; a Shoup multiply by 2^64 mod q
+    cancels the factor.  Runs over the same cache-sized row blocks as the
+    transforms.
+    """
+    out = np.empty_like(a)
+    for start, stop, sel in _row_blocks(rows, a.shape[1]):
+        q = tab.q[sel]
+        t = mont_mul(a[start:stop], b[start:stop], q, tab.neg_qinv[sel])
+        out[start:stop] = mul_shoup(t, *tab.mont[:, sel], q)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -156,84 +218,202 @@ def _bit_reverse_indices(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# per-prime transform context
+# per-basis kernel tables
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PrimeContext:
-    """Precomputed constants for one prime of one ring degree."""
+def _shoup_rows(values: list[list[int]], primes) -> np.ndarray:
+    """(3, rows, n) stack of w, and the hi/lo halves of w's Shoup quotient."""
+    out = np.empty((3, len(primes), len(values[0])), dtype=np.uint64)
+    for r, (row, q) in enumerate(zip(values, primes)):
+        out[0, r] = row
+        out[1:, r] = np.array([shoup_halves(w, q) for w in row], dtype=np.uint64).T
+    return out
 
-    q: int
+
+@dataclass(frozen=True, eq=False)
+class NttTables:
+    """Constants for every prime of a basis at one ring degree, one row each.
+
+    Row r of every array belongs to ``primes[r]``; callers select the rows of
+    the residue matrix they hold.  Per-row scalars are ``(rows, 1)`` columns.
+    """
+
     n: int
-    q_u64: np.uint64
-    neg_qinv: np.uint64
-    r2_u64: np.uint64
-    fwd_twiddles: np.ndarray  # psi^brv(i), Montgomery form
-    inv_twiddles: np.ndarray  # psi^-brv(i), Montgomery form
-    n_inv_mont: np.ndarray  # n^-1, Montgomery form, shape (1,)
-
-    def to_mont(self, x: int) -> int:
-        return (x << 64) % self.q
+    primes: tuple[int, ...]
+    q: np.ndarray  # (rows, 1)
+    neg_qinv: np.ndarray  # -q^-1 mod 2^64, for mont_mul
+    mont: np.ndarray  # (3, rows, 1): 2^64 mod q and its Shoup halves
+    fwd: np.ndarray  # (3, rows, n): ψ^brv(i) with Shoup halves
+    inv: np.ndarray  # (3, rows, n): ψ^-brv(i); [1] folds n^-1, [0] is n^-1
 
 
-def make_prime_context(q: int, n: int) -> PrimeContext:
-    if q % 2 == 0 or q >= (1 << 62):
-        raise ValueError(f"modulus {q} out of supported range (odd, < 2^62)")
-    psi = _primitive_2n_root(q, n)
-    psi_inv = pow(psi, -1, q)
+def make_ntt_tables(primes, n: int) -> NttTables:
+    primes = tuple(int(q) for q in primes)
+    for q in primes:
+        if q % 2 == 0 or q >= (1 << 62):
+            raise ValueError(f"modulus {q} out of supported range (odd, < 2^62)")
     brv = _bit_reverse_indices(n)
 
-    def mont(x: int) -> int:
-        return (x << 64) % q
+    def powers(x: int, q: int) -> list[int]:
+        """x^brv(i) mod q for i < n."""
+        pw = [1] * n
+        for k in range(1, n):
+            pw[k] = pw[k - 1] * x % q
+        return [pw[b] for b in brv]
 
-    fwd = np.array([mont(pow(psi, brv[i], q)) for i in range(n)], dtype=np.uint64)
-    inv = np.array([mont(pow(psi_inv, brv[i], q)) for i in range(n)], dtype=np.uint64)
-    return PrimeContext(
-        q=q,
+    fwd_rows, inv_rows = [], []
+    for q in primes:
+        psi = _primitive_2n_root(q, n)
+        n_inv = pow(n, -1, q)
+        fwd_rows.append(powers(psi, q))
+        inv = powers(pow(psi, -1, q), q)
+        # index 0 is unused by the stages and index 1 only by the last one,
+        # which applies n^-1 to both butterfly outputs
+        inv[0] = n_inv
+        inv[1] = inv[1] * n_inv % q
+        inv_rows.append(inv)
+    return NttTables(
         n=n,
-        q_u64=np.uint64(q),
-        neg_qinv=np.uint64((-pow(q, -1, _WORD)) % _WORD),
-        r2_u64=np.uint64((1 << 128) % q),
-        fwd_twiddles=fwd,
-        inv_twiddles=inv,
-        n_inv_mont=np.array([mont(pow(n, -1, q))], dtype=np.uint64),
+        primes=primes,
+        q=np.array(primes, dtype=np.uint64)[:, None],
+        neg_qinv=np.array([(-pow(q, -1, _WORD)) % _WORD for q in primes], dtype=np.uint64)[:, None],
+        mont=_shoup_rows([[_WORD % q] for q in primes], primes),
+        fwd=_shoup_rows(fwd_rows, primes),
+        inv=_shoup_rows(inv_rows, primes),
     )
 
 
-def ntt_forward_inplace(a: np.ndarray, ctx: PrimeContext) -> None:
-    """Standard-order coefficients -> bit-reversed negacyclic evaluations."""
-    n, q, ninv = ctx.n, ctx.q_u64, ctx.neg_qinv
-    t = n
-    m = 1
-    while m < n:
-        t >>= 1
-        s = ctx.fwd_twiddles[m : 2 * m, None]
-        blk = a.reshape(m, 2 * t)
-        u = blk[:, :t]
-        v = mont_mul(blk[:, t:], s, q, ninv)
-        hi = add_mod(u, v, q)
-        lo = sub_mod(u, v, q)
-        blk[:, :t] = hi
-        blk[:, t:] = lo
-        m <<= 1
+def _row_blocks(rows, n: int):
+    """Split table row indices into blocks of at most BLOCK_ELEMS residues.
+
+    Yields (start, stop, sel): residue rows start..stop-1 use table rows
+    ``sel``, a slice (a view) when they are consecutive.
+    """
+    step = max(1, BLOCK_ELEMS // n)
+    for start in range(0, len(rows), step):
+        blk = rows[start : start + step]
+        if blk[-1] - blk[0] == len(blk) - 1:
+            sel = slice(blk[0], blk[-1] + 1)
+        else:
+            sel = list(blk)
+        yield start, start + len(blk), sel
 
 
-def ntt_inverse_inplace(a: np.ndarray, ctx: PrimeContext) -> None:
+def _fwd_butterfly(u, v, w, q) -> None:
+    """Harvey forward butterfly on views u, v in [0, 4q); w = (w, w_hi, w_lo)."""
+    q2 = q + q
+    x = np.minimum(u, u - q2)  # [0, 2q)
+    y = _mul_shoup_lazy(v, w[0], w[1], w[2], q)
+    y = np.minimum(y, y - q2)  # [0, 2q)
+    np.add(x, y, out=u)
+    x += q2
+    np.subtract(x, y, out=v)
+
+
+def _inv_butterfly(u, v, w, q) -> None:
+    """Harvey inverse butterfly on views u, v in [0, 2q)."""
+    q2 = q + q
+    s = u + v
+    d = u + q2
+    d -= v
+    np.minimum(s, s - q2, out=u)
+    y = _mul_shoup_lazy(d, w[0], w[1], w[2], q)
+    np.minimum(y, y - q2, out=v)
+
+
+# Stages whose butterfly groups span fewer than this many residues run on a
+# transposed copy of the block, so that numpy's inner loops run across the
+# groups instead of over a handful of residues each.
+_TAIL = 16
+
+
+def _to_groups(blk: np.ndarray, g: int) -> np.ndarray:
+    """(r, n) -> (r, g, n/g) copy whose [:, j, k] is residue k*g + j."""
+    r, n = blk.shape
+    return blk.reshape(r, n // g, g).transpose(0, 2, 1).copy()
+
+
+def _from_groups(blk: np.ndarray, groups: np.ndarray) -> None:
+    """Write a :func:`_to_groups` layout back into the (r, n) block."""
+    r, g, m0 = groups.shape
+    blk.reshape(r, m0, g)[...] = groups.transpose(0, 2, 1)
+
+
+def _group_halves(groups: np.ndarray, tw: np.ndarray, m: int, t: int):
+    """Butterfly halves and twiddles of a stage with m groups of half-width t,
+    on the transposed layout of :func:`_to_groups`."""
+    r, g, m0 = groups.shape
+    per = g // (2 * t)  # butterfly groups per transposed column
+    view = groups.reshape(r, per, 2, t, m0)
+    w = tw[:, :, m : 2 * m].reshape(3, r, m0, per).swapaxes(2, 3)[:, :, :, None, :]
+    return view[:, :, 0], view[:, :, 1], w
+
+
+def _check_block(a: np.ndarray, rows, tab: NttTables) -> None:
+    if a.shape != (len(rows), tab.n) or not a.flags.c_contiguous:
+        raise ValueError(f"transforms take a C-contiguous ({len(rows)}, {tab.n}) matrix")
+
+
+def ntt_forward_inplace(a: np.ndarray, tab: NttTables, rows) -> None:
+    """Standard-order coefficients -> bit-reversed negacyclic evaluations.
+
+    ``a`` is a C-contiguous ``(len(rows), n)`` residue matrix; its row i is
+    reduced mod the prime of table row ``rows[i]``.
+    """
+    _check_block(a, rows, tab)
+    n = tab.n
+    g = min(_TAIL, n)
+    for start, stop, sel in _row_blocks(rows, n):
+        blk = a[start:stop]
+        r = stop - start
+        q = tab.q[sel]
+        tw = tab.fwd[:, sel]
+        m, t = 1, n // 2
+        while t >= g:
+            view = blk.reshape(r, m, 2, t)
+            _fwd_butterfly(view[:, :, 0], view[:, :, 1], tw[:, :, m : 2 * m, None], q[:, :, None])
+            m, t = 2 * m, t // 2
+        groups = _to_groups(blk, g)
+        while t >= 1:
+            u, v, w = _group_halves(groups, tw, m, t)
+            _fwd_butterfly(u, v, w, q[:, :, None, None])
+            m, t = 2 * m, t // 2
+        _from_groups(blk, groups)
+        np.minimum(blk, blk - (q + q), out=blk)
+        np.minimum(blk, blk - q, out=blk)
+
+
+def ntt_inverse_inplace(a: np.ndarray, tab: NttTables, rows) -> None:
     """Bit-reversed negacyclic evaluations -> standard-order coefficients."""
-    n, q, ninv = ctx.n, ctx.q_u64, ctx.neg_qinv
-    t = 1
-    m = n
-    while m > 1:
-        h = m >> 1
-        s = ctx.inv_twiddles[h:m, None]
-        blk = a.reshape(h, 2 * t)
-        u = blk[:, :t]
-        v = blk[:, t:]
-        hi = add_mod(u, v, q)
-        lo = mont_mul(sub_mod(u, v, q), s, q, ninv)
-        blk[:, :t] = hi
-        blk[:, t:] = lo
-        t <<= 1
-        m = h
-    a[:] = mont_mul(a, ctx.n_inv_mont, q, ninv)
+    _check_block(a, rows, tab)
+    n = tab.n
+    g = min(_TAIL, n)
+    for start, stop, sel in _row_blocks(rows, n):
+        blk = a[start:stop]
+        r = stop - start
+        q = tab.q[sel]
+        tw = tab.inv[:, sel]
+        h, t = n // 2, 1
+        groups = _to_groups(blk, g)
+        while 2 * t <= g and h > 1:
+            u, v, w = _group_halves(groups, tw, h, t)
+            _inv_butterfly(u, v, w, q[:, :, None, None])
+            h, t = h // 2, 2 * t
+        _from_groups(blk, groups)
+        while h > 1:
+            view = blk.reshape(r, h, 2, t)
+            _inv_butterfly(view[:, :, 0], view[:, :, 1], tw[:, :, h : 2 * h, None], q[:, :, None])
+            h, t = h // 2, 2 * t
+        # last stage: both outputs take n^-1 (table index 0), the difference
+        # also the last twiddle (index 1, pre-multiplied by n^-1)
+        q2 = q + q
+        u = blk[:, : n // 2]
+        v = blk[:, n // 2 :]
+        s = u + v
+        d = u + q2
+        d -= v
+        for src, dst, k in ((s, u, 0), (d, v, 1)):
+            y = _mul_shoup_lazy(src, tw[0, :, k, None], tw[1, :, k, None], tw[2, :, k, None], q)
+            y = np.minimum(y, y - q2)
+            np.minimum(y, y - q, out=dst)

@@ -11,10 +11,22 @@ Two representations coexist:
 * NTT domain — rows hold negacyclic evaluations (bit-reversed order, see
   :mod:`fhefl.ntt`); products are pointwise there.
 
-Rescaling (`drop_level`) is the exact RNS divide-and-round by the last active
-modulus: subtract the centered remainder, then multiply by its inverse on the
-remaining rows.  Dropping rows without rounding (`mod_reduce_to`) is plain
-modulus reduction and keeps the encoded scale untouched.
+Every operation works on the whole residue matrix, with the moduli as a
+``(rows, 1)`` column, through the kernels of :mod:`fhefl.ntt`; transforms
+and products walk it in the kernels' cache-sized row blocks.  The kernel
+constants (Shoup twiddles, Montgomery and rescale constants) live on the
+:class:`RingParams`, one table row per prime of the chain plus the special
+prime; an element selects the rows of the moduli it carries.  The pointwise
+product is one Montgomery reduction followed by a Shoup multiply by
+2^64 mod q, which cancels the Montgomery factor.
+
+Rescaling (`drop_last_modulus`) is the exact RNS divide-and-round by the last
+active modulus: subtract the centered remainder, then multiply by its inverse
+on the remaining rows.  It works in either domain; in the NTT domain only the
+dropped row is transformed back, and the remainder is transformed forward
+once per remaining row (the full-RNS rescale of Cheon et al., SAC 2018).
+Dropping rows without rounding (`mod_reduce_to`) is plain modulus reduction
+and keeps the encoded scale untouched.
 """
 
 from __future__ import annotations
@@ -27,19 +39,21 @@ import numpy as np
 
 from .errors import DomainError, LevelError, ParameterError, SerializationError
 from .ntt import (
-    PrimeContext,
+    NttTables,
     add_mod,
     find_ntt_primes,
     is_prime,
-    make_prime_context,
-    mont_mul,
+    make_ntt_tables,
     mul_mod,
+    mul_shoup,
     neg_mod,
     ntt_forward_inplace,
     ntt_inverse_inplace,
+    shoup_halves,
     sub_mod,
 )
 
+_WORD = 1 << 64
 _SER_MAGIC = b"FRE1"
 _SER_VERSION = 1
 
@@ -52,10 +66,12 @@ class RingParams:
     chain: tuple[int, ...]
     special: int | None = None
     name: str = "custom"
-    _ctx: dict[int, PrimeContext] = field(default_factory=dict, repr=False)
+    # kernel constants, one row per chain prime, then the special prime
+    tables: NttTables = field(init=False, repr=False, compare=False)
     _crt: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = field(
         default_factory=dict, repr=False
     )
+    _rescale: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 4 or self.n & (self.n - 1):
@@ -71,7 +87,9 @@ class RingParams:
                 raise ParameterError(f"modulus {q} is not 1 mod 2n (n={self.n})")
             if not is_prime(q):
                 raise ParameterError(f"modulus {q} is not prime")
-            self._ctx[q] = make_prime_context(q, self.n)
+            if q >= 1 << 62:
+                raise ParameterError(f"modulus {q} is not below 2^62")
+        self.tables = make_ntt_tables(all_primes, self.n)
 
     # -- structure helpers ---------------------------------------------------
 
@@ -89,8 +107,29 @@ class RingParams:
             mods = mods + (self.special,)
         return mods
 
-    def ctx(self, q: int) -> PrimeContext:
-        return self._ctx[q]
+    def rows(self, level: int, special: bool = False) -> list[int]:
+        """Table rows of the moduli ``moduli(level, special)``."""
+        rows = list(range(level + 1))
+        if special:
+            rows.append(len(self.chain))
+        return rows
+
+    def rescale_constants(self, row: int) -> np.ndarray:
+        """(3, rows, 1) stack: q_row^-1 mod every table prime, with Shoup halves.
+
+        The entry of ``row`` itself is unused (zero).
+        """
+        cached = self._rescale.get(row)
+        if cached is None:
+            primes = self.tables.primes
+            q_last = primes[row]
+            cached = np.zeros((3, len(primes), 1), dtype=np.uint64)
+            for j, q in enumerate(primes):
+                if j != row:
+                    inv = pow(q_last, -1, q)
+                    cached[:, j, 0] = (inv, *shoup_halves(inv, q))
+            self._rescale[row] = cached
+        return cached
 
     def crt_constants(self, moduli: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         """Product Q and the CRT idempotents e_i (e_i = 1 mod q_i, 0 elsewhere)."""
@@ -130,8 +169,20 @@ class RingElement:
     def moduli(self) -> tuple[int, ...]:
         return self.params.moduli(self.level, self.special)
 
+    @property
+    def rows(self) -> list[int]:
+        """Rows of the params' kernel tables that this element's residues use."""
+        return self.params.rows(self.level, self.special)
+
+    def _q(self) -> np.ndarray:
+        return self.params.tables.q[self.rows]
+
+    def _like(self, data: np.ndarray, ntt: bool | None = None) -> "RingElement":
+        ntt = self.ntt if ntt is None else ntt
+        return RingElement(self.params, data, self.level, self.special, ntt)
+
     def copy(self) -> "RingElement":
-        return RingElement(self.params, self.data.copy(), self.level, self.special, self.ntt)
+        return self._like(self.data.copy())
 
     def _check_compat(self, other: "RingElement") -> None:
         if self.params is not other.params and self.moduli != other.moduli:
@@ -157,42 +208,29 @@ class RingElement:
 
     def add(self, other: "RingElement") -> "RingElement":
         self._check_compat(other)
-        out = np.empty_like(self.data)
-        for i, q in enumerate(self.moduli):
-            out[i] = add_mod(self.data[i], other.data[i], np.uint64(q))
-        return RingElement(self.params, out, self.level, self.special, self.ntt)
+        return self._like(add_mod(self.data, other.data, self._q()))
 
     def sub(self, other: "RingElement") -> "RingElement":
         self._check_compat(other)
-        out = np.empty_like(self.data)
-        for i, q in enumerate(self.moduli):
-            out[i] = sub_mod(self.data[i], other.data[i], np.uint64(q))
-        return RingElement(self.params, out, self.level, self.special, self.ntt)
+        return self._like(sub_mod(self.data, other.data, self._q()))
 
     def neg(self) -> "RingElement":
-        out = np.empty_like(self.data)
-        for i, q in enumerate(self.moduli):
-            out[i] = neg_mod(self.data[i], np.uint64(q))
-        return RingElement(self.params, out, self.level, self.special, self.ntt)
+        return self._like(neg_mod(self.data, self._q()))
 
     def mul(self, other: "RingElement") -> "RingElement":
         """Pointwise product; both operands must be in NTT domain."""
         self._check_compat(other)
         if not self.ntt:
             raise DomainError("pointwise product requires NTT domain")
-        out = np.empty_like(self.data)
-        for i, q in enumerate(self.moduli):
-            out[i] = mul_mod(self.data[i], other.data[i], self.params.ctx(q))
-        return RingElement(self.params, out, self.level, self.special, True)
+        return self._like(mul_mod(self.data, other.data, self.params.tables, self.rows))
 
     def mul_scalar(self, c: int) -> "RingElement":
         """Multiply every coefficient by the integer c (any domain)."""
-        out = np.empty_like(self.data)
-        for i, q in enumerate(self.moduli):
-            ctx = self.params.ctx(q)
-            cm = np.array([ctx.to_mont(c % q)], dtype=np.uint64)
-            out[i] = mont_mul(self.data[i], cm, ctx.q_u64, ctx.neg_qinv)
-        return RingElement(self.params, out, self.level, self.special, self.ntt)
+        mods = self.moduli
+        consts = np.array(
+            [(c % q, *shoup_halves(c % q, q)) for q in mods], dtype=np.uint64
+        ).T[:, :, None]
+        return self._like(mul_shoup(self.data, *consts, self._q()))
 
     # -- representation switches ---------------------------------------------------
 
@@ -200,17 +238,15 @@ class RingElement:
         if self.ntt:
             return self.copy()
         out = self.data.copy()
-        for i, q in enumerate(self.moduli):
-            ntt_forward_inplace(out[i], self.params.ctx(q))
-        return RingElement(self.params, out, self.level, self.special, True)
+        ntt_forward_inplace(out, self.params.tables, self.rows)
+        return self._like(out, ntt=True)
 
     def to_coeff(self) -> "RingElement":
         if not self.ntt:
             return self.copy()
         out = self.data.copy()
-        for i, q in enumerate(self.moduli):
-            ntt_inverse_inplace(out[i], self.params.ctx(q))
-        return RingElement(self.params, out, self.level, self.special, False)
+        ntt_inverse_inplace(out, self.params.tables, self.rows)
+        return self._like(out, ntt=False)
 
     # -- modulus management ----------------------------------------------------------
 
@@ -226,31 +262,35 @@ class RingElement:
         )
 
     def drop_last_modulus(self) -> "RingElement":
-        """Exact divide-and-round by the last active modulus (coefficient domain).
+        """Exact divide-and-round by the last active modulus, in either domain.
 
         Computes round(x / q_last) residue-wise: y_j = (x_j - [x]_q_last) / q_last
-        with the centered remainder, which is exact in RNS.
+        with the centered remainder, which is exact in RNS.  In the NTT domain
+        the remainder comes from one inverse transform of the dropped row and
+        enters the other rows through one forward transform each; the result
+        stays in the input's domain.
         """
-        if self.ntt:
-            raise DomainError("rescaling works on coefficient-domain elements")
         mods = self.moduli
         if len(mods) == 1:
             raise LevelError("modulus chain exhausted; nothing left to drop")
+        tab, rows = self.params.tables, self.rows
+        keep = rows[:-1]
         q_last = mods[-1]
-        last = self.data[-1]
-        half = np.uint64(q_last // 2)
-        out = np.empty((len(mods) - 1, self.params.n), dtype=np.uint64)
-        big = last > half
-        for j, q in enumerate(mods[:-1]):
-            ctx = self.params.ctx(q)
-            qj = np.uint64(q)
-            base = sub_mod(self.data[j], last % qj, qj)
-            fixed = np.where(big, add_mod(base, np.uint64(q_last % q), qj), base)
-            inv = np.array([ctx.to_mont(pow(q_last, -1, q))], dtype=np.uint64)
-            out[j] = mont_mul(fixed, inv, ctx.q_u64, ctx.neg_qinv)
-        if self.special:
-            return RingElement(self.params, out, self.level, False, False)
-        return RingElement(self.params, out, self.level - 1, False, False)
+        last = self.data[-1:]
+        if self.ntt:
+            last = last.copy()
+            ntt_inverse_inplace(last, tab, rows[-1:])
+        q = tab.q[keep]
+        # [x]_q_last, centered, reduced into every remaining modulus
+        rem = last % q
+        big = last > np.uint64(q_last // 2)
+        rem = np.where(big, sub_mod(rem, np.uint64(q_last) % q, q), rem)
+        if self.ntt:
+            ntt_forward_inplace(rem, tab, keep)
+        diff = sub_mod(self.data[:-1], rem, q)
+        out = mul_shoup(diff, *self.params.rescale_constants(rows[-1])[:, keep], q)
+        level = self.level if self.special else self.level - 1
+        return RingElement(self.params, out, level, False, self.ntt)
 
     # -- integer views ------------------------------------------------------------------
 
@@ -280,15 +320,13 @@ class RingElement:
         vals = np.asarray(values, dtype=object)
         if vals.shape != (params.n,):
             raise ParameterError(f"expected {params.n} coefficients, got {vals.shape}")
+        try:
+            return _from_small_ints(params, vals.astype(np.int64), level, special)
+        except OverflowError:  # beyond int64: reduce the Python integers row by row
+            pass
         out = np.empty((len(mods), params.n), dtype=np.uint64)
-        mx = max((abs(int(v)) for v in vals.flat), default=0)
-        if mx < (1 << 62):
-            v64 = vals.astype(np.int64)
-            for i, q in enumerate(mods):
-                out[i] = np.mod(v64, np.int64(q)).astype(np.uint64)
-        else:
-            for i, q in enumerate(mods):
-                out[i] = (vals % q).astype(np.uint64)
+        for i, q in enumerate(mods):
+            out[i] = (vals % q).astype(np.uint64)
         return cls(params, out, level, special, False)
 
     @classmethod
@@ -383,8 +421,33 @@ def ntt_inverse(x: RingElement) -> RingElement:
     return x.to_coeff()
 
 
+def rns_digits(x: RingElement):
+    """Yield the NTT forms of an element's RNS digits over the extended basis.
+
+    ``x`` is an NTT-domain element over q_0..q_l.  Digit i is its residue row
+    mod q_i read as an integer in [0, q_i) and reduced into every modulus of
+    q_0..q_l plus the special prime.  Row i of that digit is x's own NTT row
+    i, so only the other rows are transformed.
+    """
+    if not x.ntt or x.special:
+        raise DomainError("digit decomposition takes an NTT-domain chain element")
+    params, tab = x.params, x.params.tables
+    coeff = x.to_coeff().data
+    rows = params.rows(x.level, special=True)
+    q = tab.q[rows]
+    for i in range(x.level + 1):
+        ext = coeff[i] % q
+        ext[i] = x.data[i]
+        ntt_forward_inplace(ext[:i], tab, rows[:i])
+        ntt_forward_inplace(ext[i + 1 :], tab, rows[i + 1 :])
+        yield RingElement(params, ext, x.level, True, True)
+
+
 def drop_level(x: RingElement) -> RingElement:
-    """Exact RNS rescale: divide-and-round by the last active modulus."""
+    """Exact RNS rescale of a coefficient-domain element: divide-and-round by
+    the last active modulus."""
+    if x.ntt:
+        raise DomainError("drop_level takes a coefficient-domain element")
     return x.drop_last_modulus()
 
 
@@ -405,8 +468,13 @@ def _seed_bytes(seed) -> bytes:
 
 def _shake_words(seed: bytes, count: int) -> np.ndarray:
     """First ``count`` uint64 words of the SHAKE-256 stream for ``seed``."""
-    raw = hashlib.shake_256(seed).digest(8 * count)
-    return np.frombuffer(raw, dtype="<u8").astype(np.uint64)
+    return np.frombuffer(hashlib.shake_256(seed).digest(8 * count), dtype="<u8")
+
+
+# Words drawn per word a row needs on average.  A row of n residues takes
+# n * 2^64 / bound words, and its spread is far below 2% for every n the
+# pipeline uses; a shortfall only costs a longer digest.
+_DRAW_SLACK = 1.02
 
 
 def sample_uniform(
@@ -421,37 +489,33 @@ def sample_uniform(
     """Deterministic uniform element from a SHAKE-256 stream (rejection sampled).
 
     The same (seed, tag) always yields the same element, which is what lets
-    every party derive the shared public polynomial for a round.
+    every party derive the shared public polynomial for a round.  Row i takes
+    the next stream words below the largest multiple of q_i under 2^64,
+    reduced mod q_i.
     """
     if level is None:
         level = params.max_level
     mods = params.moduli(level, special)
     seed_b = _seed_bytes(seed) + b"|" + tag
     n = params.n
+    bounds = [(_WORD // q) * q for q in mods]
+    draws = [_DRAW_SLACK * n * _WORD / b for b in bounds]  # words per row
+    words = _shake_words(seed_b, int(sum(draws)) + 16)
     rows = np.empty((len(mods), n), dtype=np.uint64)
-    # acceptance is >= 1/2 for any q < 2^62, so 3x oversampling makes a refill
-    # essentially impossible; the loop keeps determinism regardless.
-    budget = 3 * len(mods) * n + 16
-    words = _shake_words(seed_b, budget)
     pos = 0
     for i, q in enumerate(mods):
-        bound = np.uint64((2**64 // q) * q)
+        bound = np.uint64(bounds[i])
         got = 0
         while got < n:
-            if pos >= len(words):
-                budget *= 2
-                words = _shake_words(seed_b, budget)
-            chunk = words[pos:]
-            keep = chunk[chunk < bound]
-            take = min(n - got, len(keep))
-            rows[i, got : got + take] = keep[:take] % np.uint64(q)
-            # advance past exactly the words that produced `take` accepted ones
-            if take == len(keep):
-                pos = len(words)
-            else:
-                used = int(np.searchsorted(np.cumsum(chunk < bound), take))
-                pos += used + 1
+            if pos >= len(words):  # SHAKE output is prefix-stable: extend it
+                words = _shake_words(seed_b, 2 * len(words))
+            window = words[pos : pos + int(draws[i] * (n - got) / n) + 16]
+            hits = np.flatnonzero(window < bound)
+            take = min(n - got, len(hits))
+            rows[i, got : got + take] = window[hits[:take]] % np.uint64(q)
             got += take
+            # advance past exactly the words that produced the accepted ones
+            pos += int(hits[take - 1]) + 1 if got == n else len(window)
     return RingElement(params, rows, level, special, ntt)
 
 
@@ -499,8 +563,6 @@ def sample_error(
 def _from_small_ints(
     params: RingParams, vals: np.ndarray, level: int, special: bool
 ) -> RingElement:
-    mods = params.moduli(level, special)
-    out = np.empty((len(mods), params.n), dtype=np.uint64)
-    for i, q in enumerate(mods):
-        out[i] = np.mod(vals, np.int64(q)).astype(np.uint64)
+    qs = np.array(params.moduli(level, special), dtype=np.int64)[:, None]
+    out = np.mod(vals[None, :], qs).astype(np.uint64)
     return RingElement(params, out, level, special, False)

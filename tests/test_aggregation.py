@@ -2,6 +2,7 @@
 plain-domain oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from fhefl.aggregation import (
     weighted_aggregate_plain,
 )
 from fhefl.errors import ParameterError, ProtocolError
-from fhefl.he import SecretKey, common_poly, decrypt, encrypt, get_params
+from fhefl.he import SecretKey, common_poly, decrypt, encode, encrypt, get_params, preset_names
 from fhefl.multikey import setup_pairwise
 
 
@@ -320,6 +321,42 @@ def test_pipeline_matches_on_test1024():
     np.testing.assert_allclose(w_enc, w_plain, rtol=1e-2, atol=1e-4)
 
 
+def test_pipeline_precision_beyond_partial_decryption_flooding():
+    # The aggregate leg opens sum_u p_u * g_u through partial decryptions
+    # flooded with sigma * 2^flood_sigma_bits noise.  The re-encrypted rate
+    # carries that factor in its scale, so the opened step keeps far more
+    # precision than the flooding would otherwise leave (about 2^-15 here).
+    hp = get_params("test-1024")
+    rng = np.random.default_rng(17)
+    rings = setup_pairwise(hp, range(4), 0, b"pipe7")
+    a = common_poly(hp, seed=b"pipe7-a")
+    grads = rng.uniform(-1, 1, size=(4, 64))
+    w_prev = rng.uniform(-1, 1, 64)
+    enc = {u: encrypt_update(rings[u], grads[u], a, rng) for u in range(4)}
+    w_enc = secure_aggregate_round(enc, rings, w_prev, 0.1, rng, round_tag=b"pipe7")
+    rates = non_poisoning_rates([sq_norm_plain(g) for g in grads])
+    w_plain = weighted_aggregate_plain(w_prev, grads, rates, 0.1)
+    step = np.max(np.abs(w_plain - w_prev))
+    assert np.max(np.abs(w_enc - w_plain)) < 2.0**-22 * step
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_raised_rate_scale_fits_every_level(name):
+    # the re-encrypted rate lives at scale * 2^flood_sigma_bits; the blinded
+    # rate (the blind is at most 2^20) and the unmask must encode at the top
+    # level, and rate * gradient (|p * g| <= 2^8) must fit before and after
+    # the aggregate product's rescale, each with 2^16 to spare
+    params = get_params(name)
+    ring = params.ring
+    top = ring.max_level
+    fresh = params.scale * 2.0**params.flood_sigma_bits
+    margin = 2.0**16
+    encode(params, [(2.0**20 + 1.0) * margin], top, scale=fresh)
+    product = fresh * params.scale
+    encode(params, [2.0**8 * margin], top, scale=product)
+    encode(params, [2.0**8 * margin], top - 1, scale=product / ring.chain[top])
+
+
 def test_pipeline_identical_grads_is_fedavg(hp):
     rng = np.random.default_rng(12)
     rings = setup_pairwise(hp, range(3), 0, b"pipe2")
@@ -366,13 +403,13 @@ def test_pipeline_aborts_on_inflated_reencryption(hp, monkeypatch):
     grads = rng.uniform(-1, 1, size=(3, 5))
     enc = {u: encrypt_update(rings[u], grads[u], a, rng) for u in range(3)}
 
-    real_encrypt = agg_mod.encrypt
+    real_reencrypt = agg_mod.reencrypt
 
-    def inflating_encrypt(params, values, sk, a, rng, **kw):
-        # the only encrypt() inside the round is the rate re-encryption leg
-        return real_encrypt(params, np.asarray(values) * 3.0, sk, a, rng, **kw)
+    def inflating_reencrypt(ct, sk, a, rng, **kw):
+        # reading the blinded rate at a third of its scale triples it
+        return real_reencrypt(replace(ct, scale=ct.scale / 3.0), sk, a, rng, **kw)
 
-    monkeypatch.setattr(agg_mod, "encrypt", inflating_encrypt)
+    monkeypatch.setattr(agg_mod, "reencrypt", inflating_reencrypt)
     with pytest.raises(ProtocolError, match="rate-sum-check"):
         secure_aggregate_round(enc, rings, np.zeros(5), 1.0, rng)
 

@@ -147,6 +147,24 @@ def test_bench_outputs_all_rows(capsys):
     assert "mean us" in out and "p95 us" in out
 
 
+def test_bench_rounds_use_fresh_poly_and_tag(capsys, monkeypatch):
+    # masked_partial_decrypt forbids reusing a round tag: every repetition
+    # needs its own tag and its own common polynomial
+    import fhefl.cli as cli_mod
+
+    seen = []
+
+    def record(enc, keyrings, w_prev, eta, rng, *, round_tag):
+        seen.append((round_tag, enc[0].fwd[0].c1.to_bytes()))
+        return w_prev
+
+    monkeypatch.setattr(cli_mod, "secure_aggregate_round", record)
+    assert main(["bench", "--preset", "test-16", "--reps", "15"]) == 0
+    assert len(seen) == 3
+    assert len({tag for tag, _ in seen}) == 3
+    assert len({a for _, a in seen}) == 3
+
+
 def test_bench_zero_reps_is_usage_error(capsys):
     assert main(["bench", "--preset", "test-16", "--reps", "0"]) == 2
     assert "repetition" in capsys.readouterr().err

@@ -6,6 +6,8 @@ computed right next to the assertion.
 """
 
 import math
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from fhefl.he import (
     EvalKey,
     SecretKey,
     _he_mult_raw,
+    _phase,
     ciphertext_from_bytes,
     ciphertext_to_bytes,
     common_poly,
@@ -35,6 +38,7 @@ from fhefl.he import (
     he_mult_relin,
     plain_affine,
     preset_names,
+    reencrypt,
     relinearize,
     rescale,
 )
@@ -110,6 +114,31 @@ def test_encode_hand_residues(hp):
     assert not el.data[0, 2:].any()
     lifted = el.to_int_coeffs(indices=np.arange(2))
     assert list(map(int, lifted)) == [1536, -2304]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.floats(-(2.0**20), 2.0**20, allow_nan=False),
+    st.floats(2.0**30, 2.0**50, allow_nan=False),
+)
+def test_encode_rounds_the_exact_product(hp, v, scale):
+    # a float product would round scale * v to 53 bits first
+    lifted = encode(hp, [v], scale=scale).to_int_coeffs(indices=[0])
+    assert int(lifted[0]) == round(Fraction(scale) * Fraction(v))
+
+
+def test_reencrypt_keeps_the_exact_coefficient(hp, keys):
+    # a blinded-size value at an irregular scale: its float image has
+    # resolution 2^-33, the fresh encryption keeps the exact phase
+    sk, _ = keys
+    ct = fresh(hp, sk, [0.0, 2.0**19 / 3.0], seed=75, scale=2.0**40 / 1.37)
+    rng = np.random.default_rng(76)
+    out = reencrypt(ct, sk, common_poly(hp, seed=b"re-a"), rng, index=1, scale=2.0**60)
+    assert (out.level, out.length, out.scale) == (hp.ring.max_level, 1, 2.0**60)
+    want = Fraction(int(_phase(ct, sk).to_int_coeffs(indices=[1])[0])) / Fraction(ct.scale)
+    got = int(_phase(out, sk).to_int_coeffs(indices=[0])[0])
+    assert abs(got - want * 2**60) < 64  # fresh encryption noise only
+    np.testing.assert_allclose(decrypt(out, sk).values, [2.0**19 / 3.0], rtol=1e-12)
 
 
 def test_encode_decode_roundtrip_directions(hp):
@@ -399,3 +428,66 @@ def test_ciphertext_wire_rejects_garbage(hp, keys):
         ciphertext_from_bytes(blob + b"\0")
     with pytest.raises(SerializationError):
         ciphertext_from_bytes(b"")
+
+
+def _with_comps(blob, comps):
+    """Re-frame a ciphertext blob around other component blobs."""
+    head_len = 6 + blob[5] + struct.calcsize("<BBBId")
+    head = bytearray(blob[:head_len])
+    head[6 + blob[5] + 1] = len(comps)
+    return bytes(head) + b"".join(struct.pack("<I", len(c)) + c for c in comps)
+
+
+def test_ciphertext_wire_rejects_inconsistent_layouts(hp, keys):
+    sk, evk = keys
+    ct = fresh(hp, sk, [1.0, 2.0], seed=73)
+    blob = ciphertext_to_bytes(ct)
+    level_at = 6 + blob[5]
+    parts = [c.to_bytes() for c in ct.comps]
+    # header level disagreeing with the components
+    bad = bytearray(blob)
+    bad[level_at] = ct.level - 1
+    with pytest.raises(SerializationError, match="level"):
+        ciphertext_from_bytes(bytes(bad))
+    # component counts outside {2, 3}
+    for comps in ([parts[0]], parts * 2):
+        with pytest.raises(SerializationError, match="components"):
+            ciphertext_from_bytes(_with_comps(blob, comps))
+    # components at another level, with the special row, or in coefficient form
+    lower = ct.comps[1].mod_reduce_to(ct.level - 1).to_bytes()
+    special = evk.ks_a[0].to_bytes()
+    coeff = ct.comps[1].to_coeff().to_bytes()
+    for odd in (lower, special, coeff):
+        with pytest.raises(SerializationError, match="component"):
+            ciphertext_from_bytes(_with_comps(blob, [parts[0], odd]))
+    # a three-component product is a valid layout
+    raw = _he_mult_raw(ct, ct)
+    back = ciphertext_from_bytes(ciphertext_to_bytes(raw))
+    assert all(a == b for a, b in zip(back.comps, raw.comps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ciphertext_wire_fuzz(hp, keys, data):
+    # any corruption is either rejected with SerializationError or yields a
+    # ciphertext whose components agree with its header
+    sk, _ = keys
+    blob = bytearray(ciphertext_to_bytes(fresh(hp, sk, [0.5, -1.5], seed=74)))
+    head_len = 6 + blob[5] + struct.calcsize("<BBBId")
+    for _ in range(data.draw(st.integers(1, 4))):
+        # aim half the edits at the header, where the layout fields live
+        hi = head_len + 16 if data.draw(st.booleans()) else len(blob)
+        pos = data.draw(st.integers(0, min(hi, len(blob)) - 1))
+        blob[pos] = data.draw(st.integers(0, 255))
+    cut = data.draw(st.integers(0, len(blob)))
+    buf = bytes(blob[:cut]) if data.draw(st.booleans()) else bytes(blob)
+    try:
+        ct = ciphertext_from_bytes(buf, hp)
+    except SerializationError:
+        return
+    assert len(ct.comps) in (2, 3)
+    for c in ct.comps:
+        assert (c.level, c.special, c.ntt) == (ct.level, False, True)
+        assert c.data.shape == (ct.level + 1, hp.ring.n)
+    assert 1 <= ct.length <= hp.ring.n
+    assert math.isfinite(ct.scale) and ct.scale > 0

@@ -1,0 +1,195 @@
+"""The vectorised ring kernels against the per-row reference, bit for bit.
+
+`ring_reference` holds the per-prime Montgomery implementation the lazy
+Shoup kernels replaced.  Every prime of every preset is exercised at n = 16
+and n = 1024 (where it is 1 mod 2n), one prime at n = 16384, and the
+extreme residues 0 and q - 1 are always present in the inputs.  Pinned
+digests, taken with the reference kernels, tie whole uploads and products to
+the bytes earlier versions produced.
+"""
+
+import functools
+import hashlib
+
+import numpy as np
+import pytest
+import ring_reference as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fhefl import ring as ring_mod
+from fhefl.aggregation import encrypt_update
+from fhefl.he import ciphertext_to_bytes, common_poly, get_params, he_mult_relin, preset_names
+from fhefl.multikey import setup_pairwise
+from fhefl.ntt import mul_mod, ntt_forward_inplace, ntt_inverse_inplace
+from fhefl.ring import RingElement, RingParams, sample_uniform
+
+
+def _preset_basis(name):
+    ring = get_params(name).ring
+    return ring.chain, ring.special
+
+
+CASES = [
+    (name, n)
+    for name in preset_names()
+    for n in (16, 1024)
+    if all(q % (2 * n) == 1 for q in (*_preset_basis(name)[0], _preset_basis(name)[1]))
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _ring(name, n):
+    chain, special = _preset_basis(name)
+    return RingParams(n=n, chain=chain, special=special, name=f"{name}@{n}")
+
+
+@functools.lru_cache(maxsize=None)
+def _ctx(q, n):
+    return ref.make_prime_context(q, n)
+
+
+def _residues(params, rows, seed, extreme):
+    """Random residues per row, with 0 and q - 1 at random positions; with
+    ``extreme`` a row is all q - 1."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((len(rows), params.n), dtype=np.uint64)
+    for i, r in enumerate(rows):
+        q = params.tables.primes[r]
+        out[i] = rng.integers(0, q, params.n, dtype=np.uint64)
+        out[i, rng.integers(0, params.n, 2)] = (0, q - 1)
+        if extreme == i:
+            out[i] = q - 1
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from(CASES),
+    seed=st.integers(0, 2**32),
+    extreme=st.integers(-1, 3),
+    level=st.integers(0, 4),
+)
+def test_transforms_and_product_match_reference(case, seed, extreme, level):
+    params = _ring(*case)
+    rows = params.rows(min(level, params.max_level), special=True)
+    x = _residues(params, rows, seed, extreme)
+    y = _residues(params, rows, seed + 1, -1)
+    fwd, inv = x.copy(), x.copy()
+    ntt_forward_inplace(fwd, params.tables, rows)
+    ntt_inverse_inplace(inv, params.tables, rows)
+    prod = mul_mod(x, y, params.tables, rows)
+    for i, r in enumerate(rows):
+        ctx = _ctx(params.tables.primes[r], params.n)
+        assert np.array_equal(fwd[i], ref.ntt_forward(x[i], ctx))
+        assert np.array_equal(inv[i], ref.ntt_inverse(x[i], ctx))
+        assert np.array_equal(prod[i], ref.mul_mod(x[i], y[i], ctx))
+
+
+def test_transforms_match_reference_one_row_16384():
+    params = get_params("fhefl-16384").ring
+    q = params.chain[0]
+    x = _residues(params, [0], 16384, -1)
+    fwd, inv = x.copy(), x.copy()
+    ntt_forward_inplace(fwd, params.tables, [0])
+    ntt_inverse_inplace(inv, params.tables, [0])
+    ctx = ref.make_prime_context(q, params.n)
+    assert np.array_equal(fwd[0], ref.ntt_forward(x[0], ctx))
+    assert np.array_equal(inv[0], ref.ntt_inverse(x[0], ctx))
+
+
+def test_transforms_take_any_row_subset():
+    # the special row ahead of a chain row: the block gathers its twiddles
+    params = _ring("test-1024", 1024)
+    rows = [params.max_level + 1, 1]
+    x = _residues(params, rows, 5, -1)
+    got = x.copy()
+    ntt_forward_inplace(got, params.tables, rows)
+    for i, r in enumerate(rows):
+        assert np.array_equal(got[i], ref.ntt_forward(x[i], _ctx(params.tables.primes[r], 1024)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    case=st.sampled_from(CASES),
+    seed=st.integers(0, 2**32),
+    extreme=st.integers(-1, 3),
+    level=st.integers(0, 4),
+    special=st.booleans(),
+    ntt=st.booleans(),
+)
+def test_rescale_matches_reference(case, seed, extreme, level, special, ntt):
+    params = _ring(*case)
+    level = max(min(level, params.max_level), 0 if special else 1)
+    rows = params.rows(level, special)
+    x = RingElement(params, _residues(params, rows, seed, extreme), level, special, ntt)
+    ctxs = [_ctx(params.tables.primes[r], params.n) for r in rows]
+    coeff = [ref.ntt_inverse(row, c) for row, c in zip(x.data, ctxs)] if ntt else x.data
+    want = ref.drop_last_modulus(np.array(coeff), ctxs)
+    if ntt:
+        want = [ref.ntt_forward(row, c) for row, c in zip(want, ctxs)]
+    got = x.drop_last_modulus()
+    assert got.ntt == ntt
+    assert np.array_equal(got.data, np.array(want))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.sampled_from(CASES), seed=st.integers(0, 2**32), c=st.integers(-(2**70), 2**70))
+def test_mul_scalar_matches_reference(case, seed, c):
+    params = _ring(*case)
+    rows = params.rows(params.max_level, True)
+    x = RingElement(params, _residues(params, rows, seed, 0), params.max_level, True)
+    got = x.mul_scalar(c)
+    for i, q in enumerate(params.tables.primes):
+        ctx = _ctx(q, params.n)
+        cm = np.array([ctx.mont(c % q)], dtype=np.uint64)
+        assert np.array_equal(got.data[i], ref.mont_mul(x.data[i], cm, ctx.q_u64, ctx.neg_qinv))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from(CASES),
+    seed=st.binary(max_size=24),
+    tag=st.binary(max_size=8),
+    level=st.integers(0, 4),
+    special=st.booleans(),
+    slack=st.sampled_from([0.1, 0.5, 1.02, 3.0]),
+)
+def test_sampler_matches_reference(case, seed, tag, level, special, slack):
+    # the draw slack only sizes the SHAKE buffer; small values force the
+    # window and refill paths, which must not change the output
+    params = _ring(*case)
+    level = min(level, params.max_level)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring_mod, "_DRAW_SLACK", slack)
+        got = sample_uniform(params, seed, level=level, special=special, tag=tag)
+    want = ref.sample_uniform_rows(seed + b"|" + tag, params.moduli(level, special), params.n)
+    assert np.array_equal(got.data, want)
+
+
+def test_sampler_matches_reference_16384():
+    params = get_params("fhefl-16384").ring
+    got = sample_uniform(params, b"seed", special=True, tag=b"t")
+    want = ref.sample_uniform_rows(b"seed|t", params.moduli(params.max_level, True), params.n)
+    assert np.array_equal(got.data, want)
+
+
+def test_pinned_upload_and_product_bytes():
+    # digests taken with the per-row reference kernels; the upload bytes are
+    # what a user sends, the product exercises key switching and rescaling
+    params = get_params("test-1024")
+    krs = setup_pairwise(params, [0, 1], 0, b"pinned")
+    a = common_poly(params, seed=b"pinned-a")
+    grad = np.random.default_rng(2024).uniform(-1, 1, 700)
+    eu = encrypt_update(krs[0], grad, a, np.random.default_rng(7))
+    blob = b"".join(ciphertext_to_bytes(c) for c in eu.fwd + eu.rev)
+    assert len(blob) == 262648
+    assert (
+        hashlib.sha256(blob).hexdigest()
+        == "e192db6b5770a9eaeac22c5103155c307a31cc510c331a8a70dbae9f3c1cedb8"
+    )
+    prod = he_mult_relin(eu.fwd[0], eu.rev[0], krs[0].evk)
+    assert (
+        hashlib.sha256(ciphertext_to_bytes(prod)).hexdigest()
+        == "b4b109431f215e4292383f772abba387c0c4cb14582e4bdd3bd2800772af253a"
+    )
