@@ -11,7 +11,10 @@ down-weighted without the server ever ranking identities.
 The encrypted path mirrors the plain one stage for stage:
 
 1. norm:        [d_u] = forward(g_u) * reversed(g_u); the squared norm sits on
-                coefficient chunk_len-1 of the product.
+                coefficient chunk_len-1 of the product.  Every upload carries
+                the round's public c1 = a, so every product has the quadratic
+                component a*a: it is decomposed into key-switch digits once
+                for the stage, not once per user and chunk.
 2. d-sum:       sum_u [d_u] is opened with masked partial decryptions (the
                 server learns only the total).
 3. rate:        [p_u] = plain_affine([d_u], -1/((U-1)*sum_d), 1/(U-1)).
@@ -28,6 +31,8 @@ The encrypted path mirrors the plain one stage for stage:
                 ~1, so a user cannot inflate their weight while re-encrypting.
 6. aggregate:   sum_u [p~_u] * [g_u] is opened with partial decryptions;
                 the model moves by -eta times the weighted gradient sum.
+                The rates share c1 = a2, so the quadratic component a2*a is
+                again decomposed once for the stage.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ from .multikey import (
     masked_partial_decrypt,
     reconstruct_group_key,
 )
+from .ring import rns_digits
 
 # ---------------------------------------------------------------------------
 # plain-domain pieces
@@ -248,11 +254,15 @@ def encrypt_update(
     )
 
 
-def sq_norm_encrypted(eu: EncryptedUpdate, evk: EvalKey) -> Ciphertext:
-    """[g]_fwd * [g]_rev summed over chunks; ||g||^2 lands on eu.readout."""
+def sq_norm_encrypted(eu: EncryptedUpdate, evk: EvalKey, digits=None) -> Ciphertext:
+    """[g]_fwd * [g]_rev summed over chunks; ||g||^2 lands on eu.readout.
+
+    ``digits``: the key-switch digits of a*a when every chunk carries c1 = a
+    (see ``he_mult_relin``).
+    """
     acc = None
     for f, r in zip(eu.fwd, eu.rev):
-        prod = he_mult_relin(f, r, evk)
+        prod = he_mult_relin(f, r, evk, digits)
         acc = prod if acc is None else he_add(acc, prod)
     return acc
 
@@ -326,12 +336,17 @@ def secure_aggregate_round(
         raise ProtocolError(f"missing keyrings for users {sorted(set(users) - set(keyrings))}")
     params = keyrings[users[0]].params
     epoch = keyrings[users[0]].epoch
+    # the round's public polynomial: the stages decompose the products of it
+    # once for every user, which is only correct if every upload carries it
+    a = enc_updates[users[0]].fwd[0].c1
     for u in users:
         eu, kr = enc_updates[u], keyrings[u]
         if eu.user_id != u or kr.user_id != u:
             raise ProtocolError(f"update/keyring ownership mismatch for user {u}")
         if eu.epoch != epoch or kr.epoch != epoch:
             raise ProtocolError(f"mixed epochs in round (user {u})")
+        if any(ct.c1 != a for ct in eu.fwd + eu.rev):
+            raise ProtocolError(f"user {u}'s upload does not share the round's public polynomial")
     dims = {enc_updates[u].dim for u in users}
     if len(dims) != 1:
         raise ProtocolError(f"mixed gradient dimensions {sorted(dims)}")
@@ -344,7 +359,8 @@ def secure_aggregate_round(
     ri = enc_updates[users[0]].readout
 
     with _stage("norm"):
-        d_cts = {u: sq_norm_encrypted(enc_updates[u], keyrings[u].evk) for u in users}
+        digits = tuple(rns_digits(a.mul(a)))
+        d_cts = {u: sq_norm_encrypted(enc_updates[u], keyrings[u].evk, digits) for u in users}
 
     with _stage("distance-sum"):
         partials = {
@@ -409,9 +425,11 @@ def secure_aggregate_round(
         n_chunks = enc_updates[users[0]].n_chunks
         chunk_len = enc_updates[users[0]].chunk_len
         out = np.empty(n_chunks * chunk_len)
+        # every fresh rate carries c1 = a2 (aggregate_fresh checked it)
+        digits = tuple(rns_digits(p_fresh[users[0]].c1.mul(a)))
         for c in range(n_chunks):
             prod = {
-                u: he_mult_relin(p_fresh[u], enc_updates[u].fwd[c], keyrings[u].evk)
+                u: he_mult_relin(p_fresh[u], enc_updates[u].fwd[c], keyrings[u].evk, digits)
                 for u in users
             }
             tag = round_tag + b"|agg|" + str(c).encode()

@@ -16,6 +16,12 @@ rescale that divides by the dropped prime.  Relinearization decomposes the
 quadratic component into its per-prime RNS digits and key-switches them with
 one evaluation-key pair per chain prime over the special-prime extension —
 the standard word-sized realization of dividing by a large public ``p``.
+The quadratic component of a product of fresh ciphertexts is the product of
+their public c1 parts, so every user's product in a round has the same one.
+A caller can decompose it once and pass the digits to each product
+(``digits=``), which leaves only the per-key multiply-accumulate per user —
+the hoisting of Halevi & Shoup (CRYPTO 2018), across users instead of
+rotations.
 """
 
 from __future__ import annotations
@@ -160,7 +166,8 @@ def _scaled_round(scale: float, v: float) -> int:
 def _plaintext(params: HeParams, ints: list[int], level: int, direction: str) -> RingElement:
     """Place fixed-point integers on the packing coefficients, checking headroom."""
     ring = params.ring
-    big_q, _ = ring.crt_constants(ring.moduli(level))
+    mods = ring.moduli(level)
+    big_q, _ = ring.crt_constants(mods)
     bound = big_q // 2
     worst = max((abs(x) for x in ints), default=0)
     if worst >= bound:
@@ -168,12 +175,17 @@ def _plaintext(params: HeParams, ints: list[int], level: int, direction: str) ->
             f"encoded magnitude 2^{worst.bit_length()} overflows modulus headroom "
             f"2^{bound.bit_length() - 1} at level {level}"
         )
-    m = len(ints)
-    coeffs = [0] * ring.n
-    for k, x in enumerate(ints):
-        idx = k if direction == "forward" else m - 1 - k
-        coeffs[idx] = x
-    return RingElement.from_int_coeffs(ring, coeffs, level)
+    if direction != "forward":
+        ints = ints[::-1]
+    out = np.zeros((len(mods), ring.n), dtype=np.uint64)
+    try:
+        vals = np.array(ints, dtype=np.int64)
+    except OverflowError:  # beyond int64: reduce the Python integers row by row
+        for i, q in enumerate(mods):
+            out[i, : len(ints)] = [x % q for x in ints]
+    else:
+        out[:, : len(ints)] = np.mod(vals, np.array(mods, dtype=np.int64)[:, None])
+    return RingElement(ring, out, level)
 
 
 def encode(
@@ -342,9 +354,10 @@ def _encrypt_plaintext(
     level = m.level
     if a.level != level or a.special or not a.ntt:
         a = a.mod_reduce_to(level).to_ntt() if not a.ntt else a.mod_reduce_to(level)
-    e = sample_error(params.ring, rng, params.sigma, level=level).to_ntt()
+    e = sample_error(params.ring, rng, params.sigma, level=level)
     s_l = sk.s.mod_reduce_to(level)
-    c0 = a.mul(s_l).add(m.to_ntt()).add(e)
+    # the NTT is linear mod q, so m + e takes one transform
+    c0 = a.mul(s_l).add(m.add(e).to_ntt())
     return Ciphertext(
         params=params,
         comps=(c0, a.copy()),
@@ -463,17 +476,24 @@ def _he_mult_raw(x: Ciphertext, y: Ciphertext) -> Ciphertext:
     )
 
 
-def _key_switch_quadratic(d2: RingElement, evk: EvalKey):
+def _key_switch_quadratic(d2: RingElement, evk: EvalKey, digits=None):
     """RNS-digit key switch of a quadratic component back to (u0, u1).
 
     u0 - u1*s = d2*s^2 + p^-1 * sum_i digit_i * e_i  (mod the active chain),
     realized by multiplying each digit against its key pair over the extended
     basis and exactly divide-and-rounding by the special prime, all in the
-    NTT domain.
+    NTT domain.  ``digits`` are the precomputed ``rns_digits`` of d2; since
+    row i of digit i is d2's own row i, they are checked against d2 exactly.
     """
     level = d2.level
+    if digits is None:
+        digits = rns_digits(d2)
+    elif len(digits) != level + 1 or not all(
+        np.array_equal(digit.data[i], d2.data[i]) for i, digit in enumerate(digits)
+    ):
+        raise ParameterError("digits do not decompose this quadratic component")
     acc0 = acc1 = None
-    for i, digit in enumerate(rns_digits(d2)):
+    for i, digit in enumerate(digits):
         t0 = digit.mul(evk.ks_b[i].mod_reduce_to(level, special=True))
         t1 = digit.mul(evk.ks_a[i].mod_reduce_to(level, special=True))
         acc0 = t0 if acc0 is None else acc0.add(t0)
@@ -481,11 +501,13 @@ def _key_switch_quadratic(d2: RingElement, evk: EvalKey):
     return acc0.drop_last_modulus(), acc1.drop_last_modulus()
 
 
-def relinearize(ct: Ciphertext, evk: EvalKey) -> Ciphertext:
+def relinearize(ct: Ciphertext, evk: EvalKey, digits=None) -> Ciphertext:
+    """Key-switch the quadratic component; ``digits`` may carry its
+    precomputed ``rns_digits``."""
     if len(ct.comps) != 3:
         raise LevelError("relinearize expects a three-component ciphertext")
     d0, d1, d2 = ct.comps
-    u0, u1 = _key_switch_quadratic(d2, evk)
+    u0, u1 = _key_switch_quadratic(d2, evk, digits)
     ring = ct.params.ring
     ks_noise = (
         math.log2(ct.level + 1)
@@ -512,9 +534,13 @@ def rescale(ct: Ciphertext) -> Ciphertext:
     return replace(ct, comps=comps, level=ct.level - 1, scale=ct.scale / q_last, noise_log2=nz)
 
 
-def he_mult_relin(x: Ciphertext, y: Ciphertext, evk: EvalKey) -> Ciphertext:
-    """Full product: tensor, relinearize, rescale."""
-    return rescale(relinearize(_he_mult_raw(x, y), evk))
+def he_mult_relin(x: Ciphertext, y: Ciphertext, evk: EvalKey, digits=None) -> Ciphertext:
+    """Full product: tensor, relinearize, rescale.
+
+    ``digits``: ``tuple(rns_digits(x.c1.mul(y.c1)))``, for callers that
+    multiply many pairs sharing the same c1 parts.
+    """
+    return rescale(relinearize(_he_mult_raw(x, y), evk, digits))
 
 
 def plain_affine(
@@ -550,9 +576,8 @@ def plain_affine(
     if add != 0.0:
         if not 0 <= add_index < ring.n:
             raise EncodingError(f"add_index {add_index} outside ring degree")
-        coeffs = [0] * ring.n
-        coeffs[add_index] = int(round(add * out.scale))
-        pa = RingElement.from_int_coeffs(ring, coeffs, out.level).to_ntt()
+        ints = [0] * add_index + [int(round(add * out.scale))]
+        pa = _plaintext(params, ints, out.level, "forward").to_ntt()
         out = replace(
             out,
             comps=(out.comps[0].add(pa), out.comps[1]),

@@ -237,6 +237,11 @@ class RingElement:
     def to_ntt(self) -> "RingElement":
         if self.ntt:
             return self.copy()
+        if not self.data[:, 1:].any():
+            # a constant polynomial evaluates to its constant term at every
+            # root: no transform
+            out = np.repeat(self.data[:, :1], self.params.n, axis=1)
+            return self._like(out, ntt=True)
         out = self.data.copy()
         ntt_forward_inplace(out, self.params.tables, self.rows)
         return self._like(out, ntt=True)

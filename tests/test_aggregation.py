@@ -430,3 +430,17 @@ def test_pipeline_validation(hp):
     mixed[1] = other[1]
     with pytest.raises(ProtocolError, match="epoch"):
         secure_aggregate_round(enc, mixed, np.ones(4), 1.0, rng)
+
+
+def test_pipeline_rejects_uploads_off_the_round_polynomial(hp):
+    # the norm and aggregate stages decompose the products of the round's
+    # shared a once for every user, so every upload must carry that a
+    rng = np.random.default_rng(18)
+    rings = setup_pairwise(hp, range(3), 0, b"pipe8")
+    a = common_poly(hp, seed=b"pipe8-a")
+    other = common_poly(hp, seed=b"pipe8-b")
+    enc = {u: encrypt_update(rings[u], np.ones(4), a, rng) for u in range(3)}
+    stray = encrypt_update(rings[2], np.ones(4), other, rng)
+    for eu in (stray, replace(enc[2], rev=stray.rev)):
+        with pytest.raises(ProtocolError, match="public polynomial"):
+            secure_aggregate_round({**enc, 2: eu}, rings, np.zeros(4), 1.0, rng)

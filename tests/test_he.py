@@ -26,6 +26,7 @@ from fhefl.he import (
     SecretKey,
     _he_mult_raw,
     _phase,
+    _plaintext,
     ciphertext_from_bytes,
     ciphertext_to_bytes,
     common_poly,
@@ -42,6 +43,7 @@ from fhefl.he import (
     relinearize,
     rescale,
 )
+from fhefl.ring import RingElement
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +127,31 @@ def test_encode_rounds_the_exact_product(hp, v, scale):
     # a float product would round scale * v to 53 bits first
     lifted = encode(hp, [v], scale=scale).to_int_coeffs(indices=[0])
     assert int(lifted[0]) == round(Fraction(scale) * Fraction(v))
+
+
+@pytest.mark.parametrize("name", preset_names())
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_plaintext_matches_int_coefficients(name, data):
+    # the residues are built from the packed integers alone: as int64 when
+    # they fit, as Python integers reduced row by row when they do not
+    params = get_params(name)
+    ring = params.ring
+    level = data.draw(st.integers(0, ring.max_level))
+    big_q, _ = ring.crt_constants(ring.moduli(level))
+    half = big_q // 2 - 1
+    edges = [0, 1, 2**63 - 1, 2**63, 2**63 + 1, half]
+    value = st.one_of(
+        st.integers(-half, half),
+        st.sampled_from([s * e for e in edges if e <= half for s in (1, -1)]),
+    )
+    ints = data.draw(st.lists(value, min_size=1, max_size=min(params.capacity, 40)))
+    direction = data.draw(st.sampled_from(["forward", "reversed"]))
+    coeffs = [0] * ring.n
+    for k, x in enumerate(ints):
+        coeffs[k if direction == "forward" else len(ints) - 1 - k] = x
+    got = _plaintext(params, ints, level, direction)
+    assert got == RingElement.from_int_coeffs(ring, coeffs, level)
 
 
 def test_reencrypt_keeps_the_exact_coefficient(hp, keys):

@@ -18,11 +18,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fhefl import ring as ring_mod
-from fhefl.aggregation import encrypt_update
-from fhefl.he import ciphertext_to_bytes, common_poly, get_params, he_mult_relin, preset_names
+from fhefl.aggregation import encrypt_update, secure_aggregate_round
+from fhefl.errors import ParameterError
+from fhefl.he import (
+    ciphertext_to_bytes,
+    common_poly,
+    encrypt,
+    get_params,
+    he_mult_relin,
+    preset_names,
+)
 from fhefl.multikey import setup_pairwise
 from fhefl.ntt import mul_mod, ntt_forward_inplace, ntt_inverse_inplace
-from fhefl.ring import RingElement, RingParams, sample_uniform
+from fhefl.ring import RingElement, RingParams, rns_digits, sample_uniform
 
 
 def _preset_basis(name):
@@ -109,6 +117,31 @@ def test_transforms_take_any_row_subset():
         assert np.array_equal(got[i], ref.ntt_forward(x[i], _ctx(params.tables.primes[r], 1024)))
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from(CASES),
+    seed=st.integers(0, 2**32),
+    level=st.integers(0, 4),
+    special=st.booleans(),
+)
+def test_constant_to_ntt_matches_reference(case, seed, level, special):
+    # a constant polynomial enters the NTT domain without a transform; the
+    # rows cycle through 0, q - 1 and a random residue
+    params = _ring(*case)
+    level = min(level, params.max_level)
+    rows = params.rows(level, special)
+    rng = np.random.default_rng(seed)
+    x = RingElement.zeros(params, level, special)
+    for i, r in enumerate(rows):
+        q = params.tables.primes[r]
+        x.data[i, 0] = (0, q - 1, int(rng.integers(1, q - 1)))[(seed + i) % 3]
+    got = x.to_ntt()
+    assert got.ntt
+    for i, r in enumerate(rows):
+        ctx = _ctx(params.tables.primes[r], params.n)
+        assert np.array_equal(got.data[i], ref.ntt_forward(x.data[i], ctx))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     case=st.sampled_from(CASES),
@@ -193,3 +226,69 @@ def test_pinned_upload_and_product_bytes():
         hashlib.sha256(ciphertext_to_bytes(prod)).hexdigest()
         == "b4b109431f215e4292383f772abba387c0c4cb14582e4bdd3bd2800772af253a"
     )
+
+
+@pytest.mark.parametrize("name", ["test-1024", "fhefl-16384"])
+def test_hoisted_digits_match_per_product_key_switch(name):
+    # a round decomposes the shared quadratic component a2*a once and hands
+    # the digits to every user's product
+    params = get_params(name)
+    krs = setup_pairwise(params, [0, 1], 0, b"hoist")
+    a = common_poly(params, seed=b"hoist-a")
+    a2 = common_poly(params, seed=b"hoist-a2")
+    rng = np.random.default_rng(31)
+    digits = tuple(rns_digits(a2.mul(a)))
+    for kr in krs.values():
+        x = encrypt(params, [rng.uniform(-1, 1)], kr.sk, a2, rng)
+        y = encrypt(params, rng.uniform(-1, 1, 8), kr.sk, a, rng)
+        hoisted = he_mult_relin(x, y, kr.evk, digits)
+        assert ciphertext_to_bytes(hoisted) == ciphertext_to_bytes(he_mult_relin(x, y, kr.evk))
+    # digits of another component are refused, not silently misused
+    with pytest.raises(ParameterError, match="digits"):
+        he_mult_relin(y, y, kr.evk, digits)
+
+
+@pytest.fixture(scope="module")
+def counted_round():
+    """A fixed-seed test-1024 round (10 users, dim 650: two chunks) and the
+    rows its forward and inverse transforms processed."""
+    params = get_params("test-1024")
+    tag = b"pinned-round"
+    rng = np.random.default_rng(2026)
+    krs = setup_pairwise(params, range(10), 0, tag)
+    a = common_poly(params, seed=tag + b"-a")
+    grads = rng.uniform(-1, 1, size=(10, 650))
+    w_prev = rng.uniform(-1, 1, 650)
+    enc = {u: encrypt_update(krs[u], grads[u], a, rng) for u in range(10)}
+    rows = {"forward": 0, "inverse": 0}
+
+    def counting(kind, kernel):
+        def run(data, tab, sel):
+            rows[kind] += len(sel)
+            return kernel(data, tab, sel)
+
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring_mod, "ntt_forward_inplace", counting("forward", ntt_forward_inplace))
+        mp.setattr(ring_mod, "ntt_inverse_inplace", counting("inverse", ntt_inverse_inplace))
+        w = secure_aggregate_round(enc, krs, w_prev, 0.1, rng, round_tag=tag)
+    return w, rows
+
+
+def test_pinned_round_output(counted_round):
+    # digest of the opened model taken before the round hoisted its shared
+    # key-switch digits and skipped the transforms of constant plaintexts
+    w, _ = counted_round
+    assert (
+        hashlib.sha256(w.tobytes()).hexdigest()
+        == "de444e172f6cf49367edb3abd40cc293534366128d0d56d675429030302d0ed3"
+    )
+
+
+def test_round_transform_budget(counted_round):
+    # the counts are deterministic; a transform that creeps back into the
+    # per-user path (it was 1520 forward and 373 inverse rows) fails here
+    _, rows = counted_round
+    assert rows["forward"] <= 802
+    assert rows["inverse"] <= 221
