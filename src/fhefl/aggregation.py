@@ -33,13 +33,35 @@ The encrypted path mirrors the plain one stage for stage:
                 the model moves by -eta times the weighted gradient sum.
                 The rates share c1 = a2, so the quadratic component a2*a is
                 again decomposed once for the stage.
+
+Every stage runs at the lowest level that holds it, chosen from public data
+only (the chain and the ciphertext scales).  Dropping chain primes is exact
+and, in the NTT domain, a row slice, so each leg only pays for the primes it
+needs: fewer rows to multiply, key-switch, mask and send.  The round opens
+values below 2^_VALUE_BITS in magnitude (the distance total, the rate total
+and each coordinate of the weighted update); a leg opens at the lowest level
+Q_l with Q_l >= scale * 2^(_VALUE_BITS + 1) (``_open_level``).
+
+* norm: the uploads drop to the lowest level at which the product's
+  distance still opens and the rate, two rescales below, still takes the
+  full 2^20 blind (``_norm_level``; level 3 at fhefl-16384).
+* d-sum: the distances drop to their opening level before the partials.  A
+  total that opens below zero by more than the noise wrapped that level's
+  modulus, and the round aborts rather than fall back to uniform rates.
+* rate: two levels below the uploads, as the affine map rescales once.
+* re-encrypt, check, aggregate: a2 is drawn at the aggregate level, the
+  lowest level that holds rate * gradient at the product's scale, and the
+  fresh rates are encrypted there; the uploads drop to it for the product,
+  which opens after its rescale.  The rate-sum check opens the fresh rates
+  at that same level, never below the product, so an inflated rate cannot
+  wrap the check without also wrapping the product.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,12 +69,15 @@ from .errors import FheflError, ParameterError, ProtocolError
 from .he import (
     Ciphertext,
     EvalKey,
+    HeParams,
+    affine_scale,
     common_poly,
-    encode,
+    encode_monomial,
     encrypt,
     he_add,
     he_mult_relin,
     plain_affine,
+    product_scale,
     reencrypt,
 )
 from .multikey import (
@@ -216,6 +241,14 @@ class EncryptedUpdate:
     def n_chunks(self) -> int:
         return len(self.fwd)
 
+    def mod_reduce_to(self, level: int) -> "EncryptedUpdate":
+        """Both packings with the chain primes above ``level`` dropped (exact)."""
+        return replace(
+            self,
+            fwd=tuple(ct.mod_reduce_to(level) for ct in self.fwd),
+            rev=tuple(ct.mod_reduce_to(level) for ct in self.rev),
+        )
+
 
 def split_chunks(vec: np.ndarray, capacity: int) -> list[np.ndarray]:
     """Chunk a vector; multi-chunk splits are zero-padded to the capacity."""
@@ -292,12 +325,58 @@ def rates_encrypted(
 # ---------------------------------------------------------------------------
 
 
-def _blind_bound(ct: Ciphertext) -> float:
-    """Largest safe blinding magnitude for this ciphertext's level headroom."""
-    ring = ct.params.ring
-    big_q, _ = ring.crt_constants(ring.moduli(ct.level))
-    headroom = float(big_q // 2) / (ct.scale * 16.0)
-    return min(2.0**20, headroom)
+# Every value the round opens is below 2^_VALUE_BITS in magnitude.
+_VALUE_BITS = 32
+_MAX_BLIND = 2.0**20
+
+
+def _modulus(params: HeParams, level: int) -> int:
+    return params.ring.crt_constants(params.ring.moduli(level))[0]
+
+
+def _open_level(params: HeParams, scale: float) -> int:
+    """Lowest level whose modulus holds scale * 2^_VALUE_BITS and a sign;
+    the top level if none does."""
+    need = scale * 2.0 ** (_VALUE_BITS + 1)
+    for level in range(params.ring.max_level + 1):
+        if _modulus(params, level) >= need:
+            return level
+    return params.ring.max_level
+
+
+def _blind_bound(params: HeParams, level: int, scale: float) -> float:
+    """Largest safe blinding magnitude for a rate at this level and scale."""
+    headroom = float(_modulus(params, level) // 2) / (scale * 16.0)
+    return min(_MAX_BLIND, headroom)
+
+
+def _norm_level(params: HeParams, scale: float) -> int:
+    """Lowest upload level whose squared norm opens and whose rate, after the
+    product's rescale and the affine map's, takes the full blind; the top
+    level if none does."""
+    for level in range(2, params.ring.max_level + 1):
+        d_scale = product_scale(params, scale, scale, level)
+        p_scale = affine_scale(params, d_scale, level - 1)
+        if (
+            _open_level(params, d_scale) < level
+            and _blind_bound(params, level - 2, p_scale) >= _MAX_BLIND
+        ):
+            return level
+    return params.ring.max_level
+
+
+def _opening_noise(cts) -> float:
+    """Bound on what an opening adds to a decoded coefficient: each
+    ciphertext's tracked noise and each partial's flooding (6 sigma)."""
+    cts = list(cts)
+    params = cts[0].params
+    flood = 6.0 * params.sigma * 2.0**params.flood_sigma_bits
+    return sum(2.0**ct.noise_log2 + flood for ct in cts) / cts[0].scale
+
+
+def _opened(ct: Ciphertext) -> Ciphertext:
+    """ct at the lowest level that holds a value below 2^_VALUE_BITS."""
+    return ct.mod_reduce_to(min(_open_level(ct.params, ct.scale), ct.level))
 
 
 @contextmanager
@@ -357,20 +436,42 @@ def secure_aggregate_round(
     roster = users
     n_users = len(users)
     ri = enc_updates[users[0]].readout
+    upload_scale = enc_updates[users[0]].fwd[0].scale
+    # The aggregate leg's partial decryptions carry sigma * 2^flood_sigma_bits
+    # flooding noise; a rate at the scale raised by the same factor keeps
+    # that noise from setting the precision of the opened update.
+    fresh_scale = params.scale * 2.0**params.flood_sigma_bits
+    l_norm = min(_norm_level(params, upload_scale), a.level)
+    l_agg = max(1, min(_open_level(params, fresh_scale * upload_scale), a.level))
 
     with _stage("norm"):
-        digits = tuple(rns_digits(a.mul(a)))
-        d_cts = {u: sq_norm_encrypted(enc_updates[u], keyrings[u].evk, digits) for u in users}
-
-    with _stage("distance-sum"):
-        partials = {
-            u: masked_partial_decrypt(
-                keyrings[u], d_cts[u].c1, round_tag + b"|dsum", roster, rng
+        a_norm = a.mod_reduce_to(l_norm)
+        digits = tuple(rns_digits(a_norm.mul(a_norm)))
+        d_cts = {
+            u: sq_norm_encrypted(
+                enc_updates[u].mod_reduce_to(l_norm), keyrings[u].evk, digits
             )
             for u in users
         }
-        decoded = combine_partials(d_cts, partials)
-        sum_d = max(float(decoded[ri]), 0.0)
+
+    with _stage("distance-sum"):
+        d_open = {u: _opened(d_cts[u]) for u in users}
+        partials = {
+            u: masked_partial_decrypt(
+                keyrings[u], d_open[u].c1, round_tag + b"|dsum", roster, rng
+            )
+            for u in users
+        }
+        decoded = combine_partials(d_open, partials)
+        sum_d = float(decoded[ri])
+        # a true total is never negative; one below the noise wrapped the
+        # opening modulus, and clamping it would fall back to uniform rates
+        if sum_d < -_opening_noise(d_open.values()):
+            raise ProtocolError(
+                f"distance total opened as {sum_d:.4g}: above 2^{_VALUE_BITS}, "
+                "it wrapped the opening modulus; aborting round"
+            )
+        sum_d = max(sum_d, 0.0)
 
     with _stage("rate"):
         if sum_d > 0:
@@ -384,33 +485,24 @@ def secure_aggregate_round(
             }
 
     with _stage("re-encrypt"):
-        a2 = common_poly(params, seed=round_tag + b"|a2")
-        # The aggregate leg's partial decryptions carry sigma * 2^flood_sigma_bits
-        # flooding noise; a rate at the scale raised by the same factor keeps
-        # that noise from setting the precision of the opened update.
-        fresh_scale = params.scale * 2.0**params.flood_sigma_bits
-        bound = _blind_bound(p_cts[users[0]])
+        a2 = common_poly(params, seed=round_tag + b"|a2", level=l_agg)
+        p0 = p_cts[users[0]]
+        bound = _blind_bound(params, p0.level, p0.scale)
         if bound < 4.0:
-            raise ProtocolError(
-                f"blinding headroom {bound:.2g} too small at level {p_cts[users[0]].level}"
-            )
+            raise ProtocolError(f"blinding headroom {bound:.2g} too small at level {p0.level}")
         blinds = {u: float(rng.uniform(-bound, bound)) for u in users}
         p_fresh = {}
         for u in users:
             pct = p_cts[u]
-            vec = np.zeros(ri + 1)
-            vec[ri] = blinds[u]  # the blind must sit on the readout coefficient
-            mask = encode(params, vec, pct.level, scale=pct.scale).to_ntt()
+            # the blind must sit on the readout coefficient
+            mask = encode_monomial(params, blinds[u], ri, pct.level, scale=pct.scale)
             # server -> user: additively blinded rate (still under s_u only)
-            blinded = pct.copy()
-            blinded.comps = (blinded.comps[0].add(mask), blinded.comps[1])
-            # user: re-encrypt the blinded readout coefficient fresh
+            blinded = replace(pct, comps=(pct.c0.add(mask), pct.c1))
+            # user: re-encrypt the blinded readout coefficient fresh, at a2's level
             fresh = reencrypt(blinded, keyrings[u].sk, a2, rng, index=ri, scale=fresh_scale)
             # server: strip the blind homomorphically
-            unmask = encode(params, [blinds[u]], fresh.level, scale=fresh.scale).to_ntt()
-            fresh.comps = (fresh.comps[0].sub(unmask), fresh.comps[1])
-            fresh.msg_bound = 1.0
-            p_fresh[u] = fresh
+            unmask = encode_monomial(params, blinds[u], 0, fresh.level, scale=fresh.scale)
+            p_fresh[u] = replace(fresh, comps=(fresh.c0.sub(unmask), fresh.c1), msg_bound=1.0)
 
     with _stage("rate-sum-check"):
         gk = reconstruct_group_key([mask_key(keyrings[u], roster) for u in roster], roster)
@@ -426,10 +518,15 @@ def secure_aggregate_round(
         chunk_len = enc_updates[users[0]].chunk_len
         out = np.empty(n_chunks * chunk_len)
         # every fresh rate carries c1 = a2 (aggregate_fresh checked it)
-        digits = tuple(rns_digits(p_fresh[users[0]].c1.mul(a)))
+        digits = tuple(rns_digits(a2.mul(a.mod_reduce_to(l_agg))))
         for c in range(n_chunks):
             prod = {
-                u: he_mult_relin(p_fresh[u], enc_updates[u].fwd[c], keyrings[u].evk, digits)
+                u: he_mult_relin(
+                    p_fresh[u],
+                    enc_updates[u].fwd[c].mod_reduce_to(l_agg),
+                    keyrings[u].evk,
+                    digits,
+                )
                 for u in users
             }
             tag = round_tag + b"|agg|" + str(c).encode()

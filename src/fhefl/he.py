@@ -163,18 +163,22 @@ def _scaled_round(scale: float, v: float) -> int:
     return q + (2 * r > vd * sd or (2 * r == vd * sd and q & 1))
 
 
-def _plaintext(params: HeParams, ints: list[int], level: int, direction: str) -> RingElement:
-    """Place fixed-point integers on the packing coefficients, checking headroom."""
-    ring = params.ring
-    mods = ring.moduli(level)
-    big_q, _ = ring.crt_constants(mods)
+def _check_headroom(params: HeParams, worst: int, level: int) -> None:
+    """Refuse an encoded magnitude that wraps the level's modulus Q_level / 2."""
+    big_q, _ = params.ring.crt_constants(params.ring.moduli(level))
     bound = big_q // 2
-    worst = max((abs(x) for x in ints), default=0)
     if worst >= bound:
         raise EncodingError(
             f"encoded magnitude 2^{worst.bit_length()} overflows modulus headroom "
             f"2^{bound.bit_length() - 1} at level {level}"
         )
+
+
+def _plaintext(params: HeParams, ints: list[int], level: int, direction: str) -> RingElement:
+    """Place fixed-point integers on the packing coefficients, checking headroom."""
+    ring = params.ring
+    mods = ring.moduli(level)
+    _check_headroom(params, max((abs(x) for x in ints), default=0), level)
     if direction != "forward":
         ints = ints[::-1]
     out = np.zeros((len(mods), ring.n), dtype=np.uint64)
@@ -207,6 +211,28 @@ def encode(
         )
     ints = [_scaled_round(scale, float(v)) for v in pv.values]
     return _plaintext(params, ints, level, pv.direction)
+
+
+def _monomial(params: HeParams, coeff: int, index: int, level: int) -> RingElement:
+    """coeff * X^index in the NTT domain (no transform), checking headroom."""
+    _check_headroom(params, abs(coeff), level)
+    return RingElement.monomial(params.ring, coeff, index, level)
+
+
+def encode_monomial(
+    params: HeParams,
+    value: float,
+    index: int,
+    level: int,
+    *,
+    scale: float | None = None,
+) -> RingElement:
+    """``encode`` of a vector whose only nonzero entry is ``value`` at
+    ``index``, returned in the NTT domain without a transform."""
+    scale = params.scale if scale is None else float(scale)
+    if not 0 <= index < params.capacity:
+        raise EncodingError(f"index {index} outside packing capacity {params.capacity}")
+    return _monomial(params, _scaled_round(scale, float(value)), index, level)
 
 
 def decode(
@@ -406,15 +432,17 @@ def reencrypt(
     """The key holder's fresh encryption of coefficient ``index`` of ct's plaintext.
 
     The coefficient is read from the phase as an exact integer and re-encoded
-    at ``scale`` on coefficient 0 at the top level, rounding the exact
-    rational once: unlike a decrypt-then-encrypt, the value never passes
-    through a float, whose 53 bits would cap its precision.
+    at ``scale`` on coefficient 0, rounding the exact rational once: unlike a
+    decrypt-then-encrypt, the value never passes through a float, whose 53
+    bits would cap its precision.  The fresh ciphertext sits at the level of
+    ``a``, so a caller that draws a lower-level ``a`` gets a lower-level
+    encryption.
     """
     params = ct.params
     scale = params.scale if scale is None else float(scale)
     coeff = int(_phase(ct, sk).to_int_coeffs(indices=[index])[0])
     value = Fraction(coeff) / Fraction(ct.scale)
-    m = _plaintext(params, [round(value * Fraction(scale))], params.ring.max_level, "forward")
+    m = _plaintext(params, [round(value * Fraction(scale))], a.level, "forward")
     return _encrypt_plaintext(params, m, sk, a, rng, scale, 1, "forward", abs(float(value)))
 
 
@@ -534,6 +562,17 @@ def rescale(ct: Ciphertext) -> Ciphertext:
     return replace(ct, comps=comps, level=ct.level - 1, scale=ct.scale / q_last, noise_log2=nz)
 
 
+def product_scale(params: HeParams, scale_x: float, scale_y: float, level: int) -> float:
+    """Scale of ``he_mult_relin`` of two ciphertexts at ``level``."""
+    return scale_x * scale_y / params.ring.chain[level]
+
+
+def affine_scale(params: HeParams, scale: float, level: int) -> float:
+    """Scale of ``plain_affine`` of a ciphertext at ``level``: the multiplier
+    is encoded at ``params.scale`` and the product rescaled once."""
+    return scale * params.scale / params.ring.chain[level]
+
+
 def he_mult_relin(x: Ciphertext, y: Ciphertext, evk: EvalKey, digits=None) -> Ciphertext:
     """Full product: tensor, relinearize, rescale.
 
@@ -563,7 +602,7 @@ def plain_affine(
         raise LevelError("no levels left for the affine rescale")
     params = ct.params
     ring = params.ring
-    pm = encode(params, [mult], ct.level).to_ntt()
+    pm = encode_monomial(params, mult, 0, ct.level)
     comps = tuple(c.mul(pm) for c in ct.comps)
     mid = replace(
         ct,
@@ -576,8 +615,7 @@ def plain_affine(
     if add != 0.0:
         if not 0 <= add_index < ring.n:
             raise EncodingError(f"add_index {add_index} outside ring degree")
-        ints = [0] * add_index + [int(round(add * out.scale))]
-        pa = _plaintext(params, ints, out.level, "forward").to_ntt()
+        pa = _monomial(params, int(round(add * out.scale)), add_index, out.level)
         out = replace(
             out,
             comps=(out.comps[0].add(pa), out.comps[1]),

@@ -40,6 +40,7 @@ import numpy as np
 from .errors import DomainError, LevelError, ParameterError, SerializationError
 from .ntt import (
     NttTables,
+    _bit_reverse_indices,
     add_mod,
     find_ntt_primes,
     is_prime,
@@ -72,6 +73,9 @@ class RingParams:
         default_factory=dict, repr=False
     )
     _rescale: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    _monomial: dict[int, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.n < 4 or self.n & (self.n - 1):
@@ -129,6 +133,24 @@ class RingParams:
                     inv = pow(q_last, -1, q)
                     cached[:, j, 0] = (inv, *shoup_halves(inv, q))
             self._rescale[row] = cached
+        return cached
+
+    def monomial_slots(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Where the NTT of X^k reads the forward twiddle table, and its sign.
+
+        NTT slot j is the evaluation at psi^(2 brv(j) + 1), so X^k there is
+        psi^e with e = k (2 brv(j) + 1) mod 2n.  The table holds psi^brv(i),
+        i.e. psi^e at index brv(e), and psi^(e + n) = -psi^e.
+        """
+        cached = self._monomial.get(k)
+        if cached is None:
+            n = self.n
+            brv = np.array(_bit_reverse_indices(n))
+            e = (k * (2 * brv + 1)) % (2 * n)
+            cached = (brv[e % n], e >= n)
+            for arr in cached:  # shared by every caller
+                arr.flags.writeable = False
+            self._monomial[k] = cached
         return cached
 
     def crt_constants(self, moduli: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -237,11 +259,6 @@ class RingElement:
     def to_ntt(self) -> "RingElement":
         if self.ntt:
             return self.copy()
-        if not self.data[:, 1:].any():
-            # a constant polynomial evaluates to its constant term at every
-            # root: no transform
-            out = np.repeat(self.data[:, :1], self.params.n, axis=1)
-            return self._like(out, ntt=True)
         out = self.data.copy()
         ntt_forward_inplace(out, self.params.tables, self.rows)
         return self._like(out, ntt=True)
@@ -333,6 +350,21 @@ class RingElement:
         for i, q in enumerate(mods):
             out[i] = (vals % q).astype(np.uint64)
         return cls(params, out, level, special, False)
+
+    @classmethod
+    def monomial(
+        cls, params: RingParams, coeff: int, k: int, level: int, special: bool = False
+    ) -> "RingElement":
+        """coeff * X^k in the NTT domain, without a transform: a gather of
+        the twiddle powers (see ``RingParams.monomial_slots``) times coeff."""
+        if not 0 <= k < params.n:
+            raise ParameterError(f"monomial degree {k} outside 0..{params.n - 1}")
+        rows = params.rows(level, special)
+        idx, neg = params.monomial_slots(k)
+        tab = params.tables
+        powers = tab.fwd[0, rows][:, idx]
+        powers = np.where(neg, tab.q[rows] - powers, powers)  # powers are never 0
+        return cls(params, powers, level, special, True).mul_scalar(coeff)
 
     @classmethod
     def zeros(

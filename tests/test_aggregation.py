@@ -25,8 +25,18 @@ from fhefl.aggregation import (
     trimmed_mean,
     weighted_aggregate_plain,
 )
-from fhefl.errors import ParameterError, ProtocolError
-from fhefl.he import SecretKey, common_poly, decrypt, encode, encrypt, get_params, preset_names
+from fhefl import aggregation as agg_mod
+from fhefl.errors import EncodingError, ParameterError, ProtocolError
+from fhefl.he import (
+    SecretKey,
+    common_poly,
+    decrypt,
+    encode,
+    encrypt,
+    get_params,
+    he_mult_relin,
+    preset_names,
+)
 from fhefl.multikey import setup_pairwise
 
 
@@ -355,6 +365,149 @@ def test_raised_rate_scale_fits_every_level(name):
     product = fresh * params.scale
     encode(params, [2.0**8 * margin], top, scale=product)
     encode(params, [2.0**8 * margin], top - 1, scale=product / ring.chain[top])
+
+
+# (upload level of the norm stage, level of the aggregate product) per preset
+ROUND_LEVELS = {"test-1024": (3, 2), "fhefl-8192": (2, 2), "fhefl-16384": (3, 2)}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_LEVELS))
+def test_round_levels_hold_every_opened_value(name):
+    # the round picks each leg's level from the chain and the scales alone;
+    # rebuild the legs with real ciphertexts at those levels and check that
+    # every opened value below 2^_VALUE_BITS fits, one level lower would not,
+    # and the rate still takes the full 2^20 blind
+    params = get_params(name)
+    kr = setup_pairwise(params, [0, 1], 0, b"levels")[0]
+    rng = np.random.default_rng(21)
+    eu = encrypt_update(kr, rng.uniform(-1, 1, 8), common_poly(params, seed=b"levels-a"), rng)
+    value = 2.0**agg_mod._VALUE_BITS - 1
+    fresh_scale = params.scale * 2.0**params.flood_sigma_bits
+    l_norm = agg_mod._norm_level(params, params.scale)
+    l_agg = agg_mod._open_level(params, fresh_scale * params.scale)
+    assert (l_norm, l_agg) == ROUND_LEVELS[name]
+
+    def holds_only_from(level, scale):
+        encode(params, [value], level, scale=scale)
+        if level > 0:
+            with pytest.raises(EncodingError):
+                encode(params, [value], level - 1, scale=scale)
+
+    # distance-sum: the distance opens at the lowest level that holds it
+    d = sq_norm_encrypted(eu.mod_reduce_to(l_norm), kr.evk)
+    holds_only_from(agg_mod._opened(d).level, d.scale)
+    # rate: two rescales below the uploads, with the full blind and room for it
+    p = rates_encrypted(d, 10.0, 2, readout=eu.readout)
+    assert p.level == l_norm - 2
+    assert agg_mod._blind_bound(params, p.level, p.scale) == 2.0**20
+    encode(params, [2.0**20 + 1.0], p.level, scale=p.scale)
+    # rate-sum check: the fresh rates open at the product's own level
+    a2 = common_poly(params, seed=b"levels-a2", level=l_agg)
+    fresh = encrypt(params, [0.5], kr.sk, a2, rng, level=l_agg, scale=fresh_scale)
+    encode(params, [value], l_agg, scale=fresh_scale)
+    # aggregate: the product opens after its rescale
+    prod = he_mult_relin(fresh, eu.fwd[0].mod_reduce_to(l_agg), kr.evk)
+    holds_only_from(prod.level, prod.scale)
+
+
+@pytest.mark.parametrize("name, n_users, dim", [("test-1024", 3, 64), ("fhefl-16384", 2, 8)])
+def test_round_runs_each_leg_at_its_level(monkeypatch, name, n_users, dim):
+    # an instrumented round: the products run at the levels above, every
+    # partial decryption has two rows, and the rate-sum check opens at the
+    # level of the aggregate product
+    hp = get_params(name)
+    l_norm, l_agg = ROUND_LEVELS[name]
+    seen = {"partial_rows": [], "check": [], "product": set()}
+    real_partial = agg_mod.masked_partial_decrypt
+    real_group = agg_mod.group_decrypt
+    real_mult = agg_mod.he_mult_relin
+
+    def partial(*args):
+        out = real_partial(*args)
+        seen["partial_rows"].append(out.elem.data.shape[0])
+        return out
+
+    def group(ct, gk):
+        seen["check"].append(ct.level)
+        return real_group(ct, gk)
+
+    def mult(x, y, *args):
+        seen["product"].add((x.level, y.level))
+        return real_mult(x, y, *args)
+
+    monkeypatch.setattr(agg_mod, "masked_partial_decrypt", partial)
+    monkeypatch.setattr(agg_mod, "group_decrypt", group)
+    monkeypatch.setattr(agg_mod, "he_mult_relin", mult)
+    w_enc, w_plain = run_both(hp, n_users=n_users, dim=dim, seed=23)
+    np.testing.assert_allclose(w_enc, w_plain, rtol=1e-2, atol=1e-4)
+    assert seen["partial_rows"] == [2] * (2 * n_users)  # distance-sum, one chunk
+    assert seen["product"] == {(l_norm, l_norm), (l_agg, l_agg)}  # norm, aggregate
+    assert seen["check"] == [l_agg]
+
+
+@pytest.fixture(scope="module")
+def boundary_round():
+    """A test-1024 round with sum_u ||g_u||^2 = 2^32 (1 - 2^-10), the
+    distance total it opened, and the plain oracle's model."""
+    hp = get_params("test-1024")
+    rng = np.random.default_rng(29)
+    grads = rng.uniform(-1, 1, size=(4, 16)) * np.array([[1.0], [2.0], [3.0], [4.0]])
+    grads *= math.sqrt(2.0**32 * (1 - 2.0**-10) / np.sum(grads**2))
+    rings = setup_pairwise(hp, range(4), 0, b"bound")
+    a = common_poly(hp, seed=b"bound-a")
+    w_prev = rng.uniform(-1, 1, 16)
+    enc = {u: encrypt_update(rings[u], grads[u], a, rng) for u in range(4)}
+    opened = []
+    real_combine = agg_mod.combine_partials
+
+    def combine(cts, partials):
+        opened.append(real_combine(cts, partials))
+        return opened[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(agg_mod, "combine_partials", combine)
+        w_enc = secure_aggregate_round(enc, rings, w_prev, 0.5, rng, round_tag=b"bound")
+    rates = non_poisoning_rates([sq_norm_plain(g) for g in grads])
+    w_plain = weighted_aggregate_plain(w_prev, grads, rates, 0.5)
+    return grads, opened[0][enc[0].readout], w_prev, w_enc, w_plain
+
+
+def test_round_opens_a_distance_sum_just_under_the_value_bound(boundary_round):
+    # the distance-sum leg opens at its lowest level, which must still hold
+    # the total; a wrapped total would leave the step nowhere near the oracle
+    grads, sum_d, w_prev, w_enc, w_plain = boundary_round
+    want = np.sum(grads**2)
+    assert 2.0**31.99 < want < 2.0**32
+    assert abs(sum_d - want) < 2.0**-30 * want
+    step = w_plain - w_prev
+    assert np.max(np.abs(w_enc - w_plain)) < 2.0**-6 * np.max(np.abs(step))
+
+
+def test_round_refuses_a_wrapped_distance_sum():
+    # at test-1024 the distance opens at level 1, whose modulus over the
+    # distance scale is 2^55: a total of 1.5 * 2^54 wraps to about -2^53.
+    # Clamped to 0 it would give every user the uniform rate 1/U and pass
+    # the rate-sum check; the round must abort instead
+    hp = get_params("test-1024")
+    rng = np.random.default_rng(31)
+    grads = rng.uniform(-1, 1, size=(2, 16))
+    grads *= math.sqrt(1.5 * 2.0**54 / np.sum(grads**2))
+    rings = setup_pairwise(hp, range(2), 0, b"wrap")
+    a = common_poly(hp, seed=b"wrap-a")
+    enc = {u: encrypt_update(rings[u], grads[u], a, rng) for u in range(2)}
+    with pytest.raises(ProtocolError, match="wrapped"):
+        secure_aggregate_round(enc, rings, np.zeros(16), 0.5, rng, round_tag=b"wrap")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="plain_affine encodes the rate slope -1/((U-1) sum_d) at the fixed "
+    "scale 2^40, so near sum_d = 2^32 the slope keeps about 7 bits and the "
+    "coordinates near zero miss rtol 1e-2",
+)
+def test_boundary_round_meets_the_per_coordinate_oracle(boundary_round):
+    _, _, _, w_enc, w_plain = boundary_round
+    np.testing.assert_allclose(w_enc, w_plain, rtol=1e-2, atol=1e-4)
 
 
 def test_pipeline_identical_grads_is_fedavg(hp):

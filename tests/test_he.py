@@ -33,11 +33,14 @@ from fhefl.he import (
     decode,
     decrypt,
     encode,
+    encode_monomial,
     encrypt,
     get_params,
     he_add,
+    affine_scale,
     he_mult_relin,
     plain_affine,
+    product_scale,
     preset_names,
     reencrypt,
     relinearize,
@@ -166,6 +169,46 @@ def test_reencrypt_keeps_the_exact_coefficient(hp, keys):
     got = int(_phase(out, sk).to_int_coeffs(indices=[0])[0])
     assert abs(got - want * 2**60) < 64  # fresh encryption noise only
     np.testing.assert_allclose(decrypt(out, sk).values, [2.0**19 / 3.0], rtol=1e-12)
+
+
+def test_reencrypt_encrypts_at_the_level_of_a(hp, keys):
+    sk, _ = keys
+    ct = fresh(hp, sk, [0.25, -3.5], seed=77)
+    rng = np.random.default_rng(78)
+    a = common_poly(hp, seed=b"re-low", level=1)
+    out = reencrypt(ct, sk, a, rng, index=1, scale=2.0**50)
+    assert out.level == 1 and out.c1 == a
+    np.testing.assert_allclose(decrypt(out, sk).values, [-3.5], rtol=1e-9)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_encode_monomial_is_encode_then_transform(name):
+    # the re-encrypt blind and unmask: one value on one coefficient, in the
+    # NTT domain without a transform, byte for byte what encode gives
+    params = get_params(name)
+    ring = params.ring
+    for level in range(ring.max_level + 1):
+        for index in (0, 1, params.capacity - 1):
+            for value, scale in ((-(2.0**19) / 3.0, 2.0**20 / 1.37), (0.7, None)):
+                vec = np.zeros(index + 1)
+                vec[index] = value
+                want = encode(params, vec, level, scale=scale).to_ntt()
+                assert encode_monomial(params, value, index, level, scale=scale) == want
+    with pytest.raises(EncodingError):
+        encode_monomial(params, 1.0, params.capacity, 0)
+    with pytest.raises(EncodingError):
+        encode_monomial(params, 2.0**80, 0, 0)
+
+
+def test_scale_rules_match_the_operations(hp, keys):
+    # the round plans its levels from product_scale and affine_scale, so they
+    # must give exactly the scale the operations produce, at every level
+    sk, evk = keys
+    for level in range(1, hp.ring.max_level + 1):
+        x = fresh(hp, sk, [0.5], seed=80 + level, level=level, scale=2.0**9 / 1.37)
+        y = fresh(hp, sk, [0.25], seed=90 + level, level=level)
+        assert he_mult_relin(x, y, evk).scale == product_scale(hp, x.scale, y.scale, level)
+        assert plain_affine(x, -0.3, 0.1).scale == affine_scale(hp, x.scale, level)
 
 
 def test_encode_decode_roundtrip_directions(hp):

@@ -18,7 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fhefl import ring as ring_mod
-from fhefl.aggregation import encrypt_update, secure_aggregate_round
+from fhefl.aggregation import (
+    encrypt_update,
+    non_poisoning_rates,
+    secure_aggregate_round,
+    sq_norm_plain,
+    weighted_aggregate_plain,
+)
 from fhefl.errors import ParameterError
 from fhefl.he import (
     ciphertext_to_bytes,
@@ -125,8 +131,8 @@ def test_transforms_take_any_row_subset():
     special=st.booleans(),
 )
 def test_constant_to_ntt_matches_reference(case, seed, level, special):
-    # a constant polynomial enters the NTT domain without a transform; the
-    # rows cycle through 0, q - 1 and a random residue
+    # a constant polynomial transforms to its constant term in every slot;
+    # the rows cycle through 0, q - 1 and a random residue
     params = _ring(*case)
     level = min(level, params.max_level)
     rows = params.rows(level, special)
@@ -140,6 +146,44 @@ def test_constant_to_ntt_matches_reference(case, seed, level, special):
     for i, r in enumerate(rows):
         ctx = _ctx(params.tables.primes[r], params.n)
         assert np.array_equal(got.data[i], ref.ntt_forward(x.data[i], ctx))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_monomial_matches_transform(case):
+    # c * X^k enters the NTT domain as c times a gather of twiddle powers;
+    # it must equal the transform of the coefficient vector on every row,
+    # the special row included, and run no transform itself
+    params = _ring(*case)
+    n, level = params.n, params.max_level
+    rows = params.rows(level, special=True)
+    rng = np.random.default_rng(n + level)
+    coeffs = [0, 1, -1, params.chain[0] - 1, int(rng.integers(-(2**62), 2**62)) * 2**9]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring_mod, "ntt_forward_inplace", None)
+        got = {
+            (c, k): RingElement.monomial(params, c, k, level, special=True)
+            for c in coeffs
+            for k in (0, 1, n // 2, n - 1)
+        }
+    for (c, k), elem in got.items():
+        assert elem.ntt and (elem.level, elem.special) == (level, True)
+        for i, r in enumerate(rows):
+            q = params.tables.primes[r]
+            x = np.zeros(n, dtype=np.uint64)
+            x[k] = c % q
+            want = ref.ntt_forward(x, _ctx(q, n))
+            assert np.array_equal(elem.data[i], want), (c, k, q)
+
+
+def test_monomial_matches_transform_16384():
+    params = get_params("fhefl-16384").ring
+    n = params.n
+    for k in (0, 1, n // 2, n - 1):
+        got = RingElement.monomial(params, -(3**40), k, 0, special=True)
+        for i, q in enumerate((params.chain[0], params.special)):
+            x = np.zeros(n, dtype=np.uint64)
+            x[k] = -(3**40) % q
+            assert np.array_equal(got.data[i], ref.ntt_forward(x, _ctx(q, n)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -200,6 +244,23 @@ def test_sampler_matches_reference(case, seed, tag, level, special, slack):
     assert np.array_equal(got.data, want)
 
 
+@settings(max_examples=10, deadline=None)
+@given(name=st.sampled_from(preset_names()), seed=st.binary(max_size=16), data=st.data())
+def test_lower_level_draw_is_the_top_draw_reduced(name, seed, data):
+    # a round draws a2 and the pair masks of its partial decryptions below
+    # the top level; they must be the top-level draws with primes dropped,
+    # or masks drawn at different levels would not cancel
+    params = get_params(name)
+    level = data.draw(st.integers(0, params.ring.max_level))
+    top = sample_uniform(params.ring, seed, ntt=True, tag=b"t")
+    assert sample_uniform(params.ring, seed, level=level, ntt=True, tag=b"t") == (
+        top.mod_reduce_to(level)
+    )
+    assert common_poly(params, seed, level=level) == common_poly(params, seed).mod_reduce_to(
+        level
+    )
+
+
 def test_sampler_matches_reference_16384():
     params = get_params("fhefl-16384").ring
     got = sample_uniform(params, b"seed", special=True, tag=b"t")
@@ -250,8 +311,9 @@ def test_hoisted_digits_match_per_product_key_switch(name):
 
 @pytest.fixture(scope="module")
 def counted_round():
-    """A fixed-seed test-1024 round (10 users, dim 650: two chunks) and the
-    rows its forward and inverse transforms processed."""
+    """A fixed-seed test-1024 round (10 users, dim 650: two chunks), the rows
+    its forward and inverse transforms processed, and the plain oracle's
+    model step."""
     params = get_params("test-1024")
     tag = b"pinned-round"
     rng = np.random.default_rng(2026)
@@ -273,22 +335,33 @@ def counted_round():
         mp.setattr(ring_mod, "ntt_forward_inplace", counting("forward", ntt_forward_inplace))
         mp.setattr(ring_mod, "ntt_inverse_inplace", counting("inverse", ntt_inverse_inplace))
         w = secure_aggregate_round(enc, krs, w_prev, 0.1, rng, round_tag=tag)
-    return w, rows
+    rates = non_poisoning_rates([sq_norm_plain(g) for g in grads])
+    w_plain = weighted_aggregate_plain(w_prev, grads, rates, 0.1)
+    return w, rows, w_plain, w_plain - w_prev
 
 
 def test_pinned_round_output(counted_round):
-    # digest of the opened model taken before the round hoisted its shared
-    # key-switch digits and skipped the transforms of constant plaintexts
-    w, _ = counted_round
+    # digest of the opened model taken when the round moved its legs to the
+    # lowest levels that hold them: the aggregate product now rescales by q_2,
+    # not q_3, so the opened bytes moved (test_pinned_round_precision bounds
+    # the opened step against the plain oracle)
+    w, *_ = counted_round
     assert (
         hashlib.sha256(w.tobytes()).hexdigest()
-        == "de444e172f6cf49367edb3abd40cc293534366128d0d56d675429030302d0ed3"
+        == "05acd8600809f3f7a9f8a55efb7b32205356c2c364e782471cf58d7ae38ad1af"
     )
 
 
 def test_round_transform_budget(counted_round):
     # the counts are deterministic; a transform that creeps back into the
-    # per-user path (it was 1520 forward and 373 inverse rows) fails here
-    _, rows = counted_round
-    assert rows["forward"] <= 802
-    assert rows["inverse"] <= 221
+    # per-user path (it was 1520 forward and 373 inverse rows, then 802 and
+    # 221 before the legs dropped to their lowest levels) fails here
+    _, rows, *_ = counted_round
+    assert rows["forward"] <= 635
+    assert rows["inverse"] <= 216
+
+
+def test_pinned_round_precision(counted_round):
+    # the opened step against the plain oracle: at least 27 bits relative
+    w, _, w_plain, step = counted_round
+    assert np.max(np.abs(w - w_plain)) <= 2.0**-27 * np.max(np.abs(step))
