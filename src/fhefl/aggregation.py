@@ -328,6 +328,8 @@ def rates_encrypted(
 # Every value the round opens is below 2^_VALUE_BITS in magnitude.
 _VALUE_BITS = 32
 _MAX_BLIND = 2.0**20
+# How far the opened sum of the re-encrypted rates may sit from 1.
+_RATE_SUM_TOL = 0.05
 
 
 def _modulus(params: HeParams, level: int) -> int:
@@ -379,6 +381,15 @@ def _opened(ct: Ciphertext) -> Ciphertext:
     return ct.mod_reduce_to(min(_open_level(ct.params, ct.scale), ct.level))
 
 
+def _open_sum(cts: dict, keyrings: dict, tag: bytes, roster, rng) -> np.ndarray:
+    """Decode sum_u cts[u] from every roster member's masked partial
+    decryption of their own c1, drawn in roster order."""
+    partials = {
+        u: masked_partial_decrypt(keyrings[u], cts[u].c1, tag, roster, rng) for u in roster
+    }
+    return combine_partials(cts, partials)
+
+
 @contextmanager
 def _stage(name: str):
     """Annotate any scheme/protocol error with the pipeline stage it hit."""
@@ -400,7 +411,6 @@ def secure_aggregate_round(
     rng: np.random.Generator,
     *,
     round_tag: bytes = b"round0",
-    rate_sum_tol: float = 0.05,
 ) -> np.ndarray:
     """One full norm-weighted aggregation under encryption.
 
@@ -456,14 +466,7 @@ def secure_aggregate_round(
 
     with _stage("distance-sum"):
         d_open = {u: _opened(d_cts[u]) for u in users}
-        partials = {
-            u: masked_partial_decrypt(
-                keyrings[u], d_open[u].c1, round_tag + b"|dsum", roster, rng
-            )
-            for u in users
-        }
-        decoded = combine_partials(d_open, partials)
-        sum_d = float(decoded[ri])
+        sum_d = float(_open_sum(d_open, keyrings, round_tag + b"|dsum", roster, rng)[ri])
         # a true total is never negative; one below the noise wrapped the
         # opening modulus, and clamping it would fall back to uniform rates
         if sum_d < -_opening_noise(d_open.values()):
@@ -507,10 +510,10 @@ def secure_aggregate_round(
     with _stage("rate-sum-check"):
         gk = reconstruct_group_key([mask_key(keyrings[u], roster) for u in roster], roster)
         p_total = float(group_decrypt(aggregate_fresh(p_fresh), gk)[0])
-        if abs(p_total - 1.0) > rate_sum_tol:
+        if abs(p_total - 1.0) > _RATE_SUM_TOL:
             raise ProtocolError(
                 f"re-encrypted rates sum to {p_total:.4f}, expected 1 "
-                f"(tolerance {rate_sum_tol}); aborting round"
+                f"(tolerance {_RATE_SUM_TOL}); aborting round"
             )
 
     with _stage("aggregate"):
@@ -530,11 +533,7 @@ def secure_aggregate_round(
                 for u in users
             }
             tag = round_tag + b"|agg|" + str(c).encode()
-            partials = {
-                u: masked_partial_decrypt(keyrings[u], prod[u].c1, tag, roster, rng)
-                for u in users
-            }
-            out[c * chunk_len : (c + 1) * chunk_len] = combine_partials(prod, partials)
+            out[c * chunk_len : (c + 1) * chunk_len] = _open_sum(prod, keyrings, tag, roster, rng)
         agg = out[:dim]
 
     return w_prev - eta * agg

@@ -22,7 +22,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .aggregation import encrypt_update, secure_aggregate_round
+from .aggregation import AGGREGATORS, encrypt_update, secure_aggregate_round
 from .errors import FheflError, ParameterError
 from .he import (
     EvalKey,
@@ -179,10 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--preset", choices=preset_names())
     s.add_argument("--seed", type=int, help="run a single seed")
     s.add_argument("--mode", choices=["plain", "encrypted"])
-    s.add_argument(
-        "--aggregator",
-        choices=["fhefl", "fedavg", "median", "trimmed_mean", "krum"],
-    )
+    s.add_argument("--aggregator", choices=["fhefl", *AGGREGATORS])
     s.add_argument("--out", default="runs", help="output directory")
     s.add_argument(
         "--override-attacker-cap",

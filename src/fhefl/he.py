@@ -22,6 +22,13 @@ A caller can decompose it once and pass the digits to each product
 (``digits=``), which leaves only the per-key multiply-accumulate per user —
 the hoisting of Halevi & Shoup (CRYPTO 2018), across users instead of
 rotations.
+
+Every ciphertext carries ``noise_log2``, an upper bound on its noise in
+coefficient units.  The tests check it against the error measured with the
+known key, at test-16 and test-1024, for encryption, addition, the tensor
+product, relinearization, rescaling, ``plain_affine`` and fresh aggregation.
+``decrypt`` refuses a ciphertext whose bound exceeds half its scale, since
+the value's precision has collapsed.
 """
 
 from __future__ import annotations
@@ -63,7 +70,6 @@ class HeParams:
     name: str = "custom"
     logq_budget: int | None = None  # security-standard modulus budget, if pinned
     flood_sigma_bits: int = 20  # partial-decryption flooding: sigma * 2^this
-    check_noise: bool = False
 
     @property
     def scale(self) -> float:
@@ -176,20 +182,10 @@ def _check_headroom(params: HeParams, worst: int, level: int) -> None:
 
 def _plaintext(params: HeParams, ints: list[int], level: int, direction: str) -> RingElement:
     """Place fixed-point integers on the packing coefficients, checking headroom."""
-    ring = params.ring
-    mods = ring.moduli(level)
     _check_headroom(params, max((abs(x) for x in ints), default=0), level)
     if direction != "forward":
         ints = ints[::-1]
-    out = np.zeros((len(mods), ring.n), dtype=np.uint64)
-    try:
-        vals = np.array(ints, dtype=np.int64)
-    except OverflowError:  # beyond int64: reduce the Python integers row by row
-        for i, q in enumerate(mods):
-            out[i, : len(ints)] = [x % q for x in ints]
-    else:
-        out[:, : len(ints)] = np.mod(vals, np.array(mods, dtype=np.int64)[:, None])
-    return RingElement(ring, out, level)
+    return RingElement.from_int_coeffs(params.ring, ints, level)
 
 
 def encode(
@@ -319,11 +315,8 @@ class Ciphertext:
     scale: float
     length: int
     direction: str = "forward"
-    noise_log2: float = 0.0  # heuristic upper-bound tracker, coefficient units
+    noise_log2: float = 0.0  # tested upper bound on the noise, log2 coefficient units
     msg_bound: float = 1.0
-
-    def copy(self) -> "Ciphertext":
-        return replace(self, comps=tuple(c.copy() for c in self.comps))
 
     @property
     def c0(self) -> RingElement:
@@ -386,7 +379,7 @@ def _encrypt_plaintext(
     c0 = a.mul(s_l).add(m.add(e).to_ntt())
     return Ciphertext(
         params=params,
-        comps=(c0, a.copy()),
+        comps=(c0, a),
         level=level,
         scale=scale,
         length=length,
@@ -411,7 +404,7 @@ def _phase(ct: Ciphertext, sk: SecretKey) -> RingElement:
 
 def decrypt(ct: Ciphertext, sk: SecretKey) -> PlainVector:
     """Phase decryption; handles two- and three-component ciphertexts."""
-    if ct.params.check_noise and ct.noise_log2 > math.log2(ct.scale) - 1:
+    if ct.noise_log2 > math.log2(ct.scale) - 1:
         raise EncodingError(
             f"tracked noise 2^{ct.noise_log2:.1f} exceeds half the scale "
             f"2^{math.log2(ct.scale):.1f}; precision has collapsed"

@@ -16,6 +16,12 @@ and only the sum over the full roster strips the masks.  The flooding noise
 (sigma * 2^flood_sigma_bits) drowns the secret-dependent rounding of the
 individual share.
 
+Both shares travel as the same record, (user id, epoch, ring element), and
+differ only in their magic and in the element's layout.  A masked key is a
+top-level NTT element with the special row; a partial decryption is an NTT
+element of the chain at its c1's level.  The deserialisers refuse any other
+layout.
+
 Pair seeds stand in for an out-of-band pairwise agreement (e.g. a DH
 exchange); here they are derived from a master seed so simulations are
 reproducible.
@@ -33,8 +39,7 @@ from .errors import ProtocolError, SerializationError
 from .he import Ciphertext, EvalKey, HeParams, SecretKey, decode, decrypt
 from .ring import RingElement, sample_error, sample_uniform
 
-_MK_MAGIC = b"FMK1"
-_PD_MAGIC = b"FPD1"
+_SHARE_HEAD = "<4sII"
 
 
 def _h(*parts: bytes) -> bytes:
@@ -77,54 +82,54 @@ class UserKeyring:
 
 
 @dataclass
-class MaskedKey:
+class _KeyShare:
+    """One user's share of a roster-wide sum for one epoch.  Wire form: the
+    subclass's magic, user id and epoch as little-endian u32, then the
+    element's own serialization."""
+
     user_id: int
     epoch: int
     elem: RingElement
 
-    def to_bytes(self) -> bytes:
-        blob = self.elem.to_bytes()
-        return struct.pack("<4sII", _MK_MAGIC, self.user_id, self.epoch) + blob
-
-    @classmethod
-    def from_bytes(cls, buf: bytes, params: HeParams) -> "MaskedKey":
-        head = struct.calcsize("<4sII")
-        if len(buf) < head:
-            raise SerializationError("truncated masked key")
-        magic, uid, epoch = struct.unpack_from("<4sII", buf)
-        if magic != _MK_MAGIC:
-            raise SerializationError(f"bad masked-key magic {magic!r}")
-        return cls(uid, epoch, RingElement.from_bytes(buf[head:], params.ring))
-
-
-@dataclass
-class PartialDecryption:
-    user_id: int
-    epoch: int
-    elem: RingElement
+    MAGIC = b""
+    WHAT = "key share"
+    SPECIAL = False
 
     def to_bytes(self) -> bytes:
-        blob = self.elem.to_bytes()
-        return struct.pack("<4sII", _PD_MAGIC, self.user_id, self.epoch) + blob
+        head = struct.pack(_SHARE_HEAD, self.MAGIC, self.user_id, self.epoch)
+        return head + self.elem.to_bytes()
 
     @classmethod
-    def from_bytes(cls, buf: bytes, params: HeParams) -> "PartialDecryption":
-        head = struct.calcsize("<4sII")
+    def from_bytes(cls, buf: bytes, params: HeParams):
+        head = struct.calcsize(_SHARE_HEAD)
         if len(buf) < head:
-            raise SerializationError("truncated partial decryption")
-        magic, uid, epoch = struct.unpack_from("<4sII", buf)
-        if magic != _PD_MAGIC:
-            raise SerializationError(f"bad partial-decryption magic {magic!r}")
-        return cls(uid, epoch, RingElement.from_bytes(buf[head:], params.ring))
+            raise SerializationError(f"truncated {cls.WHAT}")
+        magic, uid, epoch = struct.unpack_from(_SHARE_HEAD, buf)
+        if magic != cls.MAGIC:
+            raise SerializationError(f"bad {cls.WHAT} magic {magic!r}")
+        elem = RingElement.from_bytes(buf[head:], params.ring)
+        level = params.ring.max_level if cls.SPECIAL else elem.level
+        if (elem.level, elem.special, elem.ntt) != (level, cls.SPECIAL, True):
+            raise SerializationError(
+                f"{cls.WHAT} element at (level {elem.level}, special {elem.special}, "
+                f"ntt {elem.ntt})"
+            )
+        return cls(uid, epoch, elem)
 
 
-@dataclass
-class PartialDecryptRequest:
-    """What the server sends down: which epoch/leg, and the c1 to key-switch."""
+class MaskedKey(_KeyShare):
+    """s_u plus the user's pair masks, over the full basis."""
 
-    epoch: int
-    round_tag: bytes
-    c1: RingElement
+    MAGIC = b"FMK1"
+    WHAT = "masked key"
+    SPECIAL = True
+
+
+class PartialDecryption(_KeyShare):
+    """c1 * s_u plus flooding and pair masks, at c1's level."""
+
+    MAGIC = b"FPD1"
+    WHAT = "partial decryption"
 
 
 def setup_pairwise(
@@ -239,7 +244,7 @@ def aggregate_fresh(cts: dict[int, Ciphertext]) -> Ciphertext:
         acc = acc.add(ct.c0)
     return Ciphertext(
         params=first.params,
-        comps=(acc, first.c1.copy()),
+        comps=(acc, first.c1),
         level=first.level,
         scale=first.scale,
         length=first.length,

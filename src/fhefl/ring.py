@@ -16,9 +16,17 @@ Every operation works on the whole residue matrix, with the moduli as a
 and products walk it in the kernels' cache-sized row blocks.  The kernel
 constants (Shoup twiddles, Montgomery and rescale constants) live on the
 :class:`RingParams`, one table row per prime of the chain plus the special
-prime; an element selects the rows of the moduli it carries.  The pointwise
-product is one Montgomery reduction followed by a Shoup multiply by
-2^64 mod q, which cancels the Montgomery factor.
+prime; an element selects the rows of the moduli it carries.  Every stack of
+Shoup constants, scalar multipliers included, comes from one builder in
+:mod:`fhefl.ntt`.  The pointwise product is one Montgomery reduction followed
+by a Shoup multiply by 2^64 mod q, which cancels the Montgomery factor.
+
+Integers enter through one constructor, `RingElement.from_int_coeffs`: up
+to n of them, zero-padded, reduced as int64 when they fit and as Python
+integers row by row when they do not.  The ternary and error samplers and the
+plaintext encoder build their elements with it.  An element is never written to
+once it is handed out, so ciphertexts share the round's public polynomial
+rather than copy it.
 
 Rescaling (`drop_last_modulus`) is the exact RNS divide-and-round by the last
 active modulus: subtract the centered remainder, then multiply by its inverse
@@ -41,6 +49,7 @@ from .errors import DomainError, LevelError, ParameterError, SerializationError
 from .ntt import (
     NttTables,
     _bit_reverse_indices,
+    _shoup_rows,
     add_mod,
     find_ntt_primes,
     is_prime,
@@ -50,7 +59,6 @@ from .ntt import (
     neg_mod,
     ntt_forward_inplace,
     ntt_inverse_inplace,
-    shoup_halves,
     sub_mod,
 )
 
@@ -126,13 +134,8 @@ class RingParams:
         cached = self._rescale.get(row)
         if cached is None:
             primes = self.tables.primes
-            q_last = primes[row]
-            cached = np.zeros((3, len(primes), 1), dtype=np.uint64)
-            for j, q in enumerate(primes):
-                if j != row:
-                    inv = pow(q_last, -1, q)
-                    cached[:, j, 0] = (inv, *shoup_halves(inv, q))
-            self._rescale[row] = cached
+            invs = [[pow(primes[row], -1, q) if j != row else 0] for j, q in enumerate(primes)]
+            cached = self._rescale[row] = _shoup_rows(invs, primes)
         return cached
 
     def monomial_slots(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -249,9 +252,7 @@ class RingElement:
     def mul_scalar(self, c: int) -> "RingElement":
         """Multiply every coefficient by the integer c (any domain)."""
         mods = self.moduli
-        consts = np.array(
-            [(c % q, *shoup_halves(c % q, q)) for q in mods], dtype=np.uint64
-        ).T[:, :, None]
+        consts = _shoup_rows([[c % q] for q in mods], mods)
         return self._like(mul_shoup(self.data, *consts, self._q()))
 
     # -- representation switches ---------------------------------------------------
@@ -337,18 +338,24 @@ class RingElement:
         level: int,
         special: bool = False,
     ) -> "RingElement":
-        """Build an element from (possibly huge, possibly negative) integers."""
+        """Coefficient-domain element whose first coefficients are the given
+        (possibly huge, possibly negative) integers; the rest are zero."""
+        if not (isinstance(values, np.ndarray) and values.dtype == np.int64):
+            values = np.asarray(values, dtype=object)
+        if values.ndim != 1 or values.size > params.n:
+            raise ParameterError(
+                f"expected at most {params.n} coefficients, got shape {values.shape}"
+            )
         mods = params.moduli(level, special)
-        vals = np.asarray(values, dtype=object)
-        if vals.shape != (params.n,):
-            raise ParameterError(f"expected {params.n} coefficients, got {vals.shape}")
+        out = np.zeros((len(mods), params.n), dtype=np.uint64)
+        k = values.size
         try:
-            return _from_small_ints(params, vals.astype(np.int64), level, special)
+            small = values.astype(np.int64, copy=False)
         except OverflowError:  # beyond int64: reduce the Python integers row by row
-            pass
-        out = np.empty((len(mods), params.n), dtype=np.uint64)
-        for i, q in enumerate(mods):
-            out[i] = (vals % q).astype(np.uint64)
+            for i, q in enumerate(mods):
+                out[i, :k] = values % q
+        else:
+            out[:, :k] = np.mod(small, np.array(mods, dtype=np.int64)[:, None])
         return cls(params, out, level, special, False)
 
     @classmethod
@@ -446,18 +453,6 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     return a.to_ntt().mul(b.to_ntt()).to_coeff()
 
 
-def ntt_forward(x: RingElement) -> RingElement:
-    if x.ntt:
-        raise DomainError("element already in NTT domain")
-    return x.to_ntt()
-
-
-def ntt_inverse(x: RingElement) -> RingElement:
-    if not x.ntt:
-        raise DomainError("element already in coefficient domain")
-    return x.to_coeff()
-
-
 def rns_digits(x: RingElement):
     """Yield the NTT forms of an element's RNS digits over the extended basis.
 
@@ -478,14 +473,6 @@ def rns_digits(x: RingElement):
         ntt_forward_inplace(ext[:i], tab, rows[:i])
         ntt_forward_inplace(ext[i + 1 :], tab, rows[i + 1 :])
         yield RingElement(params, ext, x.level, True, True)
-
-
-def drop_level(x: RingElement) -> RingElement:
-    """Exact RNS rescale of a coefficient-domain element: divide-and-round by
-    the last active modulus."""
-    if x.ntt:
-        raise DomainError("drop_level takes a coefficient-domain element")
-    return x.drop_last_modulus()
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +566,7 @@ def sample_ternary(
         vals = np.frombuffer(raw, dtype=np.uint8)
         vals = vals[vals < 255][:n]
     signed = vals.astype(np.int64) % 3 - 1
-    return _from_small_ints(params, signed, level, special)
+    return RingElement.from_int_coeffs(params, signed, level, special)
 
 
 def sample_error(
@@ -594,12 +581,5 @@ def sample_error(
     if level is None:
         level = params.max_level
     vals = np.rint(rng.normal(0.0, sigma, params.n)).astype(np.int64)
-    return _from_small_ints(params, vals, level, special)
+    return RingElement.from_int_coeffs(params, vals, level, special)
 
-
-def _from_small_ints(
-    params: RingParams, vals: np.ndarray, level: int, special: bool
-) -> RingElement:
-    qs = np.array(params.moduli(level, special), dtype=np.int64)[:, None]
-    out = np.mod(vals[None, :], qs).astype(np.uint64)
-    return RingElement(params, out, level, special, False)

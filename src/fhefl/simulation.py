@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .aggregation import (
+    AGGREGATORS,
     encrypt_update,
     make_aggregator,
     non_poisoning_rates,
@@ -402,7 +403,7 @@ class SimConfig:
 
         if self.mode not in ("plain", "encrypted"):
             raise ParameterError(f"unknown mode {self.mode!r}")
-        if self.aggregator not in ("fhefl", "fedavg", "median", "trimmed_mean", "krum"):
+        if self.aggregator not in ("fhefl", *AGGREGATORS):
             raise ParameterError(f"unknown aggregator {self.aggregator!r}")
         if self.preset not in preset_names():
             raise ParameterError(f"unknown preset {self.preset!r}")
@@ -530,14 +531,9 @@ def _train_roster(state, users, roster, cfg, seed):
     return np.stack(grads)
 
 
-def _aggregate_fhefl_plain(state, grads, cfg, block_dim):
-    dists = np.array([sq_norm_plain(g[:block_dim]) for g in grads])
-    rates = non_poisoning_rates(dists)
-    w_next = weighted_aggregate_plain(state.w, grads, rates, cfg.eta)
-    return w_next, rates, dists
-
-
-def _aggregate_fhefl_encrypted(state, grads, roster, cfg, seed, block_dim):
+def _aggregate_fhefl_encrypted(state, grads, roster, cfg, seed, block_dim, rates):
+    """The encrypted round on the first ``block_dim`` weights; the rest take
+    the plain rule with the god-view ``rates``."""
     params = get_params(cfg.preset)
     master = b"fhefl|%d" % seed
     keyrings = setup_pairwise(params, roster, state.epoch, master)
@@ -551,18 +547,13 @@ def _aggregate_fhefl_encrypted(state, grads, roster, cfg, seed, block_dim):
     w_block = secure_aggregate_round(
         enc, keyrings, state.w[:block_dim], cfg.eta, rng, round_tag=tag
     )
-    # god-view duplicates of the opened aggregates, for metrics only
-    dists = np.array([sq_norm_plain(g[:block_dim]) for g in grads])
-    rates = non_poisoning_rates(dists)
     if block_dim < len(state.w):
         # layers outside the encrypted block are aggregated with the same rates
         rest = weighted_aggregate_plain(
             state.w[block_dim:], grads[:, block_dim:], rates, cfg.eta
         )
-        w_next = np.concatenate([w_block, rest])
-    else:
-        w_next = w_block
-    return w_next, rates, dists
+        return np.concatenate([w_block, rest])
+    return w_block
 
 
 def run_round(
@@ -581,16 +572,13 @@ def run_round(
     block_dim = (
         state.arch.first_layer_dim if cfg.encrypt_layers == "first" else state.arch.dim
     )
-    if cfg.aggregator == "fhefl":
-        if cfg.mode == "encrypted":
-            if len(roster) < 2:
-                raise ParameterError("encrypted mode needs a roster of at least 2")
-            w_next, rates, dists = _aggregate_fhefl_encrypted(
-                state, grads, roster, cfg, seed, block_dim
-            )
-        else:
-            w_next, rates, dists = _aggregate_fhefl_plain(state, grads, cfg, block_dim)
-    else:
+    if cfg.aggregator == "fhefl" and cfg.mode == "encrypted" and len(roster) < 2:
+        raise ParameterError("encrypted mode needs a roster of at least 2")
+    # god view of the distances and rates: the plain fhefl rule's weights, and
+    # for every other path a metric only (nothing here is decrypted)
+    dists = np.array([sq_norm_plain(g[:block_dim]) for g in grads])
+    rates = non_poisoning_rates(dists)
+    if cfg.aggregator != "fhefl":
         f_assume = (
             cfg.krum_f
             if cfg.krum_f is not None
@@ -598,8 +586,10 @@ def run_round(
         )
         agg = make_aggregator(cfg.aggregator, beta=cfg.trim_beta, f=f_assume)
         w_next = state.w - cfg.eta * agg(grads)
-        dists = np.array([sq_norm_plain(g[:block_dim]) for g in grads])
-        rates = non_poisoning_rates(dists)  # god-view, for metrics comparability
+    elif cfg.mode == "encrypted":
+        w_next = _aggregate_fhefl_encrypted(state, grads, roster, cfg, seed, block_dim, rates)
+    else:
+        w_next = weighted_aggregate_plain(state.w, grads, rates, cfg.eta)
     t2 = time.perf_counter()
 
     acc = accuracy(state.arch, w_next, ds.test_x, ds.test_y)

@@ -46,7 +46,7 @@ from fhefl.he import (
     relinearize,
     rescale,
 )
-from fhefl.ring import RingElement
+from fhefl.multikey import aggregate_fresh
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +154,9 @@ def test_plaintext_matches_int_coefficients(name, data):
     for k, x in enumerate(ints):
         coeffs[k if direction == "forward" else len(ints) - 1 - k] = x
     got = _plaintext(params, ints, level, direction)
-    assert got == RingElement.from_int_coeffs(ring, coeffs, level)
+    want = np.array([[x % q for x in coeffs] for q in ring.moduli(level)], dtype=np.uint64)
+    assert (got.level, got.special, got.ntt) == (level, False, False)
+    assert np.array_equal(got.data, want)
 
 
 def test_reencrypt_keeps_the_exact_coefficient(hp, keys):
@@ -451,9 +453,7 @@ def test_plain_affine_level_exhaustion(hp, keys):
 
 
 def test_noise_budget_check_trips():
-    import dataclasses
-
-    hp = dataclasses.replace(get_params("test-16"), check_noise=True)
+    hp = get_params("test-16")
     sk = SecretKey.generate(hp, seed=b"noisy")
     # a scale of 2^3 leaves no room above the fresh noise floor
     ct = fresh(hp, sk, [1.0], seed=65, scale=8.0)
@@ -467,6 +467,75 @@ def test_noise_tracker_grows(hp, keys):
     prod = he_mult_relin(x, fresh(hp, sk, [3.0], seed=67), evk)
     assert prod.noise_log2 > x.noise_log2
     assert he_add(x, x).noise_log2 > x.noise_log2
+
+
+def _tracker_margin(ct, sk, want) -> float:
+    """log2 of the tracked bound over the measured error: the largest gap
+    between ct's phase and the exact ``want`` (coefficient units) on the
+    packed coefficients."""
+    got = _phase(ct, sk).to_int_coeffs(indices=np.arange(len(want)))
+    err = max(abs(int(g) - w) for g, w in zip(got, want))
+    return ct.noise_log2 - math.log2(max(float(err), 2.0**-30))
+
+
+@pytest.mark.parametrize("name", ["test-16", "test-1024"])
+def test_noise_tracker_bounds_the_measured_error(name):
+    # dyadic inputs with 20 fractional bits at a power-of-two scale encode
+    # exactly, so every target below is an exact rational
+    params = get_params(name)
+    ring = params.ring
+    delta = params.scale_bits
+    length, frac, users = params.capacity, 20, 4
+    mult, add, add_index = -0.375, 0.25, length - 1
+    margins = {}
+    for seed in range(20):
+        rng = np.random.default_rng([seed, 1])
+        sks = [SecretKey.generate(params, seed=b"tracker|%d|%d" % (seed, u)) for u in range(users)]
+        sk = sks[0]
+        evk = EvalKey.generate(params, sk, rng)
+        a = common_poly(params, seed=rng.bytes(16))
+        nums = rng.integers(-(2**frac), 2**frac + 1, size=(users, length))
+        vals = nums / 2.0**frac
+        x = encrypt(params, vals[0], sk, a, rng)
+        y = encrypt(params, vals[1], sk, a, rng, direction="reversed")
+        ints = [2 ** (delta - frac) * int(v) for v in nums[0]]
+        # the forward * reversed product, coefficient k, times 2^(2 frac)
+        prod = np.convolve(nums[0], nums[1][::-1])
+        want_prod = [Fraction(2 ** (2 * (delta - frac)) * int(v)) for v in prod]
+        checks = {
+            "encrypt": (x, ints),
+            "he_add": (
+                he_add(x, encrypt(params, vals[2], sk, a, rng)),
+                [2 ** (delta - frac) * int(v) for v in nums[0] + nums[2]],
+            ),
+        }
+        raw = _he_mult_raw(x, y)
+        relin = relinearize(raw, evk)
+        q_top = ring.chain[raw.level]
+        rescaled = rescale(relin)
+        affine = plain_affine(rescaled, mult, add, add_index=add_index)
+        q_mid = ring.chain[rescaled.level]
+        out_scale = Fraction(2**delta) ** 2 / q_top * 2**delta / q_mid
+        want_affine = [out_scale * Fraction(mult) * w / 2 ** (2 * delta) for w in want_prod]
+        want_affine[add_index] += out_scale * Fraction(add)
+        checks["_he_mult_raw"] = (raw, want_prod)
+        checks["relinearize"] = (relin, want_prod)
+        checks["rescale"] = (rescaled, [w / q_top for w in want_prod])
+        checks["plain_affine"] = (affine, want_affine)
+        for op, (ct, want) in checks.items():
+            margins.setdefault(op, []).append(_tracker_margin(ct, sk, want))
+        total = aggregate_fresh(
+            {u: encrypt(params, vals[u], sks[u], a, rng) for u in range(users)}
+        )
+        group = sks[0].s
+        for other in sks[1:]:
+            group = group.add(other.s)
+        want = [2 ** (delta - frac) * int(v) for v in nums.sum(axis=0)]
+        margins.setdefault("aggregate_fresh", []).append(
+            _tracker_margin(total, SecretKey(group), want)
+        )
+    worst = {op: min(m) for op, m in margins.items()}
+    assert all(m >= 0 for m in worst.values()), worst
 
 
 # ---------------------------------------------------------------------------

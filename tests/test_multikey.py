@@ -258,3 +258,52 @@ def test_partial_decryption_wire_roundtrip(hp):
     assert back.elem == pd.elem
     with pytest.raises(SerializationError):
         PartialDecryption.from_bytes(pd.to_bytes()[:6], hp)
+
+
+# The ring blob follows the 12-byte share header; byte 5 of the blob holds
+# its layout flags (bit 0: NTT domain, bit 1: special row).
+_FLAGS = 12 + 5
+
+
+def _flip_flags(buf: bytes, bits: int) -> bytes:
+    out = bytearray(buf)
+    out[_FLAGS] ^= bits
+    return bytes(out)
+
+
+def test_masked_key_rejects_layouts_a_key_cannot_have(hp):
+    rings = make_rings(hp, 2)
+    mk = mask_key(rings[0], [0, 1])
+    top = hp.ring.max_level
+    blob = mk.to_bytes()
+    bad = {
+        "coefficient domain": _flip_flags(blob, 1),
+        "flags without the special row": _flip_flags(blob, 2),
+        "no special row": MaskedKey(0, 0, mk.elem.mod_reduce_to(top)).to_bytes(),
+        "below the top level": MaskedKey(
+            0, 0, mk.elem.mod_reduce_to(top - 1, special=True)
+        ).to_bytes(),
+    }
+    for what, buf in bad.items():
+        with pytest.raises(SerializationError):
+            MaskedKey.from_bytes(buf, hp)
+            pytest.fail(f"accepted a masked key in the {what}")
+
+
+def test_partial_decryption_rejects_layouts_a_share_cannot_have(hp):
+    rings = make_rings(hp, 2)
+    rng = np.random.default_rng(17)
+    a = common_poly(hp, seed=b"round-i", level=1)
+    ct = encrypt(hp, [2.0], rings[0].sk, a, rng, level=1)
+    pd = masked_partial_decrypt(rings[0], ct.c1, b"t", [0, 1], rng)
+    assert PartialDecryption.from_bytes(pd.to_bytes(), hp).elem.level == 1
+    blob = pd.to_bytes()
+    bad = {
+        "coefficient domain": _flip_flags(blob, 1),
+        "flags with a special row": _flip_flags(blob, 2),
+        "special row": PartialDecryption(0, 0, mask_key(rings[0], [0, 1]).elem).to_bytes(),
+    }
+    for what, buf in bad.items():
+        with pytest.raises(SerializationError):
+            PartialDecryption.from_bytes(buf, hp)
+            pytest.fail(f"accepted a partial decryption with a {what}")

@@ -16,11 +16,9 @@ from fhefl.ntt import find_ntt_primes, is_prime
 from fhefl.ring import (
     RingElement,
     RingParams,
-    drop_level,
-    ntt_forward,
-    ntt_inverse,
     ring_add,
     ring_mul,
+    rns_digits,
     sample_error,
     sample_ternary,
     sample_uniform,
@@ -107,7 +105,7 @@ def test_ntt_roundtrip_is_identity(coeffs):
     q = find_ntt_primes(16, 53, 1)[0]
     params = RingParams(n=16, chain=(q,))
     x = RingElement.from_int_coeffs(params, coeffs, 0)
-    back = ntt_inverse(ntt_forward(x))
+    back = x.to_ntt().to_coeff()
     assert back == x
 
 
@@ -133,13 +131,17 @@ def test_mul_ring_axioms(av, bv, cv):
 def test_domain_errors():
     params = RingParams(n=4, chain=(17,))
     x = elem_from_coeffs(params, [1, 2, 3, 4])
-    f = ntt_forward(x)
+    f = x.to_ntt()
     with pytest.raises(DomainError):
-        ntt_forward(f)
+        f.to_int_coeffs()
     with pytest.raises(DomainError):
-        ntt_inverse(x)
+        next(rns_digits(x))
+    with pytest.raises(DomainError):
+        ring_mul(x, f)
     with pytest.raises(DomainError):
         x.mul(x)
+    with pytest.raises(DomainError):
+        x.add(f)
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +172,13 @@ def test_drop_level_matches_rational_oracle(p16):
         ints = [x % big_q for x in ints]
         ints = [x - big_q if x > big_q // 2 else x for x in ints]
         x = RingElement.from_int_coeffs(p16, ints, p16.max_level)
-        got = drop_level(x).to_int_coeffs().tolist()
+        got = x.drop_last_modulus().to_int_coeffs().tolist()
         assert got == rescale_oracle(ints, mods[-1])
 
 
 def test_drop_level_zero_is_zero(p16):
     z = RingElement.zeros(p16, p16.max_level)
-    out = drop_level(z)
+    out = z.drop_last_modulus()
     assert np.count_nonzero(out.data) == 0
     assert out.level == p16.max_level - 1
 
@@ -185,13 +187,7 @@ def test_drop_level_exhausted_chain():
     params = RingParams(n=4, chain=(17,))
     x = elem_from_coeffs(params, [1, 0, 0, 0], level=0)
     with pytest.raises(LevelError):
-        drop_level(x)
-
-
-def test_drop_level_requires_coeff_domain(p16):
-    x = sample_uniform(p16, 1, level=p16.max_level, ntt=True)
-    with pytest.raises(DomainError):
-        drop_level(x)
+        x.drop_last_modulus()
 
 
 def test_mod_reduce_keeps_residues(p16):
@@ -220,6 +216,18 @@ def test_int_coeff_roundtrip_huge_values(p16):
     ints = [x - big_q if x > big_q // 2 else x for x in ints]
     x = RingElement.from_int_coeffs(p16, ints, p16.max_level)
     assert x.to_int_coeffs().tolist() == ints
+
+
+@pytest.mark.parametrize("head", [[5, -3], [2**70, -1], np.array([5, -3], dtype=np.int64)])
+def test_int_coeffs_zero_pad_and_reject_too_many(p16, head):
+    x = RingElement.from_int_coeffs(p16, head, 1, special=True)
+    want = [int(v) for v in head] + [0] * (p16.n - len(head))
+    assert (x.level, x.special, x.ntt) == (1, True, False)
+    assert x.data.tolist() == [[v % q for v in want] for q in p16.moduli(1, special=True)]
+    with pytest.raises(ParameterError):
+        RingElement.from_int_coeffs(p16, [1] * (p16.n + 1), 1)
+    with pytest.raises(ParameterError):
+        RingElement.from_int_coeffs(p16, [[1, 2]], 1)
 
 
 # ---------------------------------------------------------------------------
