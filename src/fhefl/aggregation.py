@@ -42,9 +42,15 @@ values below 2^_VALUE_BITS in magnitude (the distance total, the rate total
 and each coordinate of the weighted update); a leg opens at the lowest level
 Q_l with Q_l >= scale * 2^(_VALUE_BITS + 1) (``_open_level``).
 
-* norm: the uploads drop to the lowest level at which the product's
-  distance still opens and the rate, two rescales below, still takes the
-  full 2^20 blind (``_norm_level``; level 3 at fhefl-16384).
+* norm: the lowest level at which the product's distance still opens and
+  the rate, two rescales below, still takes the full 2^20 blind
+  (``_norm_level``; level 3 at fhefl-16384, 2 at fhefl-8192, the top level 3
+  at test-1024).  ``encrypt_update`` encrypts the uploads there, so no row of
+  an upload is sent only to be dropped, and their c1 travels as the round
+  seed (see ``he.ciphertext_to_bytes``).  The round still accepts uploads
+  above that level, drops every one to it and only then checks that all of
+  them share one c1, so top-level and norm-level uploads mix; an upload
+  below it is refused.
 * d-sum: the distances drop to their opening level before the partials.  A
   total that opens below zero by more than the noise wrapped that level's
   modulus, and the round aborts rather than fall back to uniform rates.
@@ -275,8 +281,14 @@ def encrypt_update(
         raise ParameterError("gradients must be finite non-empty 1-d vectors")
     params = kr.params
     chunks = split_chunks(grad, params.capacity)
-    fwd = tuple(encrypt(params, c, kr.sk, a, rng) for c in chunks)
-    rev = tuple(encrypt(params, c, kr.sk, a, rng, direction="reversed") for c in chunks)
+    # the round reads the uploads at the norm level and below, so the rows
+    # above it would be sent only to be dropped
+    level = min(_norm_level(params, params.scale), a.level)
+    a = a.mod_reduce_to(level)
+    fwd = tuple(encrypt(params, c, kr.sk, a, rng, level=level) for c in chunks)
+    rev = tuple(
+        encrypt(params, c, kr.sk, a, rng, level=level, direction="reversed") for c in chunks
+    )
     return EncryptedUpdate(
         user_id=kr.user_id,
         epoch=kr.epoch,
@@ -425,6 +437,13 @@ def secure_aggregate_round(
         raise ProtocolError(f"missing keyrings for users {sorted(set(users) - set(keyrings))}")
     params = keyrings[users[0]].params
     epoch = keyrings[users[0]].epoch
+    upload_scale = enc_updates[users[0]].fwd[0].scale
+    # uploads may arrive at the norm level or above; all of them drop to it
+    l_norm = min(_norm_level(params, upload_scale), enc_updates[users[0]].fwd[0].level)
+    for u in users:
+        if any(ct.level < l_norm for ct in enc_updates[u].fwd + enc_updates[u].rev):
+            raise ProtocolError(f"user {u}'s upload sits below the round's level {l_norm}")
+    enc_updates = {u: enc_updates[u].mod_reduce_to(l_norm) for u in users}
     # the round's public polynomial: the stages decompose the products of it
     # once for every user, which is only correct if every upload carries it
     a = enc_updates[users[0]].fwd[0].c1
@@ -446,23 +465,15 @@ def secure_aggregate_round(
     roster = users
     n_users = len(users)
     ri = enc_updates[users[0]].readout
-    upload_scale = enc_updates[users[0]].fwd[0].scale
     # The aggregate leg's partial decryptions carry sigma * 2^flood_sigma_bits
     # flooding noise; a rate at the scale raised by the same factor keeps
     # that noise from setting the precision of the opened update.
     fresh_scale = params.scale * 2.0**params.flood_sigma_bits
-    l_norm = min(_norm_level(params, upload_scale), a.level)
-    l_agg = max(1, min(_open_level(params, fresh_scale * upload_scale), a.level))
+    l_agg = max(1, min(_open_level(params, fresh_scale * upload_scale), l_norm))
 
     with _stage("norm"):
-        a_norm = a.mod_reduce_to(l_norm)
-        digits = tuple(rns_digits(a_norm.mul(a_norm)))
-        d_cts = {
-            u: sq_norm_encrypted(
-                enc_updates[u].mod_reduce_to(l_norm), keyrings[u].evk, digits
-            )
-            for u in users
-        }
+        digits = tuple(rns_digits(a.mul(a)))
+        d_cts = {u: sq_norm_encrypted(enc_updates[u], keyrings[u].evk, digits) for u in users}
 
     with _stage("distance-sum"):
         d_open = {u: _opened(d_cts[u]) for u in users}

@@ -27,6 +27,7 @@ from .errors import FheflError, ParameterError
 from .he import (
     EvalKey,
     SecretKey,
+    ciphertext_to_bytes,
     common_poly,
     encrypt,
     get_params,
@@ -128,6 +129,7 @@ def cmd_bench(args) -> int:
     w_prev = np.zeros(dim)
 
     rounds = itertools.count()
+    uploads = []
 
     def one_round():
         # a fresh common polynomial and round tag per repetition: a reused tag
@@ -135,15 +137,19 @@ def cmd_bench(args) -> int:
         tag = b"bench-round-%d" % next(rounds)
         a_r = common_poly(params, seed=tag + b"|a")
         enc = {u: encrypt_update(keyrings[u], grads[u], a_r, rng) for u in users}
+        uploads.append(enc[users[0]])
         secure_aggregate_round(enc, keyrings, w_prev, 0.1, rng, round_tag=tag)
 
     round_reps = max(1, args.reps // 5)
     rows.append(("aggregate_round(10 users)", *_timeit(one_round, round_reps)))
+    last = uploads[-1]
+    upload_bytes = sum(len(ciphertext_to_bytes(ct)) for ct in last.fwd + last.rev)
 
     print(f"preset {params.name}  (vector dim {dim})")
     print(f"{'op':<26} {'mean us':>12} {'p95 us':>12}")
     for name, mean, p95 in rows:
         print(f"{name:<26} {mean:>12.1f} {p95:>12.1f}")
+    print(f"{'upload per user per round':<26} {upload_bytes:>12d} B")
     return 0
 
 

@@ -29,6 +29,17 @@ known key, at test-16 and test-1024, for encryption, addition, the tensor
 product, relinearization, rescaling, ``plain_affine`` and fresh aggregation.
 ``decrypt`` refuses a ciphertext whose bound exceeds half its scale, since
 the value's precision has collapsed.
+
+Wire format v2 (``ciphertext_to_bytes``): magic, version, preset name, then
+level, component count, packing direction, length, scale, ``noise_log2`` and
+``msg_bound``, so a ciphertext read back is refused by ``decrypt`` exactly
+when the original would be.  Each component follows as a kind byte and a
+length-prefixed blob: a ``RingElement.to_bytes`` record, or the seed of the
+round's public polynomial.  The c1 of a two-component ciphertext travels as
+its seed whenever it is that polynomial (``common_poly`` remembers the seed,
+and dropping primes keeps it), which halves a fresh upload; the reader
+rebuilds it with ``common_poly`` at the header's level.  A c0, any component
+of a three-component product and any computed c1 travel in full.
 """
 
 from __future__ import annotations
@@ -49,6 +60,7 @@ from .errors import (
 from .ring import (
     RingElement,
     RingParams,
+    _seed_bytes,
     find_ntt_primes,
     rns_digits,
     sample_error,
@@ -57,7 +69,11 @@ from .ring import (
 )
 
 _CT_MAGIC = b"FCT1"
-_CT_VERSION = 1
+_CT_VERSION = 2
+# level, component count, direction flag, length, scale, noise_log2, msg_bound
+_CT_FIELDS = "<BBBIddd"
+_COMP_RING, _COMP_SEED = 0, 1  # component kinds: a full RingElement, or a seed
+_MAX_SEED_BYTES = 256  # a longer seed's polynomial travels in full
 
 
 @dataclass
@@ -298,8 +314,14 @@ class EvalKey:
 
 
 def common_poly(params: HeParams, seed, level: int | None = None) -> RingElement:
-    """The shared public polynomial a for one round of fresh encryptions."""
-    return sample_uniform(params.ring, seed, level=level, ntt=True, tag=b"common-a")
+    """The shared public polynomial a for one round of fresh encryptions.
+
+    The element remembers its seed, so a ciphertext whose c1 it is can send
+    the seed instead of the polynomial.
+    """
+    a = sample_uniform(params.ring, seed, level=level, ntt=True, tag=b"common-a")
+    a.seed = _seed_bytes(seed)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +393,9 @@ def _encrypt_plaintext(
 ) -> Ciphertext:
     """c0 = a*s + m + e, c1 = a at the level of the encoded plaintext m."""
     level = m.level
-    if a.level != level or a.special or not a.ntt:
-        a = a.mod_reduce_to(level).to_ntt() if not a.ntt else a.mod_reduce_to(level)
+    a = a.mod_reduce_to(level)
+    if not a.ntt:
+        a = a.to_ntt()
     e = sample_error(params.ring, rng, params.sigma, level=level)
     s_l = sk.s.mod_reduce_to(level)
     # the NTT is linear mod q, so m + e takes one transform
@@ -624,19 +647,35 @@ def plain_affine(
 
 
 def ciphertext_to_bytes(ct: Ciphertext) -> bytes:
+    """Wire format v2 record of ``ct`` (see the module docstring); the c1 of
+    a two-component ciphertext goes as its seed when it has one."""
     name = ct.params.name.encode()
     dir_flag = 0 if ct.direction == "forward" else 1
-    head = struct.pack(
-        "<4sBB", _CT_MAGIC, _CT_VERSION, len(name)
-    ) + name + struct.pack(
-        "<BBBId", ct.level, len(ct.comps), dir_flag, ct.length, ct.scale
+    head = struct.pack("<4sBB", _CT_MAGIC, _CT_VERSION, len(name)) + name
+    head += struct.pack(
+        _CT_FIELDS,
+        ct.level,
+        len(ct.comps),
+        dir_flag,
+        ct.length,
+        ct.scale,
+        ct.noise_log2,
+        ct.msg_bound,
     )
-    blobs = [c.to_bytes() for c in ct.comps]
-    body = b"".join(struct.pack("<I", len(b)) + b for b in blobs)
-    return head + body
+    parts = [head]
+    for k, comp in enumerate(ct.comps):
+        seed = comp.seed if (k, len(ct.comps)) == (1, 2) else None
+        if seed is not None and len(seed) <= _MAX_SEED_BYTES:
+            kind, blob = _COMP_SEED, seed
+        else:
+            kind, blob = _COMP_RING, comp.to_bytes()
+        parts += [struct.pack("<BI", kind, len(blob)), blob]
+    return b"".join(parts)
 
 
 def ciphertext_from_bytes(buf: bytes, params: HeParams | None = None) -> Ciphertext:
+    """Read a wire format v2 record, rebuilding a seeded c1 with
+    ``common_poly``; any malformed record raises ``SerializationError``."""
     fixed = struct.calcsize("<4sBB")
     if len(buf) < fixed:
         raise SerializationError("truncated ciphertext header")
@@ -651,11 +690,12 @@ def ciphertext_from_bytes(buf: bytes, params: HeParams | None = None) -> Ciphert
     except UnicodeDecodeError as exc:
         raise SerializationError("ciphertext preset name is not UTF-8") from exc
     off += name_len
-    tail_fmt = "<BBBId"
-    if len(buf) < off + struct.calcsize(tail_fmt):
+    if len(buf) < off + struct.calcsize(_CT_FIELDS):
         raise SerializationError("truncated ciphertext header fields")
-    level, ncomp, dir_flag, length, scale = struct.unpack_from(tail_fmt, buf, off)
-    off += struct.calcsize(tail_fmt)
+    level, ncomp, dir_flag, length, scale, noise_log2, msg_bound = struct.unpack_from(
+        _CT_FIELDS, buf, off
+    )
+    off += struct.calcsize(_CT_FIELDS)
     if ncomp not in (2, 3):
         raise SerializationError(f"ciphertext has {ncomp} components, expected 2 or 3")
     if dir_flag not in (0, 1):
@@ -666,21 +706,43 @@ def ciphertext_from_bytes(buf: bytes, params: HeParams | None = None) -> Ciphert
                 f"ciphertext references preset {name!r}; pass params explicitly"
             )
         params = get_params(name)
+    if level > params.ring.max_level:
+        raise SerializationError(f"level {level} outside chain 0..{params.ring.max_level}")
     if not 1 <= length <= params.ring.n:
         raise SerializationError(f"packed length {length} outside 1..{params.ring.n}")
     if not (math.isfinite(scale) and scale > 0):
         raise SerializationError(f"scale {scale} is not a positive finite number")
+    for what, value in (("noise bound", noise_log2), ("message bound", msg_bound)):
+        if not (math.isfinite(value) and value >= 0):
+            raise SerializationError(f"{what} {value} is not a non-negative finite number")
     comps = []
-    for _ in range(ncomp):
-        if len(buf) < off + 4:
-            raise SerializationError("truncated component length prefix")
-        (blen,) = struct.unpack_from("<I", buf, off)
-        off += 4
+    for k in range(ncomp):
+        if len(buf) < off + 5:
+            raise SerializationError("truncated component header")
+        kind, blen = struct.unpack_from("<BI", buf, off)
+        off += 5
+        if kind == _COMP_SEED:
+            if (k, ncomp) != (1, 2):
+                raise SerializationError(
+                    f"component {k} of a {ncomp}-component ciphertext sent as a seed; "
+                    "only the c1 of a two-component ciphertext may be"
+                )
+            if blen > _MAX_SEED_BYTES:
+                raise SerializationError(
+                    f"seed of {blen} bytes is oversized (at most {_MAX_SEED_BYTES})"
+                )
+        elif kind != _COMP_RING:
+            raise SerializationError(f"unknown component kind {kind}")
         if len(buf) < off + blen:
             raise SerializationError(
                 f"truncated component: need {blen} bytes, have {len(buf) - off}"
             )
-        comp = RingElement.from_bytes(buf[off : off + blen], params.ring)
+        blob = bytes(buf[off : off + blen])
+        off += blen
+        if kind == _COMP_SEED:
+            comps.append(common_poly(params, blob, level=level))
+            continue
+        comp = RingElement.from_bytes(blob, params.ring)
         # every component of a ciphertext is an NTT-domain chain element at
         # the header's level
         if (comp.level, comp.special, comp.ntt) != (level, False, True):
@@ -689,7 +751,6 @@ def ciphertext_from_bytes(buf: bytes, params: HeParams | None = None) -> Ciphert
                 f"ntt {comp.ntt}) in a level-{level} ciphertext"
             )
         comps.append(comp)
-        off += blen
     if off != len(buf):
         raise SerializationError(f"{len(buf) - off} trailing bytes after ciphertext")
     return Ciphertext(
@@ -699,4 +760,6 @@ def ciphertext_from_bytes(buf: bytes, params: HeParams | None = None) -> Ciphert
         scale=scale,
         length=length,
         direction="forward" if dir_flag == 0 else "reversed",
+        noise_log2=noise_log2,
+        msg_bound=msg_bound,
     )

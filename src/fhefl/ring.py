@@ -26,7 +26,14 @@ to n of them, zero-padded, reduced as int64 when they fit and as Python
 integers row by row when they do not.  The ternary and error samplers and the
 plaintext encoder build their elements with it.  An element is never written to
 once it is handed out, so ciphertexts share the round's public polynomial
-rather than copy it.
+rather than copy it, and `mod_reduce_to` hands back the element itself when
+it drops no row.
+
+An element may remember the seed it was drawn from (`RingElement.seed`).  Only
+the round's public polynomial (`he.common_poly`) sets it, so that the wire
+format can send that polynomial as its seed.  The seed is provenance only:
+equality ignores it, `mod_reduce_to` keeps it (a lower-level draw is the
+prefix of the top-level one) and every arithmetic op drops it.
 
 Rescaling (`drop_last_modulus`) is the exact RNS divide-and-round by the last
 active modulus: subtract the centered remainder, then multiply by its inverse
@@ -178,6 +185,9 @@ class RingElement:
     level: int
     special: bool = False
     ntt: bool = False
+    # the seed this element was drawn from, if it is the round's public
+    # polynomial (provenance only: equality ignores it, arithmetic drops it)
+    seed: bytes | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         want = self.level + 1 + bool(self.special)
@@ -274,15 +284,20 @@ class RingElement:
     # -- modulus management ----------------------------------------------------------
 
     def mod_reduce_to(self, level: int, special: bool = False) -> "RingElement":
-        """Drop residue rows (exact modulus reduction; scale is unchanged)."""
+        """Drop residue rows (exact modulus reduction; scale is unchanged).
+
+        Dropping no row returns the element itself.  The seed is kept: the
+        rows that remain are the draw at the lower level.
+        """
         if level > self.level or (special and not self.special):
             raise LevelError("mod_reduce_to can only drop moduli")
+        if (level, special) == (self.level, self.special):
+            return self
         rows = list(range(level + 1))
         if special:
             rows.append(self.data.shape[0] - 1)
-        return RingElement(
-            self.params, np.ascontiguousarray(self.data[rows]), level, special, self.ntt
-        )
+        data = np.ascontiguousarray(self.data[rows])
+        return RingElement(self.params, data, level, special, self.ntt, self.seed)
 
     def drop_last_modulus(self) -> "RingElement":
         """Exact divide-and-round by the last active modulus, in either domain.

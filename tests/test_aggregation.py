@@ -445,6 +445,72 @@ def test_round_runs_each_leg_at_its_level(monkeypatch, name, n_users, dim):
     assert seen["check"] == [l_agg]
 
 
+@pytest.mark.parametrize("name", sorted(ROUND_LEVELS))
+def test_encrypt_update_uploads_at_the_norm_level(name):
+    # the round reads the uploads at the norm level and below, so they are
+    # encrypted there, against one reduction of a that keeps the round seed
+    params = get_params(name)
+    kr = setup_pairwise(params, [0, 1], 0, b"upload-level")[0]
+    rng = np.random.default_rng(33)
+    g = rng.uniform(-1, 1, 8)
+    a = common_poly(params, seed=b"upload-a")
+    eu = encrypt_update(kr, g, a, rng)
+    l_norm = ROUND_LEVELS[name][0]
+    cts = eu.fwd + eu.rev
+    assert {ct.level for ct in cts} == {l_norm}
+    assert all(ct.c1 is cts[0].c1 for ct in cts)
+    assert cts[0].c1 == a.mod_reduce_to(l_norm) and cts[0].c1.seed == b"upload-a"
+    for ct in cts:
+        np.testing.assert_allclose(decrypt(ct, kr.sk).values, g, atol=1e-6)
+    # an a drawn below the norm level sets the upload level
+    low = encrypt_update(kr, g, common_poly(params, seed=b"upload-a", level=1), rng)
+    assert {ct.level for ct in low.fwd + low.rev} == {1}
+
+
+def test_round_opens_the_same_bytes_from_top_level_uploads():
+    # at fhefl-16384 the uploads sit one level below the top; a round over
+    # top-level uploads built with encrypt, or over a mix of both, drops
+    # them to the norm level first and opens the same model bytes.  The
+    # three rounds are re-runs of one round, so they share its tag.
+    params = get_params("fhefl-16384")
+    krs = setup_pairwise(params, range(3), 0, b"upload-mix")
+    grads = np.random.default_rng(41).uniform(-1, 1, (3, 8))
+    w_prev = np.random.default_rng(42).uniform(-1, 1, 8)
+    a = common_poly(params, seed=b"upload-mix-a")
+
+    def top_level(kr, g, a, rng):
+        return agg_mod.EncryptedUpdate(
+            user_id=kr.user_id,
+            epoch=kr.epoch,
+            fwd=(encrypt(params, g, kr.sk, a, rng),),
+            rev=(encrypt(params, g, kr.sk, a, rng, direction="reversed"),),
+            dim=g.size,
+            chunk_len=g.size,
+        )
+
+    def round_with(top_users):
+        rng = np.random.default_rng(43)
+        enc = {
+            u: (top_level if u in top_users else encrypt_update)(krs[u], grads[u], a, rng)
+            for u in range(3)
+        }
+        levels = sorted(enc[u].fwd[0].level for u in range(3))
+        w = secure_aggregate_round(enc, krs, w_prev, 0.5, rng, round_tag=b"upload-mix")
+        return w, levels
+
+    l_norm, top = ROUND_LEVELS["fhefl-16384"][0], params.ring.max_level
+    w, levels = round_with(())
+    assert levels == [l_norm] * 3
+    rates = non_poisoning_rates([sq_norm_plain(g) for g in grads])
+    np.testing.assert_allclose(
+        w, weighted_aggregate_plain(w_prev, grads, rates, 0.5), rtol=1e-2, atol=1e-4
+    )
+    for top_users, want in (((0, 1, 2), [top] * 3), ((1,), [l_norm, l_norm, top])):
+        w_other, levels = round_with(top_users)
+        assert levels == want
+        assert w_other.tobytes() == w.tobytes()
+
+
 @pytest.fixture(scope="module")
 def boundary_round():
     """A test-1024 round with sum_u ||g_u||^2 = 2^32 (1 - 2^-10), the
@@ -597,3 +663,7 @@ def test_pipeline_rejects_uploads_off_the_round_polynomial(hp):
     for eu in (stray, replace(enc[2], rev=stray.rev)):
         with pytest.raises(ProtocolError, match="public polynomial"):
             secure_aggregate_round({**enc, 2: eu}, rings, np.zeros(4), 1.0, rng)
+    # the round drops uploads to its level, never raises them
+    low = encrypt_update(rings[2], np.ones(4), a.mod_reduce_to(1), rng)
+    with pytest.raises(ProtocolError, match="below the round's level"):
+        secure_aggregate_round({**enc, 2: low}, rings, np.zeros(4), 1.0, rng)

@@ -165,6 +165,30 @@ def test_bench_rounds_use_fresh_poly_and_tag(capsys, monkeypatch):
     assert len({a for _, a in seen}) == 3
 
 
+def test_bench_prints_the_bytes_a_user_uploads(capsys, monkeypatch):
+    # the line next to the round time is the serialised size of one user's
+    # upload of the last round, whose c1 travels as the round seed
+    import fhefl.cli as cli_mod
+    from fhefl.he import ciphertext_to_bytes
+
+    seen = []
+
+    def record(enc, keyrings, w_prev, eta, rng, *, round_tag):
+        seen.append(enc[0])
+        return w_prev
+
+    monkeypatch.setattr(cli_mod, "secure_aggregate_round", record)
+    assert main(["bench", "--preset", "test-16", "--reps", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith("aggregate_round")
+    label, value, unit = lines[-1].rsplit(maxsplit=2)
+    assert (label, unit) == ("upload per user per round", "B")
+    cts = seen[-1].fwd + seen[-1].rev
+    assert int(value) == sum(len(ciphertext_to_bytes(ct)) for ct in cts)
+    # each c0 in full, each c1 as its seed
+    assert int(value) < sum(len(ct.c0.to_bytes()) + len(ct.c1.to_bytes()) for ct in cts)
+
+
 def test_bench_zero_reps_is_usage_error(capsys):
     assert main(["bench", "--preset", "test-16", "--reps", "0"]) == 2
     assert "repetition" in capsys.readouterr().err

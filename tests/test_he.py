@@ -7,6 +7,7 @@ computed right next to the assertion.
 
 import math
 import struct
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,7 @@ from fhefl.he import (
     rescale,
 )
 from fhefl.multikey import aggregate_fresh
+from fhefl.ring import sample_uniform
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +266,20 @@ def test_shared_polynomial_is_reused(hp, keys):
 def test_common_poly_deterministic(hp):
     assert common_poly(hp, seed=b"x") == common_poly(hp, seed=b"x")
     assert common_poly(hp, seed=b"x") != common_poly(hp, seed=b"y")
+
+
+def test_common_poly_seed_is_provenance_only(hp):
+    # the seed names the round's polynomial on the wire: equality ignores
+    # it, dropping primes keeps it and every arithmetic op drops it
+    a = common_poly(hp, seed=b"x")
+    assert a.seed == b"x" and common_poly(hp, seed="x").seed == b"x"
+    drawn = sample_uniform(hp.ring, b"x", ntt=True, tag=b"common-a")
+    assert drawn.seed is None and drawn == a
+    low = a.mod_reduce_to(1)
+    assert low.seed == b"x" and low == common_poly(hp, seed=b"x", level=1)
+    for out in (a.add(a), a.sub(a), a.neg(), a.mul(a), a.mul_scalar(3), a.to_ntt(),
+                a.to_coeff(), a.copy(), a.drop_last_modulus()):
+        assert out.seed is None
 
 
 def test_decrypt_at_lower_level(hp, keys):
@@ -552,8 +568,24 @@ def test_ciphertext_wire_roundtrip(hp, keys):
     assert back.scale == ct.scale
     assert back.length == ct.length
     assert back.direction == ct.direction
+    assert back.noise_log2 == ct.noise_log2
+    assert back.msg_bound == ct.msg_bound
     assert all(a == b for a, b in zip(back.comps, ct.comps))
     np.testing.assert_allclose(decrypt(back, sk).values, [1.0, -2.5, 3.25], atol=1e-6)
+
+
+def test_ciphertext_wire_keeps_the_noise_bound(hp, keys):
+    # a ciphertext decrypt refuses for its noise is refused after a byte
+    # round trip too, and a product keeps its tracked bounds on the wire
+    sk, evk = keys
+    noisy = fresh(hp, sk, [1.0], seed=65, scale=8.0)
+    assert noisy.noise_log2 > math.log2(noisy.scale) - 1
+    back = ciphertext_from_bytes(ciphertext_to_bytes(noisy), hp)
+    with pytest.raises(EncodingError, match="noise"):
+        decrypt(back, sk)
+    prod = he_mult_relin(fresh(hp, sk, [2.0], seed=66), fresh(hp, sk, [3.0], seed=67), evk)
+    back = ciphertext_from_bytes(ciphertext_to_bytes(prod), hp)
+    assert (back.noise_log2, back.msg_bound) == (prod.noise_log2, prod.msg_bound)
 
 
 def test_ciphertext_wire_rejects_garbage(hp, keys):
@@ -567,14 +599,27 @@ def test_ciphertext_wire_rejects_garbage(hp, keys):
         ciphertext_from_bytes(blob + b"\0")
     with pytest.raises(SerializationError):
         ciphertext_from_bytes(b"")
+    with pytest.raises(SerializationError, match="version"):
+        ciphertext_from_bytes(blob[:4] + b"\x01" + blob[5:])
 
 
-def _with_comps(blob, comps):
-    """Re-frame a ciphertext blob around other component blobs."""
-    head_len = 6 + blob[5] + struct.calcsize("<BBBId")
-    head = bytearray(blob[:head_len])
+_RING, _SEED = 0, 1  # wire component kinds
+
+
+def _head_len(blob):
+    return 6 + blob[5] + struct.calcsize("<BBBIddd")
+
+
+def _with_comps(blob, comps, *, noise_log2=None, msg_bound=None):
+    """Re-frame a ciphertext blob around other (kind, payload) components,
+    optionally with other header bounds."""
+    head = bytearray(blob[: _head_len(blob)])
     head[6 + blob[5] + 1] = len(comps)
-    return bytes(head) + b"".join(struct.pack("<I", len(c)) + c for c in comps)
+    if noise_log2 is not None:
+        struct.pack_into("<d", head, len(head) - 16, noise_log2)
+    if msg_bound is not None:
+        struct.pack_into("<d", head, len(head) - 8, msg_bound)
+    return bytes(head) + b"".join(struct.pack("<BI", k, len(c)) + c for k, c in comps)
 
 
 def test_ciphertext_wire_rejects_inconsistent_layouts(hp, keys):
@@ -582,12 +627,13 @@ def test_ciphertext_wire_rejects_inconsistent_layouts(hp, keys):
     ct = fresh(hp, sk, [1.0, 2.0], seed=73)
     blob = ciphertext_to_bytes(ct)
     level_at = 6 + blob[5]
-    parts = [c.to_bytes() for c in ct.comps]
-    # header level disagreeing with the components
-    bad = bytearray(blob)
-    bad[level_at] = ct.level - 1
-    with pytest.raises(SerializationError, match="level"):
-        ciphertext_from_bytes(bytes(bad))
+    parts = [(_RING, c.to_bytes()) for c in ct.comps]
+    # header level disagreeing with the components, or outside the chain
+    for level in (ct.level - 1, hp.ring.max_level + 1):
+        bad = bytearray(blob)
+        bad[level_at] = level
+        with pytest.raises(SerializationError, match="level"):
+            ciphertext_from_bytes(bytes(bad))
     # component counts outside {2, 3}
     for comps in ([parts[0]], parts * 2):
         with pytest.raises(SerializationError, match="components"):
@@ -598,11 +644,85 @@ def test_ciphertext_wire_rejects_inconsistent_layouts(hp, keys):
     coeff = ct.comps[1].to_coeff().to_bytes()
     for odd in (lower, special, coeff):
         with pytest.raises(SerializationError, match="component"):
-            ciphertext_from_bytes(_with_comps(blob, [parts[0], odd]))
-    # a three-component product is a valid layout
+            ciphertext_from_bytes(_with_comps(blob, [parts[0], (_RING, odd)]))
+    with pytest.raises(SerializationError, match="kind"):
+        ciphertext_from_bytes(_with_comps(blob, [parts[0], (7, parts[1][1])]))
+    # bounds that no ciphertext has
+    for bounds in ({"noise_log2": math.nan}, {"noise_log2": -1.0},
+                   {"msg_bound": math.inf}, {"msg_bound": -0.5}):
+        with pytest.raises(SerializationError, match="bound"):
+            ciphertext_from_bytes(_with_comps(blob, parts, **bounds))
+    # the same components in full are a valid record, as is a product
+    back = ciphertext_from_bytes(_with_comps(blob, parts))
+    assert all(a == b for a, b in zip(back.comps, ct.comps))
     raw = _he_mult_raw(ct, ct)
     back = ciphertext_from_bytes(ciphertext_to_bytes(raw))
     assert all(a == b for a, b in zip(back.comps, raw.comps))
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_seeded_c1_round_trips_at_every_level(name):
+    # a fresh ciphertext's c1 travels as its seed, whether the round drew it
+    # at the ciphertext's level or above and dropped primes to get there
+    params = get_params(name)
+    sk = SecretKey.generate(params, seed=b"wire-sk")
+    rng = np.random.default_rng(75)
+    seed = b"wire-a|" + name.encode()
+    top = common_poly(params, seed)
+    for level in range(params.ring.max_level + 1):
+        for a in (common_poly(params, seed, level=level), top.mod_reduce_to(level)):
+            ct = encrypt(params, [0.25, -0.5], sk, a, rng, level=level)
+            assert ct.c1.seed == seed
+            blob = ciphertext_to_bytes(ct)
+            assert len(blob) == _head_len(blob) + 5 + len(ct.c0.to_bytes()) + 5 + len(seed)
+            back = ciphertext_from_bytes(blob, params)
+            assert back.level == level and back.comps == ct.comps
+            assert back.c1.seed == seed
+            assert ciphertext_to_bytes(back) == blob
+            np.testing.assert_allclose(decrypt(back, sk).values, [0.25, -0.5], atol=1e-6)
+
+
+def test_computed_c1_travels_in_full(hp, keys):
+    # only the round's polynomial itself is sent as a seed: the c1 of a sum
+    # or a product is computed, and so is every component of a raw product
+    sk, evk = keys
+    x = fresh(hp, sk, [1.5], seed=76)
+    y = fresh(hp, sk, [-0.5], seed=77)
+    for ct in (he_add(x, x), he_mult_relin(x, y, evk), _he_mult_raw(x, y), rescale(x)):
+        assert all(c.seed is None for c in ct.comps)
+        blob = ciphertext_to_bytes(ct)
+        assert len(blob) == _head_len(blob) + sum(5 + len(c.to_bytes()) for c in ct.comps)
+        assert ciphertext_from_bytes(blob, hp).comps == ct.comps
+    # the sum of fresh uploads keeps their shared c1, which is still the seed
+    total = aggregate_fresh({0: x, 1: fresh(hp, sk, [2.0], seed=76)})
+    assert total.c1 is x.c1
+    assert len(ciphertext_to_bytes(total)) == len(ciphertext_to_bytes(x))
+
+
+def test_ciphertext_wire_rejects_misplaced_and_malformed_seeds(hp, keys):
+    sk, _ = keys
+    ct = fresh(hp, sk, [1.0], seed=78)
+    blob = ciphertext_to_bytes(ct)
+    seed = ct.c1.seed
+    c0 = (_RING, ct.c0.to_bytes())
+    # a seed in place of c0, or as any component of a three-component product
+    for comps in ([(_SEED, seed), c0], [c0, (_SEED, seed), c0], [c0, c0, (_SEED, seed)]):
+        with pytest.raises(SerializationError, match="seed"):
+            ciphertext_from_bytes(_with_comps(blob, comps), hp)
+    # a seed cut short of its length prefix, or longer than any seed may be
+    for cut in (1, len(seed) // 2, len(seed) + 4):
+        with pytest.raises(SerializationError, match="truncated"):
+            ciphertext_from_bytes(blob[:-cut], hp)
+    with pytest.raises(SerializationError, match="oversized"):
+        ciphertext_from_bytes(_with_comps(blob, [c0, (_SEED, b"s" * 257)]), hp)
+    # a seed of the longest accepted length reads back; a longer one is
+    # written in full
+    for n_bytes, kind in ((256, _SEED), (257, _RING)):
+        a = common_poly(hp, b"s" * n_bytes, level=ct.level)
+        long = replace(ct, comps=(ct.c0, a))
+        blob = ciphertext_to_bytes(long)
+        assert blob[_head_len(blob) + 5 + len(ct.c0.to_bytes())] == kind
+        assert ciphertext_from_bytes(blob, hp).comps == long.comps
 
 
 @settings(max_examples=200, deadline=None)
@@ -612,11 +732,13 @@ def test_ciphertext_wire_fuzz(hp, keys, data):
     # ciphertext whose components agree with its header
     sk, _ = keys
     blob = bytearray(ciphertext_to_bytes(fresh(hp, sk, [0.5, -1.5], seed=74)))
-    head_len = 6 + blob[5] + struct.calcsize("<BBBId")
+    head_len = _head_len(blob)
+    # aim a third of the edits at the header, where the layout fields live,
+    # and a third at the seeded c1 at the end
+    regions = [(0, head_len + 16), (len(blob) - 40, len(blob)), (0, len(blob))]
     for _ in range(data.draw(st.integers(1, 4))):
-        # aim half the edits at the header, where the layout fields live
-        hi = head_len + 16 if data.draw(st.booleans()) else len(blob)
-        pos = data.draw(st.integers(0, min(hi, len(blob)) - 1))
+        lo, hi = regions[data.draw(st.integers(0, 2))]
+        pos = data.draw(st.integers(lo, hi - 1))
         blob[pos] = data.draw(st.integers(0, 255))
     cut = data.draw(st.integers(0, len(blob)))
     buf = bytes(blob[:cut]) if data.draw(st.booleans()) else bytes(blob)
@@ -630,3 +752,5 @@ def test_ciphertext_wire_fuzz(hp, keys, data):
         assert c.data.shape == (ct.level + 1, hp.ring.n)
     assert 1 <= ct.length <= hp.ring.n
     assert math.isfinite(ct.scale) and ct.scale > 0
+    assert math.isfinite(ct.noise_log2) and ct.noise_log2 >= 0
+    assert math.isfinite(ct.msg_bound) and ct.msg_bound >= 0

@@ -270,22 +270,36 @@ def test_sampler_matches_reference_16384():
 
 def test_pinned_upload_and_product_bytes():
     # digests taken with the per-row reference kernels; the upload bytes are
-    # what a user sends, the product exercises key switching and rescaling
+    # what a user sends, the product exercises key switching and rescaling.
+    # The ring elements are pinned apart from the wire records around them,
+    # so a change of the wire format cannot move an element unseen
     params = get_params("test-1024")
     krs = setup_pairwise(params, [0, 1], 0, b"pinned")
     a = common_poly(params, seed=b"pinned-a")
     grad = np.random.default_rng(2024).uniform(-1, 1, 700)
     eu = encrypt_update(krs[0], grad, a, np.random.default_rng(7))
+    prod = he_mult_relin(eu.fwd[0], eu.rev[0], krs[0].evk)
+
+    def element_digests(ct):
+        return [hashlib.sha256(c.to_bytes()).hexdigest()[:16] for c in ct.comps]
+
+    a_digest = "fa7427cdac1dac04"
+    assert [element_digests(ct) for ct in eu.fwd + eu.rev] == [
+        ["7c4cbedf24344f2c", a_digest],
+        ["b121076368eb9575", a_digest],
+        ["e5bdd06cbd1db33f", a_digest],
+        ["2b12a201a723a29e", a_digest],
+    ]
+    assert element_digests(prod) == ["557a4c296f599e84", "428db65ff639c938"]
     blob = b"".join(ciphertext_to_bytes(c) for c in eu.fwd + eu.rev)
-    assert len(blob) == 262648
+    assert len(blob) == 131504
     assert (
         hashlib.sha256(blob).hexdigest()
-        == "e192db6b5770a9eaeac22c5103155c307a31cc510c331a8a70dbae9f3c1cedb8"
+        == "6acdbe6e7f2d5a6d48fb799b959b8cbd18004a05a52f15f55f9177a4163d2ea3"
     )
-    prod = he_mult_relin(eu.fwd[0], eu.rev[0], krs[0].evk)
     assert (
         hashlib.sha256(ciphertext_to_bytes(prod)).hexdigest()
-        == "b4b109431f215e4292383f772abba387c0c4cb14582e4bdd3bd2800772af253a"
+        == "3c35ca6a3c41ad2703179594fa6060a78dbaa679c109368462a859285f2906d9"
     )
 
 

@@ -199,6 +199,18 @@ def test_mod_reduce_keeps_residues(p16):
         r.mod_reduce_to(2)
 
 
+def test_mod_reduce_to_the_same_rows_returns_the_element(p16):
+    # elements are never written once handed out, so dropping no row copies
+    # nothing; dropping the special row alone still makes a new element
+    x = sample_uniform(p16, 43, ntt=True)
+    assert x.mod_reduce_to(x.level) is x
+    k = sample_uniform(p16, 43, special=True)
+    assert k.mod_reduce_to(k.level, special=True) is k
+    chain = k.mod_reduce_to(k.level)
+    assert chain is not k and not chain.special
+    assert np.array_equal(chain.data, k.data[:-1])
+
+
 # ---------------------------------------------------------------------------
 # integer lift round trips
 # ---------------------------------------------------------------------------
