@@ -422,13 +422,19 @@ def secure_aggregate_round(
     eta: float,
     rng: np.random.Generator,
     *,
-    round_tag: bytes = b"round0",
+    round_tag: bytes,
 ) -> np.ndarray:
     """One full norm-weighted aggregation under encryption.
 
     Returns the next model vector; every opened value is roster-aggregate
     (sum of distances, sum of rates, weighted gradient sum) — no per-user
     quantity is ever decrypted server-side.
+
+    ``round_tag`` must be unique per (epoch, round).  It seeds the fresh
+    rates' public polynomial and the pair masks of every opening, so two
+    rounds under one tag share ``a2``: the difference of one user's fresh
+    rate ciphertexts from those rounds then decrypts without any key to the
+    change in that user's rate.
     """
     users = sorted(enc_updates)
     if len(users) < 2:

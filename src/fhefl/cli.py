@@ -7,8 +7,7 @@ Subcommands:
   check-bound  evaluate the norm-gap tolerance threshold as JSON
 
 Exit codes: 0 on success, 1 when a run fails mid-flight (protocol abort,
-divergence), 2 for usage or configuration errors.  Local training honours the
-FHEFL_THREADS environment variable (default 1 worker).
+divergence), 2 for usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -36,12 +35,7 @@ from .he import (
     preset_names,
 )
 from .multikey import setup_pairwise
-from .simulation import (
-    BoundReport,
-    SimConfig,
-    corollary_threshold,
-    run_experiment_suite,
-)
+from .simulation import SimConfig, bound_report, run_experiment_suite
 
 
 def cmd_params(args) -> int:
@@ -154,15 +148,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_check_bound(args) -> int:
-    threshold = corollary_threshold(args.benign, args.malicious, args.g_sq)
-    report = BoundReport(
-        n_benign=args.benign,
-        n_malicious=args.malicious,
-        g_sq=args.g_sq,
-        z_sq=args.z_sq,
-        threshold=threshold,
-        satisfied=bool(args.z_sq < threshold),
-    )
+    report = bound_report(args.benign, args.malicious, args.g_sq, args.z_sq)
     print(json.dumps(asdict(report), indent=2))
     return 0
 
@@ -172,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fhefl",
         description="Privacy-preserving federated learning with norm-based "
         "attacker downweighting.",
-        epilog="Set FHEFL_THREADS to train roster users in parallel.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -57,11 +57,11 @@ from .errors import (
     ParameterError,
     SerializationError,
 )
+from .ntt import find_ntt_primes
 from .ring import (
     RingElement,
     RingParams,
     _seed_bytes,
-    find_ntt_primes,
     rns_digits,
     sample_error,
     sample_ternary,

@@ -58,7 +58,6 @@ from .ntt import (
     _bit_reverse_indices,
     _shoup_rows,
     add_mod,
-    find_ntt_primes,
     is_prime,
     make_ntt_tables,
     mul_mod,
@@ -84,12 +83,15 @@ class RingParams:
     name: str = "custom"
     # kernel constants, one row per chain prime, then the special prime
     tables: NttTables = field(init=False, repr=False, compare=False)
+    # memoised constants: derived from the fields above, so never compared
     _crt: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = field(
-        default_factory=dict, repr=False
+        default_factory=dict, repr=False, compare=False
     )
-    _rescale: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    _rescale: dict[int, np.ndarray] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     _monomial: dict[int, tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False
+        default_factory=dict, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -414,7 +416,9 @@ class RingElement:
         return head + body + payload
 
     @classmethod
-    def from_bytes(cls, buf: bytes, params: RingParams | None = None) -> "RingElement":
+    def from_bytes(cls, buf: bytes, params: RingParams) -> "RingElement":
+        """Read a `to_bytes` record of ring ``params``; refuse any layout or
+        residue that ring cannot hold."""
         head_fmt = "<4sBBBI B"
         head_len = struct.calcsize(head_fmt)
         if len(buf) < head_len:
@@ -434,19 +438,17 @@ class RingElement:
             raise SerializationError(f"payload length {len(buf)} != expected {need}")
         ntt = bool(flags & 1)
         special = bool(flags & 2)
-        if params is not None:
-            if params.n != n:
-                raise SerializationError(f"ring degree mismatch: {n} != {params.n}")
-            try:
-                expected = params.moduli(level, special)
-            except LevelError as exc:
-                raise SerializationError(f"modulus count mismatch: {exc}") from exc
-            if tuple(mods) != expected:
-                raise SerializationError("modulus list does not match target params")
-        else:
-            chain = mods[:-1] if special else mods
-            params = RingParams(n=n, chain=tuple(chain), special=mods[-1] if special else None)
+        if params.n != n:
+            raise SerializationError(f"ring degree mismatch: {n} != {params.n}")
+        try:
+            expected = params.moduli(level, special)
+        except LevelError as exc:
+            raise SerializationError(f"modulus count mismatch: {exc}") from exc
+        if tuple(mods) != expected:
+            raise SerializationError("modulus list does not match target params")
         data = np.frombuffer(buf, dtype="<u8", offset=off).reshape(k, n).astype(np.uint64)
+        if (data >= np.array(mods, dtype=np.uint64)[:, None]).any():
+            raise SerializationError("residue not below its row's modulus")
         return cls(params, data, level, special, ntt)
 
 

@@ -8,10 +8,11 @@ encrypted), metrics, and the norm-bound check — lives here; the CLI is a thin
 wrapper around `run_experiment_suite`.
 
 Determinism contract: every random choice derives from the experiment seed
-(per-user training RNGs are seeded by (seed, round, user), so thread-parallel
-training cannot reorder results), and metrics CSVs contain no wall-clock
-columns.  Identical (config, seed) therefore reproduce byte-identical CSVs in
-both modes; timings are reported separately in the JSON summary.
+(per-user training RNGs are seeded by (seed, round, user), so a user's update
+does not depend on who else trains that round), and metrics CSVs contain no
+wall-clock columns.  Identical (config, seed) therefore reproduce
+byte-identical CSVs in both modes; timings are reported separately in the
+JSON summary.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -151,10 +151,6 @@ class UserProfile:
     x: np.ndarray
     y: np.ndarray
     role: str  # "benign" | "malicious"
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.y)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +335,20 @@ def corollary_threshold(n_benign: int, n_malicious: int, g_sq: float) -> float:
     return (b - m) * (b + m - 1) * g_sq / (b * m - m * m + m)
 
 
+def bound_report(n_benign: int, n_malicious: int, g_sq: float, z_sq: float) -> BoundReport:
+    """The threshold for (B, M, G^2), and whether the gap Z^2 lies strictly
+    inside the provable-downweighting region (Z^2 < threshold)."""
+    threshold = corollary_threshold(n_benign, n_malicious, g_sq)
+    return BoundReport(
+        n_benign=n_benign,
+        n_malicious=n_malicious,
+        g_sq=g_sq,
+        z_sq=z_sq,
+        threshold=threshold,
+        satisfied=bool(z_sq < threshold),
+    )
+
+
 def corollary4_check(norm_history: dict[int, list], roles: dict[int, str]) -> BoundReport:
     """Evaluate the norm-gap bound from observed per-round squared norms.
 
@@ -352,15 +362,7 @@ def corollary4_check(norm_history: dict[int, list], roles: dict[int, str]) -> Bo
         raise ParameterError("bound check needs at least one user of each role")
     g_sq = float(max(benign))
     z_sq = max(float(max(malicious)) - g_sq, 0.0)
-    threshold = corollary_threshold(len(benign), len(malicious), g_sq)
-    return BoundReport(
-        n_benign=len(benign),
-        n_malicious=len(malicious),
-        g_sq=g_sq,
-        z_sq=z_sq,
-        threshold=threshold,
-        satisfied=bool(z_sq < threshold),
-    )
+    return bound_report(len(benign), len(malicious), g_sq, z_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +397,6 @@ class SimConfig:
     epsilon: float = 0.0
     encrypt_layers: str = "all"
     pinned_roster: bool = True
-    trim_beta: float = 0.1
-    krum_f: int | None = None  # None: assume round(attacker_fraction * roster)
 
     def validate(self, override_attacker_cap: bool = False) -> None:
         from .he import preset_names
@@ -503,32 +503,19 @@ def select_roster(users: dict[int, UserProfile], cfg: SimConfig, rng) -> list[in
     return sorted(picked)
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("FHEFL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _train_roster(state, users, roster, cfg, seed):
-    def one(u):
-        profile = users[u]
-        epochs = cfg.local_epochs
+    def epochs(profile):
         if profile.role == "malicious" and cfg.attacker_epochs is not None:
-            epochs = cfg.attacker_epochs
-        rng = np.random.default_rng([seed, state.epoch, u])
-        return local_train(
-            state.arch, state.w, profile.x, profile.y, cfg.eta, epochs,
-            cfg.batch_size, rng,
-        )
+            return cfg.attacker_epochs
+        return cfg.local_epochs
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            grads = list(pool.map(one, roster))
-    else:
-        grads = [one(u) for u in roster]
-    return np.stack(grads)
+    return np.stack([
+        local_train(
+            state.arch, state.w, users[u].x, users[u].y, cfg.eta, epochs(users[u]),
+            cfg.batch_size, np.random.default_rng([seed, state.epoch, u]),
+        )
+        for u in roster
+    ])
 
 
 def _aggregate_fhefl_encrypted(state, grads, roster, cfg, seed, block_dim, rates):
@@ -579,12 +566,9 @@ def run_round(
     dists = np.array([sq_norm_plain(g[:block_dim]) for g in grads])
     rates = non_poisoning_rates(dists)
     if cfg.aggregator != "fhefl":
-        f_assume = (
-            cfg.krum_f
-            if cfg.krum_f is not None
-            else max(1, int(round(cfg.attacker_fraction * cfg.roster_size)))
-        )
-        agg = make_aggregator(cfg.aggregator, beta=cfg.trim_beta, f=f_assume)
+        # krum assumes the configured attacker share of the roster
+        f_assume = max(1, int(round(cfg.attacker_fraction * cfg.roster_size)))
+        agg = make_aggregator(cfg.aggregator, f=f_assume)
         w_next = state.w - cfg.eta * agg(grads)
     elif cfg.mode == "encrypted":
         w_next = _aggregate_fhefl_encrypted(state, grads, roster, cfg, seed, block_dim, rates)
@@ -692,15 +676,9 @@ def run_experiment(cfg: SimConfig, seed: int, progress=None):
         },
         "total_s": time.perf_counter() - t_start,
     }
-    if any(r == "malicious" for r in roles.values()) and any(
-        r == "benign" for r in roles.values()
-    ):
-        seen = {u: h for u, h in norm_history.items()}
-        try:
-            summary["bound"] = asdict(corollary4_check(seen, roles))
-        except ParameterError:
-            summary["bound"] = None
-    else:
+    try:
+        summary["bound"] = asdict(corollary4_check(norm_history, roles))
+    except ParameterError:  # a role absent from every roster, or B < M
         summary["bound"] = None
     return history, summary
 

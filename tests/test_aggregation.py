@@ -582,7 +582,7 @@ def test_pipeline_identical_grads_is_fedavg(hp):
     a = common_poly(hp, seed=b"pipe2-a")
     g = rng.uniform(-1, 1, 6)
     enc = {u: encrypt_update(rings[u], g, a, rng) for u in range(3)}
-    w_next = secure_aggregate_round(enc, rings, np.zeros(6), 1.0, rng)
+    w_next = secure_aggregate_round(enc, rings, np.zeros(6), 1.0, rng, round_tag=b"pipe2")
     np.testing.assert_allclose(w_next, -fedavg(np.tile(g, (3, 1))), atol=1e-2)
 
 
@@ -595,7 +595,7 @@ def test_pipeline_downweights_large_norm(hp):
     scales = np.array([1.0, 1.0, 1.0, 10.0])
     grads = np.eye(n) * scales[:, None]
     enc = {u: encrypt_update(rings[u], grads[u], a, rng) for u in range(n)}
-    w_next = secure_aggregate_round(enc, rings, np.zeros(n), 1.0, rng)
+    w_next = secure_aggregate_round(enc, rings, np.zeros(n), 1.0, rng, round_tag=b"pipe3")
     implied = -w_next / scales
     assert implied[3] < 1.0 / n - 0.05
     assert all(implied[:3] > 1.0 / n)
@@ -607,7 +607,7 @@ def test_pipeline_zero_gradients_degenerate(hp):
     a = common_poly(hp, seed=b"pipe4-a")
     enc = {u: encrypt_update(rings[u], np.zeros(5), a, rng) for u in range(3)}
     w_prev = np.arange(5.0)
-    w_next = secure_aggregate_round(enc, rings, w_prev, 1.0, rng)
+    w_next = secure_aggregate_round(enc, rings, w_prev, 1.0, rng, round_tag=b"pipe4")
     np.testing.assert_allclose(w_next, w_prev, atol=1e-2)
 
 
@@ -630,7 +630,7 @@ def test_pipeline_aborts_on_inflated_reencryption(hp, monkeypatch):
 
     monkeypatch.setattr(agg_mod, "reencrypt", inflating_reencrypt)
     with pytest.raises(ProtocolError, match="rate-sum-check"):
-        secure_aggregate_round(enc, rings, np.zeros(5), 1.0, rng)
+        secure_aggregate_round(enc, rings, np.zeros(5), 1.0, rng, round_tag=b"pipe5")
 
 
 def test_pipeline_validation(hp):
@@ -639,16 +639,26 @@ def test_pipeline_validation(hp):
     a = common_poly(hp, seed=b"pipe6-a")
     enc = {u: encrypt_update(rings[u], np.ones(4), a, rng) for u in range(3)}
     with pytest.raises(ProtocolError, match="two users"):
-        secure_aggregate_round({0: enc[0]}, rings, np.ones(4), 1.0, rng)
+        secure_aggregate_round({0: enc[0]}, rings, np.ones(4), 1.0, rng, round_tag=b"pipe6")
     with pytest.raises(ProtocolError, match="keyring"):
-        secure_aggregate_round(enc, {0: rings[0]}, np.ones(4), 1.0, rng)
+        secure_aggregate_round(enc, {0: rings[0]}, np.ones(4), 1.0, rng, round_tag=b"pipe6")
     with pytest.raises(ProtocolError, match="dim"):
-        secure_aggregate_round(enc, rings, np.ones(9), 1.0, rng)
+        secure_aggregate_round(enc, rings, np.ones(9), 1.0, rng, round_tag=b"pipe6")
     other = setup_pairwise(hp, range(3), 7, b"pipe6")
     mixed = dict(rings)
     mixed[1] = other[1]
     with pytest.raises(ProtocolError, match="epoch"):
-        secure_aggregate_round(enc, mixed, np.ones(4), 1.0, rng)
+        secure_aggregate_round(enc, mixed, np.ones(4), 1.0, rng, round_tag=b"pipe6")
+
+
+def test_pipeline_requires_a_round_tag(hp):
+    # a default tag would give every round of an epoch the same a2 and masks
+    rng = np.random.default_rng(17)
+    rings = setup_pairwise(hp, range(2), 0, b"pipe9")
+    a = common_poly(hp, seed=b"pipe9-a")
+    enc = {u: encrypt_update(rings[u], np.ones(4), a, rng) for u in range(2)}
+    with pytest.raises(TypeError, match="round_tag"):
+        secure_aggregate_round(enc, rings, np.zeros(4), 1.0, rng)
 
 
 def test_pipeline_rejects_uploads_off_the_round_polynomial(hp):
@@ -662,8 +672,12 @@ def test_pipeline_rejects_uploads_off_the_round_polynomial(hp):
     stray = encrypt_update(rings[2], np.ones(4), other, rng)
     for eu in (stray, replace(enc[2], rev=stray.rev)):
         with pytest.raises(ProtocolError, match="public polynomial"):
-            secure_aggregate_round({**enc, 2: eu}, rings, np.zeros(4), 1.0, rng)
+            secure_aggregate_round(
+                {**enc, 2: eu}, rings, np.zeros(4), 1.0, rng, round_tag=b"pipe8"
+            )
     # the round drops uploads to its level, never raises them
     low = encrypt_update(rings[2], np.ones(4), a.mod_reduce_to(1), rng)
     with pytest.raises(ProtocolError, match="below the round's level"):
-        secure_aggregate_round({**enc, 2: low}, rings, np.zeros(4), 1.0, rng)
+        secure_aggregate_round(
+            {**enc, 2: low}, rings, np.zeros(4), 1.0, rng, round_tag=b"pipe8"
+        )

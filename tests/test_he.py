@@ -750,6 +750,7 @@ def test_ciphertext_wire_fuzz(hp, keys, data):
     for c in ct.comps:
         assert (c.level, c.special, c.ntt) == (ct.level, False, True)
         assert c.data.shape == (ct.level + 1, hp.ring.n)
+        assert (c.data < np.array(c.moduli, dtype=np.uint64)[:, None]).all()
     assert 1 <= ct.length <= hp.ring.n
     assert math.isfinite(ct.scale) and ct.scale > 0
     assert math.isfinite(ct.noise_log2) and ct.noise_log2 >= 0

@@ -5,11 +5,20 @@ masked partial decryptions combining to the aggregate plaintext — are checked
 exactly (structural ring equality) and against plain-float oracles.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fhefl.errors import ProtocolError, SerializationError
-from fhefl.he import common_poly, encrypt, get_params, he_mult_relin
+from fhefl.he import (
+    ciphertext_from_bytes,
+    ciphertext_to_bytes,
+    common_poly,
+    encrypt,
+    get_params,
+    he_mult_relin,
+)
 from fhefl.multikey import (
     MaskedKey,
     PartialDecryption,
@@ -258,6 +267,48 @@ def test_partial_decryption_wire_roundtrip(hp):
     assert back.elem == pd.elem
     with pytest.raises(SerializationError):
         PartialDecryption.from_bytes(pd.to_bytes()[:6], hp)
+
+
+@pytest.mark.parametrize(
+    "kind", ["ring element", "ciphertext", "masked key", "partial decryption"]
+)
+def test_wire_readers_refuse_residues_at_or_above_the_modulus(hp, kind):
+    # an out-of-range residue is no element of Z_q; a ciphertext carrying one
+    # would decrypt to garbage without any error
+    rings = make_rings(hp, 2)
+    rng = np.random.default_rng(18)
+    ct = encrypt(hp, [2.0], rings[0].sk, common_poly(hp, seed=b"round-j"), rng)
+    pd = masked_partial_decrypt(rings[0], ct.c1, b"t", [0, 1], rng)
+    mk = mask_key(rings[0], [0, 1])
+    elem, write, read = {
+        "ring element": (
+            ct.c0, RingElement.to_bytes, lambda b: RingElement.from_bytes(b, hp.ring)
+        ),
+        "ciphertext": (
+            ct.c0,
+            lambda e: ciphertext_to_bytes(replace(ct, comps=(e, ct.c1))),
+            lambda b: ciphertext_from_bytes(b, hp),
+        ),
+        "masked key": (
+            mk.elem,
+            lambda e: MaskedKey(0, 0, e).to_bytes(),
+            lambda b: MaskedKey.from_bytes(b, hp),
+        ),
+        "partial decryption": (
+            pd.elem,
+            lambda e: PartialDecryption(0, 0, e).to_bytes(),
+            lambda b: PartialDecryption.from_bytes(b, hp),
+        ),
+    }[kind]
+    q = elem.moduli[-1]
+    for residue in (q - 1, q, 2**64 - 1):
+        bad = elem.copy()
+        bad.data[-1, 0] = residue
+        if residue < q:
+            read(write(bad))
+            continue
+        with pytest.raises(SerializationError, match="modulus"):
+            read(write(bad))
 
 
 # The ring blob follows the 12-byte share header; byte 5 of the blob holds

@@ -564,16 +564,6 @@ def test_run_experiment_suite_writes_artifacts(tmp_path):
     assert leftovers == []
 
 
-def test_thread_parallel_training_is_deterministic(monkeypatch):
-    cfg = _tiny_cfg(rounds=3)
-    serial, _ = run_experiment(cfg, seed=2)
-    monkeypatch.setenv("FHEFL_THREADS", "4")
-    threaded, _ = run_experiment(cfg, seed=2)
-    assert metrics_csv_text(serial, cfg.n_classes) == metrics_csv_text(
-        threaded, cfg.n_classes
-    )
-
-
 def test_simconfig_validation_and_loading(tmp_path):
     with pytest.raises(ParameterError, match="aggregator"):
         SimConfig(aggregator="mean").validate()
