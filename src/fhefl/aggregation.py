@@ -11,7 +11,8 @@ down-weighted without the server ever ranking identities.
 The encrypted path mirrors the plain one stage for stage:
 
 1. norm:        [d_u] = forward(g_u) * reversed(g_u); the squared norm sits on
-                coefficient chunk_len-1 of the product.  Every upload carries
+                coefficient chunk_len-1 of the product, chunk_len being the
+                packed length of the upload's ciphertexts.  Every upload carries
                 the round's public c1 = a, so every product has the quadratic
                 component a*a: it is decomposed into key-switch digits once
                 for the stage, not once per user and chunk.
@@ -52,8 +53,9 @@ Q_l with Q_l >= scale * 2^(_VALUE_BITS + 1) (``_open_level``).
   them share one c1, so top-level and norm-level uploads mix; an upload
   below it is refused.
 * d-sum: the distances drop to their opening level before the partials.  A
-  total that opens below zero by more than the noise wrapped that level's
-  modulus, and the round aborts rather than fall back to uniform rates.
+  total that opens below zero by more than ``multikey.opening_noise`` wrapped
+  that level's modulus, and the round aborts rather than fall back to uniform
+  rates.
 * rate: two levels below the uploads, as the affine map rescales once.
 * re-encrypt, check, aggregate: a2 is drawn at the aggregate level, the
   lowest level that holds rate * gradient at the product's scale, and the
@@ -93,6 +95,7 @@ from .multikey import (
     group_decrypt,
     mask_key,
     masked_partial_decrypt,
+    opening_noise,
     reconstruct_group_key,
 )
 from .ring import rns_digits
@@ -204,10 +207,8 @@ AGGREGATORS = {
 }
 
 
-def make_aggregator(name: str, *, beta: float = 0.1, f: int = 1):
+def make_aggregator(name: str, *, f: int = 1):
     """Resolve a baseline aggregator name to a grads->vector callable."""
-    if name == "trimmed_mean":
-        return lambda m: trimmed_mean(m, beta=beta)
     if name == "krum":
         return lambda m: krum(m, f=f)
     if name in AGGREGATORS:
@@ -236,7 +237,11 @@ class EncryptedUpdate:
     fwd: tuple[Ciphertext, ...]
     rev: tuple[Ciphertext, ...]
     dim: int
-    chunk_len: int
+
+    @property
+    def chunk_len(self) -> int:
+        """Packed length of every chunk."""
+        return self.fwd[0].length
 
     @property
     def readout(self) -> int:
@@ -295,7 +300,6 @@ def encrypt_update(
         fwd=fwd,
         rev=rev,
         dim=grad.size,
-        chunk_len=chunks[0].size,
     )
 
 
@@ -317,7 +321,7 @@ def rates_encrypted(
     sum_d: float,
     n_users: int,
     *,
-    readout: int = 0,
+    readout: int,
 ) -> Ciphertext:
     """[p_u] = (1 - [d_u]/sum_d)/(U-1) as one plaintext affine map.
 
@@ -377,15 +381,6 @@ def _norm_level(params: HeParams, scale: float) -> int:
         ):
             return level
     return params.ring.max_level
-
-
-def _opening_noise(cts) -> float:
-    """Bound on what an opening adds to a decoded coefficient: each
-    ciphertext's tracked noise and each partial's flooding (6 sigma)."""
-    cts = list(cts)
-    params = cts[0].params
-    flood = 6.0 * params.sigma * 2.0**params.flood_sigma_bits
-    return sum(2.0**ct.noise_log2 + flood for ct in cts) / cts[0].scale
 
 
 def _opened(ct: Ciphertext) -> Ciphertext:
@@ -486,7 +481,7 @@ def secure_aggregate_round(
         sum_d = float(_open_sum(d_open, keyrings, round_tag + b"|dsum", roster, rng)[ri])
         # a true total is never negative; one below the noise wrapped the
         # opening modulus, and clamping it would fall back to uniform rates
-        if sum_d < -_opening_noise(d_open.values()):
+        if sum_d < -opening_noise(d_open.values()):
             raise ProtocolError(
                 f"distance total opened as {sum_d:.4g}: above 2^{_VALUE_BITS}, "
                 "it wrapped the opening modulus; aborting round"

@@ -50,7 +50,7 @@ def cmd_params(args) -> int:
         ("ring dimension N", params.ring.n),
         ("log2 q", params.logq_budget),
         ("scale bits", params.scale_bits),
-        ("mult depth L", params.depth),
+        ("mult depth L", params.ring.max_level),
         ("slot capacity", params.capacity),
         ("security", security),
     ]

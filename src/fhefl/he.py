@@ -23,6 +23,12 @@ A caller can decompose it once and pass the digits to each product
 the hoisting of Halevi & Shoup (CRYPTO 2018), across users instead of
 rotations.
 
+A ciphertext's level is its components' level.  Ciphertexts add under one
+rule (``_check_addable``, applied by ``he_add`` and by the roster sums of
+:mod:`fhefl.multikey`): one level, one component count, one packing and
+scales equal to a relative 1e-9; nothing aligns levels silently.  The noise
+widths ``sigma`` (3.2) and ``flood_sigma_bits`` (20) are scheme constants.
+
 Every ciphertext carries ``noise_log2``, an upper bound on its noise in
 coefficient units.  The tests check it against the error measured with the
 known key, at test-16 and test-1024, for encryption, addition, the tensor
@@ -30,24 +36,26 @@ product, relinearization, rescaling, ``plain_affine`` and fresh aggregation.
 ``decrypt`` refuses a ciphertext whose bound exceeds half its scale, since
 the value's precision has collapsed.
 
-Wire format v2 (``ciphertext_to_bytes``): magic, version, preset name, then
-level, component count, packing direction, length, scale, ``noise_log2`` and
+Wire format v2 (``ciphertext_to_bytes``): magic, version, preset name (the
+reader takes the params and refuses another preset's record), then level,
+component count, packing direction, length, scale, ``noise_log2`` and
 ``msg_bound``, so a ciphertext read back is refused by ``decrypt`` exactly
 when the original would be.  Each component follows as a kind byte and a
 length-prefixed blob: a ``RingElement.to_bytes`` record, or the seed of the
-round's public polynomial.  The c1 of a two-component ciphertext travels as
-its seed whenever it is that polynomial (``common_poly`` remembers the seed,
-and dropping primes keeps it), which halves a fresh upload; the reader
-rebuilds it with ``common_poly`` at the header's level.  A c0, any component
-of a three-component product and any computed c1 travel in full.
+round's public polynomial.  The c1 of a two-component ciphertext travels as its
+seed whenever it is that polynomial (``common_poly`` remembers the seed, and
+dropping primes keeps it), which halves a fresh upload; the reader rebuilds it
+with ``common_poly`` at the header's level.  A c0, any component of a
+three-component product and any computed c1 travel in full.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -74,18 +82,19 @@ _CT_VERSION = 2
 _CT_FIELDS = "<BBBIddd"
 _COMP_RING, _COMP_SEED = 0, 1  # component kinds: a full RingElement, or a seed
 _MAX_SEED_BYTES = 256  # a longer seed's polynomial travels in full
+_SCALE_RTOL = 1e-9  # scales that differ by less than this add as one
 
 
 @dataclass
 class HeParams:
-    """Scheme parameters: ring, fixed-point scale, noise width."""
+    """Scheme parameters: ring and fixed-point scale (noise widths are constants)."""
 
     ring: RingParams
     scale_bits: int
-    sigma: float = 3.2
     name: str = "custom"
     logq_budget: int | None = None  # security-standard modulus budget, if pinned
-    flood_sigma_bits: int = 20  # partial-decryption flooding: sigma * 2^this
+    sigma: ClassVar[float] = 3.2  # encryption and key error
+    flood_sigma_bits: ClassVar[int] = 20  # partial-decryption flooding: sigma * 2^this
 
     @property
     def scale(self) -> float:
@@ -96,10 +105,6 @@ class HeParams:
         """Packable vector length: half the ring degree (the product of a
         forward/reversed pair of full-capacity vectors must not wrap)."""
         return self.ring.n // 2
-
-    @property
-    def depth(self) -> int:
-        return self.ring.max_level
 
     def chain_bits(self) -> list[int]:
         return [q.bit_length() for q in self.ring.chain]
@@ -147,7 +152,7 @@ def get_params(name: str) -> HeParams:
             sp = find_ntt_primes(n, spec["special"], 1, avoid=[q0])[0]
             used += [q0, sp]
         mids = find_ntt_primes(n, spec["mid"], spec["mids"], avoid=used)
-        ring = RingParams(n=n, chain=(q0, *mids), special=sp, name=name)
+        ring = RingParams(n=n, chain=(q0, *mids), special=sp)
         _PRESET_CACHE[name] = HeParams(
             ring=ring,
             scale_bits=spec["scale"],
@@ -274,7 +279,7 @@ class SecretKey:
 
     @classmethod
     def generate(cls, params: HeParams, seed) -> "SecretKey":
-        s = sample_ternary(params.ring, seed, special=True)
+        s = sample_ternary(params.ring, seed)
         return cls(s=s.to_ntt())
 
 
@@ -333,12 +338,16 @@ def common_poly(params: HeParams, seed, level: int | None = None) -> RingElement
 class Ciphertext:
     params: HeParams
     comps: tuple[RingElement, ...]
-    level: int
     scale: float
     length: int
     direction: str = "forward"
     noise_log2: float = 0.0  # tested upper bound on the noise, log2 coefficient units
     msg_bound: float = 1.0
+
+    @property
+    def level(self) -> int:
+        """The level of the components (every component shares it)."""
+        return self.comps[0].level
 
     @property
     def c0(self) -> RingElement:
@@ -350,8 +359,7 @@ class Ciphertext:
 
     def mod_reduce_to(self, level: int) -> "Ciphertext":
         """Drop chain primes without rescaling (scale untouched, exact)."""
-        comps = tuple(c.mod_reduce_to(level) for c in self.comps)
-        return replace(self, comps=comps, level=level)
+        return replace(self, comps=tuple(c.mod_reduce_to(level) for c in self.comps))
 
 
 def _log2_add(a: float, b: float) -> float:
@@ -403,7 +411,6 @@ def _encrypt_plaintext(
     return Ciphertext(
         params=params,
         comps=(c0, a),
-        level=level,
         scale=scale,
         length=length,
         direction=direction,
@@ -462,17 +469,25 @@ def reencrypt(
     return _encrypt_plaintext(params, m, sk, a, rng, scale, 1, "forward", abs(float(value)))
 
 
+def _check_addable(cts) -> None:
+    """The adding rule: ciphertexts add only at one level and one scale (to a
+    relative ``_SCALE_RTOL``), with one component count and one packing
+    (length, direction)."""
+    first, *rest = cts
+    for ct in rest:
+        if ct.level != first.level:
+            raise LevelError(f"level mismatch in addition: {ct.level} vs {first.level}")
+        if not math.isclose(ct.scale, first.scale, rel_tol=_SCALE_RTOL):
+            raise LevelError(f"scale mismatch in addition: {ct.scale} vs {first.scale}")
+        if len(ct.comps) != len(first.comps):
+            raise LevelError("component count mismatch; relinearize before adding")
+        if (ct.length, ct.direction) != (first.length, first.direction):
+            raise EncodingError("packed length/direction mismatch in addition")
+
+
 def he_add(x: Ciphertext, y: Ciphertext) -> Ciphertext:
-    """Component-wise sum; levels auto-align by exact modulus reduction."""
-    if x.level != y.level:
-        tgt = min(x.level, y.level)
-        x, y = x.mod_reduce_to(tgt), y.mod_reduce_to(tgt)
-    if not math.isclose(x.scale, y.scale, rel_tol=1e-6):
-        raise LevelError(f"scale mismatch in addition: {x.scale} vs {y.scale}")
-    if len(x.comps) != len(y.comps):
-        raise LevelError("component count mismatch; relinearize before adding")
-    if (x.length, x.direction) != (y.length, y.direction):
-        raise EncodingError("packed length/direction mismatch in addition")
+    """Component-wise sum of two ciphertexts that obey the adding rule."""
+    _check_addable((x, y))
     comps = tuple(a.add(b) for a, b in zip(x.comps, y.comps))
     return replace(
         x,
@@ -511,7 +526,6 @@ def _he_mult_raw(x: Ciphertext, y: Ciphertext) -> Ciphertext:
     return Ciphertext(
         params=x.params,
         comps=(d0, d1, d2),
-        level=x.level,
         scale=x.scale * y.scale,
         length=out_len,
         direction="forward" if "forward" in (x.direction, y.direction) else "reversed",
@@ -575,7 +589,7 @@ def rescale(ct: Ciphertext) -> Ciphertext:
         ct.noise_log2 - math.log2(q_last),
         math.log2(ct.params.ring.n) / 2 + 1.0,  # rounding folded through the key
     )
-    return replace(ct, comps=comps, level=ct.level - 1, scale=ct.scale / q_last, noise_log2=nz)
+    return replace(ct, comps=comps, scale=ct.scale / q_last, noise_log2=nz)
 
 
 def product_scale(params: HeParams, scale_x: float, scale_y: float, level: int) -> float:
@@ -618,8 +632,10 @@ def plain_affine(
         raise LevelError("no levels left for the affine rescale")
     params = ct.params
     ring = params.ring
-    pm = encode_monomial(params, mult, 0, ct.level)
-    comps = tuple(c.mul(pm) for c in ct.comps)
+    # a constant's NTT is the constant in every slot: one scalar pass
+    pm = _scaled_round(params.scale, float(mult))
+    _check_headroom(params, abs(pm), ct.level)
+    comps = tuple(c.mul_scalar(pm) for c in ct.comps)
     mid = replace(
         ct,
         comps=comps,
@@ -673,9 +689,10 @@ def ciphertext_to_bytes(ct: Ciphertext) -> bytes:
     return b"".join(parts)
 
 
-def ciphertext_from_bytes(buf: bytes, params: HeParams | None = None) -> Ciphertext:
-    """Read a wire format v2 record, rebuilding a seeded c1 with
-    ``common_poly``; any malformed record raises ``SerializationError``."""
+def ciphertext_from_bytes(buf: bytes, params: HeParams) -> Ciphertext:
+    """Read a wire format v2 record of ``params``, rebuilding a seeded c1
+    with ``common_poly``; any malformed record, or one of another preset,
+    raises ``SerializationError``."""
     fixed = struct.calcsize("<4sBB")
     if len(buf) < fixed:
         raise SerializationError("truncated ciphertext header")
@@ -700,12 +717,8 @@ def ciphertext_from_bytes(buf: bytes, params: HeParams | None = None) -> Ciphert
         raise SerializationError(f"ciphertext has {ncomp} components, expected 2 or 3")
     if dir_flag not in (0, 1):
         raise SerializationError(f"unknown packing direction flag {dir_flag}")
-    if params is None:
-        if name not in _PRESET_SPECS:
-            raise SerializationError(
-                f"ciphertext references preset {name!r}; pass params explicitly"
-            )
-        params = get_params(name)
+    if name != params.name:
+        raise SerializationError(f"ciphertext of preset {name!r}, expected {params.name!r}")
     if level > params.ring.max_level:
         raise SerializationError(f"level {level} outside chain 0..{params.ring.max_level}")
     if not 1 <= length <= params.ring.n:
@@ -756,7 +769,6 @@ def ciphertext_from_bytes(buf: bytes, params: HeParams | None = None) -> Ciphert
     return Ciphertext(
         params=params,
         comps=tuple(comps),
-        level=level,
         scale=scale,
         length=length,
         direction="forward" if dir_flag == 0 else "reversed",

@@ -12,9 +12,11 @@ per-leg round tag, masks partial decryptions: user u returns
 
     ps_u = c1_u * s_u + e_flood + sum_j sgn(u,j) * r_{u,j}(tag)
 
-and only the sum over the full roster strips the masks.  The flooding noise
-(sigma * 2^flood_sigma_bits) drowns the secret-dependent rounding of the
-individual share.
+and only the sum over the full roster strips the masks.  The flooding noise,
+of width sigma * 2^flood_sigma_bits, drowns the secret-dependent rounding of
+the individual share; ``opening_noise`` bounds what an opening adds to a
+decoded value: each ciphertext's tracked noise plus 6 sigma of flooding per
+share.  The roster sums follow the adding rule of :mod:`fhefl.he`.
 
 Both shares travel as the same record, (user id, epoch, ring element), and
 differ only in their magic and in the element's layout.  A masked key is a
@@ -31,12 +33,12 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ProtocolError, SerializationError
-from .he import Ciphertext, EvalKey, HeParams, SecretKey, decode, decrypt
+from .he import Ciphertext, EvalKey, HeParams, SecretKey, _check_addable, decode, decrypt
 from .ring import RingElement, sample_error, sample_uniform
 
 _SHARE_HEAD = "<4sII"
@@ -51,23 +53,6 @@ def _pair_seed(master: bytes, u: int, j: int) -> bytes:
     return _h(master, b"pair", str(lo).encode(), str(hi).encode())
 
 
-def _pair_mask(
-    params: HeParams,
-    seed: bytes,
-    u: int,
-    j: int,
-    tag: bytes,
-    *,
-    level: int | None = None,
-    special: bool = False,
-) -> RingElement:
-    """The antisymmetric pairwise mask: same element, sign flipped with order."""
-    m = sample_uniform(
-        params.ring, seed, level=level, special=special, ntt=True, tag=tag
-    )
-    return m if u < j else m.neg()
-
-
 @dataclass
 class UserKeyring:
     """One user's secret material for one epoch."""
@@ -77,7 +62,6 @@ class UserKeyring:
     epoch: int
     sk: SecretKey
     evk: EvalKey
-    secret_seed: bytes
     pair_seeds: dict[int, bytes]
 
 
@@ -137,15 +121,12 @@ def setup_pairwise(
     user_ids,
     epoch: int,
     master_seed: bytes,
-    *,
-    with_evk: bool = True,
 ) -> dict[int, UserKeyring]:
     """Provision keyrings for a user population at a given epoch.
 
     Per-epoch secrets are re-derived from each user's long-term seed, so
     rotating the epoch refreshes s_u and the evaluation key while the pairwise
-    seeds stay put.  `with_evk=False` skips the (comparatively expensive)
-    evaluation keys for callers that only mask or decrypt.
+    seeds stay put.
     """
     ids = list(user_ids)
     if len(set(ids)) != len(ids):
@@ -155,12 +136,8 @@ def setup_pairwise(
         secret_seed = _h(master_seed, b"user", str(u).encode())
         sk_seed = _h(secret_seed, b"sk", str(epoch).encode())
         sk = SecretKey.generate(params, sk_seed)
-        evk = None
-        if with_evk:
-            evk_seed = int.from_bytes(
-                _h(secret_seed, b"evk", str(epoch).encode())[:8], "little"
-            )
-            evk = EvalKey.generate(params, sk, np.random.default_rng(evk_seed))
+        evk_seed = int.from_bytes(_h(secret_seed, b"evk", str(epoch).encode())[:8], "little")
+        evk = EvalKey.generate(params, sk, np.random.default_rng(evk_seed))
         pair_seeds = {j: _pair_seed(master_seed, u, j) for j in ids if j != u}
         rings[u] = UserKeyring(
             user_id=u,
@@ -168,13 +145,16 @@ def setup_pairwise(
             epoch=epoch,
             sk=sk,
             evk=evk,
-            secret_seed=secret_seed,
             pair_seeds=pair_seeds,
         )
     return rings
 
 
-def _check_roster(kr: UserKeyring, roster) -> list[int]:
+def _masked(kr: UserKeyring, roster, elem: RingElement, leg: bytes, *extra: bytes) -> RingElement:
+    """``elem`` plus the user's pair mask with every other roster member, in
+    roster order.  Both ends of a pair draw the same element, at ``elem``'s
+    layout, from their pair seed under the tag ``leg|epoch|extra...`` and add
+    it with opposite signs."""
     roster = list(roster)
     if len(set(roster)) != len(roster):
         raise ProtocolError("duplicate user ids in roster")
@@ -183,21 +163,24 @@ def _check_roster(kr: UserKeyring, roster) -> list[int]:
     missing = [j for j in roster if j != kr.user_id and j not in kr.pair_seeds]
     if missing:
         raise ProtocolError(f"no pair seeds for roster members {missing}")
-    return roster
+    tag = b"|".join((leg, str(kr.epoch).encode(), *extra))
+    layout = dict(level=elem.level, special=elem.special, ntt=True, tag=tag)
+    for j in roster:
+        if j != kr.user_id:
+            m = sample_uniform(kr.params.ring, kr.pair_seeds[j], **layout)
+            elem = elem.add(m if kr.user_id < j else m.neg())
+    return elem
+
+
+def _one_epoch(shares, what: str) -> None:
+    epochs = {share.epoch for share in shares}
+    if len(epochs) != 1:
+        raise ProtocolError(f"mixed epochs in {what}: {sorted(epochs)}")
 
 
 def mask_key(kr: UserKeyring, roster) -> MaskedKey:
     """The user's epoch key plus all pairwise masks for this roster."""
-    roster = _check_roster(kr, roster)
-    tag = b"km|" + str(kr.epoch).encode()
-    acc = kr.sk.s
-    for j in roster:
-        if j == kr.user_id:
-            continue
-        acc = acc.add(
-            _pair_mask(kr.params, kr.pair_seeds[j], kr.user_id, j, tag, special=True)
-        )
-    return MaskedKey(user_id=kr.user_id, epoch=kr.epoch, elem=acc)
+    return MaskedKey(user_id=kr.user_id, epoch=kr.epoch, elem=_masked(kr, roster, kr.sk.s, b"km"))
 
 
 def reconstruct_group_key(masked_keys, roster) -> RingElement:
@@ -212,9 +195,7 @@ def reconstruct_group_key(masked_keys, roster) -> RingElement:
         raise ProtocolError(
             f"masked keys {sorted(by_user)} do not match roster {sorted(roster)}"
         )
-    epochs = {mk.epoch for mk in by_user.values()}
-    if len(epochs) != 1:
-        raise ProtocolError(f"mixed epochs in masked keys: {sorted(epochs)}")
+    _one_epoch(by_user.values(), "masked keys")
     acc = None
     for u in roster:
         acc = by_user[u].elem if acc is None else acc.add(by_user[u].elem)
@@ -230,6 +211,7 @@ def aggregate_fresh(cts: dict[int, Ciphertext]) -> Ciphertext:
     if not cts:
         raise ProtocolError("nothing to aggregate")
     users = sorted(cts)
+    _check_addable([cts[u] for u in users])
     first = cts[users[0]]
     acc = first.c0
     for u in users[1:]:
@@ -239,16 +221,10 @@ def aggregate_fresh(cts: dict[int, Ciphertext]) -> Ciphertext:
                 "fresh aggregation requires the shared public polynomial; "
                 f"user {u} encrypted against a different one"
             )
-        if (ct.level, ct.length, ct.direction) != (first.level, first.length, first.direction):
-            raise ProtocolError("fresh aggregation requires identical ciphertext shapes")
         acc = acc.add(ct.c0)
-    return Ciphertext(
-        params=first.params,
+    return replace(
+        first,
         comps=(acc, first.c1),
-        level=first.level,
-        scale=first.scale,
-        length=first.length,
-        direction=first.direction,
         noise_log2=first.noise_log2 + np.log2(len(users)),
         msg_bound=first.msg_bound * len(users),
     )
@@ -257,6 +233,20 @@ def aggregate_fresh(cts: dict[int, Ciphertext]) -> Ciphertext:
 def group_decrypt(ct: Ciphertext, group_key: RingElement):
     """Decrypt an aggregate of fresh ciphertexts with the reconstructed key sum."""
     return decrypt(ct, SecretKey(group_key)).values
+
+
+def _flood_sigma(params: HeParams) -> float:
+    """Width of the flooding noise on every partial decryption."""
+    return params.sigma * 2.0**params.flood_sigma_bits
+
+
+def opening_noise(cts) -> float:
+    """Bound on what a roster opening of ``cts`` adds to a decoded
+    coefficient: each ciphertext's tracked noise and each partial's flooding
+    (6 sigma)."""
+    cts = list(cts)
+    flood = 6.0 * _flood_sigma(cts[0].params)
+    return sum(2.0**ct.noise_log2 + flood for ct in cts) / cts[0].scale
 
 
 def masked_partial_decrypt(
@@ -271,21 +261,12 @@ def masked_partial_decrypt(
     The round tag must be unique per (epoch, protocol leg); reusing one lets
     two mask layers cancel outside the intended sum.
     """
-    roster = _check_roster(kr, roster)
     if not c1.ntt:
         raise ProtocolError("partial decryption expects an NTT-domain c1")
     level = c1.level
     s_l = kr.sk.s.mod_reduce_to(level)
-    flood_sigma = kr.params.sigma * 2.0**kr.params.flood_sigma_bits
-    flood = sample_error(kr.params.ring, rng, flood_sigma, level=level).to_ntt()
-    acc = c1.mul(s_l).add(flood)
-    tag = b"pd|" + str(kr.epoch).encode() + b"|" + round_tag
-    for j in roster:
-        if j == kr.user_id:
-            continue
-        acc = acc.add(
-            _pair_mask(kr.params, kr.pair_seeds[j], kr.user_id, j, tag, level=level)
-        )
+    flood = sample_error(kr.params.ring, rng, _flood_sigma(kr.params), level=level).to_ntt()
+    acc = _masked(kr, roster, c1.mul(s_l).add(flood), b"pd", round_tag)
     return PartialDecryption(user_id=kr.user_id, epoch=kr.epoch, elem=acc)
 
 
@@ -304,20 +285,15 @@ def combine_partials(
         raise ProtocolError(
             f"partials {sorted(partials)} do not match ciphertexts {sorted(cts)}"
         )
-    epochs = {p.epoch for p in partials.values()}
-    if len(epochs) != 1:
-        raise ProtocolError(f"mixed epochs in partial decryptions: {sorted(epochs)}")
+    _one_epoch(partials.values(), "partial decryptions")
     users = sorted(cts)
+    _check_addable([cts[u] for u in users])
     first = cts[users[0]]
+    if len(first.comps) != 2:
+        raise ProtocolError("relinearize before requesting partial decryptions")
     phase = None
     for u in users:
         ct = cts[u]
-        if len(ct.comps) != 2:
-            raise ProtocolError("relinearize before requesting partial decryptions")
-        if (ct.level, ct.length, ct.direction) != (first.level, first.length, first.direction):
-            raise ProtocolError("aggregated ciphertexts must share shape and level")
-        if not np.isclose(ct.scale, first.scale, rtol=1e-9):
-            raise ProtocolError("aggregated ciphertexts must share the scale")
         part = partials[u].elem
         if part.level != ct.level:
             raise ProtocolError(

@@ -80,7 +80,6 @@ class RingParams:
     n: int
     chain: tuple[int, ...]
     special: int | None = None
-    name: str = "custom"
     # kernel constants, one row per chain prime, then the special prime
     tables: NttTables = field(init=False, repr=False, compare=False)
     # memoised constants: derived from the fields above, so never compared
@@ -560,18 +559,10 @@ def sample_uniform(
     return RingElement(params, rows, level, special, ntt)
 
 
-def sample_ternary(
-    params: RingParams,
-    seed,
-    *,
-    level: int | None = None,
-    special: bool = True,
-    tag: bytes = b"",
-) -> RingElement:
-    """Deterministic ternary element with entries in {-1, 0, 1} (coefficient domain)."""
-    if level is None:
-        level = params.max_level
-    seed_b = _seed_bytes(seed) + b"|ter|" + tag
+def sample_ternary(params: RingParams, seed) -> RingElement:
+    """Deterministic ternary element with entries in {-1, 0, 1}, over the full
+    basis (chain and special prime), in the coefficient domain."""
+    seed_b = _seed_bytes(seed) + b"|ter|"
     n = params.n
     need = 2 * n + 16
     raw = hashlib.shake_256(seed_b).digest(need)
@@ -583,7 +574,7 @@ def sample_ternary(
         vals = np.frombuffer(raw, dtype=np.uint8)
         vals = vals[vals < 255][:n]
     signed = vals.astype(np.int64) % 3 - 1
-    return RingElement.from_int_coeffs(params, signed, level, special)
+    return RingElement.from_int_coeffs(params, signed, params.max_level, special=True)
 
 
 def sample_error(

@@ -128,7 +128,6 @@ class AttackConfig:
     source: int = 1
     target: int = 7
     fraction: float = 0.2
-    attacker_epochs: int | None = None  # None: same budget as benign users
 
     def __post_init__(self) -> None:
         if self.source == self.target:
@@ -385,7 +384,7 @@ class SimConfig:
     attacker_fraction: float = 0.2
     attack_source: int = 1
     attack_target: int = 7
-    attacker_epochs: int | None = None
+    attacker_epochs: int | None = None  # None: same budget as benign users
     aggregator: str = "fhefl"
     mode: str = "plain"
     preset: str = "test-1024"
@@ -440,12 +439,7 @@ class SimConfig:
 
     @property
     def attack(self) -> AttackConfig:
-        return AttackConfig(
-            self.attack_source,
-            self.attack_target,
-            self.attacker_fraction,
-            self.attacker_epochs,
-        )
+        return AttackConfig(self.attack_source, self.attack_target, self.attacker_fraction)
 
 
 # ---------------------------------------------------------------------------

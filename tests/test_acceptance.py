@@ -132,9 +132,7 @@ def test_criterion_03_key_cancellation_suite():
     t0 = time.perf_counter()
     params = get_params("test-16")
     # one 64-user population; every roster size 2..64 drawn from it
-    krs = setup_pairwise(
-        params, range(64), epoch=0, master_seed=b"acc3", with_evk=False
-    )
+    krs = setup_pairwise(params, range(64), epoch=0, master_seed=b"acc3")
     for size in range(2, 65):
         roster = list(range(size))
         masked = [mask_key(krs[u], roster) for u in roster]

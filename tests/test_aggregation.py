@@ -2,7 +2,7 @@
 plain-domain oracle."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -187,10 +187,12 @@ def test_median_resists_outlier():
 
 def test_make_aggregator():
     assert make_aggregator("fedavg") is fedavg
-    tm = make_aggregator("trimmed_mean", beta=0.2)
+    tm = make_aggregator("trimmed_mean")  # trimmed_mean's own beta, 0.1
     assert tm(np.array([[1.0], [2.0], [3.0], [4.0], [100.0]]))[0] == 3.0
     with pytest.raises(ParameterError, match="unknown aggregator"):
         make_aggregator("mystery")
+    with pytest.raises(TypeError):
+        make_aggregator("trimmed_mean", beta=0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +228,16 @@ def test_encrypt_update_chunked(hp):
     assert eu.n_chunks == 3 and eu.chunk_len == hp.capacity and eu.readout == 7
     got = np.concatenate([decrypt(c, rings[0].sk).values for c in eu.fwd])
     np.testing.assert_allclose(got[:20], g, atol=1e-6)
+
+
+@pytest.mark.parametrize("dim", [5, 20])
+def test_chunk_len_is_the_ciphertexts_length(hp, dim):
+    rings = setup_pairwise(hp, [0, 1], 0, b"agg-test")
+    rng = np.random.default_rng(1)
+    eu = encrypt_update(rings[0], np.ones(dim), common_poly(hp, seed=b"r2"), rng)
+    assert eu.n_chunks == (1 if dim <= hp.capacity else 3)
+    assert {ct.length for ct in eu.fwd + eu.rev} == {eu.chunk_len}
+    assert "chunk_len" not in {f.name for f in fields(agg_mod.EncryptedUpdate)}
 
 
 def test_sq_norm_encrypted_hand_case(hp):
@@ -265,7 +277,7 @@ def test_rates_encrypted_hand_case(hp):
     sk = SecretKey.generate(hp, b"rk")
     rng = np.random.default_rng(7)
     ct = encrypt(hp, [1.0], sk, common_poly(hp, seed=b"r6"), rng)
-    p = decrypt(rates_encrypted(ct, 4.0, 2), sk).values[0]
+    p = decrypt(rates_encrypted(ct, 4.0, 2, readout=0), sk).values[0]
     assert math.isclose(p, 0.75, abs_tol=1e-2)
 
 
@@ -273,9 +285,9 @@ def test_rates_encrypted_boundary_and_uniform(hp):
     sk = SecretKey.generate(hp, b"rk")
     rng = np.random.default_rng(8)
     a = common_poly(hp, seed=b"r7")
-    full = decrypt(rates_encrypted(encrypt(hp, [4.0], sk, a, rng), 4.0, 2), sk).values[0]
+    full = decrypt(rates_encrypted(encrypt(hp, [4.0], sk, a, rng), 4.0, 2, readout=0), sk).values[0]
     assert abs(full) < 1e-2  # d_u = sum boundary collapses to zero weight
-    eq = decrypt(rates_encrypted(encrypt(hp, [1.0], sk, a, rng), 10.0, 10), sk).values[0]
+    eq = decrypt(rates_encrypted(encrypt(hp, [1.0], sk, a, rng), 10.0, 10, readout=0), sk).values[0]
     assert math.isclose(eq, 0.1, abs_tol=1e-2)
 
 
@@ -284,11 +296,13 @@ def test_rates_encrypted_validation(hp):
     rng = np.random.default_rng(9)
     ct = encrypt(hp, [1.0], sk, common_poly(hp, seed=b"r8"), rng)
     with pytest.raises(ParameterError):
-        rates_encrypted(ct, 0.0, 4)
+        rates_encrypted(ct, 0.0, 4, readout=0)
     with pytest.raises(ParameterError):
-        rates_encrypted(ct, -1.0, 4)
+        rates_encrypted(ct, -1.0, 4, readout=0)
     with pytest.raises(ParameterError):
-        rates_encrypted(ct, 4.0, 1)
+        rates_encrypted(ct, 4.0, 1, readout=0)
+    with pytest.raises(TypeError):  # no default readout: it depends on the packing
+        rates_encrypted(ct, 4.0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +499,6 @@ def test_round_opens_the_same_bytes_from_top_level_uploads():
             fwd=(encrypt(params, g, kr.sk, a, rng),),
             rev=(encrypt(params, g, kr.sk, a, rng, direction="reversed"),),
             dim=g.size,
-            chunk_len=g.size,
         )
 
     def round_with(top_users):

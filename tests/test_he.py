@@ -7,7 +7,7 @@ computed right next to the assertion.
 
 import math
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -90,7 +90,7 @@ def test_test16_layout(hp):
     assert hp.ring.special.bit_length() == 53
     assert hp.ring.special >= hp.ring.chain[0]
     assert hp.scale_bits == 40
-    assert hp.depth == 2
+    assert hp.ring.max_level == 2
 
 
 def test_production_preset_budgets():
@@ -300,11 +300,14 @@ def test_add_hand_value(hp, keys):
     assert math.isclose(decrypt(ct, sk).values[0], 5.0, abs_tol=1e-6)
 
 
-def test_add_aligns_levels(hp, keys):
+def test_add_refuses_mixed_levels(hp, keys):
+    # levels never align silently; the caller drops the fresher operand
     sk, _ = keys
     hi = fresh(hp, sk, [1.5, 2.5], seed=21)           # level 2
     lo = fresh(hp, sk, [0.5, -0.5], seed=22, level=1)  # level 1
-    out = he_add(hi, lo)
+    with pytest.raises(LevelError, match="level"):
+        he_add(hi, lo)
+    out = he_add(hi.mod_reduce_to(1), lo)
     assert out.level == 1
     np.testing.assert_allclose(decrypt(out, sk).values, [2.0, 2.0], atol=1e-6)
 
@@ -456,6 +459,13 @@ def test_plain_affine_zero_mult(hp, keys):
     assert math.isclose(decrypt(ct, sk).values[0], 0.5, rel_tol=1e-6)
 
 
+def test_plain_affine_refuses_a_multiplier_beyond_the_headroom(hp, keys):
+    sk, _ = keys
+    ct = fresh(hp, sk, [1.0], seed=68, level=1)
+    with pytest.raises(EncodingError, match="headroom"):
+        plain_affine(ct, 2.0**60, 0.0)
+
+
 def test_plain_affine_level_exhaustion(hp, keys):
     sk, _ = keys
     ct = fresh(hp, sk, [1.0], seed=64, level=0)
@@ -554,6 +564,26 @@ def test_noise_tracker_bounds_the_measured_error(name):
     assert all(m >= 0 for m in worst.values()), worst
 
 
+def test_level_is_the_components_level(hp, keys):
+    # no ciphertext stores its level; every op's result reads it off its
+    # components, which all share it
+    sk, _ = keys
+    assert "level" not in {f.name for f in fields(Ciphertext)}
+    x = fresh(hp, sk, [1.5], seed=79)
+    y = fresh(hp, sk, [2.0], seed=79)
+    blob = ciphertext_to_bytes(x.mod_reduce_to(1))
+    for ct, level in (
+        (x, 2),
+        (x.mod_reduce_to(1), 1),
+        (rescale(x), 1),
+        (_he_mult_raw(x, y), 2),
+        (aggregate_fresh({0: x, 1: y}), 2),
+        (ciphertext_from_bytes(blob, hp), 1),
+    ):
+        assert ct.level == level
+        assert {c.level for c in ct.comps} == {level}
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -563,7 +593,7 @@ def test_ciphertext_wire_roundtrip(hp, keys):
     sk, _ = keys
     ct = fresh(hp, sk, [1.0, -2.5, 3.25], seed=71, direction="reversed")
     blob = ciphertext_to_bytes(ct)
-    back = ciphertext_from_bytes(blob)  # preset name resolves the params
+    back = ciphertext_from_bytes(blob, hp)
     assert back.level == ct.level
     assert back.scale == ct.scale
     assert back.length == ct.length
@@ -572,6 +602,17 @@ def test_ciphertext_wire_roundtrip(hp, keys):
     assert back.msg_bound == ct.msg_bound
     assert all(a == b for a, b in zip(back.comps, ct.comps))
     np.testing.assert_allclose(decrypt(back, sk).values, [1.0, -2.5, 3.25], atol=1e-6)
+
+
+def test_ciphertext_wire_reader_takes_its_params(hp, keys):
+    # the params are required, and a record of another preset is refused
+    sk, _ = keys
+    blob = ciphertext_to_bytes(fresh(hp, sk, [1.0], seed=69))
+    with pytest.raises(TypeError):
+        ciphertext_from_bytes(blob)
+    for other in (replace(hp, name="test-16b"), get_params("test-1024")):
+        with pytest.raises(SerializationError, match="preset"):
+            ciphertext_from_bytes(blob, other)
 
 
 def test_ciphertext_wire_keeps_the_noise_bound(hp, keys):
@@ -592,15 +633,15 @@ def test_ciphertext_wire_rejects_garbage(hp, keys):
     sk, _ = keys
     blob = ciphertext_to_bytes(fresh(hp, sk, [1.0], seed=72))
     with pytest.raises(SerializationError):
-        ciphertext_from_bytes(b"XXXX" + blob[4:])
+        ciphertext_from_bytes(b"XXXX" + blob[4:], hp)
     with pytest.raises(SerializationError):
-        ciphertext_from_bytes(blob[: len(blob) // 2])
+        ciphertext_from_bytes(blob[: len(blob) // 2], hp)
     with pytest.raises(SerializationError):
-        ciphertext_from_bytes(blob + b"\0")
+        ciphertext_from_bytes(blob + b"\0", hp)
     with pytest.raises(SerializationError):
-        ciphertext_from_bytes(b"")
+        ciphertext_from_bytes(b"", hp)
     with pytest.raises(SerializationError, match="version"):
-        ciphertext_from_bytes(blob[:4] + b"\x01" + blob[5:])
+        ciphertext_from_bytes(blob[:4] + b"\x01" + blob[5:], hp)
 
 
 _RING, _SEED = 0, 1  # wire component kinds
@@ -633,30 +674,30 @@ def test_ciphertext_wire_rejects_inconsistent_layouts(hp, keys):
         bad = bytearray(blob)
         bad[level_at] = level
         with pytest.raises(SerializationError, match="level"):
-            ciphertext_from_bytes(bytes(bad))
+            ciphertext_from_bytes(bytes(bad), hp)
     # component counts outside {2, 3}
     for comps in ([parts[0]], parts * 2):
         with pytest.raises(SerializationError, match="components"):
-            ciphertext_from_bytes(_with_comps(blob, comps))
+            ciphertext_from_bytes(_with_comps(blob, comps), hp)
     # components at another level, with the special row, or in coefficient form
     lower = ct.comps[1].mod_reduce_to(ct.level - 1).to_bytes()
     special = evk.ks_a[0].to_bytes()
     coeff = ct.comps[1].to_coeff().to_bytes()
     for odd in (lower, special, coeff):
         with pytest.raises(SerializationError, match="component"):
-            ciphertext_from_bytes(_with_comps(blob, [parts[0], (_RING, odd)]))
+            ciphertext_from_bytes(_with_comps(blob, [parts[0], (_RING, odd)]), hp)
     with pytest.raises(SerializationError, match="kind"):
-        ciphertext_from_bytes(_with_comps(blob, [parts[0], (7, parts[1][1])]))
+        ciphertext_from_bytes(_with_comps(blob, [parts[0], (7, parts[1][1])]), hp)
     # bounds that no ciphertext has
     for bounds in ({"noise_log2": math.nan}, {"noise_log2": -1.0},
                    {"msg_bound": math.inf}, {"msg_bound": -0.5}):
         with pytest.raises(SerializationError, match="bound"):
-            ciphertext_from_bytes(_with_comps(blob, parts, **bounds))
+            ciphertext_from_bytes(_with_comps(blob, parts, **bounds), hp)
     # the same components in full are a valid record, as is a product
-    back = ciphertext_from_bytes(_with_comps(blob, parts))
+    back = ciphertext_from_bytes(_with_comps(blob, parts), hp)
     assert all(a == b for a, b in zip(back.comps, ct.comps))
     raw = _he_mult_raw(ct, ct)
-    back = ciphertext_from_bytes(ciphertext_to_bytes(raw))
+    back = ciphertext_from_bytes(ciphertext_to_bytes(raw), hp)
     assert all(a == b for a, b in zip(back.comps, raw.comps))
 
 

@@ -55,7 +55,7 @@ CASES = [
 @functools.lru_cache(maxsize=None)
 def _ring(name, n):
     chain, special = _preset_basis(name)
-    return RingParams(n=n, chain=chain, special=special, name=f"{name}@{n}")
+    return RingParams(n=n, chain=chain, special=special)
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,13 +10,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fhefl.errors import ProtocolError, SerializationError
+from fhefl.errors import EncodingError, LevelError, ProtocolError, SerializationError
 from fhefl.he import (
+    _he_mult_raw,
     ciphertext_from_bytes,
     ciphertext_to_bytes,
     common_poly,
     encrypt,
     get_params,
+    he_add,
     he_mult_relin,
 )
 from fhefl.multikey import (
@@ -226,6 +228,58 @@ def test_combine_partials_validation(hp):
     wrong_epoch[1] = PartialDecryption(1, 99, partials[1].elem)
     with pytest.raises(ProtocolError):
         combine_partials(cts, wrong_epoch)
+
+
+# one mismatch per field of the adding rule, and the error it raises
+_MISMATCHES = {
+    "level": (lambda ct: ct.mod_reduce_to(ct.level - 1), LevelError),
+    "component": (lambda ct: replace(ct, comps=ct.comps + (ct.c1,)), LevelError),
+    "length": (lambda ct: replace(ct, length=ct.length + 1), EncodingError),
+    "direction": (lambda ct: replace(ct, direction="reversed"), EncodingError),
+    "scale": (lambda ct: replace(ct, scale=ct.scale * (1 + 1e-6)), LevelError),
+}
+
+
+def _add_with(op, rings, cts):
+    if op == "he_add":
+        return he_add(cts[0], cts[1])
+    if op == "aggregate_fresh":
+        return aggregate_fresh(cts)
+    rng = np.random.default_rng(16)
+    partials = {
+        u: masked_partial_decrypt(rings[u], cts[u].c1, b"rule", [0, 1], rng) for u in (0, 1)
+    }
+    return combine_partials(cts, partials)
+
+
+@pytest.mark.parametrize("mismatch", sorted(_MISMATCHES))
+@pytest.mark.parametrize("op", ["he_add", "aggregate_fresh", "combine_partials"])
+def test_one_adding_rule(hp, op, mismatch):
+    # he_add and both roster sums refuse the same mismatches with the same
+    # errors, and accept scales within a relative 1e-9
+    rings = make_rings(hp, 2)
+    rng = np.random.default_rng(17)
+    a = common_poly(hp, seed=b"rule-a")
+    cts = {u: encrypt(hp, [1.0, 2.0], rings[u].sk, a, rng) for u in (0, 1)}
+    change, error = _MISMATCHES[mismatch]
+    with pytest.raises(error, match=mismatch):
+        _add_with(op, rings, {0: cts[0], 1: change(cts[1])})
+    close = replace(cts[1], scale=cts[1].scale * (1 + 1e-12))
+    _add_with(op, rings, {0: cts[0], 1: close})
+
+
+def test_aggregate_fresh_refuses_mixed_scales():
+    # 0.5 at 2^40 plus 0.5 at 2^60 once opened under the group key as 524288.5
+    params = get_params("test-1024")
+    rings = setup_pairwise(params, [0, 1], 0, b"mixed-scales")
+    rng = np.random.default_rng(18)
+    a = common_poly(params, seed=b"mixed-scales-a")
+    cts = {
+        0: encrypt(params, [0.5], rings[0].sk, a, rng, scale=2.0**40),
+        1: encrypt(params, [0.5], rings[1].sk, a, rng, scale=2.0**60),
+    }
+    with pytest.raises(LevelError, match="scale"):
+        aggregate_fresh(cts)
 
 
 def test_partial_roster_checks(hp):

@@ -43,7 +43,7 @@ def schoolbook_negacyclic(a, b, q, n):
 def p16():
     p0, psp = find_ntt_primes(16, 53, 2)
     mids = find_ntt_primes(16, 41, 2)
-    return RingParams(n=16, chain=(p0, *mids), special=psp, name="t16")
+    return RingParams(n=16, chain=(p0, *mids), special=psp)
 
 
 def elem_from_coeffs(params, coeffs, level=None, special=False):
@@ -299,7 +299,7 @@ def test_params_validation_rejects_bad_primes():
 
 def test_params_equality_ignores_memoised_constants(p16):
     # the caches hold numpy arrays, which have no single truth value under ==
-    twin = RingParams(n=p16.n, chain=p16.chain, special=p16.special, name=p16.name)
+    twin = RingParams(n=p16.n, chain=p16.chain, special=p16.special)
     for params in (p16, twin):
         params.rescale_constants(1)
         params.monomial_slots(3)
