@@ -48,10 +48,10 @@ Q_l with Q_l >= scale * 2^(_VALUE_BITS + 1) (``_open_level``).
   (``_norm_level``; level 3 at fhefl-16384, 2 at fhefl-8192, the top level 3
   at test-1024).  ``encrypt_update`` encrypts the uploads there, so no row of
   an upload is sent only to be dropped, and their c1 travels as the round
-  seed (see ``he.ciphertext_to_bytes``).  The round still accepts uploads
-  above that level, drops every one to it and only then checks that all of
-  them share one c1, so top-level and norm-level uploads mix; an upload
-  below it is refused.
+  seed (see ``he.ciphertext_to_bytes``).  Before any stage the round
+  refuses an upload whose level, scale, chunk count or chunk length differs
+  from what the preset and the model's dimension fix, or whose c1 differs
+  from the others'.
 * d-sum: the distances drop to their opening level before the partials.  A
   total that opens below zero by more than ``multikey.opening_noise`` wrapped
   that level's modulus, and the round aborts rather than fall back to uniform
@@ -183,7 +183,7 @@ def trimmed_mean(updates, beta: float = 0.1) -> np.ndarray:
     return np.sort(mat, axis=0)[k : u - k].mean(axis=0)
 
 
-def krum(updates, f: int = 1) -> np.ndarray:
+def krum(updates, f: int) -> np.ndarray:
     """Single-Krum: return the update closest (in summed squared distance)
     to its U-f-2 nearest peers."""
     mat = _as_matrix(updates)
@@ -252,27 +252,17 @@ class EncryptedUpdate:
     def n_chunks(self) -> int:
         return len(self.fwd)
 
-    def mod_reduce_to(self, level: int) -> "EncryptedUpdate":
-        """Both packings with the chain primes above ``level`` dropped (exact)."""
-        return replace(
-            self,
-            fwd=tuple(ct.mod_reduce_to(level) for ct in self.fwd),
-            rev=tuple(ct.mod_reduce_to(level) for ct in self.rev),
-        )
+
+def _chunk_shape(dim: int, capacity: int) -> tuple[int, int]:
+    """(count, length) of the chunks ``split_chunks`` cuts a dim-long vector into."""
+    return (1, dim) if dim <= capacity else (-(-dim // capacity), capacity)
 
 
 def split_chunks(vec: np.ndarray, capacity: int) -> list[np.ndarray]:
     """Chunk a vector; multi-chunk splits are zero-padded to the capacity."""
     vec = np.asarray(vec, dtype=np.float64)
-    if vec.size <= capacity:
-        return [vec]
-    chunks = []
-    for start in range(0, vec.size, capacity):
-        c = vec[start : start + capacity]
-        if c.size < capacity:
-            c = np.pad(c, (0, capacity - c.size))
-        chunks.append(c)
-    return chunks
+    n_chunks, chunk_len = _chunk_shape(vec.size, capacity)
+    return list(np.pad(vec, (0, n_chunks * chunk_len - vec.size)).reshape(n_chunks, chunk_len))
 
 
 def encrypt_update(
@@ -288,7 +278,7 @@ def encrypt_update(
     chunks = split_chunks(grad, params.capacity)
     # the round reads the uploads at the norm level and below, so the rows
     # above it would be sent only to be dropped
-    level = min(_norm_level(params, params.scale), a.level)
+    level = _norm_level(params)
     a = a.mod_reduce_to(level)
     fwd = tuple(encrypt(params, c, kr.sk, a, rng, level=level) for c in chunks)
     rev = tuple(
@@ -368,12 +358,12 @@ def _blind_bound(params: HeParams, level: int, scale: float) -> float:
     return min(_MAX_BLIND, headroom)
 
 
-def _norm_level(params: HeParams, scale: float) -> int:
+def _norm_level(params: HeParams) -> int:
     """Lowest upload level whose squared norm opens and whose rate, after the
     product's rescale and the affine map's, takes the full blind; the top
     level if none does."""
     for level in range(2, params.ring.max_level + 1):
-        d_scale = product_scale(params, scale, scale, level)
+        d_scale = product_scale(params, params.scale, params.scale, level)
         p_scale = affine_scale(params, d_scale, level - 1)
         if (
             _open_level(params, d_scale) < level
@@ -438,39 +428,40 @@ def secure_aggregate_round(
         raise ProtocolError(f"missing keyrings for users {sorted(set(users) - set(keyrings))}")
     params = keyrings[users[0]].params
     epoch = keyrings[users[0]].epoch
-    upload_scale = enc_updates[users[0]].fwd[0].scale
-    # uploads may arrive at the norm level or above; all of them drop to it
-    l_norm = min(_norm_level(params, upload_scale), enc_updates[users[0]].fwd[0].level)
-    for u in users:
-        if any(ct.level < l_norm for ct in enc_updates[u].fwd + enc_updates[u].rev):
-            raise ProtocolError(f"user {u}'s upload sits below the round's level {l_norm}")
-    enc_updates = {u: enc_updates[u].mod_reduce_to(l_norm) for u in users}
-    # the round's public polynomial: the stages decompose the products of it
-    # once for every user, which is only correct if every upload carries it
-    a = enc_updates[users[0]].fwd[0].c1
+    # the upload contract, from the preset and the model alone
+    w_prev = np.asarray(w_prev, dtype=np.float64)
+    n_chunks, chunk_len = _chunk_shape(w_prev.size, params.capacity)
+    ri = chunk_len - 1
+    l_norm = _norm_level(params)
     for u in users:
         eu, kr = enc_updates[u], keyrings[u]
         if eu.user_id != u or kr.user_id != u:
             raise ProtocolError(f"update/keyring ownership mismatch for user {u}")
         if eu.epoch != epoch or kr.epoch != epoch:
             raise ProtocolError(f"mixed epochs in round (user {u})")
-        if any(ct.c1 != a for ct in eu.fwd + eu.rev):
-            raise ProtocolError(f"user {u}'s upload does not share the round's public polynomial")
-    dims = {enc_updates[u].dim for u in users}
-    if len(dims) != 1:
-        raise ProtocolError(f"mixed gradient dimensions {sorted(dims)}")
-    dim = dims.pop()
-    w_prev = np.asarray(w_prev, dtype=np.float64)
-    if w_prev.shape != (dim,):
-        raise ProtocolError(f"model dim {w_prev.shape} vs update dim {dim}")
+        if ((eu.dim,), len(eu.fwd), len(eu.rev)) != (w_prev.shape, n_chunks, n_chunks):
+            raise ProtocolError(
+                f"user {u} sent a dim-{eu.dim} update in {len(eu.fwd)}+{len(eu.rev)} "
+                f"chunks; a model of shape {w_prev.shape} takes {n_chunks}+{n_chunks}"
+            )
+        if u == users[0]:
+            a = eu.fwd[0].c1  # the round's public polynomial (see the norm stage)
+        for ct in eu.fwd + eu.rev:
+            if (ct.level, ct.scale, ct.length) != (l_norm, params.scale, chunk_len):
+                raise ProtocolError(
+                    f"user {u}'s upload sits at level {ct.level}, scale "
+                    f"2^{math.log2(ct.scale):g}, length {ct.length}; the round takes "
+                    f"level {l_norm}, scale 2^{params.scale_bits}, length {chunk_len}"
+                )
+            if ct.c1 != a:
+                raise ProtocolError(f"user {u}'s upload is off the round's public polynomial")
     roster = users
     n_users = len(users)
-    ri = enc_updates[users[0]].readout
     # The aggregate leg's partial decryptions carry sigma * 2^flood_sigma_bits
     # flooding noise; a rate at the scale raised by the same factor keeps
     # that noise from setting the precision of the opened update.
     fresh_scale = params.scale * 2.0**params.flood_sigma_bits
-    l_agg = max(1, min(_open_level(params, fresh_scale * upload_scale), l_norm))
+    l_agg = max(1, min(_open_level(params, fresh_scale * params.scale), l_norm))
 
     with _stage("norm"):
         digits = tuple(rns_digits(a.mul(a)))
@@ -529,8 +520,6 @@ def secure_aggregate_round(
             )
 
     with _stage("aggregate"):
-        n_chunks = enc_updates[users[0]].n_chunks
-        chunk_len = enc_updates[users[0]].chunk_len
         out = np.empty(n_chunks * chunk_len)
         # every fresh rate carries c1 = a2 (aggregate_fresh checked it)
         digits = tuple(rns_digits(a2.mul(a.mod_reduce_to(l_agg))))
@@ -546,6 +535,6 @@ def secure_aggregate_round(
             }
             tag = round_tag + b"|agg|" + str(c).encode()
             out[c * chunk_len : (c + 1) * chunk_len] = _open_sum(prod, keyrings, tag, roster, rng)
-        agg = out[:dim]
+        agg = out[: w_prev.size]
 
     return w_prev - eta * agg

@@ -48,12 +48,14 @@ def cmd_params(args) -> int:
     rows = [
         ("preset", params.name),
         ("ring dimension N", params.ring.n),
-        ("log2 q", params.logq_budget),
+        ("log2 q", params.total_logq()),
         ("scale bits", params.scale_bits),
         ("mult depth L", params.ring.max_level),
         ("slot capacity", params.capacity),
         ("security", security),
     ]
+    if params.logq_budget is not None:
+        rows.insert(3, ("log2 q budget", params.logq_budget))
     width = max(len(k) for k, _ in rows)
     for k, v in rows:
         print(f"{k:<{width}}  {v}")

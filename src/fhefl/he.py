@@ -402,8 +402,6 @@ def _encrypt_plaintext(
     """c0 = a*s + m + e, c1 = a at the level of the encoded plaintext m."""
     level = m.level
     a = a.mod_reduce_to(level)
-    if not a.ntt:
-        a = a.to_ntt()
     e = sample_error(params.ring, rng, params.sigma, level=level)
     s_l = sk.s.mod_reduce_to(level)
     # the NTT is linear mod q, so m + e takes one transform
@@ -449,8 +447,8 @@ def reencrypt(
     a: RingElement,
     rng: np.random.Generator,
     *,
-    index: int = 0,
-    scale: float | None = None,
+    index: int,
+    scale: float,
 ) -> Ciphertext:
     """The key holder's fresh encryption of coefficient ``index`` of ct's plaintext.
 
@@ -462,7 +460,6 @@ def reencrypt(
     encryption.
     """
     params = ct.params
-    scale = params.scale if scale is None else float(scale)
     coeff = int(_phase(ct, sk).to_int_coeffs(indices=[index])[0])
     value = Fraction(coeff) / Fraction(ct.scale)
     m = _plaintext(params, [round(value * Fraction(scale))], a.level, "forward")

@@ -43,6 +43,8 @@ from .multikey import setup_pairwise
 # data
 # ---------------------------------------------------------------------------
 
+_CSV_TEST_FRACTION = 0.2  # share of a CSV dataset's shuffled rows held out
+
 
 @dataclass
 class Dataset:
@@ -79,7 +81,7 @@ def make_synthetic(
     return Dataset(train_x, train_y, test_x, test_y, n_classes)
 
 
-def load_csv_dataset(path: str, seed: int = 0, test_fraction: float = 0.2) -> Dataset:
+def load_csv_dataset(path: str, seed: int = 0) -> Dataset:
     """Row-format CSV: float features, last column an integer class label."""
     feats, labels = [], []
     with open(path, newline="") as fh:
@@ -102,7 +104,7 @@ def load_csv_dataset(path: str, seed: int = 0, test_fraction: float = 0.2) -> Da
         raise ParameterError(f"{path}: negative class labels")
     order = np.random.default_rng(seed).permutation(len(y))
     x, y = x[order], y[order]
-    n_test = max(1, int(round(test_fraction * len(y))))
+    n_test = max(1, int(round(_CSV_TEST_FRACTION * len(y))))
     return Dataset(x[n_test:], y[n_test:], x[:n_test], y[:n_test], int(y.max()) + 1)
 
 

@@ -26,7 +26,7 @@ from fhefl.aggregation import (
     weighted_aggregate_plain,
 )
 from fhefl import aggregation as agg_mod
-from fhefl.errors import EncodingError, ParameterError, ProtocolError
+from fhefl.errors import EncodingError, LevelError, ParameterError, ProtocolError
 from fhefl.he import (
     SecretKey,
     common_poly,
@@ -151,8 +151,8 @@ def test_weighted_aggregate_validation():
 def test_baselines_fixed_point():
     g = np.array([0.5, -1.5, 2.0])
     mat = np.tile(g, (5, 1))
-    for name, agg in AGGREGATORS.items():
-        np.testing.assert_allclose(agg(mat), g, err_msg=name)
+    for name in AGGREGATORS:
+        np.testing.assert_allclose(make_aggregator(name)(mat), g, err_msg=name)
 
 
 def test_trimmed_mean_hand_case():
@@ -397,7 +397,7 @@ def test_round_levels_hold_every_opened_value(name):
     eu = encrypt_update(kr, rng.uniform(-1, 1, 8), common_poly(params, seed=b"levels-a"), rng)
     value = 2.0**agg_mod._VALUE_BITS - 1
     fresh_scale = params.scale * 2.0**params.flood_sigma_bits
-    l_norm = agg_mod._norm_level(params, params.scale)
+    l_norm = agg_mod._norm_level(params)
     l_agg = agg_mod._open_level(params, fresh_scale * params.scale)
     assert (l_norm, l_agg) == ROUND_LEVELS[name]
 
@@ -408,7 +408,7 @@ def test_round_levels_hold_every_opened_value(name):
                 encode(params, [value], level - 1, scale=scale)
 
     # distance-sum: the distance opens at the lowest level that holds it
-    d = sq_norm_encrypted(eu.mod_reduce_to(l_norm), kr.evk)
+    d = sq_norm_encrypted(eu, kr.evk)
     holds_only_from(agg_mod._opened(d).level, d.scale)
     # rate: two rescales below the uploads, with the full blind and room for it
     p = rates_encrypted(d, 10.0, 2, readout=eu.readout)
@@ -476,52 +476,74 @@ def test_encrypt_update_uploads_at_the_norm_level(name):
     assert cts[0].c1 == a.mod_reduce_to(l_norm) and cts[0].c1.seed == b"upload-a"
     for ct in cts:
         np.testing.assert_allclose(decrypt(ct, kr.sk).values, g, atol=1e-6)
-    # an a drawn below the norm level sets the upload level
-    low = encrypt_update(kr, g, common_poly(params, seed=b"upload-a", level=1), rng)
-    assert {ct.level for ct in low.fwd + low.rev} == {1}
+    # an a drawn below the norm level cannot carry an upload
+    with pytest.raises(LevelError):
+        encrypt_update(kr, g, common_poly(params, seed=b"upload-a", level=1), rng)
 
 
-def test_round_opens_the_same_bytes_from_top_level_uploads():
-    # at fhefl-16384 the uploads sit one level below the top; a round over
-    # top-level uploads built with encrypt, or over a mix of both, drops
-    # them to the norm level first and opens the same model bytes.  The
-    # three rounds are re-runs of one round, so they share its tag.
+def _upload(kr, g, a, rng, **kw):
+    """One chunk of g built with ``encrypt`` at any level and scale, which
+    ``encrypt_update`` never sends."""
+    fwd, rev = (
+        encrypt(kr.params, g, kr.sk, a, rng, direction=d, **kw) for d in ("forward", "reversed")
+    )
+    return agg_mod.EncryptedUpdate(kr.user_id, kr.epoch, (fwd,), (rev,), g.size)
+
+
+def _refused_on_arrival(enc, krs, w_prev, match):
+    """The round refuses the uploads before its first stage."""
+    with pytest.raises(ProtocolError, match=match) as exc:
+        secure_aggregate_round(enc, krs, w_prev, 0.5, np.random.default_rng(0), round_tag=b"r")
+    assert not str(exc.value).startswith("[")
+
+
+def test_round_refuses_uploads_above_the_norm_level():
+    # at fhefl-16384 the uploads sit one level below the top; top-level
+    # uploads, alone or mixed with norm-level ones, are refused, not dropped
     params = get_params("fhefl-16384")
     krs = setup_pairwise(params, range(3), 0, b"upload-mix")
     grads = np.random.default_rng(41).uniform(-1, 1, (3, 8))
-    w_prev = np.random.default_rng(42).uniform(-1, 1, 8)
     a = common_poly(params, seed=b"upload-mix-a")
+    rng = np.random.default_rng(43)
+    top = {u: _upload(krs[u], grads[u], a, rng) for u in range(3)}
+    fitting = {u: encrypt_update(krs[u], grads[u], a, rng) for u in range(3)}
+    for enc in (top, {**fitting, 1: top[1]}):
+        _refused_on_arrival(enc, krs, np.zeros(8), "sits at level 4, .* takes level 3")
 
-    def top_level(kr, g, a, rng):
-        return agg_mod.EncryptedUpdate(
-            user_id=kr.user_id,
-            epoch=kr.epoch,
-            fwd=(encrypt(params, g, kr.sk, a, rng),),
-            rev=(encrypt(params, g, kr.sk, a, rng, direction="reversed"),),
-            dim=g.size,
-        )
 
-    def round_with(top_users):
-        rng = np.random.default_rng(43)
-        enc = {
-            u: (top_level if u in top_users else encrypt_update)(krs[u], grads[u], a, rng)
-            for u in range(3)
-        }
-        levels = sorted(enc[u].fwd[0].level for u in range(3))
-        w = secure_aggregate_round(enc, krs, w_prev, 0.5, rng, round_tag=b"upload-mix")
-        return w, levels
+def test_round_refuses_uploads_below_the_norm_level():
+    # test-1024 uploads at level 2 leave the rate at level 0, where the
+    # re-encrypt blind has 2^10 of headroom instead of 2^20
+    params = get_params("test-1024")
+    krs = setup_pairwise(params, range(3), 0, b"low-uploads")
+    rng = np.random.default_rng(44)
+    grads = rng.uniform(-1, 1, (3, 8))
+    a = common_poly(params, seed=b"low-uploads-a", level=2)
+    low = {u: _upload(krs[u], grads[u], a, rng, level=2) for u in range(3)}
+    _refused_on_arrival(low, krs, np.zeros(8), "user 0's upload sits at level 2, .* takes level 3")
+    with pytest.raises(LevelError):
+        encrypt_update(krs[0], grads[0], a, rng)
 
-    l_norm, top = ROUND_LEVELS["fhefl-16384"][0], params.ring.max_level
-    w, levels = round_with(())
-    assert levels == [l_norm] * 3
-    rates = non_poisoning_rates([sq_norm_plain(g) for g in grads])
-    np.testing.assert_allclose(
-        w, weighted_aggregate_plain(w_prev, grads, rates, 0.5), rtol=1e-2, atol=1e-4
-    )
-    for top_users, want in (((0, 1, 2), [top] * 3), ((1,), [l_norm, l_norm, top])):
-        w_other, levels = round_with(top_users)
-        assert levels == want
-        assert w_other.tobytes() == w.tobytes()
+
+def test_round_refuses_extra_chunks(hp):
+    # the chunk count follows from the model's dimension, for every user
+    rng = np.random.default_rng(45)
+    krs = setup_pairwise(hp, range(3), 0, b"chunks")
+    a = common_poly(hp, seed=b"chunks-a")
+    enc = {u: encrypt_update(krs[u], np.ones(4), a, rng) for u in range(3)}
+    for u in (0, 2):
+        extra = replace(enc[u], fwd=enc[u].fwd * 2, rev=enc[u].rev * 2)
+        _refused_on_arrival({**enc, u: extra}, krs, np.zeros(4), rf"user {u} sent .* 2\+2 chunks")
+
+
+def test_round_refuses_off_scale_uploads_on_arrival(hp):
+    # uploads at scale 2^30 would otherwise run on until the rate-sum check
+    rng = np.random.default_rng(46)
+    krs = setup_pairwise(hp, range(3), 0, b"off-scale")
+    a = common_poly(hp, seed=b"off-scale-a")
+    grads = rng.uniform(-1, 1, (3, 4))
+    enc = {u: _upload(krs[u], grads[u], a, rng, level=2, scale=2.0**30) for u in range(3)}
+    _refused_on_arrival(enc, krs, np.zeros(4), r"level 2, scale 2\^30, .* scale 2\^40")
 
 
 @pytest.fixture(scope="module")
@@ -688,9 +710,9 @@ def test_pipeline_rejects_uploads_off_the_round_polynomial(hp):
             secure_aggregate_round(
                 {**enc, 2: eu}, rings, np.zeros(4), 1.0, rng, round_tag=b"pipe8"
             )
-    # the round drops uploads to its level, never raises them
-    low = encrypt_update(rings[2], np.ones(4), a.mod_reduce_to(1), rng)
-    with pytest.raises(ProtocolError, match="below the round's level"):
+    # the round takes every upload at its own level, never raises one
+    low = _upload(rings[2], np.ones(4), a, rng, level=1)
+    with pytest.raises(ProtocolError, match="sits at level 1"):
         secure_aggregate_round(
             {**enc, 2: low}, rings, np.zeros(4), 1.0, rng, round_tag=b"pipe8"
         )
