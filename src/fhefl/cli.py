@@ -3,7 +3,8 @@
 Subcommands:
   params       print the lattice/encoding layout of a named preset
   simulate     run a federated experiment suite from a JSON config
-  bench        micro-benchmarks for the cipher ops and one protocol round
+  bench        micro-benchmarks for the cipher ops, one protocol round and the
+               wire encoding of its upload
   check-bound  evaluate the norm-gap tolerance threshold as JSON
 
 Exit codes: 0 on success, 1 when a run fails mid-flight (protocol abort,
@@ -26,6 +27,7 @@ from .errors import FheflError, ParameterError
 from .he import (
     EvalKey,
     SecretKey,
+    ciphertext_from_bytes,
     ciphertext_to_bytes,
     common_poly,
     encrypt,
@@ -137,9 +139,23 @@ def cmd_bench(args) -> int:
         secure_aggregate_round(enc, keyrings, w_prev, 0.1, rng, round_tag=tag)
 
     round_reps = max(1, args.reps // 5)
-    rows.append(("aggregate_round(10 users)", *_timeit(one_round, round_reps)))
-    last = uploads[-1]
-    upload_bytes = sum(len(ciphertext_to_bytes(ct)) for ct in last.fwd + last.rev)
+    round_row = ("aggregate_round(10 users)", *_timeit(one_round, round_reps))
+    # the wire rows time the last round's upload; the round row stays last,
+    # next to the byte count of that upload
+    last = uploads[-1].fwd + uploads[-1].rev
+    blobs = [ciphertext_to_bytes(ct) for ct in last]
+    rows += [
+        (
+            "upload to_bytes",
+            *_timeit(lambda: [ciphertext_to_bytes(ct) for ct in last], args.reps),
+        ),
+        (
+            "upload from_bytes",
+            *_timeit(lambda: [ciphertext_from_bytes(b, params) for b in blobs], args.reps),
+        ),
+        round_row,
+    ]
+    upload_bytes = sum(map(len, blobs))
 
     print(f"preset {params.name}  (vector dim {dim})")
     print(f"{'op':<26} {'mean us':>12} {'p95 us':>12}")

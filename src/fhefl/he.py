@@ -42,7 +42,10 @@ component count, packing direction, length, scale, ``noise_log2`` and
 ``msg_bound``, so a ciphertext read back is refused by ``decrypt`` exactly
 when the original would be.  Each component follows as a kind byte and a
 length-prefixed blob: a ``RingElement.to_bytes`` record, or the seed of the
-round's public polynomial.  The c1 of a two-component ciphertext travels as its
+round's public polynomial.  A ring record sends each residue at its modulus's
+bit width (``q.bit_length()`` bits, not a 64-bit word), so a c0 at level l
+costs n * sum(bits(q_0..q_l)) bits plus a byte of padding at most.  The c1 of
+a two-component ciphertext travels as its
 seed whenever it is that polynomial (``common_poly`` remembers the seed, and
 dropping primes keeps it), which halves a fresh upload; the reader rebuilds it
 with ``common_poly`` at the header's level.  A c0, any component of a

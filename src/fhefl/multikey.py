@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import ProtocolError, SerializationError
 from .he import Ciphertext, EvalKey, HeParams, SecretKey, _check_addable, decode, decrypt
+from .ntt import add_mod, sub_mod
 from .ring import RingElement, sample_error, sample_uniform
 
 _SHARE_HEAD = "<4sII"
@@ -165,11 +166,14 @@ def _masked(kr: UserKeyring, roster, elem: RingElement, leg: bytes, *extra: byte
         raise ProtocolError(f"no pair seeds for roster members {missing}")
     tag = b"|".join((leg, str(kr.epoch).encode(), *extra))
     layout = dict(level=elem.level, special=elem.special, ntt=True, tag=tag)
+    ring = kr.params.ring
+    q = ring.tables.q[elem.rows]
+    acc = elem.data
     for j in roster:
         if j != kr.user_id:
-            m = sample_uniform(kr.params.ring, kr.pair_seeds[j], **layout)
-            elem = elem.add(m if kr.user_id < j else m.neg())
-    return elem
+            m = sample_uniform(ring, kr.pair_seeds[j], **layout)
+            acc = (add_mod if kr.user_id < j else sub_mod)(acc, m.data, q)
+    return RingElement(ring, acc, elem.level, elem.special, elem.ntt)
 
 
 def _one_epoch(shares, what: str) -> None:

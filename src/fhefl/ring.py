@@ -70,7 +70,8 @@ from .ntt import (
 
 _WORD = 1 << 64
 _SER_MAGIC = b"FRE1"
-_SER_VERSION = 1
+_SER_VERSION = 2
+_SER_HEAD = "<4sBBBI B"  # magic, version, flags, level, n, modulus count
 
 
 @dataclass
@@ -90,6 +91,9 @@ class RingParams:
         default_factory=dict, repr=False, compare=False
     )
     _monomial: dict[int, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _uniform: dict[tuple[int, bool], tuple[tuple[int, ...], np.ndarray, np.ndarray]] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -144,6 +148,23 @@ class RingParams:
             primes = self.tables.primes
             invs = [[pow(primes[row], -1, q) if j != row else 0] for j, q in enumerate(primes)]
             cached = self._rescale[row] = _shoup_rows(invs, primes)
+        return cached
+
+    def uniform_bounds(
+        self, level: int, special: bool
+    ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+        """What `sample_uniform` needs of a layout: each modulus's rejection
+        bound (its largest multiple below 2^64), as Python integers and as a
+        (rows, 1) column, and the (rows, 1) column of the moduli."""
+        key = (level, special)
+        cached = self._uniform.get(key)
+        if cached is None:
+            rows = self.rows(*key)
+            bounds = tuple((_WORD // q) * q for q in self.moduli(*key))
+            col = np.array(bounds, dtype=np.uint64)[:, None]
+            cached = self._uniform[key] = (bounds, col, self.tables.q[rows])
+            for arr in cached[1:]:  # shared by every caller
+                arr.flags.writeable = False
         return cached
 
     def monomial_slots(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -396,13 +417,19 @@ class RingElement:
         rows = level + 1 + bool(special)
         return cls(params, np.zeros((rows, params.n), dtype=np.uint64), level, special, ntt)
 
-    # -- serialization (versioned: magic, n, prime list, LE u64 residues) -----------------
+    # -- serialization ---------------------------------------------------------------
+    # A record is the header (magic, version, flags, level, n, modulus count),
+    # the moduli as LE u64, then the residues as one little-endian bitstream:
+    # row i takes q_i.bit_length() bits per residue, and the stream is padded
+    # with zero bits to a whole byte.  The reader refuses any other length,
+    # nonzero pad bits and any residue at or above its modulus, so an element
+    # has exactly one encoding.
 
     def to_bytes(self) -> bytes:
         mods = self.moduli
         flags = (1 if self.ntt else 0) | (2 if self.special else 0)
         head = struct.pack(
-            "<4sBBBI B",
+            _SER_HEAD,
             _SER_MAGIC,
             _SER_VERSION,
             flags,
@@ -411,18 +438,16 @@ class RingElement:
             len(mods),
         )
         body = struct.pack(f"<{len(mods)}Q", *mods)
-        payload = self.data.astype("<u8").tobytes()
-        return head + body + payload
+        return head + body + _pack_residues(self.data, [q.bit_length() for q in mods])
 
     @classmethod
     def from_bytes(cls, buf: bytes, params: RingParams) -> "RingElement":
         """Read a `to_bytes` record of ring ``params``; refuse any layout or
         residue that ring cannot hold."""
-        head_fmt = "<4sBBBI B"
-        head_len = struct.calcsize(head_fmt)
+        head_len = struct.calcsize(_SER_HEAD)
         if len(buf) < head_len:
             raise SerializationError(f"truncated header: {len(buf)} < {head_len} bytes")
-        magic, version, flags, level, n, k = struct.unpack_from(head_fmt, buf)
+        magic, version, flags, level, n, k = struct.unpack_from(_SER_HEAD, buf)
         if magic != _SER_MAGIC:
             raise SerializationError(f"bad magic {magic!r}, expected {_SER_MAGIC!r}")
         if version != _SER_VERSION:
@@ -432,7 +457,8 @@ class RingElement:
             raise SerializationError("truncated modulus list")
         mods = struct.unpack_from(f"<{k}Q", buf, off)
         off += 8 * k
-        need = off + 8 * k * n
+        widths = [q.bit_length() for q in mods]
+        need = off + (n * sum(widths) + 7) // 8
         if len(buf) != need:
             raise SerializationError(f"payload length {len(buf)} != expected {need}")
         ntt = bool(flags & 1)
@@ -445,10 +471,59 @@ class RingElement:
             raise SerializationError(f"modulus count mismatch: {exc}") from exc
         if tuple(mods) != expected:
             raise SerializationError("modulus list does not match target params")
-        data = np.frombuffer(buf, dtype="<u8", offset=off).reshape(k, n).astype(np.uint64)
+        data = _unpack_residues(np.frombuffer(buf, dtype=np.uint8, offset=off), widths, n)
         if (data >= np.array(mods, dtype=np.uint64)[:, None]).any():
             raise SerializationError("residue not below its row's modulus")
         return cls(params, data, level, special, ntt)
+
+
+def _bit_layout(widths: list[int], n: int):
+    """Where each residue of a packed record sits, as (rows, n) arrays: its
+    64-bit word, its shift in that word and whether it runs into the next
+    word; plus the (rows, 1) column of width masks.  Residues run row by row,
+    ``widths[i]`` bits each for row i.
+
+    Every width is below 64, so every word up to the last residue's holds
+    the start of at least one residue."""
+    width = np.array(widths, dtype=np.int64)[:, None]
+    start = (np.cumsum(width) - width.ravel())[:, None] * n + width * np.arange(n)
+    shift = (start & 63).astype(np.uint64)
+    spill = shift + width.astype(np.uint64) > np.uint64(64)
+    mask = (np.uint64(1) << width.astype(np.uint64)) - np.uint64(1)
+    return start >> 6, shift, spill, mask
+
+
+def _pack_residues(data: np.ndarray, widths: list[int]) -> bytes:
+    """The rows of ``data`` at ``widths[i]`` bits per residue of row i, as one
+    little-endian bitstream padded with zero bits to a whole byte."""
+    total = data.shape[1] * sum(widths)
+    word, shift, spill, mask = _bit_layout(widths, data.shape[1])
+    x = data & mask  # a residue too wide for its row cannot reach its neighbours
+    out = np.zeros((total + 63) // 64, dtype=np.uint64)
+    # bits of different residues never overlap, so OR-ing them into their
+    # words assembles the stream; a word's first residue starts the run
+    firsts = np.flatnonzero(np.diff(word.ravel(), prepend=-1))
+    out[: len(firsts)] = np.bitwise_or.reduceat((x << shift).ravel(), firsts)
+    # at most one residue runs into each word, from the word before
+    out[word[spill] + 1] |= x[spill] >> (np.uint64(64) - shift[spill])
+    return out.astype("<u8", copy=False).tobytes()[: (total + 7) // 8]
+
+
+def _unpack_residues(payload: np.ndarray, widths: list[int], n: int) -> np.ndarray:
+    """Inverse of `_pack_residues` for a payload of the right length; refuses
+    nonzero pad bits."""
+    total = n * sum(widths)
+    if total % 8 and payload[-1] >> (total % 8):
+        raise SerializationError("nonzero pad bits after the last residue")
+    # whole words plus one of zeros, so a residue's next word always exists
+    padded = np.zeros(((total + 63) // 64 + 1) * 8, dtype=np.uint8)
+    padded[: len(payload)] = payload
+    words = padded.view("<u8").astype(np.uint64, copy=False)
+    word, shift, spill, mask = _bit_layout(widths, n)
+    x = words[word] >> shift
+    # the high bits of a residue that ran into the next word
+    x[spill] |= words[word[spill] + 1] << (np.uint64(64) - shift[spill])
+    return x & mask
 
 
 # ---------------------------------------------------------------------------
@@ -535,16 +610,20 @@ def sample_uniform(
     """
     if level is None:
         level = params.max_level
-    mods = params.moduli(level, special)
+    bounds, bound_col, q_col = params.uniform_bounds(level, special)
     seed_b = _seed_bytes(seed) + b"|" + tag
-    n = params.n
-    bounds = [(_WORD // q) * q for q in mods]
+    n, k = params.n, len(bounds)
     draws = [_DRAW_SLACK * n * _WORD / b for b in bounds]  # words per row
     words = _shake_words(seed_b, int(sum(draws)) + 16)
-    rows = np.empty((len(mods), n), dtype=np.uint64)
+    if len(words) >= k * n:
+        block = words[: k * n].reshape(k, n)
+        # no word rejected: row i is exactly the stream's i-th run of n words
+        if (block < bound_col).all():
+            return RingElement(params, block % q_col, level, special, ntt)
+    rows = np.empty((k, n), dtype=np.uint64)
     pos = 0
-    for i, q in enumerate(mods):
-        bound = np.uint64(bounds[i])
+    for i in range(k):
+        bound, q = bound_col[i], q_col[i]
         got = 0
         while got < n:
             if pos >= len(words):  # SHAKE output is prefix-stable: extend it
@@ -552,7 +631,7 @@ def sample_uniform(
             window = words[pos : pos + int(draws[i] * (n - got) / n) + 16]
             hits = np.flatnonzero(window < bound)
             take = min(n - got, len(hits))
-            rows[i, got : got + take] = window[hits[:take]] % np.uint64(q)
+            rows[i, got : got + take] = window[hits[:take]] % q
             got += take
             # advance past exactly the words that produced the accepted ones
             pos += int(hits[take - 1]) + 1 if got == n else len(window)

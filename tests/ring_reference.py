@@ -194,3 +194,17 @@ def sample_uniform_rows(seed_b: bytes, moduli, n: int) -> np.ndarray:
                 pos += used + 1
             got += take
     return rows
+
+
+def pack_residues(data: np.ndarray, moduli) -> bytes:
+    """Bit-packed residues, one Python integer per residue: row i at
+    q_i.bit_length() bits each, least significant bit first, rows in order,
+    zero-padded to a whole byte."""
+    bits = []
+    for row, q in zip(data, moduli):
+        width = int(q).bit_length()
+        for v in row:
+            bits.append(format(int(v), f"0{width}b")[::-1])
+    stream = "".join(bits)
+    stream += "0" * (-len(stream) % 8)
+    return int(stream[::-1], 2).to_bytes(len(stream) // 8, "little")

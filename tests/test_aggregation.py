@@ -636,6 +636,34 @@ def test_pipeline_downweights_large_norm(hp):
     assert all(implied[:3] > 1.0 / n)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the server cannot check under encryption that an upload's reversed "
+    "half is its forward half reversed: a zero reversed half gives d_u = 0 and "
+    "the largest rate, 1/(U-1), and the rates still sum to 1",
+)
+def test_zero_reversed_half_does_not_raise_the_rate(hp):
+    # orthogonal gradients as above, user 3's scaled 10x: coordinate u of the
+    # opened step reads off p_u times user u's scale
+    n = 4
+    scales = np.array([1.0, 1.0, 1.0, 10.0])
+    grads = np.eye(n) * scales[:, None]
+
+    def implied_rates(zero_rev: bool) -> np.ndarray:
+        rng = np.random.default_rng(16)
+        rings = setup_pairwise(hp, range(n), 0, b"zero-rev")
+        a = common_poly(hp, seed=b"zero-rev-a")
+        enc = {u: encrypt_update(rings[u], grads[u], a, rng) for u in range(n)}
+        if zero_rev:
+            zero = encrypt_update(rings[3], np.zeros(n), a, rng)
+            enc[3] = replace(enc[3], rev=zero.rev)
+        w_prev = np.zeros(n)
+        w_next = secure_aggregate_round(enc, rings, w_prev, 1.0, rng, round_tag=b"zero-rev")
+        return -(w_next - w_prev) / scales
+
+    assert implied_rates(True)[3] <= implied_rates(False)[3] + 0.01
+
+
 def test_pipeline_zero_gradients_degenerate(hp):
     rng = np.random.default_rng(14)
     rings = setup_pairwise(hp, range(3), 0, b"pipe4")

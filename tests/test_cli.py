@@ -142,7 +142,14 @@ def test_simulate_encrypted_tiny(tmp_path):
 def test_bench_outputs_all_rows(capsys):
     assert main(["bench", "--preset", "test-16", "--reps", "2"]) == 0
     out = capsys.readouterr().out
-    for op in ("encrypt", "add", "mult+relin", "aggregate_round"):
+    for op in (
+        "encrypt",
+        "add",
+        "mult+relin",
+        "aggregate_round",
+        "upload to_bytes",
+        "upload from_bytes",
+    ):
         assert op in out
     assert "mean us" in out and "p95 us" in out
 

@@ -271,8 +271,9 @@ def test_sampler_matches_reference_16384():
 def test_pinned_upload_and_product_bytes():
     # digests taken with the per-row reference kernels; the upload bytes are
     # what a user sends, the product exercises key switching and rescaling.
-    # The ring elements are pinned apart from the wire records around them,
-    # so a change of the wire format cannot move an element unseen
+    # The ring elements are pinned by their residue matrices, apart from the
+    # wire records around them, so a change of the wire format cannot move
+    # an element unseen
     params = get_params("test-1024")
     krs = setup_pairwise(params, [0, 1], 0, b"pinned")
     a = common_poly(params, seed=b"pinned-a")
@@ -281,25 +282,27 @@ def test_pinned_upload_and_product_bytes():
     prod = he_mult_relin(eu.fwd[0], eu.rev[0], krs[0].evk)
 
     def element_digests(ct):
-        return [hashlib.sha256(c.to_bytes()).hexdigest()[:16] for c in ct.comps]
+        return [
+            hashlib.sha256(c.data.astype("<u8").tobytes()).hexdigest()[:16] for c in ct.comps
+        ]
 
-    a_digest = "fa7427cdac1dac04"
+    a_digest = "7c71440894a7b372"
     assert [element_digests(ct) for ct in eu.fwd + eu.rev] == [
-        ["7c4cbedf24344f2c", a_digest],
-        ["b121076368eb9575", a_digest],
-        ["e5bdd06cbd1db33f", a_digest],
-        ["2b12a201a723a29e", a_digest],
+        ["403466b2a843e6ac", a_digest],
+        ["20138d547326b05d", a_digest],
+        ["38c281ed93df7495", a_digest],
+        ["3bc27f16b0470b68", a_digest],
     ]
-    assert element_digests(prod) == ["557a4c296f599e84", "428db65ff639c938"]
+    assert element_digests(prod) == ["e9d9ab1a050cd3c0", "8c7e10913395f9dd"]
     blob = b"".join(ciphertext_to_bytes(c) for c in eu.fwd + eu.rev)
-    assert len(blob) == 131504
+    assert len(blob) == 90544
     assert (
         hashlib.sha256(blob).hexdigest()
-        == "6acdbe6e7f2d5a6d48fb799b959b8cbd18004a05a52f15f55f9177a4163d2ea3"
+        == "9dc76744962792e456a11b4f944cd0d180828d55998b4eb350bb164ce471ca35"
     )
     assert (
         hashlib.sha256(ciphertext_to_bytes(prod)).hexdigest()
-        == "3c35ca6a3c41ad2703179594fa6060a78dbaa679c109368462a859285f2906d9"
+        == "a1a0343597102aa2f4ec9c795be6619cc149a830f9bbb24abe269dd6f5a6493b"
     )
 
 
