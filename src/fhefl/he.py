@@ -36,19 +36,20 @@ product, relinearization, rescaling, ``plain_affine`` and fresh aggregation.
 ``decrypt`` refuses a ciphertext whose bound exceeds half its scale, since
 the value's precision has collapsed.
 
-Wire format v2 (``ciphertext_to_bytes``): magic, version, preset name (the
+Wire format v3 (``ciphertext_to_bytes``): magic, version, preset name (the
 reader takes the params and refuses another preset's record), then level,
 component count, packing direction, length, scale, ``noise_log2`` and
 ``msg_bound``, so a ciphertext read back is refused by ``decrypt`` exactly
-when the original would be.  Each component follows as a kind byte and a
-length-prefixed blob: a ``RingElement.to_bytes`` record, or the seed of the
-round's public polynomial.  A ring record sends each residue at its modulus's
-bit width (``q.bit_length()`` bits, not a 64-bit word), so a c0 at level l
-costs n * sum(bits(q_0..q_l)) bits plus a byte of padding at most.  The c1 of
-a two-component ciphertext travels as its
-seed whenever it is that polynomial (``common_poly`` remembers the seed, and
-dropping primes keeps it), which halves a fresh upload; the reader rebuilds it
-with ``common_poly`` at the header's level.  A c0, any component of a
+when the original would be.  The header states the layout once: every
+component is an NTT-domain chain element at its level.  Each component
+follows as a kind byte and either the element's residues, whose length the
+level fixes (``RingElement.to_bytes``: n * sum(bits(q_0..q_l)) bits plus a
+byte of padding at most), or a one-byte length and the seed of the round's
+public polynomial.  The c1 of a two-component ciphertext travels as its seed
+whenever it is that polynomial (``common_poly`` remembers the seed, and
+dropping primes keeps it) and the seed has at most 255 bytes, which halves a
+fresh upload; the reader rebuilds it with ``common_poly`` at the header's
+level, once per (seed, level) in a row.  A c0, any component of a
 three-component product and any computed c1 travel in full.
 """
 
@@ -79,12 +80,10 @@ from .ring import (
     sample_uniform,
 )
 
-_CT_MAGIC = b"FCT1"
-_CT_VERSION = 2
+_CT_MAGIC = b"FCT1\x03"  # magic and wire format version 3
 # level, component count, direction flag, length, scale, noise_log2, msg_bound
 _CT_FIELDS = "<BBBIddd"
-_COMP_RING, _COMP_SEED = 0, 1  # component kinds: a full RingElement, or a seed
-_MAX_SEED_BYTES = 256  # a longer seed's polynomial travels in full
+_COMP_RING, _COMP_SEED = 0, 1  # component kinds: residues at the header's level, or a seed
 _SCALE_RTOL = 1e-9  # scales that differ by less than this add as one
 
 
@@ -662,51 +661,60 @@ def plain_affine(
 # ---------------------------------------------------------------------------
 
 
+def _record_head(magic: bytes, params: HeParams) -> bytes:
+    """The start of a wire record: its magic, then its preset's name as a
+    length byte and UTF-8."""
+    name = params.name.encode()
+    return magic + bytes((len(name),)) + name
+
+
+def _read_record_head(buf: bytes, magic: bytes, what: str, params: HeParams) -> int:
+    """Check that a record starts as ``_record_head`` of ``params``; return
+    where the rest of it starts."""
+    head = _record_head(magic, params)
+    got = bytes(buf[: len(head)])
+    if got[: len(magic)] != magic:
+        raise SerializationError(f"bad {what} magic or version {got[: len(magic)]!r}")
+    if got != head:
+        raise SerializationError(f"{what} header does not name preset {params.name!r}")
+    return len(head)
+
+
 def ciphertext_to_bytes(ct: Ciphertext) -> bytes:
-    """Wire format v2 record of ``ct`` (see the module docstring); the c1 of
-    a two-component ciphertext goes as its seed when it has one."""
-    name = ct.params.name.encode()
+    """Wire format v3 record of ``ct`` (see the module docstring); the c1 of
+    a two-component ciphertext goes as its seed when it has one of at most
+    255 bytes."""
     dir_flag = 0 if ct.direction == "forward" else 1
-    head = struct.pack("<4sBB", _CT_MAGIC, _CT_VERSION, len(name)) + name
-    head += struct.pack(
-        _CT_FIELDS,
-        ct.level,
-        len(ct.comps),
-        dir_flag,
-        ct.length,
-        ct.scale,
-        ct.noise_log2,
-        ct.msg_bound,
-    )
-    parts = [head]
+    fields = (ct.level, len(ct.comps), dir_flag, ct.length, ct.scale, ct.noise_log2, ct.msg_bound)
+    parts = [_record_head(_CT_MAGIC, ct.params) + struct.pack(_CT_FIELDS, *fields)]
     for k, comp in enumerate(ct.comps):
         seed = comp.seed if (k, len(ct.comps)) == (1, 2) else None
-        if seed is not None and len(seed) <= _MAX_SEED_BYTES:
-            kind, blob = _COMP_SEED, seed
+        if seed is not None and len(seed) < 256:
+            parts += [bytes((_COMP_SEED, len(seed))), seed]
         else:
-            kind, blob = _COMP_RING, comp.to_bytes()
-        parts += [struct.pack("<BI", kind, len(blob)), blob]
+            parts += [bytes((_COMP_RING,)), comp.to_bytes()]
     return b"".join(parts)
 
 
+def _seeded_poly(params: HeParams, seed: bytes, level: int) -> RingElement:
+    """``common_poly`` of a seeded c1.  Every record of a round carries the
+    same seed, so the last polynomial rebuilt is kept (one entry, shared by
+    the ciphertexts read with it)."""
+    memo = params.ring._seeded
+    a = memo.get((seed, level))
+    if a is None:
+        a = common_poly(params, seed, level=level)
+        a.data.flags.writeable = False
+        memo.clear()
+        memo[seed, level] = a
+    return a
+
+
 def ciphertext_from_bytes(buf: bytes, params: HeParams) -> Ciphertext:
-    """Read a wire format v2 record of ``params``, rebuilding a seeded c1
+    """Read a wire format v3 record of ``params``, rebuilding a seeded c1
     with ``common_poly``; any malformed record, or one of another preset,
     raises ``SerializationError``."""
-    fixed = struct.calcsize("<4sBB")
-    if len(buf) < fixed:
-        raise SerializationError("truncated ciphertext header")
-    magic, version, name_len = struct.unpack_from("<4sBB", buf)
-    if magic != _CT_MAGIC:
-        raise SerializationError(f"bad ciphertext magic {magic!r}")
-    if version != _CT_VERSION:
-        raise SerializationError(f"unsupported ciphertext version {version}")
-    off = fixed
-    try:
-        name = buf[off : off + name_len].decode()
-    except UnicodeDecodeError as exc:
-        raise SerializationError("ciphertext preset name is not UTF-8") from exc
-    off += name_len
+    off = _read_record_head(buf, _CT_MAGIC, "ciphertext", params)
     if len(buf) < off + struct.calcsize(_CT_FIELDS):
         raise SerializationError("truncated ciphertext header fields")
     level, ncomp, dir_flag, length, scale, noise_log2, msg_bound = struct.unpack_from(
@@ -717,8 +725,6 @@ def ciphertext_from_bytes(buf: bytes, params: HeParams) -> Ciphertext:
         raise SerializationError(f"ciphertext has {ncomp} components, expected 2 or 3")
     if dir_flag not in (0, 1):
         raise SerializationError(f"unknown packing direction flag {dir_flag}")
-    if name != params.name:
-        raise SerializationError(f"ciphertext of preset {name!r}, expected {params.name!r}")
     if level > params.ring.max_level:
         raise SerializationError(f"level {level} outside chain 0..{params.ring.max_level}")
     if not 1 <= length <= params.ring.n:
@@ -730,48 +736,33 @@ def ciphertext_from_bytes(buf: bytes, params: HeParams) -> Ciphertext:
             raise SerializationError(f"{what} {value} is not a non-negative finite number")
     comps = []
     for k in range(ncomp):
-        if len(buf) < off + 5:
+        if off >= len(buf):
             raise SerializationError("truncated component header")
-        kind, blen = struct.unpack_from("<BI", buf, off)
-        off += 5
+        kind, off = buf[off], off + 1
         if kind == _COMP_SEED:
             if (k, ncomp) != (1, 2):
                 raise SerializationError(
                     f"component {k} of a {ncomp}-component ciphertext sent as a seed; "
                     "only the c1 of a two-component ciphertext may be"
                 )
-            if blen > _MAX_SEED_BYTES:
-                raise SerializationError(
-                    f"seed of {blen} bytes is oversized (at most {_MAX_SEED_BYTES})"
-                )
-        elif kind != _COMP_RING:
+            if off >= len(buf):
+                raise SerializationError("truncated seed length")
+            blen, off = buf[off], off + 1
+        elif kind == _COMP_RING:
+            blen = params.ring.record_bytes(level, False)
+        else:
             raise SerializationError(f"unknown component kind {kind}")
-        if len(buf) < off + blen:
-            raise SerializationError(
-                f"truncated component: need {blen} bytes, have {len(buf) - off}"
-            )
         blob = bytes(buf[off : off + blen])
+        if len(blob) != blen:
+            raise SerializationError(f"truncated component: need {blen} bytes, have {len(blob)}")
         off += blen
         if kind == _COMP_SEED:
-            comps.append(common_poly(params, blob, level=level))
-            continue
-        comp = RingElement.from_bytes(blob, params.ring)
-        # every component of a ciphertext is an NTT-domain chain element at
-        # the header's level
-        if (comp.level, comp.special, comp.ntt) != (level, False, True):
-            raise SerializationError(
-                f"component at (level {comp.level}, special {comp.special}, "
-                f"ntt {comp.ntt}) in a level-{level} ciphertext"
-            )
-        comps.append(comp)
+            comps.append(_seeded_poly(params, blob, level))
+        else:
+            # every component of a ciphertext is an NTT-domain chain element
+            # at the header's level
+            comps.append(RingElement.from_bytes(blob, params.ring, level, False, True))
     if off != len(buf):
         raise SerializationError(f"{len(buf) - off} trailing bytes after ciphertext")
-    return Ciphertext(
-        params=params,
-        comps=tuple(comps),
-        scale=scale,
-        length=length,
-        direction="forward" if dir_flag == 0 else "reversed",
-        noise_log2=noise_log2,
-        msg_bound=msg_bound,
-    )
+    direction = "forward" if dir_flag == 0 else "reversed"
+    return Ciphertext(params, tuple(comps), scale, length, direction, noise_log2, msg_bound)

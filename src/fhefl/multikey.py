@@ -18,11 +18,12 @@ the individual share; ``opening_noise`` bounds what an opening adds to a
 decoded value: each ciphertext's tracked noise plus 6 sigma of flooding per
 share.  The roster sums follow the adding rule of :mod:`fhefl.he`.
 
-Both shares travel as the same record, (user id, epoch, ring element), and
-differ only in their magic and in the element's layout.  A masked key is a
+Both shares travel as the same record, (preset name, user id, epoch, level,
+residues), and differ only in their magic and in the element's layout, which
+the record's class fixes and its header's level completes.  A masked key is a
 top-level NTT element with the special row; a partial decryption is an NTT
-element of the chain at its c1's level.  The deserialisers refuse any other
-layout.
+element of the chain at its c1's level.  The deserialisers refuse another
+preset, a level outside the chain and a masked key below the top level.
 
 Pair seeds stand in for an out-of-band pairwise agreement (e.g. a DH
 exchange); here they are derived from a master seed so simulations are
@@ -38,11 +39,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ProtocolError, SerializationError
-from .he import Ciphertext, EvalKey, HeParams, SecretKey, _check_addable, decode, decrypt
+from .he import (
+    Ciphertext,
+    EvalKey,
+    HeParams,
+    SecretKey,
+    _check_addable,
+    _read_record_head,
+    _record_head,
+    decode,
+    decrypt,
+)
 from .ntt import add_mod, sub_mod
 from .ring import RingElement, sample_error, sample_uniform
 
-_SHARE_HEAD = "<4sII"
+_SHARE_FIELDS = "<IIB"  # user id, epoch, level
 
 
 def _h(*parts: bytes) -> bytes:
@@ -69,9 +80,11 @@ class UserKeyring:
 @dataclass
 class _KeyShare:
     """One user's share of a roster-wide sum for one epoch.  Wire form: the
-    subclass's magic, user id and epoch as little-endian u32, then the
-    element's own serialization."""
+    subclass's magic, the preset name (a length byte and UTF-8), user id and
+    epoch as little-endian u32, the level as a byte, then the element's
+    residues at the subclass's layout."""
 
+    params: HeParams
     user_id: int
     epoch: int
     elem: RingElement
@@ -81,31 +94,30 @@ class _KeyShare:
     SPECIAL = False
 
     def to_bytes(self) -> bytes:
-        head = struct.pack(_SHARE_HEAD, self.MAGIC, self.user_id, self.epoch)
+        head = _record_head(self.MAGIC, self.params)
+        head += struct.pack(_SHARE_FIELDS, self.user_id, self.epoch, self.elem.level)
         return head + self.elem.to_bytes()
 
     @classmethod
     def from_bytes(cls, buf: bytes, params: HeParams):
-        head = struct.calcsize(_SHARE_HEAD)
-        if len(buf) < head:
+        off = _read_record_head(buf, cls.MAGIC, cls.WHAT, params)
+        end = off + struct.calcsize(_SHARE_FIELDS)
+        if len(buf) < end:
             raise SerializationError(f"truncated {cls.WHAT}")
-        magic, uid, epoch = struct.unpack_from(_SHARE_HEAD, buf)
-        if magic != cls.MAGIC:
-            raise SerializationError(f"bad {cls.WHAT} magic {magic!r}")
-        elem = RingElement.from_bytes(buf[head:], params.ring)
-        level = params.ring.max_level if cls.SPECIAL else elem.level
-        if (elem.level, elem.special, elem.ntt) != (level, cls.SPECIAL, True):
-            raise SerializationError(
-                f"{cls.WHAT} element at (level {elem.level}, special {elem.special}, "
-                f"ntt {elem.ntt})"
-            )
-        return cls(uid, epoch, elem)
+        uid, epoch, level = struct.unpack_from(_SHARE_FIELDS, buf, off)
+        top = params.ring.max_level
+        if level > top:
+            raise SerializationError(f"{cls.WHAT} level {level} outside chain 0..{top}")
+        if cls.SPECIAL and level != top:
+            raise SerializationError(f"{cls.WHAT} at level {level}, below the top level {top}")
+        elem = RingElement.from_bytes(buf[end:], params.ring, level, cls.SPECIAL, True)
+        return cls(params, uid, epoch, elem)
 
 
 class MaskedKey(_KeyShare):
     """s_u plus the user's pair masks, over the full basis."""
 
-    MAGIC = b"FMK1"
+    MAGIC = b"FMK2"
     WHAT = "masked key"
     SPECIAL = True
 
@@ -113,7 +125,7 @@ class MaskedKey(_KeyShare):
 class PartialDecryption(_KeyShare):
     """c1 * s_u plus flooding and pair masks, at c1's level."""
 
-    MAGIC = b"FPD1"
+    MAGIC = b"FPD2"
     WHAT = "partial decryption"
 
 
@@ -184,7 +196,8 @@ def _one_epoch(shares, what: str) -> None:
 
 def mask_key(kr: UserKeyring, roster) -> MaskedKey:
     """The user's epoch key plus all pairwise masks for this roster."""
-    return MaskedKey(user_id=kr.user_id, epoch=kr.epoch, elem=_masked(kr, roster, kr.sk.s, b"km"))
+    elem = _masked(kr, roster, kr.sk.s, b"km")
+    return MaskedKey(params=kr.params, user_id=kr.user_id, epoch=kr.epoch, elem=elem)
 
 
 def reconstruct_group_key(masked_keys, roster) -> RingElement:
@@ -271,7 +284,7 @@ def masked_partial_decrypt(
     s_l = kr.sk.s.mod_reduce_to(level)
     flood = sample_error(kr.params.ring, rng, _flood_sigma(kr.params), level=level).to_ntt()
     acc = _masked(kr, roster, c1.mul(s_l).add(flood), b"pd", round_tag)
-    return PartialDecryption(user_id=kr.user_id, epoch=kr.epoch, elem=acc)
+    return PartialDecryption(params=kr.params, user_id=kr.user_id, epoch=kr.epoch, elem=acc)
 
 
 def combine_partials(

@@ -42,12 +42,19 @@ dropped row is transformed back, and the remainder is transformed forward
 once per remaining row (the full-RNS rescale of Cheon et al., SAC 2018).
 Dropping rows without rounding (`mod_reduce_to`) is plain modulus reduction
 and keeps the encoded scale untouched.
+
+An element's wire record (`RingElement.to_bytes`) is its residues alone, as
+one little-endian bitstream: row i takes q_i.bit_length() bits per residue,
+and the stream is padded with zero bits to a whole byte.  It carries no
+header: the record that holds the element (a ciphertext, a key share) states
+the layout once, and the reader is told it.  The reader refuses any other
+length (`RingParams.record_bytes`), nonzero pad bits and any residue at or
+above its modulus, so an element has exactly one encoding.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,9 +76,6 @@ from .ntt import (
 )
 
 _WORD = 1 << 64
-_SER_MAGIC = b"FRE1"
-_SER_VERSION = 2
-_SER_HEAD = "<4sBBBI B"  # magic, version, flags, level, n, modulus count
 
 
 @dataclass
@@ -94,6 +98,10 @@ class RingParams:
         default_factory=dict, repr=False, compare=False
     )
     _uniform: dict[tuple[int, bool], tuple[tuple[int, ...], np.ndarray, np.ndarray]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    # the last seeded polynomial the wire reader rebuilt, by (seed, level)
+    _seeded: dict[tuple[bytes, int], RingElement] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -137,6 +145,10 @@ class RingParams:
         if special:
             rows.append(len(self.chain))
         return rows
+
+    def record_bytes(self, level: int, special: bool) -> int:
+        """Length of a `RingElement.to_bytes` record at this layout."""
+        return (self.n * sum(q.bit_length() for q in self.moduli(level, special)) + 7) // 8
 
     def rescale_constants(self, row: int) -> np.ndarray:
         """(3, rows, 1) stack: q_row^-1 mod every table prime, with Shoup halves.
@@ -417,61 +429,23 @@ class RingElement:
         rows = level + 1 + bool(special)
         return cls(params, np.zeros((rows, params.n), dtype=np.uint64), level, special, ntt)
 
-    # -- serialization ---------------------------------------------------------------
-    # A record is the header (magic, version, flags, level, n, modulus count),
-    # the moduli as LE u64, then the residues as one little-endian bitstream:
-    # row i takes q_i.bit_length() bits per residue, and the stream is padded
-    # with zero bits to a whole byte.  The reader refuses any other length,
-    # nonzero pad bits and any residue at or above its modulus, so an element
-    # has exactly one encoding.
+    # -- serialization (see the module docstring) ------------------------------------
 
     def to_bytes(self) -> bytes:
-        mods = self.moduli
-        flags = (1 if self.ntt else 0) | (2 if self.special else 0)
-        head = struct.pack(
-            _SER_HEAD,
-            _SER_MAGIC,
-            _SER_VERSION,
-            flags,
-            self.level,
-            self.params.n,
-            len(mods),
-        )
-        body = struct.pack(f"<{len(mods)}Q", *mods)
-        return head + body + _pack_residues(self.data, [q.bit_length() for q in mods])
+        return _pack_residues(self.data, [q.bit_length() for q in self.moduli])
 
     @classmethod
-    def from_bytes(cls, buf: bytes, params: RingParams) -> "RingElement":
-        """Read a `to_bytes` record of ring ``params``; refuse any layout or
-        residue that ring cannot hold."""
-        head_len = struct.calcsize(_SER_HEAD)
-        if len(buf) < head_len:
-            raise SerializationError(f"truncated header: {len(buf)} < {head_len} bytes")
-        magic, version, flags, level, n, k = struct.unpack_from(_SER_HEAD, buf)
-        if magic != _SER_MAGIC:
-            raise SerializationError(f"bad magic {magic!r}, expected {_SER_MAGIC!r}")
-        if version != _SER_VERSION:
-            raise SerializationError(f"unsupported version {version}")
-        off = head_len
-        if len(buf) < off + 8 * k:
-            raise SerializationError("truncated modulus list")
-        mods = struct.unpack_from(f"<{k}Q", buf, off)
-        off += 8 * k
-        widths = [q.bit_length() for q in mods]
-        need = off + (n * sum(widths) + 7) // 8
+    def from_bytes(
+        cls, buf: bytes, params: RingParams, level: int, special: bool, ntt: bool
+    ) -> "RingElement":
+        """Read a `to_bytes` record of the given layout of ring ``params``;
+        refuse any residue that layout cannot hold."""
+        need = params.record_bytes(level, special)
         if len(buf) != need:
             raise SerializationError(f"payload length {len(buf)} != expected {need}")
-        ntt = bool(flags & 1)
-        special = bool(flags & 2)
-        if params.n != n:
-            raise SerializationError(f"ring degree mismatch: {n} != {params.n}")
-        try:
-            expected = params.moduli(level, special)
-        except LevelError as exc:
-            raise SerializationError(f"modulus count mismatch: {exc}") from exc
-        if tuple(mods) != expected:
-            raise SerializationError("modulus list does not match target params")
-        data = _unpack_residues(np.frombuffer(buf, dtype=np.uint8, offset=off), widths, n)
+        mods = params.moduli(level, special)
+        widths = [q.bit_length() for q in mods]
+        data = _unpack_residues(np.frombuffer(buf, dtype=np.uint8), widths, params.n)
         if (data >= np.array(mods, dtype=np.uint64)[:, None]).any():
             raise SerializationError("residue not below its row's modulus")
         return cls(params, data, level, special, ntt)

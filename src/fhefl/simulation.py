@@ -371,6 +371,19 @@ def corollary4_check(norm_history: dict[int, list], roles: dict[int, str]) -> Bo
 # ---------------------------------------------------------------------------
 
 
+_JSON_TYPES = {"int": int, "int | None": (int, type(None)), "float": (int, float), "str": str}
+
+
+def _fits(kind: str, value) -> bool:
+    """Whether a JSON value fits a `SimConfig` field annotated ``kind``: a
+    bool is no int, an int is a float, and a tuple is a list of ints."""
+    if kind == "tuple":
+        return isinstance(value, list) and all(_fits("int", v) for v in value)
+    if isinstance(value, bool) or kind == "bool":
+        return isinstance(value, bool) and kind == "bool"
+    return isinstance(value, _JSON_TYPES[kind])
+
+
 @dataclass
 class SimConfig:
     dataset: str = "synthetic"
@@ -431,10 +444,15 @@ class SimConfig:
             raise ParameterError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParameterError(f"{path}: invalid JSON: {exc}") from exc
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ParameterError(f"{path}: a config is a JSON object, not {type(raw).__name__}")
+        fields = cls.__dataclass_fields__
+        unknown = set(raw) - set(fields)
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in raw.items():
+            if not _fits(fields[key].type, value):
+                raise ParameterError(f"config key {key!r} takes {fields[key].type}, not {value!r}")
         if "seeds" in raw:
             raw["seeds"] = tuple(raw["seeds"])
         return cls(**raw)

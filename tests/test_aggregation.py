@@ -2,7 +2,9 @@
 plain-domain oracle."""
 
 import math
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from fhefl import aggregation as agg_mod
 from fhefl.errors import EncodingError, LevelError, ParameterError, ProtocolError
 from fhefl.he import (
     SecretKey,
+    ciphertext_to_bytes,
     common_poly,
     decrypt,
     encode,
@@ -479,6 +482,27 @@ def test_encrypt_update_uploads_at_the_norm_level(name):
     # an a drawn below the norm level cannot carry an upload
     with pytest.raises(LevelError):
         encrypt_update(kr, g, common_poly(params, seed=b"upload-a", level=1), rng)
+
+
+def test_readme_bytes_per_chunk_table():
+    # one user's upload per chunk of n/2 coordinates: both halves at the norm
+    # level, each c1 sent as a 16-byte round seed
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([\w-]+)` +\| (\d+) +\| (\d+) +\| ([\d,]+) +\|$", readme, re.M)
+    assert [name for name, *_ in rows] == ["test-1024", "fhefl-8192", "fhefl-16384"]
+    for name, upload, top, size in rows:
+        params = get_params(name)
+        level = agg_mod._norm_level(params)
+        sk = SecretKey.generate(params, seed=b"readme-sk")
+        a = common_poly(params, seed=bytes(16))
+        rng = np.random.default_rng(34)
+        chunk = rng.uniform(-1, 1, params.capacity)
+        cts = [
+            encrypt(params, chunk, sk, a, rng, level=level, direction=d)
+            for d in ("forward", "reversed")
+        ]
+        assert (int(upload), int(top)) == (level, params.ring.max_level)
+        assert int(size.replace(",", "")) == sum(len(ciphertext_to_bytes(ct)) for ct in cts)
 
 
 def _upload(kr, g, a, rng, **kw):

@@ -4,17 +4,19 @@ The traced run wraps every ``perfbench/tracer.py`` TARGETS entry, replaces
 ``aggregation._stage`` to time the pipeline stages, and rebuilds presets by
 dropping their ``he._PRESET_CACHE`` entry.  A refactor that renames or drops
 any of them breaks the benchmark, so this checks that each one resolves and
-that the tracer installs and uninstalls cleanly.  Only files under
-perfbench/ are read; nothing there is run beyond importing the tracer.
+that the tracer installs and uninstalls cleanly and records the wire size of
+each key share.  Only files under perfbench/ are read; nothing there is run
+beyond importing the tracer.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fhefl import aggregation, he
+from fhefl import aggregation, he, multikey
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -65,3 +67,24 @@ def test_tracer_installs_and_uninstalls(tracer):
         t.uninstall()
     for (mod_name, attr), orig in originals.items():
         assert getattr(importlib.import_module(mod_name), attr) is orig
+
+
+def test_tracer_records_the_wire_size_of_each_key_share(tracer):
+    # multikey.*_bytes_per_user are these sizes: each share's whole record,
+    # header included, as its reader takes it
+    params = he.get_params("test-16")
+    rings = multikey.setup_pairwise(params, [0, 1], 0, b"hooks")
+    a = he.common_poly(params, b"hooks-a", level=1)
+    t = tracer.Tracer()
+    try:
+        t.install()
+        mk = multikey.mask_key(rings[0], [0, 1])
+        pd = multikey.masked_partial_decrypt(rings[0], a, b"t", [0, 1], np.random.default_rng(0))
+    finally:
+        t.uninstall()
+    spans = t.arrays()
+    sizes = {t.names[i]: int(size) for i, size in zip(spans["name"], spans["size"])}
+    assert sizes["multikey.mask_key"] == len(mk.to_bytes())
+    assert sizes["multikey.masked_partial_decrypt"] == len(pd.to_bytes())
+    assert multikey.MaskedKey.from_bytes(mk.to_bytes(), params) == mk
+    assert multikey.PartialDecryption.from_bytes(pd.to_bytes(), params) == pd

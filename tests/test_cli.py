@@ -123,6 +123,30 @@ def test_simulate_bad_config_key_exits_2(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "raw, what",
+    [
+        ([1, 2], "JSON object"),
+        ("rounds", "JSON object"),
+        ({"rounds": "3"}, "'rounds'"),
+        ({"rounds": True}, "'rounds'"),
+        ({"rounds": None}, "'rounds'"),
+        ({"seeds": 3}, "'seeds'"),
+        ({"seeds": [0, "1"]}, "'seeds'"),
+        ({"seeds": [0, False]}, "'seeds'"),
+        ({"eta": "0.5"}, "'eta'"),
+        ({"preset": 1024}, "'preset'"),
+        ({"pinned_roster": 1}, "'pinned_roster'"),
+    ],
+)
+def test_simulate_refuses_config_values_of_the_wrong_type(tmp_path, capsys, raw, what):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and what in err[0]
+
+
 def test_simulate_encrypted_tiny(tmp_path):
     cfg = _write_tiny_config(
         tmp_path / "cfg.json",

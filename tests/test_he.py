@@ -640,8 +640,12 @@ def test_ciphertext_wire_rejects_garbage(hp, keys):
         ciphertext_from_bytes(blob + b"\0", hp)
     with pytest.raises(SerializationError):
         ciphertext_from_bytes(b"", hp)
-    with pytest.raises(SerializationError, match="version"):
-        ciphertext_from_bytes(blob[:4] + b"\x01" + blob[5:], hp)
+    # records of earlier wire versions, whose components carried their own
+    # layout headers and u32 lengths
+    assert blob[4] == 3
+    for version in (b"\x01", b"\x02"):
+        with pytest.raises(SerializationError, match="version"):
+            ciphertext_from_bytes(blob[:4] + version + blob[5:], hp)
 
 
 _RING, _SEED = 0, 1  # wire component kinds
@@ -649,6 +653,12 @@ _RING, _SEED = 0, 1  # wire component kinds
 
 def _head_len(blob):
     return 6 + blob[5] + struct.calcsize("<BBBIddd")
+
+
+def _frame(kind, payload):
+    """One wire component: the kind byte, a seed's length byte, the payload."""
+    length = bytes((len(payload),)) if kind == _SEED else b""
+    return bytes((kind,)) + length + payload
 
 
 def _with_comps(blob, comps, *, noise_log2=None, msg_bound=None):
@@ -660,7 +670,7 @@ def _with_comps(blob, comps, *, noise_log2=None, msg_bound=None):
         struct.pack_into("<d", head, len(head) - 16, noise_log2)
     if msg_bound is not None:
         struct.pack_into("<d", head, len(head) - 8, msg_bound)
-    return bytes(head) + b"".join(struct.pack("<BI", k, len(c)) + c for k, c in comps)
+    return bytes(head) + b"".join(_frame(k, c) for k, c in comps)
 
 
 def test_ciphertext_wire_rejects_inconsistent_layouts(hp, keys):
@@ -669,23 +679,31 @@ def test_ciphertext_wire_rejects_inconsistent_layouts(hp, keys):
     blob = ciphertext_to_bytes(ct)
     level_at = 6 + blob[5]
     parts = [(_RING, c.to_bytes()) for c in ct.comps]
-    # header level disagreeing with the components, or outside the chain
-    for level in (ct.level - 1, hp.ring.max_level + 1):
-        bad = bytearray(blob)
-        bad[level_at] = level
-        with pytest.raises(SerializationError, match="level"):
-            ciphertext_from_bytes(bytes(bad), hp)
+    # a header level outside the chain
+    bad = bytearray(blob)
+    bad[level_at] = hp.ring.max_level + 1
+    with pytest.raises(SerializationError, match="level"):
+        ciphertext_from_bytes(bytes(bad), hp)
+    # the header's level fixes each component's length, so a lower level
+    # misframes the components that follow
+    bad[level_at] = ct.level - 1
+    with pytest.raises(SerializationError):
+        ciphertext_from_bytes(bytes(bad), hp)
     # component counts outside {2, 3}
     for comps in ([parts[0]], parts * 2):
         with pytest.raises(SerializationError, match="components"):
             ciphertext_from_bytes(_with_comps(blob, comps), hp)
-    # components at another level, with the special row, or in coefficient form
+    # residues of another layout have another length: a component at a
+    # lower level is cut short, one with the special row leaves bytes over
     lower = ct.comps[1].mod_reduce_to(ct.level - 1).to_bytes()
-    special = evk.ks_a[0].to_bytes()
-    coeff = ct.comps[1].to_coeff().to_bytes()
-    for odd in (lower, special, coeff):
-        with pytest.raises(SerializationError, match="component"):
+    special = evk.ks_a[0].mod_reduce_to(ct.level, special=True).to_bytes()
+    for odd, what in ((lower, "truncated"), (special, "trailing")):
+        with pytest.raises(SerializationError, match=what):
             ciphertext_from_bytes(_with_comps(blob, [parts[0], (_RING, odd)]), hp)
+    # the domain is the header's: coefficient-form residues read as NTT ones
+    coeff = ct.comps[1].to_coeff()
+    back = ciphertext_from_bytes(_with_comps(blob, [parts[0], (_RING, coeff.to_bytes())]), hp)
+    assert back.c1.ntt and np.array_equal(back.c1.data, coeff.data)
     with pytest.raises(SerializationError, match="kind"):
         ciphertext_from_bytes(_with_comps(blob, [parts[0], (7, parts[1][1])]), hp)
     # bounds that no ciphertext has
@@ -699,6 +717,26 @@ def test_ciphertext_wire_rejects_inconsistent_layouts(hp, keys):
     raw = _he_mult_raw(ct, ct)
     back = ciphertext_from_bytes(ciphertext_to_bytes(raw), hp)
     assert all(a == b for a, b in zip(back.comps, raw.comps))
+
+
+def test_reader_rebuilds_a_round_polynomial_once(hp, keys):
+    # every record of a round carries the same seed: the reader keeps the
+    # last polynomial it rebuilt, by (seed, level)
+    sk, _ = keys
+    a = common_poly(hp, b"once" * 4, level=1)
+    x = encrypt(hp, [1.0], sk, a, np.random.default_rng(81), level=1)
+    y = encrypt(hp, [2.0], sk, a, np.random.default_rng(82), level=1)
+    bx = ciphertext_from_bytes(ciphertext_to_bytes(x), hp)
+    by = ciphertext_from_bytes(ciphertext_to_bytes(y), hp)
+    assert bx.c1 is by.c1 and bx.c1 == a
+    assert not bx.c1.data.flags.writeable  # shared, so never written to
+    b = common_poly(hp, b"twice" * 4, level=1)
+    other = encrypt(hp, [1.0], sk, b, np.random.default_rng(83), level=1)
+    bo = ciphertext_from_bytes(ciphertext_to_bytes(other), hp)
+    assert bo.c1 is not bx.c1 and bo.c1 != bx.c1
+    # the same seed at another level is another polynomial
+    lower = ciphertext_from_bytes(ciphertext_to_bytes(x.mod_reduce_to(0)), hp)
+    assert lower.c1 is not bx.c1 and lower.level == 0
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -715,7 +753,7 @@ def test_seeded_c1_round_trips_at_every_level(name):
             ct = encrypt(params, [0.25, -0.5], sk, a, rng, level=level)
             assert ct.c1.seed == seed
             blob = ciphertext_to_bytes(ct)
-            assert len(blob) == _head_len(blob) + 5 + len(ct.c0.to_bytes()) + 5 + len(seed)
+            assert len(blob) == _head_len(blob) + 1 + len(ct.c0.to_bytes()) + 2 + len(seed)
             back = ciphertext_from_bytes(blob, params)
             assert back.level == level and back.comps == ct.comps
             assert back.c1.seed == seed
@@ -732,7 +770,7 @@ def test_computed_c1_travels_in_full(hp, keys):
     for ct in (he_add(x, x), he_mult_relin(x, y, evk), _he_mult_raw(x, y), rescale(x)):
         assert all(c.seed is None for c in ct.comps)
         blob = ciphertext_to_bytes(ct)
-        assert len(blob) == _head_len(blob) + sum(5 + len(c.to_bytes()) for c in ct.comps)
+        assert len(blob) == _head_len(blob) + sum(1 + len(c.to_bytes()) for c in ct.comps)
         assert ciphertext_from_bytes(blob, hp).comps == ct.comps
     # the sum of fresh uploads keeps their shared c1, which is still the seed
     total = aggregate_fresh({0: x, 1: fresh(hp, sk, [2.0], seed=76)})
@@ -750,19 +788,17 @@ def test_ciphertext_wire_rejects_misplaced_and_malformed_seeds(hp, keys):
     for comps in ([(_SEED, seed), c0], [c0, (_SEED, seed), c0], [c0, c0, (_SEED, seed)]):
         with pytest.raises(SerializationError, match="seed"):
             ciphertext_from_bytes(_with_comps(blob, comps), hp)
-    # a seed cut short of its length prefix, or longer than any seed may be
-    for cut in (1, len(seed) // 2, len(seed) + 4):
+    # a record cut inside the seed, its length byte, its kind byte or the c0
+    for cut in (1, len(seed) // 2, len(seed) + 1, len(seed) + 2, len(seed) + 4):
         with pytest.raises(SerializationError, match="truncated"):
             ciphertext_from_bytes(blob[:-cut], hp)
-    with pytest.raises(SerializationError, match="oversized"):
-        ciphertext_from_bytes(_with_comps(blob, [c0, (_SEED, b"s" * 257)]), hp)
-    # a seed of the longest accepted length reads back; a longer one is
-    # written in full
-    for n_bytes, kind in ((256, _SEED), (257, _RING)):
+    # a seed has a one-byte length: the longest one travels as a seed, and a
+    # longer one's polynomial is written in full
+    for n_bytes, kind in ((255, _SEED), (256, _RING)):
         a = common_poly(hp, b"s" * n_bytes, level=ct.level)
         long = replace(ct, comps=(ct.c0, a))
         blob = ciphertext_to_bytes(long)
-        assert blob[_head_len(blob) + 5 + len(ct.c0.to_bytes())] == kind
+        assert blob[_head_len(blob) + 1 + len(ct.c0.to_bytes())] == kind
         assert ciphertext_from_bytes(blob, hp).comps == long.comps
 
 
@@ -770,7 +806,8 @@ def test_ciphertext_wire_rejects_misplaced_and_malformed_seeds(hp, keys):
 @given(st.data())
 def test_ciphertext_wire_fuzz(hp, keys, data):
     # any corruption is either rejected with SerializationError or yields a
-    # ciphertext whose components agree with its header
+    # ciphertext whose components agree with its header, and whose record is
+    # the input: a ciphertext has exactly one encoding
     sk, _ = keys
     blob = bytearray(ciphertext_to_bytes(fresh(hp, sk, [0.5, -1.5], seed=74)))
     head_len = _head_len(blob)
@@ -796,3 +833,4 @@ def test_ciphertext_wire_fuzz(hp, keys, data):
     assert math.isfinite(ct.scale) and ct.scale > 0
     assert math.isfinite(ct.noise_log2) and ct.noise_log2 >= 0
     assert math.isfinite(ct.msg_bound) and ct.msg_bound >= 0
+    assert ciphertext_to_bytes(ct) == buf

@@ -295,14 +295,14 @@ def test_pinned_upload_and_product_bytes():
     ]
     assert element_digests(prod) == ["e9d9ab1a050cd3c0", "8c7e10913395f9dd"]
     blob = b"".join(ciphertext_to_bytes(c) for c in eu.fwd + eu.rev)
-    assert len(blob) == 90544
+    assert len(blob) == 90340
     assert (
         hashlib.sha256(blob).hexdigest()
-        == "9dc76744962792e456a11b4f944cd0d180828d55998b4eb350bb164ce471ca35"
+        == "c5636e0245d8154f7bb665e7248c8238357a32a27a472415e49e3229e2ede941"
     )
     assert (
         hashlib.sha256(ciphertext_to_bytes(prod)).hexdigest()
-        == "a1a0343597102aa2f4ec9c795be6619cc149a830f9bbb24abe269dd6f5a6493b"
+        == "894a8fb3cf1dbf15a8c77e90db0b8b52537b9d171237a0a99cb9fd58cf046a40"
     )
 
 

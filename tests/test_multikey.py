@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fhefl.errors import EncodingError, LevelError, ProtocolError, SerializationError
 from fhefl.he import (
@@ -225,7 +227,7 @@ def test_combine_partials_validation(hp):
     with pytest.raises(ProtocolError):
         combine_partials({}, {})
     wrong_epoch = dict(partials)
-    wrong_epoch[1] = PartialDecryption(1, 99, partials[1].elem)
+    wrong_epoch[1] = replace(partials[1], epoch=99)
     with pytest.raises(ProtocolError):
         combine_partials(cts, wrong_epoch)
 
@@ -336,7 +338,9 @@ def test_wire_readers_refuse_residues_at_or_above_the_modulus(hp, kind):
     mk = mask_key(rings[0], [0, 1])
     elem, write, read = {
         "ring element": (
-            ct.c0, RingElement.to_bytes, lambda b: RingElement.from_bytes(b, hp.ring)
+            ct.c0,
+            RingElement.to_bytes,
+            lambda b: RingElement.from_bytes(b, hp.ring, ct.level, False, True),
         ),
         "ciphertext": (
             ct.c0,
@@ -345,12 +349,12 @@ def test_wire_readers_refuse_residues_at_or_above_the_modulus(hp, kind):
         ),
         "masked key": (
             mk.elem,
-            lambda e: MaskedKey(0, 0, e).to_bytes(),
+            lambda e: MaskedKey(hp, 0, 0, e).to_bytes(),
             lambda b: MaskedKey.from_bytes(b, hp),
         ),
         "partial decryption": (
             pd.elem,
-            lambda e: PartialDecryption(0, 0, e).to_bytes(),
+            lambda e: PartialDecryption(hp, 0, 0, e).to_bytes(),
             lambda b: PartialDecryption.from_bytes(b, hp),
         ),
     }[kind]
@@ -365,34 +369,58 @@ def test_wire_readers_refuse_residues_at_or_above_the_modulus(hp, kind):
             read(write(bad))
 
 
-# The ring blob follows the 12-byte share header; byte 5 of the blob holds
-# its layout flags (bit 0: NTT domain, bit 1: special row).
-_FLAGS = 12 + 5
+def _level_at(blob: bytes) -> int:
+    """Offset of a share's level byte: magic, name length, name, user id, epoch."""
+    return 5 + blob[4] + 8
 
 
-def _flip_flags(buf: bytes, bits: int) -> bytes:
-    out = bytearray(buf)
-    out[_FLAGS] ^= bits
-    return bytes(out)
+def _share_refusals(cls, share, hp):
+    """Records of ``share`` that its reader must refuse, by what is wrong."""
+    blob = share.to_bytes()
+    outside = bytearray(blob)
+    outside[_level_at(blob)] = hp.ring.max_level + 1
+    return {
+        "v1 magic": cls.MAGIC[:3] + b"1" + blob[4:],
+        "level outside the chain": bytes(outside),
+        "cut residues": blob[:-1],
+        "extra byte": blob + b"\0",
+    }
+
+
+@pytest.mark.parametrize("other", ["test-1024", "renamed"])
+@pytest.mark.parametrize("cls", [MaskedKey, PartialDecryption])
+def test_key_shares_refuse_another_preset(hp, cls, other):
+    rings = make_rings(hp, 2)
+    a = common_poly(hp, seed=b"round-k", level=1)
+    share = (
+        mask_key(rings[0], [0, 1])
+        if cls is MaskedKey
+        else masked_partial_decrypt(rings[0], a, b"t", [0, 1], np.random.default_rng(19))
+    )
+    params = get_params(other) if other != "renamed" else replace(hp, name="test-16b")
+    with pytest.raises(SerializationError, match="preset"):
+        cls.from_bytes(share.to_bytes(), params)
 
 
 def test_masked_key_rejects_layouts_a_key_cannot_have(hp):
     rings = make_rings(hp, 2)
     mk = mask_key(rings[0], [0, 1])
     top = hp.ring.max_level
-    blob = mk.to_bytes()
+    assert mk.to_bytes()[:4] == b"FMK2"
     bad = {
-        "coefficient domain": _flip_flags(blob, 1),
-        "flags without the special row": _flip_flags(blob, 2),
-        "no special row": MaskedKey(0, 0, mk.elem.mod_reduce_to(top)).to_bytes(),
+        **_share_refusals(MaskedKey, mk, hp),
+        # the class fixes the special row: without it the residues fall short
+        "no special row": MaskedKey(hp, 0, 0, mk.elem.mod_reduce_to(top)).to_bytes(),
         "below the top level": MaskedKey(
-            0, 0, mk.elem.mod_reduce_to(top - 1, special=True)
+            hp, 0, 0, mk.elem.mod_reduce_to(top - 1, special=True)
         ).to_bytes(),
     }
     for what, buf in bad.items():
         with pytest.raises(SerializationError):
             MaskedKey.from_bytes(buf, hp)
-            pytest.fail(f"accepted a masked key in the {what}")
+            pytest.fail(f"accepted a masked key with {what}")
+    with pytest.raises(SerializationError, match="below the top level"):
+        MaskedKey.from_bytes(bad["below the top level"], hp)
 
 
 def test_partial_decryption_rejects_layouts_a_share_cannot_have(hp):
@@ -402,13 +430,56 @@ def test_partial_decryption_rejects_layouts_a_share_cannot_have(hp):
     ct = encrypt(hp, [2.0], rings[0].sk, a, rng, level=1)
     pd = masked_partial_decrypt(rings[0], ct.c1, b"t", [0, 1], rng)
     assert PartialDecryption.from_bytes(pd.to_bytes(), hp).elem.level == 1
-    blob = pd.to_bytes()
+    assert pd.to_bytes()[:4] == b"FPD2"
     bad = {
-        "coefficient domain": _flip_flags(blob, 1),
-        "flags with a special row": _flip_flags(blob, 2),
-        "special row": PartialDecryption(0, 0, mask_key(rings[0], [0, 1]).elem).to_bytes(),
+        **_share_refusals(PartialDecryption, pd, hp),
+        # the class fixes the chain layout: a special row leaves bytes over
+        "special row": PartialDecryption(
+            hp, 0, 0, mask_key(rings[0], [0, 1]).elem.mod_reduce_to(1, special=True)
+        ).to_bytes(),
     }
     for what, buf in bad.items():
         with pytest.raises(SerializationError):
             PartialDecryption.from_bytes(buf, hp)
-            pytest.fail(f"accepted a partial decryption with a {what}")
+            pytest.fail(f"accepted a partial decryption with {what}")
+
+
+@pytest.fixture(scope="module")
+def shares(hp):
+    rings = make_rings(hp, 2)
+    a = common_poly(hp, seed=b"round-fuzz", level=1)
+    return {
+        MaskedKey: mask_key(rings[0], [0, 1]),
+        PartialDecryption: masked_partial_decrypt(
+            rings[0], a, b"t", [0, 1], np.random.default_rng(20)
+        ),
+    }
+
+
+@pytest.mark.parametrize("cls", [MaskedKey, PartialDecryption])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_key_share_wire_fuzz(hp, shares, cls, data):
+    # any corruption or truncation is either rejected with SerializationError
+    # or reads back a share at its class's layout whose record is the input:
+    # a share has exactly one encoding
+    blob = bytearray(shares[cls].to_bytes())
+    head_len = _level_at(blob) + 1
+    # aim a third of the edits at the header and a third at the last residues
+    regions = [(0, head_len), (len(blob) - 24, len(blob)), (0, len(blob))]
+    for _ in range(data.draw(st.integers(1, 4))):
+        lo, hi = regions[data.draw(st.integers(0, 2))]
+        pos = data.draw(st.integers(lo, hi - 1))
+        blob[pos] = data.draw(st.integers(0, 255))
+    cut = data.draw(st.integers(0, len(blob)))
+    buf = bytes(blob[:cut]) if data.draw(st.booleans()) else bytes(blob)
+    try:
+        share = cls.from_bytes(buf, hp)
+    except SerializationError:
+        return
+    elem, top = share.elem, hp.ring.max_level
+    assert type(share) is cls and share.params == hp
+    assert (elem.special, elem.ntt) == (cls.SPECIAL, True)
+    assert elem.level == top if cls.SPECIAL else 0 <= elem.level <= top
+    assert (elem.data < np.array(elem.moduli, dtype=np.uint64)[:, None]).all()
+    assert share.to_bytes() == buf

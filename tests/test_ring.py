@@ -6,8 +6,6 @@ arithmetic for the rescale step, and tiny hand-computed cases small enough to
 check on paper.
 """
 
-import struct
-
 import numpy as np
 import pytest
 import ring_reference as ref
@@ -323,28 +321,29 @@ def test_find_primes_properties():
 def test_serialization_roundtrip(p16):
     x = sample_uniform(p16, 5, level=1, ntt=True)
     buf = x.to_bytes()
-    back = RingElement.from_bytes(buf, p16)
+    back = RingElement.from_bytes(buf, p16, 1, False, True)
     assert back == x
 
 
 def test_serialization_rejects_garbage(p16):
+    # a record is the residues alone: a cut record, or one read at another
+    # layout or in another ring, has the wrong length
     x = sample_uniform(p16, 5, level=1)
     buf = x.to_bytes()
-    with pytest.raises(SerializationError, match="magic"):
-        RingElement.from_bytes(b"XXXX" + buf[4:], p16)
-    with pytest.raises(SerializationError, match="length"):
-        RingElement.from_bytes(buf[:-8], p16)
-    with pytest.raises(SerializationError, match="truncated"):
-        RingElement.from_bytes(buf[:6], p16)
+    for bad in (buf[:-8], buf[:6]):
+        with pytest.raises(SerializationError, match="length"):
+            RingElement.from_bytes(bad, p16, 1, False, False)
+    for level, special in ((0, False), (2, False), (1, True)):
+        with pytest.raises(SerializationError, match="length"):
+            RingElement.from_bytes(buf, p16, level, special, False)
     other = RingParams(n=16, chain=(find_ntt_primes(16, 45, 1)[0],))
     with pytest.raises(SerializationError):
-        RingElement.from_bytes(buf, other)
+        RingElement.from_bytes(buf, other, 0, False, False)
 
 
 # n = 4 over primes of odd bit length (5, 7, 9 bits; special 7): no row of
 # four residues ends on a byte, and level 0 leaves four pad bits
 _ODD = RingParams(n=4, chain=(17, 73, 257), special=97)
-_HEAD = struct.calcsize("<4sBBBI B")
 
 
 @pytest.mark.parametrize("name", [*preset_names(), "n4-odd"])
@@ -352,36 +351,37 @@ def test_serialization_packs_each_row_at_its_modulus_width(name):
     params = _ODD if name == "n4-odd" else get_params(name).ring
     layouts = [(lv, sp) for lv in range(params.max_level + 1) for sp in (False, True)]
     for level, special in layouts:
-        x = sample_uniform(params, b"pack", level=level, special=special, ntt=level % 2 == 0)
+        ntt = level % 2 == 0
+        x = sample_uniform(params, b"pack", level=level, special=special, ntt=ntt)
         # the extremes of every row: 0 and q - 1 fill a residue's width
         x.data[:, 0] = 0
         x.data[:, -1] = np.array(x.moduli, dtype=np.uint64) - np.uint64(1)
         buf = x.to_bytes()
         payload = (params.n * sum(q.bit_length() for q in x.moduli) + 7) // 8
-        assert len(buf) == _HEAD + 8 * len(x.moduli) + payload
+        assert len(buf) == payload == params.record_bytes(level, special)
         if params.n <= 1024:
-            assert buf[-payload:] == ref.pack_residues(x.data, x.moduli)
-        back = RingElement.from_bytes(buf, params)
+            assert buf == ref.pack_residues(x.data, x.moduli)
+        back = RingElement.from_bytes(buf, params, level, special, ntt)
         assert back == x and back.ntt == x.ntt
         assert back.to_bytes() == buf
 
 
 def test_serialization_refuses_a_wrong_payload_length(p16):
     buf = sample_uniform(p16, 6, level=2, special=True).to_bytes()
-    for bad in (buf[:-1], buf + b"\0", buf[: _HEAD + 8 * 4]):
+    for bad in (buf[:-1], buf + b"\0", b""):
         with pytest.raises(SerializationError, match="length"):
-            RingElement.from_bytes(bad, p16)
+            RingElement.from_bytes(bad, p16, 2, True, False)
 
 
 def test_serialization_refuses_nonzero_pad_bits():
     x = sample_uniform(_ODD, 7, level=0)
     buf = x.to_bytes()  # 20 bits of residues: the top 4 bits of the last byte pad
-    assert RingElement.from_bytes(buf, _ODD) == x
+    assert RingElement.from_bytes(buf, _ODD, 0, False, False) == x
     for bit in range(4, 8):
         bad = bytearray(buf)
         bad[-1] |= 1 << bit
         with pytest.raises(SerializationError, match="pad"):
-            RingElement.from_bytes(bytes(bad), _ODD)
+            RingElement.from_bytes(bytes(bad), _ODD, 0, False, False)
 
 
 @pytest.mark.parametrize("params", [_ODD, get_params("test-1024").ring], ids=["n4-odd", "1024"])
@@ -394,19 +394,7 @@ def test_serialization_refuses_a_residue_at_or_above_q_inside_its_width(params):
             buf = bad.to_bytes()
             assert len(buf) == len(x.to_bytes())
             with pytest.raises(SerializationError, match="modulus"):
-                RingElement.from_bytes(buf, params)
-
-
-def test_serialization_refuses_version_1(p16):
-    x = sample_uniform(p16, 9, level=1)
-    buf = x.to_bytes()
-    assert buf[4] == 2
-    with pytest.raises(SerializationError, match="version"):
-        RingElement.from_bytes(buf[:4] + b"\x01" + buf[5:], p16)
-    # a whole version-1 record, residues as LE u64 words, is refused as well
-    old = buf[:4] + b"\x01" + buf[5 : _HEAD + 8 * 2] + x.data.astype("<u8").tobytes()
-    with pytest.raises(SerializationError, match="version"):
-        RingElement.from_bytes(old, p16)
+                RingElement.from_bytes(buf, params, 1, True, False)
 
 
 def test_mul_scalar(p16):

@@ -7,6 +7,7 @@ worked example, and the encrypted round against its plain counterpart.
 
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -586,6 +587,16 @@ def test_simconfig_validation_and_loading(tmp_path):
     bad.write_text(json.dumps({"learning_rate": 0.1}))
     with pytest.raises(ParameterError, match="unknown config keys"):
         SimConfig.from_json(str(bad))
+
+    # an int is a float, and attacker_epochs alone takes null
+    loose = tmp_path / "loose.json"
+    loose.write_text(json.dumps({"eta": 1, "spread": 2, "attacker_epochs": None}))
+    cfg = SimConfig.from_json(str(loose))
+    assert (cfg.eta, cfg.spread, cfg.attacker_epochs) == (1, 2, None)
+    # every field's default, written as JSON, reads back
+    defaults = tmp_path / "defaults.json"
+    defaults.write_text(json.dumps(asdict(SimConfig(attacker_epochs=3))))
+    assert SimConfig.from_json(str(defaults)) == SimConfig(attacker_epochs=3)
 
 
 @settings(deadline=None, max_examples=15)
