@@ -98,6 +98,12 @@ class HeParams:
     sigma: ClassVar[float] = 3.2  # encryption and key error
     flood_sigma_bits: ClassVar[int] = 20  # partial-decryption flooding: sigma * 2^this
 
+    def __post_init__(self) -> None:
+        # every wire record names its preset after a length byte
+        size = len(self.name.encode())
+        if size > 255:
+            raise ParameterError(f"preset name of {size} UTF-8 bytes; a wire record holds 255")
+
     @property
     def scale(self) -> float:
         return float(1 << self.scale_bits)
@@ -145,15 +151,9 @@ def get_params(name: str) -> HeParams:
     if name not in _PRESET_CACHE:
         spec = _PRESET_SPECS[name]
         n = spec["n"]
-        used: list[int] = []
-        if spec["special"] == spec["q0"]:
-            sp, q0 = find_ntt_primes(n, spec["q0"], 2)
-            used += [sp, q0]
-        else:
-            q0 = find_ntt_primes(n, spec["q0"], 1)[0]
-            sp = find_ntt_primes(n, spec["special"], 1, avoid=[q0])[0]
-            used += [q0, sp]
-        mids = find_ntt_primes(n, spec["mid"], spec["mids"], avoid=used)
+        sp = find_ntt_primes(n, spec["special"], 1)[0]
+        q0 = find_ntt_primes(n, spec["q0"], 1, avoid=[sp])[0]
+        mids = find_ntt_primes(n, spec["mid"], spec["mids"], avoid=[sp, q0])
         ring = RingParams(n=n, chain=(q0, *mids), special=sp)
         _PRESET_CACHE[name] = HeParams(
             ring=ring,

@@ -27,6 +27,13 @@ remainder lands in [0, 4q) rather than [0, 2q).  Butterflies are lazy:
 Values are reduced into [0, q) once, at the end of a transform.  q < 2^62
 keeps 4q below 2^64, which is what makes the lazy ranges exact.
 
+`make_ntt_tables` builds every per-prime constant of a basis with these
+kernels, over all rows at once: the twiddle powers by doubling in Montgomery
+form (Montgomery, Math. Comp. 1985), log2 n products in all.  A Montgomery
+form r = w·2^64 mod q also gives w's Shoup quotient exactly, as the wrapping
+product r·(−q^-1) mod 2^64; `shoup_stack` is that one rule, for tables and
+scalar multipliers alike.
+
 Transforms run over blocks of rows of at most ``BLOCK_ELEMS`` residues: all
 rows at once for small rings, one row at a time at n = 16384, so the
 temporaries of a stage stay in a core's L2 cache.  The stages whose
@@ -101,10 +108,19 @@ def mont_mul(a, b, q, neg_qinv):
     return np.minimum(res, res - q)
 
 
-def shoup_halves(w: int, q: int) -> tuple[int, int]:
-    """The 32-bit halves of the Shoup quotient floor(w * 2^64 / q)."""
-    ws = (w << 64) // q
-    return ws >> 32, ws & 0xFFFFFFFF
+def shoup_stack(w, r, neg_qinv) -> np.ndarray:
+    """(3, ...) stack of w and the 32-bit halves of its Shoup quotient
+    w' = floor(w * 2^64 / q), for w < q, given r = w * 2^64 mod q.
+
+    w * 2^64 = q * w' + r, so w' = -r * q^-1 mod 2^64: one wrapping multiply
+    by ``neg_qinv``, exact because w < q keeps w' below 2^64.
+    """
+    ws = r * neg_qinv
+    out = np.empty((3, *ws.shape), dtype=np.uint64)
+    out[0] = w
+    np.right_shift(ws, _SHIFT32, out=out[1])
+    np.bitwise_and(ws, _MASK32, out=out[2])
+    return out
 
 
 def _mul_shoup_lazy(x, w, w_hi, w_lo, q):
@@ -200,8 +216,7 @@ def find_ntt_primes(n: int, bits: int, count: int, avoid=()) -> list[int]:
 
 
 def _primitive_2n_root(q: int, n: int) -> int:
-    if (q - 1) % (2 * n) != 0:
-        raise ValueError(f"q={q} is not 1 mod 2n (n={n})")
+    """A primitive 2n-th root of unity mod the prime q = 1 mod 2n."""
     for g in range(2, q):
         cand = pow(g, (q - 1) // (2 * n), q)
         if cand != 1 and pow(cand, n, q) == q - 1:
@@ -209,26 +224,20 @@ def _primitive_2n_root(q: int, n: int) -> int:
     raise ValueError(f"no 2n-th root of unity mod {q}")
 
 
-def _bit_reverse_indices(n: int) -> list[int]:
-    bits = n.bit_length() - 1
-    out = [0] * n
-    for i in range(n):
-        out[i] = int(bin(i)[2:].zfill(bits)[::-1], 2) if bits else 0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # per-basis kernel tables
 # ---------------------------------------------------------------------------
 
 
-def _shoup_rows(values: list[list[int]], primes) -> np.ndarray:
-    """(3, rows, n) stack of w, and the hi/lo halves of w's Shoup quotient."""
-    out = np.empty((3, len(primes), len(values[0])), dtype=np.uint64)
-    for r, (row, q) in enumerate(zip(values, primes)):
-        out[0, r] = row
-        out[1:, r] = np.array([shoup_halves(w, q) for w in row], dtype=np.uint64).T
-    return out
+def _column(values) -> np.ndarray:
+    """Per-row scalars (nested lists of them) as a uint64 array with a
+    trailing axis of length 1."""
+    return np.array(values, dtype=np.uint64)[..., None]
+
+
+def _mont_form(values, primes) -> list[int]:
+    """v * 2^64 mod q for each value v and its prime q."""
+    return [(v << 64) % q for v, q in zip(values, primes)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,41 +255,63 @@ class NttTables:
     mont: np.ndarray  # (3, rows, 1): 2^64 mod q and its Shoup halves
     fwd: np.ndarray  # (3, rows, n): ψ^brv(i) with Shoup halves
     inv: np.ndarray  # (3, rows, n): ψ^-brv(i); [1] folds n^-1, [0] is n^-1
+    rescale: np.ndarray  # (3, rows, rows): [:, i, j] is q_j^-1 mod q_i; 0 if i = j
+    bound: np.ndarray  # (rows, 1): the largest multiple of q below 2^64
+    brv: np.ndarray  # (n,): the bit-reversal permutation of 0..n-1
 
 
 def make_ntt_tables(primes, n: int) -> NttTables:
+    """Every kernel constant of the basis ``primes`` (odd primes below 2^62,
+    each 1 mod 2n) at ring degree n.
+
+    The twiddle rows are built in Montgomery form, r = w * 2^64 mod q, over
+    all rows at once: index 2^k + j of a bit-reversed table is index j times
+    ψ^(n / 2^(k+1)), so log2 n products double the table.  One product by 1
+    takes r to w, and r gives w's Shoup quotient (`shoup_stack`).
+    """
     primes = tuple(int(q) for q in primes)
-    for q in primes:
-        if q % 2 == 0 or q >= (1 << 62):
-            raise ValueError(f"modulus {q} out of supported range (odd, < 2^62)")
-    brv = _bit_reverse_indices(n)
+    q = _column(primes)
+    neg_qinv = _column([-pow(p, -1, _WORD) % _WORD for p in primes])
+    one = [_WORD % p for p in primes]  # 1 in Montgomery form
+    psi = [_primitive_2n_root(p, n) for p in primes]
+    roots = (psi, [pow(x, -1, p) for x, p in zip(psi, primes)])
 
-    def powers(x: int, q: int) -> list[int]:
-        """x^brv(i) mod q for i < n."""
-        pw = [1] * n
-        for k in range(1, n):
-            pw[k] = pw[k - 1] * x % q
-        return [pw[b] for b in brv]
+    # r[0] holds ψ^brv(i) and r[1] ψ^-brv(i), in Montgomery form
+    r = np.empty((2, len(primes), n), dtype=np.uint64)
+    r[:, :, 0] = one
+    m = 1
+    while m < n:
+        step = [_mont_form([pow(x, n // (2 * m), p) for x, p in zip(xs, primes)], primes)
+                for xs in roots]
+        r[:, :, m : 2 * m] = mont_mul(r[:, :, :m], _column(step), q, neg_qinv)
+        m *= 2
+    # index 0 is unused by the inverse stages and index 1 only by the last
+    # one, which applies n^-1 to both butterfly outputs
+    n_inv = _mont_form([pow(n, -1, p) for p in primes], primes)
+    r[1, :, :2] = mont_mul(r[1, :, :2], _column(n_inv), q, neg_qinv)
+    w = mont_mul(r, np.uint64(1), q, neg_qinv)
 
-    fwd_rows, inv_rows = [], []
-    for q in primes:
-        psi = _primitive_2n_root(q, n)
-        n_inv = pow(n, -1, q)
-        fwd_rows.append(powers(psi, q))
-        inv = powers(pow(psi, -1, q), q)
-        # index 0 is unused by the stages and index 1 only by the last one,
-        # which applies n^-1 to both butterfly outputs
-        inv[0] = n_inv
-        inv[1] = inv[1] * n_inv % q
-        inv_rows.append(inv)
+    inv_q = [[pow(qj, -1, qi) if i != j else 0 for j, qj in enumerate(primes)]
+             for i, qi in enumerate(primes)]
+    brv = np.zeros(1, dtype=np.int64)
+    while len(brv) < n:
+        brv = np.concatenate([2 * brv, 2 * brv + 1])
     return NttTables(
         n=n,
         primes=primes,
-        q=np.array(primes, dtype=np.uint64)[:, None],
-        neg_qinv=np.array([(-pow(q, -1, _WORD)) % _WORD for q in primes], dtype=np.uint64)[:, None],
-        mont=_shoup_rows([[_WORD % q] for q in primes], primes),
-        fwd=_shoup_rows(fwd_rows, primes),
-        inv=_shoup_rows(inv_rows, primes),
+        q=q,
+        neg_qinv=neg_qinv,
+        mont=shoup_stack(_column(one), _column(_mont_form(one, primes)), neg_qinv),
+        fwd=shoup_stack(w[0], r[0], neg_qinv),
+        inv=shoup_stack(w[1], r[1], neg_qinv),
+        rescale=shoup_stack(
+            np.array(inv_q, dtype=np.uint64),
+            np.array([[(v << 64) % qi for v in row] for row, qi in zip(inv_q, primes)],
+                     dtype=np.uint64),
+            neg_qinv,
+        ),
+        bound=_column([(_WORD // p) * p for p in primes]),
+        brv=brv,
     )
 
 

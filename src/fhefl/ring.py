@@ -14,12 +14,15 @@ Two representations coexist:
 Every operation works on the whole residue matrix, with the moduli as a
 ``(rows, 1)`` column, through the kernels of :mod:`fhefl.ntt`; transforms
 and products walk it in the kernels' cache-sized row blocks.  The kernel
-constants (Shoup twiddles, Montgomery and rescale constants) live on the
-:class:`RingParams`, one table row per prime of the chain plus the special
-prime; an element selects the rows of the moduli it carries.  Every stack of
-Shoup constants, scalar multipliers included, comes from one builder in
-:mod:`fhefl.ntt`.  The pointwise product is one Montgomery reduction followed
-by a Shoup multiply by 2^64 mod q, which cancels the Montgomery factor.
+constants (Shoup twiddles, the Montgomery factor, rescale inverses, sampler
+bounds and the bit-reversal permutation) are built once, with the
+kernels themselves, when a :class:`RingParams` is constructed: one table row
+per prime of the chain plus the special prime, and an element selects the
+rows of the moduli it carries.  Nothing else is cached on the params but the
+wire reader's last seeded polynomial.  Every stack of Shoup constants, scalar
+multipliers included, comes from one rule, `fhefl.ntt.shoup_stack`.  The
+pointwise product is one Montgomery reduction followed by a Shoup multiply by
+2^64 mod q, which cancels the Montgomery factor.
 
 Integers enter through one constructor, `RingElement.from_int_coeffs`: up
 to n of them, zero-padded, reduced as int64 when they fit and as Python
@@ -55,6 +58,7 @@ above its modulus, so an element has exactly one encoding.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,8 +66,6 @@ import numpy as np
 from .errors import DomainError, LevelError, ParameterError, SerializationError
 from .ntt import (
     NttTables,
-    _bit_reverse_indices,
-    _shoup_rows,
     add_mod,
     is_prime,
     make_ntt_tables,
@@ -72,6 +74,7 @@ from .ntt import (
     neg_mod,
     ntt_forward_inplace,
     ntt_inverse_inplace,
+    shoup_stack,
     sub_mod,
 )
 
@@ -87,18 +90,9 @@ class RingParams:
     special: int | None = None
     # kernel constants, one row per chain prime, then the special prime
     tables: NttTables = field(init=False, repr=False, compare=False)
-    # memoised constants: derived from the fields above, so never compared
+    # Q and the CRT idempotents of every layout moduli(level, special)
     _crt: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _rescale: dict[int, np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _monomial: dict[int, tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _uniform: dict[tuple[int, bool], tuple[tuple[int, ...], np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False, compare=False
+        init=False, repr=False, compare=False
     )
     # the last seeded polynomial the wire reader rebuilt, by (seed, level)
     _seeded: dict[tuple[bytes, int], RingElement] = field(
@@ -122,6 +116,12 @@ class RingParams:
             if q >= 1 << 62:
                 raise ParameterError(f"modulus {q} is not below 2^62")
         self.tables = make_ntt_tables(all_primes, self.n)
+        specials = (False, True) if self.special else (False,)
+        self._crt = {}
+        for mods in (self.moduli(lvl, sp) for lvl in range(len(self.chain)) for sp in specials):
+            big_q = math.prod(mods)
+            es = tuple((big_q // q) * pow(big_q // q, -1, q) % big_q for q in mods)
+            self._crt[mods] = (big_q, es)
 
     # -- structure helpers ---------------------------------------------------
 
@@ -150,66 +150,10 @@ class RingParams:
         """Length of a `RingElement.to_bytes` record at this layout."""
         return (self.n * sum(q.bit_length() for q in self.moduli(level, special)) + 7) // 8
 
-    def rescale_constants(self, row: int) -> np.ndarray:
-        """(3, rows, 1) stack: q_row^-1 mod every table prime, with Shoup halves.
-
-        The entry of ``row`` itself is unused (zero).
-        """
-        cached = self._rescale.get(row)
-        if cached is None:
-            primes = self.tables.primes
-            invs = [[pow(primes[row], -1, q) if j != row else 0] for j, q in enumerate(primes)]
-            cached = self._rescale[row] = _shoup_rows(invs, primes)
-        return cached
-
-    def uniform_bounds(
-        self, level: int, special: bool
-    ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-        """What `sample_uniform` needs of a layout: each modulus's rejection
-        bound (its largest multiple below 2^64), as Python integers and as a
-        (rows, 1) column, and the (rows, 1) column of the moduli."""
-        key = (level, special)
-        cached = self._uniform.get(key)
-        if cached is None:
-            rows = self.rows(*key)
-            bounds = tuple((_WORD // q) * q for q in self.moduli(*key))
-            col = np.array(bounds, dtype=np.uint64)[:, None]
-            cached = self._uniform[key] = (bounds, col, self.tables.q[rows])
-            for arr in cached[1:]:  # shared by every caller
-                arr.flags.writeable = False
-        return cached
-
-    def monomial_slots(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Where the NTT of X^k reads the forward twiddle table, and its sign.
-
-        NTT slot j is the evaluation at psi^(2 brv(j) + 1), so X^k there is
-        psi^e with e = k (2 brv(j) + 1) mod 2n.  The table holds psi^brv(i),
-        i.e. psi^e at index brv(e), and psi^(e + n) = -psi^e.
-        """
-        cached = self._monomial.get(k)
-        if cached is None:
-            n = self.n
-            brv = np.array(_bit_reverse_indices(n))
-            e = (k * (2 * brv + 1)) % (2 * n)
-            cached = (brv[e % n], e >= n)
-            for arr in cached:  # shared by every caller
-                arr.flags.writeable = False
-            self._monomial[k] = cached
-        return cached
-
     def crt_constants(self, moduli: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        """Product Q and the CRT idempotents e_i (e_i = 1 mod q_i, 0 elsewhere)."""
-        cached = self._crt.get(moduli)
-        if cached is None:
-            big_q = 1
-            for q in moduli:
-                big_q *= q
-            es = tuple(
-                (big_q // q) * pow(big_q // q, -1, q) % big_q for q in moduli
-            )
-            cached = (big_q, es)
-            self._crt[moduli] = cached
-        return cached
+        """Product Q and the CRT idempotents e_i (e_i = 1 mod q_i, 0 elsewhere)
+        of the layout ``moduli``."""
+        return self._crt[moduli]
 
 
 @dataclass
@@ -296,7 +240,10 @@ class RingElement:
     def mul_scalar(self, c: int) -> "RingElement":
         """Multiply every coefficient by the integer c (any domain)."""
         mods = self.moduli
-        consts = _shoup_rows([[c % q] for q in mods], mods)
+        w = [c % q for q in mods]
+        r = [(v << 64) % q for v, q in zip(w, mods)]
+        col = np.array([w, r], dtype=np.uint64)[:, :, None]
+        consts = shoup_stack(col[0], col[1], self.params.tables.neg_qinv.take(self.rows, axis=0))
         return self._like(mul_shoup(self.data, *consts, self._q()))
 
     # -- representation switches ---------------------------------------------------
@@ -360,7 +307,7 @@ class RingElement:
         if self.ntt:
             ntt_forward_inplace(rem, tab, keep)
         diff = sub_mod(self.data[:-1], rem, q)
-        out = mul_shoup(diff, *self.params.rescale_constants(rows[-1])[:, keep], q)
+        out = mul_shoup(diff, *tab.rescale[:, keep, rows[-1], None], q)
         level = self.level if self.special else self.level - 1
         return RingElement(self.params, out, level, False, self.ntt)
 
@@ -412,14 +359,20 @@ class RingElement:
         cls, params: RingParams, coeff: int, k: int, level: int, special: bool = False
     ) -> "RingElement":
         """coeff * X^k in the NTT domain, without a transform: a gather of
-        the twiddle powers (see ``RingParams.monomial_slots``) times coeff."""
-        if not 0 <= k < params.n:
-            raise ParameterError(f"monomial degree {k} outside 0..{params.n - 1}")
+        the twiddle powers times coeff.
+
+        NTT slot j is the evaluation at psi^(2 brv(j) + 1), so X^k there is
+        psi^e with e = k (2 brv(j) + 1) mod 2n.  The table holds psi^brv(i),
+        i.e. psi^e at index brv(e), and psi^(e + n) = -psi^e.
+        """
+        n = params.n
+        if not 0 <= k < n:
+            raise ParameterError(f"monomial degree {k} outside 0..{n - 1}")
         rows = params.rows(level, special)
-        idx, neg = params.monomial_slots(k)
         tab = params.tables
-        powers = tab.fwd[0, rows][:, idx]
-        powers = np.where(neg, tab.q[rows] - powers, powers)  # powers are never 0
+        e = k * (2 * tab.brv + 1) & (2 * n - 1)
+        powers = tab.fwd[0, rows][:, tab.brv[e & (n - 1)]]
+        powers = np.where(e >= n, tab.q[rows] - powers, powers)  # powers are never 0
         return cls(params, powers, level, special, True).mul_scalar(coeff)
 
     @classmethod
@@ -584,17 +537,19 @@ def sample_uniform(
     """
     if level is None:
         level = params.max_level
-    bounds, bound_col, q_col = params.uniform_bounds(level, special)
+    rows = params.rows(level, special)
+    bound_col = params.tables.bound.take(rows, axis=0)
+    q_col = params.tables.q.take(rows, axis=0)
     seed_b = _seed_bytes(seed) + b"|" + tag
-    n, k = params.n, len(bounds)
-    draws = [_DRAW_SLACK * n * _WORD / b for b in bounds]  # words per row
+    n, k = params.n, len(rows)
+    draws = [_DRAW_SLACK * n * _WORD / b for b in bound_col.ravel().tolist()]  # words per row
     words = _shake_words(seed_b, int(sum(draws)) + 16)
     if len(words) >= k * n:
         block = words[: k * n].reshape(k, n)
         # no word rejected: row i is exactly the stream's i-th run of n words
         if (block < bound_col).all():
             return RingElement(params, block % q_col, level, special, ntt)
-    rows = np.empty((k, n), dtype=np.uint64)
+    out = np.empty((k, n), dtype=np.uint64)
     pos = 0
     for i in range(k):
         bound, q = bound_col[i], q_col[i]
@@ -605,11 +560,11 @@ def sample_uniform(
             window = words[pos : pos + int(draws[i] * (n - got) / n) + 16]
             hits = np.flatnonzero(window < bound)
             take = min(n - got, len(hits))
-            rows[i, got : got + take] = window[hits[:take]] % q
+            out[i, got : got + take] = window[hits[:take]] % q
             got += take
             # advance past exactly the words that produced the accepted ones
             pos += int(hits[take - 1]) + 1 if got == n else len(window)
-    return RingElement(params, rows, level, special, ntt)
+    return RingElement(params, out, level, special, ntt)
 
 
 def sample_ternary(params: RingParams, seed) -> RingElement:

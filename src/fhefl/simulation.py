@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -432,6 +433,14 @@ class SimConfig:
             )
         if self.rounds < 1 or not self.seeds:
             raise ParameterError("need at least one round and one seed")
+        for key in ("batch_size", "local_epochs", "attacker_epochs", "n_train", "n_test"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise ParameterError(f"{key} must be at least 1, not {value}")
+        for key in ("eta", "epsilon", "spread"):
+            value = getattr(self, key)
+            if not 0 <= value < math.inf:  # NaN fails both comparisons
+                raise ParameterError(f"{key} must be finite and not negative, not {value}")
         Architecture(self.architecture, self.n_features, self.n_classes, self.hidden_units)
         AttackConfig(self.attack_source, self.attack_target, self.attacker_fraction)
 

@@ -111,6 +111,44 @@ def make_prime_context(q: int, n: int) -> PrimeContext:
     )
 
 
+def _shoup_stack(values: list[list[int]], primes) -> np.ndarray:
+    """(3, rows, cols) stack of each w and the 32-bit halves of its Shoup
+    quotient floor(w * 2^64 / q), one Python division per element."""
+    out = np.empty((3, len(values), len(values[0])), dtype=np.uint64)
+    for i, (row, q) in enumerate(zip(values, primes)):
+        quo = [(w << 64) // q for w in row]
+        out[0, i] = row
+        out[1, i] = [x >> 32 for x in quo]
+        out[2, i] = [x & 0xFFFFFFFF for x in quo]
+    return out
+
+
+def kernel_tables(primes, n: int) -> dict[str, np.ndarray]:
+    """The constants of `fhefl.ntt.NttTables`, built element by element:
+    twiddles ψ^±brv(i) with n^-1 folded into inverse indices 0 and 1, the
+    Montgomery factor 2^64 mod q, the rescale inverses q_j^-1 mod q_i and
+    the sampler's rejection bounds."""
+    brv = _bit_reverse_indices(n)
+    fwd, inv = [], []
+    for q in primes:
+        psi = _primitive_2n_root(q, n)
+        psi_inv = pow(psi, -1, q)
+        n_inv = pow(n, -1, q)
+        fwd.append([pow(psi, b, q) for b in brv])
+        row = [pow(psi_inv, b, q) for b in brv]
+        row[0], row[1] = n_inv, row[1] * n_inv % q
+        inv.append(row)
+    rescale = [[pow(qj, -1, qi) if i != j else 0 for j, qj in enumerate(primes)]
+               for i, qi in enumerate(primes)]
+    return {
+        "fwd": _shoup_stack(fwd, primes),
+        "inv": _shoup_stack(inv, primes),
+        "mont": _shoup_stack([[_WORD % q] for q in primes], primes),
+        "rescale": _shoup_stack(rescale, primes),
+        "bound": np.array([[(_WORD // q) * q] for q in primes], dtype=np.uint64),
+    }
+
+
 def mul_mod(a, b, ctx: PrimeContext):
     t = mont_mul(a, b, ctx.q_u64, ctx.neg_qinv)
     return mont_mul(t, ctx.r2_u64, ctx.q_u64, ctx.neg_qinv)

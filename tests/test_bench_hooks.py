@@ -5,8 +5,9 @@ The traced run wraps every ``perfbench/tracer.py`` TARGETS entry, replaces
 dropping their ``he._PRESET_CACHE`` entry.  A refactor that renames or drops
 any of them breaks the benchmark, so this checks that each one resolves and
 that the tracer installs and uninstalls cleanly and records the wire size of
-each key share.  Only files under perfbench/ are read; nothing there is run
-beyond importing the tracer.
+each key share, and that a preset rebuilt during set-up leaves the round's
+per-layer call counts alone.  Only files under perfbench/ are read; nothing
+there is run beyond importing the tracer.
 """
 
 import importlib
@@ -88,3 +89,48 @@ def test_tracer_records_the_wire_size_of_each_key_share(tracer):
     assert sizes["multikey.masked_partial_decrypt"] == len(pd.to_bytes())
     assert multikey.MaskedKey.from_bytes(mk.to_bytes(), params) == mk
     assert multikey.PartialDecryption.from_bytes(pd.to_bytes(), params) == pd
+
+
+def _traced_round(tracer, rebuild: bool):
+    """Spans of one 2-user test-16 round (round id 0), after a set-up (round
+    id SETUP_ROUND) that provisions keys and, with ``rebuild``, first builds
+    the preset from scratch as ``perfbench/workloads.fresh_params`` does.
+    Returns the tracer and the span range of the rebuild."""
+    cached = he.get_params("test-16")
+    t = tracer.Tracer()
+    rng = np.random.default_rng(7)
+    grads, w_prev = rng.uniform(-1.0, 1.0, (2, 4)), rng.uniform(-1.0, 1.0, 4)
+    try:
+        t.install()
+        t.round_id = tracer.SETUP_ROUND
+        start = len(t.start)
+        if rebuild:
+            he._PRESET_CACHE.pop("test-16", None)
+            assert he.get_params("test-16") is not cached
+        stop = len(t.start)
+        params = he.get_params("test-16")
+        rings = multikey.setup_pairwise(params, [0, 1], 0, b"hooks-round")
+        t.round_id = 0
+        a = he.common_poly(params, seed=b"hooks-round|a")
+        enc = {u: aggregation.encrypt_update(rings[u], g, a, rng) for u, g in enumerate(grads)}
+        aggregation.secure_aggregate_round(enc, rings, w_prev, 0.1, rng, round_tag=b"hooks-round")
+    finally:
+        t.uninstall()
+        he._PRESET_CACHE["test-16"] = cached
+    return t, slice(start, stop)
+
+
+def test_preset_rebuild_stays_out_of_the_traced_round(tracer):
+    # building a preset's tables runs the traced ntt.mont_mul; those spans
+    # belong to set-up, and the round's call counts do not see them
+    rebuilt, span = _traced_round(tracer, rebuild=True)
+    plain, _ = _traced_round(tracer, rebuild=False)
+    spans = rebuilt.arrays()
+    mont = spans["name"][span] == rebuilt.names.index("ntt.mont_mul")
+    assert mont.any()
+    assert set(spans["round"][span][mont]) == {tracer.SETUP_ROUND}
+    got = tracer.layer_metrics(spans, rebuilt.names, 2)
+    want = tracer.layer_metrics(plain.arrays(), plain.names, 2)
+    for base in tracer.CALL_METRICS:
+        assert got[base + ".calls"] == want[base + ".calls"], base
+    assert got["ntt.mont_mul.calls"][0] > 0

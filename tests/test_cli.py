@@ -5,6 +5,7 @@ import json
 import pytest
 
 from fhefl.cli import main
+from fhefl.simulation import SimConfig
 
 
 def test_params_prints_layout(capsys):
@@ -145,6 +146,37 @@ def test_simulate_refuses_config_values_of_the_wrong_type(tmp_path, capsys, raw,
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and what in err[0]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("batch_size", 0),
+        ("local_epochs", 0),
+        ("local_epochs", -2),
+        ("attacker_epochs", 0),
+        ("n_train", 0),
+        ("n_test", 0),
+        ("eta", -0.1),
+        ("eta", float("nan")),
+        ("eta", float("inf")),
+        ("epsilon", -1e-9),
+        ("epsilon", float("nan")),
+        ("spread", -0.5),
+        ("spread", float("inf")),
+    ],
+)
+def test_simulate_refuses_training_values_it_cannot_run(tmp_path, capsys, key, value):
+    # json writes NaN and Infinity, and Python's reader takes them back
+    cfg = _write_tiny_config(tmp_path / "cfg.json", **{key: value})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+    assert not (tmp_path / "r").exists()
+
+
+def test_zero_step_and_zero_stop_threshold_stay_valid():
+    SimConfig(eta=0.0, epsilon=0.0, attacker_epochs=1).validate()
 
 
 def test_simulate_encrypted_tiny(tmp_path):

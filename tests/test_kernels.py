@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 import ring_reference as ref
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fhefl import ring as ring_mod
@@ -35,7 +35,7 @@ from fhefl.he import (
     preset_names,
 )
 from fhefl.multikey import setup_pairwise
-from fhefl.ntt import mul_mod, ntt_forward_inplace, ntt_inverse_inplace
+from fhefl.ntt import mul_mod, ntt_forward_inplace, ntt_inverse_inplace, shoup_stack
 from fhefl.ring import RingElement, RingParams, rns_digits, sample_uniform
 
 
@@ -75,6 +75,54 @@ def _residues(params, rows, seed, extreme):
         if extreme == i:
             out[i] = q - 1
     return out
+
+
+# (chain, special prime) of every preset, as the prime search finds them
+PRESET_PRIMES = {
+    "test-16": (
+        (9007199254739809, 2199023255521, 2199023255489),
+        9007199254740481,
+    ),
+    "test-1024": (
+        (9007199254571009, 2199023251457, 2199023228929, 2199023210497),
+        9007199254614017,
+    ),
+    "fhefl-8192": (
+        (18014398508400641, 67043329, 66994177, 66961409, 66813953),
+        1152921504606830593,
+    ),
+    "fhefl-16384": (
+        (
+            2305843009211596801,
+            1152921504606748673,
+            1152921504606683137,
+            1152921504606584833,
+            1152921504605962241,
+        ),
+        2305843009211662337,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_PRIMES))
+def test_kernel_tables_match_a_python_integer_build(name):
+    ring = get_params(name).ring
+    assert (ring.chain, ring.special) == PRESET_PRIMES[name]
+    tab = ring.tables
+    for key, want in ref.kernel_tables((*ring.chain, ring.special), ring.n).items():
+        assert np.array_equal(getattr(tab, key), want), key
+    assert tab.brv.tolist() == ref._bit_reverse_indices(ring.n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_shoup_quotient_is_exact(data):
+    q = 2 * data.draw(st.integers(1, 2**61 - 1)) + 1  # odd, below 2^62
+    w = data.draw(st.integers(0, q - 1))
+    neg_qinv = np.array([-pow(q, -1, 2**64) % 2**64], dtype=np.uint64)
+    col = np.array([w, (w << 64) % q], dtype=np.uint64)[:, None]
+    got_w, hi, lo = (int(x) for x in shoup_stack(col[0], col[1], neg_qinv).ravel())
+    assert (got_w, hi << 32 | lo) == (w, (w << 64) // q)
 
 
 @settings(max_examples=30, deadline=None)
@@ -212,6 +260,11 @@ def test_rescale_matches_reference(case, seed, extreme, level, special, ntt):
 
 @settings(max_examples=25, deadline=None)
 @given(case=st.sampled_from(CASES), seed=st.integers(0, 2**32), c=st.integers(-(2**70), 2**70))
+@example(case=("test-1024", 1024), seed=1, c=-(2**70))
+@example(case=("test-1024", 1024), seed=2, c=-1)
+@example(case=("test-1024", 1024), seed=3, c=0)
+@example(case=("test-1024", 1024), seed=4, c=2**64)
+@example(case=("test-1024", 1024), seed=5, c=2**64 + 12345)
 def test_mul_scalar_matches_reference(case, seed, c):
     params = _ring(*case)
     rows = params.rows(params.max_level, True)

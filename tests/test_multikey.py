@@ -12,8 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhefl.errors import EncodingError, LevelError, ProtocolError, SerializationError
+from fhefl.errors import (
+    EncodingError,
+    LevelError,
+    ParameterError,
+    ProtocolError,
+    SerializationError,
+)
 from fhefl.he import (
+    HeParams,
     _he_mult_raw,
     ciphertext_from_bytes,
     ciphertext_to_bytes,
@@ -323,6 +330,28 @@ def test_partial_decryption_wire_roundtrip(hp):
     assert back.elem == pd.elem
     with pytest.raises(SerializationError):
         PartialDecryption.from_bytes(pd.to_bytes()[:6], hp)
+
+
+@pytest.mark.parametrize("name", ["x" * 256, "\u00e9" * 128])
+def test_preset_name_must_fit_its_wire_head(hp, name):
+    # every record names its preset after one length byte
+    with pytest.raises(ParameterError, match="255"):
+        replace(hp, name=name)
+    with pytest.raises(ParameterError, match="255"):
+        HeParams(hp.ring, hp.scale_bits, name=name)
+
+
+def test_longest_preset_name_round_trips_every_record(hp):
+    hp255 = replace(hp, name="n" * 255)
+    rings = make_rings(hp255, 2)
+    rng = np.random.default_rng(17)
+    ct = encrypt(hp255, [2.0], rings[0].sk, common_poly(hp255, seed=b"round-n"), rng)
+    back = ciphertext_from_bytes(ciphertext_to_bytes(ct), hp255)
+    assert all(x == y for x, y in zip(back.comps, ct.comps))
+    mk = mask_key(rings[0], [0, 1])
+    assert MaskedKey.from_bytes(mk.to_bytes(), hp255).elem == mk.elem
+    pd = masked_partial_decrypt(rings[0], ct.c1, b"t", [0, 1], rng)
+    assert PartialDecryption.from_bytes(pd.to_bytes(), hp255).elem == pd.elem
 
 
 @pytest.mark.parametrize(
