@@ -15,7 +15,8 @@ The encrypted path mirrors the plain one stage for stage:
                 packed length of the upload's ciphertexts.  Every upload carries
                 the round's public c1 = a, so every product has the quadratic
                 component a*a: it is decomposed into key-switch digits once
-                for the stage, not once per user and chunk.
+                for the stage and key-switched once per user, not once per
+                user and chunk.
 2. d-sum:       sum_u [d_u] is opened with masked partial decryptions (the
                 server learns only the total).
 3. rate:        [p_u] = plain_affine([d_u], -1/((U-1)*sum_d), 1/(U-1)).
@@ -33,7 +34,8 @@ The encrypted path mirrors the plain one stage for stage:
 6. aggregate:   sum_u [p~_u] * [g_u] is opened with partial decryptions;
                 the model moves by -eta times the weighted gradient sum.
                 The rates share c1 = a2, so the quadratic component a2*a is
-                again decomposed once for the stage.
+                again decomposed once for the stage and key-switched once
+                per user.
 
 Every stage runs at the lowest level that holds it, chosen from public data
 only (the chain and the ciphertext scales).  Dropping chain primes is exact
@@ -78,6 +80,8 @@ from .he import (
     Ciphertext,
     EvalKey,
     HeParams,
+    PlainVector,
+    SwitchedQuadratic,
     affine_scale,
     common_poly,
     encode_monomial,
@@ -87,6 +91,7 @@ from .he import (
     plain_affine,
     product_scale,
     reencrypt,
+    switch_quadratic,
 )
 from .multikey import (
     UserKeyring,
@@ -98,7 +103,6 @@ from .multikey import (
     opening_noise,
     reconstruct_group_key,
 )
-from .ring import rns_digits
 
 # ---------------------------------------------------------------------------
 # plain-domain pieces
@@ -279,29 +283,31 @@ def encrypt_update(
     # the round reads the uploads at the norm level and below, so the rows
     # above it would be sent only to be dropped
     level = _norm_level(params)
-    a = a.mod_reduce_to(level)
-    fwd = tuple(encrypt(params, c, kr.sk, a, rng, level=level) for c in chunks)
-    rev = tuple(
-        encrypt(params, c, kr.sk, a, rng, level=level, direction="reversed") for c in chunks
-    )
+    packed = [PlainVector(c) for c in chunks] + [PlainVector(c, "reversed") for c in chunks]
+    cts = encrypt(params, packed, kr.sk, a, rng, level=level)
     return EncryptedUpdate(
         user_id=kr.user_id,
         epoch=kr.epoch,
-        fwd=fwd,
-        rev=rev,
+        fwd=cts[: len(chunks)],
+        rev=cts[len(chunks) :],
         dim=grad.size,
     )
 
 
-def sq_norm_encrypted(eu: EncryptedUpdate, evk: EvalKey, digits=None) -> Ciphertext:
+def sq_norm_encrypted(
+    eu: EncryptedUpdate, evk: EvalKey, switched: SwitchedQuadratic | None = None
+) -> Ciphertext:
     """[g]_fwd * [g]_rev summed over chunks; ||g||^2 lands on eu.readout.
 
-    ``digits``: the key-switch digits of a*a when every chunk carries c1 = a
-    (see ``he_mult_relin``).
+    Every chunk carries c1 = a, so every product's quadratic component is
+    a*a: it is key-switched once, or taken from ``switched`` (see
+    ``he_mult_relin``), for all of them.
     """
+    if switched is None:
+        (switched,) = switch_quadratic(eu.fwd[0].c1.mul(eu.rev[0].c1), [evk])
     acc = None
     for f, r in zip(eu.fwd, eu.rev):
-        prod = he_mult_relin(f, r, evk, digits)
+        prod = he_mult_relin(f, r, evk, switched)
         acc = prod if acc is None else he_add(acc, prod)
     return acc
 
@@ -464,8 +470,11 @@ def secure_aggregate_round(
     l_agg = max(1, min(_open_level(params, fresh_scale * params.scale), l_norm))
 
     with _stage("norm"):
-        digits = tuple(rns_digits(a.mul(a)))
-        d_cts = {u: sq_norm_encrypted(enc_updates[u], keyrings[u].evk, digits) for u in users}
+        evks = [keyrings[u].evk for u in users]
+        d_cts = {
+            u: sq_norm_encrypted(enc_updates[u], keyrings[u].evk, sw)
+            for u, sw in zip(users, switch_quadratic(a.mul(a), evks))
+        }
 
     with _stage("distance-sum"):
         d_open = {u: _opened(d_cts[u]) for u in users}
@@ -520,21 +529,19 @@ def secure_aggregate_round(
             )
 
     with _stage("aggregate"):
-        out = np.empty(n_chunks * chunk_len)
-        # every fresh rate carries c1 = a2 (aggregate_fresh checked it)
-        digits = tuple(rns_digits(a2.mul(a.mod_reduce_to(l_agg))))
-        for c in range(n_chunks):
-            prod = {
-                u: he_mult_relin(
-                    p_fresh[u],
-                    enc_updates[u].fwd[c].mod_reduce_to(l_agg),
-                    keyrings[u].evk,
-                    digits,
-                )
-                for u in users
-            }
-            tag = round_tag + b"|agg|" + str(c).encode()
-            out[c * chunk_len : (c + 1) * chunk_len] = _open_sum(prod, keyrings, tag, roster, rng)
+        # every fresh rate carries c1 = a2 (aggregate_fresh checked it), so
+        # every product's quadratic component is a2*a: each user's one switch
+        # serves all of their chunks before the next user's is made
+        d2 = a2.mul(a.mod_reduce_to(l_agg))
+        prods = [{} for _ in range(n_chunks)]
+        for u, sw in zip(users, switch_quadratic(d2, evks)):
+            for c, prod in enumerate(prods):
+                upload = enc_updates[u].fwd[c].mod_reduce_to(l_agg)
+                prod[u] = he_mult_relin(p_fresh[u], upload, keyrings[u].evk, sw)
+        out = np.concatenate([
+            _open_sum(prod, keyrings, round_tag + b"|agg|" + str(c).encode(), roster, rng)
+            for c, prod in enumerate(prods)
+        ])
         agg = out[: w_prev.size]
 
     return w_prev - eta * agg

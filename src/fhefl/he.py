@@ -9,7 +9,15 @@ three-component products).
 Packing is by coefficients, not slots: a vector ``v`` sits at coefficients
 ``0..len-1`` (forward) or mirrored (reversed).  There are no rotation keys;
 inner products come from the forward*reversed product instead, whose
-coefficient ``len-1`` is exactly ``sum(v_k^2)``.
+coefficient ``len-1`` is exactly ``sum(v_k^2)``.  A packed value is
+round(scale * v), rounded once from the exact product; for a power-of-two
+scale that product is a float64 and ``np.rint`` rounds a whole vector at once.
+
+``encrypt`` takes one vector or a sequence of ``PlainVector``s, and encrypts a
+sequence as one batch: one encoding pass over all of its values, a*s once, the
+errors drawn in the sequence's order and one forward transform over the
+stacked m + e rows.  A user's upload is one such batch, byte-identical to
+encrypting its ciphertexts one by one.
 
 Multiplication produces scale ``s1*s2`` and is followed by an exact RNS
 rescale that divides by the dropped prime.  Relinearization decomposes the
@@ -18,10 +26,10 @@ one evaluation-key pair per chain prime over the special-prime extension —
 the standard word-sized realization of dividing by a large public ``p``.
 The quadratic component of a product of fresh ciphertexts is the product of
 their public c1 parts, so every user's product in a round has the same one.
-A caller can decompose it once and pass the digits to each product
-(``digits=``), which leaves only the per-key multiply-accumulate per user —
-the hoisting of Halevi & Shoup (CRYPTO 2018), across users instead of
-rotations.
+``switch_quadratic`` decomposes it once and key-switches it under each user's
+key — the hoisting of Halevi & Shoup (CRYPTO 2018), across users instead of
+rotations — and each user's switched pair serves all of their chunk products
+(``switched=``), checked to be this product's component under this key.
 
 A ciphertext's level is its components' level.  Ciphertexts add under one
 rule (``_check_addable``, applied by ``he_add`` and by the roster sums of
@@ -59,7 +67,7 @@ import math
 import struct
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import ClassVar
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -69,7 +77,7 @@ from .errors import (
     ParameterError,
     SerializationError,
 )
-from .ntt import find_ntt_primes
+from .ntt import add_mod, find_ntt_primes, mul_shoup, shoup_stack
 from .ring import (
     RingElement,
     RingParams,
@@ -78,6 +86,7 @@ from .ring import (
     sample_error,
     sample_ternary,
     sample_uniform,
+    to_ntt_all,
 )
 
 _CT_MAGIC = b"FCT1\x03"  # magic and wire format version 3
@@ -192,6 +201,20 @@ def _scaled_round(scale: float, v: float) -> int:
     return q + (2 * r > vd * sd or (2 * r == vd * sd and q & 1))
 
 
+def _scaled_ints(scale: float, values: np.ndarray) -> np.ndarray:
+    """``_scaled_round`` of every value: int64 when the scale is a power of
+    two >= 1 and every product is below 2^62, Python integers otherwise.
+
+    Such a scale makes scale * v exact in float64, and ``np.rint`` rounds the
+    exact product half to even, as ``_scaled_round`` does.
+    """
+    if scale >= 1.0 and math.frexp(scale)[0] == 0.5:
+        x = values * scale
+        if (np.abs(x) < 2.0**62).all():  # a NaN or an infinity fails too
+            return np.rint(x).astype(np.int64)
+    return np.array([_scaled_round(scale, float(v)) for v in values], dtype=object)
+
+
 def _check_headroom(params: HeParams, worst: int, level: int) -> None:
     """Refuse an encoded magnitude that wraps the level's modulus Q_level / 2."""
     big_q, _ = params.ring.crt_constants(params.ring.moduli(level))
@@ -203,12 +226,23 @@ def _check_headroom(params: HeParams, worst: int, level: int) -> None:
         )
 
 
-def _plaintext(params: HeParams, ints: list[int], level: int, direction: str) -> RingElement:
+def _plaintext(params: HeParams, ints, level: int, direction: str) -> RingElement:
     """Place fixed-point integers on the packing coefficients, checking headroom."""
-    _check_headroom(params, max((abs(x) for x in ints), default=0), level)
+    worst = int(np.abs(ints).max()) if isinstance(ints, np.ndarray) else max(map(abs, ints))
+    _check_headroom(params, worst, level)
     if direction != "forward":
         ints = ints[::-1]
     return RingElement.from_int_coeffs(params.ring, ints, level)
+
+
+def _packed(params: HeParams, values, direction: str) -> PlainVector:
+    """``values`` as a ``PlainVector`` that fits the packing capacity."""
+    pv = values if isinstance(values, PlainVector) else PlainVector(values, direction)
+    if pv.values.size > params.capacity:
+        raise EncodingError(
+            f"vector of length {pv.values.size} exceeds packing capacity {params.capacity}"
+        )
+    return pv
 
 
 def encode(
@@ -221,15 +255,10 @@ def encode(
 ) -> RingElement:
     """Fixed-point packing: coefficient k (forward) or len-1-k (reversed)
     holds round(scale * v_k), rounded once from the exact product."""
-    pv = values if isinstance(values, PlainVector) else PlainVector(values, direction)
+    pv = _packed(params, values, direction)
     level = params.ring.max_level if level is None else level
     scale = params.scale if scale is None else float(scale)
-    if pv.values.size > params.capacity:
-        raise EncodingError(
-            f"vector of length {pv.values.size} exceeds packing capacity {params.capacity}"
-        )
-    ints = [_scaled_round(scale, float(v)) for v in pv.values]
-    return _plaintext(params, ints, level, pv.direction)
+    return _plaintext(params, _scaled_ints(scale, pv.values), level, pv.direction)
 
 
 def _monomial(params: HeParams, coeff: int, index: int, level: int) -> RingElement:
@@ -262,7 +291,8 @@ def decode(
 ) -> np.ndarray:
     """Centered lift of the first ``length`` coefficients divided by the scale."""
     ints = elem.to_int_coeffs(indices=np.arange(length))
-    vals = np.array([float(int(x)) / scale for x in ints], dtype=np.float64)
+    # object-to-float64 conversion rounds each integer correctly, as float() does
+    vals = ints.astype(np.float64) / scale
     if direction == "reversed":
         vals = vals[::-1]
     return vals
@@ -305,16 +335,21 @@ class EvalKey:
         top = ring.max_level
         s = sk.s
         s2 = s.mul(s)
+        tab = ring.tables
         bs, a_s = [], []
         for i in range(top + 1):
             seed = rng.bytes(16)
             a_i = sample_uniform(ring, seed, special=True, ntt=True, tag=b"evk-a")
             e_i = sample_error(ring, rng, params.sigma, special=True).to_ntt()
-            # P_i: residue (p mod q_i) on chain row i, zero elsewhere (incl. the
-            # special row, since p = 0 mod p)
-            p_i = RingElement.zeros(ring, top, special=True, ntt=True)
-            p_i.data[i, :] = np.uint64(ring.special % ring.chain[i])
-            b_i = a_i.mul(s).add(e_i).add(p_i.mul(s2))
+            b_i = a_i.mul(s).add(e_i)
+            # P_i * s^2 is (p mod q_i) * s^2 on chain row i and zero on every
+            # other row (the special row too, since p = 0 mod p): one Shoup
+            # multiply of that row
+            row, q_i = slice(i, i + 1), ring.chain[i]
+            p_i = ring.special % q_i
+            consts = shoup_stack(np.uint64(p_i), np.uint64((p_i << 64) % q_i), tab.neg_qinv[row])
+            p_s2 = mul_shoup(s2.data[row], *consts, tab.q[row])
+            b_i.data[row] = add_mod(b_i.data[row], p_s2, tab.q[row])
             bs.append(b_i)
             a_s.append(a_i)
         return cls(ks_b=tuple(bs), ks_a=tuple(a_s))
@@ -379,43 +414,62 @@ def encrypt(
     level: int | None = None,
     scale: float | None = None,
     direction: str = "forward",
-) -> Ciphertext:
+) -> Ciphertext | tuple[Ciphertext, ...]:
+    """Fresh encryption c0 = a*s + m + e, c1 = a at ``level``.
+
+    ``values`` is one vector, packed by ``direction``, or a non-empty sequence
+    of ``PlainVector``s, each packed by its own direction.  One vector gives
+    one ciphertext, a sequence a tuple of them in its order.  The vectors are
+    encrypted as one batch: one encoding pass over all of their values, a*s
+    once, the errors drawn in the sequence's order and one forward transform
+    over every m + e.
+    """
     level = params.ring.max_level if level is None else level
     scale = params.scale if scale is None else float(scale)
-    pv = values if isinstance(values, PlainVector) else PlainVector(values, direction)
-    m = encode(params, pv, level, scale=scale)
-    return _encrypt_plaintext(
-        params, m, sk, a, rng, scale, pv.values.size, pv.direction,
-        float(np.abs(pv.values).max()),
+    batch = (
+        isinstance(values, (list, tuple))
+        and len(values) > 0
+        and all(isinstance(v, PlainVector) for v in values)
     )
+    pvs = [_packed(params, v, direction) for v in (values if batch else [values])]
+    flat = _scaled_ints(scale, np.concatenate([pv.values for pv in pvs]))
+    ends = np.cumsum([pv.values.size for pv in pvs])[:-1]
+    ms = [
+        _plaintext(params, ints, level, pv.direction)
+        for pv, ints in zip(pvs, np.split(flat, ends))
+    ]
+    cts = _encrypt_plaintexts(params, ms, pvs, sk, a, rng, scale)
+    return cts if batch else cts[0]
 
 
-def _encrypt_plaintext(
+def _encrypt_plaintexts(
     params: HeParams,
-    m: RingElement,
+    ms: list[RingElement],
+    pvs: list[PlainVector],
     sk: SecretKey,
     a: RingElement,
     rng: np.random.Generator,
     scale: float,
-    length: int,
-    direction: str,
-    msg_bound: float,
-) -> Ciphertext:
-    """c0 = a*s + m + e, c1 = a at the level of the encoded plaintext m."""
-    level = m.level
+) -> tuple[Ciphertext, ...]:
+    """c0 = a*s + m + e, c1 = a for each encoded plaintext m, all at one level;
+    ``pvs`` give each ciphertext's length, direction and message bound."""
+    level = ms[0].level
     a = a.mod_reduce_to(level)
-    e = sample_error(params.ring, rng, params.sigma, level=level)
-    s_l = sk.s.mod_reduce_to(level)
-    # the NTT is linear mod q, so m + e takes one transform
-    c0 = a.mul(s_l).add(m.add(e).to_ntt())
-    return Ciphertext(
-        params=params,
-        comps=(c0, a),
-        scale=scale,
-        length=length,
-        direction=direction,
-        noise_log2=math.log2(6 * params.sigma + 0.5),
-        msg_bound=msg_bound,
+    a_s = a.mul(sk.s.mod_reduce_to(level))
+    # the NTT is linear mod q, so each m + e takes one transform, and the
+    # transforms of the whole batch run as one over their stacked rows
+    m_e = to_ntt_all([m.add(sample_error(params.ring, rng, params.sigma, level=level)) for m in ms])
+    return tuple(
+        Ciphertext(
+            params=params,
+            comps=(a_s.add(x), a),
+            scale=scale,
+            length=pv.values.size,
+            direction=pv.direction,
+            noise_log2=math.log2(6 * params.sigma + 0.5),
+            msg_bound=float(np.abs(pv.values).max()),
+        )
+        for x, pv in zip(m_e, pvs)
     )
 
 
@@ -465,7 +519,7 @@ def reencrypt(
     coeff = int(_phase(ct, sk).to_int_coeffs(indices=[index])[0])
     value = Fraction(coeff) / Fraction(ct.scale)
     m = _plaintext(params, [round(value * Fraction(scale))], a.level, "forward")
-    return _encrypt_plaintext(params, m, sk, a, rng, scale, 1, "forward", abs(float(value)))
+    return _encrypt_plaintexts(params, [m], [PlainVector([float(value)])], sk, a, rng, scale)[0]
 
 
 def _check_addable(cts) -> None:
@@ -533,38 +587,50 @@ def _he_mult_raw(x: Ciphertext, y: Ciphertext) -> Ciphertext:
     )
 
 
-def _key_switch_quadratic(d2: RingElement, evk: EvalKey, digits=None):
-    """RNS-digit key switch of a quadratic component back to (u0, u1).
+@dataclass(frozen=True)
+class SwitchedQuadratic:
+    """A quadratic component d2 key-switched under one evaluation key:
+    u0 - u1*s = d2*s^2 + p^-1 * sum_i digit_i * e_i (mod the active chain)."""
 
-    u0 - u1*s = d2*s^2 + p^-1 * sum_i digit_i * e_i  (mod the active chain),
-    realized by multiplying each digit against its key pair over the extended
-    basis and exactly divide-and-rounding by the special prime, all in the
-    NTT domain.  ``digits`` are the precomputed ``rns_digits`` of d2; since
-    row i of digit i is d2's own row i, they are checked against d2 exactly.
+    d2: RingElement
+    evk: EvalKey
+    u0: RingElement
+    u1: RingElement
+
+
+def switch_quadratic(d2: RingElement, evks) -> Iterator[SwitchedQuadratic]:
+    """Key-switch one quadratic component under each of ``evks``, in order.
+
+    d2 is decomposed into its RNS digits once; each key then multiplies every
+    digit against its pair over the extended basis and exactly
+    divide-and-rounds by the special prime, all in the NTT domain.  The pairs
+    are yielded one by one, so a caller that uses each before the next holds
+    one at a time.
     """
     level = d2.level
-    if digits is None:
-        digits = rns_digits(d2)
-    elif len(digits) != level + 1 or not all(
-        np.array_equal(digit.data[i], d2.data[i]) for i, digit in enumerate(digits)
-    ):
-        raise ParameterError("digits do not decompose this quadratic component")
-    acc0 = acc1 = None
-    for i, digit in enumerate(digits):
-        t0 = digit.mul(evk.ks_b[i].mod_reduce_to(level, special=True))
-        t1 = digit.mul(evk.ks_a[i].mod_reduce_to(level, special=True))
-        acc0 = t0 if acc0 is None else acc0.add(t0)
-        acc1 = t1 if acc1 is None else acc1.add(t1)
-    return acc0.drop_last_modulus(), acc1.drop_last_modulus()
+    digits = tuple(rns_digits(d2))
+    for evk in evks:
+        acc0 = acc1 = None
+        for i, digit in enumerate(digits):
+            t0 = digit.mul(evk.ks_b[i].mod_reduce_to(level, special=True))
+            t1 = digit.mul(evk.ks_a[i].mod_reduce_to(level, special=True))
+            acc0 = t0 if acc0 is None else acc0.add(t0)
+            acc1 = t1 if acc1 is None else acc1.add(t1)
+        yield SwitchedQuadratic(d2, evk, acc0.drop_last_modulus(), acc1.drop_last_modulus())
 
 
-def relinearize(ct: Ciphertext, evk: EvalKey, digits=None) -> Ciphertext:
-    """Key-switch the quadratic component; ``digits`` may carry its
-    precomputed ``rns_digits``."""
+def relinearize(
+    ct: Ciphertext, evk: EvalKey, switched: SwitchedQuadratic | None = None
+) -> Ciphertext:
+    """Key-switch the quadratic component under ``evk``; ``switched`` may carry
+    that switch, computed once for every product that shares the component."""
     if len(ct.comps) != 3:
         raise LevelError("relinearize expects a three-component ciphertext")
     d0, d1, d2 = ct.comps
-    u0, u1 = _key_switch_quadratic(d2, evk, digits)
+    if switched is None:
+        (switched,) = switch_quadratic(d2, [evk])
+    elif switched.evk is not evk or switched.d2 != d2:
+        raise ParameterError("switched pair is not this product's quadratic component under evk")
     ring = ct.params.ring
     ks_noise = (
         math.log2(ct.level + 1)
@@ -575,7 +641,7 @@ def relinearize(ct: Ciphertext, evk: EvalKey, digits=None) -> Ciphertext:
     )
     return replace(
         ct,
-        comps=(d0.add(u0), d1.add(u1)),
+        comps=(d0.add(switched.u0), d1.add(switched.u1)),
         noise_log2=_log2_add(ct.noise_log2, ks_noise),
     )
 
@@ -602,13 +668,15 @@ def affine_scale(params: HeParams, scale: float, level: int) -> float:
     return scale * params.scale / params.ring.chain[level]
 
 
-def he_mult_relin(x: Ciphertext, y: Ciphertext, evk: EvalKey, digits=None) -> Ciphertext:
+def he_mult_relin(
+    x: Ciphertext, y: Ciphertext, evk: EvalKey, switched: SwitchedQuadratic | None = None
+) -> Ciphertext:
     """Full product: tensor, relinearize, rescale.
 
-    ``digits``: ``tuple(rns_digits(x.c1.mul(y.c1)))``, for callers that
-    multiply many pairs sharing the same c1 parts.
+    ``switched``: ``next(switch_quadratic(x.c1.mul(y.c1), [evk]))``, for callers
+    that multiply many pairs sharing the same c1 parts under one key.
     """
-    return rescale(relinearize(_he_mult_raw(x, y), evk, digits))
+    return rescale(relinearize(_he_mult_raw(x, y), evk, switched))
 
 
 def plain_affine(

@@ -471,6 +471,19 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     return a.to_ntt().mul(b.to_ntt()).to_coeff()
 
 
+def to_ntt_all(elems) -> list[RingElement]:
+    """``[e.to_ntt() for e in elems]`` for coefficient-domain elements of one
+    layout, as one forward transform over their stacked rows."""
+    first = elems[0]
+    if first.ntt:
+        raise DomainError("to_ntt_all takes coefficient-domain elements")
+    for e in elems[1:]:
+        first._check_compat(e)
+    data = np.concatenate([e.data for e in elems])
+    ntt_forward_inplace(data, first.params.tables, first.rows * len(elems))
+    return [first._like(block, ntt=True) for block in np.split(data, len(elems))]
+
+
 def rns_digits(x: RingElement):
     """Yield the NTT forms of an element's RNS digits over the extended basis.
 

@@ -31,6 +31,7 @@ from fhefl import aggregation as agg_mod
 from fhefl.errors import EncodingError, LevelError, ParameterError, ProtocolError
 from fhefl.he import (
     SecretKey,
+    _scaled_round,
     ciphertext_to_bytes,
     common_poly,
     decrypt,
@@ -41,6 +42,7 @@ from fhefl.he import (
     preset_names,
 )
 from fhefl.multikey import setup_pairwise
+from fhefl.ring import RingElement, sample_error
 
 
 @pytest.fixture(scope="module")
@@ -482,6 +484,39 @@ def test_encrypt_update_uploads_at_the_norm_level(name):
     # an a drawn below the norm level cannot carry an upload
     with pytest.raises(LevelError):
         encrypt_update(kr, g, common_poly(params, seed=b"upload-a", level=1), rng)
+
+
+@pytest.mark.parametrize("name, dim, chunks", [("test-1024", 650, 2), ("fhefl-16384", 1024, 1)])
+def test_encrypt_update_is_one_encryption_per_ciphertext(name, dim, chunks):
+    # an upload is encrypted as one batch; it equals one encryption per
+    # ciphertext, forward chunks first, byte for byte, and leaves the rng
+    # where that sequence does.  The reference c0 is written out with the
+    # exact per-value rounding and its own transform per ciphertext
+    params = get_params(name)
+    kr = setup_pairwise(params, [0, 1], 0, b"batch")[0]
+    a = common_poly(params, seed=b"batch-a")
+    g = np.random.default_rng(8).uniform(-1, 1, dim)
+    rng, one_rng, ref_rng = (np.random.default_rng(9) for _ in range(3))
+    eu = encrypt_update(kr, g, a, rng)
+    level = agg_mod._norm_level(params)
+    a_s = a.mod_reduce_to(level).mul(kr.sk.s.mod_reduce_to(level))
+    split = split_chunks(g, params.capacity)
+    assert len(split) == eu.n_chunks == chunks
+    one_by_one, ref_c0 = [], []
+    for direction in ("forward", "reversed"):
+        for c in split:
+            ct = encrypt(params, c, kr.sk, a, one_rng, level=level, direction=direction)
+            one_by_one.append(ct)
+            ints = [_scaled_round(params.scale, float(v)) for v in c]
+            ints = ints if direction == "forward" else ints[::-1]
+            m = RingElement.from_int_coeffs(params.ring, ints, level)
+            e = sample_error(params.ring, ref_rng, params.sigma, level=level)
+            ref_c0.append(a_s.add(m.add(e).to_ntt()))
+    cts = eu.fwd + eu.rev
+    assert [ct.c0 for ct in cts] == ref_c0
+    assert [ciphertext_to_bytes(ct) for ct in cts] == [ciphertext_to_bytes(ct) for ct in one_by_one]
+    state = rng.bit_generator.state
+    assert state == one_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_readme_bytes_per_chunk_table():

@@ -134,3 +134,13 @@ def test_preset_rebuild_stays_out_of_the_traced_round(tracer):
     for base in tracer.CALL_METRICS:
         assert got[base + ".calls"] == want[base + ".calls"], base
     assert got["ntt.mont_mul.calls"][0] > 0
+
+
+def test_every_reported_layer_runs_in_a_traced_round(tracer):
+    # the benchmark's traced run fails on a layer that reads zero; an upload
+    # is one batched he.encrypt call, so each user's upload counts once
+    t, _ = _traced_round(tracer, rebuild=False)
+    got = tracer.layer_metrics(t.arrays(), t.names, 2)
+    for base in tracer.CALL_METRICS:
+        assert got[base + ".calls"][0] > 0, base
+    assert got["he.encrypt.calls"][0] == 2

@@ -28,6 +28,8 @@ from fhefl.he import (
     _he_mult_raw,
     _phase,
     _plaintext,
+    _scaled_ints,
+    _scaled_round,
     ciphertext_from_bytes,
     ciphertext_to_bytes,
     common_poly,
@@ -48,7 +50,7 @@ from fhefl.he import (
     rescale,
 )
 from fhefl.multikey import aggregate_fresh
-from fhefl.ring import sample_uniform
+from fhefl.ring import RingElement, sample_error, sample_uniform
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +134,61 @@ def test_encode_rounds_the_exact_product(hp, v, scale):
     # a float product would round scale * v to 53 bits first
     lifted = encode(hp, [v], scale=scale).to_int_coeffs(indices=[0])
     assert int(lifted[0]) == round(Fraction(scale) * Fraction(v))
+
+
+# scales of the fast path (powers of two >= 1) and of the exact one
+_SCALES = [1.0, 2.0**10, 2.0**40, 2.0**60, 0.5, 3.0, 2.0**40 / 1.37]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_scaled_ints_match_the_exact_rounding(data):
+    # the vectorised encoder against _scaled_round per value: exact ties at
+    # .5, negatives, -0.0 and products on both sides of the 2^62 bound
+    scale = data.draw(st.sampled_from(_SCALES))
+    near = [2.0**62 - 512, 2.0**62, 2.0**62 + 1024, 2.0**63]  # float steps there
+    value = st.one_of(
+        st.floats(-(2.0**30), 2.0**30, allow_nan=False),
+        st.integers(-(2**52), 2**52).map(lambda k: (k + 0.5) / scale),
+        st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5]),
+        st.sampled_from([s * x / scale for x in near for s in (1, -1)]),
+    )
+    values = data.draw(st.lists(value, min_size=1, max_size=30))
+    got = _scaled_ints(scale, np.array(values))
+    assert [int(x) for x in got] == [_scaled_round(scale, v) for v in values]
+    power_of_two = scale >= 1 and math.frexp(scale)[0] == 0.5
+    fast = power_of_two and max(abs(v * scale) for v in values) < 2**62
+    assert got.dtype == (np.int64 if fast else object)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(-(2**100), 2**100), min_size=1, max_size=16), st.sampled_from(_SCALES))
+def test_decode_matches_the_per_value_conversion(ints, scale):
+    params = get_params("test-16")
+    level = params.ring.max_level
+    elem = RingElement.from_int_coeffs(params.ring, ints, level)
+    want = [float(int(x)) / scale for x in elem.to_int_coeffs(indices=np.arange(len(ints)))]
+    got = decode(elem, scale, len(ints))
+    assert got.dtype == np.float64 and got.tolist() == want
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_evalkey_equals_the_full_product_build(name):
+    # each pair's P_i * s^2 is one row product; the key equals the build that
+    # multiplies s^2 by the whole P_i matrix, zero outside chain row i
+    params = get_params(name)
+    ring = params.ring
+    sk = SecretKey.generate(params, seed=b"evk-pin")
+    evk = EvalKey.generate(params, sk, np.random.default_rng(41))
+    rng = np.random.default_rng(41)
+    s2 = sk.s.mul(sk.s)
+    for i in range(ring.max_level + 1):
+        a_i = sample_uniform(ring, rng.bytes(16), special=True, ntt=True, tag=b"evk-a")
+        e_i = sample_error(ring, rng, params.sigma, special=True).to_ntt()
+        p_i = RingElement.zeros(ring, ring.max_level, special=True, ntt=True)
+        p_i.data[i, :] = np.uint64(ring.special % ring.chain[i])
+        assert evk.ks_a[i] == a_i
+        assert evk.ks_b[i] == a_i.mul(sk.s).add(e_i).add(p_i.mul(s2))
 
 
 @pytest.mark.parametrize("name", preset_names())

@@ -33,10 +33,11 @@ from fhefl.he import (
     get_params,
     he_mult_relin,
     preset_names,
+    switch_quadratic,
 )
 from fhefl.multikey import setup_pairwise
 from fhefl.ntt import mul_mod, ntt_forward_inplace, ntt_inverse_inplace, shoup_stack
-from fhefl.ring import RingElement, RingParams, rns_digits, sample_uniform
+from fhefl.ring import RingElement, RingParams, sample_uniform
 
 
 def _preset_basis(name):
@@ -361,22 +362,26 @@ def test_pinned_upload_and_product_bytes():
 
 @pytest.mark.parametrize("name", ["test-1024", "fhefl-16384"])
 def test_hoisted_digits_match_per_product_key_switch(name):
-    # a round decomposes the shared quadratic component a2*a once and hands
-    # the digits to every user's product
+    # a round key-switches the shared quadratic component a2*a once per user,
+    # from one digit decomposition, and hands the pair to every chunk product
     params = get_params(name)
     krs = setup_pairwise(params, [0, 1], 0, b"hoist")
     a = common_poly(params, seed=b"hoist-a")
     a2 = common_poly(params, seed=b"hoist-a2")
     rng = np.random.default_rng(31)
-    digits = tuple(rns_digits(a2.mul(a)))
-    for kr in krs.values():
+    switched = list(switch_quadratic(a2.mul(a), [kr.evk for kr in krs.values()]))
+    for kr, sw in zip(krs.values(), switched):
         x = encrypt(params, [rng.uniform(-1, 1)], kr.sk, a2, rng)
-        y = encrypt(params, rng.uniform(-1, 1, 8), kr.sk, a, rng)
-        hoisted = he_mult_relin(x, y, kr.evk, digits)
-        assert ciphertext_to_bytes(hoisted) == ciphertext_to_bytes(he_mult_relin(x, y, kr.evk))
-    # digits of another component are refused, not silently misused
-    with pytest.raises(ParameterError, match="digits"):
-        he_mult_relin(y, y, kr.evk, digits)
+        for _ in range(2):  # two chunks, one key switch
+            y = encrypt(params, rng.uniform(-1, 1, 8), kr.sk, a, rng)
+            hoisted = he_mult_relin(x, y, kr.evk, sw)
+            want = he_mult_relin(x, y, kr.evk)
+            assert ciphertext_to_bytes(hoisted) == ciphertext_to_bytes(want)
+    # a pair of another component or of another key is refused, not misused
+    with pytest.raises(ParameterError, match="switched pair"):
+        he_mult_relin(y, y, kr.evk, switched[1])
+    with pytest.raises(ParameterError, match="switched pair"):
+        he_mult_relin(x, y, krs[1].evk, switched[0])
 
 
 @pytest.fixture(scope="module")
@@ -425,10 +430,11 @@ def test_pinned_round_output(counted_round):
 def test_round_transform_budget(counted_round):
     # the counts are deterministic; a transform that creeps back into the
     # per-user path (it was 1520 forward and 373 inverse rows, then 802 and
-    # 221 before the legs dropped to their lowest levels) fails here
+    # 221 before the legs dropped to their lowest levels, then 635 and 216
+    # before each user's chunk products shared one key switch) fails here
     _, rows, *_ = counted_round
-    assert rows["forward"] <= 635
-    assert rows["inverse"] <= 216
+    assert rows["forward"] <= 495
+    assert rows["inverse"] <= 176
 
 
 def test_pinned_round_precision(counted_round):
