@@ -16,7 +16,9 @@ The encrypted path mirrors the plain one stage for stage:
                 the round's public c1 = a, so every product has the quadratic
                 component a*a: it is decomposed into key-switch digits once
                 for the stage and key-switched once per user, not once per
-                user and chunk.
+                user and chunk.  The users go a group at a time: a group's
+                chunk products are rescaled together, and a group of keys'
+                switches are divided by the special prime together.
 2. d-sum:       sum_u [d_u] is opened with masked partial decryptions (the
                 server learns only the total).
 3. rate:        [p_u] = plain_affine([d_u], -1/((U-1)*sum_d), 1/(U-1)).
@@ -35,7 +37,9 @@ The encrypted path mirrors the plain one stage for stage:
                 the model moves by -eta times the weighted gradient sum.
                 The rates share c1 = a2, so the quadratic component a2*a is
                 again decomposed once for the stage and key-switched once
-                per user.
+                per user, and the products are formed and rescaled one group
+                of users at a time, as in the norm stage (and the rate
+                stage's affine maps).
 
 Every stage runs at the lowest level that holds it, chosen from public data
 only (the chain and the ciphertext scales).  Dropping chain primes is exact
@@ -72,16 +76,16 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import islice
 
 import numpy as np
 
 from .errors import FheflError, ParameterError, ProtocolError
 from .he import (
     Ciphertext,
-    EvalKey,
     HeParams,
     PlainVector,
-    SwitchedQuadratic,
     affine_scale,
     common_poly,
     encode_monomial,
@@ -294,34 +298,47 @@ def encrypt_update(
     )
 
 
-def sq_norm_encrypted(
-    eu: EncryptedUpdate, evk: EvalKey, switched: SwitchedQuadratic | None = None
-) -> Ciphertext:
+def sq_norm_encrypted(eu, evk, switched=None) -> Ciphertext | tuple[Ciphertext, ...]:
     """[g]_fwd * [g]_rev summed over chunks; ||g||^2 lands on eu.readout.
 
     Every chunk carries c1 = a, so every product's quadratic component is
     a*a: it is key-switched once, or taken from ``switched`` (see
     ``he_mult_relin``), for all of them.
+
+    ``eu`` is one upload, or a sequence of them; ``evk`` and ``switched`` then
+    hold one entry per upload (``switched`` may be None).  Every chunk
+    product of every upload goes through one ``he_mult_relin`` call, and the
+    norms come back as a tuple in order.
     """
-    if switched is None:
-        (switched,) = switch_quadratic(eu.fwd[0].c1.mul(eu.rev[0].c1), [evk])
-    acc = None
-    for f, r in zip(eu.fwd, eu.rev):
-        prod = he_mult_relin(f, r, evk, switched)
-        acc = prod if acc is None else he_add(acc, prod)
-    return acc
+    batch = not isinstance(eu, EncryptedUpdate)
+    if not batch:
+        eu, evk, switched = (eu,), (evk,), (switched,)
+    elif switched is None:
+        switched = (None,) * len(eu)
+    xs, ys, keys, pairs = [], [], [], []
+    for e, k, sw in zip(eu, evk, switched):
+        if sw is None:
+            (sw,) = switch_quadratic((e.fwd[0].c1, e.rev[0].c1), [k])
+        xs += e.fwd
+        ys += e.rev
+        keys += [k] * len(e.fwd)
+        pairs += [sw] * len(e.fwd)
+    prods = iter(he_mult_relin(xs, ys, keys, pairs))
+    norms = tuple(reduce(he_add, islice(prods, len(e.fwd))) for e in eu)
+    return norms if batch else norms[0]
 
 
 def rates_encrypted(
-    d_ct: Ciphertext,
+    d_ct,
     sum_d: float,
     n_users: int,
     *,
     readout: int,
-) -> Ciphertext:
+) -> Ciphertext | tuple[Ciphertext, ...]:
     """[p_u] = (1 - [d_u]/sum_d)/(U-1) as one plaintext affine map.
 
     The additive 1/(U-1) lands on the readout coefficient carrying d_u.
+    ``d_ct`` is one distance, or a sequence of them (see ``plain_affine``).
     """
     if n_users < 2:
         raise ParameterError("rates need at least two users")
@@ -468,13 +485,22 @@ def secure_aggregate_round(
     # that noise from setting the precision of the opened update.
     fresh_scale = params.scale * 2.0**params.flood_sigma_bits
     l_agg = max(1, min(_open_level(params, fresh_scale * params.scale), l_norm))
+    # The norm, rate and aggregate stages take one group of users at a time:
+    # a group's 2 * n_chunks product components per user fill one group of
+    # the ring's batched rescale, and only one group's products are in flight.
+    per_group = max(1, params.ring.group_size // (2 * n_chunks))
+    groups = [users[i : i + per_group] for i in range(0, n_users, per_group)]
+    evks = [keyrings[u].evk for u in users]
 
     with _stage("norm"):
-        evks = [keyrings[u].evk for u in users]
-        d_cts = {
-            u: sq_norm_encrypted(enc_updates[u], keyrings[u].evk, sw)
-            for u, sw in zip(users, switch_quadratic(a.mul(a), evks))
-        }
+        pairs = switch_quadratic((a, a), evks)
+        d_cts = {}
+        for group in groups:
+            d_cts.update(zip(group, sq_norm_encrypted(
+                [enc_updates[u] for u in group],
+                [keyrings[u].evk for u in group],
+                list(islice(pairs, len(group))),
+            )))
 
     with _stage("distance-sum"):
         d_open = {u: _opened(d_cts[u]) for u in users}
@@ -489,15 +515,13 @@ def secure_aggregate_round(
         sum_d = max(sum_d, 0.0)
 
     with _stage("rate"):
-        if sum_d > 0:
-            p_cts = {
-                u: rates_encrypted(d_cts[u], sum_d, n_users, readout=ri) for u in users
-            }
-        else:  # all-zero degenerate round: constant 1/U, no division
-            p_cts = {
-                u: plain_affine(d_cts[u], 0.0, 1.0 / n_users, add_index=ri)
-                for u in users
-            }
+        p_cts = {}
+        for group in groups:
+            ds = [d_cts[u] for u in group]
+            if sum_d > 0:
+                p_cts.update(zip(group, rates_encrypted(ds, sum_d, n_users, readout=ri)))
+            else:  # all-zero degenerate round: constant 1/U, no division
+                p_cts.update(zip(group, plain_affine(ds, 0.0, 1.0 / n_users, add_index=ri)))
 
     with _stage("re-encrypt"):
         a2 = common_poly(params, seed=round_tag + b"|a2", level=l_agg)
@@ -531,13 +555,21 @@ def secure_aggregate_round(
     with _stage("aggregate"):
         # every fresh rate carries c1 = a2 (aggregate_fresh checked it), so
         # every product's quadratic component is a2*a: each user's one switch
-        # serves all of their chunks before the next user's is made
-        d2 = a2.mul(a.mod_reduce_to(l_agg))
+        # serves all of their chunks, and a group's pairs are made as the
+        # group's products need them
+        pairs = switch_quadratic((a2, a.mod_reduce_to(l_agg)), evks)
         prods = [{} for _ in range(n_chunks)]
-        for u, sw in zip(users, switch_quadratic(d2, evks)):
-            for c, prod in enumerate(prods):
-                upload = enc_updates[u].fwd[c].mod_reduce_to(l_agg)
-                prod[u] = he_mult_relin(p_fresh[u], upload, keyrings[u].evk, sw)
+        for group in groups:
+            sws = list(islice(pairs, len(group)))
+            out = iter(he_mult_relin(
+                [p_fresh[u] for u in group for _ in prods],
+                [ct.mod_reduce_to(l_agg) for u in group for ct in enc_updates[u].fwd],
+                [keyrings[u].evk for u in group for _ in prods],
+                [sw for sw in sws for _ in prods],
+            ))
+            for u in group:
+                for prod in prods:
+                    prod[u] = next(out)
         out = np.concatenate([
             _open_sum(prod, keyrings, round_tag + b"|agg|" + str(c).encode(), roster, rng)
             for c, prod in enumerate(prods)

@@ -29,7 +29,15 @@ their public c1 parts, so every user's product in a round has the same one.
 ``switch_quadratic`` decomposes it once and key-switches it under each user's
 key — the hoisting of Halevi & Shoup (CRYPTO 2018), across users instead of
 rotations — and each user's switched pair serves all of their chunk products
-(``switched=``), checked to be this product's component under this key.
+(``switched=``), checked to be this product's component under this key.  A
+pair built from the component's two factors spares each product its own
+quadratic component: the product's c1 parts are compared with the factors
+instead.
+
+``rescale``, ``he_mult_relin`` and ``plain_affine`` take one ciphertext (or
+pair) or a sequence of them; a sequence is rescaled through one batched
+``RingElement.drop_last_modulus``, with one transform per group of
+components rather than one per ciphertext, and gives the same bytes.
 
 A ciphertext's level is its components' level.  Ciphertexts add under one
 rule (``_check_addable``, applied by ``he_add`` and by the roster sums of
@@ -67,6 +75,7 @@ import math
 import struct
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from typing import ClassVar, Iterator
 
 import numpy as np
@@ -77,7 +86,7 @@ from .errors import (
     ParameterError,
     SerializationError,
 )
-from .ntt import add_mod, find_ntt_primes, mul_shoup, shoup_stack
+from .ntt import add_mod, find_ntt_primes, mul_mod, mul_shoup, shoup_stack
 from .ring import (
     RingElement,
     RingParams,
@@ -336,12 +345,19 @@ class EvalKey:
         s = sk.s
         s2 = s.mul(s)
         tab = ring.tables
-        bs, a_s = [], []
-        for i in range(top + 1):
-            seed = rng.bytes(16)
-            a_i = sample_uniform(ring, seed, special=True, ntt=True, tag=b"evk-a")
-            e_i = sample_error(ring, rng, params.sigma, special=True).to_ntt()
-            b_i = a_i.mul(s).add(e_i)
+        seeds, errors = [], []
+        for _ in range(top + 1):
+            seeds.append(rng.bytes(16))
+            errors.append(sample_error(ring, rng, params.sigma, special=True))
+        # every a_i is drawn before the errors' transform, whose temporaries
+        # would otherwise sit between the key's arrays on the heap
+        a_s = [sample_uniform(ring, seed, special=True, ntt=True, tag=b"evk-a") for seed in seeds]
+        # the key's error polynomials take one forward transform, and each
+        # b_i is written over its own error (the rebinding frees the errors'
+        # coefficient forms)
+        errors = to_ntt_all(errors)
+        for i, (a_i, b_i) in enumerate(zip(a_s, errors)):
+            b_i.data[:] = a_i.mul(s).add(b_i).data
             # P_i * s^2 is (p mod q_i) * s^2 on chain row i and zero on every
             # other row (the special row too, since p = 0 mod p): one Shoup
             # multiply of that row
@@ -350,9 +366,7 @@ class EvalKey:
             consts = shoup_stack(np.uint64(p_i), np.uint64((p_i << 64) % q_i), tab.neg_qinv[row])
             p_s2 = mul_shoup(s2.data[row], *consts, tab.q[row])
             b_i.data[row] = add_mod(b_i.data[row], p_s2, tab.q[row])
-            bs.append(b_i)
-            a_s.append(a_i)
-        return cls(ks_b=tuple(bs), ks_a=tuple(a_s))
+        return cls(ks_b=tuple(errors), ks_a=tuple(a_s))
 
 
 def common_poly(params: HeParams, seed, level: int | None = None) -> RingElement:
@@ -550,8 +564,14 @@ def he_add(x: Ciphertext, y: Ciphertext) -> Ciphertext:
     )
 
 
-def _he_mult_raw(x: Ciphertext, y: Ciphertext) -> Ciphertext:
-    """Tensor product -> three components (d0, d1, d2), scale multiplied."""
+def _he_mult_raw(
+    x: Ciphertext, y: Ciphertext, switched: SwitchedQuadratic | None = None
+) -> Ciphertext:
+    """Tensor product -> three components (d0, d1, d2), scale multiplied.
+
+    A ``switched`` pair built from its factors supplies d2 once x's and y's
+    c1 parts are checked to be those factors, so d2 is not formed again.
+    """
     if len(x.comps) != 2 or len(y.comps) != 2:
         raise LevelError("three-component operands must be relinearized first")
     if x.level != y.level:
@@ -569,7 +589,12 @@ def _he_mult_raw(x: Ciphertext, y: Ciphertext) -> Ciphertext:
     y0, y1 = y.comps
     d0 = x0.mul(y0)
     d1 = x0.mul(y1).add(x1.mul(y0))
-    d2 = x1.mul(y1)
+    if switched is None or switched.factors is None:
+        d2 = x1.mul(y1)
+    elif switched.factors[0] == x1 and switched.factors[1] == y1:
+        d2 = switched.d2
+    else:
+        raise ParameterError("switched pair is not this product's quadratic component")
     root_n = math.log2(n) / 2
     nz = _log2_add(
         x.noise_log2 + math.log2(max(y.scale * y.msg_bound, 1.0)),
@@ -590,33 +615,61 @@ def _he_mult_raw(x: Ciphertext, y: Ciphertext) -> Ciphertext:
 @dataclass(frozen=True)
 class SwitchedQuadratic:
     """A quadratic component d2 key-switched under one evaluation key:
-    u0 - u1*s = d2*s^2 + p^-1 * sum_i digit_i * e_i (mod the active chain)."""
+    u0 - u1*s = d2*s^2 + p^-1 * sum_i digit_i * e_i (mod the active chain).
+    ``factors`` are the c1 parts (x1, y1) with d2 = x1*y1, when the pair was
+    built from them."""
 
     d2: RingElement
     evk: EvalKey
     u0: RingElement
     u1: RingElement
+    factors: tuple[RingElement, RingElement] | None = None
 
 
-def switch_quadratic(d2: RingElement, evks) -> Iterator[SwitchedQuadratic]:
+def switch_quadratic(d2, evks) -> Iterator[SwitchedQuadratic]:
     """Key-switch one quadratic component under each of ``evks``, in order.
 
-    d2 is decomposed into its RNS digits once; each key then multiplies every
-    digit against its pair over the extended basis and exactly
-    divide-and-rounds by the special prime, all in the NTT domain.  The pairs
-    are yielded one by one, so a caller that uses each before the next holds
-    one at a time.
+    ``d2`` is the component, or the pair (x1, y1) of c1 parts whose product
+    it is; a pair built from the factors lets ``he_mult_relin`` check a
+    product's c1 parts against them instead of forming its d2.
+
+    d2 is decomposed into its RNS digits once.  Each key's inner product with
+    the digits over the extended basis is one stacked multiply per half of
+    the key and one sum over the digits; a group of keys' (u0, u1) are then
+    exactly divided-and-rounded by the special prime in one
+    ``drop_last_modulus`` call, all in the NTT domain.  The group holds
+    ``RingParams.group_size // 2`` keys, so its 2 elements per key fill one
+    group of the drop.  The pairs are yielded in key order, so a caller that
+    uses each group before the next holds one group at a time.
     """
-    level = d2.level
-    digits = tuple(rns_digits(d2))
-    for evk in evks:
-        acc0 = acc1 = None
-        for i, digit in enumerate(digits):
-            t0 = digit.mul(evk.ks_b[i].mod_reduce_to(level, special=True))
-            t1 = digit.mul(evk.ks_a[i].mod_reduce_to(level, special=True))
-            acc0 = t0 if acc0 is None else acc0.add(t0)
-            acc1 = t1 if acc1 is None else acc1.add(t1)
-        yield SwitchedQuadratic(d2, evk, acc0.drop_last_modulus(), acc1.drop_last_modulus())
+    factors = None
+    if isinstance(d2, tuple):
+        factors, d2 = d2, d2[0].mul(d2[1])
+    ring, level = d2.params, d2.level
+    rows = ring.rows(level, special=True)
+    q = ring.tables.q[rows]
+    digits = np.concatenate([digit.data for digit in rns_digits(d2)])
+
+    def inner(half) -> RingElement:
+        # the key's rows at d2's level, digit after digit as the digits lie,
+        # each overwritten by its product with the digit
+        terms = np.empty((level + 1, len(rows), ring.n), dtype=np.uint64)
+        for k, term in zip(half, terms):
+            np.take(k.data, rows, axis=0, out=term)
+        flat = terms.reshape(digits.shape)
+        mul_mod(digits, flat, ring.tables, rows * (level + 1), out=flat)
+        acc = terms[0]
+        for term in terms[1:]:
+            acc = add_mod(acc, term, q)
+        return RingElement(ring, acc, level, True, True)
+
+    keys = iter(evks)
+    while group := list(islice(keys, max(1, ring.group_size // 2))):
+        downs = RingElement.drop_last_modulus(
+            *[inner(half) for evk in group for half in (evk.ks_b, evk.ks_a)]
+        )
+        for k, evk in enumerate(group):
+            yield SwitchedQuadratic(d2, evk, downs[2 * k], downs[2 * k + 1], factors)
 
 
 def relinearize(
@@ -646,15 +699,29 @@ def relinearize(
     )
 
 
-def rescale(ct: Ciphertext) -> Ciphertext:
-    """Exact divide-and-round by the last chain prime; scale divides with it."""
-    q_last = ct.params.ring.chain[ct.level]
-    comps = tuple(c.drop_last_modulus() for c in ct.comps)
-    nz = _log2_add(
-        ct.noise_log2 - math.log2(q_last),
-        math.log2(ct.params.ring.n) / 2 + 1.0,  # rounding folded through the key
-    )
-    return replace(ct, comps=comps, scale=ct.scale / q_last, noise_log2=nz)
+def rescale(ct) -> Ciphertext | tuple[Ciphertext, ...]:
+    """Exact divide-and-round by the last chain prime; scale divides with it.
+
+    ``ct`` is one ciphertext, or a sequence of them at one level whose
+    components all drop through one ``drop_last_modulus`` call.  One gives
+    one, a sequence a tuple in its order.
+    """
+    batch = not isinstance(ct, Ciphertext)
+    cts = tuple(ct) if batch else (ct,)
+    if not cts:
+        return ()
+    flat = [c for x in cts for c in x.comps]
+    downs = iter(flat[0].drop_last_modulus(*flat[1:]))
+    out = []
+    for x in cts:
+        q_last = x.params.ring.chain[x.level]
+        nz = _log2_add(
+            x.noise_log2 - math.log2(q_last),
+            math.log2(x.params.ring.n) / 2 + 1.0,  # rounding folded through the key
+        )
+        comps = tuple(islice(downs, len(x.comps)))
+        out.append(replace(x, comps=comps, scale=x.scale / q_last, noise_log2=nz))
+    return tuple(out) if batch else out[0]
 
 
 def product_scale(params: HeParams, scale_x: float, scale_y: float, level: int) -> float:
@@ -668,60 +735,75 @@ def affine_scale(params: HeParams, scale: float, level: int) -> float:
     return scale * params.scale / params.ring.chain[level]
 
 
-def he_mult_relin(
-    x: Ciphertext, y: Ciphertext, evk: EvalKey, switched: SwitchedQuadratic | None = None
-) -> Ciphertext:
+def he_mult_relin(x, y, evk, switched=None) -> Ciphertext | tuple[Ciphertext, ...]:
     """Full product: tensor, relinearize, rescale.
 
-    ``switched``: ``next(switch_quadratic(x.c1.mul(y.c1), [evk]))``, for callers
-    that multiply many pairs sharing the same c1 parts under one key.
+    ``switched``: ``next(switch_quadratic((x.c1, y.c1), [evk]))``, for callers
+    that multiply many pairs sharing the same c1 parts under one key.  Built
+    from the factors, it also spares each product its quadratic component.
+
+    ``x`` and ``y`` are one ciphertext each, or equal-length sequences of the
+    pairs' operands; ``evk`` and ``switched`` then hold one entry per pair
+    (``switched`` may be None), and the products are rescaled through one
+    ``rescale`` call and returned as a tuple in order.
     """
-    return rescale(relinearize(_he_mult_raw(x, y), evk, switched))
+    batch = not isinstance(x, Ciphertext)
+    if not batch:
+        x, y, evk, switched = (x,), (y,), (evk,), (switched,)
+    elif switched is None:
+        switched = (None,) * len(x)
+    if not len(x) == len(y) == len(evk) == len(switched):
+        raise ParameterError("he_mult_relin takes one key and one switched pair per operand pair")
+    out = rescale([
+        relinearize(_he_mult_raw(a, b, sw), k, sw) for a, b, k, sw in zip(x, y, evk, switched)
+    ])
+    return out if batch else out[0]
 
 
 def plain_affine(
-    ct: Ciphertext,
-    mult: float,
-    add: float,
-    *,
-    add_index: int = 0,
-) -> Ciphertext:
+    ct, mult: float, add: float, *, add_index: int = 0
+) -> Ciphertext | tuple[Ciphertext, ...]:
     """Homomorphic mult*x + add with plaintext scalars.
 
     The multiplicative constant scales every packed coefficient; the additive
     constant lands on ``add_index`` (the readout coefficient of the value of
     interest — 0 for plain scalars, chunk_len-1 for norm ciphertexts).
-    Costs one level.
+    Costs one level.  ``ct`` is one ciphertext, or a sequence of them at one
+    level, rescaled through one ``rescale`` call: one gives one, a sequence a
+    tuple in its order.
     """
-    if len(ct.comps) != 2:
-        raise LevelError("plain_affine expects a relinearized ciphertext")
-    if ct.level < 1:
-        raise LevelError("no levels left for the affine rescale")
-    params = ct.params
-    ring = params.ring
-    # a constant's NTT is the constant in every slot: one scalar pass
-    pm = _scaled_round(params.scale, float(mult))
-    _check_headroom(params, abs(pm), ct.level)
-    comps = tuple(c.mul_scalar(pm) for c in ct.comps)
-    mid = replace(
-        ct,
-        comps=comps,
-        scale=ct.scale * params.scale,
-        noise_log2=ct.noise_log2 + params.scale_bits + math.log2(max(abs(mult), 2**-params.scale_bits)),
-        msg_bound=ct.msg_bound * max(abs(mult), 1e-300),
-    )
-    out = rescale(mid)
-    if add != 0.0:
-        if not 0 <= add_index < ring.n:
+    batch = not isinstance(ct, Ciphertext)
+    mids = []
+    for x in ct if batch else (ct,):
+        if len(x.comps) != 2:
+            raise LevelError("plain_affine expects a relinearized ciphertext")
+        if x.level < 1:
+            raise LevelError("no levels left for the affine rescale")
+        params = x.params
+        if add != 0.0 and not 0 <= add_index < params.ring.n:
             raise EncodingError(f"add_index {add_index} outside ring degree")
-        pa = _monomial(params, int(round(add * out.scale)), add_index, out.level)
-        out = replace(
-            out,
-            comps=(out.comps[0].add(pa), out.comps[1]),
-            noise_log2=_log2_add(out.noise_log2, -1.0),
-            msg_bound=out.msg_bound + abs(add),
-        )
-    return out
+        # a constant's NTT is the constant in every slot: one scalar pass
+        pm = _scaled_round(params.scale, float(mult))
+        _check_headroom(params, abs(pm), x.level)
+        mids.append(replace(
+            x,
+            comps=tuple(c.mul_scalar(pm) for c in x.comps),
+            scale=x.scale * params.scale,
+            noise_log2=x.noise_log2 + params.scale_bits
+            + math.log2(max(abs(mult), 2**-params.scale_bits)),
+            msg_bound=x.msg_bound * max(abs(mult), 1e-300),
+        ))
+    outs = list(rescale(mids))
+    if add != 0.0:
+        for k, out in enumerate(outs):
+            pa = _monomial(out.params, int(round(add * out.scale)), add_index, out.level)
+            outs[k] = replace(
+                out,
+                comps=(out.c0.add(pa), out.c1),
+                noise_log2=_log2_add(out.noise_log2, -1.0),
+                msg_bound=out.msg_bound + abs(add),
+            )
+    return tuple(outs) if batch else outs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -152,14 +152,15 @@ def mul_shoup(x, w, w_hi, w_lo, q):
     return np.minimum(r, r - q)
 
 
-def mul_mod(a: np.ndarray, b: np.ndarray, tab: NttTables, rows) -> np.ndarray:
+def mul_mod(a: np.ndarray, b: np.ndarray, tab: NttTables, rows, out=None) -> np.ndarray:
     """Plain row-wise product a*b mod q of two standard-form residue matrices.
 
     One Montgomery reduction leaves a*b*2^-64; a Shoup multiply by 2^64 mod q
     cancels the factor.  Runs over the same cache-sized row blocks as the
-    transforms.
+    transforms.  ``out`` may be ``a`` or ``b``: a block is read before it is
+    written.
     """
-    out = np.empty_like(a)
+    out = np.empty_like(a) if out is None else out
     for start, stop, sel in _row_blocks(rows, a.shape[1]):
         q = tab.q[sel]
         t = mont_mul(a[start:stop], b[start:stop], q, tab.neg_qinv[sel])

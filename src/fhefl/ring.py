@@ -40,9 +40,12 @@ prefix of the top-level one) and every arithmetic op drops it.
 
 Rescaling (`drop_last_modulus`) is the exact RNS divide-and-round by the last
 active modulus: subtract the centered remainder, then multiply by its inverse
-on the remaining rows.  It works in either domain; in the NTT domain only the
-dropped row is transformed back, and the remainder is transformed forward
-once per remaining row (the full-RNS rescale of Cheon et al., SAC 2018).
+on the remaining rows (the full-RNS rescale of Cheon et al., SAC 2018).  It
+works in either domain, and on any number of elements of one layout at once,
+in groups of `RingParams.group_size`: in the NTT domain a group's dropped rows
+take one inverse transform, its remainders are lifted in one vectorised pass
+and take one forward transform over all of their rows.  At n = 1024 a group
+is 16 elements; at n = 16384 it is one, the arithmetic of a single drop.
 Dropping rows without rounding (`mod_reduce_to`) is plain modulus reduction
 and keeps the encoded scale untouched.
 
@@ -65,6 +68,7 @@ import numpy as np
 
 from .errors import DomainError, LevelError, ParameterError, SerializationError
 from .ntt import (
+    BLOCK_ELEMS,
     NttTables,
     add_mod,
     is_prime,
@@ -145,6 +149,13 @@ class RingParams:
         if special:
             rows.append(len(self.chain))
         return rows
+
+    @property
+    def group_size(self) -> int:
+        """Elements per group of a batched `RingElement.drop_last_modulus`:
+        as many as one transform block has rows (``BLOCK_ELEMS // n``), at
+        least one, so the group's dropped rows take one block."""
+        return max(1, BLOCK_ELEMS // self.n)
 
     def record_bytes(self, level: int, special: bool) -> int:
         """Length of a `RingElement.to_bytes` record at this layout."""
@@ -280,36 +291,53 @@ class RingElement:
         data = np.ascontiguousarray(self.data[rows])
         return RingElement(self.params, data, level, special, self.ntt, self.seed)
 
-    def drop_last_modulus(self) -> "RingElement":
-        """Exact divide-and-round by the last active modulus, in either domain.
+    def drop_last_modulus(self, *more: "RingElement"):
+        """Exact divide-and-round by the last active modulus, in either domain,
+        of this element and of every element of ``more``, all of one layout.
 
         Computes round(x / q_last) residue-wise: y_j = (x_j - [x]_q_last) / q_last
-        with the centered remainder, which is exact in RNS.  In the NTT domain
-        the remainder comes from one inverse transform of the dropped row and
-        enters the other rows through one forward transform each; the result
-        stays in the input's domain.
+        with the centered remainder, which is exact in RNS.  The elements go
+        in groups of `RingParams.group_size`; in the NTT domain a group's
+        dropped rows take one inverse transform and its remainders one
+        forward transform over all of their rows.  The results stay in the
+        input's domain.  Without ``more`` the result is one element, with it
+        a tuple in order.
         """
+        for e in more:
+            self._check_compat(e)
         mods = self.moduli
         if len(mods) == 1:
             raise LevelError("modulus chain exhausted; nothing left to drop")
-        tab, rows = self.params.tables, self.rows
+        params, tab, rows = self.params, self.params.tables, self.rows
         keep = rows[:-1]
         q_last = mods[-1]
-        last = self.data[-1:]
-        if self.ntt:
-            last = last.copy()
-            ntt_inverse_inplace(last, tab, rows[-1:])
         q = tab.q[keep]
-        # [x]_q_last, centered, reduced into every remaining modulus
-        rem = last % q
-        big = last > np.uint64(q_last // 2)
-        rem = np.where(big, sub_mod(rem, np.uint64(q_last) % q, q), rem)
-        if self.ntt:
-            ntt_forward_inplace(rem, tab, keep)
-        diff = sub_mod(self.data[:-1], rem, q)
-        out = mul_shoup(diff, *tab.rescale[:, keep, rows[-1], None], q)
+        # a remainder x above q_last / 2 stands for x - q_last, which is
+        # x + (q - q_last mod q) mod q: both terms are below 2^62
+        shift = (q - np.uint64(q_last) % q) % q
+        inv_last = tab.rescale[:, keep, rows[-1], None]
         level = self.level if self.special else self.level - 1
-        return RingElement(self.params, out, level, False, self.ntt)
+        elems = (self, *more)
+        out = []
+        for start in range(0, len(elems), params.group_size):
+            group = elems[start : start + params.group_size]
+            last = np.stack([e.data[-1] for e in group])
+            if self.ntt:
+                ntt_inverse_inplace(last, tab, rows[-1:] * len(group))
+            # [x]_q_last, centered, reduced into every remaining modulus: one
+            # (elements, rows, n) block, built in place
+            last = last[:, None]
+            rem = np.where(last > np.uint64(q_last // 2), shift, np.uint64(0))
+            rem += last
+            rem %= q
+            if self.ntt:
+                ntt_forward_inplace(rem.reshape(-1, params.n), tab, keep * len(group))
+            # element by element, the subtract-and-multiply's temporaries stay
+            # cache-sized
+            for e, r in zip(group, rem):
+                y = mul_shoup(sub_mod(e.data[:-1], r, q), *inv_last, q)
+                out.append(RingElement(params, y, level, False, self.ntt))
+        return tuple(out) if more else out[0]
 
     # -- integer views ------------------------------------------------------------------
 

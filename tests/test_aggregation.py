@@ -451,7 +451,10 @@ def test_round_runs_each_leg_at_its_level(monkeypatch, name, n_users, dim):
         return real_group(ct, gk)
 
     def mult(x, y, *args):
-        seen["product"].add((x.level, y.level))
+        # a batched call passes sequences of operands: record every pair
+        batch = isinstance(x, (list, tuple))
+        for xi, yi in zip(x, y) if batch else [(x, y)]:
+            seen["product"].add((xi.level, yi.level))
         return real_mult(x, y, *args)
 
     monkeypatch.setattr(agg_mod, "masked_partial_decrypt", partial)

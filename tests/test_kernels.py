@@ -10,6 +10,7 @@ the bytes earlier versions produced.
 
 import functools
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from fhefl.aggregation import (
     sq_norm_plain,
     weighted_aggregate_plain,
 )
-from fhefl.errors import ParameterError
+from fhefl.errors import DomainError, LevelError, ParameterError
 from fhefl.he import (
     ciphertext_to_bytes,
     common_poly,
@@ -259,6 +260,64 @@ def test_rescale_matches_reference(case, seed, extreme, level, special, ntt):
     assert np.array_equal(got.data, np.array(want))
 
 
+def _reference_drop(x):
+    """The per-row reference rescale of one element, in its domain."""
+    ctxs = [_ctx(x.params.tables.primes[r], x.params.n) for r in x.rows]
+    coeff = [ref.ntt_inverse(row, c) for row, c in zip(x.data, ctxs)] if x.ntt else x.data
+    want = ref.drop_last_modulus(np.array(coeff), ctxs)
+    if x.ntt:
+        want = [ref.ntt_forward(row, c) for row, c in zip(want, ctxs)]
+    return np.array(want)
+
+
+@pytest.mark.parametrize("ntt", [False, True])
+@pytest.mark.parametrize("special", [False, True])
+def test_batched_rescale_matches_reference_per_element(special, ntt):
+    # a stage rescales its ciphertexts' components in one call, in groups of
+    # group_size elements; every result must be the element's own rescale,
+    # for batches that end short of, on and just past a group boundary
+    params = get_params("test-1024").ring
+    g = params.group_size
+    assert g == 16
+    level = params.max_level
+    rows = params.rows(level, special)
+    elems = [
+        RingElement(params, _residues(params, rows, seed, seed % 5 - 1), level, special, ntt)
+        for seed in range(g + 1)
+    ]
+    wants = [_reference_drop(x) for x in elems]
+    for size in (1, g - 1, g, g + 1):
+        got = elems[0].drop_last_modulus(*elems[1:size])
+        got = got if size > 1 else (got,)
+        assert len(got) == size
+        for y, want in zip(got, wants):
+            assert (y.level, y.special, y.ntt) == (level if special else level - 1, False, ntt)
+            assert np.array_equal(y.data, want)
+
+
+def test_batched_rescale_matches_reference_16384():
+    # one element per group at n = 16384: two elements take two groups
+    params = get_params("fhefl-16384").ring
+    assert params.group_size == 1
+    rows = params.rows(1, special=True)
+    elems = [RingElement(params, _residues(params, rows, s, -1), 1, True, True) for s in (3, 4)]
+    got = elems[0].drop_last_modulus(elems[1])
+    assert len(got) == 2
+    for y, x in zip(got, elems):
+        assert np.array_equal(y.data, _reference_drop(x))
+
+
+def test_batched_rescale_refuses_mixed_layouts():
+    params = get_params("test-1024").ring
+    x = RingElement(params, _residues(params, params.rows(2), 1, -1), 2, False, True)
+    with pytest.raises(LevelError):
+        x.drop_last_modulus(x.mod_reduce_to(1))
+    with pytest.raises(LevelError):
+        x.drop_last_modulus(RingElement.zeros(params, 2, special=True, ntt=True))
+    with pytest.raises(DomainError):
+        x.drop_last_modulus(x.to_coeff())
+
+
 @settings(max_examples=25, deadline=None)
 @given(case=st.sampled_from(CASES), seed=st.integers(0, 2**32), c=st.integers(-(2**70), 2**70))
 @example(case=("test-1024", 1024), seed=1, c=-(2**70))
@@ -363,32 +422,54 @@ def test_pinned_upload_and_product_bytes():
 @pytest.mark.parametrize("name", ["test-1024", "fhefl-16384"])
 def test_hoisted_digits_match_per_product_key_switch(name):
     # a round key-switches the shared quadratic component a2*a once per user,
-    # from one digit decomposition, and hands the pair to every chunk product
+    # from one digit decomposition, and hands the pair to every chunk product;
+    # a pair built from the factors (a2, a) also spares each product its d2
     params = get_params(name)
     krs = setup_pairwise(params, [0, 1], 0, b"hoist")
     a = common_poly(params, seed=b"hoist-a")
     a2 = common_poly(params, seed=b"hoist-a2")
     rng = np.random.default_rng(31)
-    switched = list(switch_quadratic(a2.mul(a), [kr.evk for kr in krs.values()]))
+    evks = [kr.evk for kr in krs.values()]
+    switched = list(switch_quadratic((a2, a), evks))
+    assert list(switch_quadratic(a2.mul(a), evks)) == [
+        replace(sw, factors=None) for sw in switched
+    ]
+    pairs, wants = [], []
     for kr, sw in zip(krs.values(), switched):
         x = encrypt(params, [rng.uniform(-1, 1)], kr.sk, a2, rng)
         for _ in range(2):  # two chunks, one key switch
             y = encrypt(params, rng.uniform(-1, 1, 8), kr.sk, a, rng)
-            hoisted = he_mult_relin(x, y, kr.evk, sw)
+            muls = []
+
+            def counted(u, v, real=RingElement.mul):
+                muls.append(v)
+                return real(u, v)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(RingElement, "mul", counted)
+                hoisted = he_mult_relin(x, y, kr.evk, sw)
+            assert len(muls) == 3  # d0 and the two halves of d1; no d2
             want = he_mult_relin(x, y, kr.evk)
             assert ciphertext_to_bytes(hoisted) == ciphertext_to_bytes(want)
+            pairs.append((x, y, kr.evk, sw))
+            wants.append(ciphertext_to_bytes(want))
+    # one batched call over both users' products rescales them together
+    batched = he_mult_relin(*(list(col) for col in zip(*pairs)))
+    assert [ciphertext_to_bytes(ct) for ct in batched] == wants
     # a pair of another component or of another key is refused, not misused
     with pytest.raises(ParameterError, match="switched pair"):
         he_mult_relin(y, y, kr.evk, switched[1])
     with pytest.raises(ParameterError, match="switched pair"):
         he_mult_relin(x, y, krs[1].evk, switched[0])
+    with pytest.raises(ParameterError, match="switched pair"):
+        he_mult_relin(x, y, krs[1].evk, replace(switched[0], factors=None))
 
 
 @pytest.fixture(scope="module")
 def counted_round():
     """A fixed-seed test-1024 round (10 users, dim 650: two chunks), the rows
-    its forward and inverse transforms processed, and the plain oracle's
-    model step."""
+    its forward and inverse transforms processed and their calls, and the
+    plain oracle's model step."""
     params = get_params("test-1024")
     tag = b"pinned-round"
     rng = np.random.default_rng(2026)
@@ -397,11 +478,12 @@ def counted_round():
     grads = rng.uniform(-1, 1, size=(10, 650))
     w_prev = rng.uniform(-1, 1, 650)
     enc = {u: encrypt_update(krs[u], grads[u], a, rng) for u in range(10)}
-    rows = {"forward": 0, "inverse": 0}
+    rows = {"forward": 0, "inverse": 0, "forward calls": 0, "inverse calls": 0}
 
     def counting(kind, kernel):
         def run(data, tab, sel):
             rows[kind] += len(sel)
+            rows[kind + " calls"] += 1
             return kernel(data, tab, sel)
 
         return run
@@ -431,10 +513,15 @@ def test_round_transform_budget(counted_round):
     # the counts are deterministic; a transform that creeps back into the
     # per-user path (it was 1520 forward and 373 inverse rows, then 802 and
     # 221 before the legs dropped to their lowest levels, then 635 and 216
-    # before each user's chunk products shared one key switch) fails here
+    # before each user's chunk products shared one key switch) fails here.
+    # The calls count the transforms themselves: 194 forward and 156 inverse
+    # before a stage's rescales and key-switch mod-downs ran in groups of
+    # users rather than one ciphertext at a time
     _, rows, *_ = counted_round
     assert rows["forward"] <= 495
     assert rows["inverse"] <= 176
+    assert rows["forward calls"] <= 67
+    assert rows["inverse calls"] <= 29
 
 
 def test_pinned_round_precision(counted_round):
