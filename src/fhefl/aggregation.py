@@ -14,11 +14,10 @@ The encrypted path mirrors the plain one stage for stage:
                 coefficient chunk_len-1 of the product, chunk_len being the
                 packed length of the upload's ciphertexts.  Every upload carries
                 the round's public c1 = a, so every product has the quadratic
-                component a*a: it is decomposed into key-switch digits once
-                for the stage and key-switched once per user, not once per
-                user and chunk.  The users go a group at a time: a group's
-                chunk products are rescaled together, and a group of keys'
-                switches are divided by the special prime together.
+                component a*a, and every chunk product of every user is one
+                ``he_mult_relin`` batch: the component is decomposed into
+                key-switch digits once for the stage and key-switched once
+                per user, not once per user and chunk.
 2. d-sum:       sum_u [d_u] is opened with masked partial decryptions (the
                 server learns only the total).
 3. rate:        [p_u] = plain_affine([d_u], -1/((U-1)*sum_d), 1/(U-1)).
@@ -35,11 +34,10 @@ The encrypted path mirrors the plain one stage for stage:
                 ~1, so a user cannot inflate their weight while re-encrypting.
 6. aggregate:   sum_u [p~_u] * [g_u] is opened with partial decryptions;
                 the model moves by -eta times the weighted gradient sum.
-                The rates share c1 = a2, so the quadratic component a2*a is
-                again decomposed once for the stage and key-switched once
-                per user, and the products are formed and rescaled one group
-                of users at a time, as in the norm stage (and the rate
-                stage's affine maps).
+                The rates share c1 = a2, so every product has the quadratic
+                component a2*a, and the stage is again one ``he_mult_relin``
+                batch, as the norm stage is (and the rate stage one
+                ``plain_affine`` call).
 
 Every stage runs at the lowest level that holds it, chosen from public data
 only (the chain and the ciphertext scales).  Dropping chain primes is exact
@@ -95,7 +93,6 @@ from .he import (
     plain_affine,
     product_scale,
     reencrypt,
-    switch_quadratic,
 )
 from .multikey import (
     UserKeyring,
@@ -298,33 +295,23 @@ def encrypt_update(
     )
 
 
-def sq_norm_encrypted(eu, evk, switched=None) -> Ciphertext | tuple[Ciphertext, ...]:
+def sq_norm_encrypted(eu, evk) -> Ciphertext | tuple[Ciphertext, ...]:
     """[g]_fwd * [g]_rev summed over chunks; ||g||^2 lands on eu.readout.
 
-    Every chunk carries c1 = a, so every product's quadratic component is
-    a*a: it is key-switched once, or taken from ``switched`` (see
-    ``he_mult_relin``), for all of them.
-
-    ``eu`` is one upload, or a sequence of them; ``evk`` and ``switched`` then
-    hold one entry per upload (``switched`` may be None).  Every chunk
-    product of every upload goes through one ``he_mult_relin`` call, and the
-    norms come back as a tuple in order.
+    ``eu`` is one upload, or a sequence of them with ``evk`` one key per
+    upload; a sequence gives a tuple of norms in order.  Every chunk of every
+    upload carries the round's c1 = a, so every chunk product is one
+    ``he_mult_relin`` batch, which key-switches their quadratic component
+    a*a once per upload.
     """
     batch = not isinstance(eu, EncryptedUpdate)
-    if not batch:
-        eu, evk, switched = (eu,), (evk,), (switched,)
-    elif switched is None:
-        switched = (None,) * len(eu)
-    xs, ys, keys, pairs = [], [], [], []
-    for e, k, sw in zip(eu, evk, switched):
-        if sw is None:
-            (sw,) = switch_quadratic((e.fwd[0].c1, e.rev[0].c1), [k])
-        xs += e.fwd
-        ys += e.rev
-        keys += [k] * len(e.fwd)
-        pairs += [sw] * len(e.fwd)
-    prods = iter(he_mult_relin(xs, ys, keys, pairs))
-    norms = tuple(reduce(he_add, islice(prods, len(e.fwd))) for e in eu)
+    eus, evks = (tuple(eu), tuple(evk)) if batch else ((eu,), (evk,))
+    prods = iter(he_mult_relin(
+        [ct for e in eus for ct in e.fwd],
+        [ct for e in eus for ct in e.rev],
+        [k for e, k in zip(eus, evks) for _ in e.fwd],
+    ))
+    norms = tuple(reduce(he_add, islice(prods, e.n_chunks)) for e in eus)
     return norms if batch else norms[0]
 
 
@@ -485,22 +472,10 @@ def secure_aggregate_round(
     # that noise from setting the precision of the opened update.
     fresh_scale = params.scale * 2.0**params.flood_sigma_bits
     l_agg = max(1, min(_open_level(params, fresh_scale * params.scale), l_norm))
-    # The norm, rate and aggregate stages take one group of users at a time:
-    # a group's 2 * n_chunks product components per user fill one group of
-    # the ring's batched rescale, and only one group's products are in flight.
-    per_group = max(1, params.ring.group_size // (2 * n_chunks))
-    groups = [users[i : i + per_group] for i in range(0, n_users, per_group)]
     evks = [keyrings[u].evk for u in users]
 
     with _stage("norm"):
-        pairs = switch_quadratic((a, a), evks)
-        d_cts = {}
-        for group in groups:
-            d_cts.update(zip(group, sq_norm_encrypted(
-                [enc_updates[u] for u in group],
-                [keyrings[u].evk for u in group],
-                list(islice(pairs, len(group))),
-            )))
+        d_cts = dict(zip(users, sq_norm_encrypted([enc_updates[u] for u in users], evks)))
 
     with _stage("distance-sum"):
         d_open = {u: _opened(d_cts[u]) for u in users}
@@ -515,13 +490,11 @@ def secure_aggregate_round(
         sum_d = max(sum_d, 0.0)
 
     with _stage("rate"):
-        p_cts = {}
-        for group in groups:
-            ds = [d_cts[u] for u in group]
-            if sum_d > 0:
-                p_cts.update(zip(group, rates_encrypted(ds, sum_d, n_users, readout=ri)))
-            else:  # all-zero degenerate round: constant 1/U, no division
-                p_cts.update(zip(group, plain_affine(ds, 0.0, 1.0 / n_users, add_index=ri)))
+        ds = [d_cts[u] for u in users]
+        if sum_d > 0:
+            p_cts = dict(zip(users, rates_encrypted(ds, sum_d, n_users, readout=ri)))
+        else:  # all-zero degenerate round: constant 1/U, no division
+            p_cts = dict(zip(users, plain_affine(ds, 0.0, 1.0 / n_users, add_index=ri)))
 
     with _stage("re-encrypt"):
         a2 = common_poly(params, seed=round_tag + b"|a2", level=l_agg)
@@ -554,25 +527,19 @@ def secure_aggregate_round(
 
     with _stage("aggregate"):
         # every fresh rate carries c1 = a2 (aggregate_fresh checked it), so
-        # every product's quadratic component is a2*a: each user's one switch
-        # serves all of their chunks, and a group's pairs are made as the
-        # group's products need them
-        pairs = switch_quadratic((a2, a.mod_reduce_to(l_agg)), evks)
-        prods = [{} for _ in range(n_chunks)]
-        for group in groups:
-            sws = list(islice(pairs, len(group)))
-            out = iter(he_mult_relin(
-                [p_fresh[u] for u in group for _ in prods],
-                [ct.mod_reduce_to(l_agg) for u in group for ct in enc_updates[u].fwd],
-                [keyrings[u].evk for u in group for _ in prods],
-                [sw for sw in sws for _ in prods],
-            ))
-            for u in group:
-                for prod in prods:
-                    prod[u] = next(out)
+        # every product's quadratic component is a2*a: one batch, user by
+        # user and chunk by chunk, key-switches it once per user
+        prods = he_mult_relin(
+            [p_fresh[u] for u in users for _ in range(n_chunks)],
+            [ct.mod_reduce_to(l_agg) for u in users for ct in enc_updates[u].fwd],
+            [k for k in evks for _ in range(n_chunks)],
+        )
         out = np.concatenate([
-            _open_sum(prod, keyrings, round_tag + b"|agg|" + str(c).encode(), roster, rng)
-            for c, prod in enumerate(prods)
+            _open_sum(
+                dict(zip(users, prods[c::n_chunks])),
+                keyrings, round_tag + b"|agg|" + str(c).encode(), roster, rng,
+            )
+            for c in range(n_chunks)
         ])
         agg = out[: w_prev.size]
 

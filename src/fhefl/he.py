@@ -25,18 +25,16 @@ quadratic component into its per-prime RNS digits and key-switches them with
 one evaluation-key pair per chain prime over the special-prime extension —
 the standard word-sized realization of dividing by a large public ``p``.
 The quadratic component of a product of fresh ciphertexts is the product of
-their public c1 parts, so every user's product in a round has the same one.
-``switch_quadratic`` decomposes it once and key-switches it under each user's
-key — the hoisting of Halevi & Shoup (CRYPTO 2018), across users instead of
-rotations — and each user's switched pair serves all of their chunk products
-(``switched=``), checked to be this product's component under this key.  A
-pair built from the component's two factors spares each product its own
-quadratic component: the product's c1 parts are compared with the factors
-instead.
+their public c1 parts, so every product of a round's stage has the same one.
+``he_mult_relin`` takes a stage as one batch, whose products must share
+their c1 parts: it forms the component once, decomposes it into key-switch
+digits once and key-switches it once per run of products under one key
+(``switch_quadratic``) — the hoisting of Halevi & Shoup (CRYPTO 2018), across
+users instead of rotations.
 
 ``rescale``, ``he_mult_relin`` and ``plain_affine`` take one ciphertext (or
-pair) or a sequence of them; a sequence is rescaled through one batched
-``RingElement.drop_last_modulus``, with one transform per group of
+pair) or a sequence of them; a sequence is rescaled through batched
+``RingElement.drop_last_modulus`` calls, with one transform per group of
 components rather than one per ciphertext, and gives the same bytes.
 
 A ciphertext's level is its components' level.  Ciphertexts add under one
@@ -564,14 +562,8 @@ def he_add(x: Ciphertext, y: Ciphertext) -> Ciphertext:
     )
 
 
-def _he_mult_raw(
-    x: Ciphertext, y: Ciphertext, switched: SwitchedQuadratic | None = None
-) -> Ciphertext:
-    """Tensor product -> three components (d0, d1, d2), scale multiplied.
-
-    A ``switched`` pair built from its factors supplies d2 once x's and y's
-    c1 parts are checked to be those factors, so d2 is not formed again.
-    """
+def _check_product(x: Ciphertext, y: Ciphertext) -> None:
+    """Refuse a pair of operands that cannot be multiplied."""
     if len(x.comps) != 2 or len(y.comps) != 2:
         raise LevelError("three-component operands must be relinearized first")
     if x.level != y.level:
@@ -585,16 +577,22 @@ def _he_mult_raw(
     out_len = x.length + y.length - 1
     if out_len > n:
         raise EncodingError(f"product length {out_len} wraps the ring degree {n}")
+
+
+def _he_mult_raw(x: Ciphertext, y: Ciphertext, d2: RingElement | None = None) -> Ciphertext:
+    """Tensor product -> three components (d0, d1, d2), scale multiplied.
+
+    ``d2`` is x1*y1 when the caller has formed it already (``he_mult_relin``
+    forms it once per batch); otherwise it is formed here.
+    """
+    _check_product(x, y)
     x0, x1 = x.comps
     y0, y1 = y.comps
     d0 = x0.mul(y0)
     d1 = x0.mul(y1).add(x1.mul(y0))
-    if switched is None or switched.factors is None:
+    if d2 is None:
         d2 = x1.mul(y1)
-    elif switched.factors[0] == x1 and switched.factors[1] == y1:
-        d2 = switched.d2
-    else:
-        raise ParameterError("switched pair is not this product's quadratic component")
+    n = x.params.ring.n
     root_n = math.log2(n) / 2
     nz = _log2_add(
         x.noise_log2 + math.log2(max(y.scale * y.msg_bound, 1.0)),
@@ -605,7 +603,7 @@ def _he_mult_raw(
         params=x.params,
         comps=(d0, d1, d2),
         scale=x.scale * y.scale,
-        length=out_len,
+        length=x.length + y.length - 1,
         direction="forward" if "forward" in (x.direction, y.direction) else "reversed",
         noise_log2=nz,
         msg_bound=x.msg_bound * y.msg_bound * min(x.length, y.length),
@@ -615,23 +613,16 @@ def _he_mult_raw(
 @dataclass(frozen=True)
 class SwitchedQuadratic:
     """A quadratic component d2 key-switched under one evaluation key:
-    u0 - u1*s = d2*s^2 + p^-1 * sum_i digit_i * e_i (mod the active chain).
-    ``factors`` are the c1 parts (x1, y1) with d2 = x1*y1, when the pair was
-    built from them."""
+    u0 - u1*s = d2*s^2 + p^-1 * sum_i digit_i * e_i (mod the active chain)."""
 
     d2: RingElement
     evk: EvalKey
     u0: RingElement
     u1: RingElement
-    factors: tuple[RingElement, RingElement] | None = None
 
 
-def switch_quadratic(d2, evks) -> Iterator[SwitchedQuadratic]:
+def switch_quadratic(d2: RingElement, evks) -> Iterator[SwitchedQuadratic]:
     """Key-switch one quadratic component under each of ``evks``, in order.
-
-    ``d2`` is the component, or the pair (x1, y1) of c1 parts whose product
-    it is; a pair built from the factors lets ``he_mult_relin`` check a
-    product's c1 parts against them instead of forming its d2.
 
     d2 is decomposed into its RNS digits once.  Each key's inner product with
     the digits over the extended basis is one stacked multiply per half of
@@ -642,13 +633,10 @@ def switch_quadratic(d2, evks) -> Iterator[SwitchedQuadratic]:
     group of the drop.  The pairs are yielded in key order, so a caller that
     uses each group before the next holds one group at a time.
     """
-    factors = None
-    if isinstance(d2, tuple):
-        factors, d2 = d2, d2[0].mul(d2[1])
     ring, level = d2.params, d2.level
     rows = ring.rows(level, special=True)
     q = ring.tables.q[rows]
-    digits = np.concatenate([digit.data for digit in rns_digits(d2)])
+    digits = rns_digits(d2)
 
     def inner(half) -> RingElement:
         # the key's rows at d2's level, digit after digit as the digits lie,
@@ -669,7 +657,7 @@ def switch_quadratic(d2, evks) -> Iterator[SwitchedQuadratic]:
             *[inner(half) for evk in group for half in (evk.ks_b, evk.ks_a)]
         )
         for k, evk in enumerate(group):
-            yield SwitchedQuadratic(d2, evk, downs[2 * k], downs[2 * k + 1], factors)
+            yield SwitchedQuadratic(d2, evk, downs[2 * k], downs[2 * k + 1])
 
 
 def relinearize(
@@ -735,29 +723,41 @@ def affine_scale(params: HeParams, scale: float, level: int) -> float:
     return scale * params.scale / params.ring.chain[level]
 
 
-def he_mult_relin(x, y, evk, switched=None) -> Ciphertext | tuple[Ciphertext, ...]:
+def he_mult_relin(x, y, evk) -> Ciphertext | tuple[Ciphertext, ...]:
     """Full product: tensor, relinearize, rescale.
 
-    ``switched``: ``next(switch_quadratic((x.c1, y.c1), [evk]))``, for callers
-    that multiply many pairs sharing the same c1 parts under one key.  Built
-    from the factors, it also spares each product its quadratic component.
-
-    ``x`` and ``y`` are one ciphertext each, or equal-length sequences of the
-    pairs' operands; ``evk`` and ``switched`` then hold one entry per pair
-    (``switched`` may be None), and the products are rescaled through one
-    ``rescale`` call and returned as a tuple in order.
+    ``x`` and ``y`` are one ciphertext each, or equal-length sequences of a
+    batch's operands with ``evk`` one key per product; a batch gives a tuple
+    in order.  Every product of a batch must share its operands' c1 parts,
+    and so its quadratic component d2 = x1*y1: d2 is formed once, decomposed
+    once and key-switched once per run of consecutive products under one key
+    (``switch_quadratic``).  The products are then relinearized and rescaled
+    half a ``RingParams.group_size`` at a time, so that their components fill
+    one group of the drop and only one group of three-component products is
+    held.
     """
     batch = not isinstance(x, Ciphertext)
-    if not batch:
-        x, y, evk, switched = (x,), (y,), (evk,), (switched,)
-    elif switched is None:
-        switched = (None,) * len(x)
-    if not len(x) == len(y) == len(evk) == len(switched):
-        raise ParameterError("he_mult_relin takes one key and one switched pair per operand pair")
-    out = rescale([
-        relinearize(_he_mult_raw(a, b, sw), k, sw) for a, b, k, sw in zip(x, y, evk, switched)
-    ])
-    return out if batch else out[0]
+    xs, ys, evks = (tuple(x), tuple(y), tuple(evk)) if batch else ((x,), (y,), (evk,))
+    if not 0 < len(xs) == len(ys) == len(evks):
+        raise ParameterError("he_mult_relin takes one key per operand pair, and at least one pair")
+    for a, b in zip(xs, ys):
+        _check_product(a, b)
+    x1, y1 = xs[0].c1, ys[0].c1
+    if any(a.c1 != x1 or b.c1 != y1 for a, b in zip(xs, ys)):
+        raise ParameterError("a batch's products must share their operands' c1 parts")
+    d2 = x1.mul(y1)
+    new_run = [i == 0 or k is not evks[i - 1] for i, k in enumerate(evks)]
+    switched = switch_quadratic(d2, [k for k, new in zip(evks, new_run) if new])
+    step = max(1, d2.params.group_size // 2)
+    out = []
+    for first in range(0, len(xs), step):
+        raws = []
+        for i in range(first, min(first + step, len(xs))):
+            if new_run[i]:
+                sw = next(switched)
+            raws.append(relinearize(_he_mult_raw(xs[i], ys[i], d2), evks[i], sw))
+        out += rescale(raws)
+    return tuple(out) if batch else out[0]
 
 
 def plain_affine(

@@ -325,7 +325,7 @@ def _row_blocks(rows, n: int):
     step = max(1, BLOCK_ELEMS // n)
     for start in range(0, len(rows), step):
         blk = rows[start : start + step]
-        if blk[-1] - blk[0] == len(blk) - 1:
+        if list(blk) == list(range(blk[0], blk[0] + len(blk))):
             sel = slice(blk[0], blk[-1] + 1)
         else:
             sel = list(blk)

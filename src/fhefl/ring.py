@@ -512,26 +512,28 @@ def to_ntt_all(elems) -> list[RingElement]:
     return [first._like(block, ntt=True) for block in np.split(data, len(elems))]
 
 
-def rns_digits(x: RingElement):
-    """Yield the NTT forms of an element's RNS digits over the extended basis.
+def rns_digits(x: RingElement) -> np.ndarray:
+    """The NTT forms of an element's RNS digits over the extended basis, as
+    one stacked ``(digits * rows, n)`` residue matrix.
 
     ``x`` is an NTT-domain element over q_0..q_l.  Digit i is its residue row
     mod q_i read as an integer in [0, q_i) and reduced into every modulus of
-    q_0..q_l plus the special prime.  Row i of that digit is x's own NTT row
-    i, so only the other rows are transformed.
+    q_0..q_l plus the special prime; it fills rows i*(l+2) .. i*(l+2)+l+1.
+    Row i of that digit is x's own NTT row i, so only the other rows are
+    transformed, every digit's in one call.
     """
     if not x.ntt or x.special:
         raise DomainError("digit decomposition takes an NTT-domain chain element")
     params, tab = x.params, x.params.tables
-    coeff = x.to_coeff().data
     rows = params.rows(x.level, special=True)
-    q = tab.q[rows]
-    for i in range(x.level + 1):
-        ext = coeff[i] % q
-        ext[i] = x.data[i]
-        ntt_forward_inplace(ext[:i], tab, rows[:i])
-        ntt_forward_inplace(ext[i + 1 :], tab, rows[i + 1 :])
-        yield RingElement(params, ext, x.level, True, True)
+    n_digits = x.level + 1
+    digit, row = np.nonzero(~np.eye(n_digits, len(rows), dtype=bool))
+    other = x.to_coeff().data[digit] % tab.q[rows][row]
+    ntt_forward_inplace(other, tab, [rows[r] for r in row])
+    out = np.empty((n_digits, len(rows), params.n), dtype=np.uint64)
+    out[digit, row] = other
+    out[np.arange(n_digits), np.arange(n_digits)] = x.data
+    return out.reshape(-1, params.n)
 
 
 # ---------------------------------------------------------------------------

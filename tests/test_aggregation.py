@@ -350,6 +350,34 @@ def test_pipeline_matches_on_test1024():
     np.testing.assert_allclose(w_enc, w_plain, rtol=1e-2, atol=1e-4)
 
 
+# Bits of the opened step each preset's 3-user, dim-8 round keeps against the
+# plain oracle: -log2(max |w_enc - w_plain| / max |step|).  Seeds 0-3 read at
+# least 21.0, 22.1 and 42.6 bits at test-16, test-1024 and fhefl-16384.
+PRECISION_FLOOR = {"test-16": 20, "test-1024": 21, "fhefl-8192": 20, "fhefl-16384": 40}
+
+
+@pytest.mark.parametrize("name", [
+    "test-16",
+    "test-1024",
+    pytest.param("fhefl-8192", marks=pytest.mark.xfail(
+        strict=True,
+        reason="the distance products open at scale 2^24 under sigma * 2^20 ~ 2^21.7 "
+        "of flooding per partial decryption, so the opened distance total and "
+        "every rate are off by percents (seed 0 keeps 6.5 bits)",
+    )),
+    "fhefl-16384",
+])
+def test_every_preset_round_meets_the_oracle(name):
+    hp = get_params(name)
+    w_enc, w_plain = run_both(hp, n_users=3, dim=8, seed=0)
+    rng = np.random.default_rng(0)  # run_both's draws: the gradients, then w_prev
+    rng.uniform(-2, 2, size=(3, 8))
+    w_prev = rng.uniform(-1, 1, 8)
+    np.testing.assert_allclose(w_enc, w_plain, rtol=1e-2, atol=1e-4)
+    step = np.max(np.abs(w_plain - w_prev))
+    assert np.max(np.abs(w_enc - w_plain)) <= 2.0 ** -PRECISION_FLOOR[name] * step
+
+
 def test_pipeline_precision_beyond_partial_decryption_flooding():
     # The aggregate leg opens sum_u p_u * g_u through partial decryptions
     # flooded with sigma * 2^flood_sigma_bits noise.  The re-encrypted rate

@@ -10,7 +10,6 @@ the bytes earlier versions produced.
 
 import functools
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ import ring_reference as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fhefl import he as he_mod
 from fhefl import ring as ring_mod
 from fhefl.aggregation import (
     encrypt_update,
@@ -34,7 +34,6 @@ from fhefl.he import (
     get_params,
     he_mult_relin,
     preset_names,
-    switch_quadratic,
 )
 from fhefl.multikey import setup_pairwise
 from fhefl.ntt import mul_mod, ntt_forward_inplace, ntt_inverse_inplace, shoup_stack
@@ -163,14 +162,18 @@ def test_transforms_match_reference_one_row_16384():
 
 
 def test_transforms_take_any_row_subset():
-    # the special row ahead of a chain row: the block gathers its twiddles
+    # the special row (4) ahead of a chain row: the block gathers its
+    # twiddles.  [1, 4, 0, 4] is the digit decomposition's order at level 1:
+    # its ends lie as far apart as it is long, yet it is not a run of rows
     params = _ring("test-1024", 1024)
-    rows = [params.max_level + 1, 1]
-    x = _residues(params, rows, 5, -1)
-    got = x.copy()
-    ntt_forward_inplace(got, params.tables, rows)
-    for i, r in enumerate(rows):
-        assert np.array_equal(got[i], ref.ntt_forward(x[i], _ctx(params.tables.primes[r], 1024)))
+    assert params.max_level + 1 == 4
+    for rows in ([4, 1], [1, 4, 0, 4]):
+        x = _residues(params, rows, 5, -1)
+        got = x.copy()
+        ntt_forward_inplace(got, params.tables, rows)
+        for i, r in enumerate(rows):
+            want = ref.ntt_forward(x[i], _ctx(params.tables.primes[r], 1024))
+            assert np.array_equal(got[i], want)
 
 
 @settings(max_examples=30, deadline=None)
@@ -419,50 +422,59 @@ def test_pinned_upload_and_product_bytes():
     )
 
 
-@pytest.mark.parametrize("name", ["test-1024", "fhefl-16384"])
-def test_hoisted_digits_match_per_product_key_switch(name):
-    # a round key-switches the shared quadratic component a2*a once per user,
-    # from one digit decomposition, and hands the pair to every chunk product;
-    # a pair built from the factors (a2, a) also spares each product its d2
+@pytest.mark.parametrize("name", preset_names())
+def test_batched_products_hoist_one_key_switch_per_run(monkeypatch, name):
+    # a round multiplies a stage as one batch: every product shares the
+    # quadratic component a2*a, which is formed and decomposed once and
+    # key-switched once per run of products under one key.  Two users, five
+    # and four products: nine, across relinearize/rescale groups of 512, 8,
+    # 1 and 1 products at test-16, test-1024, fhefl-8192 and fhefl-16384
     params = get_params(name)
     krs = setup_pairwise(params, [0, 1], 0, b"hoist")
     a = common_poly(params, seed=b"hoist-a")
     a2 = common_poly(params, seed=b"hoist-a2")
     rng = np.random.default_rng(31)
-    evks = [kr.evk for kr in krs.values()]
-    switched = list(switch_quadratic((a2, a), evks))
-    assert list(switch_quadratic(a2.mul(a), evks)) == [
-        replace(sw, factors=None) for sw in switched
-    ]
-    pairs, wants = [], []
-    for kr, sw in zip(krs.values(), switched):
+    xs, ys, evks = [], [], []
+    for kr, count in zip(krs.values(), (5, 4)):
         x = encrypt(params, [rng.uniform(-1, 1)], kr.sk, a2, rng)
-        for _ in range(2):  # two chunks, one key switch
-            y = encrypt(params, rng.uniform(-1, 1, 8), kr.sk, a, rng)
-            muls = []
+        xs += [x] * count
+        ys += [encrypt(params, rng.uniform(-1, 1, 4), kr.sk, a, rng) for _ in range(count)]
+        evks += [kr.evk] * count
+    wants = [ciphertext_to_bytes(he_mult_relin(x, y, k)) for x, y, k in zip(xs, ys, evks)]
 
-            def counted(u, v, real=RingElement.mul):
-                muls.append(v)
-                return real(u, v)
+    digits, switched, d2_muls = [], [], []
 
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(RingElement, "mul", counted)
-                hoisted = he_mult_relin(x, y, kr.evk, sw)
-            assert len(muls) == 3  # d0 and the two halves of d1; no d2
-            want = he_mult_relin(x, y, kr.evk)
-            assert ciphertext_to_bytes(hoisted) == ciphertext_to_bytes(want)
-            pairs.append((x, y, kr.evk, sw))
-            wants.append(ciphertext_to_bytes(want))
-    # one batched call over both users' products rescales them together
-    batched = he_mult_relin(*(list(col) for col in zip(*pairs)))
+    def count_digits(x, real=he_mod.rns_digits):
+        digits.append(x)
+        return real(x)
+
+    def count_switches(d2, keys, real=he_mod.switch_quadratic):
+        switched.append(list(keys))
+        return real(d2, keys)
+
+    def count_muls(u, v, real=RingElement.mul):
+        if u is xs[0].c1 and v is ys[0].c1:
+            d2_muls.append(v)
+        return real(u, v)
+
+    monkeypatch.setattr(he_mod, "rns_digits", count_digits)
+    monkeypatch.setattr(he_mod, "switch_quadratic", count_switches)
+    monkeypatch.setattr(RingElement, "mul", count_muls)
+    batched = he_mult_relin(xs, ys, evks)
     assert [ciphertext_to_bytes(ct) for ct in batched] == wants
-    # a pair of another component or of another key is refused, not misused
-    with pytest.raises(ParameterError, match="switched pair"):
-        he_mult_relin(y, y, kr.evk, switched[1])
-    with pytest.raises(ParameterError, match="switched pair"):
-        he_mult_relin(x, y, krs[1].evk, switched[0])
-    with pytest.raises(ParameterError, match="switched pair"):
-        he_mult_relin(x, y, krs[1].evk, replace(switched[0], factors=None))
+    assert len(digits) == 1 and len(d2_muls) == 1
+    assert switched == [[kr.evk for kr in krs.values()]]
+    # a batch whose products do not share their c1 parts is refused
+    other = encrypt(params, [0.5], krs[1].sk, common_poly(params, seed=b"hoist-b"), rng)
+    for bad in ((xs[:-1] + [other], ys), (xs, ys[:-1] + [other])):
+        with pytest.raises(ParameterError, match="c1 parts"):
+            he_mult_relin(*bad, evks)
+    # relinearize refuses a switched pair of another key or another component
+    raw = he_mod._he_mult_raw(xs[0], ys[0])
+    (sw,) = he_mod.switch_quadratic(raw.comps[2], [evks[0]])
+    for ct, evk in ((raw, evks[-1]), (he_mod._he_mult_raw(ys[0], ys[0]), evks[0])):
+        with pytest.raises(ParameterError, match="switched pair"):
+            he_mod.relinearize(ct, evk, sw)
 
 
 @pytest.fixture(scope="module")
@@ -516,12 +528,13 @@ def test_round_transform_budget(counted_round):
     # before each user's chunk products shared one key switch) fails here.
     # The calls count the transforms themselves: 194 forward and 156 inverse
     # before a stage's rescales and key-switch mod-downs ran in groups of
-    # users rather than one ciphertext at a time
+    # users rather than one ciphertext at a time, then 67 and 29 before a
+    # digit decomposition took one forward call and a stage one batch
     _, rows, *_ = counted_round
     assert rows["forward"] <= 495
     assert rows["inverse"] <= 176
-    assert rows["forward calls"] <= 67
-    assert rows["inverse calls"] <= 29
+    assert rows["forward calls"] <= 54
+    assert rows["inverse calls"] <= 28
 
 
 def test_pinned_round_precision(counted_round):
