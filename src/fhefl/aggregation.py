@@ -40,12 +40,14 @@ The encrypted path mirrors the plain one stage for stage:
                 ``plain_affine`` call).
 
 Every stage runs at the lowest level that holds it, chosen from public data
-only (the chain and the ciphertext scales).  Dropping chain primes is exact
-and, in the NTT domain, a row slice, so each leg only pays for the primes it
-needs: fewer rows to multiply, key-switch, mask and send.  The round opens
-values below 2^_VALUE_BITS in magnitude (the distance total, the rate total
-and each coordinate of the weighted update); a leg opens at the lowest level
-Q_l with Q_l >= scale * 2^(_VALUE_BITS + 1) (``_open_level``).
+only (the chain and the ciphertext scales; the level plan is in
+:mod:`fhefl.he`).  Dropping chain primes is exact and, in the NTT domain, a
+row slice, so each leg only pays for the primes it needs: fewer rows to
+multiply, key-switch, mask and send, and evaluation keys that stop at the
+upload level.  The round opens values below 2^_VALUE_BITS in magnitude (the
+distance total, the rate total and each coordinate of the weighted update);
+a leg opens at the lowest level Q_l with Q_l >= scale * 2^(_VALUE_BITS + 1)
+(``_open_level``).
 
 * norm: the lowest level at which the product's distance still opens and
   the rate, two rescales below, still takes the full 2^20 blind
@@ -81,17 +83,18 @@ import numpy as np
 
 from .errors import FheflError, ParameterError, ProtocolError
 from .he import (
+    _VALUE_BITS,
     Ciphertext,
-    HeParams,
     PlainVector,
-    affine_scale,
+    _blind_bound,
+    _norm_level,
+    _open_level,
     common_poly,
     encode_monomial,
     encrypt,
     he_add,
     he_mult_relin,
     plain_affine,
-    product_scale,
     reencrypt,
 )
 from .multikey import (
@@ -341,46 +344,8 @@ def rates_encrypted(
 # ---------------------------------------------------------------------------
 
 
-# Every value the round opens is below 2^_VALUE_BITS in magnitude.
-_VALUE_BITS = 32
-_MAX_BLIND = 2.0**20
 # How far the opened sum of the re-encrypted rates may sit from 1.
 _RATE_SUM_TOL = 0.05
-
-
-def _modulus(params: HeParams, level: int) -> int:
-    return params.ring.crt_constants(params.ring.moduli(level))[0]
-
-
-def _open_level(params: HeParams, scale: float) -> int:
-    """Lowest level whose modulus holds scale * 2^_VALUE_BITS and a sign;
-    the top level if none does."""
-    need = scale * 2.0 ** (_VALUE_BITS + 1)
-    for level in range(params.ring.max_level + 1):
-        if _modulus(params, level) >= need:
-            return level
-    return params.ring.max_level
-
-
-def _blind_bound(params: HeParams, level: int, scale: float) -> float:
-    """Largest safe blinding magnitude for a rate at this level and scale."""
-    headroom = float(_modulus(params, level) // 2) / (scale * 16.0)
-    return min(_MAX_BLIND, headroom)
-
-
-def _norm_level(params: HeParams) -> int:
-    """Lowest upload level whose squared norm opens and whose rate, after the
-    product's rescale and the affine map's, takes the full blind; the top
-    level if none does."""
-    for level in range(2, params.ring.max_level + 1):
-        d_scale = product_scale(params, params.scale, params.scale, level)
-        p_scale = affine_scale(params, d_scale, level - 1)
-        if (
-            _open_level(params, d_scale) < level
-            and _blind_bound(params, level - 2, p_scale) >= _MAX_BLIND
-        ):
-            return level
-    return params.ring.max_level
 
 
 def _opened(ct: Ciphertext) -> Ciphertext:

@@ -32,6 +32,16 @@ digits once and key-switches it once per run of products under one key
 (``switch_quadratic``) — the hoisting of Halevi & Shoup (CRYPTO 2018), across
 users instead of rotations.
 
+An ``EvalKey`` is built at a level L: one pair per prime q_0..q_L, each over
+q_0..q_L and the special prime.  It switches a component at any level up to
+L, and ``he_mult_relin`` refuses a product above its key's level before any
+work.  The round's level plan sits beside ``product_scale`` and
+``affine_scale``, computed from the chain and the scales alone:
+``_open_level`` is the lowest level that opens a value below 2^_VALUE_BITS at
+a scale, ``_blind_bound`` the blind a rate takes at a level, and
+``_norm_level`` the level of the uploads.  The round relinearizes at that
+level and below, so :mod:`fhefl.multikey` builds every user's key there.
+
 ``rescale``, ``he_mult_relin`` and ``plain_affine`` take one ciphertext (or
 pair) or a sequence of them; a sequence is rescaled through batched
 ``RingElement.drop_last_modulus`` calls, with one transform per group of
@@ -224,8 +234,7 @@ def _scaled_ints(scale: float, values: np.ndarray) -> np.ndarray:
 
 def _check_headroom(params: HeParams, worst: int, level: int) -> None:
     """Refuse an encoded magnitude that wraps the level's modulus Q_level / 2."""
-    big_q, _ = params.ring.crt_constants(params.ring.moduli(level))
-    bound = big_q // 2
+    bound = _modulus(params, level) // 2
     if worst >= bound:
         raise EncodingError(
             f"encoded magnitude 2^{worst.bit_length()} overflows modulus headroom "
@@ -324,32 +333,54 @@ class SecretKey:
 
 @dataclass
 class EvalKey:
-    """Relinearization key: one (b_i, a_i) pair per chain prime.
+    """Relinearization key at a level L: one (b_i, a_i) pair per chain prime
+    q_0..q_L, each over q_0..q_L and the special prime.
 
-    b_i = a_i*s + e_i + P_i*s^2 over the extended basis, where P_i is the
-    special prime carried on chain row i only (p * CRT idempotent).  Key
-    switching then needs just the RNS digits of the quadratic component.
+    b_i = a_i*s + e_i + P_i*s^2, where P_i is the special prime carried on
+    chain row i only (p * CRT idempotent).  Key switching then needs just the
+    RNS digits of the quadratic component, and a level-L key switches any
+    component at level L or below: it is the full key of the chain cut at
+    q_L (Han & Ki, CT-RSA 2020), so a key needs no pair or row above the
+    highest level it relinearizes at.
     """
 
     ks_b: tuple[RingElement, ...]
     ks_a: tuple[RingElement, ...]
 
+    @property
+    def level(self) -> int:
+        """The highest level of a quadratic component this key switches."""
+        return self.ks_b[0].level
+
     @classmethod
-    def generate(cls, params: HeParams, sk: SecretKey, rng: np.random.Generator) -> "EvalKey":
+    def generate(
+        cls, params: HeParams, sk: SecretKey, rng: np.random.Generator, level: int | None = None
+    ) -> "EvalKey":
+        """The key at ``level`` (the top level if None).
+
+        The rng gives each pair, in chain order, a seed for a_i and then the
+        error e_i, so a level-L key's pairs are the top-level key's first L+1
+        pairs without the rows above L, but for the special row of each a_i,
+        which its sampler draws after the chain rows the key holds.
+        """
         ring = params.ring
         if ring.special is None:
             raise ParameterError("relinearization keys need a special prime")
-        top = ring.max_level
-        s = sk.s
+        level = ring.max_level if level is None else level
+        ring.moduli(level)  # refuses a level outside the chain
+        s = sk.s.mod_reduce_to(level, special=True)
         s2 = s.mul(s)
         tab = ring.tables
         seeds, errors = [], []
-        for _ in range(top + 1):
+        for _ in range(level + 1):
             seeds.append(rng.bytes(16))
-            errors.append(sample_error(ring, rng, params.sigma, special=True))
+            errors.append(sample_error(ring, rng, params.sigma, level=level, special=True))
         # every a_i is drawn before the errors' transform, whose temporaries
         # would otherwise sit between the key's arrays on the heap
-        a_s = [sample_uniform(ring, seed, special=True, ntt=True, tag=b"evk-a") for seed in seeds]
+        a_s = [
+            sample_uniform(ring, seed, level=level, special=True, ntt=True, tag=b"evk-a")
+            for seed in seeds
+        ]
         # the key's error polynomials take one forward transform, and each
         # b_i is written over its own error (the rebinding frees the errors'
         # coefficient forms)
@@ -358,7 +389,7 @@ class EvalKey:
             b_i.data[:] = a_i.mul(s).add(b_i).data
             # P_i * s^2 is (p mod q_i) * s^2 on chain row i and zero on every
             # other row (the special row too, since p = 0 mod p): one Shoup
-            # multiply of that row
+            # multiply of that row, which is table row i too
             row, q_i = slice(i, i + 1), ring.chain[i]
             p_i = ring.special % q_i
             consts = shoup_stack(np.uint64(p_i), np.uint64((p_i << 64) % q_i), tab.neg_qinv[row])
@@ -562,8 +593,17 @@ def he_add(x: Ciphertext, y: Ciphertext) -> Ciphertext:
     )
 
 
-def _check_product(x: Ciphertext, y: Ciphertext) -> None:
-    """Refuse a pair of operands that cannot be multiplied."""
+def _check_key_level(level: int, evk: EvalKey) -> None:
+    """Refuse to key-switch a quadratic component above the key's level."""
+    if level > evk.level:
+        raise LevelError(
+            f"product at level {level} is above its evaluation key's level {evk.level}"
+        )
+
+
+def _check_product(x: Ciphertext, y: Ciphertext, evk: EvalKey | None = None) -> None:
+    """Refuse a pair of operands that cannot be multiplied (and relinearized
+    under ``evk``, when given)."""
     if len(x.comps) != 2 or len(y.comps) != 2:
         raise LevelError("three-component operands must be relinearized first")
     if x.level != y.level:
@@ -573,6 +613,8 @@ def _check_product(x: Ciphertext, y: Ciphertext) -> None:
         )
     if x.level < 1:
         raise LevelError("no levels left for multiplication")
+    if evk is not None:
+        _check_key_level(x.level, evk)
     n = x.params.ring.n
     out_len = x.length + y.length - 1
     if out_len > n:
@@ -638,12 +680,16 @@ def switch_quadratic(d2: RingElement, evks) -> Iterator[SwitchedQuadratic]:
     q = ring.tables.q[rows]
     digits = rns_digits(d2)
 
+    # each pair's rows of q_0..q_level and its special row, by position: a
+    # key below the top level holds fewer rows than the tables
+    key_rows = [*range(level + 1), -1]
+
     def inner(half) -> RingElement:
         # the key's rows at d2's level, digit after digit as the digits lie,
         # each overwritten by its product with the digit
         terms = np.empty((level + 1, len(rows), ring.n), dtype=np.uint64)
         for k, term in zip(half, terms):
-            np.take(k.data, rows, axis=0, out=term)
+            np.take(k.data, key_rows, axis=0, out=term)
         flat = terms.reshape(digits.shape)
         mul_mod(digits, flat, ring.tables, rows * (level + 1), out=flat)
         acc = terms[0]
@@ -653,6 +699,8 @@ def switch_quadratic(d2: RingElement, evks) -> Iterator[SwitchedQuadratic]:
 
     keys = iter(evks)
     while group := list(islice(keys, max(1, ring.group_size // 2))):
+        for evk in group:
+            _check_key_level(level, evk)
         downs = RingElement.drop_last_modulus(
             *[inner(half) for evk in group for half in (evk.ks_b, evk.ks_a)]
         )
@@ -723,6 +771,49 @@ def affine_scale(params: HeParams, scale: float, level: int) -> float:
     return scale * params.scale / params.ring.chain[level]
 
 
+# The round's level plan (see :mod:`fhefl.aggregation`), from public data
+# only: every value the round opens is below 2^_VALUE_BITS in magnitude, and
+# a rate is blinded by at most _MAX_BLIND.
+_VALUE_BITS = 32
+_MAX_BLIND = 2.0**20
+
+
+def _modulus(params: HeParams, level: int) -> int:
+    return params.ring.crt_constants(params.ring.moduli(level))[0]
+
+
+def _open_level(params: HeParams, scale: float) -> int:
+    """Lowest level whose modulus holds scale * 2^_VALUE_BITS and a sign;
+    the top level if none does."""
+    need = scale * 2.0 ** (_VALUE_BITS + 1)
+    for level in range(params.ring.max_level + 1):
+        if _modulus(params, level) >= need:
+            return level
+    return params.ring.max_level
+
+
+def _blind_bound(params: HeParams, level: int, scale: float) -> float:
+    """Largest safe blinding magnitude for a rate at this level and scale."""
+    headroom = float(_modulus(params, level) // 2) / (scale * 16.0)
+    return min(_MAX_BLIND, headroom)
+
+
+def _norm_level(params: HeParams) -> int:
+    """Lowest upload level whose squared norm opens and whose rate, after the
+    product's rescale and the affine map's, takes the full blind; the top
+    level if none does.  The round relinearizes at this level and below, so
+    it is also the level of every user's evaluation key."""
+    for level in range(2, params.ring.max_level + 1):
+        d_scale = product_scale(params, params.scale, params.scale, level)
+        p_scale = affine_scale(params, d_scale, level - 1)
+        if (
+            _open_level(params, d_scale) < level
+            and _blind_bound(params, level - 2, p_scale) >= _MAX_BLIND
+        ):
+            return level
+    return params.ring.max_level
+
+
 def he_mult_relin(x, y, evk) -> Ciphertext | tuple[Ciphertext, ...]:
     """Full product: tensor, relinearize, rescale.
 
@@ -740,8 +831,8 @@ def he_mult_relin(x, y, evk) -> Ciphertext | tuple[Ciphertext, ...]:
     xs, ys, evks = (tuple(x), tuple(y), tuple(evk)) if batch else ((x,), (y,), (evk,))
     if not 0 < len(xs) == len(ys) == len(evks):
         raise ParameterError("he_mult_relin takes one key per operand pair, and at least one pair")
-    for a, b in zip(xs, ys):
-        _check_product(a, b)
+    for a, b, k in zip(xs, ys, evks):
+        _check_product(a, b, k)
     x1, y1 = xs[0].c1, ys[0].c1
     if any(a.c1 != x1 or b.c1 != y1 for a, b in zip(xs, ys)):
         raise ParameterError("a batch's products must share their operands' c1 parts")

@@ -25,6 +25,11 @@ top-level NTT element with the special row; a partial decryption is an NTT
 element of the chain at its c1's level.  The deserialisers refuse another
 preset, a level outside the chain and a masked key below the top level.
 
+``setup_pairwise`` builds each user's evaluation key at the round's upload
+level (``he._norm_level``), the highest level the round relinearizes at, so
+the key carries no pair or row above it: at fhefl-16384 that is 4 of 5 pairs
+of 5 of 6 rows.
+
 Pair seeds stand in for an out-of-band pairwise agreement (e.g. a DH
 exchange); here they are derived from a master seed so simulations are
 reproducible.
@@ -45,6 +50,7 @@ from .he import (
     HeParams,
     SecretKey,
     _check_addable,
+    _norm_level,
     _read_record_head,
     _record_head,
     decode,
@@ -139,18 +145,20 @@ def setup_pairwise(
 
     Per-epoch secrets are re-derived from each user's long-term seed, so
     rotating the epoch refreshes s_u and the evaluation key while the pairwise
-    seeds stay put.
+    seeds stay put.  Each evaluation key sits at the round's upload level
+    (``he._norm_level``), the highest level the round relinearizes at.
     """
     ids = list(user_ids)
     if len(set(ids)) != len(ids):
         raise ProtocolError("duplicate user ids in setup")
+    evk_level = _norm_level(params)
     rings: dict[int, UserKeyring] = {}
     for u in ids:
         secret_seed = _h(master_seed, b"user", str(u).encode())
         sk_seed = _h(secret_seed, b"sk", str(epoch).encode())
         sk = SecretKey.generate(params, sk_seed)
         evk_seed = int.from_bytes(_h(secret_seed, b"evk", str(epoch).encode())[:8], "little")
-        evk = EvalKey.generate(params, sk, np.random.default_rng(evk_seed))
+        evk = EvalKey.generate(params, sk, np.random.default_rng(evk_seed), level=evk_level)
         pair_seeds = {j: _pair_seed(master_seed, u, j) for j in ids if j != u}
         rings[u] = UserKeyring(
             user_id=u,

@@ -34,6 +34,7 @@ from fhefl.he import (
     _scaled_round,
     ciphertext_to_bytes,
     common_poly,
+    decode,
     decrypt,
     encode,
     encrypt,
@@ -752,6 +753,33 @@ def test_zero_reversed_half_does_not_raise_the_rate(hp):
         return -(w_next - w_prev) / scales
 
     assert implied_rates(True)[3] <= implied_rates(False)[3] + 0.01
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="an upload's ciphertexts share the round's a and the user's s_u, so "
+    "the difference of two c0 parts is m_i - m_j plus small errors and opens "
+    "without any key",
+)
+def test_an_upload_does_not_open_without_a_key():
+    # the desk shape: dim 650 at test-1024 is two chunks of 512, the second
+    # 138 values and zero padding.  In fwd1 - rev1 the reversed chunk sits
+    # at coefficients 374..511, in the padding's mirror, so coefficients
+    # 0..137 are chunk 1 itself; fwd0 - fwd1 then gives chunk 0
+    params = get_params("test-1024")
+    kr = setup_pairwise(params, [0, 1], 0, b"keyless")[0]
+    grad = np.random.default_rng(17).uniform(-1, 1, 650)
+    eu = encrypt_update(kr, grad, common_poly(params, seed=b"keyless-a"), np.random.default_rng(18))
+    (fwd0, fwd1), (_, rev1) = eu.fwd, eu.rev
+
+    def opened(x, y):
+        return decode(x.c0.sub(y.c0).to_coeff(), params.scale, eu.chunk_len)
+
+    tail = grad.size - eu.chunk_len  # chunk 1's values before its padding
+    chunk1 = np.pad(opened(fwd1, rev1)[:tail], (0, eu.chunk_len - tail))
+    chunk0 = opened(fwd0, fwd1) + chunk1
+    recovered = np.concatenate([chunk0, chunk1[:tail]])
+    assert np.abs(recovered - grad).max() > 0.1
 
 
 def test_pipeline_zero_gradients_degenerate(hp):

@@ -26,6 +26,7 @@ from fhefl.he import (
     EvalKey,
     SecretKey,
     _he_mult_raw,
+    _open_level,
     _phase,
     _plaintext,
     _scaled_ints,
@@ -172,23 +173,87 @@ def test_decode_matches_the_per_value_conversion(ints, scale):
     assert got.dtype == np.float64 and got.tolist() == want
 
 
-@pytest.mark.parametrize("name", preset_names())
-def test_evalkey_equals_the_full_product_build(name):
+# the default (top-level) key under the preset's name, then every level
+_EVK_LEVELS = [pytest.param(name, None, id=name) for name in preset_names()] + [
+    pytest.param(name, level, id=f"{name}-{level}")
+    for name in preset_names()
+    for level in range(get_params(name).ring.max_level + 1)
+]
+
+
+@pytest.mark.parametrize("name, level", _EVK_LEVELS)
+def test_evalkey_equals_the_full_product_build(name, level):
     # each pair's P_i * s^2 is one row product; the key equals the build that
-    # multiplies s^2 by the whole P_i matrix, zero outside chain row i
+    # multiplies s^2 by the whole P_i matrix, zero outside chain row i.  A
+    # level-L key is that build over q_0..q_L and the special prime with the
+    # same rng order (a seed, then an error, per pair), so its pairs are the
+    # top-level key's first L+1 without the rows above L, apart from each
+    # a_i's special row, which the sampler draws after the chain rows
     params = get_params(name)
     ring = params.ring
     sk = SecretKey.generate(params, seed=b"evk-pin")
-    evk = EvalKey.generate(params, sk, np.random.default_rng(41))
+    evk = EvalKey.generate(params, sk, np.random.default_rng(41), level=level)
+    top = EvalKey.generate(params, sk, np.random.default_rng(41))
+    level = ring.max_level if level is None else level
+    assert evk.level == level and len(evk.ks_a) == len(evk.ks_b) == level + 1
     rng = np.random.default_rng(41)
-    s2 = sk.s.mul(sk.s)
-    for i in range(ring.max_level + 1):
-        a_i = sample_uniform(ring, rng.bytes(16), special=True, ntt=True, tag=b"evk-a")
-        e_i = sample_error(ring, rng, params.sigma, special=True).to_ntt()
-        p_i = RingElement.zeros(ring, ring.max_level, special=True, ntt=True)
+    s = sk.s.mod_reduce_to(level, special=True)
+    s2 = s.mul(s)
+    for i in range(level + 1):
+        a_i = sample_uniform(
+            ring, rng.bytes(16), level=level, special=True, ntt=True, tag=b"evk-a"
+        )
+        e_i = sample_error(ring, rng, params.sigma, level=level, special=True).to_ntt()
+        p_i = RingElement.zeros(ring, level, special=True, ntt=True)
         p_i.data[i, :] = np.uint64(ring.special % ring.chain[i])
         assert evk.ks_a[i] == a_i
-        assert evk.ks_b[i] == a_i.mul(sk.s).add(e_i).add(p_i.mul(s2))
+        assert evk.ks_b[i] == a_i.mul(s).add(e_i).add(p_i.mul(s2))
+        for half, top_half in ((evk.ks_a, top.ks_a), (evk.ks_b, top.ks_b)):
+            assert half[i].mod_reduce_to(level) == top_half[i].mod_reduce_to(level)
+
+
+@pytest.mark.parametrize("name", ["test-16", "test-1024", "fhefl-16384"])
+def test_a_key_at_any_level_relinearizes_within_the_tracked_bound(name):
+    # a level-L key switches a product at every level l <= L that holds the
+    # product, and the product's tracked noise bounds its measured error
+    # there, before and after the rescale.  Dyadic inputs at a power-of-two
+    # scale encode exactly, so the targets are exact integers
+    params = get_params(name)
+    top, delta, frac = params.ring.max_level, params.scale_bits, 20
+    lowest = max(1, _open_level(params, params.scale**2))
+    sk = SecretKey.generate(params, seed=b"evk-levels")
+    rng = np.random.default_rng(43)
+    nums = rng.integers(-(2**frac), 2**frac + 1, size=(2, 4))
+    vals = nums / 2.0**frac
+    want = [2 ** (2 * (delta - frac)) * int(v) for v in np.convolve(nums[0], nums[1])]
+    for key_level in range(lowest, top + 1):
+        evk = EvalKey.generate(params, sk, rng, level=key_level)
+        for level in range(lowest, key_level + 1):
+            a = common_poly(params, seed=rng.bytes(16), level=level)
+            x, y = (encrypt(params, v, sk, a, rng, level=level) for v in vals)
+            relin = relinearize(_he_mult_raw(x, y), evk)
+            assert _tracker_margin(relin, sk, want) >= 0, (key_level, level)
+            prod = he_mult_relin(x, y, evk)
+            q_l = params.ring.chain[level]
+            assert prod.level == level - 1
+            assert _tracker_margin(prod, sk, [Fraction(w, q_l) for w in want]) >= 0
+
+
+def test_a_product_above_the_key_level_is_refused(hp, keys):
+    # a key at level 1 holds no pair or row for q_2: a level-2 product is
+    # refused before any work, naming both levels, and goes through once it
+    # drops to the key's level
+    sk, _ = keys
+    evk = EvalKey.generate(hp, sk, np.random.default_rng(44), level=1)
+    x = fresh(hp, sk, [1.5], seed=45)
+    y = fresh(hp, sk, [2.0], seed=45)
+    assert x.level == 2
+    with pytest.raises(LevelError, match=r"level 2 is above its evaluation key's level 1"):
+        he_mult_relin(x, y, evk)
+    with pytest.raises(LevelError, match=r"level 2 is above its evaluation key's level 1"):
+        relinearize(_he_mult_raw(x, y), evk)
+    prod = he_mult_relin(x.mod_reduce_to(1), y.mod_reduce_to(1), evk)
+    np.testing.assert_allclose(decrypt(prod, sk).values, [3.0], rtol=1e-6)
 
 
 @pytest.mark.parametrize("name", preset_names())

@@ -28,6 +28,7 @@ from fhefl.aggregation import (
 )
 from fhefl.errors import DomainError, LevelError, ParameterError
 from fhefl.he import (
+    _norm_level,
     ciphertext_to_bytes,
     common_poly,
     encrypt,
@@ -428,17 +429,22 @@ def test_batched_products_hoist_one_key_switch_per_run(monkeypatch, name):
     # quadratic component a2*a, which is formed and decomposed once and
     # key-switched once per run of products under one key.  Two users, five
     # and four products: nine, across relinearize/rescale groups of 512, 8,
-    # 1 and 1 products at test-16, test-1024, fhefl-8192 and fhefl-16384
+    # 1 and 1 products at test-16, test-1024, fhefl-8192 and fhefl-16384.
+    # The products sit at the upload level, the level of the round's keys
     params = get_params(name)
+    level = _norm_level(params)
     krs = setup_pairwise(params, [0, 1], 0, b"hoist")
     a = common_poly(params, seed=b"hoist-a")
     a2 = common_poly(params, seed=b"hoist-a2")
     rng = np.random.default_rng(31)
     xs, ys, evks = [], [], []
     for kr, count in zip(krs.values(), (5, 4)):
-        x = encrypt(params, [rng.uniform(-1, 1)], kr.sk, a2, rng)
+        x = encrypt(params, [rng.uniform(-1, 1)], kr.sk, a2, rng, level=level)
         xs += [x] * count
-        ys += [encrypt(params, rng.uniform(-1, 1, 4), kr.sk, a, rng) for _ in range(count)]
+        ys += [
+            encrypt(params, rng.uniform(-1, 1, 4), kr.sk, a, rng, level=level)
+            for _ in range(count)
+        ]
         evks += [kr.evk] * count
     wants = [ciphertext_to_bytes(he_mult_relin(x, y, k)) for x, y, k in zip(xs, ys, evks)]
 
@@ -465,7 +471,9 @@ def test_batched_products_hoist_one_key_switch_per_run(monkeypatch, name):
     assert len(digits) == 1 and len(d2_muls) == 1
     assert switched == [[kr.evk for kr in krs.values()]]
     # a batch whose products do not share their c1 parts is refused
-    other = encrypt(params, [0.5], krs[1].sk, common_poly(params, seed=b"hoist-b"), rng)
+    other = encrypt(
+        params, [0.5], krs[1].sk, common_poly(params, seed=b"hoist-b"), rng, level=level
+    )
     for bad in ((xs[:-1] + [other], ys), (xs, ys[:-1] + [other])):
         with pytest.raises(ParameterError, match="c1 parts"):
             he_mult_relin(*bad, evks)

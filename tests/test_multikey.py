@@ -22,6 +22,7 @@ from fhefl.errors import (
 from fhefl.he import (
     HeParams,
     _he_mult_raw,
+    _norm_level,
     ciphertext_from_bytes,
     ciphertext_to_bytes,
     common_poly,
@@ -29,6 +30,7 @@ from fhefl.he import (
     get_params,
     he_add,
     he_mult_relin,
+    preset_names,
 )
 from fhefl.multikey import (
     MaskedKey,
@@ -102,6 +104,21 @@ def test_epoch_refresh_changes_secrets(hp):
     assert a[0].sk.s != b[0].sk.s
     assert a[0].sk.s == c[0].sk.s  # deterministic per (master, user, epoch)
     assert a[0].pair_seeds == b[0].pair_seeds  # pairwise agreement is static
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_evaluation_keys_sit_at_the_upload_level(name):
+    # the round relinearizes at the upload level and below, so each key
+    # holds that level's pairs and rows alone: two halves of L+1 pairs, each
+    # of L+2 rows (q_0..q_L and the special prime)
+    params = get_params(name)
+    level = _norm_level(params)
+    (kr,) = setup_pairwise(params, [0], 0, b"evk-level").values()
+    elems = kr.evk.ks_b + kr.evk.ks_a
+    assert kr.evk.level == level
+    assert {(e.level, e.special, e.ntt) for e in elems} == {(level, True, True)}
+    nbytes = sum(e.data.nbytes for e in elems)
+    assert nbytes == 2 * (level + 1) * (level + 2) * params.ring.n * 8
 
 
 def test_group_key_roster_validation(hp):
