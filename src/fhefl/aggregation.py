@@ -18,8 +18,9 @@ The encrypted path mirrors the plain one stage for stage:
                 ``he_mult_relin`` batch: the component is decomposed into
                 key-switch digits once for the stage and key-switched once
                 per user, not once per user and chunk.
-2. d-sum:       sum_u [d_u] is opened with masked partial decryptions (the
-                server learns only the total).
+2. d-sum:       sum_u [d_u] is opened with masked partial decryptions of
+                its readout coefficient alone (the server learns only the
+                total).
 3. rate:        [p_u] = plain_affine([d_u], -1/((U-1)*sum_d), 1/(U-1)).
 4. re-encrypt:  the rate ciphertext is a dense product polynomial, so it
                 cannot be multiplied cleanly against a packed gradient.  The
@@ -32,12 +33,18 @@ The encrypted path mirrors the plain one stage for stage:
                 aggregate leg's partial decryptions stays far below it.
 5. check:       sum_u [p~_u] is opened under the masked group key and must be
                 ~1, so a user cannot inflate their weight while re-encrypting.
-6. aggregate:   sum_u [p~_u] * [g_u] is opened with partial decryptions;
-                the model moves by -eta times the weighted gradient sum.
-                The rates share c1 = a2, so every product has the quadratic
-                component a2*a, and the stage is again one ``he_mult_relin``
-                batch, as the norm stage is (and the rate stage one
-                ``plain_affine`` call).
+6. aggregate:   sum_u [p~_u] * [g_u] is opened with partial decryptions of
+                each chunk's packed coefficients; the model moves by -eta
+                times the weighted gradient sum.  The rates share c1 = a2,
+                so every product has the public quadratic component a2*a:
+                the products stay three-component (``_he_mult_raw`` over
+                that one d2) and open with no key switch, each user
+                decrypting its own under (s_u, s_u^2) (see
+                :mod:`fhefl.multikey`).
+
+Every opening reads a public set of coefficients and each user sends its
+partial decryption of those alone, so the round reveals the distance total,
+the rate total and the packed update, and no other coefficient.
 
 Every stage runs at the lowest level that holds it, chosen from public data
 only (the chain and the ciphertext scales; the level plan is in
@@ -61,14 +68,16 @@ a leg opens at the lowest level Q_l with Q_l >= scale * 2^(_VALUE_BITS + 1)
 * d-sum: the distances drop to their opening level before the partials.  A
   total that opens below zero by more than ``multikey.opening_noise`` wrapped
   that level's modulus, and the round aborts rather than fall back to uniform
-  rates.
+  rates; one within that noise of zero is the all-zero round, which takes
+  the uniform rates.
 * rate: two levels below the uploads, as the affine map rescales once.
 * re-encrypt, check, aggregate: a2 is drawn at the aggregate level, the
   lowest level that holds rate * gradient at the product's scale, and the
   fresh rates are encrypted there; the uploads drop to it for the product,
-  which opens after its rescale.  The rate-sum check opens the fresh rates
-  at that same level, never below the product, so an inflated rate cannot
-  wrap the check without also wrapping the product.
+  whose opened residues are divided by q_agg (its rescale, a level lower).
+  The rate-sum check opens the fresh rates at that same level, under keys
+  masked there, never below the product, so an inflated rate cannot wrap the
+  check without also wrapping the product.
 """
 
 from __future__ import annotations
@@ -87,6 +96,7 @@ from .he import (
     Ciphertext,
     PlainVector,
     _blind_bound,
+    _he_mult_raw,
     _norm_level,
     _open_level,
     common_poly,
@@ -102,6 +112,7 @@ from .multikey import (
     aggregate_fresh,
     combine_partials,
     group_decrypt,
+    key_terms,
     mask_key,
     masked_partial_decrypt,
     opening_noise,
@@ -353,13 +364,13 @@ def _opened(ct: Ciphertext) -> Ciphertext:
     return ct.mod_reduce_to(min(_open_level(ct.params, ct.scale), ct.level))
 
 
-def _open_sum(cts: dict, keyrings: dict, tag: bytes, roster, rng) -> np.ndarray:
-    """Decode sum_u cts[u] from every roster member's masked partial
-    decryption of their own c1, drawn in roster order."""
-    partials = {
-        u: masked_partial_decrypt(keyrings[u], cts[u].c1, tag, roster, rng) for u in roster
-    }
-    return combine_partials(cts, partials)
+def _open_sum(cts: dict, keyrings: dict, read, tag: bytes, roster, rng) -> np.ndarray:
+    """Decode the read set of sum_u cts[u]: every roster member's key terms on
+    it, read side by side (``key_terms``), flooded and masked in roster order,
+    then combined."""
+    terms = key_terms(keyrings, cts, read)
+    partials = {u: masked_partial_decrypt(keyrings[u], terms[u], tag, roster, rng) for u in roster}
+    return combine_partials(cts, partials, read)
 
 
 @contextmanager
@@ -437,28 +448,28 @@ def secure_aggregate_round(
     # that noise from setting the precision of the opened update.
     fresh_scale = params.scale * 2.0**params.flood_sigma_bits
     l_agg = max(1, min(_open_level(params, fresh_scale * params.scale), l_norm))
-    evks = [keyrings[u].evk for u in users]
 
     with _stage("norm"):
+        evks = [keyrings[u].evk for u in users]
         d_cts = dict(zip(users, sq_norm_encrypted([enc_updates[u] for u in users], evks)))
 
     with _stage("distance-sum"):
         d_open = {u: _opened(d_cts[u]) for u in users}
-        sum_d = float(_open_sum(d_open, keyrings, round_tag + b"|dsum", roster, rng)[ri])
+        sum_d = float(_open_sum(d_open, keyrings, [ri], round_tag + b"|dsum", roster, rng)[0])
+        noise = opening_noise(d_open.values())
         # a true total is never negative; one below the noise wrapped the
         # opening modulus, and clamping it would fall back to uniform rates
-        if sum_d < -opening_noise(d_open.values()):
+        if sum_d < -noise:
             raise ProtocolError(
                 f"distance total opened as {sum_d:.4g}: above 2^{_VALUE_BITS}, "
                 "it wrapped the opening modulus; aborting round"
             )
-        sum_d = max(sum_d, 0.0)
 
     with _stage("rate"):
         ds = [d_cts[u] for u in users]
-        if sum_d > 0:
+        if sum_d > noise:
             p_cts = dict(zip(users, rates_encrypted(ds, sum_d, n_users, readout=ri)))
-        else:  # all-zero degenerate round: constant 1/U, no division
+        else:  # a total within the noise of zero: constant 1/U, no division
             p_cts = dict(zip(users, plain_affine(ds, 0.0, 1.0 / n_users, add_index=ri)))
 
     with _stage("re-encrypt"):
@@ -482,7 +493,9 @@ def secure_aggregate_round(
             p_fresh[u] = replace(fresh, comps=(fresh.c0.sub(unmask), fresh.c1), msg_bound=1.0)
 
     with _stage("rate-sum-check"):
-        gk = reconstruct_group_key([mask_key(keyrings[u], roster) for u in roster], roster)
+        # the fresh rates sit at l_agg, so the keys are masked there
+        masked = [mask_key(keyrings[u], roster, level=l_agg) for u in roster]
+        gk = reconstruct_group_key(masked, roster)
         p_total = float(group_decrypt(aggregate_fresh(p_fresh), gk)[0])
         if abs(p_total - 1.0) > _RATE_SUM_TOL:
             raise ProtocolError(
@@ -492,17 +505,17 @@ def secure_aggregate_round(
 
     with _stage("aggregate"):
         # every fresh rate carries c1 = a2 (aggregate_fresh checked it), so
-        # every product's quadratic component is a2*a: one batch, user by
-        # user and chunk by chunk, key-switches it once per user
-        prods = he_mult_relin(
-            [p_fresh[u] for u in users for _ in range(n_chunks)],
-            [ct.mod_reduce_to(l_agg) for u in users for ct in enc_updates[u].fwd],
-            [k for k in evks for _ in range(n_chunks)],
-        )
+        # every product's quadratic component is the public d2 = a2*a; the
+        # products stay three-component and open with no key switch
+        xs = [p_fresh[u] for u in users for _ in range(n_chunks)]
+        ys = [ct.mod_reduce_to(l_agg) for u in users for ct in enc_updates[u].fwd]
+        d2 = xs[0].c1.mul(ys[0].c1)
+        prods = [_he_mult_raw(x, y, d2) for x, y in zip(xs, ys)]
+        read = range(chunk_len)
         out = np.concatenate([
             _open_sum(
                 dict(zip(users, prods[c::n_chunks])),
-                keyrings, round_tag + b"|agg|" + str(c).encode(), roster, rng,
+                keyrings, read, round_tag + b"|agg|" + str(c).encode(), roster, rng,
             )
             for c in range(n_chunks)
         ])

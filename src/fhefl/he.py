@@ -4,7 +4,7 @@ Encryption follows the additive-mask form ``c0 = a*s + m + e, c1 = a`` with a
 *shared* public polynomial ``a`` per round, so fresh ciphertexts from different
 users can be aggregated by summing the ``c0`` parts against a summed key.
 Decryption is the phase ``c0 - c1*s`` (plus ``+ c2*s^2`` for unrelinearized
-three-component products).
+three-component products, which ``rescale`` refuses).
 
 Packing is by coefficients, not slots: a vector ``v`` sits at coefficients
 ``0..len-1`` (forward) or mirrored (reversed).  There are no rotation keys;
@@ -740,12 +740,17 @@ def rescale(ct) -> Ciphertext | tuple[Ciphertext, ...]:
 
     ``ct`` is one ciphertext, or a sequence of them at one level whose
     components all drop through one ``drop_last_modulus`` call.  One gives
-    one, a sequence a tuple in its order.
+    one, a sequence a tuple in its order.  A three-component product is
+    refused: the rounding of its d2 reaches the phase times s^2, which the
+    tracked bound does not cover (relinearize first, or open the product
+    through `fhefl.multikey`, which divides its opened residues instead).
     """
     batch = not isinstance(ct, Ciphertext)
     cts = tuple(ct) if batch else (ct,)
     if not cts:
         return ()
+    if any(len(x.comps) != 2 for x in cts):
+        raise LevelError("rescale takes two-component ciphertexts; relinearize first")
     flat = [c for x in cts for c in x.comps]
     downs = iter(flat[0].drop_last_modulus(*flat[1:]))
     out = []

@@ -1,29 +1,43 @@
 """Multi-user key material: masked key sums and masked partial decryptions.
 
 Every user u holds a per-epoch secret s_u plus one static shared seed per
-peer.  From the pair seed both endpoints derive the *same* uniform ring
-element and attach it with opposite signs, so for any roster R:
+peer.  From the pair seed both endpoints derive the *same* uniform draw and
+attach it with opposite signs, so for any roster R:
 
     sum_{u in R} (s_u + sum_{j in R, j != u} sgn(u,j) * m_{u,j})  =  sum_u s_u
 
 The masked keys therefore reveal the aggregate key and nothing else (each
-individual masked key is uniform given the rest).  The same trick, keyed by a
-per-leg round tag, masks partial decryptions: user u returns
+individual masked key is uniform given the rest).  ``mask_key`` masks s_u at
+a level of the chain, or by default at the top level with the special row.
 
-    ps_u = c1_u * s_u + e_flood + sum_j sgn(u,j) * r_{u,j}(tag)
+The same trick, keyed by a per-leg round tag, masks partial decryptions, the
+users' shares of a collective decryption (Mouchet et al., PETS 2021) smudged
+with flooding noise (Asharov et al., EUROCRYPT 2012).  An opening reads a
+public set of coefficients, its read set, and user u sends those alone, in
+the coefficient domain:
 
-and only the sum over the full roster strips the masks.  The flooding noise,
-of width sigma * 2^flood_sigma_bits, drowns the secret-dependent rounding of
-the individual share; ``opening_noise`` bounds what an opening adds to a
-decoded value: each ciphertext's tracked noise plus 6 sigma of flooding per
-share.  The roster sums follow the adding rule of :mod:`fhefl.he`.
+    ps_u = [c1_u * s_u]_R + e_flood + sum_j sgn(u,j) * r_{u,j}(tag)
 
-Both shares travel as the same record, (preset name, user id, epoch, level,
-residues), and differ only in their magic and in the element's layout, which
-the record's class fixes and its header's level completes.  A masked key is a
-top-level NTT element with the special row; a partial decryption is an NTT
-element of the chain at its c1's level.  The deserialisers refuse another
-preset, a level outside the chain and a masked key below the top level.
+so the server learns the roster sum on R and nothing of the other
+coefficients.  The flooding, of width sigma * 2^flood_sigma_bits per
+coefficient, drowns the secret-dependent rounding of the individual share,
+and each pair mask is one draw of |R| residues per row.  A three-component
+product (d0, d1, d2) opens with no key switch: user u's terms are
+[d1_u * s_u - d2 * s_u^2]_R divided by q_level and rounded (the product's
+rescale, on |R| integers), flooded and masked a level lower, and the server
+divides [sum_u d0_u]_R the same way.  ``key_terms`` computes a roster's
+terms side by side: one coefficient is a dot product with no transform,
+more take the users' elements through grouped inverse transforms.
+``combine_partials`` is the one opening routine, and ``opening_noise``
+bounds what an opening adds to a decoded value.  The roster sums follow the
+adding rule of :mod:`fhefl.he`.
+
+Both shares travel as a record of (preset name, user id, epoch, level,
+residues), told apart by their magic.  A masked key (FMK2) is an NTT element
+at its level, with the special row exactly when that is the top level.  A
+partial decryption (FPD3) also states |R| after the level and holds level+1
+rows of |R| coefficient residues.  The deserialisers refuse another preset,
+a level outside the chain and any other length.
 
 ``setup_pairwise`` builds each user's evaluation key at the round's upload
 level (``he._norm_level``), the highest level the round relinearizes at, so
@@ -53,13 +67,13 @@ from .he import (
     _norm_level,
     _read_record_head,
     _record_head,
-    decode,
     decrypt,
 )
 from .ntt import add_mod, sub_mod
-from .ring import RingElement, sample_error, sample_uniform
+from .ring import RingElement, Residues, coeffs_at, sample_error, sample_uniform
 
 _SHARE_FIELDS = "<IIB"  # user id, epoch, level
+_COUNT_FIELD = "<I"  # a partial decryption's read-set size
 
 
 def _h(*parts: bytes) -> bytes:
@@ -87,25 +101,24 @@ class UserKeyring:
 class _KeyShare:
     """One user's share of a roster-wide sum for one epoch.  Wire form: the
     subclass's magic, the preset name (a length byte and UTF-8), user id and
-    epoch as little-endian u32, the level as a byte, then the element's
-    residues at the subclass's layout."""
+    epoch as little-endian u32, the level as a byte, then what the subclass
+    adds."""
 
     params: HeParams
     user_id: int
     epoch: int
-    elem: RingElement
+    elem: RingElement | Residues
 
     MAGIC = b""
     WHAT = "key share"
-    SPECIAL = False
 
-    def to_bytes(self) -> bytes:
+    def _head(self) -> bytes:
         head = _record_head(self.MAGIC, self.params)
-        head += struct.pack(_SHARE_FIELDS, self.user_id, self.epoch, self.elem.level)
-        return head + self.elem.to_bytes()
+        return head + struct.pack(_SHARE_FIELDS, self.user_id, self.epoch, self.elem.level)
 
     @classmethod
-    def from_bytes(cls, buf: bytes, params: HeParams):
+    def _read_head(cls, buf: bytes, params: HeParams) -> tuple[int, int, int, int]:
+        """User id, epoch and level of a record, and where the rest starts."""
         off = _read_record_head(buf, cls.MAGIC, cls.WHAT, params)
         end = off + struct.calcsize(_SHARE_FIELDS)
         if len(buf) < end:
@@ -114,25 +127,50 @@ class _KeyShare:
         top = params.ring.max_level
         if level > top:
             raise SerializationError(f"{cls.WHAT} level {level} outside chain 0..{top}")
-        if cls.SPECIAL and level != top:
-            raise SerializationError(f"{cls.WHAT} at level {level}, below the top level {top}")
-        elem = RingElement.from_bytes(buf[end:], params.ring, level, cls.SPECIAL, True)
-        return cls(params, uid, epoch, elem)
+        return uid, epoch, level, end
 
 
 class MaskedKey(_KeyShare):
-    """s_u plus the user's pair masks, over the full basis."""
+    """s_u plus the user's pair masks, an NTT element over the chain up to
+    its level, and the special row at the top level; then its residues."""
 
     MAGIC = b"FMK2"
     WHAT = "masked key"
-    SPECIAL = True
+
+    def to_bytes(self) -> bytes:
+        return self._head() + self.elem.to_bytes()
+
+    @classmethod
+    def from_bytes(cls, buf: bytes, params: HeParams) -> "MaskedKey":
+        uid, epoch, level, off = cls._read_head(buf, params)
+        special = level == params.ring.max_level
+        elem = RingElement.from_bytes(buf[off:], params.ring, level, special, True)
+        return cls(params, uid, epoch, elem)
 
 
 class PartialDecryption(_KeyShare):
-    """c1 * s_u plus flooding and pair masks, at c1's level."""
+    """The user's key terms on an opening's read set R, flooded and masked:
+    `Residues` at the level the opening reads.  After the level the record
+    states |R| as a little-endian u32, then the residues."""
 
-    MAGIC = b"FPD2"
+    MAGIC = b"FPD3"
     WHAT = "partial decryption"
+
+    def to_bytes(self) -> bytes:
+        return self._head() + struct.pack(_COUNT_FIELD, self.elem.count) + self.elem.to_bytes()
+
+    @classmethod
+    def from_bytes(cls, buf: bytes, params: HeParams) -> "PartialDecryption":
+        uid, epoch, level, off = cls._read_head(buf, params)
+        end = off + struct.calcsize(_COUNT_FIELD)
+        if len(buf) < end:
+            raise SerializationError(f"truncated {cls.WHAT}")
+        (count,) = struct.unpack_from(_COUNT_FIELD, buf, off)
+        n = params.ring.n
+        if not 1 <= count <= n:
+            raise SerializationError(f"read set of {count} coefficients outside 1..{n}")
+        elem = Residues.from_bytes(buf[end:], params.ring, level, count)
+        return cls(params, uid, epoch, elem)
 
 
 def setup_pairwise(
@@ -171,11 +209,11 @@ def setup_pairwise(
     return rings
 
 
-def _masked(kr: UserKeyring, roster, elem: RingElement, leg: bytes, *extra: bytes) -> RingElement:
-    """``elem`` plus the user's pair mask with every other roster member, in
-    roster order.  Both ends of a pair draw the same element, at ``elem``'s
-    layout, from their pair seed under the tag ``leg|epoch|extra...`` and add
-    it with opposite signs."""
+def _masked(kr: UserKeyring, roster, elem, leg: bytes, *extra: bytes):
+    """``elem`` (a `RingElement` or the `Residues` of a read set) plus the
+    user's pair mask with every other roster member, in roster order.  Both
+    ends of a pair draw the same mask, at ``elem``'s layout, from their pair
+    seed under the tag ``leg|epoch|extra...`` and add it with opposite signs."""
     roster = list(roster)
     if len(set(roster)) != len(roster):
         raise ProtocolError("duplicate user ids in roster")
@@ -185,15 +223,17 @@ def _masked(kr: UserKeyring, roster, elem: RingElement, leg: bytes, *extra: byte
     if missing:
         raise ProtocolError(f"no pair seeds for roster members {missing}")
     tag = b"|".join((leg, str(kr.epoch).encode(), *extra))
-    layout = dict(level=elem.level, special=elem.special, ntt=True, tag=tag)
-    ring = kr.params.ring
-    q = ring.tables.q[elem.rows]
+    if isinstance(elem, Residues):
+        layout = dict(level=elem.level, count=elem.count, tag=tag)
+    else:
+        layout = dict(level=elem.level, special=elem.special, ntt=True, tag=tag)
+    q = elem._q()
     acc = elem.data
     for j in roster:
         if j != kr.user_id:
-            m = sample_uniform(ring, kr.pair_seeds[j], **layout)
+            m = sample_uniform(kr.params.ring, kr.pair_seeds[j], **layout)
             acc = (add_mod if kr.user_id < j else sub_mod)(acc, m.data, q)
-    return RingElement(ring, acc, elem.level, elem.special, elem.ntt)
+    return replace(elem, data=acc)
 
 
 def _one_epoch(shares, what: str) -> None:
@@ -202,9 +242,14 @@ def _one_epoch(shares, what: str) -> None:
         raise ProtocolError(f"mixed epochs in {what}: {sorted(epochs)}")
 
 
-def mask_key(kr: UserKeyring, roster) -> MaskedKey:
-    """The user's epoch key plus all pairwise masks for this roster."""
-    elem = _masked(kr, roster, kr.sk.s, b"km")
+def mask_key(kr: UserKeyring, roster, level: int | None = None) -> MaskedKey:
+    """The user's epoch key plus all pairwise masks for this roster, at
+    ``level``: over the chain up to it, with the special row only at the top
+    level, which is the default."""
+    top = kr.params.ring.max_level
+    level = top if level is None else level
+    kr.params.ring.moduli(level)  # refuses a level outside the chain
+    elem = _masked(kr, roster, kr.sk.s.mod_reduce_to(level, special=level == top), b"km")
     return MaskedKey(params=kr.params, user_id=kr.user_id, epoch=kr.epoch, elem=elem)
 
 
@@ -265,44 +310,102 @@ def _flood_sigma(params: HeParams) -> float:
     return params.sigma * 2.0**params.flood_sigma_bits
 
 
+def _opened_at(ct: Ciphertext) -> tuple[int, float, int]:
+    """Where an opening of ``ct`` reads it: (level, scale, divisor).  A
+    three-component product's opened residues are divided by q_level, which
+    takes them a level down and divides the scale; any other ciphertext
+    opens at its own level and scale, divided by 1."""
+    if len(ct.comps) == 3:
+        q = ct.params.ring.chain[ct.level]
+        return ct.level - 1, ct.scale / q, q
+    return ct.level, ct.scale, 1
+
+
 def opening_noise(cts) -> float:
     """Bound on what a roster opening of ``cts`` adds to a decoded
     coefficient: each ciphertext's tracked noise and each partial's flooding
-    (6 sigma)."""
+    (6 sigma); for a three-component product the noise is divided by q_level
+    and every division (one per user, one of the sum) rounds by at most 1/2."""
     cts = list(cts)
     flood = 6.0 * _flood_sigma(cts[0].params)
-    return sum(2.0**ct.noise_log2 + flood for ct in cts) / cts[0].scale
+    _, scale, q = _opened_at(cts[0])
+    rounding = 0.5 if q > 1 else 0.0
+    return (sum(2.0**ct.noise_log2 / q + rounding + flood for ct in cts) + rounding) / scale
+
+
+def _terms(kr: UserKeyring, c1: RingElement, d2: RingElement | None = None) -> RingElement:
+    """The user's key terms of its own ciphertext in the NTT domain: c1 * s_u,
+    less d2 * s_u^2 for a three-component product."""
+    if not c1.ntt:
+        raise ProtocolError("partial decryption expects an NTT-domain c1")
+    s = kr.sk.s.mod_reduce_to(c1.level)
+    terms = c1.mul(s)
+    return terms if d2 is None else terms.sub(d2.mul(s.mul(s)))
+
+
+def key_terms(keyrings: dict, cts: dict, read) -> dict[int, Residues]:
+    """Each user's key terms of its own ciphertext in ``cts`` on the read
+    set, in the coefficient domain at the level the opening reads (a
+    three-component product's divided by q_level, rounded).
+
+    Each user computes only its own terms.  The users' elements go through
+    one ``coeffs_at`` call, so a read of more than one coefficient takes one
+    inverse transform per ``RingParams.group_size`` users, not one per user.
+    """
+    users = list(cts)
+    terms = coeffs_at([_terms(keyrings[u], *cts[u].comps[1:]) for u in users], read)
+    _, _, q = _opened_at(cts[users[0]])
+    if q > 1:
+        terms = [t.drop_last_modulus() for t in terms]
+    return dict(zip(users, terms))
 
 
 def masked_partial_decrypt(
     kr: UserKeyring,
-    c1: RingElement,
+    c1,
     round_tag: bytes,
     roster,
     rng: np.random.Generator,
+    read=None,
 ) -> PartialDecryption:
-    """c1 * s_u, flooded and masked so only the roster-wide sum is meaningful.
+    """The user's key terms on the read set ``read`` (every coefficient if
+    None), flooded and masked so only the roster-wide sum is meaningful.
+
+    ``c1`` is the NTT-domain c1 of the user's two-component ciphertext, or
+    the user's terms on the read set already (`key_terms`, which reads a
+    roster's terms at once), whose read set it then is.  The flooding is
+    drawn in the coefficient domain, one error per residue column.
 
     The round tag must be unique per (epoch, protocol leg); reusing one lets
     two mask layers cancel outside the intended sum.
     """
-    if not c1.ntt:
-        raise ProtocolError("partial decryption expects an NTT-domain c1")
-    level = c1.level
-    s_l = kr.sk.s.mod_reduce_to(level)
-    flood = sample_error(kr.params.ring, rng, _flood_sigma(kr.params), level=level).to_ntt()
-    acc = _masked(kr, roster, c1.mul(s_l).add(flood), b"pd", round_tag)
+    if isinstance(c1, Residues):
+        terms = c1
+    else:
+        read = range(kr.params.ring.n) if read is None else read
+        (terms,) = coeffs_at([_terms(kr, c1)], read)
+    flood = sample_error(
+        kr.params.ring, rng, _flood_sigma(kr.params), level=terms.level, count=terms.count
+    )
+    acc = _masked(kr, roster, terms.add(flood), b"pd", round_tag)
     return PartialDecryption(params=kr.params, user_id=kr.user_id, epoch=kr.epoch, elem=acc)
 
 
 def combine_partials(
     cts: dict[int, Ciphertext],
     partials: dict[int, PartialDecryption],
+    read=None,
 ) -> np.ndarray:
-    """sum_u c0_u minus the summed partial decryptions, decoded.
+    """The opening: the read set of sum_u c0_u minus the summed partial
+    decryptions, decoded, in the order of ``read``.
 
-    Each user supplied the key switch for their own c1, so this recovers
-    sum_u (m_u + noise) without any party revealing s_u.
+    Each user supplied the key terms of their own ciphertext, so this
+    recovers sum_u (m_u + noise) on the read set without any party revealing
+    s_u.  For three-component products the server divides its sum's residues
+    by q_level, as each user divided their terms.  One coefficient is read
+    without a transform (``coeffs_at``).  Without a read set the partials
+    cover every coefficient and the result is the packed vector, as
+    ``decrypt`` reads it.
     """
     if not cts:
         raise ProtocolError("nothing to combine")
@@ -314,16 +417,25 @@ def combine_partials(
     users = sorted(cts)
     _check_addable([cts[u] for u in users])
     first = cts[users[0]]
-    if len(first.comps) != 2:
-        raise ProtocolError("relinearize before requesting partial decryptions")
-    phase = None
+    level, scale, q = _opened_at(first)
+    whole = read is None
+    read = range(first.params.ring.n) if whole else read
+    c0, shares = None, None
     for u in users:
-        ct = cts[u]
         part = partials[u].elem
-        if part.level != ct.level:
+        if (part.level, part.count) != (level, len(read)):
             raise ProtocolError(
-                f"partial from user {u} is at level {part.level}, ciphertext at {ct.level}"
+                f"partial from user {u} holds {part.count} coefficients at level "
+                f"{part.level}; the opening reads {len(read)} at level {level}"
             )
-        contrib = ct.c0.sub(part)
-        phase = contrib if phase is None else phase.add(contrib)
-    return decode(phase.to_coeff(), first.scale, first.length, first.direction)
+        c0 = cts[u].c0 if c0 is None else c0.add(cts[u].c0)
+        shares = part if shares is None else shares.add(part)
+    (opened,) = coeffs_at([c0], read)
+    if q > 1:
+        opened = opened.drop_last_modulus()
+    vals = opened.sub(shares).to_ints().astype(np.float64) / scale
+    if whole:
+        vals = vals[: first.length]
+        if first.direction == "reversed":
+            vals = vals[::-1]
+    return vals

@@ -49,6 +49,15 @@ is 16 elements; at n = 16384 it is one, the arithmetic of a single drop.
 Dropping rows without rounding (`mod_reduce_to`) is plain modulus reduction
 and keeps the encoded scale untouched.
 
+An opening reads a public set of coefficients, its read set, and moves
+only those: `Residues` holds them, one column per coefficient, with the
+add, subtract, divide-and-round, integer lift and wire record of an
+element's coefficients.  `coeffs_at` reads them off NTT-domain elements:
+one coefficient as a dot product with the roots `RingElement.monomial`
+gathers, with no transform; more through inverse transforms, a group of
+elements per call.  `sample_uniform` and `sample_error` draw a read set's
+residues directly (``count=``).
+
 An element's wire record (`RingElement.to_bytes`) is its residues alone, as
 one little-endian bitstream: row i takes q_i.bit_length() bits per residue,
 and the stream is padded with zero bits to a whole byte.  It carries no
@@ -157,9 +166,11 @@ class RingParams:
         least one, so the group's dropped rows take one block."""
         return max(1, BLOCK_ELEMS // self.n)
 
-    def record_bytes(self, level: int, special: bool) -> int:
-        """Length of a `RingElement.to_bytes` record at this layout."""
-        return (self.n * sum(q.bit_length() for q in self.moduli(level, special)) + 7) // 8
+    def record_bytes(self, level: int, special: bool, count: int | None = None) -> int:
+        """Length of a `RingElement.to_bytes` record at this layout, or of a
+        `Residues.to_bytes` record of ``count`` residues per row."""
+        count = self.n if count is None else count
+        return (count * sum(q.bit_length() for q in self.moduli(level, special)) + 7) // 8
 
     def crt_constants(self, moduli: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         """Product Q and the CRT idempotents e_i (e_i = 1 mod q_i, 0 elsewhere)
@@ -310,11 +321,7 @@ class RingElement:
             raise LevelError("modulus chain exhausted; nothing left to drop")
         params, tab, rows = self.params, self.params.tables, self.rows
         keep = rows[:-1]
-        q_last = mods[-1]
         q = tab.q[keep]
-        # a remainder x above q_last / 2 stands for x - q_last, which is
-        # x + (q - q_last mod q) mod q: both terms are below 2^62
-        shift = (q - np.uint64(q_last) % q) % q
         inv_last = tab.rescale[:, keep, rows[-1], None]
         level = self.level if self.special else self.level - 1
         elems = (self, *more)
@@ -324,12 +331,8 @@ class RingElement:
             last = np.stack([e.data[-1] for e in group])
             if self.ntt:
                 ntt_inverse_inplace(last, tab, rows[-1:] * len(group))
-            # [x]_q_last, centered, reduced into every remaining modulus: one
-            # (elements, rows, n) block, built in place
-            last = last[:, None]
-            rem = np.where(last > np.uint64(q_last // 2), shift, np.uint64(0))
-            rem += last
-            rem %= q
+            # one (elements, rows, n) block of remainders
+            rem = _centered_rem(last[:, None], mods[-1], q)
             if self.ntt:
                 ntt_forward_inplace(rem.reshape(-1, params.n), tab, keep * len(group))
             # element by element, the subtract-and-multiply's temporaries stay
@@ -345,14 +348,8 @@ class RingElement:
         """Centered CRT lift to Python integers (coefficient domain)."""
         if self.ntt:
             raise DomainError("integer lift requires coefficient domain")
-        mods = self.moduli
-        big_q, es = self.params.crt_constants(mods)
         cols = self.data if indices is None else self.data[:, indices]
-        acc = np.zeros(cols.shape[1], dtype=object)
-        for row, e in zip(cols, es):
-            acc = acc + row.astype(object) * e
-        acc = acc % big_q
-        return np.where(acc > big_q // 2, acc - big_q, acc)
+        return _crt_lift(self.params, self.moduli, cols)
 
     @classmethod
     def from_int_coeffs(
@@ -421,15 +418,192 @@ class RingElement:
     ) -> "RingElement":
         """Read a `to_bytes` record of the given layout of ring ``params``;
         refuse any residue that layout cannot hold."""
-        need = params.record_bytes(level, special)
-        if len(buf) != need:
-            raise SerializationError(f"payload length {len(buf)} != expected {need}")
-        mods = params.moduli(level, special)
-        widths = [q.bit_length() for q in mods]
-        data = _unpack_residues(np.frombuffer(buf, dtype=np.uint8), widths, params.n)
-        if (data >= np.array(mods, dtype=np.uint64)[:, None]).any():
-            raise SerializationError("residue not below its row's modulus")
+        data = _read_residues(buf, params, level, special, params.n)
         return cls(params, data, level, special, ntt)
+
+
+@dataclass(eq=False)
+class Residues:
+    """Some coefficients of a chain element, in the coefficient domain: row i
+    holds them mod q_i of q_0..q_level, one column per coefficient.
+
+    An opening reads a public set of coefficients (its read set) and nothing
+    more, so its shares are these rather than whole elements.  The read set
+    is known to every party and is not stored here.  Residues add, subtract,
+    drop their last modulus and lift to integers as an element's
+    coefficients do, on as many columns as the set has.
+    """
+
+    params: RingParams
+    data: np.ndarray  # (level + 1, count) uint64
+    level: int
+
+    def __post_init__(self) -> None:
+        shape = self.data.shape
+        if len(shape) != 2 or shape[0] != self.level + 1 or not 1 <= shape[1] <= self.params.n:
+            raise ParameterError(
+                f"residue matrix shape {shape} is not ({self.level + 1}, 1..{self.params.n})"
+            )
+        if self.data.dtype != np.uint64:
+            raise ParameterError("residues must be uint64")
+
+    @property
+    def count(self) -> int:
+        """Coefficients per row."""
+        return self.data.shape[1]
+
+    @property
+    def moduli(self) -> tuple[int, ...]:
+        return self.params.moduli(self.level)
+
+    def _q(self) -> np.ndarray:
+        return self.params.tables.q[: self.level + 1]
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Residues)
+            and self.moduli == other.moduli
+            and self.level == other.level
+            and np.array_equal(self.data, other.data)
+        )
+
+    def copy(self) -> "Residues":
+        return Residues(self.params, self.data.copy(), self.level)
+
+    def _check_compat(self, other: "Residues") -> None:
+        if self.params is not other.params and self.moduli != other.moduli:
+            raise ParameterError("residues live in different rings")
+        if (self.level, self.count) != (other.level, other.count):
+            raise LevelError(
+                f"layout mismatch: level {self.level}, {self.count} coefficients vs "
+                f"level {other.level}, {other.count}"
+            )
+
+    def add(self, other: "Residues") -> "Residues":
+        self._check_compat(other)
+        return Residues(self.params, add_mod(self.data, other.data, self._q()), self.level)
+
+    def sub(self, other: "Residues") -> "Residues":
+        self._check_compat(other)
+        return Residues(self.params, sub_mod(self.data, other.data, self._q()), self.level)
+
+    def drop_last_modulus(self) -> "Residues":
+        """round(x / q_level) of every coefficient, exactly, over q_0..q_(level-1):
+        `RingElement.drop_last_modulus` in the coefficient domain."""
+        if self.level == 0:
+            raise LevelError("modulus chain exhausted; nothing left to drop")
+        tab, keep = self.params.tables, slice(0, self.level)
+        q = tab.q[keep]
+        rem = _centered_rem(self.data[-1:], self.params.chain[self.level], q)
+        y = mul_shoup(sub_mod(self.data[:-1], rem, q), *tab.rescale[:, keep, self.level, None], q)
+        return Residues(self.params, y, self.level - 1)
+
+    def to_ints(self) -> np.ndarray:
+        """Centered CRT lift to Python integers."""
+        return _crt_lift(self.params, self.moduli, self.data)
+
+    @classmethod
+    def from_ints(cls, params: RingParams, values: np.ndarray, level: int) -> "Residues":
+        """The int64 ``values`` reduced into q_0..q_level."""
+        mods = np.array(params.moduli(level), dtype=np.int64)[:, None]
+        return cls(params, np.mod(values, mods).astype(np.uint64), level)
+
+    def to_bytes(self) -> bytes:
+        """The residues alone, packed as `RingElement.to_bytes` packs a row."""
+        return _pack_residues(self.data, [q.bit_length() for q in self.moduli])
+
+    @classmethod
+    def from_bytes(cls, buf: bytes, params: RingParams, level: int, count: int) -> "Residues":
+        """Read a `to_bytes` record of ``count`` residues per row of
+        q_0..q_level; refuse any residue that layout cannot hold."""
+        return cls(params, _read_residues(buf, params, level, False, count), level)
+
+
+def _centered_rem(last: np.ndarray, q_last: int, q: np.ndarray) -> np.ndarray:
+    """The residues ``last`` mod q_last, centered, reduced into each modulus
+    of the column ``q`` (broadcast against ``last``)."""
+    # a remainder x above q_last / 2 stands for x - q_last, which is
+    # x + (q - q_last mod q) mod q: both terms are below 2^62
+    shift = (q - np.uint64(q_last) % q) % q
+    rem = np.where(last > np.uint64(q_last // 2), shift, np.uint64(0))
+    rem += last
+    rem %= q
+    return rem
+
+
+def _crt_lift(params: RingParams, mods: tuple[int, ...], cols: np.ndarray) -> np.ndarray:
+    """Centered CRT lift of residue columns over ``mods`` to Python integers."""
+    big_q, es = params.crt_constants(mods)
+    acc = np.zeros(cols.shape[1], dtype=object)
+    for row, e in zip(cols, es):
+        acc = acc + row.astype(object) * e
+    acc = acc % big_q
+    return np.where(acc > big_q // 2, acc - big_q, acc)
+
+
+def _read_residues(buf: bytes, params: RingParams, level: int, special: bool, count: int):
+    """The (rows, count) residues of a packed record of that layout; refuses
+    any other length, nonzero pad bits and a residue at or above its modulus."""
+    need = params.record_bytes(level, special, count)
+    if len(buf) != need:
+        raise SerializationError(f"payload length {len(buf)} != expected {need}")
+    mods = params.moduli(level, special)
+    widths = [q.bit_length() for q in mods]
+    data = _unpack_residues(np.frombuffer(buf, dtype=np.uint8), widths, count)
+    if (data >= np.array(mods, dtype=np.uint64)[:, None]).any():
+        raise SerializationError("residue not below its row's modulus")
+    return data
+
+
+def _sum_mod(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Sums mod q over the last axis of residues below q < 2^62; ``q`` is one
+    modulus per entry of the second-to-last axis."""
+    # the 32-bit halves sum without overflow for any n below 2^32
+    lo = (x & np.uint64(0xFFFFFFFF)).sum(axis=-1)
+    hi = (x >> np.uint64(32)).sum(axis=-1)
+    total = (hi.astype(object) << 32) + lo.astype(object)
+    return (total % q.ravel().astype(object)).astype(np.uint64)
+
+
+def coeffs_at(elems, read) -> list[Residues]:
+    """Coefficients ``read`` (in its order) of NTT-domain chain elements of
+    one layout, as `Residues`.
+
+    One coefficient is a dot product and needs no transform: coefficient k
+    of x is n^-1 * sum_j x_j * w_j^-k over the slots j, where w_j is slot
+    j's root, and w_j^-k = -w_j^(n-k) is what `RingElement.monomial` gathers
+    for X^(n-k).  So it is one modular product with those roots and a
+    modular sum.  More coefficients take the elements through inverse
+    transforms, `RingParams.group_size` elements per call, as
+    `RingElement.drop_last_modulus` groups them.
+    """
+    first = elems[0]
+    if not first.ntt or first.special:
+        raise DomainError("coeffs_at takes NTT-domain chain elements")
+    for e in elems[1:]:
+        first._check_compat(e)
+    params, rows, level = first.params, first.rows, first.level
+    n = params.n
+    read = np.asarray(read, dtype=np.int64)
+    if read.ndim != 1 or read.size == 0 or read.min() < 0 or read.max() >= n:
+        raise ParameterError(f"read set must be coefficients of 0..{n - 1}")
+    if read.size == 1:
+        k = int(read[0])
+        big_q = params.crt_constants(first.moduli)[0]
+        inv_n = pow(n, -1, big_q)
+        roots = RingElement.monomial(params, inv_n if k == 0 else big_q - inv_n, -k % n, level)
+        stack = np.concatenate([e.data for e in elems])
+        roots = np.tile(roots.data, (len(elems), 1))
+        prod = mul_mod(stack, roots, params.tables, rows * len(elems))
+        sums = _sum_mod(prod.reshape(len(elems), len(rows), n), params.tables.q[rows])
+        return [Residues(params, col[:, None], level) for col in sums]
+    out = []
+    for start in range(0, len(elems), params.group_size):
+        group = elems[start : start + params.group_size]
+        data = np.concatenate([e.data for e in group])
+        ntt_inverse_inplace(data, params.tables, rows * len(group))
+        out += [Residues(params, blk, level) for blk in np.split(data[:, read], len(group))]
+    return out
 
 
 def _bit_layout(widths: list[int], n: int):
@@ -501,10 +675,13 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
 
 def to_ntt_all(elems) -> list[RingElement]:
     """``[e.to_ntt() for e in elems]`` for coefficient-domain elements of one
-    layout, as one forward transform over their stacked rows."""
+    layout, as one forward transform over their stacked rows (one element is
+    its own ``to_ntt``)."""
     first = elems[0]
     if first.ntt:
         raise DomainError("to_ntt_all takes coefficient-domain elements")
+    if len(elems) == 1:
+        return [first.to_ntt()]
     for e in elems[1:]:
         first._check_compat(e)
     data = np.concatenate([e.data for e in elems])
@@ -570,28 +747,42 @@ def sample_uniform(
     special: bool = False,
     ntt: bool = False,
     tag: bytes = b"",
-) -> RingElement:
+    count: int | None = None,
+):
     """Deterministic uniform element from a SHAKE-256 stream (rejection sampled).
 
     The same (seed, tag) always yields the same element, which is what lets
     every party derive the shared public polynomial for a round.  Row i takes
     the next stream words below the largest multiple of q_i under 2^64,
-    reduced mod q_i.
+    reduced mod q_i.  With ``count`` each row takes that many residues
+    instead of n, read from the stream the same way, and the draw is the
+    `Residues` of a read set over the chain.
     """
     if level is None:
         level = params.max_level
+    if count is not None and (special or ntt):
+        raise ParameterError("a read-set draw is chain residues in the coefficient domain")
     rows = params.rows(level, special)
+    seed_b = _seed_bytes(seed) + b"|" + tag
+    data = _uniform_rows(params, rows, seed_b, params.n if count is None else count)
+    if count is not None:
+        return Residues(params, data, level)
+    return RingElement(params, data, level, special, ntt)
+
+
+def _uniform_rows(params: RingParams, rows: list[int], seed_b: bytes, n: int) -> np.ndarray:
+    """n uniform residues for each table row of ``rows``, read from the
+    SHAKE-256 stream of ``seed_b`` as `sample_uniform` describes."""
     bound_col = params.tables.bound.take(rows, axis=0)
     q_col = params.tables.q.take(rows, axis=0)
-    seed_b = _seed_bytes(seed) + b"|" + tag
-    n, k = params.n, len(rows)
+    k = len(rows)
     draws = [_DRAW_SLACK * n * _WORD / b for b in bound_col.ravel().tolist()]  # words per row
     words = _shake_words(seed_b, int(sum(draws)) + 16)
     if len(words) >= k * n:
         block = words[: k * n].reshape(k, n)
         # no word rejected: row i is exactly the stream's i-th run of n words
         if (block < bound_col).all():
-            return RingElement(params, block % q_col, level, special, ntt)
+            return block % q_col
     out = np.empty((k, n), dtype=np.uint64)
     pos = 0
     for i in range(k):
@@ -607,7 +798,7 @@ def sample_uniform(
             got += take
             # advance past exactly the words that produced the accepted ones
             pos += int(hits[take - 1]) + 1 if got == n else len(window)
-    return RingElement(params, out, level, special, ntt)
+    return out
 
 
 def sample_ternary(params: RingParams, seed) -> RingElement:
@@ -635,10 +826,16 @@ def sample_error(
     *,
     level: int | None = None,
     special: bool = False,
-) -> RingElement:
-    """Rounded-Gaussian error polynomial (coefficient domain)."""
+    count: int | None = None,
+):
+    """Rounded-Gaussian error polynomial (coefficient domain); with ``count``,
+    that many errors per row as the `Residues` of a read set over the chain."""
     if level is None:
         level = params.max_level
-    vals = np.rint(rng.normal(0.0, sigma, params.n)).astype(np.int64)
+    if count is not None and special:
+        raise ParameterError("a read-set draw is chain residues")
+    vals = np.rint(rng.normal(0.0, sigma, params.n if count is None else count)).astype(np.int64)
+    if count is not None:
+        return Residues.from_ints(params, vals, level)
     return RingElement.from_int_coeffs(params, vals, level, special)
 

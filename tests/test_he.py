@@ -686,6 +686,21 @@ def test_noise_tracker_bounds_the_measured_error(name):
     assert all(m >= 0 for m in worst.values()), worst
 
 
+def test_rescale_refuses_three_components(hp, keys):
+    # the rounding of d2 reaches the phase times s^2, beyond the tracked
+    # bound, so a product is relinearized before its rescale or opened
+    # without one (fhefl.multikey divides the opened residues instead)
+    sk, evk = keys
+    x = fresh(hp, sk, [1.5], seed=81)
+    y = fresh(hp, sk, [-0.5], seed=82, direction="reversed")
+    raw = _he_mult_raw(x, y)
+    relin = relinearize(raw, evk)
+    for bad in (raw, [relin, raw]):
+        with pytest.raises(LevelError, match="two-component"):
+            rescale(bad)
+    assert rescale(relin).level == raw.level - 1
+
+
 def test_level_is_the_components_level(hp, keys):
     # no ciphertext stores its level; every op's result reads it off its
     # components, which all share it

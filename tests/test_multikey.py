@@ -6,6 +6,7 @@ exactly (structural ring equality) and against plain-float oracles.
 """
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from fhefl.he import (
     HeParams,
     _he_mult_raw,
     _norm_level,
+    _open_level,
+    _scaled_ints,
     ciphertext_from_bytes,
     ciphertext_to_bytes,
     common_poly,
@@ -38,12 +41,14 @@ from fhefl.multikey import (
     aggregate_fresh,
     combine_partials,
     group_decrypt,
+    key_terms,
     mask_key,
     masked_partial_decrypt,
+    opening_noise,
     reconstruct_group_key,
     setup_pairwise,
 )
-from fhefl.ring import RingElement
+from fhefl.ring import RingElement, Residues, coeffs_at
 
 
 @pytest.fixture(scope="module")
@@ -213,7 +218,7 @@ def test_partial_is_masked_and_tag_sensitive(hp):
     rng = np.random.default_rng(12)
     a = common_poly(hp, seed=b"round-d")
     ct = encrypt(hp, [1.0], rings[0].sk, a, rng)
-    raw = ct.c1.mul(rings[0].sk.s.mod_reduce_to(ct.level))
+    (raw,) = coeffs_at([ct.c1.mul(rings[0].sk.s.mod_reduce_to(ct.level))], range(hp.ring.n))
     p1 = masked_partial_decrypt(rings[0], ct.c1, b"t1", [0, 1], rng)
     p2 = masked_partial_decrypt(rings[0], ct.c1, b"t2", [0, 1], rng)
     assert p1.elem != raw
@@ -306,6 +311,49 @@ def test_aggregate_fresh_refuses_mixed_scales():
     }
     with pytest.raises(LevelError, match="scale"):
         aggregate_fresh(cts)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_opened_products_stay_within_the_opening_bound(name):
+    # the aggregate stage's opening: rate * gradient products left
+    # three-component over the shared d2 = a2*a, opened on the packed
+    # coefficients with the users' terms and the sum divided by q_level.
+    # Against the exact product of the encoded integers the error stays
+    # within opening_noise: the tracked noise / q, (U + 1) roundings of 1/2
+    # and 6 sigma of flooding per share
+    from fhefl.aggregation import encrypt_update
+
+    params = get_params(name)
+    users = [0, 1, 2]
+    rings = setup_pairwise(params, users, 0, b"bound-" + name.encode())
+    rng = np.random.default_rng(31)
+    fresh_scale = params.scale * 2.0**params.flood_sigma_bits
+    level = max(1, min(_open_level(params, fresh_scale * params.scale), _norm_level(params)))
+    a = common_poly(params, seed=b"bound-a")
+    a2 = common_poly(params, seed=b"bound-a2", level=level)
+    rates = rng.uniform(0.0, 1.0, 3)
+    grads = rng.uniform(-1.0, 1.0, (3, 6))
+    xs = [encrypt(params, [p], rings[u].sk, a2, rng, level=level, scale=fresh_scale)
+          for u, p in zip(users, rates)]
+    ys = [encrypt_update(rings[u], grads[u], a, rng).fwd[0].mod_reduce_to(level) for u in users]
+    d2 = xs[0].c1.mul(ys[0].c1)
+    prods = {u: _he_mult_raw(x, y, d2) for u, x, y in zip(users, xs, ys)}
+    read = range(6)
+    terms = key_terms(rings, prods, read)
+    partials = {
+        u: masked_partial_decrypt(rings[u], terms[u], b"bound", users, rng) for u in users
+    }
+    assert {p.elem.level for p in partials.values()} == {level - 1}
+    opened = combine_partials(prods, partials, read)
+    exact = sum(
+        int(_scaled_ints(fresh_scale, np.array([p]))[0])
+        * np.array(_scaled_ints(params.scale, g), dtype=object)
+        for p, g in zip(rates, grads)
+    )
+    want = np.array([float(Fraction(int(v)) / Fraction(fresh_scale * params.scale)) for v in exact])
+    err = np.abs(opened - want).max()
+    assert err <= opening_noise(prods.values())
+    np.testing.assert_allclose(opened, rates @ grads, atol=1e-6)
 
 
 def test_partial_roster_checks(hp):
@@ -453,11 +501,17 @@ def test_masked_key_rejects_layouts_a_key_cannot_have(hp):
     mk = mask_key(rings[0], [0, 1])
     top = hp.ring.max_level
     assert mk.to_bytes()[:4] == b"FMK2"
+    # below the top level a masked key is over the chain alone
+    low = mask_key(rings[0], [0, 1], level=top - 1)
+    assert (low.elem.level, low.elem.special) == (top - 1, False)
+    assert MaskedKey.from_bytes(low.to_bytes(), hp) == low
     bad = {
         **_share_refusals(MaskedKey, mk, hp),
-        # the class fixes the special row: without it the residues fall short
-        "no special row": MaskedKey(hp, 0, 0, mk.elem.mod_reduce_to(top)).to_bytes(),
-        "below the top level": MaskedKey(
+        # the level fixes the special row: without it the residues fall short
+        "no special row at the top level": MaskedKey(
+            hp, 0, 0, mk.elem.mod_reduce_to(top)
+        ).to_bytes(),
+        "a special row below the top level": MaskedKey(
             hp, 0, 0, mk.elem.mod_reduce_to(top - 1, special=True)
         ).to_bytes(),
     }
@@ -465,8 +519,8 @@ def test_masked_key_rejects_layouts_a_key_cannot_have(hp):
         with pytest.raises(SerializationError):
             MaskedKey.from_bytes(buf, hp)
             pytest.fail(f"accepted a masked key with {what}")
-    with pytest.raises(SerializationError, match="below the top level"):
-        MaskedKey.from_bytes(bad["below the top level"], hp)
+    with pytest.raises(SerializationError, match="payload length"):
+        MaskedKey.from_bytes(bad["a special row below the top level"], hp)
 
 
 def test_partial_decryption_rejects_layouts_a_share_cannot_have(hp):
@@ -474,15 +528,22 @@ def test_partial_decryption_rejects_layouts_a_share_cannot_have(hp):
     rng = np.random.default_rng(17)
     a = common_poly(hp, seed=b"round-i", level=1)
     ct = encrypt(hp, [2.0], rings[0].sk, a, rng, level=1)
-    pd = masked_partial_decrypt(rings[0], ct.c1, b"t", [0, 1], rng)
-    assert PartialDecryption.from_bytes(pd.to_bytes(), hp).elem.level == 1
-    assert pd.to_bytes()[:4] == b"FPD2"
+    pd = masked_partial_decrypt(rings[0], ct.c1, b"t", [0, 1], rng, read=[3, 0, 5])
+    back = PartialDecryption.from_bytes(pd.to_bytes(), hp)
+    assert (back.elem.level, back.elem.count) == (1, 3)
+    assert pd.to_bytes()[:4] == b"FPD3"
+    blob = pd.to_bytes()
+    at = _level_at(blob) + 1  # the read-set size follows the level
+
+    def count(k):
+        return blob[:at] + k.to_bytes(4, "little") + blob[at + 4 :]
+
     bad = {
         **_share_refusals(PartialDecryption, pd, hp),
-        # the class fixes the chain layout: a special row leaves bytes over
-        "special row": PartialDecryption(
-            hp, 0, 0, mask_key(rings[0], [0, 1]).elem.mod_reduce_to(1, special=True)
-        ).to_bytes(),
+        "a read set it does not hold": count(2),
+        "an empty read set": count(0),
+        "a read set beyond the ring": count(hp.ring.n + 1),
+        "a cut size": blob[: at + 2],
     }
     for what, buf in bad.items():
         with pytest.raises(SerializationError):
@@ -495,10 +556,11 @@ def shares(hp):
     rings = make_rings(hp, 2)
     a = common_poly(hp, seed=b"round-fuzz", level=1)
     return {
-        MaskedKey: mask_key(rings[0], [0, 1]),
-        PartialDecryption: masked_partial_decrypt(
-            rings[0], a, b"t", [0, 1], np.random.default_rng(20)
-        ),
+        MaskedKey: [mask_key(rings[0], [0, 1]), mask_key(rings[0], [0, 1], level=1)],
+        PartialDecryption: [
+            masked_partial_decrypt(rings[0], a, b"t", [0, 1], np.random.default_rng(20)),
+            masked_partial_decrypt(rings[0], a, b"t", [0, 1], np.random.default_rng(20), read=[7]),
+        ],
     }
 
 
@@ -506,16 +568,18 @@ def shares(hp):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_key_share_wire_fuzz(hp, shares, cls, data):
-    # any corruption or truncation is either rejected with SerializationError
-    # or reads back a share at its class's layout whose record is the input:
-    # a share has exactly one encoding
-    blob = bytearray(shares[cls].to_bytes())
-    head_len = _level_at(blob) + 1
+    # any corruption or truncation of a masked key (at the top level or
+    # below it) or of a partial decryption (of every coefficient or of one)
+    # is either rejected with SerializationError or reads back a share at a
+    # layout its class can have whose record is the input: a share has
+    # exactly one encoding
+    blob = bytearray(data.draw(st.sampled_from(shares[cls])).to_bytes())
+    head_len = _level_at(blob) + 1 + 4 * (cls is PartialDecryption)
     # aim a third of the edits at the header and a third at the last residues
     regions = [(0, head_len), (len(blob) - 24, len(blob)), (0, len(blob))]
     for _ in range(data.draw(st.integers(1, 4))):
         lo, hi = regions[data.draw(st.integers(0, 2))]
-        pos = data.draw(st.integers(lo, hi - 1))
+        pos = data.draw(st.integers(max(lo, 0), hi - 1))
         blob[pos] = data.draw(st.integers(0, 255))
     cut = data.draw(st.integers(0, len(blob)))
     buf = bytes(blob[:cut]) if data.draw(st.booleans()) else bytes(blob)
@@ -525,7 +589,10 @@ def test_key_share_wire_fuzz(hp, shares, cls, data):
         return
     elem, top = share.elem, hp.ring.max_level
     assert type(share) is cls and share.params == hp
-    assert (elem.special, elem.ntt) == (cls.SPECIAL, True)
-    assert elem.level == top if cls.SPECIAL else 0 <= elem.level <= top
+    assert 0 <= elem.level <= top
+    if cls is MaskedKey:
+        assert (elem.special, elem.ntt) == (elem.level == top, True)
+    else:
+        assert isinstance(elem, Residues) and 1 <= elem.count <= hp.ring.n
     assert (elem.data < np.array(elem.moduli, dtype=np.uint64)[:, None]).all()
     assert share.to_bytes() == buf

@@ -18,6 +18,8 @@ from fhefl.ntt import find_ntt_primes, is_prime
 from fhefl.ring import (
     RingElement,
     RingParams,
+    Residues,
+    coeffs_at,
     ring_add,
     ring_mul,
     rns_digits,
@@ -176,6 +178,83 @@ def test_drop_level_matches_rational_oracle(p16):
         x = RingElement.from_int_coeffs(p16, ints, p16.max_level)
         got = x.drop_last_modulus().to_int_coeffs().tolist()
         assert got == rescale_oracle(ints, mods[-1])
+
+
+def test_read_set_drop_matches_rational_oracle(p16):
+    # the residues of a read set divide and round as the element's own
+    # coefficients do
+    top = p16.max_level
+    x = sample_uniform(p16, b"read-drop", level=top)
+    read = [11, 0, 5]
+    got = Residues(p16, x.data[:, read], top).drop_last_modulus()
+    assert got.level == top - 1
+    assert got.to_ints().tolist() == rescale_oracle(x.to_int_coeffs(read).tolist(), p16.chain[top])
+    assert got == Residues(p16, x.drop_last_modulus().data[:, read], top - 1)
+    with pytest.raises(LevelError):
+        Residues(p16, x.data[:1, read], 0).drop_last_modulus()
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_coeffs_at_reads_a_coefficient_without_a_transform(name, monkeypatch):
+    # one coefficient is a dot product with the roots of X^-k; several are
+    # read through grouped inverse transforms; both equal the coefficients
+    # of to_coeff
+    import fhefl.ring as ring_mod
+
+    params = get_params(name).ring
+    level = min(2, params.max_level)
+    elems = [sample_uniform(params, b"at%d" % u, level=level, ntt=True) for u in range(3)]
+    calls = []
+    real = ring_mod.ntt_inverse_inplace
+
+    def counted(data, tab, rows):
+        calls.append(len(rows))
+        return real(data, tab, rows)
+
+    monkeypatch.setattr(ring_mod, "ntt_inverse_inplace", counted)
+    coeffs = [e.to_coeff().data for e in elems]
+    calls.clear()
+    for k in (0, 1, params.n // 2, params.n - 1):
+        got = coeffs_at(elems, [k])
+        assert [g.data[:, 0].tolist() for g in got] == [c[:, k].tolist() for c in coeffs]
+    assert calls == []
+    read = [params.n - 1, 0, 3]
+    got = coeffs_at(elems, read)
+    assert [g.data.tolist() for g in got] == [c[:, read].tolist() for c in coeffs]
+    # one call per group: the three elements are one group at n <= 4096
+    assert len(calls) == -(-len(elems) // params.group_size)
+    with pytest.raises(DomainError):
+        coeffs_at([elems[0].to_coeff()], [0])
+    with pytest.raises(ParameterError):
+        coeffs_at(elems, [params.n])
+
+
+def test_read_set_draws(p16):
+    # a read-set draw reads the stream as a whole element does: n residues
+    # per row give the element's own, fewer give residues of every row
+    level = p16.max_level
+    whole = sample_uniform(p16, b"draw", level=level, tag=b"t")
+    same = sample_uniform(p16, b"draw", level=level, tag=b"t", count=p16.n)
+    assert isinstance(same, Residues) and np.array_equal(same.data, whole.data)
+    few = sample_uniform(p16, b"draw", level=level, tag=b"t", count=3)
+    assert few.data.shape == (level + 1, 3)
+    assert (few.data < np.array(few.moduli, dtype=np.uint64)[:, None]).all()
+    assert few == sample_uniform(p16, b"draw", level=level, tag=b"t", count=3)
+    with pytest.raises(ParameterError):
+        sample_uniform(p16, b"draw", level=level, ntt=True, count=3)
+    err = sample_error(p16, np.random.default_rng(5), 3.2, level=1, count=4)
+    assert err.data.shape == (2, 4)
+    assert np.abs(err.to_ints().astype(np.int64)).max() <= 6 * 3.2 + 1
+
+
+def test_read_set_wire_roundtrip(p16):
+    x = sample_uniform(p16, b"wire", level=1, count=5)
+    blob = x.to_bytes()
+    assert len(blob) == p16.record_bytes(1, False, 5)
+    assert Residues.from_bytes(blob, p16, 1, 5) == x
+    for buf, count in ((blob[:-1], 5), (blob + b"\0", 5), (blob, 4)):
+        with pytest.raises(SerializationError, match="payload length"):
+            Residues.from_bytes(buf, p16, 1, count)
 
 
 def test_drop_level_zero_is_zero(p16):
