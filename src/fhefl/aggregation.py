@@ -39,8 +39,12 @@ The encrypted path mirrors the plain one stage for stage:
                 so every product has the public quadratic component a2*a:
                 the products stay three-component (``_he_mult_raw`` over
                 that one d2) and open with no key switch, each user
-                decrypting its own under (s_u, s_u^2) (see
+                decrypting its own under (s_u, s_u^2) and forming
+                d2*s_u^2 once for all of its chunks (see
                 :mod:`fhefl.multikey`).
+
+The round holds one stage at a time: each stage's intermediates are dropped
+once the next stage has used them.
 
 Every opening reads a public set of coefficients and each user sends its
 partial decryption of those alone, so the round reveals the distance total,
@@ -364,13 +368,18 @@ def _opened(ct: Ciphertext) -> Ciphertext:
     return ct.mod_reduce_to(min(_open_level(ct.params, ct.scale), ct.level))
 
 
-def _open_sum(cts: dict, keyrings: dict, read, tag: bytes, roster, rng) -> np.ndarray:
-    """Decode the read set of sum_u cts[u]: every roster member's key terms on
-    it, read side by side (``key_terms``), flooded and masked in roster order,
-    then combined."""
-    terms = key_terms(keyrings, cts, read)
-    partials = {u: masked_partial_decrypt(keyrings[u], terms[u], tag, roster, rng) for u in roster}
-    return combine_partials(cts, partials, read)
+def _open_sums(openings, keyrings: dict, read, tags, roster, rng) -> list[np.ndarray]:
+    """Decode the read set of sum_u cts[u] for each opening's ``cts``: every
+    roster member's key terms of every opening, read side by side
+    (``key_terms``), then each opening's flooded and masked in roster order
+    under its tag, and combined."""
+    out = []
+    for cts, terms, tag in zip(openings, key_terms(keyrings, openings, read), tags):
+        partials = {
+            u: masked_partial_decrypt(keyrings[u], terms[u], tag, roster, rng) for u in roster
+        }
+        out.append(combine_partials(cts, partials, read))
+    return out
 
 
 @contextmanager
@@ -455,7 +464,8 @@ def secure_aggregate_round(
 
     with _stage("distance-sum"):
         d_open = {u: _opened(d_cts[u]) for u in users}
-        sum_d = float(_open_sum(d_open, keyrings, [ri], round_tag + b"|dsum", roster, rng)[0])
+        (opened,) = _open_sums([d_open], keyrings, [ri], [round_tag + b"|dsum"], roster, rng)
+        sum_d = float(opened[0])
         noise = opening_noise(d_open.values())
         # a true total is never negative; one below the noise wrapped the
         # opening modulus, and clamping it would fall back to uniform rates
@@ -464,13 +474,16 @@ def secure_aggregate_round(
                 f"distance total opened as {sum_d:.4g}: above 2^{_VALUE_BITS}, "
                 "it wrapped the opening modulus; aborting round"
             )
+        del d_open
 
     with _stage("rate"):
-        ds = [d_cts[u] for u in users]
+        ds = [d_cts.pop(u) for u in users]
         if sum_d > noise:
-            p_cts = dict(zip(users, rates_encrypted(ds, sum_d, n_users, readout=ri)))
+            p_cts = rates_encrypted(ds, sum_d, n_users, readout=ri)
         else:  # a total within the noise of zero: constant 1/U, no division
-            p_cts = dict(zip(users, plain_affine(ds, 0.0, 1.0 / n_users, add_index=ri)))
+            p_cts = plain_affine(ds, 0.0, 1.0 / n_users, add_index=ri)
+        p_cts = dict(zip(users, p_cts))
+        del ds
 
     with _stage("re-encrypt"):
         a2 = common_poly(params, seed=round_tag + b"|a2", level=l_agg)
@@ -478,10 +491,11 @@ def secure_aggregate_round(
         bound = _blind_bound(params, p0.level, p0.scale)
         if bound < 4.0:
             raise ProtocolError(f"blinding headroom {bound:.2g} too small at level {p0.level}")
+        del p0
         blinds = {u: float(rng.uniform(-bound, bound)) for u in users}
         p_fresh = {}
         for u in users:
-            pct = p_cts[u]
+            pct = p_cts.pop(u)
             # the blind must sit on the readout coefficient
             mask = encode_monomial(params, blinds[u], ri, pct.level, scale=pct.scale)
             # server -> user: additively blinded rate (still under s_u only)
@@ -491,12 +505,15 @@ def secure_aggregate_round(
             # server: strip the blind homomorphically
             unmask = encode_monomial(params, blinds[u], 0, fresh.level, scale=fresh.scale)
             p_fresh[u] = replace(fresh, comps=(fresh.c0.sub(unmask), fresh.c1), msg_bound=1.0)
+        del pct, mask, blinded, fresh, unmask
 
     with _stage("rate-sum-check"):
         # the fresh rates sit at l_agg, so the keys are masked there
         masked = [mask_key(keyrings[u], roster, level=l_agg) for u in roster]
         gk = reconstruct_group_key(masked, roster)
+        del masked
         p_total = float(group_decrypt(aggregate_fresh(p_fresh), gk)[0])
+        del gk
         if abs(p_total - 1.0) > _RATE_SUM_TOL:
             raise ProtocolError(
                 f"re-encrypted rates sum to {p_total:.4f}, expected 1 "
@@ -507,18 +524,15 @@ def secure_aggregate_round(
         # every fresh rate carries c1 = a2 (aggregate_fresh checked it), so
         # every product's quadratic component is the public d2 = a2*a; the
         # products stay three-component and open with no key switch
-        xs = [p_fresh[u] for u in users for _ in range(n_chunks)]
-        ys = [ct.mod_reduce_to(l_agg) for u in users for ct in enc_updates[u].fwd]
-        d2 = xs[0].c1.mul(ys[0].c1)
-        prods = [_he_mult_raw(x, y, d2) for x, y in zip(xs, ys)]
-        read = range(chunk_len)
-        out = np.concatenate([
-            _open_sum(
-                dict(zip(users, prods[c::n_chunks])),
-                keyrings, read, round_tag + b"|agg|" + str(c).encode(), roster, rng,
-            )
-            for c in range(n_chunks)
-        ])
+        d2 = p_fresh[users[0]].c1.mul(a.mod_reduce_to(l_agg))
+        openings = [{} for _ in range(n_chunks)]
+        for u in users:
+            x = p_fresh.pop(u)
+            for opening, y in zip(openings, enc_updates[u].fwd):
+                opening[u] = _he_mult_raw(x, y.mod_reduce_to(l_agg), d2)
+        del x
+        tags = [round_tag + b"|agg|" + str(c).encode() for c in range(n_chunks)]
+        out = np.concatenate(_open_sums(openings, keyrings, range(chunk_len), tags, roster, rng))
         agg = out[: w_prev.size]
 
     return w_prev - eta * agg

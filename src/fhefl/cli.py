@@ -162,6 +162,11 @@ def cmd_bench(args) -> int:
     for name, mean, p95 in rows:
         print(f"{name:<26} {mean:>12.1f} {p95:>12.1f}")
     print(f"{'upload per user per round':<26} {upload_bytes:>12d} B")
+    # a user's evaluation key as held in memory: its own half, and the seed
+    # its public half is expanded from on each key switch
+    evk = keyrings[users[0]].evk
+    print(f"{'evk own half per user':<26} {sum(e.data.nbytes for e in evk.ks_b):>12d} B")
+    print(f"{'evk public seed per user':<26} {len(evk.a_seed):>12d} B")
     return 0
 
 

@@ -35,11 +35,13 @@ users instead of rotations.
 An ``EvalKey`` is built at a level L: one pair per prime q_0..q_L, each over
 q_0..q_L and the special prime.  It switches a component at any level up to
 L, and ``he_mult_relin`` refuses a product above its key's level before any
-work.  The round's level plan sits beside ``product_scale`` and
-``affine_scale``, computed from the chain and the scales alone:
-``_open_level`` is the lowest level that opens a value below 2^_VALUE_BITS at
-a scale, ``_blind_bound`` the blind a rate takes at a level, and
-``_norm_level`` the level of the uploads.  The round relinearizes at that
+work.  A key may hold its public half as a seed
+(``EvalKey.generate(..., a_seed=)``): a_0..a_L are expanded from it on each
+use, so the key holds its own half ``ks_b`` alone.  The round's level plan
+sits beside ``product_scale`` and ``affine_scale``, computed from the chain
+and the scales alone: ``_open_level`` is the lowest level that opens a value
+below 2^_VALUE_BITS at a scale, ``_blind_bound`` the blind a rate takes at a
+level, and ``_norm_level`` the level of the uploads.  The round relinearizes at that
 level and below, so :mod:`fhefl.multikey` builds every user's key there.
 
 ``rescale``, ``he_mult_relin`` and ``plain_affine`` take one ciphertext (or
@@ -342,45 +344,76 @@ class EvalKey:
     component at level L or below: it is the full key of the chain cut at
     q_L (Han & Ki, CT-RSA 2020), so a key needs no pair or row above the
     highest level it relinearizes at.
+
+    The public half a_0..a_L is held as elements (``held_a``) or as a public
+    seed (``a_seed``) that ``ks_a`` expands on each use; a seeded key holds
+    half the bytes and costs one expansion per key switch.  A key drawn
+    without a public seed holds its a_i: their seeds come from the rng that
+    draws its errors, so they are not kept.
     """
 
     ks_b: tuple[RingElement, ...]
-    ks_a: tuple[RingElement, ...]
+    held_a: tuple[RingElement, ...] | None = None
+    a_seed: bytes | None = None
 
     @property
     def level(self) -> int:
         """The highest level of a quadratic component this key switches."""
         return self.ks_b[0].level
 
+    @property
+    def ks_a(self) -> tuple[RingElement, ...]:
+        """The public half a_0..a_L: the held elements, or the seed's expansion."""
+        if self.held_a is not None:
+            return self.held_a
+        return _public_half(self.ks_b[0].params, self.a_seed, self.level)
+
     @classmethod
     def generate(
-        cls, params: HeParams, sk: SecretKey, rng: np.random.Generator, level: int | None = None
+        cls,
+        params: HeParams,
+        sk: SecretKey,
+        rng: np.random.Generator,
+        level: int | None = None,
+        a_seed: bytes | None = None,
     ) -> "EvalKey":
         """The key at ``level`` (the top level if None).
 
-        The rng gives each pair, in chain order, a seed for a_i and then the
-        error e_i, so a level-L key's pairs are the top-level key's first L+1
-        pairs without the rows above L, but for the special row of each a_i,
-        which its sampler draws after the chain rows the key holds.
+        Without ``a_seed`` the rng gives each pair, in chain order, a seed for
+        a_i and then the error e_i, so a level-L key's pairs are the
+        top-level key's first L+1 pairs without the rows above L, but for the
+        special row of each a_i, which its sampler draws after the chain rows
+        the key holds; the key holds its a_i.  Given ``a_seed`` (public bytes,
+        never drawn from the rng), the a_i are its expansion, the rng draws
+        the errors alone and the key holds the seed in place of the a_i.
         """
         ring = params.ring
         if ring.special is None:
             raise ParameterError("relinearization keys need a special prime")
         level = ring.max_level if level is None else level
         ring.moduli(level)  # refuses a level outside the chain
+        if a_seed is not None and not (isinstance(a_seed, bytes) and len(a_seed) >= 16):
+            raise ParameterError("a key's public seed is bytes of at least 16")
         s = sk.s.mod_reduce_to(level, special=True)
         s2 = s.mul(s)
         tab = ring.tables
-        seeds, errors = [], []
-        for _ in range(level + 1):
-            seeds.append(rng.bytes(16))
-            errors.append(sample_error(ring, rng, params.sigma, level=level, special=True))
-        # every a_i is drawn before the errors' transform, whose temporaries
-        # would otherwise sit between the key's arrays on the heap
-        a_s = [
-            sample_uniform(ring, seed, level=level, special=True, ntt=True, tag=b"evk-a")
-            for seed in seeds
-        ]
+        if a_seed is None:
+            seeds, errors = [], []
+            for _ in range(level + 1):
+                seeds.append(rng.bytes(16))
+                errors.append(sample_error(ring, rng, params.sigma, level=level, special=True))
+            # every a_i is drawn before the errors' transform, whose
+            # temporaries would otherwise sit between the key's arrays on the heap
+            a_s = [
+                sample_uniform(ring, seed, level=level, special=True, ntt=True, tag=b"evk-a")
+                for seed in seeds
+            ]
+        else:
+            errors = [
+                sample_error(ring, rng, params.sigma, level=level, special=True)
+                for _ in range(level + 1)
+            ]
+            a_s = _public_half(ring, a_seed, level)
         # the key's error polynomials take one forward transform, and each
         # b_i is written over its own error (the rebinding frees the errors'
         # coefficient forms)
@@ -395,7 +428,19 @@ class EvalKey:
             consts = shoup_stack(np.uint64(p_i), np.uint64((p_i << 64) % q_i), tab.neg_qinv[row])
             p_s2 = mul_shoup(s2.data[row], *consts, tab.q[row])
             b_i.data[row] = add_mod(b_i.data[row], p_s2, tab.q[row])
-        return cls(ks_b=tuple(errors), ks_a=tuple(a_s))
+        if a_seed is not None:
+            return cls(ks_b=tuple(errors), a_seed=a_seed)
+        return cls(ks_b=tuple(errors), held_a=tuple(a_s))
+
+
+def _public_half(ring: RingParams, a_seed: bytes, level: int) -> tuple[RingElement, ...]:
+    """The level-``level`` public half a_0..a_level that ``a_seed`` expands to:
+    each a_i uniform over q_0..q_level and the special prime, in the NTT
+    domain, from its own tag of the seed's stream."""
+    return tuple(
+        sample_uniform(ring, a_seed, level=level, special=True, ntt=True, tag=b"evk-a|%d" % i)
+        for i in range(level + 1)
+    )
 
 
 def common_poly(params: HeParams, seed, level: int | None = None) -> RingElement:
@@ -668,7 +713,8 @@ def switch_quadratic(d2: RingElement, evks) -> Iterator[SwitchedQuadratic]:
 
     d2 is decomposed into its RNS digits once.  Each key's inner product with
     the digits over the extended basis is one stacked multiply per half of
-    the key and one sum over the digits; a group of keys' (u0, u1) are then
+    the key (a seeded key's public half expanded for it, and dropped after)
+    and one sum over the digits; a group of keys' (u0, u1) are then
     exactly divided-and-rounded by the special prime in one
     ``drop_last_modulus`` call, all in the NTT domain.  The group holds
     ``RingParams.group_size // 2`` keys, so its 2 elements per key fill one

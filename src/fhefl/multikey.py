@@ -26,8 +26,10 @@ product (d0, d1, d2) opens with no key switch: user u's terms are
 [d1_u * s_u - d2 * s_u^2]_R divided by q_level and rounded (the product's
 rescale, on |R| integers), flooded and masked a level lower, and the server
 divides [sum_u d0_u]_R the same way.  ``key_terms`` computes a roster's
-terms side by side: one coefficient is a dot product with no transform,
-more take the users' elements through grouped inverse transforms.
+terms side by side, for one or more openings: one coefficient is a dot
+product with no transform, more take the users' elements through grouped
+inverse transforms, and a user forms d2 * s_u^2 once for all of its products
+over one d2.
 ``combine_partials`` is the one opening routine, and ``opening_noise``
 bounds what an opening adds to a decoded value.  The roster sums follow the
 adding rule of :mod:`fhefl.he`.
@@ -42,7 +44,12 @@ a level outside the chain and any other length.
 ``setup_pairwise`` builds each user's evaluation key at the round's upload
 level (``he._norm_level``), the highest level the round relinearizes at, so
 the key carries no pair or row above it: at fhefl-16384 that is 4 of 5 pairs
-of 5 of 6 rows.
+of 5 of 6 rows.  Each key holds its public half a_0..a_L as a seed drawn
+from the master seed, the user and the epoch, never from a user's secret, and
+expands it on each key switch, so what a key holds is b_i = a_i*s_u + e_i +
+P_i*s_u^2 alone.  Every user's a_i are its own: the rate-sum check reveals
+sum_u s_u, so with one a_i for the whole roster the server could cancel
+a_i*sum_u s_u from sum_u b_i and read sum_u s_u^2 and the summed errors.
 
 Pair seeds stand in for an out-of-band pairwise agreement (e.g. a DH
 exchange); here they are derived from a master seed so simulations are
@@ -184,7 +191,9 @@ def setup_pairwise(
     Per-epoch secrets are re-derived from each user's long-term seed, so
     rotating the epoch refreshes s_u and the evaluation key while the pairwise
     seeds stay put.  Each evaluation key sits at the round's upload level
-    (``he._norm_level``), the highest level the round relinearizes at.
+    (``he._norm_level``), the highest level the round relinearizes at, and
+    holds its public half as a seed of the master seed, the user and the
+    epoch.
     """
     ids = list(user_ids)
     if len(set(ids)) != len(ids):
@@ -196,7 +205,11 @@ def setup_pairwise(
         sk_seed = _h(secret_seed, b"sk", str(epoch).encode())
         sk = SecretKey.generate(params, sk_seed)
         evk_seed = int.from_bytes(_h(secret_seed, b"evk", str(epoch).encode())[:8], "little")
-        evk = EvalKey.generate(params, sk, np.random.default_rng(evk_seed), level=evk_level)
+        # the key's public half: the user's own, drawn from public data
+        a_seed = _h(master_seed, b"evk-a", str(u).encode(), str(epoch).encode())
+        evk = EvalKey.generate(
+            params, sk, np.random.default_rng(evk_seed), level=evk_level, a_seed=a_seed
+        )
         pair_seeds = {j: _pair_seed(master_seed, u, j) for j in ids if j != u}
         rings[u] = UserKeyring(
             user_id=u,
@@ -333,31 +346,51 @@ def opening_noise(cts) -> float:
     return (sum(2.0**ct.noise_log2 / q + rounding + flood for ct in cts) + rounding) / scale
 
 
-def _terms(kr: UserKeyring, c1: RingElement, d2: RingElement | None = None) -> RingElement:
+def _terms(kr: UserKeyring, quads: dict, c1: RingElement, d2: RingElement | None = None):
     """The user's key terms of its own ciphertext in the NTT domain: c1 * s_u,
-    less d2 * s_u^2 for a three-component product."""
+    less d2 * s_u^2 for a three-component product.  ``quads`` keeps each
+    d2 * s_u^2 by (user, d2), so products that share d2 form it once."""
     if not c1.ntt:
         raise ProtocolError("partial decryption expects an NTT-domain c1")
     s = kr.sk.s.mod_reduce_to(c1.level)
     terms = c1.mul(s)
-    return terms if d2 is None else terms.sub(d2.mul(s.mul(s)))
+    if d2 is None:
+        return terms
+    key = (kr.user_id, id(d2))
+    if key not in quads:
+        quads[key] = d2.mul(s.mul(s))
+    return terms.sub(quads[key])
 
 
-def key_terms(keyrings: dict, cts: dict, read) -> dict[int, Residues]:
-    """Each user's key terms of its own ciphertext in ``cts`` on the read
-    set, in the coefficient domain at the level the opening reads (a
-    three-component product's divided by q_level, rounded).
+def key_terms(keyrings: dict, openings, read) -> list[dict[int, Residues]]:
+    """Each user's key terms of its own ciphertext in each opening on the
+    read set, in the coefficient domain at the level the opening reads (a
+    three-component product's divided by q_level, rounded): one dict by user
+    per opening of ``openings`` (each a dict of ciphertexts by user), in
+    order.
 
-    Each user computes only its own terms.  The users' elements go through
+    Each user computes only its own terms, and forms d2 * s_u^2 once for all
+    of its products that share d2 (by identity).  Every element goes through
     one ``coeffs_at`` call, so a read of more than one coefficient takes one
-    inverse transform per ``RingParams.group_size`` users, not one per user.
+    inverse transform per ``RingParams.group_size`` elements, not one per
+    user.
     """
-    users = list(cts)
-    terms = coeffs_at([_terms(keyrings[u], *cts[u].comps[1:]) for u in users], read)
-    _, _, q = _opened_at(cts[users[0]])
-    if q > 1:
-        terms = [t.drop_last_modulus() for t in terms]
-    return dict(zip(users, terms))
+    openings = list(openings)
+    quads: dict = {}
+    elems = [
+        _terms(keyrings[u], quads, *ct.comps[1:])
+        for opening in openings
+        for u, ct in opening.items()
+    ]
+    terms = iter(coeffs_at(elems, read))
+    out = []
+    for opening in openings:
+        _, _, q = _opened_at(next(iter(opening.values())))
+        got = [next(terms) for _ in opening]
+        if q > 1:
+            got = [t.drop_last_modulus() for t in got]
+        out.append(dict(zip(opening, got)))
+    return out
 
 
 def masked_partial_decrypt(
@@ -383,7 +416,7 @@ def masked_partial_decrypt(
         terms = c1
     else:
         read = range(kr.params.ring.n) if read is None else read
-        (terms,) = coeffs_at([_terms(kr, c1)], read)
+        (terms,) = coeffs_at([_terms(kr, {}, c1)], read)
     flood = sample_error(
         kr.params.ring, rng, _flood_sigma(kr.params), level=terms.level, count=terms.count
     )

@@ -243,13 +243,31 @@ def test_bench_prints_the_bytes_a_user_uploads(capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "secure_aggregate_round", record)
     assert main(["bench", "--preset", "test-16", "--reps", "10"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-2].startswith("aggregate_round")
-    label, value, unit = lines[-1].rsplit(maxsplit=2)
+    assert lines[-4].startswith("aggregate_round")
+    label, value, unit = lines[-3].rsplit(maxsplit=2)
     assert (label, unit) == ("upload per user per round", "B")
     cts = seen[-1].fwd + seen[-1].rev
     assert int(value) == sum(len(ciphertext_to_bytes(ct)) for ct in cts)
     # each c0 in full, each c1 as its seed
     assert int(value) < sum(len(ct.c0.to_bytes()) + len(ct.c1.to_bytes()) for ct in cts)
+
+
+def test_bench_prints_the_key_halves(capsys):
+    # under the upload line: the bytes of one user's own key half, L+1
+    # elements of L+2 rows at the key level L (test-16: level 2), and of the
+    # seed its public half is expanded from
+    from fhefl.he import _norm_level, get_params
+
+    params = get_params("test-16")
+    level = _norm_level(params)
+    assert main(["bench", "--preset", "test-16", "--reps", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3].startswith("upload per user per round")
+    half = (level + 1) * (level + 2) * params.ring.n * 8
+    assert [line.rsplit(maxsplit=2) for line in lines[-2:]] == [
+        ["evk own half per user", str(half), "B"],
+        ["evk public seed per user", "32", "B"],
+    ]
 
 
 def test_bench_zero_reps_is_usage_error(capsys):

@@ -26,6 +26,7 @@ from fhefl.he import (
     EvalKey,
     SecretKey,
     _he_mult_raw,
+    _norm_level,
     _open_level,
     _phase,
     _plaintext,
@@ -210,6 +211,41 @@ def test_evalkey_equals_the_full_product_build(name, level):
         assert evk.ks_b[i] == a_i.mul(s).add(e_i).add(p_i.mul(s2))
         for half, top_half in ((evk.ks_a, top.ks_a), (evk.ks_b, top.ks_b)):
             assert half[i].mod_reduce_to(level) == top_half[i].mod_reduce_to(level)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_evalkey_on_a_public_seed_equals_the_full_product_build(name):
+    # given a public seed, the key holds the seed and its own half alone; the
+    # public half is the seed's expansion, one tag per pair, formed anew on
+    # each use, and the own half is the full-product build over those a_i
+    # with errors that the rng draws one after another and nothing else
+    params = get_params(name)
+    ring, level = params.ring, _norm_level(params)
+    sk = SecretKey.generate(params, seed=b"evk-seeded")
+    a_seed = bytes(range(32))
+    evk = EvalKey.generate(params, sk, np.random.default_rng(42), level=level, a_seed=a_seed)
+    assert evk.held_a is None and evk.a_seed == a_seed
+    assert evk.level == level and len(evk.ks_b) == len(evk.ks_a) == level + 1
+    assert evk.ks_a is not evk.ks_a and evk.ks_a == evk.ks_a
+    rng = np.random.default_rng(42)
+    s = sk.s.mod_reduce_to(level, special=True)
+    s2 = s.mul(s)
+    for i, got_a in enumerate(evk.ks_a):
+        a_i = sample_uniform(
+            ring, a_seed, level=level, special=True, ntt=True, tag=b"evk-a|%d" % i
+        )
+        e_i = sample_error(ring, rng, params.sigma, level=level, special=True).to_ntt()
+        p_i = RingElement.zeros(ring, level, special=True, ntt=True)
+        p_i.data[i, :] = np.uint64(ring.special % ring.chain[i])
+        assert got_a == a_i
+        assert evk.ks_b[i] == a_i.mul(s).add(e_i).add(p_i.mul(s2))
+
+
+def test_a_public_seed_that_is_not_bytes_is_refused(hp):
+    sk = SecretKey.generate(hp, seed=b"evk-seeded")
+    for bad in ("a text seed of many characters", 12345, bytes(15)):
+        with pytest.raises(ParameterError, match="public seed"):
+            EvalKey.generate(hp, sk, np.random.default_rng(1), a_seed=bad)
 
 
 @pytest.mark.parametrize("name", ["test-16", "test-1024", "fhefl-16384"])

@@ -10,6 +10,8 @@ the bytes earlier versions produced.
 
 import functools
 import hashlib
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from fhefl.aggregation import (
 from fhefl.errors import DomainError, LevelError, ParameterError
 from fhefl.he import (
     _norm_level,
+    _scaled_ints,
     ciphertext_to_bytes,
     common_poly,
     encrypt,
@@ -410,7 +413,10 @@ def test_pinned_upload_and_product_bytes():
         ["38c281ed93df7495", a_digest],
         ["3bc27f16b0470b68", a_digest],
     ]
-    assert element_digests(prod) == ["e9d9ab1a050cd3c0", "8c7e10913395f9dd"]
+    # the product's digests moved when each key's public half began to be
+    # expanded from a public seed of the user's; the uploads do not depend
+    # on the keys and did not move
+    assert element_digests(prod) == ["b8025aa248812183", "7bc0342fc56a53f0"]
     blob = b"".join(ciphertext_to_bytes(c) for c in eu.fwd + eu.rev)
     assert len(blob) == 90340
     assert (
@@ -419,7 +425,7 @@ def test_pinned_upload_and_product_bytes():
     )
     assert (
         hashlib.sha256(ciphertext_to_bytes(prod)).hexdigest()
-        == "894a8fb3cf1dbf15a8c77e90db0b8b52537b9d171237a0a99cb9fd58cf046a40"
+        == "64e429edef8fcd9c460490f5236c4ce5ec5750a1ed1c6a4ede408aef09b5de6d"
     )
 
 
@@ -430,25 +436,28 @@ def test_batched_products_hoist_one_key_switch_per_run(monkeypatch, name):
     # key-switched once per run of products under one key.  Two users, five
     # and four products: nine, across relinearize/rescale groups of 512, 8,
     # 1 and 1 products at test-16, test-1024, fhefl-8192 and fhefl-16384.
-    # The products sit at the upload level, the level of the round's keys
+    # The products sit at the upload level, the level of the round's keys.
+    # Each key's two halves take one inner product with the digits each, the
+    # public half expanded from the key's seed
     params = get_params(name)
     level = _norm_level(params)
     krs = setup_pairwise(params, [0, 1], 0, b"hoist")
     a = common_poly(params, seed=b"hoist-a")
     a2 = common_poly(params, seed=b"hoist-a2")
     rng = np.random.default_rng(31)
-    xs, ys, evks = [], [], []
+    xs, ys, evks, vals = [], [], [], []
     for kr, count in zip(krs.values(), (5, 4)):
-        x = encrypt(params, [rng.uniform(-1, 1)], kr.sk, a2, rng, level=level)
-        xs += [x] * count
-        ys += [
-            encrypt(params, rng.uniform(-1, 1, 4), kr.sk, a, rng, level=level)
-            for _ in range(count)
-        ]
+        xv = rng.uniform(-1, 1, 1)
+        x = encrypt(params, xv, kr.sk, a2, rng, level=level)
+        for _ in range(count):
+            yv = rng.uniform(-1, 1, 4)
+            xs.append(x)
+            ys.append(encrypt(params, yv, kr.sk, a, rng, level=level))
+            vals.append((kr.sk, xv, yv))
         evks += [kr.evk] * count
     wants = [ciphertext_to_bytes(he_mult_relin(x, y, k)) for x, y, k in zip(xs, ys, evks)]
 
-    digits, switched, d2_muls = [], [], []
+    digits, switched, d2_muls, inner = [], [], [], []
 
     def count_digits(x, real=he_mod.rns_digits):
         digits.append(x)
@@ -463,13 +472,28 @@ def test_batched_products_hoist_one_key_switch_per_run(monkeypatch, name):
             d2_muls.append(v)
         return real(u, v)
 
+    def count_inner(*args, real=he_mod.mul_mod, **kwargs):
+        inner.append(args)
+        return real(*args, **kwargs)
+
     monkeypatch.setattr(he_mod, "rns_digits", count_digits)
     monkeypatch.setattr(he_mod, "switch_quadratic", count_switches)
     monkeypatch.setattr(RingElement, "mul", count_muls)
+    monkeypatch.setattr(he_mod, "mul_mod", count_inner)
     batched = he_mult_relin(xs, ys, evks)
     assert [ciphertext_to_bytes(ct) for ct in batched] == wants
     assert len(digits) == 1 and len(d2_muls) == 1
     assert switched == [[kr.evk for kr in krs.values()]]
+    assert len(inner) == 4
+    monkeypatch.undo()
+    # every product within its tracked noise bound of the exact rescaled one
+    q_l = params.ring.chain[level]
+    for ct, (sk, xv, yv) in zip(batched, vals):
+        mx, my = (_scaled_ints(params.scale, v) for v in (xv, yv))
+        want = [Fraction(int(mx[0]) * int(m), q_l) for m in my]
+        got = he_mod._phase(ct, sk).to_int_coeffs(indices=np.arange(len(want)))
+        err = max(abs(int(g) - w) for g, w in zip(got, want))
+        assert err <= 2.0**ct.noise_log2
     # a batch whose products do not share their c1 parts is refused
     other = encrypt(
         params, [0.5], krs[1].sk, common_poly(params, seed=b"hoist-b"), rng, level=level
@@ -487,9 +511,10 @@ def test_batched_products_hoist_one_key_switch_per_run(monkeypatch, name):
 
 @pytest.fixture(scope="module")
 def counted_round():
-    """A fixed-seed test-1024 round (10 users, dim 650: two chunks), the rows
-    its forward and inverse transforms processed and their calls, and the
-    plain oracle's model step."""
+    """A fixed-seed test-1024 round (10 users, dim 650: two chunks), the work
+    it did (the rows its forward and inverse transforms processed and their
+    calls, its ``RingElement.mul`` calls, and the peak of its traced memory
+    above what it was handed, in bytes) and the plain oracle's model step."""
     params = get_params("test-1024")
     tag = b"pinned-round"
     rng = np.random.default_rng(2026)
@@ -498,35 +523,45 @@ def counted_round():
     grads = rng.uniform(-1, 1, size=(10, 650))
     w_prev = rng.uniform(-1, 1, 650)
     enc = {u: encrypt_update(krs[u], grads[u], a, rng) for u in range(10)}
-    rows = {"forward": 0, "inverse": 0, "forward calls": 0, "inverse calls": 0}
+    work = {"forward": 0, "inverse": 0, "forward calls": 0, "inverse calls": 0, "ring.mul": 0}
 
     def counting(kind, kernel):
         def run(data, tab, sel):
-            rows[kind] += len(sel)
-            rows[kind + " calls"] += 1
+            work[kind] += len(sel)
+            work[kind + " calls"] += 1
             return kernel(data, tab, sel)
 
         return run
 
+    def counting_mul(x, y, real=RingElement.mul):
+        work["ring.mul"] += 1
+        return real(x, y)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ring_mod, "ntt_forward_inplace", counting("forward", ntt_forward_inplace))
         mp.setattr(ring_mod, "ntt_inverse_inplace", counting("inverse", ntt_inverse_inplace))
-        w = secure_aggregate_round(enc, krs, w_prev, 0.1, rng, round_tag=tag)
+        mp.setattr(RingElement, "mul", counting_mul)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            w = secure_aggregate_round(enc, krs, w_prev, 0.1, rng, round_tag=tag)
+            work["peak bytes"] = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
     rates = non_poisoning_rates([sq_norm_plain(g) for g in grads])
     w_plain = weighted_aggregate_plain(w_prev, grads, rates, 0.1)
-    return w, rows, w_plain, w_plain - w_prev
+    return w, work, w_plain, w_plain - w_prev
 
 
 def test_pinned_round_output(counted_round):
-    # digest of the opened model taken when the openings moved to their read
-    # sets: the flooding is drawn on the read coefficients alone and the
-    # aggregate products open with no key switch, divided by q_2 on the read
-    # residues, so the opened bytes moved (test_pinned_round_precision bounds
-    # the opened step against the plain oracle)
+    # digest of the opened model taken when each user's evaluation key began
+    # to expand its public half from a public seed of the user's: every key,
+    # and so every relinearized distance, moved (test_pinned_round_precision
+    # bounds the opened step against the plain oracle)
     w, *_ = counted_round
     assert (
         hashlib.sha256(w.tobytes()).hexdigest()
-        == "95561ce85a5736e49251a277f8efd199c369f1aec54db826fb52d3b8036643da"
+        == "64b11f5bfbb028b928edb6d24003eb070faaed3f82f0de43d876d26f16eddd77"
     )
 
 
@@ -542,11 +577,22 @@ def test_round_transform_budget(counted_round):
     # 495 and 176 rows in 54 and 28 calls before the openings read their
     # read sets alone (no flooding transform) and the aggregate products
     # stopped being key-switched and rescaled
-    _, rows, *_ = counted_round
-    assert rows["forward"] <= 286
-    assert rows["inverse"] <= 173
-    assert rows["forward calls"] <= 18
-    assert rows["inverse calls"] <= 23
+    _, work, *_ = counted_round
+    assert work["forward"] <= 286
+    assert work["inverse"] <= 173
+    assert work["forward calls"] <= 18
+    assert work["inverse calls"] <= 23
+
+
+def test_round_work_budget(counted_round):
+    # two more counts of the same round, each bounded at its measured value:
+    # its ring products (213 before each user formed d2 * s_u^2 once for all
+    # of its aggregate chunks) and the peak of its traced memory above its
+    # inputs, 3.78 MiB rounded up (5.27 MiB before each stage's
+    # intermediates were dropped once the next stage had used them)
+    _, work, *_ = counted_round
+    assert work["ring.mul"] <= 193
+    assert work["peak bytes"] <= 3.8 * 2**20
 
 
 def test_pinned_round_precision(counted_round):

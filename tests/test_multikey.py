@@ -21,6 +21,7 @@ from fhefl.errors import (
     SerializationError,
 )
 from fhefl.he import (
+    EvalKey,
     HeParams,
     _he_mult_raw,
     _norm_level,
@@ -114,16 +115,54 @@ def test_epoch_refresh_changes_secrets(hp):
 @pytest.mark.parametrize("name", preset_names())
 def test_evaluation_keys_sit_at_the_upload_level(name):
     # the round relinearizes at the upload level and below, so each key
-    # holds that level's pairs and rows alone: two halves of L+1 pairs, each
-    # of L+2 rows (q_0..q_L and the special prime)
+    # holds that level's pairs and rows alone: L+1 pairs, each of L+2 rows
+    # (q_0..q_L and the special prime).  A key holds its own half ks_b and
+    # the seed of its public half, which is the user's own, drawn from the
+    # master seed, the user and the epoch
     params = get_params(name)
     level = _norm_level(params)
-    (kr,) = setup_pairwise(params, [0], 0, b"evk-level").values()
-    elems = kr.evk.ks_b + kr.evk.ks_a
-    assert kr.evk.level == level
-    assert {(e.level, e.special, e.ntt) for e in elems} == {(level, True, True)}
-    nbytes = sum(e.data.nbytes for e in elems)
-    assert nbytes == 2 * (level + 1) * (level + 2) * params.ring.n * 8
+    rings = setup_pairwise(params, [0, 1, 2], 0, b"evk-level")
+    for kr in rings.values():
+        elems = kr.evk.ks_b + kr.evk.ks_a
+        assert kr.evk.level == level and kr.evk.held_a is None
+        assert {(e.level, e.special, e.ntt) for e in elems} == {(level, True, True)}
+        nbytes = sum(e.data.nbytes for e in kr.evk.ks_b)
+        assert nbytes == (level + 1) * (level + 2) * params.ring.n * 8
+    assert len({kr.evk.a_seed for kr in rings.values()}) == 3
+    assert len({kr.evk.ks_a[0].data.tobytes() for kr in rings.values()}) == 3
+    assert rings[0].evk.a_seed == setup_pairwise(params, [0], 0, b"evk-level")[0].evk.a_seed
+    assert rings[0].evk.a_seed != setup_pairwise(params, [0], 1, b"evk-level")[0].evk.a_seed
+
+
+def _key_residue(evks, s_sum):
+    """sum_u b_0^u - a_0^0 * sum_u s_u on chain row 1, centred: what a server
+    holding the keys and the group key reads there if every a_0^u is a_0^0."""
+    ring = s_sum.params
+    acc = evks[0].ks_b[0]
+    for evk in evks[1:]:
+        acc = acc.add(evk.ks_b[0])
+    row = acc.sub(evks[0].ks_a[0].mul(s_sum)).to_coeff().data[1].astype(object)
+    q = ring.chain[1]
+    return max(abs(v - q if v > q // 2 else v) for v in row)
+
+
+def test_the_keys_and_the_group_key_do_not_cancel_the_public_half(hp):
+    # the rate-sum check reveals sum_u s_u.  With one a_i for the roster the
+    # server could subtract a_i * sum_u s_u from sum_u b_i and read the
+    # summed errors on every row but i (and sum_u s_u^2 on row i; for two
+    # users (s_0 - s_1)^2 = 2 sum_u s_u^2 - (sum_u s_u)^2 then gives both
+    # secrets).  Each user's own a_i leaves that residue uniform
+    level = _norm_level(hp)
+    rings = setup_pairwise(hp, [0, 1], 0, b"evk-crs")
+    s_sum = rings[0].sk.s.add(rings[1].sk.s).mod_reduce_to(level, special=True)
+    q = hp.ring.chain[1]
+    assert _key_residue([kr.evk for kr in rings.values()], s_sum) > q // 8
+    # the same keys over one shared seed: the residue is the summed errors
+    shared = [
+        EvalKey.generate(hp, kr.sk, np.random.default_rng(u), level=level, a_seed=bytes(32))
+        for u, kr in rings.items()
+    ]
+    assert _key_residue(shared, s_sum) <= 2 * 6 * hp.sigma
 
 
 def test_group_key_roster_validation(hp):
@@ -339,7 +378,7 @@ def test_opened_products_stay_within_the_opening_bound(name):
     d2 = xs[0].c1.mul(ys[0].c1)
     prods = {u: _he_mult_raw(x, y, d2) for u, x, y in zip(users, xs, ys)}
     read = range(6)
-    terms = key_terms(rings, prods, read)
+    (terms,) = key_terms(rings, [prods], read)
     partials = {
         u: masked_partial_decrypt(rings[u], terms[u], b"bound", users, rng) for u in users
     }
