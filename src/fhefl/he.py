@@ -14,9 +14,9 @@ round(scale * v), rounded once from the exact product; for a power-of-two
 scale that product is a float64 and ``np.rint`` rounds a whole vector at once.
 
 ``encrypt`` takes one vector or a sequence of ``PlainVector``s, and encrypts a
-sequence as one batch: one encoding pass over all of its values, a*s once, the
-errors drawn in the sequence's order and one forward transform over the
-stacked m + e rows.  A user's upload is one such batch, byte-identical to
+sequence as one batch: each vector packed by ``encode``, a*s once, the errors
+drawn in the sequence's order and one forward transform over the stacked
+m + e rows.  A user's upload is one such batch, byte-identical to
 encrypting its ciphertexts one by one.
 
 Multiplication produces scale ``s1*s2`` and is followed by an exact RNS
@@ -35,9 +35,10 @@ users instead of rotations.
 An ``EvalKey`` is built at a level L: one pair per prime q_0..q_L, each over
 q_0..q_L and the special prime.  It switches a component at any level up to
 L, and ``he_mult_relin`` refuses a product above its key's level before any
-work.  A key may hold its public half as a seed
-(``EvalKey.generate(..., a_seed=)``): a_0..a_L are expanded from it on each
-use, so the key holds its own half ``ks_b`` alone.  The round's level plan
+work.  A key holds its public half as a seed
+(``EvalKey.generate(..., a_seed=)``, or 32 bytes of the key's rng): a_0..a_L
+are expanded from it on each use, so the key holds its own half ``ks_b``
+alone.  The round's level plan
 sits beside ``product_scale`` and ``affine_scale``, computed from the chain
 and the scales alone: ``_open_level`` is the lowest level that opens a value
 below 2^_VALUE_BITS at a scale, ``_blind_bound`` the blind a rate takes at a
@@ -96,7 +97,7 @@ from .errors import (
     ParameterError,
     SerializationError,
 )
-from .ntt import add_mod, find_ntt_primes, mul_mod, mul_shoup, shoup_stack
+from .ntt import add_mod, find_ntt_primes, mul_mod
 from .ring import (
     RingElement,
     RingParams,
@@ -345,16 +346,15 @@ class EvalKey:
     q_L (Han & Ki, CT-RSA 2020), so a key needs no pair or row above the
     highest level it relinearizes at.
 
-    The public half a_0..a_L is held as elements (``held_a``) or as a public
-    seed (``a_seed``) that ``ks_a`` expands on each use; a seeded key holds
-    half the bytes and costs one expansion per key switch.  A key drawn
-    without a public seed holds its a_i: their seeds come from the rng that
-    draws its errors, so they are not kept.
+    The key holds its public half a_0..a_L as a seed (``a_seed``) that
+    ``ks_a`` expands on each use, so it holds its own half ``ks_b`` alone and
+    pays one expansion per key switch.  Each key's a_i are its own: a public
+    half shared across a roster would give away sum_u s_u^2 once the
+    rate-sum check reveals sum_u s_u.
     """
 
     ks_b: tuple[RingElement, ...]
-    held_a: tuple[RingElement, ...] | None = None
-    a_seed: bytes | None = None
+    a_seed: bytes
 
     @property
     def level(self) -> int:
@@ -363,9 +363,7 @@ class EvalKey:
 
     @property
     def ks_a(self) -> tuple[RingElement, ...]:
-        """The public half a_0..a_L: the held elements, or the seed's expansion."""
-        if self.held_a is not None:
-            return self.held_a
+        """The public half a_0..a_L, expanded from the seed."""
         return _public_half(self.ks_b[0].params, self.a_seed, self.level)
 
     @classmethod
@@ -379,58 +377,39 @@ class EvalKey:
     ) -> "EvalKey":
         """The key at ``level`` (the top level if None).
 
-        Without ``a_seed`` the rng gives each pair, in chain order, a seed for
-        a_i and then the error e_i, so a level-L key's pairs are the
-        top-level key's first L+1 pairs without the rows above L, but for the
-        special row of each a_i, which its sampler draws after the chain rows
-        the key holds; the key holds its a_i.  Given ``a_seed`` (public bytes,
-        never drawn from the rng), the a_i are its expansion, the rng draws
-        the errors alone and the key holds the seed in place of the a_i.
+        ``a_seed`` is public bytes whose expansion gives the a_i; without it
+        the rng draws a 32-byte seed first.  Either way the rng then draws the
+        errors e_0..e_L and nothing else, so a level-L key's pairs are the
+        top-level key's first L+1 without the rows above L, apart from each
+        pair's special row, which the sampler draws after the chain rows the
+        key holds.
         """
         ring = params.ring
         if ring.special is None:
             raise ParameterError("relinearization keys need a special prime")
         level = ring.max_level if level is None else level
         ring.moduli(level)  # refuses a level outside the chain
-        if a_seed is not None and not (isinstance(a_seed, bytes) and len(a_seed) >= 16):
-            raise ParameterError("a key's public seed is bytes of at least 16")
-        s = sk.s.mod_reduce_to(level, special=True)
-        s2 = s.mul(s)
-        tab = ring.tables
         if a_seed is None:
-            seeds, errors = [], []
-            for _ in range(level + 1):
-                seeds.append(rng.bytes(16))
-                errors.append(sample_error(ring, rng, params.sigma, level=level, special=True))
-            # every a_i is drawn before the errors' transform, whose
-            # temporaries would otherwise sit between the key's arrays on the heap
-            a_s = [
-                sample_uniform(ring, seed, level=level, special=True, ntt=True, tag=b"evk-a")
-                for seed in seeds
-            ]
-        else:
-            errors = [
+            a_seed = rng.bytes(32)
+        elif not (isinstance(a_seed, bytes) and len(a_seed) >= 16):
+            raise ParameterError("a key's public seed is bytes of at least 16")
+        # the key's error polynomials take one forward transform, and each
+        # b_i is written over its own error
+        errors = to_ntt_all(
+            [
                 sample_error(ring, rng, params.sigma, level=level, special=True)
                 for _ in range(level + 1)
             ]
-            a_s = _public_half(ring, a_seed, level)
-        # the key's error polynomials take one forward transform, and each
-        # b_i is written over its own error (the rebinding frees the errors'
-        # coefficient forms)
-        errors = to_ntt_all(errors)
-        for i, (a_i, b_i) in enumerate(zip(a_s, errors)):
+        )
+        s = sk.s.mod_reduce_to(level, special=True)
+        # P_i * s^2 is (p mod q_i) * s^2 on chain row i and zero on every
+        # other row, so row i of p * s^2 (zero on the special row) is all of it
+        p_s2 = s.mul(s).mul_scalar(ring.special)
+        q = ring.tables.q
+        for i, (a_i, b_i) in enumerate(zip(_public_half(ring, a_seed, level), errors)):
             b_i.data[:] = a_i.mul(s).add(b_i).data
-            # P_i * s^2 is (p mod q_i) * s^2 on chain row i and zero on every
-            # other row (the special row too, since p = 0 mod p): one Shoup
-            # multiply of that row, which is table row i too
-            row, q_i = slice(i, i + 1), ring.chain[i]
-            p_i = ring.special % q_i
-            consts = shoup_stack(np.uint64(p_i), np.uint64((p_i << 64) % q_i), tab.neg_qinv[row])
-            p_s2 = mul_shoup(s2.data[row], *consts, tab.q[row])
-            b_i.data[row] = add_mod(b_i.data[row], p_s2, tab.q[row])
-        if a_seed is not None:
-            return cls(ks_b=tuple(errors), a_seed=a_seed)
-        return cls(ks_b=tuple(errors), held_a=tuple(a_s))
+            b_i.data[i] = add_mod(b_i.data[i], p_s2.data[i], q[i])
+        return cls(ks_b=tuple(errors), a_seed=a_seed)
 
 
 def _public_half(ring: RingParams, a_seed: bytes, level: int) -> tuple[RingElement, ...]:
@@ -508,9 +487,9 @@ def encrypt(
     ``values`` is one vector, packed by ``direction``, or a non-empty sequence
     of ``PlainVector``s, each packed by its own direction.  One vector gives
     one ciphertext, a sequence a tuple of them in its order.  The vectors are
-    encrypted as one batch: one encoding pass over all of their values, a*s
-    once, the errors drawn in the sequence's order and one forward transform
-    over every m + e.
+    encrypted as one batch: each vector packed by ``encode``, a*s once, the
+    errors drawn in the sequence's order and one forward transform over every
+    m + e.
     """
     level = params.ring.max_level if level is None else level
     scale = params.scale if scale is None else float(scale)
@@ -520,12 +499,7 @@ def encrypt(
         and all(isinstance(v, PlainVector) for v in values)
     )
     pvs = [_packed(params, v, direction) for v in (values if batch else [values])]
-    flat = _scaled_ints(scale, np.concatenate([pv.values for pv in pvs]))
-    ends = np.cumsum([pv.values.size for pv in pvs])[:-1]
-    ms = [
-        _plaintext(params, ints, level, pv.direction)
-        for pv, ints in zip(pvs, np.split(flat, ends))
-    ]
+    ms = [encode(params, pv, level, scale=scale) for pv in pvs]
     cts = _encrypt_plaintexts(params, ms, pvs, sk, a, rng, scale)
     return cts if batch else cts[0]
 

@@ -681,6 +681,8 @@ def to_ntt_all(elems) -> list[RingElement]:
     if first.ntt:
         raise DomainError("to_ntt_all takes coefficient-domain elements")
     if len(elems) == 1:
+        # a round's fresh rates are its only RingElement.to_ntt calls, which the
+        # traced run needs (test_every_reported_layer_runs_in_a_traced_round)
         return [first.to_ntt()]
     for e in elems[1:]:
         first._check_compat(e)

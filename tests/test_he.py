@@ -174,71 +174,56 @@ def test_decode_matches_the_per_value_conversion(ints, scale):
     assert got.dtype == np.float64 and got.tolist() == want
 
 
-# the default (top-level) key under the preset's name, then every level
-_EVK_LEVELS = [pytest.param(name, None, id=name) for name in preset_names()] + [
-    pytest.param(name, level, id=f"{name}-{level}")
+# the default (top-level) key under the preset's name, then every level; each
+# drawn once with no public seed and once on a given one
+_EVK_LEVELS = [(name, None, name) for name in preset_names()] + [
+    (name, level, f"{name}-{level}")
     for name in preset_names()
     for level in range(get_params(name).ring.max_level + 1)
 ]
+_EVK_BUILDS = [pytest.param(name, level, None, id=key) for name, level, key in _EVK_LEVELS] + [
+    pytest.param(name, level, bytes(range(32)), id=f"{key}-seeded")
+    for name, level, key in _EVK_LEVELS
+]
 
 
-@pytest.mark.parametrize("name, level", _EVK_LEVELS)
-def test_evalkey_equals_the_full_product_build(name, level):
-    # each pair's P_i * s^2 is one row product; the key equals the build that
-    # multiplies s^2 by the whole P_i matrix, zero outside chain row i.  A
-    # level-L key is that build over q_0..q_L and the special prime with the
-    # same rng order (a seed, then an error, per pair), so its pairs are the
-    # top-level key's first L+1 without the rows above L, apart from each
-    # a_i's special row, which the sampler draws after the chain rows
+@pytest.mark.parametrize("name, level, a_seed", _EVK_BUILDS)
+def test_evalkey_equals_the_full_product_build(name, level, a_seed):
+    # a key holds its own half and the seed of its public half alone.  Its
+    # public half is the seed's expansion, one tag per pair, formed anew on
+    # each use; its own half is the build that multiplies s^2 by the whole
+    # P_i matrix, zero outside chain row i, over those a_i and errors that
+    # the rng draws one after another.  Without a public seed the rng draws
+    # a 32-byte seed first; given one, it draws the errors alone.  A level-L
+    # key's pairs are the top-level key's first L+1 without the rows above
+    # L, apart from each pair's special row, which the sampler draws after
+    # the chain rows the key holds
     params = get_params(name)
     ring = params.ring
     sk = SecretKey.generate(params, seed=b"evk-pin")
-    evk = EvalKey.generate(params, sk, np.random.default_rng(41), level=level)
-    top = EvalKey.generate(params, sk, np.random.default_rng(41))
-    level = ring.max_level if level is None else level
-    assert evk.level == level and len(evk.ks_a) == len(evk.ks_b) == level + 1
+    evk = EvalKey.generate(params, sk, np.random.default_rng(41), level=level, a_seed=a_seed)
+    top = EvalKey.generate(params, sk, np.random.default_rng(41), a_seed=a_seed)
+    assert [f.name for f in fields(EvalKey)] == ["ks_b", "a_seed"]
     rng = np.random.default_rng(41)
+    assert evk.a_seed == (rng.bytes(32) if a_seed is None else a_seed)
+    level = ring.max_level if level is None else level
+    ks_a = evk.ks_a
+    assert evk.level == level and len(ks_a) == len(evk.ks_b) == level + 1
+    assert evk.ks_a is not ks_a and evk.ks_a == ks_a
     s = sk.s.mod_reduce_to(level, special=True)
     s2 = s.mul(s)
-    for i in range(level + 1):
+    for i, got_a in enumerate(ks_a):
         a_i = sample_uniform(
-            ring, rng.bytes(16), level=level, special=True, ntt=True, tag=b"evk-a"
-        )
-        e_i = sample_error(ring, rng, params.sigma, level=level, special=True).to_ntt()
-        p_i = RingElement.zeros(ring, level, special=True, ntt=True)
-        p_i.data[i, :] = np.uint64(ring.special % ring.chain[i])
-        assert evk.ks_a[i] == a_i
-        assert evk.ks_b[i] == a_i.mul(s).add(e_i).add(p_i.mul(s2))
-        for half, top_half in ((evk.ks_a, top.ks_a), (evk.ks_b, top.ks_b)):
-            assert half[i].mod_reduce_to(level) == top_half[i].mod_reduce_to(level)
-
-
-@pytest.mark.parametrize("name", preset_names())
-def test_evalkey_on_a_public_seed_equals_the_full_product_build(name):
-    # given a public seed, the key holds the seed and its own half alone; the
-    # public half is the seed's expansion, one tag per pair, formed anew on
-    # each use, and the own half is the full-product build over those a_i
-    # with errors that the rng draws one after another and nothing else
-    params = get_params(name)
-    ring, level = params.ring, _norm_level(params)
-    sk = SecretKey.generate(params, seed=b"evk-seeded")
-    a_seed = bytes(range(32))
-    evk = EvalKey.generate(params, sk, np.random.default_rng(42), level=level, a_seed=a_seed)
-    assert evk.held_a is None and evk.a_seed == a_seed
-    assert evk.level == level and len(evk.ks_b) == len(evk.ks_a) == level + 1
-    assert evk.ks_a is not evk.ks_a and evk.ks_a == evk.ks_a
-    rng = np.random.default_rng(42)
-    s = sk.s.mod_reduce_to(level, special=True)
-    s2 = s.mul(s)
-    for i, got_a in enumerate(evk.ks_a):
-        a_i = sample_uniform(
-            ring, a_seed, level=level, special=True, ntt=True, tag=b"evk-a|%d" % i
+            ring, evk.a_seed, level=level, special=True, ntt=True, tag=b"evk-a|%d" % i
         )
         e_i = sample_error(ring, rng, params.sigma, level=level, special=True).to_ntt()
         p_i = RingElement.zeros(ring, level, special=True, ntt=True)
         p_i.data[i, :] = np.uint64(ring.special % ring.chain[i])
         assert got_a == a_i
         assert evk.ks_b[i] == a_i.mul(s).add(e_i).add(p_i.mul(s2))
+    for half, top_half in ((ks_a, top.ks_a), (evk.ks_b, top.ks_b)):
+        for got, want in zip(half, top_half):
+            assert got.mod_reduce_to(level) == want.mod_reduce_to(level)
 
 
 def test_a_public_seed_that_is_not_bytes_is_refused(hp):

@@ -11,6 +11,7 @@ the bytes earlier versions produced.
 import functools
 import hashlib
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,9 @@ import ring_reference as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fhefl import aggregation as agg_mod
 from fhefl import he as he_mod
+from fhefl import multikey as mk_mod
 from fhefl import ring as ring_mod
 from fhefl.aggregation import (
     encrypt_update,
@@ -509,12 +512,25 @@ def test_batched_products_hoist_one_key_switch_per_run(monkeypatch, name):
             he_mod.relinearize(ct, evk, sw)
 
 
+# the work a round is counted in: transform rows and calls, `RingElement.mul`
+# calls and the coefficients `sample_uniform` draws
+_WORK = (
+    "forward",
+    "forward calls",
+    "inverse",
+    "inverse calls",
+    "ring.mul",
+    "uniform coeffs",
+)
+
+
 @pytest.fixture(scope="module")
 def counted_round():
     """A fixed-seed test-1024 round (10 users, dim 650: two chunks), the work
-    it did (the rows its forward and inverse transforms processed and their
-    calls, its ``RingElement.mul`` calls, and the peak of its traced memory
-    above what it was handed, in bytes) and the plain oracle's model step."""
+    it did (the ``_WORK`` counts and the peak of its traced memory above what
+    it was handed, in bytes), the plain oracle's model and step, and the
+    ``_WORK`` counts of each pipeline stage (under None, any counted outside
+    one)."""
     params = get_params("test-1024")
     tag = b"pinned-round"
     rng = np.random.default_rng(2026)
@@ -523,24 +539,49 @@ def counted_round():
     grads = rng.uniform(-1, 1, size=(10, 650))
     w_prev = rng.uniform(-1, 1, 650)
     enc = {u: encrypt_update(krs[u], grads[u], a, rng) for u in range(10)}
-    work = {"forward": 0, "inverse": 0, "forward calls": 0, "inverse calls": 0, "ring.mul": 0}
+    work = dict.fromkeys(_WORK, 0)
+    by_stage = {}
+    stage = [None]  # the stage running
+
+    def tally(key, amount):
+        work[key] += amount
+        by_stage.setdefault(stage[0], dict.fromkeys(_WORK, 0))[key] += amount
+
+    # delegates to the round's own stage block, as the benchmark tracer does
+    @contextmanager
+    def counted_stage(name, real=agg_mod._stage):
+        by_stage.setdefault(name, dict.fromkeys(_WORK, 0))
+        stage[0] = name
+        try:
+            with real(name):
+                yield
+        finally:
+            stage[0] = None
 
     def counting(kind, kernel):
         def run(data, tab, sel):
-            work[kind] += len(sel)
-            work[kind + " calls"] += 1
+            tally(kind, len(sel))
+            tally(kind + " calls", 1)
             return kernel(data, tab, sel)
 
         return run
 
     def counting_mul(x, y, real=RingElement.mul):
-        work["ring.mul"] += 1
+        tally("ring.mul", 1)
         return real(x, y)
+
+    def counting_uniform(*args, real=ring_mod.sample_uniform, **kwargs):
+        out = real(*args, **kwargs)
+        tally("uniform coeffs", out.data.size)
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ring_mod, "ntt_forward_inplace", counting("forward", ntt_forward_inplace))
         mp.setattr(ring_mod, "ntt_inverse_inplace", counting("inverse", ntt_inverse_inplace))
         mp.setattr(RingElement, "mul", counting_mul)
+        for mod in (ring_mod, he_mod, mk_mod):
+            mp.setattr(mod, "sample_uniform", counting_uniform)
+        mp.setattr(agg_mod, "_stage", counted_stage)
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
@@ -550,7 +591,7 @@ def counted_round():
             tracemalloc.stop()
     rates = non_poisoning_rates([sq_norm_plain(g) for g in grads])
     w_plain = weighted_aggregate_plain(w_prev, grads, rates, 0.1)
-    return w, work, w_plain, w_plain - w_prev
+    return w, work, w_plain, w_plain - w_prev, by_stage
 
 
 def test_pinned_round_output(counted_round):
@@ -595,7 +636,29 @@ def test_round_work_budget(counted_round):
     assert work["peak bytes"] <= 3.8 * 2**20
 
 
+# each stage's work in the same round, in ``_WORK`` order, bounded at its
+# measured value: a stage that regains work fails here even when another
+# stage's savings would hide it in the round's totals
+_STAGE_BUDGET = {
+    "norm": (216, 6, 64, 6, 61, 204_800),
+    "distance-sum": (0, 0, 0, 0, 10, 180),
+    "rate": (40, 2, 20, 2, 0, 0),
+    "re-encrypt": (30, 10, 20, 10, 20, 3_072),
+    "rate-sum-check": (0, 0, 3, 1, 1, 276_480),
+    "aggregate": (0, 0, 66, 4, 101, 184_320),
+}
+
+
+def test_round_stage_budget(counted_round):
+    *_, by_stage = counted_round
+    # every stage ran, and no counted work ran outside one
+    assert set(by_stage) == set(_STAGE_BUDGET)
+    for name, budget in _STAGE_BUDGET.items():
+        got = tuple(by_stage[name][key] for key in _WORK)
+        assert all(g <= b for g, b in zip(got, budget)), (name, got)
+
+
 def test_pinned_round_precision(counted_round):
     # the opened step against the plain oracle: at least 27 bits relative
-    w, _, w_plain, step = counted_round
+    w, _, w_plain, step, _ = counted_round
     assert np.max(np.abs(w - w_plain)) <= 2.0**-27 * np.max(np.abs(step))

@@ -124,7 +124,7 @@ def test_evaluation_keys_sit_at_the_upload_level(name):
     rings = setup_pairwise(params, [0, 1, 2], 0, b"evk-level")
     for kr in rings.values():
         elems = kr.evk.ks_b + kr.evk.ks_a
-        assert kr.evk.level == level and kr.evk.held_a is None
+        assert kr.evk.level == level and len(kr.evk.a_seed) == 32
         assert {(e.level, e.special, e.ntt) for e in elems} == {(level, True, True)}
         nbytes = sum(e.data.nbytes for e in kr.evk.ks_b)
         assert nbytes == (level + 1) * (level + 2) * params.ring.n * 8
