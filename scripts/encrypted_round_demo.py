@@ -53,7 +53,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     a = common_poly(params, seed=b"demo-a")
     enc = {u: encrypt_update(keyrings[u], grads[u], a, rng) for u in users}
-    print(f"[users]   encrypted updates (fwd+rev)       {time.perf_counter()-t0:6.2f}s")
+    print(f"[users]   encrypted updates (mirrored)      {time.perf_counter()-t0:6.2f}s")
 
     t0 = time.perf_counter()
     w_enc = secure_aggregate_round(

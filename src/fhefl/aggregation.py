@@ -10,14 +10,15 @@ down-weighted without the server ever ranking identities.
 
 The encrypted path mirrors the plain one stage for stage:
 
-1. norm:        [d_u] = forward(g_u) * reversed(g_u); the squared norm sits on
-                coefficient chunk_len-1 of the product, chunk_len being the
-                packed length of the upload's ciphertexts.  Every upload carries
-                the round's public c1 = a, so every product has the quadratic
-                component a*a, and every chunk product of every user is one
-                ``he_mult_relin`` batch: the component is decomposed into
-                key-switch digits once for the stage and key-switched once
-                per user, not once per user and chunk.
+1. norm:        [d_u] = sum over chunks of [g_u]^2; each chunk is one
+                mirrored packing (g on coefficients 0..L-1 and g/2 mirrored
+                from n-1 down, see :mod:`fhefl.he`), so the squared norm
+                sits on coefficient n-1 of each chunk's square.  Every
+                upload carries the round's public c1 = a, so every square
+                has the quadratic component a*a, and every chunk square of
+                every user is one ``he_mult_relin`` batch: the component is
+                decomposed into key-switch digits once for the stage and
+                key-switched once per user, not once per user and chunk.
 2. d-sum:       sum_u [d_u] is opened with masked partial decryptions of
                 its readout coefficient alone (the server learns only the
                 total).
@@ -34,7 +35,9 @@ The encrypted path mirrors the plain one stage for stage:
 5. check:       sum_u [p~_u] is opened under the masked group key and must be
                 ~1, so a user cannot inflate their weight while re-encrypting.
 6. aggregate:   sum_u [p~_u] * [g_u] is opened with partial decryptions of
-                each chunk's packed coefficients; the model moves by -eta
+                each chunk's packed coefficients 0..L-1 (the scalar rate
+                times a mirrored chunk keeps p~_u * g_u there); the model
+                moves by -eta
                 times the weighted gradient sum.  The rates share c1 = a2,
                 so every product has the public quadratic component a2*a:
                 the products stay three-component (``_he_mult_raw`` over
@@ -66,9 +69,9 @@ a leg opens at the lowest level Q_l with Q_l >= scale * 2^(_VALUE_BITS + 1)
   at test-1024).  ``encrypt_update`` encrypts the uploads there, so no row of
   an upload is sent only to be dropped, and their c1 travels as the round
   seed (see ``he.ciphertext_to_bytes``).  Before any stage the round
-  refuses an upload whose level, scale, chunk count or chunk length differs
-  from what the preset and the model's dimension fix, or whose c1 differs
-  from the others'.
+  refuses an upload whose level, scale, chunk count, chunk length or
+  packing differs from what the preset and the model's dimension fix, or
+  whose c1 differs from the others'.
 * d-sum: the distances drop to their opening level before the partials.  A
   total that opens below zero by more than ``multikey.opening_noise`` wrapped
   that level's modulus, and the round aborts rather than fall back to uniform
@@ -101,8 +104,10 @@ from .he import (
     PlainVector,
     _blind_bound,
     _he_mult_raw,
+    _monomial,
     _norm_level,
     _open_level,
+    _scaled_round,
     common_poly,
     encode_monomial,
     encrypt,
@@ -247,33 +252,44 @@ def make_aggregator(name: str, *, f: int = 1):
 
 @dataclass
 class EncryptedUpdate:
-    """Dual-packed encryption of one gradient: forward and reversed chunks.
+    """One gradient as mirrored chunks, one ciphertext each.
 
-    Both packings decrypt (under the owner's key) to the same vector; their
-    product realizes the squared norm on coefficient chunk_len-1.  Gradients
-    longer than the packing capacity are split into equal zero-padded chunks
-    so every chunk shares that readout index.
+    Each chunk decrypts (under the owner's key) to its slice of the vector,
+    and its square realizes the chunk's squared norm on coefficient n-1.
+    Gradients longer than the packing capacity are split into equal
+    zero-padded chunks so every chunk shares one packed length.
     """
 
     user_id: int
     epoch: int
-    fwd: tuple[Ciphertext, ...]
-    rev: tuple[Ciphertext, ...]
+    chunks: tuple[Ciphertext, ...]
     dim: int
+
+    # read-only views under the names of the earlier dual packing, for
+    # callers that still list an upload as fwd + rev
+    @property
+    def fwd(self) -> tuple[Ciphertext, ...]:
+        """The chunks."""
+        return self.chunks
+
+    @property
+    def rev(self) -> tuple[Ciphertext, ...]:
+        """Empty: each chunk holds its own mirror."""
+        return ()
 
     @property
     def chunk_len(self) -> int:
         """Packed length of every chunk."""
-        return self.fwd[0].length
+        return self.chunks[0].length
 
     @property
     def readout(self) -> int:
         """Coefficient index carrying per-chunk norm contributions."""
-        return self.chunk_len - 1
+        return self.chunks[0].params.ring.n - 1
 
     @property
     def n_chunks(self) -> int:
-        return len(self.fwd)
+        return len(self.chunks)
 
 
 def _chunk_shape(dim: int, capacity: int) -> tuple[int, int]:
@@ -302,32 +318,25 @@ def encrypt_update(
     # the round reads the uploads at the norm level and below, so the rows
     # above it would be sent only to be dropped
     level = _norm_level(params)
-    packed = [PlainVector(c) for c in chunks] + [PlainVector(c, "reversed") for c in chunks]
+    packed = [PlainVector(c, "mirrored") for c in chunks]
     cts = encrypt(params, packed, kr.sk, a, rng, level=level)
-    return EncryptedUpdate(
-        user_id=kr.user_id,
-        epoch=kr.epoch,
-        fwd=cts[: len(chunks)],
-        rev=cts[len(chunks) :],
-        dim=grad.size,
-    )
+    return EncryptedUpdate(user_id=kr.user_id, epoch=kr.epoch, chunks=cts, dim=grad.size)
 
 
 def sq_norm_encrypted(eu, evk) -> Ciphertext | tuple[Ciphertext, ...]:
-    """[g]_fwd * [g]_rev summed over chunks; ||g||^2 lands on eu.readout.
+    """[g]^2 summed over chunks; ||g||^2 lands on eu.readout.
 
     ``eu`` is one upload, or a sequence of them with ``evk`` one key per
     upload; a sequence gives a tuple of norms in order.  Every chunk of every
-    upload carries the round's c1 = a, so every chunk product is one
+    upload carries the round's c1 = a, so every chunk square is one
     ``he_mult_relin`` batch, which key-switches their quadratic component
     a*a once per upload.
     """
     batch = not isinstance(eu, EncryptedUpdate)
     eus, evks = (tuple(eu), tuple(evk)) if batch else ((eu,), (evk,))
+    chunks = [ct for e in eus for ct in e.chunks]
     prods = iter(he_mult_relin(
-        [ct for e in eus for ct in e.fwd],
-        [ct for e in eus for ct in e.rev],
-        [k for e, k in zip(eus, evks) for _ in e.fwd],
+        chunks, chunks, [k for e, k in zip(eus, evks) for _ in e.chunks]
     ))
     norms = tuple(reduce(he_add, islice(prods, e.n_chunks)) for e in eus)
     return norms if batch else norms[0]
@@ -426,7 +435,7 @@ def secure_aggregate_round(
     # the upload contract, from the preset and the model alone
     w_prev = np.asarray(w_prev, dtype=np.float64)
     n_chunks, chunk_len = _chunk_shape(w_prev.size, params.capacity)
-    ri = chunk_len - 1
+    ri = params.ring.n - 1
     l_norm = _norm_level(params)
     for u in users:
         eu, kr = enc_updates[u], keyrings[u]
@@ -434,14 +443,21 @@ def secure_aggregate_round(
             raise ProtocolError(f"update/keyring ownership mismatch for user {u}")
         if eu.epoch != epoch or kr.epoch != epoch:
             raise ProtocolError(f"mixed epochs in round (user {u})")
-        if ((eu.dim,), len(eu.fwd), len(eu.rev)) != (w_prev.shape, n_chunks, n_chunks):
+        if ((eu.dim,), eu.n_chunks) != (w_prev.shape, n_chunks):
             raise ProtocolError(
-                f"user {u} sent a dim-{eu.dim} update in {len(eu.fwd)}+{len(eu.rev)} "
-                f"chunks; a model of shape {w_prev.shape} takes {n_chunks}+{n_chunks}"
+                f"user {u} sent a dim-{eu.dim} update in {eu.n_chunks} chunks; "
+                f"a model of shape {w_prev.shape} takes {n_chunks}"
             )
         if u == users[0]:
-            a = eu.fwd[0].c1  # the round's public polynomial (see the norm stage)
-        for ct in eu.fwd + eu.rev:
+            a = eu.chunks[0].c1  # the round's public polynomial (see the norm stage)
+        for ct in eu.chunks:
+            # the norm reads n-1 of each chunk's square, the aggregate 0..L-1
+            # of the rate times it: both need the mirrored packing
+            if ct.direction != "mirrored":
+                raise ProtocolError(
+                    f"user {u}'s upload has a {ct.direction} chunk; the round takes "
+                    "mirrored chunks"
+                )
             if (ct.level, ct.scale, ct.length) != (l_norm, params.scale, chunk_len):
                 raise ProtocolError(
                     f"user {u}'s upload sits at level {ct.level}, scale "
@@ -496,8 +512,9 @@ def secure_aggregate_round(
         p_fresh = {}
         for u in users:
             pct = p_cts.pop(u)
-            # the blind must sit on the readout coefficient
-            mask = encode_monomial(params, blinds[u], ri, pct.level, scale=pct.scale)
+            # the blind must sit on the readout coefficient, n-1, outside the
+            # packing capacity that encode_monomial keeps to
+            mask = _monomial(params, _scaled_round(pct.scale, blinds[u]), ri, pct.level)
             # server -> user: additively blinded rate (still under s_u only)
             blinded = replace(pct, comps=(pct.c0.add(mask), pct.c1))
             # user: re-encrypt the blinded readout coefficient fresh, at a2's level
@@ -528,7 +545,7 @@ def secure_aggregate_round(
         openings = [{} for _ in range(n_chunks)]
         for u in users:
             x = p_fresh.pop(u)
-            for opening, y in zip(openings, enc_updates[u].fwd):
+            for opening, y in zip(openings, enc_updates[u].chunks):
                 opening[u] = _he_mult_raw(x, y.mod_reduce_to(l_agg), d2)
         del x
         tags = [round_tag + b"|agg|" + str(c).encode() for c in range(n_chunks)]

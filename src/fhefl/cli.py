@@ -142,7 +142,7 @@ def cmd_bench(args) -> int:
     round_row = ("aggregate_round(10 users)", *_timeit(one_round, round_reps))
     # the wire rows time the last round's upload; the round row stays last,
     # next to the byte count of that upload
-    last = uploads[-1].fwd + uploads[-1].rev
+    last = uploads[-1].chunks
     blobs = [ciphertext_to_bytes(ct) for ct in last]
     rows += [
         (

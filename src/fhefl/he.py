@@ -6,12 +6,21 @@ users can be aggregated by summing the ``c0`` parts against a summed key.
 Decryption is the phase ``c0 - c1*s`` (plus ``+ c2*s^2`` for unrelinearized
 three-component products, which ``rescale`` refuses).
 
-Packing is by coefficients, not slots: a vector ``v`` sits at coefficients
-``0..len-1`` (forward) or mirrored (reversed).  There are no rotation keys;
-inner products come from the forward*reversed product instead, whose
-coefficient ``len-1`` is exactly ``sum(v_k^2)``.  A packed value is
-round(scale * v), rounded once from the exact product; for a power-of-two
-scale that product is a float64 and ``np.rint`` rounds a whole vector at once.
+Packing is by coefficients, not slots: a vector ``v`` of length L <= n/2
+sits at coefficients ``0..L-1`` (forward), and a mirrored packing also puts
+``v_k / 2`` on coefficient ``n-1-k``.  There are no rotation keys; inner
+products come from the product of two mirrored packings instead, whose
+coefficient ``n-1`` is exactly ``sum(u_k * v_k)``: the two cross terms give
+half of it each, and neither square term nor any wrapped term reaches
+``n-1``.  A length-1 forward scalar times a mirrored packing keeps
+``p * v`` on coefficients ``0..L-1``.  A packed value is round(scale * v),
+rounded once from the exact product; for a power-of-two scale that product
+is a float64 and ``np.rint`` rounds a whole vector at once.
+
+Products follow one rule (``_check_product``): forward times forward must
+not wrap the ring degree; a mirrored operand multiplies only a length-1
+forward one (the product stays mirrored) or another mirrored one (the
+product is forward of length n, read on ``n-1``).
 
 ``encrypt`` takes one vector or a sequence of ``PlainVector``s, and encrypts a
 sequence as one batch: each vector packed by ``encode``, a*s once, the errors
@@ -59,16 +68,19 @@ widths ``sigma`` (3.2) and ``flood_sigma_bits`` (20) are scheme constants.
 Every ciphertext carries ``noise_log2``, an upper bound on its noise in
 coefficient units.  The tests check it against the error measured with the
 known key, at test-16 and test-1024, for encryption, addition, the tensor
-product, relinearization, rescaling, ``plain_affine`` and fresh aggregation.
+products of the round (a mirrored square over the whole ring, a scalar
+times a mirrored packing), relinearization, rescaling, ``plain_affine`` and
+fresh aggregation.
 ``decrypt`` refuses a ciphertext whose bound exceeds half its scale, since
 the value's precision has collapsed.
 
-Wire format v3 (``ciphertext_to_bytes``): magic, version, preset name (the
+Wire format v4 (``ciphertext_to_bytes``): magic, version, preset name (the
 reader takes the params and refuses another preset's record), then level,
-component count, packing direction, length, scale, ``noise_log2`` and
-``msg_bound``, so a ciphertext read back is refused by ``decrypt`` exactly
-when the original would be.  The header states the layout once: every
-component is an NTT-domain chain element at its level.  Each component
+component count, packing flag (forward or mirrored; a mirrored record is at
+most n/2 long), length, scale, ``noise_log2`` and ``msg_bound``, so a
+ciphertext read back is refused by ``decrypt`` exactly when the original
+would be.  The header states the layout once: every component is an
+NTT-domain chain element at its level.  Each component
 follows as a kind byte and either the element's residues, whose length the
 level fixes (``RingElement.to_bytes``: n * sum(bits(q_0..q_l)) bits plus a
 byte of padding at most), or a one-byte length and the seed of the round's
@@ -109,10 +121,11 @@ from .ring import (
     to_ntt_all,
 )
 
-_CT_MAGIC = b"FCT1\x03"  # magic and wire format version 3
-# level, component count, direction flag, length, scale, noise_log2, msg_bound
+_CT_MAGIC = b"FCT1\x04"  # magic and wire format version 4
+# level, component count, packing flag, length, scale, noise_log2, msg_bound
 _CT_FIELDS = "<BBBIddd"
 _COMP_RING, _COMP_SEED = 0, 1  # component kinds: residues at the header's level, or a seed
+_PACKINGS = ("forward", "mirrored")  # by wire flag
 _SCALE_RTOL = 1e-9  # scales that differ by less than this add as one
 
 
@@ -139,8 +152,9 @@ class HeParams:
 
     @property
     def capacity(self) -> int:
-        """Packable vector length: half the ring degree (the product of a
-        forward/reversed pair of full-capacity vectors must not wrap)."""
+        """Packable vector length: half the ring degree (the square of a
+        full-capacity mirrored packing must leave coefficient n-1 to the
+        cross terms)."""
         return self.ring.n // 2
 
     def chain_bits(self) -> list[int]:
@@ -200,7 +214,7 @@ def get_params(name: str) -> HeParams:
 
 @dataclass
 class PlainVector:
-    """A packed real vector plus its packing direction."""
+    """A packed real vector plus its packing direction (forward or mirrored)."""
 
     values: np.ndarray
     direction: str = "forward"
@@ -209,7 +223,7 @@ class PlainVector:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 1 or self.values.size == 0:
             raise EncodingError("packed vectors must be non-empty and 1-d")
-        if self.direction not in ("forward", "reversed"):
+        if self.direction not in _PACKINGS:
             raise EncodingError(f"unknown packing direction {self.direction!r}")
 
 
@@ -245,12 +259,19 @@ def _check_headroom(params: HeParams, worst: int, level: int) -> None:
         )
 
 
-def _plaintext(params: HeParams, ints, level: int, direction: str) -> RingElement:
-    """Place fixed-point integers on the packing coefficients, checking headroom."""
-    worst = int(np.abs(ints).max()) if isinstance(ints, np.ndarray) else max(map(abs, ints))
-    _check_headroom(params, worst, level)
-    if direction != "forward":
-        ints = ints[::-1]
+def _plaintext(params: HeParams, ints, level: int, mirror=None) -> RingElement:
+    """Place fixed-point integers on coefficients 0..len-1 and, when given,
+    ``mirror[k]`` on coefficient n-1-k, checking headroom."""
+    for part in (ints,) if mirror is None else (ints, mirror):
+        worst = int(np.abs(part).max()) if isinstance(part, np.ndarray) else max(map(abs, part))
+        _check_headroom(params, worst, level)
+    if mirror is not None:
+        n, length = params.ring.n, len(ints)
+        small = all(isinstance(p, np.ndarray) and p.dtype == np.int64 for p in (ints, mirror))
+        coeffs = np.zeros(n, dtype=np.int64 if small else object)
+        coeffs[:length] = ints
+        coeffs[n - length :] = mirror[::-1]
+        ints = coeffs
     return RingElement.from_int_coeffs(params.ring, ints, level)
 
 
@@ -272,12 +293,17 @@ def encode(
     scale: float | None = None,
     direction: str = "forward",
 ) -> RingElement:
-    """Fixed-point packing: coefficient k (forward) or len-1-k (reversed)
-    holds round(scale * v_k), rounded once from the exact product."""
+    """Fixed-point packing: coefficient k holds round(scale * v_k), and for a
+    mirrored packing coefficient n-1-k also holds round(scale * v_k / 2),
+    each rounded once from the exact product."""
     pv = _packed(params, values, direction)
     level = params.ring.max_level if level is None else level
     scale = params.scale if scale is None else float(scale)
-    return _plaintext(params, _scaled_ints(scale, pv.values), level, pv.direction)
+    ints = _scaled_ints(scale, pv.values)
+    if pv.direction == "forward":
+        return _plaintext(params, ints, level)
+    # halving a float64 is exact, so this rounds scale * v / 2 once
+    return _plaintext(params, ints, level, _scaled_ints(scale, pv.values * 0.5))
 
 
 def _monomial(params: HeParams, coeff: int, index: int, level: int) -> RingElement:
@@ -302,19 +328,12 @@ def encode_monomial(
     return _monomial(params, _scaled_round(scale, float(value)), index, level)
 
 
-def decode(
-    elem: RingElement,
-    scale: float,
-    length: int,
-    direction: str = "forward",
-) -> np.ndarray:
-    """Centered lift of the first ``length`` coefficients divided by the scale."""
+def decode(elem: RingElement, scale: float, length: int) -> np.ndarray:
+    """Centered lift of the first ``length`` coefficients divided by the
+    scale: the packed vector of either packing."""
     ints = elem.to_int_coeffs(indices=np.arange(length))
     # object-to-float64 conversion rounds each integer correctly, as float() does
-    vals = ints.astype(np.float64) / scale
-    if direction == "reversed":
-        vals = vals[::-1]
-    return vals
+    return ints.astype(np.float64) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +574,7 @@ def decrypt(ct: Ciphertext, sk: SecretKey) -> PlainVector:
             f"tracked noise 2^{ct.noise_log2:.1f} exceeds half the scale "
             f"2^{math.log2(ct.scale):.1f}; precision has collapsed"
         )
-    vals = decode(_phase(ct, sk), ct.scale, ct.length, ct.direction)
+    vals = decode(_phase(ct, sk), ct.scale, ct.length)
     return PlainVector(vals, ct.direction)
 
 
@@ -580,7 +599,7 @@ def reencrypt(
     params = ct.params
     coeff = int(_phase(ct, sk).to_int_coeffs(indices=[index])[0])
     value = Fraction(coeff) / Fraction(ct.scale)
-    m = _plaintext(params, [round(value * Fraction(scale))], a.level, "forward")
+    m = _plaintext(params, [round(value * Fraction(scale))], a.level)
     return _encrypt_plaintexts(params, [m], [PlainVector([float(value)])], sk, a, rng, scale)[0]
 
 
@@ -620,9 +639,12 @@ def _check_key_level(level: int, evk: EvalKey) -> None:
         )
 
 
-def _check_product(x: Ciphertext, y: Ciphertext, evk: EvalKey | None = None) -> None:
+def _check_product(
+    x: Ciphertext, y: Ciphertext, evk: EvalKey | None = None
+) -> tuple[int, str, float]:
     """Refuse a pair of operands that cannot be multiplied (and relinearized
-    under ``evk``, when given)."""
+    under ``evk``, when given); otherwise return the product's length,
+    direction and message-bound factor under the packing rule."""
     if len(x.comps) != 2 or len(y.comps) != 2:
         raise LevelError("three-component operands must be relinearized first")
     if x.level != y.level:
@@ -635,22 +657,41 @@ def _check_product(x: Ciphertext, y: Ciphertext, evk: EvalKey | None = None) -> 
     if evk is not None:
         _check_key_level(x.level, evk)
     n = x.params.ring.n
-    out_len = x.length + y.length - 1
-    if out_len > n:
-        raise EncodingError(f"product length {out_len} wraps the ring degree {n}")
+    packings = {x.direction, y.direction}
+    if packings == {"forward"}:
+        out_len = x.length + y.length - 1
+        if out_len > n:
+            raise EncodingError(f"product length {out_len} wraps the ring degree {n}")
+        return out_len, "forward", 1.0
+    if packings == {"mirrored"}:
+        # the whole ring, read on n-1; a mirrored vector's l1 norm is at most
+        # 1.5 times its length times its largest value
+        return n, "forward", 1.5
+    scalar, mirrored = (x, y) if y.direction == "mirrored" else (y, x)
+    if scalar.length != 1:
+        raise EncodingError(
+            f"a mirrored packing multiplies a length-1 scalar or another mirrored "
+            f"packing, not a forward vector of length {scalar.length}"
+        )
+    return mirrored.length, "mirrored", 1.0
 
 
 def _he_mult_raw(x: Ciphertext, y: Ciphertext, d2: RingElement | None = None) -> Ciphertext:
     """Tensor product -> three components (d0, d1, d2), scale multiplied.
 
     ``d2`` is x1*y1 when the caller has formed it already (``he_mult_relin``
-    forms it once per batch); otherwise it is formed here.
+    forms it once per batch); otherwise it is formed here.  A square (``y``
+    is ``x``) forms d1 = 2*x0*x1 from one product.
     """
-    _check_product(x, y)
+    length, direction, spread = _check_product(x, y)
     x0, x1 = x.comps
     y0, y1 = y.comps
     d0 = x0.mul(y0)
-    d1 = x0.mul(y1).add(x1.mul(y0))
+    if y is x:
+        cross = x0.mul(x1)
+        d1 = cross.add(cross)
+    else:
+        d1 = x0.mul(y1).add(x1.mul(y0))
     if d2 is None:
         d2 = x1.mul(y1)
     n = x.params.ring.n
@@ -664,10 +705,10 @@ def _he_mult_raw(x: Ciphertext, y: Ciphertext, d2: RingElement | None = None) ->
         params=x.params,
         comps=(d0, d1, d2),
         scale=x.scale * y.scale,
-        length=x.length + y.length - 1,
-        direction="forward" if "forward" in (x.direction, y.direction) else "reversed",
+        length=length,
+        direction=direction,
         noise_log2=nz,
-        msg_bound=x.msg_bound * y.msg_bound * min(x.length, y.length),
+        msg_bound=spread * x.msg_bound * y.msg_bound * min(x.length, y.length),
     )
 
 
@@ -947,10 +988,10 @@ def _read_record_head(buf: bytes, magic: bytes, what: str, params: HeParams) -> 
 
 
 def ciphertext_to_bytes(ct: Ciphertext) -> bytes:
-    """Wire format v3 record of ``ct`` (see the module docstring); the c1 of
+    """Wire format v4 record of ``ct`` (see the module docstring); the c1 of
     a two-component ciphertext goes as its seed when it has one of at most
     255 bytes."""
-    dir_flag = 0 if ct.direction == "forward" else 1
+    dir_flag = _PACKINGS.index(ct.direction)
     fields = (ct.level, len(ct.comps), dir_flag, ct.length, ct.scale, ct.noise_log2, ct.msg_bound)
     parts = [_record_head(_CT_MAGIC, ct.params) + struct.pack(_CT_FIELDS, *fields)]
     for k, comp in enumerate(ct.comps):
@@ -977,7 +1018,7 @@ def _seeded_poly(params: HeParams, seed: bytes, level: int) -> RingElement:
 
 
 def ciphertext_from_bytes(buf: bytes, params: HeParams) -> Ciphertext:
-    """Read a wire format v3 record of ``params``, rebuilding a seeded c1
+    """Read a wire format v4 record of ``params``, rebuilding a seeded c1
     with ``common_poly``; any malformed record, or one of another preset,
     raises ``SerializationError``."""
     off = _read_record_head(buf, _CT_MAGIC, "ciphertext", params)
@@ -989,12 +1030,14 @@ def ciphertext_from_bytes(buf: bytes, params: HeParams) -> Ciphertext:
     off += struct.calcsize(_CT_FIELDS)
     if ncomp not in (2, 3):
         raise SerializationError(f"ciphertext has {ncomp} components, expected 2 or 3")
-    if dir_flag not in (0, 1):
-        raise SerializationError(f"unknown packing direction flag {dir_flag}")
+    if dir_flag >= len(_PACKINGS):
+        raise SerializationError(f"unknown packing flag {dir_flag}")
+    direction = _PACKINGS[dir_flag]
     if level > params.ring.max_level:
         raise SerializationError(f"level {level} outside chain 0..{params.ring.max_level}")
-    if not 1 <= length <= params.ring.n:
-        raise SerializationError(f"packed length {length} outside 1..{params.ring.n}")
+    top = params.ring.n if direction == "forward" else params.capacity
+    if not 1 <= length <= top:
+        raise SerializationError(f"{direction} packed length {length} outside 1..{top}")
     if not (math.isfinite(scale) and scale > 0):
         raise SerializationError(f"scale {scale} is not a positive finite number")
     for what, value in (("noise bound", noise_log2), ("message bound", msg_bound)):
@@ -1030,5 +1073,4 @@ def ciphertext_from_bytes(buf: bytes, params: HeParams) -> Ciphertext:
             comps.append(RingElement.from_bytes(blob, params.ring, level, False, True))
     if off != len(buf):
         raise SerializationError(f"{len(buf) - off} trailing bytes after ciphertext")
-    direction = "forward" if dir_flag == 0 else "reversed"
     return Ciphertext(params, tuple(comps), scale, length, direction, noise_log2, msg_bound)

@@ -467,8 +467,4 @@ def combine_partials(
     if q > 1:
         opened = opened.drop_last_modulus()
     vals = opened.sub(shares).to_ints().astype(np.float64) / scale
-    if whole:
-        vals = vals[: first.length]
-        if first.direction == "reversed":
-            vals = vals[::-1]
-    return vals
+    return vals[: first.length] if whole else vals

@@ -4,13 +4,17 @@ This is the straightforward implementation the vectorised kernels in
 :mod:`fhefl.ntt` and :mod:`fhefl.ring` replaced: every butterfly is a full
 Montgomery multiply built from 32-bit limbs and every result is reduced
 immediately, one prime (one row) at a time.  The tests require the
-production kernels to reproduce it bit for bit.
+production kernels to reproduce it bit for bit.  The exact negacyclic
+product over the integers (or rationals) is the reference for what the
+packings put on each coefficient of a product.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -246,3 +250,38 @@ def pack_residues(data: np.ndarray, moduli) -> bytes:
     stream = "".join(bits)
     stream += "0" * (-len(stream) % 8)
     return int(stream[::-1], 2).to_bytes(len(stream) // 8, "little")
+
+
+def negacyclic_product(a, b) -> list[Fraction]:
+    """The exact product of two length-n polynomials with integer or
+    rational coefficients modulo X^n + 1: their convolution, with the terms
+    of degree n and above folded back negated (X^n = -1).
+
+    Each factor is split into its rational content and an integer primitive
+    part, so the convolution runs on integers, in int64 when no sum of
+    products can reach 2^63 and on Python integers otherwise."""
+    n = len(a)
+    content, parts = Fraction(1), []
+    for poly in (a, b):
+        poly = [Fraction(c) for c in poly]
+        den = math.lcm(*(c.denominator for c in poly))
+        ints = [int(c * den) for c in poly]
+        g = math.gcd(*ints) or 1
+        content *= Fraction(g, den)
+        parts.append([v // g for v in ints])
+    bound = n * max(map(abs, parts[0])) * max(map(abs, parts[1]))
+    dtype = np.int64 if bound < 2**63 else object
+    full = np.convolve(np.array(parts[0], dtype=dtype), np.array(parts[1], dtype=dtype))
+    folded = full[:n].copy()
+    folded[: len(full) - n] -= full[n:]
+    return [content * int(v) for v in folded]
+
+
+def mirrored_coeffs(values, n: int) -> list:
+    """The mirrored packing of ``values`` (length <= n/2) as exact
+    coefficients: v_k on k and v_k / 2 on n-1-k, as ``Fraction``s."""
+    coeffs = [Fraction(0)] * n
+    for k, v in enumerate(values):
+        coeffs[k] = Fraction(v)
+        coeffs[n - 1 - k] = Fraction(v) / 2
+    return coeffs

@@ -3,6 +3,7 @@ plain-domain oracle."""
 
 import math
 import re
+from fractions import Fraction
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -30,7 +31,10 @@ from fhefl.aggregation import (
 from fhefl import aggregation as agg_mod
 from fhefl.errors import EncodingError, LevelError, ParameterError, ProtocolError
 from fhefl.he import (
+    PlainVector,
     SecretKey,
+    _he_mult_raw,
+    _phase,
     _scaled_round,
     ciphertext_to_bytes,
     common_poly,
@@ -39,11 +43,14 @@ from fhefl.he import (
     encode,
     encrypt,
     get_params,
+    he_add,
     he_mult_relin,
     preset_names,
 )
 from fhefl.multikey import PartialDecryption, setup_pairwise
 from fhefl.ring import RingElement, sample_error
+
+import ring_reference as ref
 
 
 @pytest.fixture(scope="module")
@@ -214,16 +221,20 @@ def test_split_chunks():
     np.testing.assert_array_equal(np.concatenate(chunks)[:20], np.arange(20.0))
 
 
-def test_encrypt_update_dual_packing(hp):
+def test_encrypt_update_mirrored_packing(hp):
+    # one ciphertext per chunk: g on coefficients 0..4 and g/2 mirrored from
+    # n-1 down, so the readout is n-1 whatever the chunk length
     rings = setup_pairwise(hp, [0, 1], 0, b"agg-test")
     rng = np.random.default_rng(2)
     a = common_poly(hp, seed=b"r1")
     g = np.array([1.0, -2.0, 0.5, 3.0, -1.5])
     eu = encrypt_update(rings[0], g, a, rng)
-    assert eu.n_chunks == 1 and eu.chunk_len == 5 and eu.readout == 4
-    np.testing.assert_allclose(decrypt(eu.fwd[0], rings[0].sk).values, g, atol=1e-6)
-    np.testing.assert_allclose(decrypt(eu.rev[0], rings[0].sk).values, g, atol=1e-6)
-    assert eu.rev[0].direction == "reversed"
+    assert eu.n_chunks == 1 and eu.chunk_len == 5 and eu.readout == hp.ring.n - 1
+    (ct,) = eu.chunks
+    assert ct.direction == "mirrored"
+    np.testing.assert_allclose(decrypt(ct, rings[0].sk).values, g, atol=1e-6)
+    top = decode(_phase(ct, rings[0].sk), hp.scale, hp.ring.n)[-5:]
+    np.testing.assert_allclose(top, g[::-1] / 2, atol=1e-6)
 
 
 def test_encrypt_update_chunked(hp):
@@ -231,9 +242,34 @@ def test_encrypt_update_chunked(hp):
     rng = np.random.default_rng(3)
     g = np.arange(20.0) / 10
     eu = encrypt_update(rings[0], g, common_poly(hp, seed=b"r2"), rng)
-    assert eu.n_chunks == 3 and eu.chunk_len == hp.capacity and eu.readout == 7
-    got = np.concatenate([decrypt(c, rings[0].sk).values for c in eu.fwd])
+    assert eu.n_chunks == 3 and eu.chunk_len == hp.capacity and eu.readout == hp.ring.n - 1
+    got = np.concatenate([decrypt(c, rings[0].sk).values for c in eu.chunks])
     np.testing.assert_allclose(got[:20], g, atol=1e-6)
+
+
+@pytest.mark.parametrize("dim", [300, 650])
+def test_encrypted_square_reads_the_exact_norm(dim):
+    # one chunk and two at test-1024: the summed three-component squares of
+    # an upload's chunks decrypt on n-1 to the exact negacyclic reference's
+    # integer there, within their tracked noise, and that integer is the
+    # squared norm at the product's scale
+    params = get_params("test-1024")
+    n = params.ring.n
+    kr = setup_pairwise(params, [0, 1], 0, b"square")[0]
+    rng = np.random.default_rng(21)
+    grad = rng.uniform(-1, 1, dim)
+    eu = encrypt_update(kr, grad, common_poly(params, seed=b"square-a"), rng)
+    total, want = None, 0
+    for ct, chunk in zip(eu.chunks, split_chunks(grad, params.capacity), strict=True):
+        m = encode(params, chunk, ct.level, direction="mirrored")
+        packed = [int(c) for c in m.to_int_coeffs(indices=np.arange(n))]
+        want += ref.negacyclic_product(packed, packed)[n - 1]
+        square = _he_mult_raw(ct, ct)
+        total = square if total is None else he_add(total, square)
+    assert len(total.comps) == 3 and eu.readout == n - 1
+    got = int(_phase(total, kr.sk).to_int_coeffs(indices=[n - 1])[0])
+    assert abs(got - want) <= 2.0**total.noise_log2
+    assert abs(want / Fraction(total.scale) - Fraction(grad @ grad)) < 2.0**-30 * (grad @ grad)
 
 
 @pytest.mark.parametrize("dim", [5, 20])
@@ -242,7 +278,7 @@ def test_chunk_len_is_the_ciphertexts_length(hp, dim):
     rng = np.random.default_rng(1)
     eu = encrypt_update(rings[0], np.ones(dim), common_poly(hp, seed=b"r2"), rng)
     assert eu.n_chunks == (1 if dim <= hp.capacity else 3)
-    assert {ct.length for ct in eu.fwd + eu.rev} == {eu.chunk_len}
+    assert {ct.length for ct in eu.chunks} == {eu.chunk_len}
     assert "chunk_len" not in {f.name for f in fields(agg_mod.EncryptedUpdate)}
 
 
@@ -454,7 +490,7 @@ def test_round_levels_hold_every_opened_value(name):
     fresh = encrypt(params, [0.5], kr.sk, a2, rng, level=l_agg, scale=fresh_scale)
     encode(params, [value], l_agg, scale=fresh_scale)
     # aggregate: the product opens after its rescale
-    prod = he_mult_relin(fresh, eu.fwd[0].mod_reduce_to(l_agg), kr.evk)
+    prod = he_mult_relin(fresh, eu.chunks[0].mod_reduce_to(l_agg), kr.evk)
     holds_only_from(prod.level, prod.scale)
 
 
@@ -513,7 +549,7 @@ def test_encrypt_update_uploads_at_the_norm_level(name):
     a = common_poly(params, seed=b"upload-a")
     eu = encrypt_update(kr, g, a, rng)
     l_norm = ROUND_LEVELS[name][0]
-    cts = eu.fwd + eu.rev
+    cts = eu.chunks
     assert {ct.level for ct in cts} == {l_norm}
     assert all(ct.c1 is cts[0].c1 for ct in cts)
     assert cts[0].c1 == a.mod_reduce_to(l_norm) and cts[0].c1.seed == b"upload-a"
@@ -527,9 +563,9 @@ def test_encrypt_update_uploads_at_the_norm_level(name):
 @pytest.mark.parametrize("name, dim, chunks", [("test-1024", 650, 2), ("fhefl-16384", 1024, 1)])
 def test_encrypt_update_is_one_encryption_per_ciphertext(name, dim, chunks):
     # an upload is encrypted as one batch; it equals one encryption per
-    # ciphertext, forward chunks first, byte for byte, and leaves the rng
-    # where that sequence does.  The reference c0 is written out with the
-    # exact per-value rounding and its own transform per ciphertext
+    # chunk, byte for byte, and leaves the rng where that sequence does.
+    # The reference c0 is written out with the exact per-value rounding of
+    # g and of g/2 and its own transform per ciphertext
     params = get_params(name)
     kr = setup_pairwise(params, [0, 1], 0, b"batch")[0]
     a = common_poly(params, seed=b"batch-a")
@@ -541,16 +577,17 @@ def test_encrypt_update_is_one_encryption_per_ciphertext(name, dim, chunks):
     split = split_chunks(g, params.capacity)
     assert len(split) == eu.n_chunks == chunks
     one_by_one, ref_c0 = [], []
-    for direction in ("forward", "reversed"):
-        for c in split:
-            ct = encrypt(params, c, kr.sk, a, one_rng, level=level, direction=direction)
-            one_by_one.append(ct)
-            ints = [_scaled_round(params.scale, float(v)) for v in c]
-            ints = ints if direction == "forward" else ints[::-1]
-            m = RingElement.from_int_coeffs(params.ring, ints, level)
-            e = sample_error(params.ring, ref_rng, params.sigma, level=level)
-            ref_c0.append(a_s.add(m.add(e).to_ntt()))
-    cts = eu.fwd + eu.rev
+    for c in split:
+        ct = encrypt(params, c, kr.sk, a, one_rng, level=level, direction="mirrored")
+        one_by_one.append(ct)
+        ints = [0] * params.ring.n
+        for k, v in enumerate(c):
+            ints[k] = _scaled_round(params.scale, float(v))
+            ints[-1 - k] = _scaled_round(params.scale, float(v) / 2)
+        m = RingElement.from_int_coeffs(params.ring, ints, level)
+        e = sample_error(params.ring, ref_rng, params.sigma, level=level)
+        ref_c0.append(a_s.add(m.add(e).to_ntt()))
+    cts = eu.chunks
     assert [ct.c0 for ct in cts] == ref_c0
     assert [ciphertext_to_bytes(ct) for ct in cts] == [ciphertext_to_bytes(ct) for ct in one_by_one]
     state = rng.bit_generator.state
@@ -558,8 +595,8 @@ def test_encrypt_update_is_one_encryption_per_ciphertext(name, dim, chunks):
 
 
 def test_readme_bytes_per_chunk_table():
-    # one user's upload per chunk of n/2 coordinates: both halves at the norm
-    # level, each c1 sent as a 16-byte round seed
+    # one user's upload per chunk of n/2 coordinates: one mirrored ciphertext
+    # at the norm level, its c1 sent as a 16-byte round seed
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| `([\w-]+)` +\| (\d+) +\| (\d+) +\| ([\d,]+) +\|$", readme, re.M)
     assert [name for name, *_ in rows] == ["test-1024", "fhefl-8192", "fhefl-16384"]
@@ -570,21 +607,17 @@ def test_readme_bytes_per_chunk_table():
         a = common_poly(params, seed=bytes(16))
         rng = np.random.default_rng(34)
         chunk = rng.uniform(-1, 1, params.capacity)
-        cts = [
-            encrypt(params, chunk, sk, a, rng, level=level, direction=d)
-            for d in ("forward", "reversed")
-        ]
+        ct = encrypt(params, chunk, sk, a, rng, level=level, direction="mirrored")
         assert (int(upload), int(top)) == (level, params.ring.max_level)
-        assert int(size.replace(",", "")) == sum(len(ciphertext_to_bytes(ct)) for ct in cts)
+        assert int(size.replace(",", "")) == len(ciphertext_to_bytes(ct))
 
 
-def _upload(kr, g, a, rng, **kw):
-    """One chunk of g built with ``encrypt`` at any level and scale, which
-    ``encrypt_update`` never sends."""
-    fwd, rev = (
-        encrypt(kr.params, g, kr.sk, a, rng, direction=d, **kw) for d in ("forward", "reversed")
-    )
-    return agg_mod.EncryptedUpdate(kr.user_id, kr.epoch, (fwd,), (rev,), g.size)
+def _upload(kr, g, a, rng, direction="mirrored", **kw):
+    """The chunks of g built with ``encrypt`` at any level, scale and
+    packing, which ``encrypt_update`` never sends."""
+    packed = [PlainVector(c, direction) for c in split_chunks(g, kr.params.capacity)]
+    cts = encrypt(kr.params, packed, kr.sk, a, rng, **kw)
+    return agg_mod.EncryptedUpdate(kr.user_id, kr.epoch, cts, g.size)
 
 
 def _refused_on_arrival(enc, krs, w_prev, match):
@@ -629,8 +662,8 @@ def test_round_refuses_extra_chunks(hp):
     a = common_poly(hp, seed=b"chunks-a")
     enc = {u: encrypt_update(krs[u], np.ones(4), a, rng) for u in range(3)}
     for u in (0, 2):
-        extra = replace(enc[u], fwd=enc[u].fwd * 2, rev=enc[u].rev * 2)
-        _refused_on_arrival({**enc, u: extra}, krs, np.zeros(4), rf"user {u} sent .* 2\+2 chunks")
+        extra = replace(enc[u], chunks=enc[u].chunks * 2)
+        _refused_on_arrival({**enc, u: extra}, krs, np.zeros(4), rf"user {u} sent .* 2 chunks")
 
 
 def test_round_refuses_off_scale_uploads_on_arrival(hp):
@@ -735,25 +768,29 @@ def test_pipeline_downweights_large_norm(hp):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="the server cannot check under encryption that an upload's reversed "
-    "half is its forward half reversed: a zero reversed half gives d_u = 0 and "
+    raises=AssertionError,
+    reason="the server cannot check under encryption that a chunk's mirror half "
+    "is half its forward values mirrored: a zero mirror half gives d_u = 0 and "
     "the largest rate, 1/(U-1), and the rates still sum to 1",
 )
 def test_zero_reversed_half_does_not_raise_the_rate(hp):
     # orthogonal gradients as above, user 3's scaled 10x: coordinate u of the
-    # opened step reads off p_u times user u's scale
+    # opened step reads off p_u times user u's scale.  The cheating upload is
+    # a forward packing of the gradient, whose mirror half is zero, flagged
+    # as mirrored
     n = 4
     scales = np.array([1.0, 1.0, 1.0, 10.0])
     grads = np.eye(n) * scales[:, None]
 
-    def implied_rates(zero_rev: bool) -> np.ndarray:
+    def implied_rates(zero_mirror: bool) -> np.ndarray:
         rng = np.random.default_rng(16)
         rings = setup_pairwise(hp, range(n), 0, b"zero-rev")
         a = common_poly(hp, seed=b"zero-rev-a")
         enc = {u: encrypt_update(rings[u], grads[u], a, rng) for u in range(n)}
-        if zero_rev:
-            zero = encrypt_update(rings[3], np.zeros(n), a, rng)
-            enc[3] = replace(enc[3], rev=zero.rev)
+        if zero_mirror:
+            level = agg_mod._norm_level(hp)
+            fwd = encrypt(hp, grads[3], rings[3].sk, a, rng, level=level)
+            enc[3] = replace(enc[3], chunks=(replace(fwd, direction="mirrored"),))
         w_prev = np.zeros(n)
         w_next = secure_aggregate_round(enc, rings, w_prev, 1.0, rng, round_tag=b"zero-rev")
         return -(w_next - w_prev) / scales
@@ -763,29 +800,36 @@ def test_zero_reversed_half_does_not_raise_the_rate(hp):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="an upload's ciphertexts share the round's a and the user's s_u, so "
+    raises=AssertionError,
+    reason="the chunks of an upload share the round's a and the user's s_u, so "
     "the difference of two c0 parts is m_i - m_j plus small errors and opens "
     "without any key",
 )
 def test_an_upload_does_not_open_without_a_key():
     # the desk shape: dim 650 at test-1024 is two chunks of 512, the second
-    # 138 values and zero padding.  In fwd1 - rev1 the reversed chunk sits
-    # at coefficients 374..511, in the padding's mirror, so coefficients
-    # 0..137 are chunk 1 itself; fwd0 - fwd1 then gives chunk 0
+    # 138 values and zero padding.  In c0_0 - c0_1, coefficients 138..511
+    # meet that padding, so they are chunk 0's own values
     params = get_params("test-1024")
     kr = setup_pairwise(params, [0, 1], 0, b"keyless")[0]
     grad = np.random.default_rng(17).uniform(-1, 1, 650)
     eu = encrypt_update(kr, grad, common_poly(params, seed=b"keyless-a"), np.random.default_rng(18))
-    (fwd0, fwd1), (_, rev1) = eu.fwd, eu.rev
-
-    def opened(x, y):
-        return decode(x.c0.sub(y.c0).to_coeff(), params.scale, eu.chunk_len)
-
+    chunk0, chunk1 = eu.chunks
+    opened = decode(chunk0.c0.sub(chunk1.c0).to_coeff(), params.scale, eu.chunk_len)
     tail = grad.size - eu.chunk_len  # chunk 1's values before its padding
-    chunk1 = np.pad(opened(fwd1, rev1)[:tail], (0, eu.chunk_len - tail))
-    chunk0 = opened(fwd0, fwd1) + chunk1
-    recovered = np.concatenate([chunk0, chunk1[:tail]])
-    assert np.abs(recovered - grad).max() > 0.1
+    recovered = opened[tail:]
+    assert np.abs(recovered - grad[tail : eu.chunk_len]).max() > 0.1
+
+
+@pytest.mark.parametrize("dim, chunks", [(1, 1), (512, 1), (513, 2)])
+def test_a_one_chunk_upload_is_one_ciphertext(dim, chunks):
+    # up to n/2 coordinates an upload is a single ciphertext, so it holds no
+    # pair of ciphertexts under one a and s_u whose difference opens without
+    # a key; above n/2 the chunks do (the strict xfail above)
+    params = get_params("test-1024")
+    kr = setup_pairwise(params, [0, 1], 0, b"one-ct")[0]
+    rng = np.random.default_rng(20)
+    eu = encrypt_update(kr, rng.uniform(-1, 1, dim), common_poly(params, seed=b"one-ct-a"), rng)
+    assert len(eu.chunks) == eu.n_chunks == chunks
 
 
 def test_pipeline_zero_gradients_degenerate(hp):
@@ -895,21 +939,36 @@ def test_pipeline_requires_a_round_tag(hp):
 
 def test_pipeline_rejects_uploads_off_the_round_polynomial(hp):
     # the norm and aggregate stages decompose the products of the round's
-    # shared a once for every user, so every upload must carry that a
+    # shared a once for every user, so every chunk of every upload must
+    # carry that a (dim 12 is two chunks at test-16)
     rng = np.random.default_rng(18)
     rings = setup_pairwise(hp, range(3), 0, b"pipe8")
     a = common_poly(hp, seed=b"pipe8-a")
     other = common_poly(hp, seed=b"pipe8-b")
-    enc = {u: encrypt_update(rings[u], np.ones(4), a, rng) for u in range(3)}
-    stray = encrypt_update(rings[2], np.ones(4), other, rng)
-    for eu in (stray, replace(enc[2], rev=stray.rev)):
+    enc = {u: encrypt_update(rings[u], np.ones(12), a, rng) for u in range(3)}
+    stray = encrypt_update(rings[2], np.ones(12), other, rng)
+    for eu in (stray, replace(enc[2], chunks=(enc[2].chunks[0], stray.chunks[1]))):
         with pytest.raises(ProtocolError, match="public polynomial"):
             secure_aggregate_round(
-                {**enc, 2: eu}, rings, np.zeros(4), 1.0, rng, round_tag=b"pipe8"
+                {**enc, 2: eu}, rings, np.zeros(12), 1.0, rng, round_tag=b"pipe8"
             )
     # the round takes every upload at its own level, never raises one
-    low = _upload(rings[2], np.ones(4), a, rng, level=1)
+    low = _upload(rings[2], np.ones(12), a, rng, level=1)
     with pytest.raises(ProtocolError, match="sits at level 1"):
         secure_aggregate_round(
-            {**enc, 2: low}, rings, np.zeros(4), 1.0, rng, round_tag=b"pipe8"
+            {**enc, 2: low}, rings, np.zeros(12), 1.0, rng, round_tag=b"pipe8"
         )
+
+
+def test_round_refuses_a_chunk_that_is_not_mirrored(hp):
+    # a forward chunk's square has no norm on n-1, so the round refuses it
+    # before its first stage, naming the user
+    rng = np.random.default_rng(19)
+    rings = setup_pairwise(hp, range(3), 0, b"pipe10")
+    a = common_poly(hp, seed=b"pipe10-a")
+    grads = rng.uniform(-1, 1, (3, 12))
+    enc = {u: encrypt_update(rings[u], grads[u], a, rng) for u in range(3)}
+    level = agg_mod._norm_level(hp)
+    forward = _upload(rings[1], grads[1], a, rng, direction="forward", level=level)
+    assert [ct.c1 for ct in forward.chunks] == [ct.c1 for ct in enc[1].chunks]
+    _refused_on_arrival({**enc, 1: forward}, rings, np.zeros(12), "user 1's upload has a forward")

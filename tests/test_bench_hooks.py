@@ -5,13 +5,16 @@ The traced run wraps every ``perfbench/tracer.py`` TARGETS entry, replaces
 dropping their ``he._PRESET_CACHE`` entry.  A refactor that renames or drops
 any of them breaks the benchmark, so this checks that each one resolves and
 that the tracer installs and uninstalls cleanly and records the wire size of
-each key share, and that a preset rebuilt during set-up leaves the round's
-per-layer call counts alone.  Only files under perfbench/ are read; nothing
-there is run beyond importing the tracer.
+each key share, that a preset rebuilt during set-up leaves the round's
+per-layer call counts alone, and that the upload size the benchmark reports
+counts each ciphertext of an upload once.  Only files under perfbench/ are
+read; nothing there is run beyond importing the tracer and the workloads and
+calling ``workloads.upload_bytes``.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ import pytest
 from fhefl import aggregation, he, multikey
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+WORKLOADS = TRACER.with_name("workloads.py")
 
 
 @pytest.fixture(scope="module")
@@ -149,3 +153,30 @@ def test_every_reported_layer_runs_in_a_traced_round(tracer):
         assert metric in idle or value > 0, metric
     assert got["multikey.pair_masks"][0] == 2 * 1 * (2 + 1)  # one chunk of dim 4
     assert got["he.encrypt.calls"][0] == 2
+
+
+def test_upload_bytes_reads_each_ciphertext_once(tracer, monkeypatch):
+    # upload_bytes_per_user is workloads.upload_bytes of one real upload:
+    # every ciphertext the upload holds is written once, and the total is
+    # their records' size (the desk shape: two chunks at test-1024)
+    monkeypatch.setitem(sys.modules, "tracer", tracer)  # workloads imports it by name
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    params = he.get_params("test-1024")
+    rings = multikey.setup_pairwise(params, [0, 1], 0, b"hooks-upload")
+    a = he.common_poly(params, seed=b"hooks-upload|a")
+    rng = np.random.default_rng(5)
+    eu = aggregation.encrypt_update(rings[0], rng.uniform(-1.0, 1.0, 650), a, rng)
+    written, real = [], he.ciphertext_to_bytes
+
+    def counting(ct):
+        written.append(ct)
+        return real(ct)
+
+    monkeypatch.setattr(he, "ciphertext_to_bytes", counting)
+    total = workloads.upload_bytes(rings[0], eu, params)
+    assert len(written) == len(eu.chunks) == 2
+    assert all(x is y for x, y in zip(written, eu.chunks))
+    assert total == sum(len(real(ct)) for ct in eu.chunks)

@@ -218,7 +218,7 @@ def test_bench_rounds_use_fresh_poly_and_tag(capsys, monkeypatch):
     seen = []
 
     def record(enc, keyrings, w_prev, eta, rng, *, round_tag):
-        seen.append((round_tag, enc[0].fwd[0].c1.to_bytes()))
+        seen.append((round_tag, enc[0].chunks[0].c1.to_bytes()))
         return w_prev
 
     monkeypatch.setattr(cli_mod, "secure_aggregate_round", record)
@@ -246,7 +246,7 @@ def test_bench_prints_the_bytes_a_user_uploads(capsys, monkeypatch):
     assert lines[-4].startswith("aggregate_round")
     label, value, unit = lines[-3].rsplit(maxsplit=2)
     assert (label, unit) == ("upload per user per round", "B")
-    cts = seen[-1].fwd + seen[-1].rev
+    cts = seen[-1].chunks
     assert int(value) == sum(len(ciphertext_to_bytes(ct)) for ct in cts)
     # each c0 in full, each c1 as its seed
     assert int(value) < sum(len(ct.c0.to_bytes()) + len(ct.c1.to_bytes()) for ct in cts)

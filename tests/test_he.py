@@ -54,6 +54,8 @@ from fhefl.he import (
 from fhefl.multikey import aggregate_fresh
 from fhefl.ring import RingElement, sample_error, sample_uniform
 
+import ring_reference as ref
+
 
 @pytest.fixture(scope="module")
 def hp():
@@ -294,11 +296,14 @@ def test_plaintext_matches_int_coefficients(name, data):
         st.sampled_from([s * e for e in edges if e <= half for s in (1, -1)]),
     )
     ints = data.draw(st.lists(value, min_size=1, max_size=min(params.capacity, 40)))
-    direction = data.draw(st.sampled_from(["forward", "reversed"]))
+    size = len(ints)
+    mirror = data.draw(st.none() | st.lists(value, min_size=size, max_size=size))
     coeffs = [0] * ring.n
     for k, x in enumerate(ints):
-        coeffs[k if direction == "forward" else len(ints) - 1 - k] = x
-    got = _plaintext(params, ints, level, direction)
+        coeffs[k] = x
+        if mirror is not None:
+            coeffs[ring.n - 1 - k] = mirror[k]
+    got = _plaintext(params, ints, level, mirror)
     want = np.array([[x % q for x in coeffs] for q in ring.moduli(level)], dtype=np.uint64)
     assert (got.level, got.special, got.ntt) == (level, False, False)
     assert np.array_equal(got.data, want)
@@ -360,16 +365,22 @@ def test_scale_rules_match_the_operations(hp, keys):
 
 def test_encode_decode_roundtrip_directions(hp):
     v = np.array([0.5, -1.25, 3.0, 0.0, -7.5])
-    for direction in ("forward", "reversed"):
+    for direction in ("forward", "mirrored"):
         el = encode(hp, v, direction=direction)
-        back = decode(el, hp.scale, len(v), direction)
+        back = decode(el, hp.scale, len(v))
         np.testing.assert_allclose(back, v, atol=1e-9)
 
 
 def test_reversed_is_mirrored(hp):
-    el = encode(hp, [1.0, 2.0, 3.0], direction="reversed", scale=1.0)
-    ints = el.to_int_coeffs(indices=np.arange(3))
-    assert list(map(int, ints)) == [3, 2, 1]
+    # the mirrored packing also holds half of each value, reversed, on the
+    # top coefficients, each rounded once from the exact product (half to
+    # even: 3/2 -> 2, 1/2 -> 0)
+    n = hp.ring.n
+    el = encode(hp, [2.0, 4.0, 6.0], direction="mirrored", scale=1.0)
+    ints = el.to_int_coeffs(indices=np.arange(n))
+    assert list(map(int, ints)) == [2, 4, 6] + [0] * (n - 6) + [3, 2, 1]
+    el = encode(hp, [3.0, 1.0], direction="mirrored", scale=1.0)
+    assert list(map(int, el.to_int_coeffs(indices=[n - 2, n - 1]))) == [0, 2]
 
 
 def test_encode_capacity_and_overflow(hp):
@@ -463,7 +474,7 @@ def test_add_rejects_mismatches(hp, keys):
     with pytest.raises(EncodingError):
         he_add(a, fresh(hp, sk, [1.0], seed=33))
     with pytest.raises(EncodingError):
-        he_add(a, fresh(hp, sk, [1.0, 2.0], seed=34, direction="reversed"))
+        he_add(a, fresh(hp, sk, [1.0, 2.0], seed=34, direction="mirrored"))
 
 
 @settings(max_examples=25, deadline=None)
@@ -493,24 +504,92 @@ def test_mult_scalar_hand_value(hp, keys):
     assert math.isclose(decrypt(ct, sk).values[0], 6.0, rel_tol=1e-6)
 
 
-def test_forward_reversed_correlation(hp, keys):
-    # (1 + 2X + 3X^2)(3 + 2X + X^2) = 3 + 8X + 14X^2 + 8X^3 + 3X^4:
-    # coefficient len-1 of fwd*rev is the inner product 1+4+9 = 14
+def test_mirrored_product_correlation(hp, keys):
+    # coefficient n-1 of the product of two mirrored packings is their inner
+    # product 1*3 + 2*2 + 3*1 = 10; the product is forward over the whole
+    # ring, and every coefficient is the exact negacyclic product's
     sk, evk = keys
-    f = fresh(hp, sk, [1.0, 2.0, 3.0], seed=43)
-    r = fresh(hp, sk, [1.0, 2.0, 3.0], seed=44, direction="reversed")
-    ct = he_mult_relin(f, r, evk)
-    assert ct.length == 5
-    out = decrypt(ct, sk).values
-    np.testing.assert_allclose(out, [3.0, 8.0, 14.0, 8.0, 3.0], rtol=1e-6)
+    n = hp.ring.n
+    x = fresh(hp, sk, [1.0, 2.0, 3.0], seed=43, direction="mirrored")
+    y = fresh(hp, sk, [3.0, 2.0, 1.0], seed=44, direction="mirrored")
+    ct = he_mult_relin(x, y, evk)
+    assert (ct.length, ct.direction) == (n, "forward")
+    want = ref.negacyclic_product(ref.mirrored_coeffs([1, 2, 3], n), ref.mirrored_coeffs([3, 2, 1], n))
+    assert want[n - 1] == 10
+    np.testing.assert_allclose(decrypt(ct, sk).values, [float(w) for w in want], atol=1e-6)
 
 
 def test_squared_norm_readout(hp, keys):
     sk, evk = keys
-    f = fresh(hp, sk, [3.0, 4.0], seed=45)
-    r = fresh(hp, sk, [3.0, 4.0], seed=46, direction="reversed")
-    out = decrypt(he_mult_relin(f, r, evk), sk).values
-    assert math.isclose(out[1], 25.0, rel_tol=1e-6)
+    f = fresh(hp, sk, [3.0, 4.0], seed=45, direction="mirrored")
+    out = decrypt(he_mult_relin(f, f, evk), sk).values
+    assert math.isclose(out[hp.ring.n - 1], 25.0, rel_tol=1e-6)
+
+
+def test_product_rule_for_mirrored_packings(hp, keys):
+    # a length-1 scalar times a mirrored packing stays mirrored, with p * g
+    # on its packed coefficients, in either order
+    sk, evk = keys
+    m = fresh(hp, sk, [1.0, -2.0, 0.5], seed=46, direction="mirrored")
+    p = fresh(hp, sk, [0.25], seed=47)
+    for x, y in ((p, m), (m, p)):
+        out = he_mult_relin(x, y, evk)
+        assert (out.length, out.direction) == (3, "mirrored")
+        np.testing.assert_allclose(decrypt(out, sk).values, [0.25, -0.5, 0.125], atol=1e-6)
+    # every other product with a mirrored operand is refused, either way round
+    v = fresh(hp, sk, [1.0, 1.0], seed=48)
+    for x, y in ((v, m), (m, v)):
+        with pytest.raises(EncodingError, match="mirrored"):
+            _he_mult_raw(x, y)
+    # forward times forward keeps its wrap refusal: the whole-ring square
+    # times a length-2 vector would wrap
+    sq = he_mult_relin(m, m, evk)
+    with pytest.raises(EncodingError, match="wraps"):
+        _he_mult_raw(sq, fresh(hp, sk, [1.0, 1.0], seed=49, level=sq.level))
+
+
+def test_square_forms_d1_from_one_product(hp, keys, monkeypatch):
+    # a ciphertext times itself forms d1 = 2*x0*x1 from one ring product,
+    # byte for byte the x0*y1 + x1*y0 of two equal operands
+    sk, _ = keys
+    m = fresh(hp, sk, [1.0, -2.0, 0.5], seed=50, direction="mirrored")
+    d2 = m.c1.mul(m.c1)
+    muls = []
+
+    def counting(x, y, real=RingElement.mul):
+        muls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(RingElement, "mul", counting)
+    square = _he_mult_raw(m, m, d2)
+    assert len(muls) == 2
+    general = _he_mult_raw(m, replace(m), d2)  # equal operands, not one
+    assert len(muls) == 5
+    monkeypatch.undo()
+    assert ciphertext_to_bytes(square) == ciphertext_to_bytes(general)
+
+
+@pytest.mark.parametrize("name, lengths", [("test-16", range(1, 9)), ("test-1024", (1, 257, 512))])
+def test_mirrored_square_reads_the_exact_norm(name, lengths):
+    # against the exact negacyclic product: the square of a mirrored packing
+    # of any length up to the capacity holds sum_k g_k^2 on coefficient n-1,
+    # and a length-1 scalar times it holds p * g on 0..L-1
+    params = get_params(name)
+    n = params.ring.n
+    assert max(lengths) == params.capacity
+    rng = np.random.default_rng(len(lengths))
+    for length in lengths:
+        g = [int(v) for v in rng.integers(-(2**20), 2**20, length)]
+        m = ref.mirrored_coeffs(g, n)
+        assert ref.negacyclic_product(m, m)[n - 1] == sum(v * v for v in g)
+        p = Fraction(int(rng.integers(1, 2**20)), 7)
+        scaled = ref.negacyclic_product([p] + [0] * (n - 1), m)
+        assert scaled[:length] == [p * v for v in g]
+        # encode puts exactly that packing on the ring, doubled so that the
+        # halves are integers
+        doubled = encode(params, 2.0 * np.array(g), direction="mirrored", scale=1.0)
+        got = doubled.to_int_coeffs(indices=np.arange(n))
+        assert [int(c) for c in got] == [2 * c for c in m]
 
 
 def test_multiplicative_identity(hp, keys):
@@ -640,8 +719,8 @@ def test_noise_tracker_grows(hp, keys):
 
 def _tracker_margin(ct, sk, want) -> float:
     """log2 of the tracked bound over the measured error: the largest gap
-    between ct's phase and the exact ``want`` (coefficient units) on the
-    packed coefficients."""
+    between ct's phase and the exact ``want`` (coefficient units) on
+    coefficients 0..len(want)-1."""
     got = _phase(ct, sk).to_int_coeffs(indices=np.arange(len(want)))
     err = max(abs(int(g) - w) for g, w in zip(got, want))
     return ct.noise_log2 - math.log2(max(float(err), 2.0**-30))
@@ -655,7 +734,7 @@ def test_noise_tracker_bounds_the_measured_error(name):
     ring = params.ring
     delta = params.scale_bits
     length, frac, users = params.capacity, 20, 4
-    mult, add, add_index = -0.375, 0.25, length - 1
+    mult, add, add_index = -0.375, 0.25, ring.n - 1
     margins = {}
     for seed in range(20):
         rng = np.random.default_rng([seed, 1])
@@ -665,20 +744,25 @@ def test_noise_tracker_bounds_the_measured_error(name):
         a = common_poly(params, seed=rng.bytes(16))
         nums = rng.integers(-(2**frac), 2**frac + 1, size=(users, length))
         vals = nums / 2.0**frac
-        x = encrypt(params, vals[0], sk, a, rng)
-        y = encrypt(params, vals[1], sk, a, rng, direction="reversed")
+        x = encrypt(params, vals[0], sk, a, rng, direction="mirrored")
+        p = encrypt(params, vals[1][:1], sk, a, rng)
         ints = [2 ** (delta - frac) * int(v) for v in nums[0]]
-        # the forward * reversed product, coefficient k, times 2^(2 frac)
-        prod = np.convolve(nums[0], nums[1][::-1])
-        want_prod = [Fraction(2 ** (2 * (delta - frac)) * int(v)) for v in prod]
+        # the mirrored packing in coefficient units (the halves are exact),
+        # its square over the whole ring (the norm on n-1) and a length-1
+        # scalar times it (p * g on 0..L-1)
+        packed = [int(c) for c in ref.mirrored_coeffs(ints, ring.n)]
+        want_prod = [Fraction(w) for w in ref.negacyclic_product(packed, packed)]
+        want_scaled = [2 ** (delta - frac) * int(nums[1][0]) * v for v in ints]
         checks = {
-            "encrypt": (x, ints),
+            "encrypt": (x, packed),
             "he_add": (
-                he_add(x, encrypt(params, vals[2], sk, a, rng)),
-                [2 ** (delta - frac) * int(v) for v in nums[0] + nums[2]],
+                he_add(x, encrypt(params, vals[2], sk, a, rng, direction="mirrored")),
+                [int(c) for c in ref.mirrored_coeffs(
+                    [2 ** (delta - frac) * int(v) for v in nums[0] + nums[2]], ring.n
+                )],
             ),
         }
-        raw = _he_mult_raw(x, y)
+        raw = _he_mult_raw(x, x)
         relin = relinearize(raw, evk)
         q_top = ring.chain[raw.level]
         rescaled = rescale(relin)
@@ -691,6 +775,12 @@ def test_noise_tracker_bounds_the_measured_error(name):
         checks["relinearize"] = (relin, want_prod)
         checks["rescale"] = (rescaled, [w / q_top for w in want_prod])
         checks["plain_affine"] = (affine, want_affine)
+        scaled = _he_mult_raw(p, x)
+        checks["scalar * mirrored"] = (scaled, want_scaled)
+        checks["scalar * mirrored, rescaled"] = (
+            rescale(relinearize(scaled, evk)),
+            [Fraction(w) / q_top for w in want_scaled],
+        )
         for op, (ct, want) in checks.items():
             margins.setdefault(op, []).append(_tracker_margin(ct, sk, want))
         total = aggregate_fresh(
@@ -713,7 +803,7 @@ def test_rescale_refuses_three_components(hp, keys):
     # without one (fhefl.multikey divides the opened residues instead)
     sk, evk = keys
     x = fresh(hp, sk, [1.5], seed=81)
-    y = fresh(hp, sk, [-0.5], seed=82, direction="reversed")
+    y = fresh(hp, sk, [-0.5], seed=82, direction="mirrored")
     raw = _he_mult_raw(x, y)
     relin = relinearize(raw, evk)
     for bad in (raw, [relin, raw]):
@@ -749,7 +839,7 @@ def test_level_is_the_components_level(hp, keys):
 
 def test_ciphertext_wire_roundtrip(hp, keys):
     sk, _ = keys
-    ct = fresh(hp, sk, [1.0, -2.5, 3.25], seed=71, direction="reversed")
+    ct = fresh(hp, sk, [1.0, -2.5, 3.25], seed=71, direction="mirrored")
     blob = ciphertext_to_bytes(ct)
     back = ciphertext_from_bytes(blob, hp)
     assert back.level == ct.level
@@ -798,10 +888,11 @@ def test_ciphertext_wire_rejects_garbage(hp, keys):
         ciphertext_from_bytes(blob + b"\0", hp)
     with pytest.raises(SerializationError):
         ciphertext_from_bytes(b"", hp)
-    # records of earlier wire versions, whose components carried their own
-    # layout headers and u32 lengths
-    assert blob[4] == 3
-    for version in (b"\x01", b"\x02"):
+    # records of earlier wire versions: 1 and 2, whose components carried
+    # their own layout headers and u32 lengths, and 3, whose packing flag 1
+    # meant reversed
+    assert blob[4] == 4
+    for version in (b"\x01", b"\x02", b"\x03"):
         with pytest.raises(SerializationError, match="version"):
             ciphertext_from_bytes(blob[:4] + version + blob[5:], hp)
 
@@ -847,6 +938,18 @@ def test_ciphertext_wire_rejects_inconsistent_layouts(hp, keys):
     bad[level_at] = ct.level - 1
     with pytest.raises(SerializationError):
         ciphertext_from_bytes(bytes(bad), hp)
+    # a packing flag outside {forward, mirrored}, and a mirrored record
+    # longer than the packing capacity
+    bad = bytearray(blob)
+    bad[level_at + 2] = 2
+    with pytest.raises(SerializationError, match="packing flag"):
+        ciphertext_from_bytes(bytes(bad), hp)
+    bad[level_at + 2] = 1
+    struct.pack_into("<I", bad, level_at + 3, hp.capacity + 1)
+    with pytest.raises(SerializationError, match="mirrored packed length"):
+        ciphertext_from_bytes(bytes(bad), hp)
+    struct.pack_into("<I", bad, level_at + 3, hp.capacity)
+    assert ciphertext_from_bytes(bytes(bad), hp).direction == "mirrored"
     # component counts outside {2, 3}
     for comps in ([parts[0]], parts * 2):
         with pytest.raises(SerializationError, match="components"):

@@ -402,7 +402,7 @@ def test_pinned_upload_and_product_bytes():
     a = common_poly(params, seed=b"pinned-a")
     grad = np.random.default_rng(2024).uniform(-1, 1, 700)
     eu = encrypt_update(krs[0], grad, a, np.random.default_rng(7))
-    prod = he_mult_relin(eu.fwd[0], eu.rev[0], krs[0].evk)
+    prod = he_mult_relin(eu.chunks[0], eu.chunks[0], krs[0].evk)
 
     def element_digests(ct):
         return [
@@ -410,25 +410,23 @@ def test_pinned_upload_and_product_bytes():
         ]
 
     a_digest = "7c71440894a7b372"
-    assert [element_digests(ct) for ct in eu.fwd + eu.rev] == [
-        ["403466b2a843e6ac", a_digest],
-        ["20138d547326b05d", a_digest],
-        ["38c281ed93df7495", a_digest],
-        ["3bc27f16b0470b68", a_digest],
+    assert [element_digests(ct) for ct in eu.chunks] == [
+        ["d05a77259c103308", a_digest],
+        ["3ba486d1203ef013", a_digest],
     ]
-    # the product's digests moved when each key's public half began to be
-    # expanded from a public seed of the user's; the uploads do not depend
-    # on the keys and did not move
-    assert element_digests(prod) == ["b8025aa248812183", "7bc0342fc56a53f0"]
-    blob = b"".join(ciphertext_to_bytes(c) for c in eu.fwd + eu.rev)
-    assert len(blob) == 90340
+    # the digests moved when each chunk became one mirrored packing (the
+    # product is now the square of chunk 0, on wire v4); the four-ciphertext
+    # upload of the dual packing was 90,340 bytes
+    assert element_digests(prod) == ["cf56eb6817c40cdd", "15d650bc5340915a"]
+    blob = b"".join(ciphertext_to_bytes(c) for c in eu.chunks)
+    assert len(blob) == 45170
     assert (
         hashlib.sha256(blob).hexdigest()
-        == "c5636e0245d8154f7bb665e7248c8238357a32a27a472415e49e3229e2ede941"
+        == "47ef12c814eb1c157e26e3f9a4964abd14a8e604b2a3dfa1458dd28b6ca3d6bc"
     )
     assert (
         hashlib.sha256(ciphertext_to_bytes(prod)).hexdigest()
-        == "64e429edef8fcd9c460490f5236c4ce5ec5750a1ed1c6a4ede408aef09b5de6d"
+        == "95680c62d934174f53d2ec9f2f8efc1399663fef5fe4fc5f747693333b8409ce"
     )
 
 
@@ -595,14 +593,14 @@ def counted_round():
 
 
 def test_pinned_round_output(counted_round):
-    # digest of the opened model taken when each user's evaluation key began
-    # to expand its public half from a public seed of the user's: every key,
-    # and so every relinearized distance, moved (test_pinned_round_precision
-    # bounds the opened step against the plain oracle)
+    # digest of the opened model taken when each chunk became one mirrored
+    # packing: the uploads, the distances (squares read on n-1) and the
+    # weighted update all moved (test_pinned_round_precision bounds the
+    # opened step against the plain oracle)
     w, *_ = counted_round
     assert (
         hashlib.sha256(w.tobytes()).hexdigest()
-        == "64b11f5bfbb028b928edb6d24003eb070faaed3f82f0de43d876d26f16eddd77"
+        == "9b3e7ab34900c9d2ae1475b82e137257a19d4293eae3589364b6394cab667bac"
     )
 
 
@@ -628,11 +626,12 @@ def test_round_transform_budget(counted_round):
 def test_round_work_budget(counted_round):
     # two more counts of the same round, each bounded at its measured value:
     # its ring products (213 before each user formed d2 * s_u^2 once for all
-    # of its aggregate chunks) and the peak of its traced memory above its
-    # inputs, 3.78 MiB rounded up (5.27 MiB before each stage's
-    # intermediates were dropped once the next stage had used them)
+    # of its aggregate chunks, 193 before a chunk's square formed its d1 from
+    # one product) and the peak of its traced memory above its inputs,
+    # 3.78 MiB rounded up (5.27 MiB before each stage's intermediates were
+    # dropped once the next stage had used them)
     _, work, *_ = counted_round
-    assert work["ring.mul"] <= 193
+    assert work["ring.mul"] <= 173
     assert work["peak bytes"] <= 3.8 * 2**20
 
 
@@ -640,7 +639,7 @@ def test_round_work_budget(counted_round):
 # measured value: a stage that regains work fails here even when another
 # stage's savings would hide it in the round's totals
 _STAGE_BUDGET = {
-    "norm": (216, 6, 64, 6, 61, 204_800),
+    "norm": (216, 6, 64, 6, 41, 204_800),  # 61 products before squares
     "distance-sum": (0, 0, 0, 0, 10, 180),
     "rate": (40, 2, 20, 2, 0, 0),
     "re-encrypt": (30, 10, 20, 10, 20, 3_072),

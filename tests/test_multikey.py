@@ -5,6 +5,7 @@ masked partial decryptions combining to the aggregate plaintext — are checked
 exactly (structural ring equality) and against plain-float oracles.
 """
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -50,6 +51,8 @@ from fhefl.multikey import (
     setup_pairwise,
 )
 from fhefl.ring import RingElement, Residues, coeffs_at
+
+import ring_reference as ref
 
 
 @pytest.fixture(scope="module")
@@ -229,20 +232,25 @@ def test_partial_decrypt_sum_fresh(hp):
 
 
 def test_partial_decrypt_sum_of_products(hp):
-    # the real pipeline shape: per-user ct*ct products have distinct c1 parts
+    # the real pipeline shape: per-user ct*ct products have distinct c1
+    # parts; two mirrored packings multiply to the whole ring, their inner
+    # product on n-1
     rings = make_rings(hp, 3)
     roster = [0, 1, 2]
     rng = np.random.default_rng(11)
     a = common_poly(hp, seed=b"round-c")
-    expected = np.zeros(3)
+    n = hp.ring.n
+    expected = np.zeros(n)
     cts = {}
     for u in roster:
         x = rng.uniform(-2, 2, 2)
         y = rng.uniform(-2, 2, 2)
-        cx = encrypt(hp, x, rings[u].sk, a, rng)
-        cy = encrypt(hp, y, rings[u].sk, a, rng, direction="reversed")
+        cx = encrypt(hp, x, rings[u].sk, a, rng, direction="mirrored")
+        cy = encrypt(hp, y, rings[u].sk, a, rng, direction="mirrored")
         cts[u] = he_mult_relin(cx, cy, rings[u].evk)
-        expected += np.convolve(x, y[::-1])
+        want = ref.negacyclic_product(ref.mirrored_coeffs(x, n), ref.mirrored_coeffs(y, n))
+        expected += np.array(want, dtype=np.float64)
+        assert math.isclose(want[n - 1], x @ y)
     assert cts[0].c1 != cts[1].c1  # products carry per-user c1 parts
     partials = {
         u: masked_partial_decrypt(rings[u], cts[u].c1, b"leg1", roster, rng)
@@ -305,7 +313,7 @@ _MISMATCHES = {
     "level": (lambda ct: ct.mod_reduce_to(ct.level - 1), LevelError),
     "component": (lambda ct: replace(ct, comps=ct.comps + (ct.c1,)), LevelError),
     "length": (lambda ct: replace(ct, length=ct.length + 1), EncodingError),
-    "direction": (lambda ct: replace(ct, direction="reversed"), EncodingError),
+    "direction": (lambda ct: replace(ct, direction="mirrored"), EncodingError),
     "scale": (lambda ct: replace(ct, scale=ct.scale * (1 + 1e-6)), LevelError),
 }
 
@@ -374,7 +382,7 @@ def test_opened_products_stay_within_the_opening_bound(name):
     grads = rng.uniform(-1.0, 1.0, (3, 6))
     xs = [encrypt(params, [p], rings[u].sk, a2, rng, level=level, scale=fresh_scale)
           for u, p in zip(users, rates)]
-    ys = [encrypt_update(rings[u], grads[u], a, rng).fwd[0].mod_reduce_to(level) for u in users]
+    ys = [encrypt_update(rings[u], grads[u], a, rng).chunks[0].mod_reduce_to(level) for u in users]
     d2 = xs[0].c1.mul(ys[0].c1)
     prods = {u: _he_mult_raw(x, y, d2) for u, x, y in zip(users, xs, ys)}
     read = range(6)
