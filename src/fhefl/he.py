@@ -4,7 +4,8 @@ Encryption follows the additive-mask form ``c0 = a*s + m + e, c1 = a`` with a
 *shared* public polynomial ``a`` per round, so fresh ciphertexts from different
 users can be aggregated by summing the ``c0`` parts against a summed key.
 Decryption is the phase ``c0 - c1*s`` (plus ``+ c2*s^2`` for unrelinearized
-three-component products, which ``rescale`` refuses).
+three-component products, which ``rescale`` refuses), read on the decoded
+coefficients alone by ``ring.coeffs_at``: one coefficient needs no transform.
 
 Packing is by coefficients, not slots: a vector ``v`` of length L <= n/2
 sits at coefficients ``0..L-1`` (forward), and a mirrored packing also puts
@@ -113,7 +114,9 @@ from .ntt import add_mod, find_ntt_primes, mul_mod
 from .ring import (
     RingElement,
     RingParams,
+    Residues,
     _seed_bytes,
+    coeffs_at,
     rns_digits,
     sample_error,
     sample_ternary,
@@ -328,12 +331,11 @@ def encode_monomial(
     return _monomial(params, _scaled_round(scale, float(value)), index, level)
 
 
-def decode(elem: RingElement, scale: float, length: int) -> np.ndarray:
-    """Centered lift of the first ``length`` coefficients divided by the
-    scale: the packed vector of either packing."""
-    ints = elem.to_int_coeffs(indices=np.arange(length))
+def decode(read: Residues, scale: float) -> np.ndarray:
+    """Read coefficients' centered lift divided by the scale: the values of
+    every plaintext read, a decryption's or a roster opening's."""
     # object-to-float64 conversion rounds each integer correctly, as float() does
-    return ints.astype(np.float64) / scale
+    return read.to_ints().astype(np.float64) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -554,28 +556,24 @@ def _encrypt_plaintexts(
     )
 
 
-def _phase(ct: Ciphertext, sk: SecretKey) -> RingElement:
-    """c0 - c1*s (+ c2*s^2 ...) in the coefficient domain."""
+def _phase(ct: Ciphertext, sk: SecretKey, read) -> Residues:
+    """Coefficients ``read`` of the phase c0 - c1*s (+ c2*s^2 for an
+    unrelinearized product), read off the NTT domain by ``coeffs_at``."""
     s = sk.s.mod_reduce_to(ct.level)
-    phase = ct.comps[0]
-    s_pow = s
-    for k, comp in enumerate(ct.comps[1:], start=1):
-        term = comp.mul(s_pow)
-        phase = phase.sub(term) if k % 2 == 1 else phase.add(term)
-        if k < len(ct.comps) - 1:
-            s_pow = s_pow.mul(s)
-    return phase.to_coeff()
+    phase = ct.c0.sub(ct.c1.mul(s))
+    if len(ct.comps) == 3:
+        phase = phase.add(ct.comps[2].mul(s.mul(s)))
+    return coeffs_at([phase], read)[0]
 
 
 def decrypt(ct: Ciphertext, sk: SecretKey) -> PlainVector:
-    """Phase decryption; handles two- and three-component ciphertexts."""
+    """Phase decryption of coefficients 0..length-1 of a two- or three-component ct."""
     if ct.noise_log2 > math.log2(ct.scale) - 1:
         raise EncodingError(
             f"tracked noise 2^{ct.noise_log2:.1f} exceeds half the scale "
             f"2^{math.log2(ct.scale):.1f}; precision has collapsed"
         )
-    vals = decode(_phase(ct, sk), ct.scale, ct.length)
-    return PlainVector(vals, ct.direction)
+    return PlainVector(decode(_phase(ct, sk, range(ct.length)), ct.scale), ct.direction)
 
 
 def reencrypt(
@@ -589,15 +587,16 @@ def reencrypt(
 ) -> Ciphertext:
     """The key holder's fresh encryption of coefficient ``index`` of ct's plaintext.
 
-    The coefficient is read from the phase as an exact integer and re-encoded
-    at ``scale`` on coefficient 0, rounding the exact rational once: unlike a
+    The coefficient (0..n-1, else ``ParameterError``) is read alone from the
+    phase, with no transform, as an exact integer and re-encoded at ``scale``
+    on coefficient 0, rounding the exact rational once: unlike a
     decrypt-then-encrypt, the value never passes through a float, whose 53
     bits would cap its precision.  The fresh ciphertext sits at the level of
     ``a``, so a caller that draws a lower-level ``a`` gets a lower-level
     encryption.
     """
     params = ct.params
-    coeff = int(_phase(ct, sk).to_int_coeffs(indices=[index])[0])
+    coeff = int(_phase(ct, sk, [index]).to_ints()[0])
     value = Fraction(coeff) / Fraction(ct.scale)
     m = _plaintext(params, [round(value * Fraction(scale))], a.level)
     return _encrypt_plaintexts(params, [m], [PlainVector([float(value)])], sk, a, rng, scale)[0]

@@ -74,6 +74,7 @@ from .he import (
     _norm_level,
     _read_record_head,
     _record_head,
+    decode,
     decrypt,
 )
 from .ntt import add_mod, sub_mod
@@ -466,5 +467,5 @@ def combine_partials(
     (opened,) = coeffs_at([c0], read)
     if q > 1:
         opened = opened.drop_last_modulus()
-    vals = opened.sub(shares).to_ints().astype(np.float64) / scale
+    vals = decode(opened.sub(shares), scale)
     return vals[: first.length] if whole else vals

@@ -55,8 +55,9 @@ add, subtract, divide-and-round, integer lift and wire record of an
 element's coefficients.  `coeffs_at` reads them off NTT-domain elements:
 one coefficient as a dot product with the roots `RingElement.monomial`
 gathers, with no transform; more through inverse transforms, a group of
-elements per call.  `sample_uniform` and `sample_error` draw a read set's
-residues directly (``count=``).
+elements per call.  The roster openings, `he.decrypt` and `he.reencrypt`
+all read plaintexts through it.  `sample_uniform` and `sample_error` draw a
+read set's residues directly (``count=``).
 
 An element's wire record (`RingElement.to_bytes`) is its residues alone, as
 one little-endian bitstream: row i takes q_i.bit_length() bits per residue,
@@ -344,13 +345,6 @@ class RingElement:
 
     # -- integer views ------------------------------------------------------------------
 
-    def to_int_coeffs(self, indices=None) -> np.ndarray:
-        """Centered CRT lift to Python integers (coefficient domain)."""
-        if self.ntt:
-            raise DomainError("integer lift requires coefficient domain")
-        cols = self.data if indices is None else self.data[:, indices]
-        return _crt_lift(self.params, self.moduli, cols)
-
     @classmethod
     def from_int_coeffs(
         cls,
@@ -566,8 +560,8 @@ def _sum_mod(x: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def coeffs_at(elems, read) -> list[Residues]:
-    """Coefficients ``read`` (in its order) of NTT-domain chain elements of
-    one layout, as `Residues`.
+    """Coefficients ``read`` (in its order, each in 0..n-1) of NTT-domain
+    chain elements of one layout, as `Residues`: every plaintext read.
 
     One coefficient is a dot product and needs no transform: coefficient k
     of x is n^-1 * sum_j x_j * w_j^-k over the slots j, where w_j is slot

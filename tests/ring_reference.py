@@ -285,3 +285,16 @@ def mirrored_coeffs(values, n: int) -> list:
         coeffs[k] = Fraction(v)
         coeffs[n - 1 - k] = Fraction(v) / 2
     return coeffs
+
+
+def int_coeffs(elem) -> list[int]:
+    """The centered integer coefficients of a coefficient-domain element,
+    combined from its residues by the Chinese remainder theorem."""
+    assert not elem.ntt
+    big_q = math.prod(elem.moduli)
+    acc = [0] * elem.params.n
+    for row, q in zip(elem.data.tolist(), elem.moduli):
+        m = big_q // q
+        e = m * pow(m, -1, q)
+        acc = [a + r * e for a, r in zip(acc, row)]
+    return [a - big_q if a > big_q // 2 else a for a in (a % big_q for a in acc)]

@@ -52,7 +52,7 @@ from fhefl.he import (
     rescale,
 )
 from fhefl.multikey import aggregate_fresh
-from fhefl.ring import RingElement, sample_error, sample_uniform
+from fhefl.ring import RingElement, coeffs_at, sample_error, sample_uniform
 
 import ring_reference as ref
 
@@ -125,7 +125,7 @@ def test_encode_hand_residues(hp):
     assert int(el.data[0, 0]) == 1536
     assert int(el.data[0, 1]) == q0 - 2304
     assert not el.data[0, 2:].any()
-    lifted = el.to_int_coeffs(indices=np.arange(2))
+    lifted = ref.int_coeffs(el)[:2]
     assert list(map(int, lifted)) == [1536, -2304]
 
 
@@ -136,7 +136,7 @@ def test_encode_hand_residues(hp):
 )
 def test_encode_rounds_the_exact_product(hp, v, scale):
     # a float product would round scale * v to 53 bits first
-    lifted = encode(hp, [v], scale=scale).to_int_coeffs(indices=[0])
+    lifted = ref.int_coeffs(encode(hp, [v], scale=scale))
     assert int(lifted[0]) == round(Fraction(scale) * Fraction(v))
 
 
@@ -171,8 +171,9 @@ def test_decode_matches_the_per_value_conversion(ints, scale):
     params = get_params("test-16")
     level = params.ring.max_level
     elem = RingElement.from_int_coeffs(params.ring, ints, level)
-    want = [float(int(x)) / scale for x in elem.to_int_coeffs(indices=np.arange(len(ints)))]
-    got = decode(elem, scale, len(ints))
+    want = [float(int(x)) / scale for x in ref.int_coeffs(elem)[: len(ints)]]
+    (read,) = coeffs_at([elem.to_ntt()], range(len(ints)))
+    got = decode(read, scale)
     assert got.dtype == np.float64 and got.tolist() == want
 
 
@@ -317,10 +318,21 @@ def test_reencrypt_keeps_the_exact_coefficient(hp, keys):
     rng = np.random.default_rng(76)
     out = reencrypt(ct, sk, common_poly(hp, seed=b"re-a"), rng, index=1, scale=2.0**60)
     assert (out.level, out.length, out.scale) == (hp.ring.max_level, 1, 2.0**60)
-    want = Fraction(int(_phase(ct, sk).to_int_coeffs(indices=[1])[0])) / Fraction(ct.scale)
-    got = int(_phase(out, sk).to_int_coeffs(indices=[0])[0])
+    want = Fraction(int(_phase(ct, sk, [1]).to_ints()[0])) / Fraction(ct.scale)
+    got = int(_phase(out, sk, [0]).to_ints()[0])
     assert abs(got - want * 2**60) < 64  # fresh encryption noise only
     np.testing.assert_allclose(decrypt(out, sk).values, [2.0**19 / 3.0], rtol=1e-12)
+
+
+def test_reencrypt_refuses_an_index_outside_the_ring(hp, keys):
+    # the index names a coefficient 0..n-1: n is no coefficient, and -1 must
+    # not wrap around to n-1
+    sk, _ = keys
+    ct = fresh(hp, sk, [0.25, -3.5], seed=79)
+    a = common_poly(hp, seed=b"re-out")
+    for index in (hp.ring.n, -1):
+        with pytest.raises(ParameterError, match="read set"):
+            reencrypt(ct, sk, a, np.random.default_rng(80), index=index, scale=2.0**40)
 
 
 def test_reencrypt_encrypts_at_the_level_of_a(hp, keys):
@@ -367,7 +379,7 @@ def test_encode_decode_roundtrip_directions(hp):
     v = np.array([0.5, -1.25, 3.0, 0.0, -7.5])
     for direction in ("forward", "mirrored"):
         el = encode(hp, v, direction=direction)
-        back = decode(el, hp.scale, len(v))
+        back = decode(coeffs_at([el.to_ntt()], range(len(v)))[0], hp.scale)
         np.testing.assert_allclose(back, v, atol=1e-9)
 
 
@@ -377,10 +389,10 @@ def test_reversed_is_mirrored(hp):
     # even: 3/2 -> 2, 1/2 -> 0)
     n = hp.ring.n
     el = encode(hp, [2.0, 4.0, 6.0], direction="mirrored", scale=1.0)
-    ints = el.to_int_coeffs(indices=np.arange(n))
+    ints = ref.int_coeffs(el)
     assert list(map(int, ints)) == [2, 4, 6] + [0] * (n - 6) + [3, 2, 1]
     el = encode(hp, [3.0, 1.0], direction="mirrored", scale=1.0)
-    assert list(map(int, el.to_int_coeffs(indices=[n - 2, n - 1]))) == [0, 2]
+    assert list(map(int, ref.int_coeffs(el)[n - 2 :])) == [0, 2]
 
 
 def test_encode_capacity_and_overflow(hp):
@@ -588,7 +600,7 @@ def test_mirrored_square_reads_the_exact_norm(name, lengths):
         # encode puts exactly that packing on the ring, doubled so that the
         # halves are integers
         doubled = encode(params, 2.0 * np.array(g), direction="mirrored", scale=1.0)
-        got = doubled.to_int_coeffs(indices=np.arange(n))
+        got = ref.int_coeffs(doubled)
         assert [int(c) for c in got] == [2 * c for c in m]
 
 
@@ -721,7 +733,7 @@ def _tracker_margin(ct, sk, want) -> float:
     """log2 of the tracked bound over the measured error: the largest gap
     between ct's phase and the exact ``want`` (coefficient units) on
     coefficients 0..len(want)-1."""
-    got = _phase(ct, sk).to_int_coeffs(indices=np.arange(len(want)))
+    got = _phase(ct, sk, range(len(want))).to_ints()
     err = max(abs(int(g) - w) for g, w in zip(got, want))
     return ct.noise_log2 - math.log2(max(float(err), 2.0**-30))
 

@@ -13,7 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fhefl.errors import DomainError, LevelError, ParameterError, SerializationError
-from fhefl.he import HeParams, get_params, preset_names
+from fhefl.he import (
+    HeParams,
+    SecretKey,
+    common_poly,
+    decrypt,
+    encrypt,
+    get_params,
+    preset_names,
+    reencrypt,
+)
 from fhefl.ntt import find_ntt_primes, is_prime
 from fhefl.ring import (
     RingElement,
@@ -137,8 +146,6 @@ def test_domain_errors():
     x = elem_from_coeffs(params, [1, 2, 3, 4])
     f = x.to_ntt()
     with pytest.raises(DomainError):
-        f.to_int_coeffs()
-    with pytest.raises(DomainError):
         rns_digits(x)
     with pytest.raises(DomainError):
         ring_mul(x, f)
@@ -176,7 +183,7 @@ def test_drop_level_matches_rational_oracle(p16):
         ints = [x % big_q for x in ints]
         ints = [x - big_q if x > big_q // 2 else x for x in ints]
         x = RingElement.from_int_coeffs(p16, ints, p16.max_level)
-        got = x.drop_last_modulus().to_int_coeffs().tolist()
+        got = ref.int_coeffs(x.drop_last_modulus())
         assert got == rescale_oracle(ints, mods[-1])
 
 
@@ -188,7 +195,9 @@ def test_read_set_drop_matches_rational_oracle(p16):
     read = [11, 0, 5]
     got = Residues(p16, x.data[:, read], top).drop_last_modulus()
     assert got.level == top - 1
-    assert got.to_ints().tolist() == rescale_oracle(x.to_int_coeffs(read).tolist(), p16.chain[top])
+    ints = ref.int_coeffs(x)
+    want = rescale_oracle([ints[k] for k in read], p16.chain[top])
+    assert got.to_ints().tolist() == want
     assert got == Residues(p16, x.drop_last_modulus().data[:, read], top - 1)
     with pytest.raises(LevelError):
         Residues(p16, x.data[:1, read], 0).drop_last_modulus()
@@ -199,6 +208,7 @@ def test_coeffs_at_reads_a_coefficient_without_a_transform(name, monkeypatch):
     # one coefficient is a dot product with the roots of X^-k; several are
     # read through grouped inverse transforms; both equal the coefficients
     # of to_coeff
+    import fhefl.he as he_mod
     import fhefl.ring as ring_mod
 
     params = get_params(name).ring
@@ -217,6 +227,27 @@ def test_coeffs_at_reads_a_coefficient_without_a_transform(name, monkeypatch):
     for k in (0, 1, params.n // 2, params.n - 1):
         got = coeffs_at(elems, [k])
         assert [g.data[:, 0].tolist() for g in got] == [c[:, k].tolist() for c in coeffs]
+    assert calls == []
+    # decrypt of a length-1 ciphertext and reencrypt of coefficient n-1 read
+    # the phase the same way: no transform, and the value and the integer
+    # that a full to_coeff read of the phase gives
+    hp = get_params(name)
+    sk = SecretKey.generate(hp, seed=b"at-sk")
+    rng = np.random.default_rng(5)
+    a = common_poly(hp, seed=b"at-a", level=level)
+    ct = encrypt(hp, [0.3], sk, a, rng, level=level, direction="mirrored")
+    phase = ref.int_coeffs(ct.c0.sub(ct.c1.mul(sk.s.mod_reduce_to(level))).to_coeff())
+    encoded = []
+
+    def plaintext(*args, real=he_mod._plaintext):
+        encoded.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(he_mod, "_plaintext", plaintext)
+    calls.clear()
+    assert decrypt(ct, sk).values.tolist() == [float(phase[0]) / ct.scale]
+    reencrypt(ct, sk, a, rng, index=params.n - 1, scale=ct.scale)
+    assert encoded == [[phase[-1]]]
     assert calls == []
     read = [params.n - 1, 0, 3]
     got = coeffs_at(elems, read)
@@ -308,7 +339,8 @@ def test_int_coeff_roundtrip_huge_values(p16):
     ints = [((x % big_q) + big_q) % big_q for x in ints]
     ints = [x - big_q if x > big_q // 2 else x for x in ints]
     x = RingElement.from_int_coeffs(p16, ints, p16.max_level)
-    assert x.to_int_coeffs().tolist() == ints
+    assert ref.int_coeffs(x) == ints
+    assert Residues(p16, x.data, x.level).to_ints().tolist() == ints
 
 
 @pytest.mark.parametrize("head", [[5, -3], [2**70, -1], np.array([5, -3], dtype=np.int64)])
@@ -341,12 +373,12 @@ def test_uniform_sampling_deterministic(p16):
 def test_ternary_support_and_determinism(p16):
     s = sample_ternary(p16, b"user-7")
     assert s == sample_ternary(p16, b"user-7")
-    lifted = s.to_int_coeffs().tolist()
+    lifted = ref.int_coeffs(s)
     assert set(lifted) <= {-1, 0, 1}
     # all three symbols should appear over a few hundred draws
     seen = set()
     for i in range(40):
-        seen |= set(sample_ternary(p16, i).to_int_coeffs().tolist())
+        seen |= set(ref.int_coeffs(sample_ternary(p16, i)))
     assert seen == {-1, 0, 1}
 
 
@@ -357,7 +389,7 @@ def test_error_sampler_tail_bound(p16):
     seen = []
     while len(seen) < 10_000:
         e = sample_error(p16, rng, sigma)
-        seen.extend(e.to_int_coeffs().tolist())
+        seen.extend(ref.int_coeffs(e))
     seen = np.array(seen[:10_000], dtype=float)
     assert np.abs(seen).max() <= 6 * sigma
     assert np.abs(seen.mean()) < 0.5
@@ -478,4 +510,4 @@ def test_serialization_refuses_a_residue_at_or_above_q_inside_its_width(params):
 def test_mul_scalar(p16):
     x = elem_from_coeffs(p16, [5, -3, 2])
     out = x.mul_scalar(-4)
-    assert out.to_int_coeffs()[:3].tolist() == [-20, 12, -8]
+    assert ref.int_coeffs(out)[:3] == [-20, 12, -8]
