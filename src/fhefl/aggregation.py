@@ -25,12 +25,13 @@ The encrypted path mirrors the plain one stage for stage:
 3. rate:        [p_u] = plain_affine([d_u], -1/((U-1)*sum_d), 1/(U-1)).
 4. re-encrypt:  the rate ciphertext is a dense product polynomial, so it
                 cannot be multiplied cleanly against a packed gradient.  The
-                server blinds the readout coefficient with a random rho_u,
-                user u decrypts the blinded scalar and returns a fresh
-                encryption of it, and the server subtracts rho_u again.  The
-                user only ever sees p_u + rho_u; the server never sees p_u.
+                server blinds the readout coefficient with a random rho_u
+                up to the plan's blind, user u decrypts the blinded scalar
+                and returns a fresh encryption of it, and the server
+                subtracts rho_u again.  The user only ever sees
+                p_u + rho_u; the server never sees p_u.
                 The fresh rate is exact (no float rounding) and sits at
-                scale * 2^flood_sigma_bits, so the flooding noise of the
+                the plan's fresh scale, so the flooding noise of the
                 aggregate leg's partial decryptions stays far below it.
 5. check:       sum_u [p~_u] is opened under the masked group key and must be
                 ~1, so a user cannot inflate their weight while re-encrypting.
@@ -53,38 +54,26 @@ Every opening reads a public set of coefficients and each user sends its
 partial decryption of those alone, so the round reveals the distance total,
 the rate total and the packed update, and no other coefficient.
 
-Every stage runs at the lowest level that holds it, chosen from public data
-only (the chain and the ciphertext scales; the level plan is in
-:mod:`fhefl.he`).  Dropping chain primes is exact and, in the NTT domain, a
-row slice, so each leg only pays for the primes it needs: fewer rows to
-multiply, key-switch, mask and send, and evaluation keys that stop at the
-upload level.  The round opens values below 2^_VALUE_BITS in magnitude (the
-distance total, the rate total and each coordinate of the weighted update);
-a leg opens at the lowest level Q_l with Q_l >= scale * 2^(_VALUE_BITS + 1)
-(``_open_level``).
+Every stage runs at the lowest level that holds it: its level, scale and
+blind are the round's ``he.RoundPlan``, built by ``he.round_plan`` from the
+chain and the scales alone.  Dropping chain primes is exact and, in the NTT
+domain, a row slice, so each leg only pays for the primes it needs: fewer
+rows to multiply, key-switch, mask and send, and evaluation keys that stop
+at the upload level.  ``encrypt_update`` encrypts the uploads at the plan's
+upload level, so no row of an upload is sent only to be dropped, and their
+c1 travels as the round seed (see ``he.ciphertext_to_bytes``).  Before any
+stage the round refuses an upload whose level, scale, chunk count, chunk
+length or packing differs from what the preset and the model's dimension
+fix, or whose c1 differs from the others'.
 
-* norm: the lowest level at which the product's distance still opens and
-  the rate, two rescales below, still takes the full 2^20 blind
-  (``_norm_level``; level 3 at fhefl-16384, 2 at fhefl-8192, the top level 3
-  at test-1024).  ``encrypt_update`` encrypts the uploads there, so no row of
-  an upload is sent only to be dropped, and their c1 travels as the round
-  seed (see ``he.ciphertext_to_bytes``).  Before any stage the round
-  refuses an upload whose level, scale, chunk count, chunk length or
-  packing differs from what the preset and the model's dimension fix, or
-  whose c1 differs from the others'.
-* d-sum: the distances drop to their opening level before the partials.  A
-  total that opens below zero by more than ``multikey.opening_noise`` wrapped
-  that level's modulus, and the round aborts rather than fall back to uniform
-  rates; one within that noise of zero is the all-zero round, which takes
-  the uniform rates.
-* rate: two levels below the uploads, as the affine map rescales once.
-* re-encrypt, check, aggregate: a2 is drawn at the aggregate level, the
-  lowest level that holds rate * gradient at the product's scale, and the
-  fresh rates are encrypted there; the uploads drop to it for the product,
-  whose opened residues are divided by q_agg (its rescale, a level lower).
-  The rate-sum check opens the fresh rates at that same level, under keys
-  masked there, never below the product, so an inflated rate cannot wrap the
-  check without also wrapping the product.
+A distance total that opens below zero by more than
+``multikey.opening_noise`` wrapped its opening modulus, and the round aborts
+rather than fall back to uniform rates; one within that noise of zero is
+the all-zero round, which takes the uniform rates.  The uploads drop to the
+aggregate level for the product, whose opened residues are divided by q_agg
+(its rescale, a level lower).  The rate-sum check opens the fresh rates at
+that same level, under keys masked there, never below the product, so an
+inflated rate cannot wrap the check without also wrapping the product.
 """
 
 from __future__ import annotations
@@ -102,11 +91,8 @@ from .he import (
     _VALUE_BITS,
     Ciphertext,
     PlainVector,
-    _blind_bound,
     _he_mult_raw,
     _monomial,
-    _norm_level,
-    _open_level,
     _scaled_round,
     common_poly,
     encode_monomial,
@@ -115,6 +101,7 @@ from .he import (
     he_mult_relin,
     plain_affine,
     reencrypt,
+    round_plan,
 )
 from .multikey import (
     UserKeyring,
@@ -315,9 +302,9 @@ def encrypt_update(
         raise ParameterError("gradients must be finite non-empty 1-d vectors")
     params = kr.params
     chunks = split_chunks(grad, params.capacity)
-    # the round reads the uploads at the norm level and below, so the rows
+    # the round reads the uploads at the upload level and below, so the rows
     # above it would be sent only to be dropped
-    level = _norm_level(params)
+    level = round_plan(params).upload_level
     packed = [PlainVector(c, "mirrored") for c in chunks]
     cts = encrypt(params, packed, kr.sk, a, rng, level=level)
     return EncryptedUpdate(user_id=kr.user_id, epoch=kr.epoch, chunks=cts, dim=grad.size)
@@ -370,11 +357,6 @@ def rates_encrypted(
 
 # How far the opened sum of the re-encrypted rates may sit from 1.
 _RATE_SUM_TOL = 0.05
-
-
-def _opened(ct: Ciphertext) -> Ciphertext:
-    """ct at the lowest level that holds a value below 2^_VALUE_BITS."""
-    return ct.mod_reduce_to(min(_open_level(ct.params, ct.scale), ct.level))
 
 
 def _open_sums(openings, keyrings: dict, read, tags, roster, rng) -> list[np.ndarray]:
@@ -432,11 +414,11 @@ def secure_aggregate_round(
         raise ProtocolError(f"missing keyrings for users {sorted(set(users) - set(keyrings))}")
     params = keyrings[users[0]].params
     epoch = keyrings[users[0]].epoch
+    plan = round_plan(params)
     # the upload contract, from the preset and the model alone
     w_prev = np.asarray(w_prev, dtype=np.float64)
     n_chunks, chunk_len = _chunk_shape(w_prev.size, params.capacity)
     ri = params.ring.n - 1
-    l_norm = _norm_level(params)
     for u in users:
         eu, kr = enc_updates[u], keyrings[u]
         if eu.user_id != u or kr.user_id != u:
@@ -458,28 +440,24 @@ def secure_aggregate_round(
                     f"user {u}'s upload has a {ct.direction} chunk; the round takes "
                     "mirrored chunks"
                 )
-            if (ct.level, ct.scale, ct.length) != (l_norm, params.scale, chunk_len):
+            if (ct.level, ct.scale, ct.length) != (plan.upload_level, params.scale, chunk_len):
                 raise ProtocolError(
                     f"user {u}'s upload sits at level {ct.level}, scale "
-                    f"2^{math.log2(ct.scale):g}, length {ct.length}; the round takes "
-                    f"level {l_norm}, scale 2^{params.scale_bits}, length {chunk_len}"
+                    f"2^{math.log2(ct.scale):g}, length {ct.length}; the round takes level "
+                    f"{plan.upload_level}, scale 2^{params.scale_bits}, length {chunk_len}"
                 )
             if ct.c1 != a:
                 raise ProtocolError(f"user {u}'s upload is off the round's public polynomial")
     roster = users
     n_users = len(users)
-    # The aggregate leg's partial decryptions carry sigma * 2^flood_sigma_bits
-    # flooding noise; a rate at the scale raised by the same factor keeps
-    # that noise from setting the precision of the opened update.
-    fresh_scale = params.scale * 2.0**params.flood_sigma_bits
-    l_agg = max(1, min(_open_level(params, fresh_scale * params.scale), l_norm))
+    l_agg = plan.aggregate_level
 
     with _stage("norm"):
         evks = [keyrings[u].evk for u in users]
         d_cts = dict(zip(users, sq_norm_encrypted([enc_updates[u] for u in users], evks)))
 
     with _stage("distance-sum"):
-        d_open = {u: _opened(d_cts[u]) for u in users}
+        d_open = {u: d_cts[u].mod_reduce_to(plan.distance_level) for u in users}
         (opened,) = _open_sums([d_open], keyrings, [ri], [round_tag + b"|dsum"], roster, rng)
         sum_d = float(opened[0])
         noise = opening_noise(d_open.values())
@@ -503,12 +481,7 @@ def secure_aggregate_round(
 
     with _stage("re-encrypt"):
         a2 = common_poly(params, seed=round_tag + b"|a2", level=l_agg)
-        p0 = p_cts[users[0]]
-        bound = _blind_bound(params, p0.level, p0.scale)
-        if bound < 4.0:
-            raise ProtocolError(f"blinding headroom {bound:.2g} too small at level {p0.level}")
-        del p0
-        blinds = {u: float(rng.uniform(-bound, bound)) for u in users}
+        blinds = {u: float(rng.uniform(-plan.blind, plan.blind)) for u in users}
         p_fresh = {}
         for u in users:
             pct = p_cts.pop(u)
@@ -518,7 +491,7 @@ def secure_aggregate_round(
             # server -> user: additively blinded rate (still under s_u only)
             blinded = replace(pct, comps=(pct.c0.add(mask), pct.c1))
             # user: re-encrypt the blinded readout coefficient fresh, at a2's level
-            fresh = reencrypt(blinded, keyrings[u].sk, a2, rng, index=ri, scale=fresh_scale)
+            fresh = reencrypt(blinded, keyrings[u].sk, a2, rng, index=ri, scale=plan.fresh_scale)
             # server: strip the blind homomorphically
             unmask = encode_monomial(params, blinds[u], 0, fresh.level, scale=fresh.scale)
             p_fresh[u] = replace(fresh, comps=(fresh.c0.sub(unmask), fresh.c1), msg_bound=1.0)

@@ -48,12 +48,10 @@ L, and ``he_mult_relin`` refuses a product above its key's level before any
 work.  A key holds its public half as a seed
 (``EvalKey.generate(..., a_seed=)``, or 32 bytes of the key's rng): a_0..a_L
 are expanded from it on each use, so the key holds its own half ``ks_b``
-alone.  The round's level plan
-sits beside ``product_scale`` and ``affine_scale``, computed from the chain
-and the scales alone: ``_open_level`` is the lowest level that opens a value
-below 2^_VALUE_BITS at a scale, ``_blind_bound`` the blind a rate takes at a
-level, and ``_norm_level`` the level of the uploads.  The round relinearizes at that
-level and below, so :mod:`fhefl.multikey` builds every user's key there.
+alone.  ``round_plan`` builds the round's ``RoundPlan``, each leg's level,
+scale and blind, from the chain and the scales alone.  The round
+relinearizes at the plan's upload level and below, so :mod:`fhefl.multikey`
+builds every user's key there.
 
 ``rescale``, ``he_mult_relin`` and ``plain_affine`` take one ciphertext (or
 pair) or a sequence of them; a sequence is rescaled through batched
@@ -825,20 +823,9 @@ def rescale(ct) -> Ciphertext | tuple[Ciphertext, ...]:
     return tuple(out) if batch else out[0]
 
 
-def product_scale(params: HeParams, scale_x: float, scale_y: float, level: int) -> float:
-    """Scale of ``he_mult_relin`` of two ciphertexts at ``level``."""
-    return scale_x * scale_y / params.ring.chain[level]
-
-
-def affine_scale(params: HeParams, scale: float, level: int) -> float:
-    """Scale of ``plain_affine`` of a ciphertext at ``level``: the multiplier
-    is encoded at ``params.scale`` and the product rescaled once."""
-    return scale * params.scale / params.ring.chain[level]
-
-
-# The round's level plan (see :mod:`fhefl.aggregation`), from public data
-# only: every value the round opens is below 2^_VALUE_BITS in magnitude, and
-# a rate is blinded by at most _MAX_BLIND.
+# The round's plan (see :mod:`fhefl.aggregation`), from public data only:
+# every value the round opens is below 2^_VALUE_BITS in magnitude, and a
+# rate is blinded by at most _MAX_BLIND.
 _VALUE_BITS = 32
 _MAX_BLIND = 2.0**20
 
@@ -857,26 +844,63 @@ def _open_level(params: HeParams, scale: float) -> int:
     return params.ring.max_level
 
 
-def _blind_bound(params: HeParams, level: int, scale: float) -> float:
-    """Largest safe blinding magnitude for a rate at this level and scale."""
-    headroom = float(_modulus(params, level) // 2) / (scale * 16.0)
-    return min(_MAX_BLIND, headroom)
+@dataclass(frozen=True)
+class RoundPlan:
+    """Each leg of the encrypted round's level and scale, from ``round_plan``.
+
+    The uploads sit at the lowest level whose distance opens and whose rate
+    takes the full ``_MAX_BLIND`` (the top level if none does); a rate's
+    blind is the largest its modulus holds with a factor 16 to spare.  The
+    fresh rates take the scale raised by 2^flood_sigma_bits, so that the
+    aggregate leg's flooding stays far below them, and sit at the lowest
+    level (at least 1, at most the uploads') that holds a rate times a
+    gradient.
+    """
+
+    upload_level: int  # the uploads, the norm products and the evaluation keys
+    distance_scale: float  # a distance, after its product's rescale
+    distance_level: int  # the lowest level that opens a distance
+    rate_level: int
+    rate_scale: float  # a rate, after the affine map's rescale
+    blind: float
+    fresh_scale: float  # a re-encrypted rate
+    aggregate_level: int  # the fresh rates, the rate-sum check and the products
 
 
-def _norm_level(params: HeParams) -> int:
-    """Lowest upload level whose squared norm opens and whose rate, after the
-    product's rescale and the affine map's, takes the full blind; the top
-    level if none does.  The round relinearizes at this level and below, so
-    it is also the level of every user's evaluation key."""
-    for level in range(2, params.ring.max_level + 1):
-        d_scale = product_scale(params, params.scale, params.scale, level)
-        p_scale = affine_scale(params, d_scale, level - 1)
-        if (
-            _open_level(params, d_scale) < level
-            and _blind_bound(params, level - 2, p_scale) >= _MAX_BLIND
-        ):
-            return level
-    return params.ring.max_level
+def round_plan(params: HeParams) -> RoundPlan:
+    """The round's ``RoundPlan`` at ``params``; ``ParameterError``, naming the
+    preset and the leg, for a chain that cannot hold the round."""
+    chain, top = params.ring.chain, params.ring.max_level
+
+    def refuse(leg: str, why: str):
+        raise ParameterError(f"preset {params.name!r} cannot hold the round: [{leg}] {why}")
+
+    def legs(level: int) -> tuple[float, float, float]:
+        # a distance after its product's rescale, a rate after the affine
+        # map's (its multiplier encoded at params.scale), and the rate's blind
+        d_scale = params.scale * params.scale / chain[level]
+        p_scale = d_scale * params.scale / chain[level - 1]
+        headroom = float(_modulus(params, level - 2) // 2) / (p_scale * 16.0)
+        return d_scale, p_scale, min(_MAX_BLIND, headroom)
+
+    def fits(level: int) -> bool:
+        d_scale, _, blind = legs(level)
+        return _open_level(params, d_scale) < level and blind >= _MAX_BLIND
+
+    if top < 2:
+        refuse("rate", f"a chain of {top + 1} levels leaves none for the rate's rescale")
+    upload = next((level for level in range(2, top + 1) if fits(level)), top)
+    d_scale, p_scale, blind = legs(upload)
+    d_level = _open_level(params, d_scale)
+    fresh = params.scale * 2.0**params.flood_sigma_bits
+    agg = max(1, min(_open_level(params, fresh * params.scale), upload))
+    if d_level >= upload:
+        refuse("distance-sum", f"no level below the uploads' {upload} opens the distance")
+    if blind < 4.0:
+        refuse("re-encrypt", f"blinding headroom {blind:.2g} too small at level {upload - 2}")
+    if _modulus(params, agg) < fresh * params.scale * 2.0 ** (_VALUE_BITS + 1):
+        refuse("aggregate", f"level {agg} does not hold a rate times a gradient")
+    return RoundPlan(upload, d_scale, d_level, upload - 2, p_scale, blind, fresh, agg)
 
 
 def he_mult_relin(x, y, evk) -> Ciphertext | tuple[Ciphertext, ...]:

@@ -42,7 +42,7 @@ rows of |R| coefficient residues.  The deserialisers refuse another preset,
 a level outside the chain and any other length.
 
 ``setup_pairwise`` builds each user's evaluation key at the round's upload
-level (``he._norm_level``), the highest level the round relinearizes at, so
+level (``he.RoundPlan``), the highest level the round relinearizes at, so
 the key carries no pair or row above it: at fhefl-16384 that is 4 of 5 pairs
 of 5 of 6 rows.  Each key holds its public half a_0..a_L as a seed drawn
 from the master seed, the user and the epoch, never from a user's secret, and
@@ -71,11 +71,11 @@ from .he import (
     HeParams,
     SecretKey,
     _check_addable,
-    _norm_level,
     _read_record_head,
     _record_head,
     decode,
     decrypt,
+    round_plan,
 )
 from .ntt import add_mod, sub_mod
 from .ring import RingElement, Residues, coeffs_at, sample_error, sample_uniform
@@ -192,14 +192,14 @@ def setup_pairwise(
     Per-epoch secrets are re-derived from each user's long-term seed, so
     rotating the epoch refreshes s_u and the evaluation key while the pairwise
     seeds stay put.  Each evaluation key sits at the round's upload level
-    (``he._norm_level``), the highest level the round relinearizes at, and
+    (``he.round_plan``), the highest level the round relinearizes at, and
     holds its public half as a seed of the master seed, the user and the
-    epoch.
+    epoch.  A chain that cannot hold the round is refused before any key.
     """
+    evk_level = round_plan(params).upload_level
     ids = list(user_ids)
     if len(set(ids)) != len(ids):
         raise ProtocolError("duplicate user ids in setup")
-    evk_level = _norm_level(params)
     rings: dict[int, UserKeyring] = {}
     for u in ids:
         secret_seed = _h(master_seed, b"user", str(u).encode())

@@ -41,14 +41,16 @@ from fhefl.he import (
     decode,
     decrypt,
     encode,
+    encode_monomial,
     encrypt,
     get_params,
     he_add,
     he_mult_relin,
     preset_names,
+    round_plan,
 )
-from fhefl.multikey import PartialDecryption, setup_pairwise
-from fhefl.ring import RingElement, coeffs_at, sample_error
+from fhefl.multikey import PartialDecryption, aggregate_fresh, group_decrypt, setup_pairwise
+from fhefl.ring import RingElement, Residues, coeffs_at, sample_error
 
 import ring_reference as ref
 
@@ -434,42 +436,60 @@ def test_pipeline_precision_beyond_partial_decryption_flooding():
     assert np.max(np.abs(w_enc - w_plain)) < 2.0**-22 * step
 
 
+# the round's plan per preset: the upload (and key) level, the level the
+# distances open at, the rate's level and blind, the fresh rates' scale and
+# the aggregate level.  test-16 has no level whose rate takes the full 2^20
+# blind, so its uploads sit at the top level and its blind is what level 0
+# holds
+ROUND_PLAN = {
+    "test-16": (2, 1, 0, 1023.9999999560932, 2.0**60, 2),
+    "test-1024": (3, 1, 1, 2.0**20, 2.0**60, 2),
+    "fhefl-8192": (2, 1, 0, 2.0**20, 2.0**45, 2),
+    "fhefl-16384": (3, 1, 1, 2.0**20, 2.0**80, 2),
+}
+
+
 @pytest.mark.parametrize("name", preset_names())
-def test_raised_rate_scale_fits_every_level(name):
-    # the re-encrypted rate lives at scale * 2^flood_sigma_bits; the blinded
-    # rate (the blind is at most 2^20) and the unmask must encode at the top
-    # level, and rate * gradient (|p * g| <= 2^8) must fit before and after
-    # the aggregate product's rescale, each with 2^16 to spare
-    params = get_params(name)
-    ring = params.ring
-    top = ring.max_level
-    fresh = params.scale * 2.0**params.flood_sigma_bits
-    margin = 2.0**16
-    encode(params, [(2.0**20 + 1.0) * margin], top, scale=fresh)
-    product = fresh * params.scale
-    encode(params, [2.0**8 * margin], top, scale=product)
-    encode(params, [2.0**8 * margin], top - 1, scale=product / ring.chain[top])
+def test_round_plan_pins_every_leg(name):
+    plan = round_plan(get_params(name))
+    got = (
+        plan.upload_level,
+        plan.distance_level,
+        plan.rate_level,
+        plan.blind,
+        plan.fresh_scale,
+        plan.aggregate_level,
+    )
+    assert got == ROUND_PLAN[name]
 
 
-# (upload level of the norm stage, level of the aggregate product) per preset
-ROUND_LEVELS = {"test-1024": (3, 2), "fhefl-8192": (2, 2), "fhefl-16384": (3, 2)}
+def test_readme_round_plan_table():
+    # the README's level plan is round_plan's, preset by preset (the blind in
+    # whole units, the fresh scale as a power of two)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cells = r" +\| (\d+)" * 3 + r" +\| ([\d,]+) +\| 2\^(\d+) +\| (\d+) +\|$"
+    rows = re.findall(r"^\| `([\w-]+)`" + cells, readme, re.M)
+    assert [name for name, *_ in rows] == preset_names()
+    for name, upload, distance, rate, blind, fresh, agg in rows:
+        plan = round_plan(get_params(name))
+        want = (plan.upload_level, plan.distance_level, plan.rate_level)
+        assert (int(upload), int(distance), int(rate)) == want
+        assert int(blind.replace(",", "")) == math.floor(plan.blind)
+        assert (2.0 ** int(fresh), int(agg)) == (plan.fresh_scale, plan.aggregate_level)
 
 
-@pytest.mark.parametrize("name", sorted(ROUND_LEVELS))
+@pytest.mark.parametrize("name", ["fhefl-16384", "fhefl-8192", "test-1024"])
 def test_round_levels_hold_every_opened_value(name):
-    # the round picks each leg's level from the chain and the scales alone;
-    # rebuild the legs with real ciphertexts at those levels and check that
-    # every opened value below 2^_VALUE_BITS fits, one level lower would not,
-    # and the rate still takes the full 2^20 blind
+    # rebuild the legs with real ciphertexts at the plan's levels and check
+    # that every opened value below 2^_VALUE_BITS fits, one level lower would
+    # not, and the rate takes the full 2^20 blind
     params = get_params(name)
+    plan = round_plan(params)
     kr = setup_pairwise(params, [0, 1], 0, b"levels")[0]
     rng = np.random.default_rng(21)
     eu = encrypt_update(kr, rng.uniform(-1, 1, 8), common_poly(params, seed=b"levels-a"), rng)
     value = 2.0**agg_mod._VALUE_BITS - 1
-    fresh_scale = params.scale * 2.0**params.flood_sigma_bits
-    l_norm = agg_mod._norm_level(params)
-    l_agg = agg_mod._open_level(params, fresh_scale * params.scale)
-    assert (l_norm, l_agg) == ROUND_LEVELS[name]
+    l_agg = plan.aggregate_level
 
     def holds_only_from(level, scale):
         encode(params, [value], level, scale=scale)
@@ -479,66 +499,91 @@ def test_round_levels_hold_every_opened_value(name):
 
     # distance-sum: the distance opens at the lowest level that holds it
     d = sq_norm_encrypted(eu, kr.evk)
-    holds_only_from(agg_mod._opened(d).level, d.scale)
-    # rate: two rescales below the uploads, with the full blind and room for it
+    holds_only_from(plan.distance_level, d.scale)
+    # rate: the full blind, and room for it
     p = rates_encrypted(d, 10.0, 2, readout=eu.readout)
-    assert p.level == l_norm - 2
-    assert agg_mod._blind_bound(params, p.level, p.scale) == 2.0**20
-    encode(params, [2.0**20 + 1.0], p.level, scale=p.scale)
+    assert (p.level, p.scale, plan.blind) == (plan.rate_level, plan.rate_scale, 2.0**20)
+    encode(params, [plan.blind + 1.0], p.level, scale=p.scale)
     # rate-sum check: the fresh rates open at the product's own level
     a2 = common_poly(params, seed=b"levels-a2", level=l_agg)
-    fresh = encrypt(params, [0.5], kr.sk, a2, rng, level=l_agg, scale=fresh_scale)
-    encode(params, [value], l_agg, scale=fresh_scale)
+    fresh = encrypt(params, [0.5], kr.sk, a2, rng, level=l_agg, scale=plan.fresh_scale)
+    encode(params, [value], l_agg, scale=plan.fresh_scale)
     # aggregate: the product opens after its rescale
     prod = he_mult_relin(fresh, eu.chunks[0].mod_reduce_to(l_agg), kr.evk)
     holds_only_from(prod.level, prod.scale)
 
 
-@pytest.mark.parametrize("name, n_users, dim", [("test-1024", 3, 64), ("fhefl-16384", 2, 8)])
+@pytest.mark.parametrize(
+    "name, n_users, dim", [("test-16", 3, 12), ("test-1024", 3, 64), ("fhefl-16384", 2, 8)]
+)
 def test_round_runs_each_leg_at_its_level(monkeypatch, name, n_users, dim):
-    # an instrumented round: the products run at the levels above, every
-    # partial decryption has two rows, and the rate-sum check opens at the
-    # level of the aggregate product
+    # an instrumented round: the uploads, distances, rates, fresh rates and
+    # aggregate products sit at the plan's level and scale, the distance sum
+    # opens at the plan's level, each chunk of the update a level below its
+    # products, and the rate-sum check at the level of the products
     hp = get_params(name)
-    l_norm, l_agg = ROUND_LEVELS[name]
-    seen = {"partial_rows": [], "check": [], "product": set()}
-    real_partial = agg_mod.masked_partial_decrypt
-    real_group = agg_mod.group_decrypt
-    real_mult = agg_mod.he_mult_relin
-    real_raw = agg_mod._he_mult_raw
+    plan = round_plan(hp)
+    seen = {"upload": set(), "distance": set(), "rate": set(), "fresh": set()}
+    seen.update(product=set(), check=set(), partial_levels=[])
+    real = {
+        attr: getattr(agg_mod, attr)
+        for attr in (
+            "masked_partial_decrypt", "group_decrypt", "he_mult_relin",
+            "plain_affine", "reencrypt", "_he_mult_raw",
+        )
+    }
+
+    def at(key, cts):
+        for ct in cts if isinstance(cts, (list, tuple)) else [cts]:
+            seen[key].add((ct.level, ct.scale))
 
     def partial(*args):
-        out = real_partial(*args)
-        seen["partial_rows"].append(out.elem.data.shape[0])
+        out = real["masked_partial_decrypt"](*args)
+        seen["partial_levels"].append(out.elem.level)
         return out
 
     def group(ct, gk):
-        seen["check"].append(ct.level)
-        return real_group(ct, gk)
+        at("check", ct)
+        return real["group_decrypt"](ct, gk)
 
-    def mult(x, y, *args):
-        # a batched call passes sequences of operands: record every pair
-        batch = isinstance(x, (list, tuple))
-        for xi, yi in zip(x, y) if batch else [(x, y)]:
-            seen["product"].add((xi.level, yi.level))
-        return real_mult(x, y, *args)
+    def mult(x, y, evk):
+        at("upload", x)
+        at("upload", y)
+        out = real["he_mult_relin"](x, y, evk)
+        seen["distance"].update(ct.scale for ct in out)
+        return out
 
-    def raw(x, y, *args):
-        seen["product"].add((x.level, y.level))
-        return real_raw(x, y, *args)
+    def affine(ct, *args, **kw):
+        out = real["plain_affine"](ct, *args, **kw)
+        at("rate", out)
+        return out
 
-    monkeypatch.setattr(agg_mod, "masked_partial_decrypt", partial)
-    monkeypatch.setattr(agg_mod, "group_decrypt", group)
-    monkeypatch.setattr(agg_mod, "he_mult_relin", mult)
-    monkeypatch.setattr(agg_mod, "_he_mult_raw", raw)
+    def reencrypt(*args, **kw):
+        out = real["reencrypt"](*args, **kw)
+        at("fresh", out)
+        return out
+
+    def raw(x, y, d2):
+        out = real["_he_mult_raw"](x, y, d2)
+        at("product", out)
+        return out
+
+    for attr, spy in zip(real, (partial, group, mult, affine, reencrypt, raw)):
+        monkeypatch.setattr(agg_mod, attr, spy)
     w_enc, w_plain = run_both(hp, n_users=n_users, dim=dim, seed=23)
     np.testing.assert_allclose(w_enc, w_plain, rtol=1e-2, atol=1e-4)
-    assert seen["partial_rows"] == [2] * (2 * n_users)  # distance-sum, one chunk
-    assert seen["product"] == {(l_norm, l_norm), (l_agg, l_agg)}  # norm, aggregate
-    assert seen["check"] == [l_agg]
+    agg = plan.aggregate_level
+    assert seen["upload"] == {(plan.upload_level, hp.scale)}
+    assert seen["distance"] == {plan.distance_scale}
+    assert seen["rate"] == {(plan.rate_level, plan.rate_scale)}
+    assert seen["fresh"] == seen["check"] == {(agg, plan.fresh_scale)}
+    assert seen["product"] == {(agg, plan.fresh_scale * hp.scale)}
+    n_chunks, _ = agg_mod._chunk_shape(dim, hp.capacity)
+    opened = [plan.distance_level] * n_users + [agg - 1] * (n_chunks * n_users)
+    assert seen["partial_levels"] == opened
 
 
-@pytest.mark.parametrize("name", sorted(ROUND_LEVELS))
+@pytest.mark.parametrize("name", ["fhefl-16384", "fhefl-8192", "test-1024"])
 def test_encrypt_update_uploads_at_the_norm_level(name):
     # the round reads the uploads at the norm level and below, so they are
     # encrypted there, against one reduction of a that keeps the round seed
@@ -548,7 +593,7 @@ def test_encrypt_update_uploads_at_the_norm_level(name):
     g = rng.uniform(-1, 1, 8)
     a = common_poly(params, seed=b"upload-a")
     eu = encrypt_update(kr, g, a, rng)
-    l_norm = ROUND_LEVELS[name][0]
+    l_norm = round_plan(params).upload_level
     cts = eu.chunks
     assert {ct.level for ct in cts} == {l_norm}
     assert all(ct.c1 is cts[0].c1 for ct in cts)
@@ -572,7 +617,7 @@ def test_encrypt_update_is_one_encryption_per_ciphertext(name, dim, chunks):
     g = np.random.default_rng(8).uniform(-1, 1, dim)
     rng, one_rng, ref_rng = (np.random.default_rng(9) for _ in range(3))
     eu = encrypt_update(kr, g, a, rng)
-    level = agg_mod._norm_level(params)
+    level = round_plan(params).upload_level
     a_s = a.mod_reduce_to(level).mul(kr.sk.s.mod_reduce_to(level))
     split = split_chunks(g, params.capacity)
     assert len(split) == eu.n_chunks == chunks
@@ -602,7 +647,7 @@ def test_readme_bytes_per_chunk_table():
     assert [name for name, *_ in rows] == ["test-1024", "fhefl-8192", "fhefl-16384"]
     for name, upload, top, size in rows:
         params = get_params(name)
-        level = agg_mod._norm_level(params)
+        level = round_plan(params).upload_level
         sk = SecretKey.generate(params, seed=b"readme-sk")
         a = common_poly(params, seed=bytes(16))
         rng = np.random.default_rng(34)
@@ -788,7 +833,7 @@ def test_zero_reversed_half_does_not_raise_the_rate(hp):
         a = common_poly(hp, seed=b"zero-rev-a")
         enc = {u: encrypt_update(rings[u], grads[u], a, rng) for u in range(n)}
         if zero_mirror:
-            level = agg_mod._norm_level(hp)
+            level = round_plan(hp).upload_level
             fwd = encrypt(hp, grads[3], rings[3].sk, a, rng, level=level)
             enc[3] = replace(enc[3], chunks=(replace(fwd, direction="mirrored"),))
         w_prev = np.zeros(n)
@@ -819,6 +864,112 @@ def test_an_upload_does_not_open_without_a_key():
     tail = grad.size - eu.chunk_len  # chunk 1's values before its padding
     recovered = opened[tail:]
     assert np.abs(recovered - grad[tail : eu.chunk_len]).max() > 0.1
+
+
+def _leak_round(tag: bytes):
+    """The shape the known leaks were measured on: test-1024, 4 users, dim
+    40, user 0's gradient 8x.  Returns the params, the keyrings, the
+    gradients, the uploads, a function that runs the round and the plain
+    oracle's next model."""
+    params = get_params("test-1024")
+    rng = np.random.default_rng(47)
+    rings = setup_pairwise(params, range(4), 0, tag)
+    grads = rng.uniform(-1, 1, (4, 40))
+    grads[0] *= 8
+    a = common_poly(params, seed=tag + b"-a")
+    enc = {u: encrypt_update(rings[u], grads[u], a, rng) for u in range(4)}
+    w_prev = rng.uniform(-1, 1, 40)
+    rates = non_poisoning_rates([sq_norm_plain(g) for g in grads])
+    oracle = weighted_aggregate_plain(w_prev, grads, rates, 1.0)
+
+    def run():
+        return secure_aggregate_round(enc, rings, w_prev, 1.0, rng, round_tag=tag)
+
+    return params, rings, grads, enc, run, oracle
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the rate-sum check opens the fresh rates under the group key sum_u s_u, "
+    "which the server then holds, and the uploads' summed c0 under the round's "
+    "a decrypts with it to the unweighted gradient sum",
+)
+def test_the_group_key_does_not_open_the_gradient_sum(monkeypatch):
+    # the server's view is what the round hands it: the key that
+    # reconstruct_group_key returns during the round
+    params, _, grads, enc, run, _ = _leak_round(b"leak-gk")
+    keys = []
+    real = agg_mod.reconstruct_group_key
+
+    def spy(*args):
+        keys.append(real(*args))
+        return keys[-1]
+
+    monkeypatch.setattr(agg_mod, "reconstruct_group_key", spy)
+    run()
+    level = round_plan(params).aggregate_level
+    total = aggregate_fresh({u: eu.chunks[0].mod_reduce_to(level) for u, eu in enc.items()})
+    (gk,) = keys
+    assert np.abs(group_decrypt(total, gk) - grads.sum(axis=0)).max() > 1.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the rate-sum check asks only that the re-encrypted rates sum to "
+    "within 0.05 of 1: one user's small lie, or two lies that cancel, pass it "
+    "and move the model",
+)
+@pytest.mark.parametrize("lies", [{0: 0.049}, {0: 0.5, 1: -0.5}], ids=["one", "cancelling"])
+def test_a_lying_reencryption_aborts_or_leaves_the_model(monkeypatch, lies):
+    params, rings, _, _, run, oracle = _leak_round(b"leak-lie")
+    liars = {id(rings[u].sk): shift for u, shift in lies.items()}
+    real = agg_mod.reencrypt
+
+    def lying_reencrypt(ct, sk, a, rng, **kw):
+        fresh = real(ct, sk, a, rng, **kw)
+        lie = encode_monomial(params, liars.get(id(sk), 0.0), 0, fresh.level, scale=fresh.scale)
+        return replace(fresh, comps=(fresh.c0.add(lie), fresh.c1))
+
+    monkeypatch.setattr(agg_mod, "reencrypt", lying_reencrypt)
+    try:
+        w_next = run()
+    except ProtocolError:
+        return
+    assert np.abs(w_next - oracle).max() < 1e-3
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="no check covers a partial decryption: the README's threat model has "
+    "users follow the partial-decryption legs, so a user that shifts its "
+    "aggregate-leg share moves the opened update by exactly that shift",
+)
+def test_a_shifted_partial_decryption_aborts_or_leaves_the_model(monkeypatch):
+    # user 0 subtracts an encoding of 0.5 from coordinate 0 of its share of
+    # the aggregate opening, read a level below the products, at their
+    # scale divided by the dropped prime
+    params, rings, _, _, run, oracle = _leak_round(b"leak-partial")
+    plan = round_plan(params)
+    scale = plan.fresh_scale * params.scale / params.ring.chain[plan.aggregate_level]
+    shift = np.zeros((1, 40), dtype=np.int64)
+    shift[0, 0] = round(0.5 * scale)
+    real = agg_mod.masked_partial_decrypt
+
+    def shifted(kr, terms, tag, roster, rng):
+        out = real(kr, terms, tag, roster, rng)
+        if kr.user_id != 0 or b"|agg|" not in tag:
+            return out
+        return replace(out, elem=out.elem.sub(Residues.from_ints(params.ring, shift, out.elem.level)))
+
+    monkeypatch.setattr(agg_mod, "masked_partial_decrypt", shifted)
+    try:
+        w_next = run()
+    except ProtocolError:
+        return
+    assert np.abs(w_next - oracle).max() < 1e-3
 
 
 @pytest.mark.parametrize("dim, chunks", [(1, 1), (512, 1), (513, 2)])
@@ -969,7 +1120,7 @@ def test_round_refuses_a_chunk_that_is_not_mirrored(hp):
     a = common_poly(hp, seed=b"pipe10-a")
     grads = rng.uniform(-1, 1, (3, 12))
     enc = {u: encrypt_update(rings[u], grads[u], a, rng) for u in range(3)}
-    level = agg_mod._norm_level(hp)
+    level = round_plan(hp).upload_level
     forward = _upload(rings[1], grads[1], a, rng, direction="forward", level=level)
     assert [ct.c1 for ct in forward.chunks] == [ct.c1 for ct in enc[1].chunks]
     _refused_on_arrival({**enc, 1: forward}, rings, np.zeros(12), "user 1's upload has a forward")

@@ -95,15 +95,16 @@ def test_tracer_records_the_wire_size_of_each_key_share(tracer):
     assert multikey.PartialDecryption.from_bytes(pd.to_bytes(), params) == pd
 
 
-def _traced_round(tracer, rebuild: bool):
-    """Spans of one 2-user test-16 round (round id 0), after a set-up (round
-    id SETUP_ROUND) that provisions keys and, with ``rebuild``, first builds
-    the preset from scratch as ``perfbench/workloads.fresh_params`` does.
-    Returns the tracer and the span range of the rebuild."""
+def _traced_round(tracer, rebuild: bool, dim: int = 4):
+    """Spans of one 2-user test-16 round of a dim-long model (round id 0),
+    after a set-up (round id SETUP_ROUND) that provisions keys and, with
+    ``rebuild``, first builds the preset from scratch as
+    ``perfbench/workloads.fresh_params`` does.  Returns the tracer and the
+    span range of the rebuild."""
     cached = he.get_params("test-16")
     t = tracer.Tracer()
     rng = np.random.default_rng(7)
-    grads, w_prev = rng.uniform(-1.0, 1.0, (2, 4)), rng.uniform(-1.0, 1.0, 4)
+    grads, w_prev = rng.uniform(-1.0, 1.0, (2, dim)), rng.uniform(-1.0, 1.0, dim)
     try:
         t.install()
         t.round_id = tracer.SETUP_ROUND
@@ -143,16 +144,18 @@ def test_preset_rebuild_stays_out_of_the_traced_round(tracer):
 def test_every_reported_layer_runs_in_a_traced_round(tracer):
     # the benchmark's traced run of a server workload fails on any reported
     # metric that reads zero, bar the two simulation timers, and on a pair-mask
-    # count other than U * (U - 1) * (2 + chunks); an upload is one batched
-    # he.encrypt call, so each user's upload counts once
-    t, _ = _traced_round(tracer, rebuild=False)
-    got = tracer.layer_metrics(t.arrays(), t.names, 2)
+    # count other than U * (U - 1) * (2 + chunks), here at one chunk (dim 4)
+    # and two (dim 12, of capacity 8); an upload is one batched he.encrypt
+    # call, so each user's upload counts once
     idle = {"simulation.local_train.s", "simulation.eval.s"}
-    assert idle < set(got)
-    for metric, (value, _) in got.items():
-        assert metric in idle or value > 0, metric
-    assert got["multikey.pair_masks"][0] == 2 * 1 * (2 + 1)  # one chunk of dim 4
-    assert got["he.encrypt.calls"][0] == 2
+    for dim, chunks in ((4, 1), (12, 2)):
+        t, _ = _traced_round(tracer, rebuild=False, dim=dim)
+        got = tracer.layer_metrics(t.arrays(), t.names, 2)
+        assert idle < set(got)
+        for metric, (value, _) in got.items():
+            assert metric in idle or value > 0, (dim, metric)
+        assert got["multikey.pair_masks"][0] == 2 * 1 * (2 + chunks), dim
+        assert got["he.encrypt.calls"][0] == 2, dim
 
 
 def test_upload_bytes_reads_each_ciphertext_once(tracer, monkeypatch):

@@ -256,10 +256,10 @@ def test_bench_prints_the_key_halves(capsys):
     # under the upload line: the bytes of one user's own key half, L+1
     # elements of L+2 rows at the key level L (test-16: level 2), and of the
     # seed its public half is expanded from
-    from fhefl.he import _norm_level, get_params
+    from fhefl.he import get_params, round_plan
 
     params = get_params("test-16")
-    level = _norm_level(params)
+    level = round_plan(params).upload_level
     assert main(["bench", "--preset", "test-16", "--reps", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-3].startswith("upload per user per round")

@@ -26,7 +26,6 @@ from fhefl.he import (
     EvalKey,
     SecretKey,
     _he_mult_raw,
-    _norm_level,
     _open_level,
     _phase,
     _plaintext,
@@ -42,10 +41,8 @@ from fhefl.he import (
     encrypt,
     get_params,
     he_add,
-    affine_scale,
     he_mult_relin,
     plain_affine,
-    product_scale,
     preset_names,
     reencrypt,
     relinearize,
@@ -362,17 +359,6 @@ def test_encode_monomial_is_encode_then_transform(name):
         encode_monomial(params, 1.0, params.capacity, 0)
     with pytest.raises(EncodingError):
         encode_monomial(params, 2.0**80, 0, 0)
-
-
-def test_scale_rules_match_the_operations(hp, keys):
-    # the round plans its levels from product_scale and affine_scale, so they
-    # must give exactly the scale the operations produce, at every level
-    sk, evk = keys
-    for level in range(1, hp.ring.max_level + 1):
-        x = fresh(hp, sk, [0.5], seed=80 + level, level=level, scale=2.0**9 / 1.37)
-        y = fresh(hp, sk, [0.25], seed=90 + level, level=level)
-        assert he_mult_relin(x, y, evk).scale == product_scale(hp, x.scale, y.scale, level)
-        assert plain_affine(x, -0.3, 0.1).scale == affine_scale(hp, x.scale, level)
 
 
 def test_encode_decode_roundtrip_directions(hp):

@@ -33,7 +33,6 @@ from fhefl.aggregation import (
 )
 from fhefl.errors import DomainError, LevelError, ParameterError
 from fhefl.he import (
-    _norm_level,
     _scaled_ints,
     ciphertext_to_bytes,
     common_poly,
@@ -41,6 +40,7 @@ from fhefl.he import (
     get_params,
     he_mult_relin,
     preset_names,
+    round_plan,
 )
 from fhefl.multikey import setup_pairwise
 from fhefl.ntt import mul_mod, ntt_forward_inplace, ntt_inverse_inplace, shoup_stack
@@ -441,7 +441,7 @@ def test_batched_products_hoist_one_key_switch_per_run(monkeypatch, name):
     # Each key's two halves take one inner product with the digits each, the
     # public half expanded from the key's seed
     params = get_params(name)
-    level = _norm_level(params)
+    level = round_plan(params).upload_level
     krs = setup_pairwise(params, [0, 1], 0, b"hoist")
     a = common_poly(params, seed=b"hoist-a")
     a2 = common_poly(params, seed=b"hoist-a2")

@@ -24,9 +24,8 @@ from fhefl.errors import (
 from fhefl.he import (
     EvalKey,
     HeParams,
+    SecretKey,
     _he_mult_raw,
-    _norm_level,
-    _open_level,
     _scaled_ints,
     ciphertext_from_bytes,
     ciphertext_to_bytes,
@@ -36,6 +35,7 @@ from fhefl.he import (
     he_add,
     he_mult_relin,
     preset_names,
+    round_plan,
 )
 from fhefl.multikey import (
     MaskedKey,
@@ -50,7 +50,8 @@ from fhefl.multikey import (
     reconstruct_group_key,
     setup_pairwise,
 )
-from fhefl.ring import RingElement, Residues, coeffs_at
+from fhefl.ntt import find_ntt_primes
+from fhefl.ring import RingElement, RingParams, Residues, coeffs_at
 
 import ring_reference as ref
 
@@ -123,7 +124,7 @@ def test_evaluation_keys_sit_at_the_upload_level(name):
     # the seed of its public half, which is the user's own, drawn from the
     # master seed, the user and the epoch
     params = get_params(name)
-    level = _norm_level(params)
+    level = round_plan(params).upload_level
     rings = setup_pairwise(params, [0, 1, 2], 0, b"evk-level")
     for kr in rings.values():
         elems = kr.evk.ks_b + kr.evk.ks_a
@@ -135,6 +136,27 @@ def test_evaluation_keys_sit_at_the_upload_level(name):
     assert len({kr.evk.ks_a[0].data.tobytes() for kr in rings.values()}) == 3
     assert rings[0].evk.a_seed == setup_pairwise(params, [0], 0, b"evk-level")[0].evk.a_seed
     assert rings[0].evk.a_seed != setup_pairwise(params, [0], 1, b"evk-level")[0].evk.a_seed
+
+
+@pytest.mark.parametrize("bits, leg", [((53, 41), "rate"), ((53, 30, 30), "distance-sum")])
+def test_setup_refuses_a_chain_that_cannot_hold_the_round(monkeypatch, bits, leg):
+    # [53, 41] leaves no level for the rate's rescale, and no level of
+    # [53, 30, 30] below the uploads opens a distance.  Both used to pass
+    # set-up and the uploads and fail mid-round; set-up now refuses them
+    # before it builds any key
+    special = find_ntt_primes(16, 53, 1)[0]
+    q0 = find_ntt_primes(16, bits[0], 1, avoid=[special])[0]
+    mids = find_ntt_primes(16, bits[1], len(bits) - 1, avoid=[special, q0])
+    params = HeParams(RingParams(n=16, chain=(q0, *mids), special=special), 40)
+
+    def no_key(*args, **kw):
+        raise AssertionError("set-up built a key")
+
+    monkeypatch.setattr(SecretKey, "generate", no_key)
+    with pytest.raises(ParameterError, match=rf"^preset 'custom' .*: \[{leg}\] "):
+        setup_pairwise(params, range(3), 0, b"short-chain")
+    with pytest.raises(ParameterError, match=rf"\[{leg}\]"):
+        round_plan(params)
 
 
 def _key_residue(evks, s_sum):
@@ -155,7 +177,7 @@ def test_the_keys_and_the_group_key_do_not_cancel_the_public_half(hp):
     # summed errors on every row but i (and sum_u s_u^2 on row i; for two
     # users (s_0 - s_1)^2 = 2 sum_u s_u^2 - (sum_u s_u)^2 then gives both
     # secrets).  Each user's own a_i leaves that residue uniform
-    level = _norm_level(hp)
+    level = round_plan(hp).upload_level
     rings = setup_pairwise(hp, [0, 1], 0, b"evk-crs")
     s_sum = rings[0].sk.s.add(rings[1].sk.s).mod_reduce_to(level, special=True)
     q = hp.ring.chain[1]
@@ -374,8 +396,8 @@ def test_opened_products_stay_within_the_opening_bound(name):
     users = [0, 1, 2]
     rings = setup_pairwise(params, users, 0, b"bound-" + name.encode())
     rng = np.random.default_rng(31)
-    fresh_scale = params.scale * 2.0**params.flood_sigma_bits
-    level = max(1, min(_open_level(params, fresh_scale * params.scale), _norm_level(params)))
+    plan = round_plan(params)
+    fresh_scale, level = plan.fresh_scale, plan.aggregate_level
     a = common_poly(params, seed=b"bound-a")
     a2 = common_poly(params, seed=b"bound-a2", level=level)
     rates = rng.uniform(0.0, 1.0, 3)
