@@ -520,11 +520,12 @@ def test_round_runs_each_leg_at_its_level(monkeypatch, name, n_users, dim):
     # an instrumented round: the uploads, distances, rates, fresh rates and
     # aggregate products sit at the plan's level and scale, the distance sum
     # opens at the plan's level, each chunk of the update a level below its
-    # products, and the rate-sum check at the level of the products
+    # products, and the one group decryption is the rate-sum check, at the
+    # level and scale of the fresh rates
     hp = get_params(name)
     plan = round_plan(hp)
     seen = {"upload": set(), "distance": set(), "rate": set(), "fresh": set()}
-    seen.update(product=set(), check=set(), partial_levels=[])
+    seen.update(product=set(), check=[], partials=[])
     real = {
         attr: getattr(agg_mod, attr)
         for attr in (
@@ -539,11 +540,11 @@ def test_round_runs_each_leg_at_its_level(monkeypatch, name, n_users, dim):
 
     def partial(*args):
         out = real["masked_partial_decrypt"](*args)
-        seen["partial_levels"].append(out.elem.level)
+        seen["partials"].append((out.elem.level, out.elem.data.shape[0]))
         return out
 
     def group(ct, gk):
-        at("check", ct)
+        seen["check"].append((ct.level, ct.scale))
         return real["group_decrypt"](ct, gk)
 
     def mult(x, y, evk):
@@ -576,11 +577,12 @@ def test_round_runs_each_leg_at_its_level(monkeypatch, name, n_users, dim):
     assert seen["upload"] == {(plan.upload_level, hp.scale)}
     assert seen["distance"] == {plan.distance_scale}
     assert seen["rate"] == {(plan.rate_level, plan.rate_scale)}
-    assert seen["fresh"] == seen["check"] == {(agg, plan.fresh_scale)}
+    assert seen["fresh"] == {(agg, plan.fresh_scale)}
+    assert seen["check"] == [(agg, plan.fresh_scale)]
     assert seen["product"] == {(agg, plan.fresh_scale * hp.scale)}
     n_chunks, _ = agg_mod._chunk_shape(dim, hp.capacity)
     opened = [plan.distance_level] * n_users + [agg - 1] * (n_chunks * n_users)
-    assert seen["partial_levels"] == opened
+    assert seen["partials"] == [(level, level + 1) for level in opened]
 
 
 @pytest.mark.parametrize("name", ["fhefl-16384", "fhefl-8192", "test-1024"])
