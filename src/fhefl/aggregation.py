@@ -92,8 +92,6 @@ from .he import (
     Ciphertext,
     PlainVector,
     _he_mult_raw,
-    _monomial,
-    _scaled_round,
     common_poly,
     encode_monomial,
     encrypt,
@@ -485,9 +483,7 @@ def secure_aggregate_round(
         p_fresh = {}
         for u in users:
             pct = p_cts.pop(u)
-            # the blind must sit on the readout coefficient, n-1, outside the
-            # packing capacity that encode_monomial keeps to
-            mask = _monomial(params, _scaled_round(pct.scale, blinds[u]), ri, pct.level)
+            mask = encode_monomial(params, blinds[u], ri, pct.level, scale=pct.scale)
             # server -> user: additively blinded rate (still under s_u only)
             blinded = replace(pct, comps=(pct.c0.add(mask), pct.c1))
             # user: re-encrypt the blinded readout coefficient fresh, at a2's level

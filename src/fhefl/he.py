@@ -14,9 +14,13 @@ products come from the product of two mirrored packings instead, whose
 coefficient ``n-1`` is exactly ``sum(u_k * v_k)``: the two cross terms give
 half of it each, and neither square term nor any wrapped term reaches
 ``n-1``.  A length-1 forward scalar times a mirrored packing keeps
-``p * v`` on coefficients ``0..L-1``.  A packed value is round(scale * v),
-rounded once from the exact product; for a power-of-two scale that product
-is a float64 and ``np.rint`` rounds a whole vector at once.
+``p * v`` on coefficients ``0..L-1``.  A ``PlainVector`` alone states its
+packing; a bare vector packs forward.  Real values become plaintext
+integers through ``encode`` (a vector) or ``encode_monomial`` (one value on
+any coefficient, in the NTT domain) alone, as round(scale * v) of the exact
+product, ties to even (``_scaled_round``, as in ``reencrypt``); for a
+power-of-two scale that product is a float64 and ``np.rint`` rounds a whole
+vector at once.
 
 Products follow one rule (``_check_product``): forward times forward must
 not wrap the ring degree; a mirrored operand multiplies only a length-1
@@ -228,7 +232,7 @@ class PlainVector:
             raise EncodingError(f"unknown packing direction {self.direction!r}")
 
 
-def _scaled_round(scale: float, v: float) -> int:
+def _scaled_round(scale: float, v: float | Fraction) -> int:
     """round(scale * v) of the exact product, ties to even."""
     vn, vd = v.as_integer_ratio()
     sn, sd = scale.as_integer_ratio()
@@ -276,9 +280,9 @@ def _plaintext(params: HeParams, ints, level: int, mirror=None) -> RingElement:
     return RingElement.from_int_coeffs(params.ring, ints, level)
 
 
-def _packed(params: HeParams, values, direction: str) -> PlainVector:
+def _packed(params: HeParams, values) -> PlainVector:
     """``values`` as a ``PlainVector`` that fits the packing capacity."""
-    pv = values if isinstance(values, PlainVector) else PlainVector(values, direction)
+    pv = values if isinstance(values, PlainVector) else PlainVector(values)
     if pv.values.size > params.capacity:
         raise EncodingError(
             f"vector of length {pv.values.size} exceeds packing capacity {params.capacity}"
@@ -292,12 +296,11 @@ def encode(
     level: int | None = None,
     *,
     scale: float | None = None,
-    direction: str = "forward",
 ) -> RingElement:
     """Fixed-point packing: coefficient k holds round(scale * v_k), and for a
     mirrored packing coefficient n-1-k also holds round(scale * v_k / 2),
     each rounded once from the exact product."""
-    pv = _packed(params, values, direction)
+    pv = _packed(params, values)
     level = params.ring.max_level if level is None else level
     scale = params.scale if scale is None else float(scale)
     ints = _scaled_ints(scale, pv.values)
@@ -305,12 +308,6 @@ def encode(
         return _plaintext(params, ints, level)
     # halving a float64 is exact, so this rounds scale * v / 2 once
     return _plaintext(params, ints, level, _scaled_ints(scale, pv.values * 0.5))
-
-
-def _monomial(params: HeParams, coeff: int, index: int, level: int) -> RingElement:
-    """coeff * X^index in the NTT domain (no transform), checking headroom."""
-    _check_headroom(params, abs(coeff), level)
-    return RingElement.monomial(params.ring, coeff, index, level)
 
 
 def encode_monomial(
@@ -321,12 +318,14 @@ def encode_monomial(
     *,
     scale: float | None = None,
 ) -> RingElement:
-    """``encode`` of a vector whose only nonzero entry is ``value`` at
-    ``index``, returned in the NTT domain without a transform."""
+    """``encode``'s round(scale * value) on coefficient ``index`` (0..n-1)
+    alone, returned in the NTT domain without a transform."""
     scale = params.scale if scale is None else float(scale)
-    if not 0 <= index < params.capacity:
-        raise EncodingError(f"index {index} outside packing capacity {params.capacity}")
-    return _monomial(params, _scaled_round(scale, float(value)), index, level)
+    if not 0 <= index < params.ring.n:
+        raise EncodingError(f"index {index} outside coefficients 0..{params.ring.n - 1}")
+    coeff = _scaled_round(scale, float(value))
+    _check_headroom(params, abs(coeff), level)
+    return RingElement.monomial(params.ring, coeff, index, level)
 
 
 def decode(read: Residues, scale: float) -> np.ndarray:
@@ -499,12 +498,11 @@ def encrypt(
     *,
     level: int | None = None,
     scale: float | None = None,
-    direction: str = "forward",
 ) -> Ciphertext | tuple[Ciphertext, ...]:
     """Fresh encryption c0 = a*s + m + e, c1 = a at ``level``.
 
-    ``values`` is one vector, packed by ``direction``, or a non-empty sequence
-    of ``PlainVector``s, each packed by its own direction.  One vector gives
+    ``values`` is one vector (a ``PlainVector``, or a bare vector packed
+    forward) or a non-empty sequence of ``PlainVector``s.  One vector gives
     one ciphertext, a sequence a tuple of them in its order.  The vectors are
     encrypted as one batch: each vector packed by ``encode``, a*s once, the
     errors drawn in the sequence's order and one forward transform over every
@@ -517,7 +515,7 @@ def encrypt(
         and len(values) > 0
         and all(isinstance(v, PlainVector) for v in values)
     )
-    pvs = [_packed(params, v, direction) for v in (values if batch else [values])]
+    pvs = [_packed(params, v) for v in (values if batch else [values])]
     ms = [encode(params, pv, level, scale=scale) for pv in pvs]
     cts = _encrypt_plaintexts(params, ms, pvs, sk, a, rng, scale)
     return cts if batch else cts[0]
@@ -587,16 +585,16 @@ def reencrypt(
 
     The coefficient (0..n-1, else ``ParameterError``) is read alone from the
     phase, with no transform, as an exact integer and re-encoded at ``scale``
-    on coefficient 0, rounding the exact rational once: unlike a
-    decrypt-then-encrypt, the value never passes through a float, whose 53
-    bits would cap its precision.  The fresh ciphertext sits at the level of
-    ``a``, so a caller that draws a lower-level ``a`` gets a lower-level
-    encryption.
+    on coefficient 0, rounding the exact rational once (``_scaled_round``):
+    unlike a decrypt-then-encrypt, the value never passes through a float,
+    whose 53 bits would cap its precision.  The fresh ciphertext sits at the
+    level of ``a``, so a caller that draws a lower-level ``a`` gets a
+    lower-level encryption.
     """
     params = ct.params
     coeff = int(_phase(ct, sk, [index]).to_ints()[0])
     value = Fraction(coeff) / Fraction(ct.scale)
-    m = _plaintext(params, [round(value * Fraction(scale))], a.level)
+    m = _plaintext(params, [_scaled_round(scale, value)], a.level)
     return _encrypt_plaintexts(params, [m], [PlainVector([float(value)])], sk, a, rng, scale)[0]
 
 
@@ -960,8 +958,6 @@ def plain_affine(
         if x.level < 1:
             raise LevelError("no levels left for the affine rescale")
         params = x.params
-        if add != 0.0 and not 0 <= add_index < params.ring.n:
-            raise EncodingError(f"add_index {add_index} outside ring degree")
         # a constant's NTT is the constant in every slot: one scalar pass
         pm = _scaled_round(params.scale, float(mult))
         _check_headroom(params, abs(pm), x.level)
@@ -976,7 +972,7 @@ def plain_affine(
     outs = list(rescale(mids))
     if add != 0.0:
         for k, out in enumerate(outs):
-            pa = _monomial(out.params, int(round(add * out.scale)), add_index, out.level)
+            pa = encode_monomial(out.params, add, add_index, out.level, scale=out.scale)
             outs[k] = replace(
                 out,
                 comps=(out.c0.add(pa), out.c1),

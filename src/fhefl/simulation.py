@@ -410,6 +410,9 @@ class SimConfig:
     rounds: int = 100
     seeds: tuple = (0,)
     epsilon: float = 0.0
+    # "first": only the first layer is encrypted; the rest is aggregated in
+    # the clear with the god-view rates, and the norm (both modes) covers the
+    # first layer alone, so such a run is not end-to-end encrypted
     encrypt_layers: str = "all"
     pinned_roster: bool = True
 

@@ -263,7 +263,7 @@ def test_encrypted_square_reads_the_exact_norm(dim):
     eu = encrypt_update(kr, grad, common_poly(params, seed=b"square-a"), rng)
     total, want = None, 0
     for ct, chunk in zip(eu.chunks, split_chunks(grad, params.capacity), strict=True):
-        m = encode(params, chunk, ct.level, direction="mirrored")
+        m = encode(params, PlainVector(chunk, "mirrored"), ct.level)
         packed = [int(c) for c in ref.int_coeffs(m)]
         want += ref.negacyclic_product(packed, packed)[n - 1]
         square = _he_mult_raw(ct, ct)
@@ -625,7 +625,7 @@ def test_encrypt_update_is_one_encryption_per_ciphertext(name, dim, chunks):
     assert len(split) == eu.n_chunks == chunks
     one_by_one, ref_c0 = [], []
     for c in split:
-        ct = encrypt(params, c, kr.sk, a, one_rng, level=level, direction="mirrored")
+        ct = encrypt(params, PlainVector(c, "mirrored"), kr.sk, a, one_rng, level=level)
         one_by_one.append(ct)
         ints = [0] * params.ring.n
         for k, v in enumerate(c):
@@ -654,7 +654,7 @@ def test_readme_bytes_per_chunk_table():
         a = common_poly(params, seed=bytes(16))
         rng = np.random.default_rng(34)
         chunk = rng.uniform(-1, 1, params.capacity)
-        ct = encrypt(params, chunk, sk, a, rng, level=level, direction="mirrored")
+        ct = encrypt(params, PlainVector(chunk, "mirrored"), sk, a, rng, level=level)
         assert (int(upload), int(top)) == (level, params.ring.max_level)
         assert int(size.replace(",", "")) == len(ciphertext_to_bytes(ct))
 

@@ -24,6 +24,7 @@ from fhefl.errors import (
 from fhefl.he import (
     Ciphertext,
     EvalKey,
+    PlainVector,
     SecretKey,
     _he_mult_raw,
     _open_level,
@@ -70,9 +71,8 @@ def keys(hp):
 def fresh(hp, sk, values, *, seed=1, direction="forward", level=None, scale=None):
     rng = np.random.default_rng(seed)
     a = common_poly(hp, seed=rng.bytes(16), level=level)
-    return encrypt(
-        hp, values, sk, a, rng, direction=direction, level=level, scale=scale
-    )
+    pv = PlainVector(values, direction)
+    return encrypt(hp, pv, sk, a, rng, level=level, scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -344,19 +344,29 @@ def test_reencrypt_encrypts_at_the_level_of_a(hp, keys):
 
 @pytest.mark.parametrize("name", preset_names())
 def test_encode_monomial_is_encode_then_transform(name):
-    # the re-encrypt blind and unmask: one value on one coefficient, in the
-    # NTT domain without a transform, byte for byte what encode gives
+    # the one-value writer (the affine constant, the re-encrypt blind and
+    # unmask), in the NTT domain without a transform: below the capacity
+    # byte for byte what encode gives, at or above it (the blind on n-1) the
+    # same integer placed on the ring
     params = get_params(name)
     ring = params.ring
+    n, cap = ring.n, params.capacity
+    indices = range(n) if n <= 16 else (0, 1, cap - 1, cap, n - 1)
     for level in range(ring.max_level + 1):
-        for index in (0, 1, params.capacity - 1):
+        for index in indices:
             for value, scale in ((-(2.0**19) / 3.0, 2.0**20 / 1.37), (0.7, None)):
-                vec = np.zeros(index + 1)
-                vec[index] = value
-                want = encode(params, vec, level, scale=scale).to_ntt()
-                assert encode_monomial(params, value, index, level, scale=scale) == want
-    with pytest.raises(EncodingError):
-        encode_monomial(params, 1.0, params.capacity, 0)
+                if index < cap:
+                    vec = np.zeros(index + 1)
+                    vec[index] = value
+                    want = encode(params, vec, level, scale=scale)
+                else:
+                    coeffs = [0] * n
+                    coeffs[index] = _scaled_round(scale or params.scale, value)
+                    want = RingElement.from_int_coeffs(ring, coeffs, level)
+                assert encode_monomial(params, value, index, level, scale=scale) == want.to_ntt()
+    for index in (n, -1):
+        with pytest.raises(EncodingError):
+            encode_monomial(params, 1.0, index, 0)
     with pytest.raises(EncodingError):
         encode_monomial(params, 2.0**80, 0, 0)
 
@@ -364,7 +374,7 @@ def test_encode_monomial_is_encode_then_transform(name):
 def test_encode_decode_roundtrip_directions(hp):
     v = np.array([0.5, -1.25, 3.0, 0.0, -7.5])
     for direction in ("forward", "mirrored"):
-        el = encode(hp, v, direction=direction)
+        el = encode(hp, PlainVector(v, direction))
         back = decode(coeffs_at([el.to_ntt()], range(len(v)))[0], hp.scale)
         np.testing.assert_allclose(back, v, atol=1e-9)
 
@@ -374,10 +384,10 @@ def test_reversed_is_mirrored(hp):
     # top coefficients, each rounded once from the exact product (half to
     # even: 3/2 -> 2, 1/2 -> 0)
     n = hp.ring.n
-    el = encode(hp, [2.0, 4.0, 6.0], direction="mirrored", scale=1.0)
+    el = encode(hp, PlainVector([2.0, 4.0, 6.0], "mirrored"), scale=1.0)
     ints = ref.int_coeffs(el)
     assert list(map(int, ints)) == [2, 4, 6] + [0] * (n - 6) + [3, 2, 1]
-    el = encode(hp, [3.0, 1.0], direction="mirrored", scale=1.0)
+    el = encode(hp, PlainVector([3.0, 1.0], "mirrored"), scale=1.0)
     assert list(map(int, ref.int_coeffs(el)[n - 2 :])) == [0, 2]
 
 
@@ -585,7 +595,7 @@ def test_mirrored_square_reads_the_exact_norm(name, lengths):
         assert scaled[:length] == [p * v for v in g]
         # encode puts exactly that packing on the ring, doubled so that the
         # halves are integers
-        doubled = encode(params, 2.0 * np.array(g), direction="mirrored", scale=1.0)
+        doubled = encode(params, PlainVector(2.0 * np.array(g), "mirrored"), scale=1.0)
         got = ref.int_coeffs(doubled)
         assert [int(c) for c in got] == [2 * c for c in m]
 
@@ -673,6 +683,26 @@ def test_plain_affine_add_index(hp, keys):
     np.testing.assert_allclose(decrypt(ct, sk).values, [2.0, 4.0, 16.0], atol=1e-5)
 
 
+def test_plain_affine_adds_the_exactly_rounded_constant(hp, keys):
+    # a rescaled scale above 2^53 (here about 2^59.5, not a power of two):
+    # the additive constant 1/(U-1) of a roster of U lands on add_index as
+    # the exact product rounded once, where the float product drops units
+    sk, _ = keys
+    ct = fresh(hp, sk, [0.5, -0.25], seed=64, scale=2.0**61 / 1.37)
+    base = plain_affine(ct, -0.5, 0.0)
+    assert base.scale > 2.0**53
+    float_misses = 0
+    for n_users in range(2, 65):
+        add = 1.0 / (n_users - 1)
+        want = _scaled_round(base.scale, add)
+        float_misses += int(round(add * base.scale)) != want
+        for index in (1, hp.ring.n - 1):
+            out = plain_affine(ct, -0.5, add, add_index=index)
+            step = _phase(out, sk, [index]).to_ints()[0] - _phase(base, sk, [index]).to_ints()[0]
+            assert int(step) == want
+    assert float_misses > 0
+
+
 def test_plain_affine_zero_mult(hp, keys):
     sk, _ = keys
     ct = plain_affine(fresh(hp, sk, [7.0], seed=63), 0.0, 0.5)
@@ -742,7 +772,7 @@ def test_noise_tracker_bounds_the_measured_error(name):
         a = common_poly(params, seed=rng.bytes(16))
         nums = rng.integers(-(2**frac), 2**frac + 1, size=(users, length))
         vals = nums / 2.0**frac
-        x = encrypt(params, vals[0], sk, a, rng, direction="mirrored")
+        x = encrypt(params, PlainVector(vals[0], "mirrored"), sk, a, rng)
         p = encrypt(params, vals[1][:1], sk, a, rng)
         ints = [2 ** (delta - frac) * int(v) for v in nums[0]]
         # the mirrored packing in coefficient units (the halves are exact),
@@ -754,7 +784,7 @@ def test_noise_tracker_bounds_the_measured_error(name):
         checks = {
             "encrypt": (x, packed),
             "he_add": (
-                he_add(x, encrypt(params, vals[2], sk, a, rng, direction="mirrored")),
+                he_add(x, encrypt(params, PlainVector(vals[2], "mirrored"), sk, a, rng)),
                 [int(c) for c in ref.mirrored_coeffs(
                     [2 ** (delta - frac) * int(v) for v in nums[0] + nums[2]], ring.n
                 )],

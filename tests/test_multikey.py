@@ -24,6 +24,7 @@ from fhefl.errors import (
 from fhefl.he import (
     EvalKey,
     HeParams,
+    PlainVector,
     SecretKey,
     _he_mult_raw,
     _scaled_ints,
@@ -267,8 +268,8 @@ def test_partial_decrypt_sum_of_products(hp):
     for u in roster:
         x = rng.uniform(-2, 2, 2)
         y = rng.uniform(-2, 2, 2)
-        cx = encrypt(hp, x, rings[u].sk, a, rng, direction="mirrored")
-        cy = encrypt(hp, y, rings[u].sk, a, rng, direction="mirrored")
+        cx = encrypt(hp, PlainVector(x, "mirrored"), rings[u].sk, a, rng)
+        cy = encrypt(hp, PlainVector(y, "mirrored"), rings[u].sk, a, rng)
         cts[u] = he_mult_relin(cx, cy, rings[u].evk)
         want = ref.negacyclic_product(ref.mirrored_coeffs(x, n), ref.mirrored_coeffs(y, n))
         expected += np.array(want, dtype=np.float64)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from fhefl.errors import DomainError, LevelError, ParameterError, SerializationError
 from fhefl.he import (
     HeParams,
+    PlainVector,
     SecretKey,
     common_poly,
     decrypt,
@@ -235,7 +236,7 @@ def test_coeffs_at_reads_a_coefficient_without_a_transform(name, monkeypatch):
     sk = SecretKey.generate(hp, seed=b"at-sk")
     rng = np.random.default_rng(5)
     a = common_poly(hp, seed=b"at-a", level=level)
-    ct = encrypt(hp, [0.3], sk, a, rng, level=level, direction="mirrored")
+    ct = encrypt(hp, PlainVector([0.3], "mirrored"), sk, a, rng, level=level)
     phase = ref.int_coeffs(ct.c0.sub(ct.c1.mul(sk.s.mod_reduce_to(level))).to_coeff())
     encoded = []
 
