@@ -2,9 +2,9 @@
 """Walk one encrypted aggregation round and narrate every stage.
 
 Four users encrypt gradient updates under their own keys, the server computes
-squared norms and weights homomorphically, users re-encrypt their blinded
-weights, and the weighted model update is opened through masked partial
-decryptions.  The final vector is compared against the plaintext oracle.
+squared norms homomorphically, users re-encrypt their own norms, the server
+turns them into weights, and the weighted model update is opened through
+masked partial decryptions.  The final vector is compared against the plaintext oracle.
 
 Usage:
     python3 scripts/encrypted_round_demo.py --preset test-1024 --dim 32

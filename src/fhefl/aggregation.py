@@ -22,25 +22,29 @@ The encrypted path mirrors the plain one stage for stage:
 2. d-sum:       sum_u [d_u] is opened with masked partial decryptions of
                 its readout coefficient alone (the server learns only the
                 total).
-3. rate:        [p_u] = plain_affine([d_u], -1/((U-1)*sum_d), 1/(U-1)).
-4. re-encrypt:  the rate ciphertext is a dense product polynomial, so it
-                cannot be multiplied cleanly against a packed gradient.  The
-                server blinds the readout coefficient with a random rho_u
-                up to the plan's blind, user u decrypts the blinded scalar
-                and returns a fresh encryption of it, and the server
-                subtracts rho_u again.  The user only ever sees
-                p_u + rho_u; the server never sees p_u.
-                The fresh rate is exact (no float rounding) and sits at
-                the plan's fresh scale, so the flooding noise of the
-                aggregate leg's partial decryptions stays far below it.
+3. re-encrypt:  [d_u] is a dense product polynomial, so a rate made from it
+                could not be multiplied cleanly against a packed gradient.
+                User u decrypts the readout coefficient of its own [d_u],
+                a value it knows already, and returns a fresh encryption
+                [d~_u] of it on coefficient 0, under the round's a2 over
+                the chain up to the aggregate level and the special prime
+                P, at the plan's fresh distance scale.  Nothing is
+                blinded: the user learns nothing it did not hold, and the
+                server never sees d_u.  The value is read as an exact
+                rational (no float rounding).
+4. rate:        [p~_u] = plain_affine([d~_u], -1/((U-1)*sum_d), 1/(U-1)):
+                its rescale drops P, so every rate lands at the aggregate
+                level and the plan's rate scale, which keeps the flooding
+                of the aggregate leg's partial decryptions far below it,
+                with the shared c1 = round(a2 / P).
 5. check:       sum_u [p~_u] is opened under the masked group key and must be
                 ~1, so a user cannot inflate their weight while re-encrypting.
 6. aggregate:   sum_u [p~_u] * [g_u] is opened with partial decryptions of
                 each chunk's packed coefficients 0..L-1 (the scalar rate
                 times a mirrored chunk keeps p~_u * g_u there); the model
                 moves by -eta
-                times the weighted gradient sum.  The rates share c1 = a2,
-                so every product has the public quadratic component a2*a:
+                times the weighted gradient sum.  The rates share their c1,
+                so every product has one public quadratic component c1*a:
                 the products stay three-component (``_he_mult_raw`` over
                 that one d2) and open with no key switch, each user
                 decrypting its own under (s_u, s_u^2) and forming
@@ -54,9 +58,9 @@ Every opening reads a public set of coefficients and each user sends its
 partial decryption of those alone, so the round reveals the distance total,
 the rate total and the packed update, and no other coefficient.
 
-Every stage runs at the lowest level that holds it: its level, scale and
-blind are the round's ``he.RoundPlan``, built by ``he.round_plan`` from the
-chain and the scales alone.  Dropping chain primes is exact and, in the NTT
+Every stage runs at the lowest level that holds it: its level and scale are
+the round's ``he.RoundPlan``, built by ``he.round_plan`` from the chain and
+the scales alone.  Dropping chain primes is exact and, in the NTT
 domain, a row slice, so each leg only pays for the primes it needs: fewer
 rows to multiply, key-switch, mask and send, and evaluation keys that stop
 at the upload level.  ``encrypt_update`` encrypts the uploads at the plan's
@@ -71,9 +75,11 @@ A distance total that opens below zero by more than
 rather than fall back to uniform rates; one within that noise of zero is
 the all-zero round, which takes the uniform rates.  The uploads drop to the
 aggregate level for the product, whose opened residues are divided by q_agg
-(its rescale, a level lower).  The rate-sum check opens the fresh rates at
+(its rescale, a level lower).  The rate-sum check opens the rates at
 that same level, under keys masked there, never below the product, so an
-inflated rate cannot wrap the check without also wrapping the product.
+inflated rate cannot wrap the check without also wrapping the product.  A
+user that lies in its re-encryption shifts d~_u, and the rates then sum to
+1 exactly when the distances still sum to sum_d.
 """
 
 from __future__ import annotations
@@ -93,7 +99,6 @@ from .he import (
     PlainVector,
     _he_mult_raw,
     common_poly,
-    encode_monomial,
     encrypt,
     he_add,
     he_mult_relin,
@@ -336,8 +341,9 @@ def rates_encrypted(
 ) -> Ciphertext | tuple[Ciphertext, ...]:
     """[p_u] = (1 - [d_u]/sum_d)/(U-1) as one plaintext affine map.
 
-    The additive 1/(U-1) lands on the readout coefficient carrying d_u.
-    ``d_ct`` is one distance, or a sequence of them (see ``plain_affine``).
+    The additive 1/(U-1) lands on the readout coefficient carrying d_u (0
+    for a re-encrypted distance).  ``d_ct`` is one distance, or a sequence of
+    them (see ``plain_affine``).
     """
     if n_users < 2:
         raise ParameterError("rates need at least two users")
@@ -353,7 +359,7 @@ def rates_encrypted(
 # ---------------------------------------------------------------------------
 
 
-# How far the opened sum of the re-encrypted rates may sit from 1.
+# How far the opened sum of the rates may sit from 1.
 _RATE_SUM_TOL = 0.05
 
 
@@ -400,10 +406,10 @@ def secure_aggregate_round(
     quantity is ever decrypted server-side.
 
     ``round_tag`` must be unique per (epoch, round).  It seeds the fresh
-    rates' public polynomial and the pair masks of every opening, so two
+    distances' public polynomial and the pair masks of every opening, so two
     rounds under one tag share ``a2``: the difference of one user's fresh
-    rate ciphertexts from those rounds then decrypts without any key to the
-    change in that user's rate.
+    distance ciphertexts from those rounds then decrypts without any key to
+    the change in that user's distance.
     """
     users = sorted(enc_updates)
     if len(users) < 2:
@@ -468,52 +474,51 @@ def secure_aggregate_round(
             )
         del d_open
 
-    with _stage("rate"):
-        ds = [d_cts.pop(u) for u in users]
-        if sum_d > noise:
-            p_cts = rates_encrypted(ds, sum_d, n_users, readout=ri)
-        else:  # a total within the noise of zero: constant 1/U, no division
-            p_cts = plain_affine(ds, 0.0, 1.0 / n_users, add_index=ri)
-        p_cts = dict(zip(users, p_cts))
-        del ds
-
     with _stage("re-encrypt"):
-        a2 = common_poly(params, seed=round_tag + b"|a2", level=l_agg)
-        blinds = {u: float(rng.uniform(-plan.blind, plan.blind)) for u in users}
-        p_fresh = {}
-        for u in users:
-            pct = p_cts.pop(u)
-            mask = encode_monomial(params, blinds[u], ri, pct.level, scale=pct.scale)
-            # server -> user: additively blinded rate (still under s_u only)
-            blinded = replace(pct, comps=(pct.c0.add(mask), pct.c1))
-            # user: re-encrypt the blinded readout coefficient fresh, at a2's level
-            fresh = reencrypt(blinded, keyrings[u].sk, a2, rng, index=ri, scale=plan.fresh_scale)
-            # server: strip the blind homomorphically
-            unmask = encode_monomial(params, blinds[u], 0, fresh.level, scale=fresh.scale)
-            p_fresh[u] = replace(fresh, comps=(fresh.c0.sub(unmask), fresh.c1), msg_bound=1.0)
-        del pct, mask, blinded, fresh, unmask
+        # user u re-encrypts the readout of its own distance, which it knows,
+        # on a2 over the chain up to l_agg and the special prime; it states
+        # the public bound on a distance, not its own value
+        a2 = common_poly(params, seed=round_tag + b"|a2", level=l_agg, special=True)
+        fresh_scale = plan.fresh_distance_scale
+        fresh = [
+            replace(
+                reencrypt(d_cts.pop(u), keyrings[u].sk, a2, rng, index=ri, scale=fresh_scale),
+                msg_bound=2.0**_VALUE_BITS,
+            )
+            for u in users
+        ]
+        del a2
+
+    with _stage("rate"):
+        # the affine map's rescale drops P: every rate lands at l_agg
+        if sum_d > noise:
+            p_cts = rates_encrypted(fresh, sum_d, n_users, readout=0)
+        else:  # a total within the noise of zero: constant 1/U, no division
+            p_cts = plain_affine(fresh, 0.0, 1.0 / n_users)
+        rates = dict(zip(users, p_cts))
+        del fresh, p_cts
 
     with _stage("rate-sum-check"):
-        # the fresh rates sit at l_agg, so the keys are masked there
+        # the rates sit at l_agg, so the keys are masked there
         masked = [mask_key(keyrings[u], roster, level=l_agg) for u in roster]
         gk = reconstruct_group_key(masked, roster)
         del masked
-        p_total = float(group_decrypt(aggregate_fresh(p_fresh), gk)[0])
+        p_total = float(group_decrypt(aggregate_fresh(rates), gk)[0])
         del gk
         if abs(p_total - 1.0) > _RATE_SUM_TOL:
             raise ProtocolError(
-                f"re-encrypted rates sum to {p_total:.4f}, expected 1 "
+                f"rates sum to {p_total:.4f}, expected 1 "
                 f"(tolerance {_RATE_SUM_TOL}); aborting round"
             )
 
     with _stage("aggregate"):
-        # every fresh rate carries c1 = a2 (aggregate_fresh checked it), so
-        # every product's quadratic component is the public d2 = a2*a; the
+        # every rate carries c1 = round(a2 / P) (aggregate_fresh checked it),
+        # so every product's quadratic component is the public d2 = c1*a; the
         # products stay three-component and open with no key switch
-        d2 = p_fresh[users[0]].c1.mul(a.mod_reduce_to(l_agg))
+        d2 = rates[users[0]].c1.mul(a.mod_reduce_to(l_agg))
         openings = [{} for _ in range(n_chunks)]
         for u in users:
-            x = p_fresh.pop(u)
+            x = rates.pop(u)
             for opening, y in zip(openings, enc_updates[u].chunks):
                 opening[u] = _he_mult_raw(x, y.mod_reduce_to(l_agg), d2)
         del x

@@ -52,17 +52,25 @@ L, and ``he_mult_relin`` refuses a product above its key's level before any
 work.  A key holds its public half as a seed
 (``EvalKey.generate(..., a_seed=)``, or 32 bytes of the key's rng): a_0..a_L
 are expanded from it on each use, so the key holds its own half ``ks_b``
-alone.  ``round_plan`` builds the round's ``RoundPlan``, each leg's level,
-scale and blind, from the chain and the scales alone.  The round
-relinearizes at the plan's upload level and below, so :mod:`fhefl.multikey`
-builds every user's key there.
+alone.  ``round_plan`` builds the round's ``RoundPlan``, each leg's level
+and scale, from the chain and the scales alone.  The round relinearizes at
+the plan's upload level and below, so :mod:`fhefl.multikey` builds every
+user's key there.
+
+A ciphertext may also carry the special prime P above its level, as keys
+and secrets do: ``common_poly(..., special=True)`` draws its c1 there,
+``reencrypt`` encrypts in the layout of its ``a``, and ``rescale`` divides
+by a ciphertext's last modulus, which is then P, keeping its level.  The
+round's users re-encrypt their distances there, so that the affine map's
+rescale costs no chain level.
 
 ``rescale``, ``he_mult_relin`` and ``plain_affine`` take one ciphertext (or
 pair) or a sequence of them; a sequence is rescaled through batched
 ``RingElement.drop_last_modulus`` calls, with one transform per group of
 components rather than one per ciphertext, and gives the same bytes.
 
-A ciphertext's level is its components' level.  Ciphertexts add under one
+A ciphertext's level is its components' level, and its layout that level
+with or without the special row.  Ciphertexts add under one
 rule (``_check_addable``, applied by ``he_add`` and by the roster sums of
 :mod:`fhefl.multikey`): one level, one component count, one packing and
 scales equal to a relative 1e-9; nothing aligns levels silently.  The noise
@@ -83,7 +91,8 @@ component count, packing flag (forward or mirrored; a mirrored record is at
 most n/2 long), length, scale, ``noise_log2`` and ``msg_bound``, so a
 ciphertext read back is refused by ``decrypt`` exactly when the original
 would be.  The header states the layout once: every component is an
-NTT-domain chain element at its level.  Each component
+NTT-domain chain element at its level, so a ciphertext on the special
+prime has no record (``SerializationError``).  Each component
 follows as a kind byte and either the element's residues, whose length the
 level fixes (``RingElement.to_bytes``: n * sum(bits(q_0..q_l)) bits plus a
 byte of padding at most), or a one-byte length and the seed of the round's
@@ -254,22 +263,26 @@ def _scaled_ints(scale: float, values: np.ndarray) -> np.ndarray:
     return np.array([_scaled_round(scale, float(v)) for v in values], dtype=object)
 
 
-def _check_headroom(params: HeParams, worst: int, level: int) -> None:
-    """Refuse an encoded magnitude that wraps the level's modulus Q_level / 2."""
-    bound = _modulus(params, level) // 2
+def _check_headroom(params: HeParams, worst: int, level: int, special: bool = False) -> None:
+    """Refuse an encoded magnitude that wraps half the modulus of the layout
+    (q_0..q_level, and the special prime when ``special``)."""
+    bound = _modulus(params, level, special) // 2
     if worst >= bound:
         raise EncodingError(
             f"encoded magnitude 2^{worst.bit_length()} overflows modulus headroom "
-            f"2^{bound.bit_length() - 1} at level {level}"
+            f"2^{bound.bit_length() - 1} at level {level}{' and P' if special else ''}"
         )
 
 
-def _plaintext(params: HeParams, ints, level: int, mirror=None) -> RingElement:
+def _plaintext(
+    params: HeParams, ints, level: int, mirror=None, special: bool = False
+) -> RingElement:
     """Place fixed-point integers on coefficients 0..len-1 and, when given,
-    ``mirror[k]`` on coefficient n-1-k, checking headroom."""
+    ``mirror[k]`` on coefficient n-1-k, checking headroom, at level ``level``
+    with the special row when ``special``."""
     for part in (ints,) if mirror is None else (ints, mirror):
         worst = int(np.abs(part).max()) if isinstance(part, np.ndarray) else max(map(abs, part))
-        _check_headroom(params, worst, level)
+        _check_headroom(params, worst, level, special)
     if mirror is not None:
         n, length = params.ring.n, len(ints)
         small = all(isinstance(p, np.ndarray) and p.dtype == np.int64 for p in (ints, mirror))
@@ -277,7 +290,7 @@ def _plaintext(params: HeParams, ints, level: int, mirror=None) -> RingElement:
         coeffs[:length] = ints
         coeffs[n - length :] = mirror[::-1]
         ints = coeffs
-    return RingElement.from_int_coeffs(params.ring, ints, level)
+    return RingElement.from_int_coeffs(params.ring, ints, level, special)
 
 
 def _packed(params: HeParams, values) -> PlainVector:
@@ -440,13 +453,16 @@ def _public_half(ring: RingParams, a_seed: bytes, level: int) -> tuple[RingEleme
     )
 
 
-def common_poly(params: HeParams, seed, level: int | None = None) -> RingElement:
-    """The shared public polynomial a for one round of fresh encryptions.
+def common_poly(
+    params: HeParams, seed, level: int | None = None, special: bool = False
+) -> RingElement:
+    """The shared public polynomial a for one round of fresh encryptions, over
+    q_0..q_level and, when ``special``, the special prime.
 
     The element remembers its seed, so a ciphertext whose c1 it is can send
     the seed instead of the polynomial.
     """
-    a = sample_uniform(params.ring, seed, level=level, ntt=True, tag=b"common-a")
+    a = sample_uniform(params.ring, seed, level=level, special=special, ntt=True, tag=b"common-a")
     a.seed = _seed_bytes(seed)
     return a
 
@@ -470,6 +486,11 @@ class Ciphertext:
     def level(self) -> int:
         """The level of the components (every component shares it)."""
         return self.comps[0].level
+
+    @property
+    def special(self) -> bool:
+        """Whether the components carry the special row above their level."""
+        return self.comps[0].special
 
     @property
     def c0(self) -> RingElement:
@@ -530,14 +551,18 @@ def _encrypt_plaintexts(
     rng: np.random.Generator,
     scale: float,
 ) -> tuple[Ciphertext, ...]:
-    """c0 = a*s + m + e, c1 = a for each encoded plaintext m, all at one level;
-    ``pvs`` give each ciphertext's length, direction and message bound."""
-    level = ms[0].level
-    a = a.mod_reduce_to(level)
-    a_s = a.mul(sk.s.mod_reduce_to(level))
+    """c0 = a*s + m + e, c1 = a for each encoded plaintext m, all of one
+    layout (a level, with or without the special row); ``pvs`` give each
+    ciphertext's length, direction and message bound."""
+    level, special = ms[0].level, ms[0].special
+    a = a.mod_reduce_to(level, special)
+    a_s = a.mul(sk.s.mod_reduce_to(level, special))
     # the NTT is linear mod q, so each m + e takes one transform, and the
     # transforms of the whole batch run as one over their stacked rows
-    m_e = to_ntt_all([m.add(sample_error(params.ring, rng, params.sigma, level=level)) for m in ms])
+    m_e = to_ntt_all([
+        m.add(sample_error(params.ring, rng, params.sigma, level=level, special=special))
+        for m in ms
+    ])
     return tuple(
         Ciphertext(
             params=params,
@@ -587,14 +612,13 @@ def reencrypt(
     phase, with no transform, as an exact integer and re-encoded at ``scale``
     on coefficient 0, rounding the exact rational once (``_scaled_round``):
     unlike a decrypt-then-encrypt, the value never passes through a float,
-    whose 53 bits would cap its precision.  The fresh ciphertext sits at the
-    level of ``a``, so a caller that draws a lower-level ``a`` gets a
-    lower-level encryption.
+    whose 53 bits would cap its precision.  The fresh ciphertext takes the
+    layout of ``a``: its level, and the special row when ``a`` carries it.
     """
     params = ct.params
     coeff = int(_phase(ct, sk, [index]).to_ints()[0])
     value = Fraction(coeff) / Fraction(ct.scale)
-    m = _plaintext(params, [_scaled_round(scale, value)], a.level)
+    m = _plaintext(params, [_scaled_round(scale, value)], a.level, special=a.special)
     return _encrypt_plaintexts(params, [m], [PlainVector([float(value)])], sk, a, rng, scale)[0]
 
 
@@ -792,9 +816,11 @@ def relinearize(
 
 
 def rescale(ct) -> Ciphertext | tuple[Ciphertext, ...]:
-    """Exact divide-and-round by the last chain prime; scale divides with it.
+    """Exact divide-and-round by the components' last modulus, the special
+    prime when they carry it and the last chain prime otherwise; the scale
+    divides with it.
 
-    ``ct`` is one ciphertext, or a sequence of them at one level whose
+    ``ct`` is one ciphertext, or a sequence of them of one layout whose
     components all drop through one ``drop_last_modulus`` call.  One gives
     one, a sequence a tuple in its order.  A three-component product is
     refused: the rounding of its d2 reaches the phase times s^2, which the
@@ -811,7 +837,7 @@ def rescale(ct) -> Ciphertext | tuple[Ciphertext, ...]:
     downs = iter(flat[0].drop_last_modulus(*flat[1:]))
     out = []
     for x in cts:
-        q_last = x.params.ring.chain[x.level]
+        q_last = x.c0.moduli[-1]
         nz = _log2_add(
             x.noise_log2 - math.log2(q_last),
             math.log2(x.params.ring.n) / 2 + 1.0,  # rounding folded through the key
@@ -822,14 +848,14 @@ def rescale(ct) -> Ciphertext | tuple[Ciphertext, ...]:
 
 
 # The round's plan (see :mod:`fhefl.aggregation`), from public data only:
-# every value the round opens is below 2^_VALUE_BITS in magnitude, and a
-# rate is blinded by at most _MAX_BLIND.
+# every value the round opens is below 2^_VALUE_BITS in magnitude.
 _VALUE_BITS = 32
-_MAX_BLIND = 2.0**20
 
 
-def _modulus(params: HeParams, level: int) -> int:
-    return params.ring.crt_constants(params.ring.moduli(level))[0]
+def _modulus(params: HeParams, level: int, special: bool = False) -> int:
+    """Q of the layout: q_0..q_level, times the special prime when ``special``."""
+    ring = params.ring
+    return ring.crt_constants(ring.moduli(level, special))[0]
 
 
 def _open_level(params: HeParams, scale: float) -> int:
@@ -846,59 +872,51 @@ def _open_level(params: HeParams, scale: float) -> int:
 class RoundPlan:
     """Each leg of the encrypted round's level and scale, from ``round_plan``.
 
-    The uploads sit at the lowest level whose distance opens and whose rate
-    takes the full ``_MAX_BLIND`` (the top level if none does); a rate's
-    blind is the largest its modulus holds with a factor 16 to spare.  The
-    fresh rates take the scale raised by 2^flood_sigma_bits, so that the
+    The rates take the scale raised by 2^flood_sigma_bits, so that the
     aggregate leg's flooding stays far below them, and sit at the lowest
-    level (at least 1, at most the uploads') that holds a rate times a
-    gradient.
+    level (at least 1) that holds a rate times a gradient.  The uploads sit
+    at the lowest level that both opens their distance a level down and
+    holds the aggregate.  Each user re-encrypts its own distance over the
+    chain up to the aggregate level and the special prime P, at the rate
+    scale times P / scale: the affine map multiplies it by a slope encoded
+    at the scale, and its rescale drops P, so every rate lands at the
+    aggregate level and the rate scale.
     """
 
     upload_level: int  # the uploads, the norm products and the evaluation keys
     distance_scale: float  # a distance, after its product's rescale
     distance_level: int  # the lowest level that opens a distance
-    rate_level: int
-    rate_scale: float  # a rate, after the affine map's rescale
-    blind: float
-    fresh_scale: float  # a re-encrypted rate
-    aggregate_level: int  # the fresh rates, the rate-sum check and the products
+    fresh_distance_scale: float  # a re-encrypted distance, at the aggregate level and P
+    rate_scale: float  # a rate, after the affine map's rescale drops P
+    aggregate_level: int  # the rates, the rate-sum check and the products
 
 
 def round_plan(params: HeParams) -> RoundPlan:
     """The round's ``RoundPlan`` at ``params``; ``ParameterError``, naming the
-    preset and the leg, for a chain that cannot hold the round."""
-    chain, top = params.ring.chain, params.ring.max_level
+    preset and the leg, for params that cannot hold the round."""
+    ring, top = params.ring, params.ring.max_level
 
     def refuse(leg: str, why: str):
         raise ParameterError(f"preset {params.name!r} cannot hold the round: [{leg}] {why}")
 
-    def legs(level: int) -> tuple[float, float, float]:
-        # a distance after its product's rescale, a rate after the affine
-        # map's (its multiplier encoded at params.scale), and the rate's blind
-        d_scale = params.scale * params.scale / chain[level]
-        p_scale = d_scale * params.scale / chain[level - 1]
-        headroom = float(_modulus(params, level - 2) // 2) / (p_scale * 16.0)
-        return d_scale, p_scale, min(_MAX_BLIND, headroom)
+    def distance_scale(level: int) -> float:
+        # a norm product at ``level`` after its rescale
+        return params.scale * params.scale / ring.chain[level]
 
-    def fits(level: int) -> bool:
-        d_scale, _, blind = legs(level)
-        return _open_level(params, d_scale) < level and blind >= _MAX_BLIND
-
-    if top < 2:
-        refuse("rate", f"a chain of {top + 1} levels leaves none for the rate's rescale")
-    upload = next((level for level in range(2, top + 1) if fits(level)), top)
-    d_scale, p_scale, blind = legs(upload)
-    d_level = _open_level(params, d_scale)
-    fresh = params.scale * 2.0**params.flood_sigma_bits
-    agg = max(1, min(_open_level(params, fresh * params.scale), upload))
-    if d_level >= upload:
-        refuse("distance-sum", f"no level below the uploads' {upload} opens the distance")
-    if blind < 4.0:
-        refuse("re-encrypt", f"blinding headroom {blind:.2g} too small at level {upload - 2}")
-    if _modulus(params, agg) < fresh * params.scale * 2.0 ** (_VALUE_BITS + 1):
+    if ring.special is None:
+        refuse("rate", "no special prime for the affine map's rescale to drop")
+    rate = params.scale * 2.0**params.flood_sigma_bits
+    agg = max(1, _open_level(params, rate * params.scale))
+    upload = next(
+        (lv for lv in range(agg, top + 1) if _open_level(params, distance_scale(lv)) < lv), None
+    )
+    if upload is None:
+        refuse("distance-sum", f"no level from {agg} up opens its distance a level lower")
+    if _modulus(params, agg) < rate * params.scale * 2.0 ** (_VALUE_BITS + 1):
         refuse("aggregate", f"level {agg} does not hold a rate times a gradient")
-    return RoundPlan(upload, d_scale, d_level, upload - 2, p_scale, blind, fresh, agg)
+    d_scale = distance_scale(upload)
+    fresh_distance = rate * ring.special / params.scale
+    return RoundPlan(upload, d_scale, _open_level(params, d_scale), fresh_distance, rate, agg)
 
 
 def he_mult_relin(x, y, evk) -> Ciphertext | tuple[Ciphertext, ...]:
@@ -944,23 +962,24 @@ def plain_affine(
     """Homomorphic mult*x + add with plaintext scalars.
 
     The multiplicative constant scales every packed coefficient; the additive
-    constant lands on ``add_index`` (the readout coefficient of the value of
-    interest — 0 for plain scalars, chunk_len-1 for norm ciphertexts).
-    Costs one level.  ``ct`` is one ciphertext, or a sequence of them at one
-    level, rescaled through one ``rescale`` call: one gives one, a sequence a
-    tuple in its order.
+    constant lands on ``add_index`` (the coefficient of the value of
+    interest: 0 for a scalar, n-1 for a norm product).  Costs the last
+    modulus (``rescale``): the special prime of a ciphertext that carries
+    it, a level otherwise.  ``ct`` is one ciphertext, or a sequence of them
+    of one layout, rescaled through one ``rescale`` call: one gives one, a
+    sequence a tuple in its order.
     """
     batch = not isinstance(ct, Ciphertext)
     mids = []
     for x in ct if batch else (ct,):
         if len(x.comps) != 2:
             raise LevelError("plain_affine expects a relinearized ciphertext")
-        if x.level < 1:
+        if x.level < 1 and not x.special:
             raise LevelError("no levels left for the affine rescale")
         params = x.params
         # a constant's NTT is the constant in every slot: one scalar pass
         pm = _scaled_round(params.scale, float(mult))
-        _check_headroom(params, abs(pm), x.level)
+        _check_headroom(params, abs(pm), x.level, x.special)
         mids.append(replace(
             x,
             comps=tuple(c.mul_scalar(pm) for c in x.comps),
@@ -1009,7 +1028,12 @@ def _read_record_head(buf: bytes, magic: bytes, what: str, params: HeParams) -> 
 def ciphertext_to_bytes(ct: Ciphertext) -> bytes:
     """Wire format v4 record of ``ct`` (see the module docstring); the c1 of
     a two-component ciphertext goes as its seed when it has one of at most
-    255 bytes."""
+    255 bytes.  A ciphertext whose components carry the special row has no
+    record: the header states chain elements alone."""
+    if ct.special:
+        raise SerializationError(
+            "a ciphertext on the special prime has no wire record; rescale it first"
+        )
     dir_flag = _PACKINGS.index(ct.direction)
     fields = (ct.level, len(ct.comps), dir_flag, ct.length, ct.scale, ct.noise_log2, ct.msg_bound)
     parts = [_record_head(_CT_MAGIC, ct.params) + struct.pack(_CT_FIELDS, *fields)]

@@ -43,8 +43,8 @@ a level outside the chain and any other length.
 
 ``setup_pairwise`` builds each user's evaluation key at the round's upload
 level (``he.RoundPlan``), the highest level the round relinearizes at, so
-the key carries no pair or row above it: at fhefl-16384 that is 4 of 5 pairs
-of 5 of 6 rows.  Each key holds its public half a_0..a_L as a seed drawn
+the key carries no pair or row above it: at fhefl-16384 that is 3 of 5 pairs
+of 4 of 6 rows.  Each key holds its public half a_0..a_L as a seed drawn
 from the master seed, the user and the epoch, never from a user's secret, and
 expands it on each key switch, so what a key holds is b_i = a_i*s_u + e_i +
 P_i*s_u^2 alone.  Every user's a_i are its own: the rate-sum check reveals

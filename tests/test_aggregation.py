@@ -47,6 +47,7 @@ from fhefl.he import (
     he_add,
     he_mult_relin,
     preset_names,
+    reencrypt,
     round_plan,
 )
 from fhefl.multikey import PartialDecryption, aggregate_fresh, group_decrypt, setup_pairwise
@@ -437,52 +438,60 @@ def test_pipeline_precision_beyond_partial_decryption_flooding():
 
 
 # the round's plan per preset: the upload (and key) level, the level the
-# distances open at, the rate's level and blind, the fresh rates' scale and
-# the aggregate level.  test-16 has no level whose rate takes the full 2^20
-# blind, so its uploads sit at the top level and its blind is what level 0
-# holds
+# distances open at, the rates' scale and the aggregate level.  Every preset
+# uploads at level 2, the lowest level that opens a distance a level down
+# and holds the aggregate
 ROUND_PLAN = {
-    "test-16": (2, 1, 0, 1023.9999999560932, 2.0**60, 2),
-    "test-1024": (3, 1, 1, 2.0**20, 2.0**60, 2),
-    "fhefl-8192": (2, 1, 0, 2.0**20, 2.0**45, 2),
-    "fhefl-16384": (3, 1, 1, 2.0**20, 2.0**80, 2),
+    "test-16": (2, 1, 2.0**60, 2),
+    "test-1024": (2, 1, 2.0**60, 2),
+    "fhefl-8192": (2, 1, 2.0**45, 2),
+    "fhefl-16384": (2, 1, 2.0**80, 2),
 }
 
 
 @pytest.mark.parametrize("name", preset_names())
 def test_round_plan_pins_every_leg(name):
-    plan = round_plan(get_params(name))
-    got = (
-        plan.upload_level,
-        plan.distance_level,
-        plan.rate_level,
-        plan.blind,
-        plan.fresh_scale,
-        plan.aggregate_level,
-    )
+    params = get_params(name)
+    plan = round_plan(params)
+    got = (plan.upload_level, plan.distance_level, plan.rate_scale, plan.aggregate_level)
     assert got == ROUND_PLAN[name]
+    # a fresh distance sits at the aggregate level and the special prime P,
+    # at the rate scale times P / scale, and the affine map's rescale drops P
+    special = params.ring.special
+    assert plan.fresh_distance_scale == plan.rate_scale * special / params.scale
+    sk = SecretKey.generate(params, seed=b"plan-sk")
+    rng = np.random.default_rng(22)
+    a = common_poly(params, seed=b"plan-a", level=plan.distance_level)
+    d = encrypt(params, [3.0], sk, a, rng, level=plan.distance_level, scale=plan.distance_scale)
+    a2 = common_poly(params, seed=b"plan-a2", level=plan.aggregate_level, special=True)
+    fresh = reencrypt(d, sk, a2, rng, index=0, scale=plan.fresh_distance_scale)
+    assert (fresh.level, fresh.special) == (plan.aggregate_level, True)
+    assert fresh.c0.moduli == (*params.ring.chain[: plan.aggregate_level + 1], special)
+    rate = rates_encrypted(fresh, 10.0, 2, readout=0)
+    assert (rate.level, rate.special) == (plan.aggregate_level, False)
+    assert rate.scale == pytest.approx(plan.rate_scale, rel=1e-15)
+    assert decrypt(rate, sk).values[0] == pytest.approx(1.0 - 3.0 / 10.0, abs=1e-6)
 
 
 def test_readme_round_plan_table():
-    # the README's level plan is round_plan's, preset by preset (the blind in
-    # whole units, the fresh scale as a power of two)
+    # the README's level plan is round_plan's, preset by preset (the rate
+    # scale as a power of two; every fresh distance sits on the special prime)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    cells = r" +\| (\d+)" * 3 + r" +\| ([\d,]+) +\| 2\^(\d+) +\| (\d+) +\|$"
+    cells = r" +\| (\d+)" * 2 + r" +\| (\d+) \+ P +\| 2\^(\d+) +\| (\d+) +\|$"
     rows = re.findall(r"^\| `([\w-]+)`" + cells, readme, re.M)
     assert [name for name, *_ in rows] == preset_names()
-    for name, upload, distance, rate, blind, fresh, agg in rows:
+    for name, upload, distance, fresh, rate, agg in rows:
         plan = round_plan(get_params(name))
-        want = (plan.upload_level, plan.distance_level, plan.rate_level)
-        assert (int(upload), int(distance), int(rate)) == want
-        assert int(blind.replace(",", "")) == math.floor(plan.blind)
-        assert (2.0 ** int(fresh), int(agg)) == (plan.fresh_scale, plan.aggregate_level)
+        want = (plan.upload_level, plan.distance_level, plan.aggregate_level)
+        assert (int(upload), int(distance), int(fresh)) == want
+        assert (2.0 ** int(rate), int(agg)) == (plan.rate_scale, plan.aggregate_level)
 
 
 @pytest.mark.parametrize("name", ["fhefl-16384", "fhefl-8192", "test-1024"])
 def test_round_levels_hold_every_opened_value(name):
     # rebuild the legs with real ciphertexts at the plan's levels and check
-    # that every opened value below 2^_VALUE_BITS fits, one level lower would
-    # not, and the rate takes the full 2^20 blind
+    # that every opened value below 2^_VALUE_BITS fits, and one level lower
+    # would not
     params = get_params(name)
     plan = round_plan(params)
     kr = setup_pairwise(params, [0, 1], 0, b"levels")[0]
@@ -500,16 +509,15 @@ def test_round_levels_hold_every_opened_value(name):
     # distance-sum: the distance opens at the lowest level that holds it
     d = sq_norm_encrypted(eu, kr.evk)
     holds_only_from(plan.distance_level, d.scale)
-    # rate: the full blind, and room for it
-    p = rates_encrypted(d, 10.0, 2, readout=eu.readout)
-    assert (p.level, p.scale, plan.blind) == (plan.rate_level, plan.rate_scale, 2.0**20)
-    encode(params, [plan.blind + 1.0], p.level, scale=p.scale)
-    # rate-sum check: the fresh rates open at the product's own level
-    a2 = common_poly(params, seed=b"levels-a2", level=l_agg)
-    fresh = encrypt(params, [0.5], kr.sk, a2, rng, level=l_agg, scale=plan.fresh_scale)
-    encode(params, [value], l_agg, scale=plan.fresh_scale)
+    # re-encrypt and rate: the fresh distance on P, the rate at l_agg
+    a2 = common_poly(params, seed=b"levels-a2", level=l_agg, special=True)
+    fresh = reencrypt(d, kr.sk, a2, rng, index=eu.readout, scale=plan.fresh_distance_scale)
+    p = rates_encrypted(fresh, 10.0, 2, readout=0)
+    assert (p.level, p.special) == (l_agg, False)
+    # rate-sum check: the rates open at the product's own level
+    encode(params, [value], l_agg, scale=p.scale)
     # aggregate: the product opens after its rescale
-    prod = he_mult_relin(fresh, eu.chunks[0].mod_reduce_to(l_agg), kr.evk)
+    prod = he_mult_relin(p, eu.chunks[0].mod_reduce_to(l_agg), kr.evk)
     holds_only_from(prod.level, prod.scale)
 
 
@@ -517,11 +525,11 @@ def test_round_levels_hold_every_opened_value(name):
     "name, n_users, dim", [("test-16", 3, 12), ("test-1024", 3, 64), ("fhefl-16384", 2, 8)]
 )
 def test_round_runs_each_leg_at_its_level(monkeypatch, name, n_users, dim):
-    # an instrumented round: the uploads, distances, rates, fresh rates and
-    # aggregate products sit at the plan's level and scale, the distance sum
-    # opens at the plan's level, each chunk of the update a level below its
-    # products, and the one group decryption is the rate-sum check, at the
-    # level and scale of the fresh rates
+    # an instrumented round: the uploads, distances, fresh distances, rates
+    # and aggregate products sit at the plan's level and scale, the distance
+    # sum opens at the plan's level, each chunk of the update a level below
+    # its products, and the one group decryption is the rate-sum check, at
+    # the level and scale of the rates
     hp = get_params(name)
     plan = round_plan(hp)
     seen = {"upload": set(), "distance": set(), "rate": set(), "fresh": set()}
@@ -561,7 +569,7 @@ def test_round_runs_each_leg_at_its_level(monkeypatch, name, n_users, dim):
 
     def reencrypt(*args, **kw):
         out = real["reencrypt"](*args, **kw)
-        at("fresh", out)
+        seen["fresh"].add((out.level, out.special, out.scale))
         return out
 
     def raw(x, y, d2):
@@ -576,10 +584,12 @@ def test_round_runs_each_leg_at_its_level(monkeypatch, name, n_users, dim):
     agg = plan.aggregate_level
     assert seen["upload"] == {(plan.upload_level, hp.scale)}
     assert seen["distance"] == {plan.distance_scale}
-    assert seen["rate"] == {(plan.rate_level, plan.rate_scale)}
-    assert seen["fresh"] == {(agg, plan.fresh_scale)}
-    assert seen["check"] == [(agg, plan.fresh_scale)]
-    assert seen["product"] == {(agg, plan.fresh_scale * hp.scale)}
+    assert seen["fresh"] == {(agg, True, plan.fresh_distance_scale)}
+    # the rate's scale is the fresh distance's times scale / P, in floats
+    (rate,) = seen["rate"]
+    assert rate == (agg, pytest.approx(plan.rate_scale, rel=1e-15))
+    assert seen["check"] == [rate]
+    assert seen["product"] == {(agg, rate[1] * hp.scale)}
     n_chunks, _ = agg_mod._chunk_shape(dim, hp.capacity)
     opened = [plan.distance_level] * n_users + [agg - 1] * (n_chunks * n_users)
     assert seen["partials"] == [(level, level + 1) for level in opened]
@@ -675,7 +685,7 @@ def _refused_on_arrival(enc, krs, w_prev, match):
 
 
 def test_round_refuses_uploads_above_the_norm_level():
-    # at fhefl-16384 the uploads sit one level below the top; top-level
+    # at fhefl-16384 the uploads sit two levels below the top; top-level
     # uploads, alone or mixed with norm-level ones, are refused, not dropped
     params = get_params("fhefl-16384")
     krs = setup_pairwise(params, range(3), 0, b"upload-mix")
@@ -685,19 +695,19 @@ def test_round_refuses_uploads_above_the_norm_level():
     top = {u: _upload(krs[u], grads[u], a, rng) for u in range(3)}
     fitting = {u: encrypt_update(krs[u], grads[u], a, rng) for u in range(3)}
     for enc in (top, {**fitting, 1: top[1]}):
-        _refused_on_arrival(enc, krs, np.zeros(8), "sits at level 4, .* takes level 3")
+        _refused_on_arrival(enc, krs, np.zeros(8), "sits at level 4, .* takes level 2")
 
 
 def test_round_refuses_uploads_below_the_norm_level():
-    # test-1024 uploads at level 2 leave the rate at level 0, where the
-    # re-encrypt blind has 2^10 of headroom instead of 2^20
+    # test-1024 uploads at level 1 would leave their distances at level 0,
+    # which does not open one, and could not reach the aggregate level 2
     params = get_params("test-1024")
     krs = setup_pairwise(params, range(3), 0, b"low-uploads")
     rng = np.random.default_rng(44)
     grads = rng.uniform(-1, 1, (3, 8))
-    a = common_poly(params, seed=b"low-uploads-a", level=2)
-    low = {u: _upload(krs[u], grads[u], a, rng, level=2) for u in range(3)}
-    _refused_on_arrival(low, krs, np.zeros(8), "user 0's upload sits at level 2, .* takes level 3")
+    a = common_poly(params, seed=b"low-uploads-a", level=1)
+    low = {u: _upload(krs[u], grads[u], a, rng, level=1) for u in range(3)}
+    _refused_on_arrival(low, krs, np.zeros(8), "user 0's upload sits at level 1, .* takes level 2")
     with pytest.raises(LevelError):
         encrypt_update(krs[0], grads[0], a, rng)
 
@@ -893,7 +903,7 @@ def _leak_round(tag: bytes):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="the rate-sum check opens the fresh rates under the group key sum_u s_u, "
+    reason="the rate-sum check opens the rates under the group key sum_u s_u, "
     "which the server then holds, and the uploads' summed c0 under the round's "
     "a decrypts with it to the unweighted gradient sum",
 )
@@ -919,20 +929,23 @@ def test_the_group_key_does_not_open_the_gradient_sum(monkeypatch):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="the rate-sum check asks only that the re-encrypted rates sum to "
-    "within 0.05 of 1: one user's small lie, or two lies that cancel, pass it "
-    "and move the model",
+    reason="the rate-sum check asks only that the rates sum to within 0.05 of "
+    "1: one user's small lie, or two lies that cancel, pass it and move the model",
 )
 @pytest.mark.parametrize("lies", [{0: 0.049}, {0: 0.5, 1: -0.5}], ids=["one", "cancelling"])
 def test_a_lying_reencryption_aborts_or_leaves_the_model(monkeypatch, lies):
-    params, rings, _, _, run, oracle = _leak_round(b"leak-lie")
+    # a liar re-encrypts its distance less delta * (U - 1) * sum_d, which
+    # raises its rate (1 - d_u / sum_d) / (U - 1) by delta
+    params, rings, grads, _, run, oracle = _leak_round(b"leak-lie")
+    sum_d = float(np.sum(grads**2))
+    unit = (len(grads) - 1) * sum_d
     liars = {id(rings[u].sk): shift for u, shift in lies.items()}
     real = agg_mod.reencrypt
 
-    def lying_reencrypt(ct, sk, a, rng, **kw):
-        fresh = real(ct, sk, a, rng, **kw)
-        lie = encode_monomial(params, liars.get(id(sk), 0.0), 0, fresh.level, scale=fresh.scale)
-        return replace(fresh, comps=(fresh.c0.add(lie), fresh.c1))
+    def lying_reencrypt(ct, sk, a, rng, *, index, **kw):
+        shift = -liars.get(id(sk), 0.0) * unit
+        lie = encode_monomial(params, shift, index, ct.level, scale=ct.scale)
+        return real(replace(ct, comps=(ct.c0.add(lie), ct.c1)), sk, a, rng, index=index, **kw)
 
     monkeypatch.setattr(agg_mod, "reencrypt", lying_reencrypt)
     try:
@@ -951,11 +964,11 @@ def test_a_lying_reencryption_aborts_or_leaves_the_model(monkeypatch, lies):
 )
 def test_a_shifted_partial_decryption_aborts_or_leaves_the_model(monkeypatch):
     # user 0 subtracts an encoding of 0.5 from coordinate 0 of its share of
-    # the aggregate opening, read a level below the products, at their
-    # scale divided by the dropped prime
+    # the aggregate opening, read a level below the products, at the rate's
+    # scale times the gradient's divided by the dropped prime
     params, rings, _, _, run, oracle = _leak_round(b"leak-partial")
     plan = round_plan(params)
-    scale = plan.fresh_scale * params.scale / params.ring.chain[plan.aggregate_level]
+    scale = plan.rate_scale * params.scale / params.ring.chain[plan.aggregate_level]
     shift = np.zeros((1, 40), dtype=np.int64)
     shift[0, 0] = round(0.5 * scale)
     real = agg_mod.masked_partial_decrypt
@@ -1042,7 +1055,7 @@ def test_an_opening_sends_only_its_read_set(hp, monkeypatch):
 
 
 def test_pipeline_aborts_on_inflated_reencryption(hp, monkeypatch):
-    # a cheating user re-encrypts triple their blinded rate; the roster-wide
+    # a cheating user re-encrypts triple their distance; the roster-wide
     # rate-sum check must abort the round
     import fhefl.aggregation as agg_mod
 
@@ -1055,7 +1068,7 @@ def test_pipeline_aborts_on_inflated_reencryption(hp, monkeypatch):
     real_reencrypt = agg_mod.reencrypt
 
     def inflating_reencrypt(ct, sk, a, rng, **kw):
-        # reading the blinded rate at a third of its scale triples it
+        # reading the distance at a third of its scale triples it
         return real_reencrypt(replace(ct, scale=ct.scale / 3.0), sk, a, rng, **kw)
 
     monkeypatch.setattr(agg_mod, "reencrypt", inflating_reencrypt)

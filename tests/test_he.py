@@ -308,7 +308,7 @@ def test_plaintext_matches_int_coefficients(name, data):
 
 
 def test_reencrypt_keeps_the_exact_coefficient(hp, keys):
-    # a blinded-size value at an irregular scale: its float image has
+    # a value of 2^19 / 3 at an irregular scale: its float image has
     # resolution 2^-33, the fresh encryption keeps the exact phase
     sk, _ = keys
     ct = fresh(hp, sk, [0.0, 2.0**19 / 3.0], seed=75, scale=2.0**40 / 1.37)
@@ -338,16 +338,21 @@ def test_reencrypt_encrypts_at_the_level_of_a(hp, keys):
     rng = np.random.default_rng(78)
     a = common_poly(hp, seed=b"re-low", level=1)
     out = reencrypt(ct, sk, a, rng, index=1, scale=2.0**50)
-    assert out.level == 1 and out.c1 == a
+    assert (out.level, out.special) == (1, False) and out.c1 == a
     np.testing.assert_allclose(decrypt(out, sk).values, [-3.5], rtol=1e-9)
+    # and in its layout: with the special row P when a carries it, which a
+    # rescale then divides away
+    a = common_poly(hp, seed=b"re-low", level=1, special=True)
+    out = reencrypt(ct, sk, a, rng, index=1, scale=2.0**40 * hp.ring.special)
+    assert (out.level, out.special) == (1, True) and out.c1 == a
+    np.testing.assert_allclose(decrypt(rescale(out), sk).values, [-3.5], rtol=1e-9)
 
 
 @pytest.mark.parametrize("name", preset_names())
 def test_encode_monomial_is_encode_then_transform(name):
-    # the one-value writer (the affine constant, the re-encrypt blind and
-    # unmask), in the NTT domain without a transform: below the capacity
-    # byte for byte what encode gives, at or above it (the blind on n-1) the
-    # same integer placed on the ring
+    # the one-value writer (the affine constant), in the NTT domain without
+    # a transform: below the capacity byte for byte what encode gives, at or
+    # above it (a norm's readout n-1) the same integer placed on the ring
     params = get_params(name)
     ring = params.ring
     n, cap = ring.n, params.capacity
@@ -1006,6 +1011,25 @@ def test_ciphertext_wire_rejects_inconsistent_layouts(hp, keys):
     raw = _he_mult_raw(ct, ct)
     back = ciphertext_from_bytes(ciphertext_to_bytes(raw), hp)
     assert all(a == b for a, b in zip(back.comps, raw.comps))
+
+
+def test_ciphertext_wire_refuses_a_ciphertext_on_the_special_prime(hp, keys):
+    # the header states chain elements at its level, so a ciphertext whose
+    # components carry the special row has no record: its residues would
+    # misframe the reader, and its seeded c1 would be rebuilt without P.
+    # Rescaled by P it is a chain ciphertext again, and travels
+    sk, _ = keys
+    ct = fresh(hp, sk, [1.0], seed=74)
+    a2 = common_poly(hp, seed=b"wire-a2", level=ct.level, special=True)
+    scale = hp.scale * hp.ring.special
+    on_p = reencrypt(ct, sk, a2, np.random.default_rng(75), index=0, scale=scale)
+    assert on_p.special and on_p.c1.seed == b"wire-a2"
+    with pytest.raises(SerializationError, match="special prime"):
+        ciphertext_to_bytes(on_p)
+    down = rescale(on_p)
+    back = ciphertext_from_bytes(ciphertext_to_bytes(down), hp)
+    assert all(a == b for a, b in zip(back.comps, down.comps))
+    assert decrypt(back, sk).values[0] == pytest.approx(1.0, abs=2.0**-30)
 
 
 def test_reader_rebuilds_a_round_polynomial_once(hp, keys):

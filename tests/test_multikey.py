@@ -139,16 +139,21 @@ def test_evaluation_keys_sit_at_the_upload_level(name):
     assert rings[0].evk.a_seed != setup_pairwise(params, [0], 1, b"evk-level")[0].evk.a_seed
 
 
-@pytest.mark.parametrize("bits, leg", [((53, 41), "rate"), ((53, 30, 30), "distance-sum")])
+@pytest.mark.parametrize(
+    "bits, leg",
+    [((53, 41, 41), "rate"), ((53, 30, 30), "distance-sum"), ((53, 41, 30), "aggregate")],
+)
 def test_setup_refuses_a_chain_that_cannot_hold_the_round(monkeypatch, bits, leg):
-    # [53, 41] leaves no level for the rate's rescale, and no level of
-    # [53, 30, 30] below the uploads opens a distance.  Both used to pass
-    # set-up and the uploads and fail mid-round; set-up now refuses them
-    # before it builds any key
-    special = find_ntt_primes(16, 53, 1)[0]
-    q0 = find_ntt_primes(16, bits[0], 1, avoid=[special])[0]
-    mids = find_ntt_primes(16, bits[1], len(bits) - 1, avoid=[special, q0])
-    params = HeParams(RingParams(n=16, chain=(q0, *mids), special=special), 40)
+    # test-16's chain with no special prime leaves the rate's rescale no
+    # prime to drop, no level of [53, 30, 30] opens a distance a level below
+    # it, and no level of [53, 41, 30] holds a rate times a gradient.  Such
+    # chains used to pass set-up and the uploads and fail mid-round; set-up
+    # now refuses them before it builds any key
+    special = None if leg == "rate" else find_ntt_primes(16, 53, 1)[0]
+    chain = []
+    for b in bits:
+        chain += find_ntt_primes(16, b, 1, avoid=[special, *chain] if special else chain)
+    params = HeParams(RingParams(n=16, chain=tuple(chain), special=special), 40)
 
     def no_key(*args, **kw):
         raise AssertionError("set-up built a key")
@@ -385,8 +390,9 @@ def test_aggregate_fresh_refuses_mixed_scales():
 
 @pytest.mark.parametrize("name", preset_names())
 def test_opened_products_stay_within_the_opening_bound(name):
-    # the aggregate stage's opening: rate * gradient products left
-    # three-component over the shared d2 = a2*a, opened on the packed
+    # the aggregate stage's opening: rate * gradient products (the rates
+    # encrypted fresh here, on one a2) left three-component over the shared
+    # d2 = a2*a, opened on the packed
     # coefficients with the users' terms and the sum divided by q_level.
     # Against the exact product of the encoded integers the error stays
     # within opening_noise: the tracked noise / q, (U + 1) roundings of 1/2
@@ -398,12 +404,12 @@ def test_opened_products_stay_within_the_opening_bound(name):
     rings = setup_pairwise(params, users, 0, b"bound-" + name.encode())
     rng = np.random.default_rng(31)
     plan = round_plan(params)
-    fresh_scale, level = plan.fresh_scale, plan.aggregate_level
+    rate_scale, level = plan.rate_scale, plan.aggregate_level
     a = common_poly(params, seed=b"bound-a")
     a2 = common_poly(params, seed=b"bound-a2", level=level)
     rates = rng.uniform(0.0, 1.0, 3)
     grads = rng.uniform(-1.0, 1.0, (3, 6))
-    xs = [encrypt(params, [p], rings[u].sk, a2, rng, level=level, scale=fresh_scale)
+    xs = [encrypt(params, [p], rings[u].sk, a2, rng, level=level, scale=rate_scale)
           for u, p in zip(users, rates)]
     ys = [encrypt_update(rings[u], grads[u], a, rng).chunks[0].mod_reduce_to(level) for u in users]
     d2 = xs[0].c1.mul(ys[0].c1)
@@ -416,11 +422,11 @@ def test_opened_products_stay_within_the_opening_bound(name):
     assert {p.elem.level for p in partials.values()} == {level - 1}
     opened = combine_partials(prods, partials, read)
     exact = sum(
-        int(_scaled_ints(fresh_scale, np.array([p]))[0])
+        int(_scaled_ints(rate_scale, np.array([p]))[0])
         * np.array(_scaled_ints(params.scale, g), dtype=object)
         for p, g in zip(rates, grads)
     )
-    want = np.array([float(Fraction(int(v)) / Fraction(fresh_scale * params.scale)) for v in exact])
+    want = np.array([float(Fraction(int(v)) / Fraction(rate_scale * params.scale)) for v in exact])
     err = np.abs(opened - want).max()
     assert err <= opening_noise(prods.values())
     np.testing.assert_allclose(opened, rates @ grads, atol=1e-6)

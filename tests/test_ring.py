@@ -240,9 +240,9 @@ def test_coeffs_at_reads_a_coefficient_without_a_transform(name, monkeypatch):
     phase = ref.int_coeffs(ct.c0.sub(ct.c1.mul(sk.s.mod_reduce_to(level))).to_coeff())
     encoded = []
 
-    def plaintext(*args, real=he_mod._plaintext):
+    def plaintext(*args, real=he_mod._plaintext, **kw):
         encoded.append(args[1])
-        return real(*args)
+        return real(*args, **kw)
 
     monkeypatch.setattr(he_mod, "_plaintext", plaintext)
     calls.clear()
