@@ -38,7 +38,10 @@ rescale that divides by the dropped prime.  Relinearization decomposes the
 quadratic component into its per-prime RNS digits and key-switches them with
 one evaluation-key pair per chain prime over the special-prime extension —
 the standard word-sized realization of dividing by a large public ``p``.
-The quadratic component of a product of fresh ciphertexts is the product of
+``relinearize`` leaves the product on that prime (the key switch without its
+mod-down), and ``he_mult_relin`` divides it by ``p`` and the dropped chain
+prime in one exact pass, ``rescale(..., level=)``, byte-identical to the
+two divisions one after the other.  The quadratic component of a product of fresh ciphertexts is the product of
 their public c1 parts, so every product of a round's stage has the same one.
 ``he_mult_relin`` takes a stage as one batch, whose products must share
 their c1 parts: it forms the component once, decomposes it into key-switch
@@ -67,7 +70,10 @@ rescale costs no chain level.
 ``rescale``, ``he_mult_relin`` and ``plain_affine`` take one ciphertext (or
 pair) or a sequence of them; a sequence is rescaled through batched
 ``RingElement.drop_last_modulus`` calls, with one transform per group of
-components rather than one per ciphertext, and gives the same bytes.
+components rather than one per ciphertext, and gives the same bytes.  A
+component that several ciphertexts of a sequence hold (the rates' c1, which
+every fresh distance shares) is multiplied and divided once, and every
+result holds the one result.
 
 A ciphertext's level is its components' level, and its layout that level
 with or without the special row.  Ciphertexts add under one
@@ -110,7 +116,6 @@ import math
 import struct
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice
 from typing import ClassVar, Iterator
 
 import numpy as np
@@ -733,8 +738,9 @@ def _he_mult_raw(x: Ciphertext, y: Ciphertext, d2: RingElement | None = None) ->
 
 @dataclass(frozen=True)
 class SwitchedQuadratic:
-    """A quadratic component d2 key-switched under one evaluation key:
-    u0 - u1*s = d2*s^2 + p^-1 * sum_i digit_i * e_i (mod the active chain)."""
+    """A quadratic component d2 key-switched under one evaluation key, not
+    yet divided by the special prime P: over q_0..q_l and P,
+    u0 - u1*s = P * d2*s^2 + sum_i digit_i * e_i."""
 
     d2: RingElement
     evk: EvalKey
@@ -743,17 +749,15 @@ class SwitchedQuadratic:
 
 
 def switch_quadratic(d2: RingElement, evks) -> Iterator[SwitchedQuadratic]:
-    """Key-switch one quadratic component under each of ``evks``, in order.
+    """Key-switch one quadratic component under each of ``evks``, in order,
+    leaving the pair on the special prime (``relinearize`` keeps it there).
 
     d2 is decomposed into its RNS digits once.  Each key's inner product with
     the digits over the extended basis is one stacked multiply per half of
     the key (a seeded key's public half expanded for it, and dropped after)
-    and one sum over the digits; a group of keys' (u0, u1) are then
-    exactly divided-and-rounded by the special prime in one
-    ``drop_last_modulus`` call, all in the NTT domain.  The group holds
-    ``RingParams.group_size // 2`` keys, so its 2 elements per key fill one
-    group of the drop.  The pairs are yielded in key order, so a caller that
-    uses each group before the next holds one group at a time.
+    and one sum over the digits, all in the NTT domain, with no transform.
+    The pairs are yielded in key order, one key at a time, so a caller that
+    uses each pair before the next holds one at a time.
     """
     ring, level = d2.params, d2.level
     rows = ring.rows(level, special=True)
@@ -777,22 +781,23 @@ def switch_quadratic(d2: RingElement, evks) -> Iterator[SwitchedQuadratic]:
             acc = add_mod(acc, term, q)
         return RingElement(ring, acc, level, True, True)
 
-    keys = iter(evks)
-    while group := list(islice(keys, max(1, ring.group_size // 2))):
-        for evk in group:
-            _check_key_level(level, evk)
-        downs = RingElement.drop_last_modulus(
-            *[inner(half) for evk in group for half in (evk.ks_b, evk.ks_a)]
-        )
-        for k, evk in enumerate(group):
-            yield SwitchedQuadratic(d2, evk, downs[2 * k], downs[2 * k + 1])
+    for evk in evks:
+        _check_key_level(level, evk)
+        yield SwitchedQuadratic(d2, evk, inner(evk.ks_b), inner(evk.ks_a))
 
 
 def relinearize(
     ct: Ciphertext, evk: EvalKey, switched: SwitchedQuadratic | None = None
 ) -> Ciphertext:
     """Key-switch the quadratic component under ``evk``; ``switched`` may carry
-    that switch, computed once for every product that shares the component."""
+    that switch, computed once for every product that shares the component.
+
+    The result stays on the special prime P: (P*d0 + u0, P*d1 + u1) over
+    q_0..q_l and P, at P times the product's scale, which is the hybrid key
+    switch without its mod-down.  ``rescale`` divides it by P alone, or,
+    given a level below, by P and the chain primes above that level in one
+    pass (``he_mult_relin`` drops P and q_l together).
+    """
     if len(ct.comps) != 3:
         raise LevelError("relinearize expects a three-component ciphertext")
     d0, d1, d2 = ct.comps
@@ -801,31 +806,44 @@ def relinearize(
     elif switched.evk is not evk or switched.d2 != d2:
         raise ParameterError("switched pair is not this product's quadratic component under evk")
     ring = ct.params.ring
+    p, q = ring.special, ring.tables.q[: ct.level + 1]
+
+    def on_p(d: RingElement, u: RingElement) -> RingElement:
+        # P*d vanishes mod P, so the special row is u's alone
+        data = np.empty_like(u.data)
+        data[:-1] = add_mod(d.mul_scalar(p).data, u.data[:-1], q)
+        data[-1] = u.data[-1]
+        return RingElement(ring, data, ct.level, True, True)
+
     ks_noise = (
         math.log2(ct.level + 1)
         + math.log2(ring.n) / 2
         + math.log2(max(ring.chain))
         + math.log2(6 * ct.params.sigma)
-        - math.log2(ring.special)
+        - math.log2(p)
     )
     return replace(
         ct,
-        comps=(d0.add(switched.u0), d1.add(switched.u1)),
-        noise_log2=_log2_add(ct.noise_log2, ks_noise),
+        comps=(on_p(d0, switched.u0), on_p(d1, switched.u1)),
+        scale=ct.scale * p,
+        noise_log2=_log2_add(ct.noise_log2, ks_noise) + math.log2(p),
     )
 
 
-def rescale(ct) -> Ciphertext | tuple[Ciphertext, ...]:
+def rescale(ct, level: int | None = None) -> Ciphertext | tuple[Ciphertext, ...]:
     """Exact divide-and-round by the components' last modulus, the special
-    prime when they carry it and the last chain prime otherwise; the scale
-    divides with it.
+    prime when they carry it and the last chain prime otherwise, or, given
+    ``level``, by every modulus above that level in one pass; the scale
+    divides with them.
 
     ``ct`` is one ciphertext, or a sequence of them of one layout whose
-    components all drop through one ``drop_last_modulus`` call.  One gives
-    one, a sequence a tuple in its order.  A three-component product is
-    refused: the rounding of its d2 reaches the phase times s^2, which the
-    tracked bound does not cover (relinearize first, or open the product
-    through `fhefl.multikey`, which divides its opened residues instead).
+    components all drop through one ``drop_last_modulus`` call; a component
+    that several of them hold (the rates' shared c1) drops once, and every
+    result holds that one component.  One gives one, a sequence a tuple in
+    its order.  A three-component product is refused: the rounding of its d2
+    reaches the phase times s^2, which the tracked bound does not cover
+    (relinearize first, or open the product through `fhefl.multikey`, which
+    divides its opened residues instead).
     """
     batch = not isinstance(ct, Ciphertext)
     cts = tuple(ct) if batch else (ct,)
@@ -833,17 +851,19 @@ def rescale(ct) -> Ciphertext | tuple[Ciphertext, ...]:
         return ()
     if any(len(x.comps) != 2 for x in cts):
         raise LevelError("rescale takes two-component ciphertexts; relinearize first")
-    flat = [c for x in cts for c in x.comps]
-    downs = iter(flat[0].drop_last_modulus(*flat[1:]))
+    flat = {id(c): c for x in cts for c in x.comps}
+    first, *rest = flat.values()
+    downs = first.drop_last_modulus(*rest, level=level)
+    downs = dict(zip(flat, downs if rest else (downs,)))
     out = []
     for x in cts:
-        q_last = x.c0.moduli[-1]
-        nz = _log2_add(
-            x.noise_log2 - math.log2(q_last),
-            math.log2(x.params.ring.n) / 2 + 1.0,  # rounding folded through the key
-        )
-        comps = tuple(islice(downs, len(x.comps)))
-        out.append(replace(x, comps=comps, scale=x.scale / q_last, noise_log2=nz))
+        comps = tuple(downs[id(c)] for c in x.comps)
+        scale, nz = x.scale, x.noise_log2
+        for q in reversed(x.c0.moduli[comps[0].level + 1 :]):
+            scale /= q
+            nz -= math.log2(q)
+        nz = _log2_add(nz, math.log2(x.params.ring.n) / 2 + 1.0)  # rounding folded through the key
+        out.append(replace(x, comps=comps, scale=scale, noise_log2=nz))
     return tuple(out) if batch else out[0]
 
 
@@ -929,8 +949,10 @@ def he_mult_relin(x, y, evk) -> Ciphertext | tuple[Ciphertext, ...]:
     once and key-switched once per run of consecutive products under one key
     (``switch_quadratic``).  The products are then relinearized and rescaled
     half a ``RingParams.group_size`` at a time, so that their components fill
-    one group of the drop and only one group of three-component products is
-    held.
+    one group of the drop and only one group of products is held: each
+    product leaves ``relinearize`` on the special prime P and drops P and
+    its top chain prime in one ``rescale`` pass, where the products of one
+    key share the lift of their P rows.
     """
     batch = not isinstance(x, Ciphertext)
     xs, ys, evks = (tuple(x), tuple(y), tuple(evk)) if batch else ((x,), (y,), (evk,))
@@ -952,7 +974,7 @@ def he_mult_relin(x, y, evk) -> Ciphertext | tuple[Ciphertext, ...]:
             if new_run[i]:
                 sw = next(switched)
             raws.append(relinearize(_he_mult_raw(xs[i], ys[i], d2), evks[i], sw))
-        out += rescale(raws)
+        out += rescale(raws, level=d2.level - 1)
     return tuple(out) if batch else out[0]
 
 
@@ -967,22 +989,28 @@ def plain_affine(
     modulus (``rescale``): the special prime of a ciphertext that carries
     it, a level otherwise.  ``ct`` is one ciphertext, or a sequence of them
     of one layout, rescaled through one ``rescale`` call: one gives one, a
-    sequence a tuple in its order.
+    sequence a tuple in its order.  A component that several of them hold
+    (the fresh distances' c1) is multiplied and divided once, and every
+    result holds that one component.
     """
     batch = not isinstance(ct, Ciphertext)
-    mids = []
+    mids, scaled = [], {}
     for x in ct if batch else (ct,):
         if len(x.comps) != 2:
             raise LevelError("plain_affine expects a relinearized ciphertext")
         if x.level < 1 and not x.special:
             raise LevelError("no levels left for the affine rescale")
         params = x.params
-        # a constant's NTT is the constant in every slot: one scalar pass
+        # a constant's NTT is the constant in every slot: one scalar pass,
+        # once per component that several ciphertexts hold
         pm = _scaled_round(params.scale, float(mult))
         _check_headroom(params, abs(pm), x.level, x.special)
+        for c in x.comps:
+            if (id(c), pm) not in scaled:
+                scaled[id(c), pm] = c.mul_scalar(pm)
         mids.append(replace(
             x,
-            comps=tuple(c.mul_scalar(pm) for c in x.comps),
+            comps=tuple(scaled[id(c), pm] for c in x.comps),
             scale=x.scale * params.scale,
             noise_log2=x.noise_log2 + params.scale_bits
             + math.log2(max(abs(mult), 2**-params.scale_bits)),

@@ -256,7 +256,6 @@ class NttTables:
     mont: np.ndarray  # (3, rows, 1): 2^64 mod q and its Shoup halves
     fwd: np.ndarray  # (3, rows, n): ψ^brv(i) with Shoup halves
     inv: np.ndarray  # (3, rows, n): ψ^-brv(i); [1] folds n^-1, [0] is n^-1
-    rescale: np.ndarray  # (3, rows, rows): [:, i, j] is q_j^-1 mod q_i; 0 if i = j
     bound: np.ndarray  # (rows, 1): the largest multiple of q below 2^64
     brv: np.ndarray  # (n,): the bit-reversal permutation of 0..n-1
 
@@ -292,8 +291,6 @@ def make_ntt_tables(primes, n: int) -> NttTables:
     r[1, :, :2] = mont_mul(r[1, :, :2], _column(n_inv), q, neg_qinv)
     w = mont_mul(r, np.uint64(1), q, neg_qinv)
 
-    inv_q = [[pow(qj, -1, qi) if i != j else 0 for j, qj in enumerate(primes)]
-             for i, qi in enumerate(primes)]
     brv = np.zeros(1, dtype=np.int64)
     while len(brv) < n:
         brv = np.concatenate([2 * brv, 2 * brv + 1])
@@ -305,12 +302,6 @@ def make_ntt_tables(primes, n: int) -> NttTables:
         mont=shoup_stack(_column(one), _column(_mont_form(one, primes)), neg_qinv),
         fwd=shoup_stack(w[0], r[0], neg_qinv),
         inv=shoup_stack(w[1], r[1], neg_qinv),
-        rescale=shoup_stack(
-            np.array(inv_q, dtype=np.uint64),
-            np.array([[(v << 64) % qi for v in row] for row, qi in zip(inv_q, primes)],
-                     dtype=np.uint64),
-            neg_qinv,
-        ),
         bound=_column([(_WORD // p) * p for p in primes]),
         brv=brv,
     )

@@ -14,8 +14,8 @@ Two representations coexist:
 Every operation works on the whole residue matrix, with the moduli as a
 ``(rows, 1)`` column, through the kernels of :mod:`fhefl.ntt`; transforms
 and products walk it in the kernels' cache-sized row blocks.  The kernel
-constants (Shoup twiddles, the Montgomery factor, rescale inverses, sampler
-bounds and the bit-reversal permutation) are built once, with the
+constants (Shoup twiddles, the Montgomery factor, sampler bounds and the
+bit-reversal permutation) are built once, with the
 kernels themselves, when a :class:`RingParams` is constructed: one table row
 per prime of the chain plus the special prime, and an element selects the
 rows of the moduli it carries.  Nothing else is cached on the params but the
@@ -39,15 +39,21 @@ equality ignores it, `mod_reduce_to` keeps it (a lower-level draw is the
 prefix of the top-level one) and every arithmetic op drops it.
 
 Rescaling (`drop_last_modulus`) is the exact RNS divide-and-round by the last
-active modulus: subtract the centered remainder, then multiply by its inverse
-on the remaining rows (the full-RNS rescale of Cheon et al., SAC 2018).  It
-works in either domain, and on any number of elements of one layout at once,
-in groups of `RingParams.group_size`: in the NTT domain a group's dropped rows
-take one inverse transform, its remainders are lifted in one vectorised pass
-and take one forward transform over all of their rows.  At n = 1024 a group
-is 16 elements; at n = 16384 it is one, the arithmetic of a single drop.
-Dropping rows without rounding (`mod_reduce_to`) is plain modulus reduction
-and keeps the encoded scale untouched.
+active modulus, or by every modulus above a given level at once: subtract the
+centered remainder, then multiply by the dropped product's inverse on the
+remaining rows (the full-RNS rescale of Cheon et al., SAC 2018).  Several
+moduli drop in one pass that rounds exactly as one drop after another: the
+remainder is lifted digit by digit from the dropped rows (`_remainder`), so
+a key switch's special prime P and the chain prime under it cost one inverse
+transform per dropped row and one forward transform per kept row.  It works
+in either domain, and on any number of elements of one layout at once, in
+groups of `RingParams.group_size`: in the NTT domain a group's dropped rows
+take one inverse transform (a last row that several of its elements share,
+once), its remainders are lifted in one vectorised pass and take one forward
+transform over all of their kept rows.  At n = 1024 a group is 16 elements;
+at n = 16384 it is one, the arithmetic of a single drop.  Dropping rows
+without rounding (`mod_reduce_to`) is plain modulus reduction and keeps the
+encoded scale untouched.
 
 An opening reads a public set of coefficients, its read set, and moves
 only those: `Residues` holds them, one column per coefficient, with the
@@ -262,11 +268,7 @@ class RingElement:
 
     def mul_scalar(self, c: int) -> "RingElement":
         """Multiply every coefficient by the integer c (any domain)."""
-        mods = self.moduli
-        w = [c % q for q in mods]
-        r = [(v << 64) % q for v, q in zip(w, mods)]
-        col = np.array([w, r], dtype=np.uint64)[:, :, None]
-        consts = shoup_stack(col[0], col[1], self.params.tables.neg_qinv.take(self.rows, axis=0))
+        consts = _shoup_consts(self.params.tables, self.rows, [c % q for q in self.moduli])
         return self._like(mul_shoup(self.data, *consts, self._q()))
 
     # -- representation switches ---------------------------------------------------
@@ -303,43 +305,54 @@ class RingElement:
         data = np.ascontiguousarray(self.data[rows])
         return RingElement(self.params, data, level, special, self.ntt, self.seed)
 
-    def drop_last_modulus(self, *more: "RingElement"):
-        """Exact divide-and-round by the last active modulus, in either domain,
-        of this element and of every element of ``more``, all of one layout.
+    def drop_last_modulus(self, *more: "RingElement", level: int | None = None):
+        """Exact divide-and-round by the last active modulus, or with ``level``
+        by every modulus above that level, in either domain, of this element
+        and of every element of ``more``, all of one layout.
 
-        Computes round(x / q_last) residue-wise: y_j = (x_j - [x]_q_last) / q_last
-        with the centered remainder, which is exact in RNS.  The elements go
-        in groups of `RingParams.group_size`; in the NTT domain a group's
-        dropped rows take one inverse transform and its remainders one
-        forward transform over all of their rows.  The results stay in the
-        input's domain.  Without ``more`` the result is one element, with it
-        a tuple in order.
+        Computes round(x / M) residue-wise for M the product of the dropped
+        moduli: y_j = (x_j - R) * M^-1 with R the centered remainder of x mod
+        M (`_remainder`), which is exact in RNS and rounds exactly as one
+        drop after another does.  The elements go in groups of
+        `RingParams.group_size`; in the NTT domain a group's dropped rows
+        take one inverse transform (a last row that several of its elements
+        share, once) and its remainders one forward transform over all of
+        their kept rows.  The results are chain elements at ``level``, in the
+        input's domain; by default one modulus goes, so an element on the
+        special prime keeps its level.  Without ``more`` the result is one
+        element, with it a tuple in order.
         """
         for e in more:
             self._check_compat(e)
-        mods = self.moduli
-        if len(mods) == 1:
+        top = self.level if self.special else self.level - 1
+        level = top if level is None else level
+        if top < 0:
             raise LevelError("modulus chain exhausted; nothing left to drop")
-        params, tab, rows = self.params, self.params.tables, self.rows
-        keep = rows[:-1]
+        if not 0 <= level <= top:
+            raise LevelError(f"cannot divide down to level {level}: the element holds 0..{top}")
+        params, tab, rows, n = self.params, self.params.tables, self.rows, self.params.n
+        keep, drop = rows[: level + 1], rows[level + 1 :]
         q = tab.q[keep]
-        inv_last = tab.rescale[:, keep, rows[-1], None]
-        level = self.level if self.special else self.level - 1
         elems = (self, *more)
         out = []
         for start in range(0, len(elems), params.group_size):
             group = elems[start : start + params.group_size]
-            last = np.stack([e.data[-1] for e in group])
+            lasts, which = _distinct([e.data[-1] for e in group])
+            # the distinct last rows, then every element's other dropped rows
+            tails = np.stack([*lasts, *(r for e in group for r in e.data[level + 1 : -1])])
             if self.ntt:
-                ntt_inverse_inplace(last, tab, rows[-1:] * len(group))
-            # one (elements, rows, n) block of remainders
-            rem = _centered_rem(last[:, None], mods[-1], q)
+                ntt_inverse_inplace(tails, tab, drop[-1:] * len(lasts) + drop[:-1] * len(group))
+            tail = np.empty((len(group), len(drop), n), dtype=np.uint64)
+            tail[:, :-1] = tails[len(lasts) :].reshape(len(group), len(drop) - 1, n)
+            tail[:, -1] = tails[which]
+            # one (elements, kept rows, n) block of remainders
+            rem, inv = _remainder(tab, tail, keep, drop)
             if self.ntt:
-                ntt_forward_inplace(rem.reshape(-1, params.n), tab, keep * len(group))
+                ntt_forward_inplace(rem.reshape(-1, n), tab, keep * len(group))
             # element by element, the subtract-and-multiply's temporaries stay
             # cache-sized
             for e, r in zip(group, rem):
-                y = mul_shoup(sub_mod(e.data[:-1], r, q), *inv_last, q)
+                y = mul_shoup(sub_mod(e.data[: level + 1], r, q), *inv, q)
                 out.append(RingElement(params, y, level, False, self.ntt))
         return tuple(out) if more else out[0]
 
@@ -486,10 +499,10 @@ class Residues:
         `RingElement.drop_last_modulus` in the coefficient domain."""
         if self.level == 0:
             raise LevelError("modulus chain exhausted; nothing left to drop")
-        tab, keep = self.params.tables, slice(0, self.level)
+        keep, tab = list(range(self.level)), self.params.tables
         q = tab.q[keep]
-        rem = _centered_rem(self.data[-1:], self.params.chain[self.level], q)
-        y = mul_shoup(sub_mod(self.data[:-1], rem, q), *tab.rescale[:, keep, self.level, None], q)
+        rem, inv = _remainder(tab, self.data[-1:], keep, [self.level])
+        y = mul_shoup(sub_mod(self.data[:-1], rem, q), *inv, q)
         return Residues(self.params, y, self.level - 1)
 
     def to_ints(self) -> np.ndarray:
@@ -523,6 +536,64 @@ def _centered_rem(last: np.ndarray, q_last: int, q: np.ndarray) -> np.ndarray:
     rem += last
     rem %= q
     return rem
+
+
+def _remainder(tab: NttTables, tail: np.ndarray, keep: list[int], drop: list[int]):
+    """The centered remainder R of x mod M, reduced into each kept modulus,
+    and the Shoup constants of M^-1 on those moduli, for M the product of
+    the dropped moduli.
+
+    ``keep`` and ``drop`` are table rows in the element's order (the dropped
+    ones last); ``tail`` holds x's residues mod the dropped moduli in the
+    coefficient domain, ``(..., len(drop), n)``.  R is lifted digit by digit
+    from the last dropped modulus m_1 down: L_1 is the centered residue mod
+    m_1, L_2 the centered residue of (x - L_1) * m_1^-1 mod m_2, and so on,
+    and R = L_1 + m_1 L_2 + m_1 m_2 L_3 + ...  So (x - R) / M is the
+    quotient that dropping m_1, then m_2, ... one at a time gives.
+    """
+    primes = tab.primes
+    below = keep + drop[:-1]  # the rows a digit is reduced into
+    rem = _centered_rem(tail[..., -1:, :], primes[drop[-1]], tab.q[below])
+    m = primes[drop[-1]]
+    for j in range(len(drop) - 2, -1, -1):
+        k, p = len(keep) + j, primes[drop[j]]
+        q_k, q_below = tab.q[below[k : k + 1]], tab.q[below[:k]]
+        digit = mul_shoup(
+            sub_mod(tail[..., j : j + 1, :], rem[..., k : k + 1, :], q_k),
+            *_shoup_consts(tab, [drop[j]], [pow(m, -1, p)]),
+            q_k,
+        )
+        step = mul_shoup(
+            _centered_rem(digit, p, q_below),
+            *_shoup_consts(tab, below[:k], [m % primes[r] for r in below[:k]]),
+            q_below,
+        )
+        rem = add_mod(rem[..., :k, :], step, q_below)
+        m *= p
+    return rem, _shoup_consts(tab, keep, [pow(m, -1, primes[r]) for r in keep])
+
+
+def _shoup_consts(tab: NttTables, rows: list[int], values: list[int]) -> np.ndarray:
+    """(3, rows, 1) Shoup constants of one multiplier per table row of
+    ``rows``, each below its modulus."""
+    r = [(v << 64) % tab.primes[row] for v, row in zip(values, rows)]
+    col = np.array([values, r], dtype=np.uint64)[:, :, None]
+    return shoup_stack(col[0], col[1], tab.neg_qinv.take(rows, axis=0))
+
+
+def _distinct(rows: list[np.ndarray]) -> tuple[list[np.ndarray], list[int]]:
+    """The distinct arrays of ``rows`` in order of first appearance, and for
+    each array the index of its copy among them.  Arrays are matched on
+    their first residues and then compared whole."""
+    index, distinct, which = {}, [], []
+    for row in rows:
+        key = row[:4].tobytes()
+        k = index.get(key)
+        if k is None or not np.array_equal(distinct[k], row):
+            k = index[key] = len(distinct)
+            distinct.append(row)
+        which.append(k)
+    return distinct, which
 
 
 def _crt_lift(params: RingParams, mods: tuple[int, ...], cols: np.ndarray) -> np.ndarray:

@@ -130,8 +130,7 @@ def _shoup_stack(values: list[list[int]], primes) -> np.ndarray:
 def kernel_tables(primes, n: int) -> dict[str, np.ndarray]:
     """The constants of `fhefl.ntt.NttTables`, built element by element:
     twiddles ψ^±brv(i) with n^-1 folded into inverse indices 0 and 1, the
-    Montgomery factor 2^64 mod q, the rescale inverses q_j^-1 mod q_i and
-    the sampler's rejection bounds."""
+    Montgomery factor 2^64 mod q and the sampler's rejection bounds."""
     brv = _bit_reverse_indices(n)
     fwd, inv = [], []
     for q in primes:
@@ -142,13 +141,10 @@ def kernel_tables(primes, n: int) -> dict[str, np.ndarray]:
         row = [pow(psi_inv, b, q) for b in brv]
         row[0], row[1] = n_inv, row[1] * n_inv % q
         inv.append(row)
-    rescale = [[pow(qj, -1, qi) if i != j else 0 for j, qj in enumerate(primes)]
-               for i, qi in enumerate(primes)]
     return {
         "fwd": _shoup_stack(fwd, primes),
         "inv": _shoup_stack(inv, primes),
         "mont": _shoup_stack([[_WORD % q] for q in primes], primes),
-        "rescale": _shoup_stack(rescale, primes),
         "bound": np.array([[(_WORD // q) * q] for q in primes], dtype=np.uint64),
     }
 

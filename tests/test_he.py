@@ -252,8 +252,11 @@ def test_a_key_at_any_level_relinearizes_within_the_tracked_bound(name):
         for level in range(lowest, key_level + 1):
             a = common_poly(params, seed=rng.bytes(16), level=level)
             x, y = (encrypt(params, v, sk, a, rng, level=level) for v in vals)
+            # the relinearized product stays on P, at P times the scale
             relin = relinearize(_he_mult_raw(x, y), evk)
-            assert _tracker_margin(relin, sk, want) >= 0, (key_level, level)
+            assert (relin.level, relin.special) == (level, True)
+            p = params.ring.special
+            assert _tracker_margin(relin, sk, [p * w for w in want]) >= 0, (key_level, level)
             prod = he_mult_relin(x, y, evk)
             q_l = params.ring.chain[level]
             assert prod.level == level - 1
@@ -621,7 +624,7 @@ def test_three_component_decrypt_matches_relinearized(hp, keys):
     raw = _he_mult_raw(x, y)
     assert len(raw.comps) == 3
     direct = decrypt(raw, sk).values
-    lin = decrypt(rescale(relinearize(raw, evk)), sk).values
+    lin = decrypt(rescale(relinearize(raw, evk), level=raw.level - 1), sk).values
     expected = np.convolve([2.5, -1.0], [4.0, 0.5])
     np.testing.assert_allclose(direct, expected, rtol=1e-6)
     np.testing.assert_allclose(lin, expected, rtol=1e-6)
@@ -753,8 +756,13 @@ def test_noise_tracker_grows(hp, keys):
 def _tracker_margin(ct, sk, want) -> float:
     """log2 of the tracked bound over the measured error: the largest gap
     between ct's phase and the exact ``want`` (coefficient units) on
-    coefficients 0..len(want)-1."""
-    got = _phase(ct, sk, range(len(want))).to_ints()
+    coefficients 0..len(want)-1.  A ciphertext on the special prime (a
+    relinearized product) has its phase lifted over q_0..q_l and P."""
+    if ct.special:
+        s = sk.s.mod_reduce_to(ct.level, special=True)
+        got = ref.int_coeffs(ct.c0.sub(ct.c1.mul(s)).to_coeff())[: len(want)]
+    else:
+        got = _phase(ct, sk, range(len(want))).to_ints()
     err = max(abs(int(g) - w) for g, w in zip(got, want))
     return ct.noise_log2 - math.log2(max(float(err), 2.0**-30))
 
@@ -798,20 +806,20 @@ def test_noise_tracker_bounds_the_measured_error(name):
         raw = _he_mult_raw(x, x)
         relin = relinearize(raw, evk)
         q_top = ring.chain[raw.level]
-        rescaled = rescale(relin)
+        rescaled = rescale(relin, level=raw.level - 1)
         affine = plain_affine(rescaled, mult, add, add_index=add_index)
         q_mid = ring.chain[rescaled.level]
         out_scale = Fraction(2**delta) ** 2 / q_top * 2**delta / q_mid
         want_affine = [out_scale * Fraction(mult) * w / 2 ** (2 * delta) for w in want_prod]
         want_affine[add_index] += out_scale * Fraction(add)
         checks["_he_mult_raw"] = (raw, want_prod)
-        checks["relinearize"] = (relin, want_prod)
+        checks["relinearize"] = (relin, [ring.special * w for w in want_prod])
         checks["rescale"] = (rescaled, [w / q_top for w in want_prod])
         checks["plain_affine"] = (affine, want_affine)
         scaled = _he_mult_raw(p, x)
         checks["scalar * mirrored"] = (scaled, want_scaled)
         checks["scalar * mirrored, rescaled"] = (
-            rescale(relinearize(scaled, evk)),
+            rescale(relinearize(scaled, evk), level=scaled.level - 1),
             [Fraction(w) / q_top for w in want_scaled],
         )
         for op, (ct, want) in checks.items():
@@ -842,7 +850,7 @@ def test_rescale_refuses_three_components(hp, keys):
     for bad in (raw, [relin, raw]):
         with pytest.raises(LevelError, match="two-component"):
             rescale(bad)
-    assert rescale(relin).level == raw.level - 1
+    assert rescale(relin, level=raw.level - 1).level == raw.level - 1
 
 
 def test_level_is_the_components_level(hp, keys):
