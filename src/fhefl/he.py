@@ -41,8 +41,9 @@ the standard word-sized realization of dividing by a large public ``p``.
 ``relinearize`` leaves the product on that prime (the key switch without its
 mod-down), and ``he_mult_relin`` divides it by ``p`` and the dropped chain
 prime in one exact pass, ``rescale(..., level=)``, byte-identical to the
-two divisions one after the other.  The quadratic component of a product of fresh ciphertexts is the product of
-their public c1 parts, so every product of a round's stage has the same one.
+two divisions one after the other.  The quadratic component of a product
+of fresh ciphertexts is the product of their public c1 parts, so every
+product of a round's stage has the same one.
 ``he_mult_relin`` takes a stage as one batch, whose products must share
 their c1 parts: it forms the component once, decomposes it into key-switch
 digits once and key-switches it once per run of products under one key
@@ -862,7 +863,8 @@ def rescale(ct, level: int | None = None) -> Ciphertext | tuple[Ciphertext, ...]
         for q in reversed(x.c0.moduli[comps[0].level + 1 :]):
             scale /= q
             nz -= math.log2(q)
-        nz = _log2_add(nz, math.log2(x.params.ring.n) / 2 + 1.0)  # rounding folded through the key
+        # the rounding, folded through the key
+        nz = _log2_add(nz, math.log2(x.params.ring.n) / 2 + 1.0)
         out.append(replace(x, comps=comps, scale=scale, noise_log2=nz))
     return tuple(out) if batch else out[0]
 
@@ -952,7 +954,7 @@ def he_mult_relin(x, y, evk) -> Ciphertext | tuple[Ciphertext, ...]:
     one group of the drop and only one group of products is held: each
     product leaves ``relinearize`` on the special prime P and drops P and
     its top chain prime in one ``rescale`` pass, where the products of one
-    key share the lift of their P rows.
+    key in a group share the lift of their P rows.
     """
     batch = not isinstance(x, Ciphertext)
     xs, ys, evks = (tuple(x), tuple(y), tuple(evk)) if batch else ((x,), (y,), (evk,))

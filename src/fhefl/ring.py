@@ -585,12 +585,13 @@ def _distinct(rows: list[np.ndarray]) -> tuple[list[np.ndarray], list[int]]:
     """The distinct arrays of ``rows`` in order of first appearance, and for
     each array the index of its copy among them.  Arrays are matched on
     their first residues and then compared whole."""
-    index, distinct, which = {}, [], []
+    alike, distinct, which = {}, [], []
     for row in rows:
-        key = row[:4].tobytes()
-        k = index.get(key)
-        if k is None or not np.array_equal(distinct[k], row):
-            k = index[key] = len(distinct)
+        ks = alike.setdefault(row[:4].tobytes(), [])
+        k = next((k for k in ks if np.array_equal(distinct[k], row)), None)
+        if k is None:
+            k = len(distinct)
+            ks.append(k)
             distinct.append(row)
         which.append(k)
     return distinct, which

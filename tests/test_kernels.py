@@ -273,11 +273,13 @@ def test_rescale_matches_reference(case, seed, extreme, level, special, ntt):
     assert np.array_equal(got.data, np.array(want))
 
 
-def _reference_drop(x):
-    """The per-row reference rescale of one element, in its domain."""
+def _reference_drop(x, times=1):
+    """The per-row reference rescale of one element, applied ``times``
+    times, in its domain."""
     ctxs = [_ctx(x.params.tables.primes[r], x.params.n) for r in x.rows]
-    coeff = [ref.ntt_inverse(row, c) for row, c in zip(x.data, ctxs)] if x.ntt else x.data
-    want = ref.drop_last_modulus(np.array(coeff), ctxs)
+    want = [ref.ntt_inverse(row, c) for row, c in zip(x.data, ctxs)] if x.ntt else x.data
+    for _ in range(times):
+        want = ref.drop_last_modulus(np.array(want), ctxs[: len(want)])
     if x.ntt:
         want = [ref.ntt_forward(row, c) for row, c in zip(want, ctxs)]
     return np.array(want)
@@ -318,6 +320,135 @@ def test_batched_rescale_matches_reference_16384():
     assert len(got) == 2
     for y, x in zip(got, elems):
         assert np.array_equal(y.data, _reference_drop(x))
+
+
+def _sharing_p_rows(params, level, special, ntt, seed, extreme=-1):
+    """Three elements of one layout: the third shares the first's last row,
+    as the chunk products of one key share their P row, and the second
+    agrees with the first on its last row's first residues alone."""
+    rows = params.rows(level, special)
+    xs = [
+        RingElement(params, _residues(params, rows, seed + k, extreme), level, special, ntt)
+        for k in range(3)
+    ]
+    xs[2].data[-1] = xs[0].data[-1]
+    xs[1].data[-1, :4] = xs[0].data[-1, :4]
+    return xs
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    case=st.sampled_from(CASES),
+    seed=st.integers(0, 2**32),
+    extreme=st.integers(-1, 3),
+    level=st.integers(1, 4),
+    special=st.booleans(),
+    ntt=st.booleans(),
+)
+def test_two_modulus_drop_matches_two_drops(case, seed, extreme, level, special, ntt):
+    # two moduli in one pass (P and the chain prime under it, as a product
+    # on P drops; or the top two chain primes) equal two successive drops
+    # and the reference coefficient rescale applied twice, for elements
+    # that share their last row and for ones that only start alike
+    params = _ring(*case)
+    level = max(min(level, params.max_level), 1 if special else 2)
+    xs = _sharing_p_rows(params, level, special, ntt, seed, extreme)
+    target = level - 1 if special else level - 2
+    got = xs[0].drop_last_modulus(*xs[1:], level=target)
+    assert len(got) == 3
+    for x, y in zip(xs, got):
+        assert (y.level, y.special, y.ntt) == (target, False, ntt)
+        assert y == x.drop_last_modulus().drop_last_modulus()
+        assert np.array_equal(y.data, _reference_drop(x, 2))
+
+
+def test_two_modulus_drop_lifts_a_shared_p_row_once(monkeypatch):
+    # a group's P rows take one inverse transform each, a shared one once;
+    # the q_l rows one each, and the kept rows one forward transform each
+    params = get_params("test-1024").ring
+    level = round_plan(get_params("test-1024")).upload_level
+    xs = _sharing_p_rows(params, level, True, True, 7)
+    inverse, forward = [], []
+
+    def counting(log, kernel):
+        def run(data, tab, rows):
+            log.extend(rows)
+            return kernel(data, tab, rows)
+
+        return run
+
+    monkeypatch.setattr(ring_mod, "ntt_inverse_inplace", counting(inverse, ntt_inverse_inplace))
+    monkeypatch.setattr(ring_mod, "ntt_forward_inplace", counting(forward, ntt_forward_inplace))
+    got = xs[0].drop_last_modulus(*xs[1:], level=level - 1)
+    monkeypatch.undo()
+    p_row, q_row = len(params.chain), level
+    assert sorted(inverse) == sorted([p_row] * 2 + [q_row] * 3)
+    assert len(forward) == 3 * level
+    for x, y in zip(xs, got):
+        assert np.array_equal(y.data, _reference_drop(x, 2))
+
+
+def test_two_modulus_drop_matches_reference_16384():
+    # one element per group at n = 16384: the second element shares the
+    # first's P row from another group
+    params = get_params("fhefl-16384").ring
+    assert params.group_size == 1
+    xs = _sharing_p_rows(params, 2, True, True, 16384)[::2]
+    got = xs[0].drop_last_modulus(xs[1], level=1)
+    for y, x in zip(got, xs):
+        assert (y.level, y.special) == (1, False)
+        assert np.array_equal(y.data, _reference_drop(x, 2))
+
+
+def test_drop_refuses_a_level_it_cannot_reach():
+    params = get_params("test-1024").ring
+    x = RingElement(params, _residues(params, params.rows(2, True), 1, -1), 2, True, True)
+    for level in (-1, 3):
+        with pytest.raises(LevelError, match="cannot divide down"):
+            x.drop_last_modulus(level=level)
+    with pytest.raises(LevelError, match="cannot divide down"):
+        x.drop_last_modulus().drop_last_modulus(level=2)
+
+
+@pytest.mark.parametrize("name", ["test-16", "test-1024"])
+def test_plain_affine_divides_a_shared_c1_once(monkeypatch, name):
+    # the rate stage's fresh distances all hold c1 = a2 on P: the batched
+    # affine map multiplies and divides it once, and every rate holds the
+    # one result, byte-equal to mapping each distance alone
+    params = get_params(name)
+    ring, level = params.ring, 2
+    sk = SecretKey.generate(params, seed=b"shared-c1")
+    rng = np.random.default_rng(41)
+    d = encrypt(
+        params, [1.5, 0.25, -2.0], sk, common_poly(params, seed=b"shared-a", level=level),
+        rng, level=level,
+    )
+    a2 = common_poly(params, seed=b"shared-a2", level=level, special=True)
+    scale = params.scale * ring.special
+    fresh = [reencrypt(d, sk, a2, rng, index=k, scale=scale) for k in range(3)]
+    assert all(f.c1 is a2 for f in fresh)
+    singles = tuple(he_mod.plain_affine(f, -0.375, 0.25) for f in fresh)
+    scaled, dropped = [], []
+
+    def count_scalar(x, c, real=RingElement.mul_scalar):
+        scaled.append(x)
+        return real(x, c)
+
+    def count_drop(x, *more, real=RingElement.drop_last_modulus, **kwargs):
+        dropped.extend((x, *more))
+        return real(x, *more, **kwargs)
+
+    monkeypatch.setattr(RingElement, "mul_scalar", count_scalar)
+    monkeypatch.setattr(RingElement, "drop_last_modulus", count_drop)
+    batch = he_mod.plain_affine(fresh, -0.375, 0.25)
+    monkeypatch.undo()
+    assert batch == singles
+    assert len({id(ct.c1) for ct in batch}) == 1
+    # the additive constant's monomials are scaled too; of the distances'
+    # components, each c0 is scaled once and the shared c1 once
+    comps = [c for f in fresh for c in f.comps]
+    assert [sum(x is c for x in scaled) for c in comps] == [1, 1, 1, 1, 1, 1]
+    assert len(dropped) == 4
 
 
 def test_batched_rescale_refuses_mixed_layouts():
@@ -651,12 +782,14 @@ def test_round_transform_budget(counted_round):
     # stopped being key-switched and rescaled, then 173 inverse rows in 23
     # calls before decryption and re-encryption read the phase on the
     # decoded coefficients alone, then 286 forward and 150 inverse rows
-    # before the uploads dropped to level 2
+    # before the uploads dropped to level 2, then 249 forward and 149
+    # inverse rows in 18 and 12 calls before a norm product dropped P and
+    # q_L in one pass and the rates' shared c1 was divided once
     _, work, *_ = counted_round
-    assert work["forward"] <= 249
-    assert work["inverse"] <= 149
-    assert work["forward calls"] <= 18
-    assert work["inverse calls"] <= 12
+    assert work["forward"] <= 162
+    assert work["inverse"] <= 140
+    assert work["forward calls"] <= 15
+    assert work["inverse calls"] <= 9
 
 
 def test_round_work_budget(counted_round):
@@ -677,17 +810,19 @@ def test_round_work_budget(counted_round):
 # stage's savings would hide it in the round's totals
 _STAGE_BUDGET = {
     # 61 products before squares; 216 forward rows and 204,800 coefficients
-    # before the uploads dropped to level 2
-    "norm": (149, 6, 63, 6, 41, 122_880),
+    # before the uploads dropped to level 2; 149 forward rows in 6 calls and
+    # 6 inverse calls before each product dropped P and q_L in one pass
+    "norm": (89, 4, 63, 4, 41, 122_880),
     "distance-sum": (0, 0, 0, 0, 10, 180),
     # the two stages the drop raised: the rates' affine map now transforms
     # the rows of the aggregate level and P (40 forward rows before), and
     # the fresh distances carry the P row (30 forward rows and 3,072
     # coefficients before, when the rates were re-encrypted without it).
     # 20 and 3 inverse rows in 10 and 1 calls before re-encryption and
-    # decryption read one coefficient as a dot product
+    # decryption read one coefficient as a dot product.  The rates divide
+    # their shared c1 once: (60, 2, 20, 2) before
     "re-encrypt": (40, 10, 0, 0, 20, 4_096),
-    "rate": (60, 2, 20, 2, 0, 0),
+    "rate": (33, 1, 11, 1, 0, 0),
     "rate-sum-check": (0, 0, 0, 0, 1, 276_480),
     "aggregate": (0, 0, 66, 4, 101, 184_320),
 }
