@@ -165,8 +165,7 @@ class Architecture:
     """Either multinomial logistic regression or a one-hidden-layer tanh MLP.
 
     Parameters are packed flat: logreg as [W (F,C), b (C)]; the MLP as
-    [W1 (F,H), b1 (H), W2 (H,C), b2 (C)].  "First layer" below means the
-    W1/b1 block (for logreg, the whole vector).
+    [W1 (F,H), b1 (H), W2 (H,C), b2 (C)].
     """
 
     name: str
@@ -184,12 +183,6 @@ class Architecture:
         if self.name == "logreg":
             return (f + 1) * c
         return (f + 1) * h + (h + 1) * c
-
-    @property
-    def first_layer_dim(self) -> int:
-        if self.name == "logreg":
-            return self.dim
-        return (self.n_features + 1) * self.hidden
 
     def init(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -410,10 +403,6 @@ class SimConfig:
     rounds: int = 100
     seeds: tuple = (0,)
     epsilon: float = 0.0
-    # "first": only the first layer is encrypted; the rest is aggregated in
-    # the clear with the god-view rates, and the norm (both modes) covers the
-    # first layer alone, so such a run is not end-to-end encrypted
-    encrypt_layers: str = "all"
     pinned_roster: bool = True
 
     def validate(self, override_attacker_cap: bool = False) -> None:
@@ -425,10 +414,12 @@ class SimConfig:
             raise ParameterError(f"unknown aggregator {self.aggregator!r}")
         if self.preset not in preset_names():
             raise ParameterError(f"unknown preset {self.preset!r}")
-        if self.encrypt_layers not in ("all", "first"):
-            raise ParameterError(f"encrypt_layers must be 'all' or 'first'")
         if not 1 <= self.roster_size <= self.n_users:
             raise ParameterError("roster size must be between 1 and the user count")
+        if self.mode == "encrypted" and (self.aggregator != "fhefl" or self.roster_size < 2):
+            raise ParameterError(
+                "encrypted mode runs the fhefl aggregator on a roster of at least 2"
+            )
         if self.attacker_fraction > 0.2 and not override_attacker_cap:
             raise ParameterError(
                 f"attacker fraction {self.attacker_fraction} exceeds the 20% threat "
@@ -436,7 +427,8 @@ class SimConfig:
             )
         if self.rounds < 1 or not self.seeds:
             raise ParameterError("need at least one round and one seed")
-        for key in ("batch_size", "local_epochs", "attacker_epochs", "n_train", "n_test"):
+        for key in ("batch_size", "local_epochs", "attacker_epochs", "n_train", "n_test",
+                    "n_features", "hidden_units"):
             value = getattr(self, key)
             if value is not None and value < 1:
                 raise ParameterError(f"{key} must be at least 1, not {value}")
@@ -501,6 +493,9 @@ class RoundMetrics:
 
 def build_users(ds: Dataset, cfg: SimConfig, seed: int) -> dict[int, UserProfile]:
     """Shard the training data and flip labels on the attacker shards."""
+    for c in (cfg.attack_source, cfg.attack_target):
+        if not 0 <= c < ds.n_classes:
+            raise ParameterError(f"attack class {c} outside the {ds.n_classes} dataset classes")
     shards = shard_iid(ds.train_x, ds.train_y, cfg.n_users, seed)
     n_att = int(round(cfg.attacker_fraction * cfg.n_users))
     rng = np.random.default_rng([seed, 17])
@@ -544,29 +539,18 @@ def _train_roster(state, users, roster, cfg, seed):
     ])
 
 
-def _aggregate_fhefl_encrypted(state, grads, roster, cfg, seed, block_dim, rates):
-    """The encrypted round on the first ``block_dim`` weights; the rest take
-    the plain rule with the god-view ``rates``."""
+def _aggregate_fhefl_encrypted(state, grads, roster, cfg, seed):
+    """The encrypted round on the whole model."""
     params = get_params(cfg.preset)
     master = b"fhefl|%d" % seed
     keyrings = setup_pairwise(params, roster, state.epoch, master)
     rng = np.random.default_rng([seed, state.epoch, 999983])
     a = common_poly(params, seed=b"a|%d|%d" % (seed, state.epoch))
     enc = {
-        u: encrypt_update(keyrings[u], grads[i][:block_dim], a, rng)
-        for i, u in enumerate(roster)
+        u: encrypt_update(keyrings[u], grads[i], a, rng) for i, u in enumerate(roster)
     }
     tag = b"r|%d|%d" % (seed, state.epoch)
-    w_block = secure_aggregate_round(
-        enc, keyrings, state.w[:block_dim], cfg.eta, rng, round_tag=tag
-    )
-    if block_dim < len(state.w):
-        # layers outside the encrypted block are aggregated with the same rates
-        rest = weighted_aggregate_plain(
-            state.w[block_dim:], grads[:, block_dim:], rates, cfg.eta
-        )
-        return np.concatenate([w_block, rest])
-    return w_block
+    return secure_aggregate_round(enc, keyrings, state.w, cfg.eta, rng, round_tag=tag)
 
 
 def run_round(
@@ -582,14 +566,9 @@ def run_round(
     grads = _train_roster(state, users, roster, cfg, seed)
     t1 = time.perf_counter()
 
-    block_dim = (
-        state.arch.first_layer_dim if cfg.encrypt_layers == "first" else state.arch.dim
-    )
-    if cfg.aggregator == "fhefl" and cfg.mode == "encrypted" and len(roster) < 2:
-        raise ParameterError("encrypted mode needs a roster of at least 2")
     # god view of the distances and rates: the plain fhefl rule's weights, and
     # for every other path a metric only (nothing here is decrypted)
-    dists = np.array([sq_norm_plain(g[:block_dim]) for g in grads])
+    dists = np.array([sq_norm_plain(g) for g in grads])
     rates = non_poisoning_rates(dists)
     if cfg.aggregator != "fhefl":
         # krum assumes the configured attacker share of the roster
@@ -597,7 +576,7 @@ def run_round(
         agg = make_aggregator(cfg.aggregator, f=f_assume)
         w_next = state.w - cfg.eta * agg(grads)
     elif cfg.mode == "encrypted":
-        w_next = _aggregate_fhefl_encrypted(state, grads, roster, cfg, seed, block_dim, rates)
+        w_next = _aggregate_fhefl_encrypted(state, grads, roster, cfg, seed)
     else:
         w_next = weighted_aggregate_plain(state.w, grads, rates, cfg.eta)
     t2 = time.perf_counter()

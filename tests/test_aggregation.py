@@ -36,6 +36,7 @@ from fhefl.he import (
     _he_mult_raw,
     _phase,
     _scaled_round,
+    ciphertext_from_bytes,
     ciphertext_to_bytes,
     common_poly,
     decode,
@@ -985,6 +986,24 @@ def test_a_shifted_partial_decryption_aborts_or_leaves_the_model(monkeypatch):
     except ProtocolError:
         return
     assert np.abs(w_next - oracle).max() < 1e-3
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="an upload's wire header states its message bound, and a fresh "
+    "ciphertext's bound is max |g_u| read off the plaintext, so the server "
+    "learns each user's largest coordinate in the clear",
+)
+def test_an_upload_header_does_not_state_its_largest_coordinate():
+    # user 0's gradient is 8x the others', so its largest coordinate differs
+    params, _, grads, enc, _, _ = _leak_round(b"leak-bound")
+    assert np.abs(grads[0]).max() != np.abs(grads[1]).max()
+    bounds = [
+        ciphertext_from_bytes(ciphertext_to_bytes(enc[u].chunks[0]), params).msg_bound
+        for u in (0, 1)
+    ]
+    assert bounds[0] == bounds[1]
 
 
 @pytest.mark.parametrize("dim, chunks", [(1, 1), (512, 1), (513, 2)])

@@ -157,6 +157,8 @@ def test_simulate_refuses_config_values_of_the_wrong_type(tmp_path, capsys, raw,
         ("attacker_epochs", 0),
         ("n_train", 0),
         ("n_test", 0),
+        ("n_features", 0),
+        ("hidden_units", 0),
         ("eta", -0.1),
         ("eta", float("nan")),
         ("eta", float("inf")),
@@ -193,6 +195,23 @@ def test_simulate_encrypted_tiny(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["mode"] == "encrypted"
     assert 0.0 <= summary["per_seed"][0]["final_accuracy"] <= 1.0
+
+
+def test_simulate_refuses_a_baseline_aggregator_in_encrypted_mode(tmp_path, capsys):
+    cfg = _write_tiny_config(tmp_path / "cfg.json")
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "r"),
+            "--mode", "encrypted", "--aggregator", "krum"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "encrypted mode" in err[0]
+    assert not (tmp_path / "r").exists()
+
+
+def test_simulate_refuses_an_attack_class_outside_the_dataset(tmp_path, capsys):
+    cfg = _write_tiny_config(tmp_path / "cfg.json", attack_source=12, attacker_fraction=0.2)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "attack class 12" in err[0]
 
 
 def test_bench_outputs_all_rows(capsys):

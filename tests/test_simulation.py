@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fhefl.aggregation import AGGREGATORS
 from fhefl.errors import ParameterError, TrainingDiverged
 from fhefl.simulation import (
     Architecture,
@@ -170,10 +171,8 @@ def test_attack_config_validation():
 def test_architecture_dims():
     lr = Architecture("logreg", n_features=8, n_classes=5)
     assert lr.dim == 9 * 5
-    assert lr.first_layer_dim == lr.dim
     mlp = Architecture("mlp", n_features=8, n_classes=5, hidden=6)
     assert mlp.dim == 9 * 6 + 7 * 5
-    assert mlp.first_layer_dim == 9 * 6
     with pytest.raises(ParameterError, match="architecture"):
         Architecture("transformer", 8, 5)
 
@@ -413,6 +412,18 @@ def test_build_users_roles_and_flips():
             assert np.array_equal(p.y, flip_labels(orig_y, cfg.attack))
 
 
+@pytest.mark.parametrize("kw", [{"attack_source": 12}, {"attack_target": 3},
+                                {"attack_source": -1}], ids=["12", "3", "-1"])
+def test_build_users_refuses_an_attack_class_outside_the_dataset(kw):
+    # a flip onto class 12 of 3 would index past the one-hot columns, and
+    # class -1 would silently wrap onto the last class
+    cfg = _tiny_cfg(**kw)
+    ds = make_synthetic(cfg.n_features, cfg.n_train, cfg.n_test, cfg.n_classes,
+                        cfg.spread, seed=0)
+    with pytest.raises(ParameterError, match="attack class"):
+        build_users(ds, cfg, seed=0)
+
+
 def test_select_roster_pinned_attacker_count():
     cfg = _tiny_cfg(n_users=20, roster_size=8, attacker_fraction=0.25)
     ds = make_synthetic(cfg.n_features, 400, 100, cfg.n_classes, cfg.spread, 0)
@@ -490,17 +501,15 @@ def test_run_round_encrypted_matches_plain():
     assert np.allclose(me.rates, mp.rates, atol=1e-6)
 
 
-def test_run_round_encrypted_first_layer_only_mlp():
+def test_run_round_encrypted_mlp():
+    # the encrypted round carries every MLP weight, both layers
     kw = dict(architecture="mlp", hidden_units=4, n_users=4, roster_size=4,
-              attacker_fraction=0.25, encrypt_layers="first")
+              attacker_fraction=0.25)
     cfg_plain = _tiny_cfg(mode="plain", **kw)
     cfg_enc = _tiny_cfg(mode="encrypted", preset="test-1024", **kw)
     (sp, mp, _), (se, me, _) = _single_round(cfg_plain), _single_round(cfg_enc)
     rel = np.linalg.norm(se.w - sp.w) / np.linalg.norm(sp.w)
     assert rel < 1e-2
-    # distances must come from the first-layer block only
-    arch = sp.arch
-    assert arch.first_layer_dim < arch.dim
     assert np.allclose(me.dists, mp.dists, rtol=1e-9)
 
 
@@ -587,6 +596,11 @@ def test_simconfig_validation_and_loading(tmp_path):
     bad.write_text(json.dumps({"learning_rate": 0.1}))
     with pytest.raises(ParameterError, match="unknown config keys"):
         SimConfig.from_json(str(bad))
+    # encrypt_layers is no option: a config that sets it is refused
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"mode": "encrypted", "encrypt_layers": "all"}))
+    with pytest.raises(ParameterError, match="unknown config keys"):
+        SimConfig.from_json(str(old))
 
     # an int is a float, and attacker_epochs alone takes null
     loose = tmp_path / "loose.json"
@@ -597,6 +611,16 @@ def test_simconfig_validation_and_loading(tmp_path):
     defaults = tmp_path / "defaults.json"
     defaults.write_text(json.dumps(asdict(SimConfig(attacker_epochs=3))))
     assert SimConfig.from_json(str(defaults)) == SimConfig(attacker_epochs=3)
+
+
+@pytest.mark.parametrize("kw", [{"aggregator": a} for a in AGGREGATORS]
+                         + [{"roster_size": 1}], ids=[*AGGREGATORS, "roster_size=1"])
+def test_encrypted_mode_is_the_fhefl_round_on_a_roster_of_two_or_more(kw):
+    # the baselines run in plain mode only, and one user has no one to mask with
+    SimConfig(mode="plain", **kw).validate()
+    with pytest.raises(ParameterError, match="encrypted mode"):
+        SimConfig(mode="encrypted", **kw).validate()
+    SimConfig(mode="encrypted", roster_size=2).validate()
 
 
 @settings(deadline=None, max_examples=15)
