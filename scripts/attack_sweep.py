@@ -19,11 +19,12 @@ import sys
 
 import numpy as np
 
+from fhefl.errors import ParameterError
 from fhefl.simulation import SimConfig, run_experiment
 
 
-def run_cell(aggregator: str, fraction: float, args) -> tuple[float, float]:
-    cfg = SimConfig(
+def cell_config(aggregator: str, fraction: float, args) -> SimConfig:
+    return SimConfig(
         spread=0.5,
         eta=0.1,
         local_epochs=2,
@@ -35,8 +36,11 @@ def run_cell(aggregator: str, fraction: float, args) -> tuple[float, float]:
         rounds=args.rounds,
         seeds=tuple(args.seeds),
     )
+
+
+def run_cell(cfg: SimConfig) -> tuple[float, float]:
     accs, aasrs = [], []
-    for seed in args.seeds:
+    for seed in cfg.seeds:
         history, _ = run_experiment(cfg, seed)
         accs.append(np.mean([m.accuracy for m in history[-10:]]))
         aasrs.append(np.mean([m.aasr for m in history[-10:]]))
@@ -58,13 +62,25 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="optional CSV destination")
     args = parser.parse_args(argv)
 
+    cells = [
+        cell_config(agg, fraction, args)
+        for fraction in args.fractions
+        for agg in args.aggregators
+    ]
+    # refuse a bad cell before the first one spends minutes training
+    try:
+        for cfg in cells:
+            cfg.validate()
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     rows = []
     print(f"{'aggregator':<14} {'attackers':>9} {'accuracy':>9} {'aasr':>7}")
-    for fraction in args.fractions:
-        for agg in args.aggregators:
-            acc, aasr = run_cell(agg, fraction, args)
-            rows.append((agg, fraction, acc, aasr))
-            print(f"{agg:<14} {fraction:>9.0%} {acc:>9.4f} {aasr:>7.4f}")
+    for cfg in cells:
+        acc, aasr = run_cell(cfg)
+        rows.append((cfg.aggregator, cfg.attacker_fraction, acc, aasr))
+        print(f"{cfg.aggregator:<14} {cfg.attacker_fraction:>9.0%} {acc:>9.4f} {aasr:>7.4f}")
 
     if args.out:
         with open(args.out, "w", newline="") as fh:

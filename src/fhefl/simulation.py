@@ -325,15 +325,20 @@ def corollary_threshold(n_benign: int, n_malicious: int, g_sq: float) -> float:
         raise ParameterError("threshold undefined without malicious users (M >= 1)")
     if b < m:
         raise ParameterError(f"threat model needs B >= M, got B={b}, M={m}")
-    if g_sq < 0:
-        raise ParameterError("G^2 must be non-negative")
+    if not 0 <= g_sq < math.inf:  # NaN fails both comparisons
+        raise ParameterError(f"G^2 must be finite and non-negative, not {g_sq}")
     return (b - m) * (b + m - 1) * g_sq / (b * m - m * m + m)
 
 
 def bound_report(n_benign: int, n_malicious: int, g_sq: float, z_sq: float) -> BoundReport:
     """The threshold for (B, M, G^2), and whether the gap Z^2 lies strictly
     inside the provable-downweighting region (Z^2 < threshold)."""
+    if not 0 <= z_sq < math.inf:
+        raise ParameterError(f"Z^2 must be finite and non-negative, not {z_sq}")
     threshold = corollary_threshold(n_benign, n_malicious, g_sq)
+    if not math.isfinite(threshold):
+        raise ParameterError(f"threshold overflows a float for B={n_benign}, "
+                             f"M={n_malicious}, G^2={g_sq}")
     return BoundReport(
         n_benign=n_benign,
         n_malicious=n_malicious,
@@ -428,7 +433,7 @@ class SimConfig:
         if self.rounds < 1 or not self.seeds:
             raise ParameterError("need at least one round and one seed")
         for key in ("batch_size", "local_epochs", "attacker_epochs", "n_train", "n_test",
-                    "n_features", "hidden_units"):
+                    "n_features", "n_classes", "hidden_units"):
             value = getattr(self, key)
             if value is not None and value < 1:
                 raise ParameterError(f"{key} must be at least 1, not {value}")

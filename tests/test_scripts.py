@@ -30,3 +30,17 @@ def _main(name):
 def test_script_runs(name, argv, capsys):
     assert _main(name)(argv) == 0
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["--fractions", "0.3", "--aggregators", "fedavg"], "20% threat model"),
+        (["--fractions", "0.0", "0.2", "--aggregators", "fedavg", "nope"], "unknown aggregator"),
+    ],
+)
+def test_attack_sweep_refuses_a_bad_cell_before_running_any(argv, what, capsys):
+    assert _main("attack_sweep")(["--rounds", "1", "--seeds", "0", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and what in captured.err
