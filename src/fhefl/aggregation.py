@@ -25,18 +25,19 @@ The encrypted path mirrors the plain one stage for stage:
 3. re-encrypt:  [d_u] is a dense product polynomial, so a rate made from it
                 could not be multiplied cleanly against a packed gradient.
                 User u decrypts the readout coefficient of its own [d_u],
-                a value it knows already, and returns a fresh encryption
-                [d~_u] of it on coefficient 0, under the round's a2 over
-                the chain up to the aggregate level and the special prime
-                P, at the plan's fresh distance scale.  Nothing is
-                blinded: the user learns nothing it did not hold, and the
-                server never sees d_u.  The value is read as an exact
-                rational (no float rounding).
-4. rate:        [p~_u] = plain_affine([d~_u], -1/((U-1)*sum_d), 1/(U-1)):
-                its rescale drops P, so every rate lands at the aggregate
-                level and the plan's rate scale, which keeps the flooding
-                of the aggregate leg's partial decryptions far below it,
-                with the shared c1 = round(a2 / P).
+                a value it knows already, divides it by the public
+                (U-1)*sum_d and returns a fresh encryption [y_u] of
+                y_u = d_u / ((U-1)*sum_d) on coefficient 0, under the
+                round's a2 over the chain up to the aggregate level, at the
+                plan's rate scale.  Nothing is blinded: the user learns
+                nothing it did not hold, and the server never sees d_u.
+                The quotient is an exact rational, rounded once.
+4. rate:        [p~_u] = plain_affine([y_u], -1, 1/(U-1)): an integer
+                multiplier keeps the level and the scale, so every rate
+                sits at the aggregate level and the plan's rate scale,
+                which keeps the flooding of the aggregate leg's partial
+                decryptions far below it, with no rescale and no
+                transform, and every rate shares one c1, -a2.
 5. check:       sum_u [p~_u] is opened under the masked group key and must be
                 ~1, so a user cannot inflate their weight while re-encrypting.
 6. aggregate:   sum_u [p~_u] * [g_u] is opened with partial decryptions of
@@ -78,8 +79,8 @@ aggregate level for the product, whose opened residues are divided by q_agg
 (its rescale, a level lower).  The rate-sum check opens the rates at
 that same level, under keys masked there, never below the product, so an
 inflated rate cannot wrap the check without also wrapping the product.  A
-user that lies in its re-encryption shifts d~_u, and the rates then sum to
-1 exactly when the distances still sum to sum_d.
+user that lies in its re-encryption shifts y_u, and the rates then sum to
+1 exactly when the y_u still sum to 1/(U-1).
 """
 
 from __future__ import annotations
@@ -341,9 +342,9 @@ def rates_encrypted(
 ) -> Ciphertext | tuple[Ciphertext, ...]:
     """[p_u] = (1 - [d_u]/sum_d)/(U-1) as one plaintext affine map.
 
-    The additive 1/(U-1) lands on the readout coefficient carrying d_u (0
-    for a re-encrypted distance).  ``d_ct`` is one distance, or a sequence of
-    them (see ``plain_affine``).
+    The fractional slope costs a level (see ``plain_affine``).  The additive
+    1/(U-1) lands on the readout coefficient carrying d_u.  ``d_ct`` is one
+    distance, or a sequence of them.
     """
     if n_users < 2:
         raise ParameterError("rates need at least two users")
@@ -454,7 +455,7 @@ def secure_aggregate_round(
                 raise ProtocolError(f"user {u}'s upload is off the round's public polynomial")
     roster = users
     n_users = len(users)
-    l_agg = plan.aggregate_level
+    l_agg, rate = plan.aggregate_level, plan.rate_scale  # the rates' level and scale
 
     with _stage("norm"):
         evks = [keyrings[u].evk for u in users]
@@ -476,25 +477,24 @@ def secure_aggregate_round(
 
     with _stage("re-encrypt"):
         # user u re-encrypts the readout of its own distance, which it knows,
-        # on a2 over the chain up to l_agg and the special prime; it states
-        # the public bound on a distance, not its own value
-        a2 = common_poly(params, seed=round_tag + b"|a2", level=l_agg, special=True)
-        fresh_scale = plan.fresh_distance_scale
+        # over the public total (U-1)*sum_d, on a2 over the chain up to l_agg;
+        # it states the public bound 1 on that share, not its own value
+        a2 = common_poly(params, seed=round_tag + b"|a2", level=l_agg)
+        # a total within the noise of zero divides by 1, and its rates are 1/U
+        total, mult, add = (n_users - 1) * sum_d, -1, 1.0 / (n_users - 1)
+        if sum_d <= noise:
+            total, mult, add = 1, 0, 1.0 / n_users
         fresh = [
-            replace(
-                reencrypt(d_cts.pop(u), keyrings[u].sk, a2, rng, index=ri, scale=fresh_scale),
-                msg_bound=2.0**_VALUE_BITS,
-            )
+            reencrypt(d_cts.pop(u), keyrings[u].sk, a2, rng, index=ri, scale=rate, total=total)
             for u in users
         ]
+        fresh = [replace(x, msg_bound=1.0) for x in fresh]
         del a2
 
     with _stage("rate"):
-        # the affine map's rescale drops P: every rate lands at l_agg
-        if sum_d > noise:
-            p_cts = rates_encrypted(fresh, sum_d, n_users, readout=0)
-        else:  # a total within the noise of zero: constant 1/U, no division
-            p_cts = plain_affine(fresh, 0.0, 1.0 / n_users)
+        # the integer map keeps the level and the scale: every rate sits at
+        # l_agg and the rate scale, with no rescale
+        p_cts = plain_affine(fresh, mult, add)
         rates = dict(zip(users, p_cts))
         del fresh, p_cts
 
@@ -512,9 +512,9 @@ def secure_aggregate_round(
             )
 
     with _stage("aggregate"):
-        # every rate carries c1 = round(a2 / P) (aggregate_fresh checked it),
-        # so every product's quadratic component is the public d2 = c1*a; the
-        # products stay three-component and open with no key switch
+        # every rate carries one c1 (aggregate_fresh checked it), so every
+        # product's quadratic component is the public d2 = c1*a; the products
+        # stay three-component and open with no key switch
         d2 = rates[users[0]].c1.mul(a.mod_reduce_to(l_agg))
         openings = [{} for _ in range(n_chunks)]
         for u in users:

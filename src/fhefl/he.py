@@ -61,20 +61,18 @@ and scale, from the chain and the scales alone.  The round relinearizes at
 the plan's upload level and below, so :mod:`fhefl.multikey` builds every
 user's key there.
 
-A ciphertext may also carry the special prime P above its level, as keys
-and secrets do: ``common_poly(..., special=True)`` draws its c1 there,
-``reencrypt`` encrypts in the layout of its ``a``, and ``rescale`` divides
-by a ciphertext's last modulus, which is then P, keeping its level.  The
-round's users re-encrypt their distances there, so that the affine map's
-rescale costs no chain level.
+Every fresh ciphertext lies on the chain; the special prime P is carried
+only inside key switching, by keys, secrets and a relinearized product, and
+``rescale`` divides such a product by P.
 
 ``rescale``, ``he_mult_relin`` and ``plain_affine`` take one ciphertext (or
 pair) or a sequence of them; a sequence is rescaled through batched
 ``RingElement.drop_last_modulus`` calls, with one transform per group of
 components rather than one per ciphertext, and gives the same bytes.  A
-component that several ciphertexts of a sequence hold (the rates' c1, which
-every fresh distance shares) is multiplied and divided once, and every
-result holds the one result.
+component that several ciphertexts of a sequence hold (the c1 that every
+fresh distance shares) is multiplied (and divided) once, and every result
+holds the one result.  An integer multiplier in ``plain_affine`` keeps the
+level and the scale, so it needs no rescale and no transform.
 
 A ciphertext's level is its components' level, and its layout that level
 with or without the special row.  Ciphertexts add under one
@@ -269,26 +267,22 @@ def _scaled_ints(scale: float, values: np.ndarray) -> np.ndarray:
     return np.array([_scaled_round(scale, float(v)) for v in values], dtype=object)
 
 
-def _check_headroom(params: HeParams, worst: int, level: int, special: bool = False) -> None:
-    """Refuse an encoded magnitude that wraps half the modulus of the layout
-    (q_0..q_level, and the special prime when ``special``)."""
-    bound = _modulus(params, level, special) // 2
+def _check_headroom(params: HeParams, worst: int, level: int) -> None:
+    """Refuse an encoded magnitude that wraps half the modulus q_0..q_level."""
+    bound = _modulus(params, level) // 2
     if worst >= bound:
         raise EncodingError(
             f"encoded magnitude 2^{worst.bit_length()} overflows modulus headroom "
-            f"2^{bound.bit_length() - 1} at level {level}{' and P' if special else ''}"
+            f"2^{bound.bit_length() - 1} at level {level}"
         )
 
 
-def _plaintext(
-    params: HeParams, ints, level: int, mirror=None, special: bool = False
-) -> RingElement:
+def _plaintext(params: HeParams, ints, level: int, mirror=None) -> RingElement:
     """Place fixed-point integers on coefficients 0..len-1 and, when given,
-    ``mirror[k]`` on coefficient n-1-k, checking headroom, at level ``level``
-    with the special row when ``special``."""
+    ``mirror[k]`` on coefficient n-1-k, checking headroom, at level ``level``."""
     for part in (ints,) if mirror is None else (ints, mirror):
         worst = int(np.abs(part).max()) if isinstance(part, np.ndarray) else max(map(abs, part))
-        _check_headroom(params, worst, level, special)
+        _check_headroom(params, worst, level)
     if mirror is not None:
         n, length = params.ring.n, len(ints)
         small = all(isinstance(p, np.ndarray) and p.dtype == np.int64 for p in (ints, mirror))
@@ -296,7 +290,7 @@ def _plaintext(
         coeffs[:length] = ints
         coeffs[n - length :] = mirror[::-1]
         ints = coeffs
-    return RingElement.from_int_coeffs(params.ring, ints, level, special)
+    return RingElement.from_int_coeffs(params.ring, ints, level)
 
 
 def _packed(params: HeParams, values) -> PlainVector:
@@ -459,16 +453,14 @@ def _public_half(ring: RingParams, a_seed: bytes, level: int) -> tuple[RingEleme
     )
 
 
-def common_poly(
-    params: HeParams, seed, level: int | None = None, special: bool = False
-) -> RingElement:
+def common_poly(params: HeParams, seed, level: int | None = None) -> RingElement:
     """The shared public polynomial a for one round of fresh encryptions, over
-    q_0..q_level and, when ``special``, the special prime.
+    q_0..q_level.
 
     The element remembers its seed, so a ciphertext whose c1 it is can send
     the seed instead of the polynomial.
     """
-    a = sample_uniform(params.ring, seed, level=level, special=special, ntt=True, tag=b"common-a")
+    a = sample_uniform(params.ring, seed, level=level, ntt=True, tag=b"common-a")
     a.seed = _seed_bytes(seed)
     return a
 
@@ -558,17 +550,15 @@ def _encrypt_plaintexts(
     scale: float,
 ) -> tuple[Ciphertext, ...]:
     """c0 = a*s + m + e, c1 = a for each encoded plaintext m, all of one
-    layout (a level, with or without the special row); ``pvs`` give each
-    ciphertext's length, direction and message bound."""
-    level, special = ms[0].level, ms[0].special
-    a = a.mod_reduce_to(level, special)
-    a_s = a.mul(sk.s.mod_reduce_to(level, special))
+    level; ``pvs`` give each ciphertext's length, direction and message bound."""
+    level = ms[0].level
+    a = a.mod_reduce_to(level)
+    a_s = a.mul(sk.s.mod_reduce_to(level))
     # the NTT is linear mod q, so each m + e takes one transform, and the
     # transforms of the whole batch run as one over their stacked rows
-    m_e = to_ntt_all([
-        m.add(sample_error(params.ring, rng, params.sigma, level=level, special=special))
-        for m in ms
-    ])
+    m_e = to_ntt_all(
+        [m.add(sample_error(params.ring, rng, params.sigma, level=level)) for m in ms]
+    )
     return tuple(
         Ciphertext(
             params=params,
@@ -611,20 +601,24 @@ def reencrypt(
     *,
     index: int,
     scale: float,
+    total: float,
 ) -> Ciphertext:
-    """The key holder's fresh encryption of coefficient ``index`` of ct's plaintext.
+    """The key holder's fresh encryption of coefficient ``index`` of ct's
+    plaintext, divided by the public ``total``.
 
     The coefficient (0..n-1, else ``ParameterError``) is read alone from the
-    phase, with no transform, as an exact integer and re-encoded at ``scale``
-    on coefficient 0, rounding the exact rational once (``_scaled_round``):
-    unlike a decrypt-then-encrypt, the value never passes through a float,
-    whose 53 bits would cap its precision.  The fresh ciphertext takes the
-    layout of ``a``: its level, and the special row when ``a`` carries it.
+    phase, with no transform, as an exact integer; coeff / (ct.scale * total)
+    is one exact rational, encoded at ``scale`` on coefficient 0 and rounded
+    once (``_scaled_round``): unlike a decrypt-then-encrypt, the value never
+    passes through a float, whose 53 bits would cap its precision.  The fresh
+    ciphertext sits at the level of ``a``.
     """
+    if not total > 0:
+        raise ParameterError(f"a re-encryption divides by a positive total, not {total}")
     params = ct.params
     coeff = int(_phase(ct, sk, [index]).to_ints()[0])
-    value = Fraction(coeff) / Fraction(ct.scale)
-    m = _plaintext(params, [_scaled_round(scale, value)], a.level, special=a.special)
+    value = Fraction(coeff) / (Fraction(ct.scale) * Fraction(total))
+    m = _plaintext(params, [_scaled_round(scale, value)], a.level)
     return _encrypt_plaintexts(params, [m], [PlainVector([float(value)])], sk, a, rng, scale)[0]
 
 
@@ -874,10 +868,10 @@ def rescale(ct, level: int | None = None) -> Ciphertext | tuple[Ciphertext, ...]
 _VALUE_BITS = 32
 
 
-def _modulus(params: HeParams, level: int, special: bool = False) -> int:
-    """Q of the layout: q_0..q_level, times the special prime when ``special``."""
+def _modulus(params: HeParams, level: int) -> int:
+    """Q of q_0..q_level."""
     ring = params.ring
-    return ring.crt_constants(ring.moduli(level, special))[0]
+    return ring.crt_constants(ring.moduli(level))[0]
 
 
 def _open_level(params: HeParams, scale: float) -> int:
@@ -898,18 +892,15 @@ class RoundPlan:
     aggregate leg's flooding stays far below them, and sit at the lowest
     level (at least 1) that holds a rate times a gradient.  The uploads sit
     at the lowest level that both opens their distance a level down and
-    holds the aggregate.  Each user re-encrypts its own distance over the
-    chain up to the aggregate level and the special prime P, at the rate
-    scale times P / scale: the affine map multiplies it by a slope encoded
-    at the scale, and its rescale drops P, so every rate lands at the
-    aggregate level and the rate scale.
+    holds the aggregate.  Each user re-encrypts its normalized distance over
+    the chain up to the aggregate level, at the rate scale, and the rate is
+    an integer affine map of it, which keeps its level and scale.
     """
 
     upload_level: int  # the uploads, the norm products and the evaluation keys
     distance_scale: float  # a distance, after its product's rescale
     distance_level: int  # the lowest level that opens a distance
-    fresh_distance_scale: float  # a re-encrypted distance, at the aggregate level and P
-    rate_scale: float  # a rate, after the affine map's rescale drops P
+    rate_scale: float  # a re-encrypted distance and its rate
     aggregate_level: int  # the rates, the rate-sum check and the products
 
 
@@ -926,7 +917,7 @@ def round_plan(params: HeParams) -> RoundPlan:
         return params.scale * params.scale / ring.chain[level]
 
     if ring.special is None:
-        refuse("rate", "no special prime for the affine map's rescale to drop")
+        refuse("norm", "no special prime for the norm products' key switch")
     rate = params.scale * 2.0**params.flood_sigma_bits
     agg = max(1, _open_level(params, rate * params.scale))
     upload = next(
@@ -937,8 +928,7 @@ def round_plan(params: HeParams) -> RoundPlan:
     if _modulus(params, agg) < rate * params.scale * 2.0 ** (_VALUE_BITS + 1):
         refuse("aggregate", f"level {agg} does not hold a rate times a gradient")
     d_scale = distance_scale(upload)
-    fresh_distance = rate * ring.special / params.scale
-    return RoundPlan(upload, d_scale, _open_level(params, d_scale), fresh_distance, rate, agg)
+    return RoundPlan(upload, d_scale, _open_level(params, d_scale), rate, agg)
 
 
 def he_mult_relin(x, y, evk) -> Ciphertext | tuple[Ciphertext, ...]:
@@ -987,38 +977,40 @@ def plain_affine(
 
     The multiplicative constant scales every packed coefficient; the additive
     constant lands on ``add_index`` (the coefficient of the value of
-    interest: 0 for a scalar, n-1 for a norm product).  Costs the last
-    modulus (``rescale``): the special prime of a ciphertext that carries
-    it, a level otherwise.  ``ct`` is one ciphertext, or a sequence of them
-    of one layout, rescaled through one ``rescale`` call: one gives one, a
-    sequence a tuple in its order.  A component that several of them hold
-    (the fresh distances' c1) is multiplied and divided once, and every
-    result holds that one component.
+    interest: 0 for a scalar, n-1 for a norm product) at the result's scale.
+    An integer ``mult`` multiplies the components as it is, keeping the
+    level and the scale, at any level.  Any other is encoded at the scale
+    and costs the last chain prime: the results are rescaled through one
+    ``rescale`` call.  ``ct`` is one ciphertext, or a sequence of them of one
+    level: one gives one, a sequence a tuple in its order.  A component that
+    several of them hold (the fresh distances' c1) is multiplied (and
+    divided) once, and every result holds that one component.
     """
     batch = not isinstance(ct, Ciphertext)
+    whole = float(mult).is_integer()
     mids, scaled = [], {}
     for x in ct if batch else (ct,):
         if len(x.comps) != 2:
             raise LevelError("plain_affine expects a relinearized ciphertext")
-        if x.level < 1 and not x.special:
+        if x.level < 1 and not whole:
             raise LevelError("no levels left for the affine rescale")
         params = x.params
         # a constant's NTT is the constant in every slot: one scalar pass,
         # once per component that several ciphertexts hold
-        pm = _scaled_round(params.scale, float(mult))
-        _check_headroom(params, abs(pm), x.level, x.special)
+        enc = 1.0 if whole else params.scale
+        pm = _scaled_round(enc, float(mult))
+        _check_headroom(params, abs(pm), x.level)
         for c in x.comps:
             if (id(c), pm) not in scaled:
                 scaled[id(c), pm] = c.mul_scalar(pm)
         mids.append(replace(
             x,
             comps=tuple(scaled[id(c), pm] for c in x.comps),
-            scale=x.scale * params.scale,
-            noise_log2=x.noise_log2 + params.scale_bits
-            + math.log2(max(abs(mult), 2**-params.scale_bits)),
+            scale=x.scale * enc,
+            noise_log2=x.noise_log2 + math.log2(max(enc * abs(mult), 1.0)),
             msg_bound=x.msg_bound * max(abs(mult), 1e-300),
         ))
-    outs = list(rescale(mids))
+    outs = mids if whole else list(rescale(mids))
     if add != 0.0:
         for k, out in enumerate(outs):
             pa = encode_monomial(out.params, add, add_index, out.level, scale=out.scale)

@@ -648,7 +648,9 @@ def load_experiment_dataset(cfg: SimConfig, seed: int) -> Dataset:
 
 
 def run_experiment(cfg: SimConfig, seed: int, progress=None):
-    """One seed's full trajectory. Returns (history, summary_dict)."""
+    """One seed's full trajectory, from a config that ``validate`` passes
+    without the CLI's 20% attacker cap. Returns (history, summary_dict)."""
+    cfg.validate(override_attacker_cap=True)
     t_start = time.perf_counter()
     ds = load_experiment_dataset(cfg, seed)
     users = build_users(ds, cfg, seed)

@@ -47,6 +47,7 @@ from fhefl.he import (
     get_params,
     he_add,
     he_mult_relin,
+    plain_affine,
     preset_names,
     reencrypt,
     round_plan,
@@ -456,35 +457,31 @@ def test_round_plan_pins_every_leg(name):
     plan = round_plan(params)
     got = (plan.upload_level, plan.distance_level, plan.rate_scale, plan.aggregate_level)
     assert got == ROUND_PLAN[name]
-    # a fresh distance sits at the aggregate level and the special prime P,
-    # at the rate scale times P / scale, and the affine map's rescale drops P
-    special = params.ring.special
-    assert plan.fresh_distance_scale == plan.rate_scale * special / params.scale
+    # a fresh share d_u / ((U-1) * sum_d) sits on the chain up to the
+    # aggregate level at the rate scale, and the rate map by -1 keeps both
     sk = SecretKey.generate(params, seed=b"plan-sk")
     rng = np.random.default_rng(22)
     a = common_poly(params, seed=b"plan-a", level=plan.distance_level)
     d = encrypt(params, [3.0], sk, a, rng, level=plan.distance_level, scale=plan.distance_scale)
-    a2 = common_poly(params, seed=b"plan-a2", level=plan.aggregate_level, special=True)
-    fresh = reencrypt(d, sk, a2, rng, index=0, scale=plan.fresh_distance_scale)
-    assert (fresh.level, fresh.special) == (plan.aggregate_level, True)
-    assert fresh.c0.moduli == (*params.ring.chain[: plan.aggregate_level + 1], special)
-    rate = rates_encrypted(fresh, 10.0, 2, readout=0)
-    assert (rate.level, rate.special) == (plan.aggregate_level, False)
-    assert rate.scale == pytest.approx(plan.rate_scale, rel=1e-15)
+    a2 = common_poly(params, seed=b"plan-a2", level=plan.aggregate_level)
+    fresh = reencrypt(d, sk, a2, rng, index=0, scale=plan.rate_scale, total=10.0)
+    assert (fresh.level, fresh.special) == (plan.aggregate_level, False)
+    assert fresh.c0.moduli == params.ring.chain[: plan.aggregate_level + 1]
+    rate = plain_affine(fresh, -1, 1.0)
+    assert (rate.level, rate.special, rate.scale) == (plan.aggregate_level, False, plan.rate_scale)
     assert decrypt(rate, sk).values[0] == pytest.approx(1.0 - 3.0 / 10.0, abs=1e-6)
 
 
 def test_readme_round_plan_table():
     # the README's level plan is round_plan's, preset by preset (the rate
-    # scale as a power of two; every fresh distance sits on the special prime)
+    # scale as a power of two)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    cells = r" +\| (\d+)" * 2 + r" +\| (\d+) \+ P +\| 2\^(\d+) +\| (\d+) +\|$"
+    cells = r" +\| (\d+)" * 2 + r" +\| 2\^(\d+) +\| (\d+) +\|$"
     rows = re.findall(r"^\| `([\w-]+)`" + cells, readme, re.M)
     assert [name for name, *_ in rows] == preset_names()
-    for name, upload, distance, fresh, rate, agg in rows:
+    for name, upload, distance, rate, agg in rows:
         plan = round_plan(get_params(name))
-        want = (plan.upload_level, plan.distance_level, plan.aggregate_level)
-        assert (int(upload), int(distance), int(fresh)) == want
+        assert (int(upload), int(distance)) == (plan.upload_level, plan.distance_level)
         assert (2.0 ** int(rate), int(agg)) == (plan.rate_scale, plan.aggregate_level)
 
 
@@ -510,10 +507,10 @@ def test_round_levels_hold_every_opened_value(name):
     # distance-sum: the distance opens at the lowest level that holds it
     d = sq_norm_encrypted(eu, kr.evk)
     holds_only_from(plan.distance_level, d.scale)
-    # re-encrypt and rate: the fresh distance on P, the rate at l_agg
-    a2 = common_poly(params, seed=b"levels-a2", level=l_agg, special=True)
-    fresh = reencrypt(d, kr.sk, a2, rng, index=eu.readout, scale=plan.fresh_distance_scale)
-    p = rates_encrypted(fresh, 10.0, 2, readout=0)
+    # re-encrypt and rate: the fresh share and its rate at l_agg
+    a2 = common_poly(params, seed=b"levels-a2", level=l_agg)
+    fresh = reencrypt(d, kr.sk, a2, rng, index=eu.readout, scale=plan.rate_scale, total=10.0)
+    p = plain_affine(fresh, -1, 1.0)
     assert (p.level, p.special) == (l_agg, False)
     # rate-sum check: the rates open at the product's own level
     encode(params, [value], l_agg, scale=p.scale)
@@ -585,10 +582,10 @@ def test_round_runs_each_leg_at_its_level(monkeypatch, name, n_users, dim):
     agg = plan.aggregate_level
     assert seen["upload"] == {(plan.upload_level, hp.scale)}
     assert seen["distance"] == {plan.distance_scale}
-    assert seen["fresh"] == {(agg, True, plan.fresh_distance_scale)}
-    # the rate's scale is the fresh distance's times scale / P, in floats
+    # the fresh shares and their rates sit at the rate scale exactly
+    assert seen["fresh"] == {(agg, False, plan.rate_scale)}
     (rate,) = seen["rate"]
-    assert rate == (agg, pytest.approx(plan.rate_scale, rel=1e-15))
+    assert rate == (agg, plan.rate_scale)
     assert seen["check"] == [rate]
     assert seen["product"] == {(agg, rate[1] * hp.scale)}
     n_chunks, _ = agg_mod._chunk_shape(dim, hp.capacity)
@@ -788,12 +785,6 @@ def test_round_refuses_a_wrapped_distance_sum():
         secure_aggregate_round(enc, rings, np.zeros(16), 0.5, rng, round_tag=b"wrap")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="plain_affine encodes the rate slope -1/((U-1) sum_d) at the fixed "
-    "scale 2^40, so near sum_d = 2^32 the slope keeps about 7 bits and the "
-    "coordinates near zero miss rtol 1e-2",
-)
 def test_boundary_round_meets_the_per_coordinate_oracle(boundary_round):
     _, _, _, w_enc, w_plain = boundary_round
     np.testing.assert_allclose(w_enc, w_plain, rtol=1e-2, atol=1e-4)

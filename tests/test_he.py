@@ -21,9 +21,11 @@ from fhefl.errors import (
     ParameterError,
     SerializationError,
 )
+import fhefl.he as he_mod
 from fhefl.he import (
     Ciphertext,
     EvalKey,
+    HeParams,
     PlainVector,
     SecretKey,
     _he_mult_raw,
@@ -316,12 +318,39 @@ def test_reencrypt_keeps_the_exact_coefficient(hp, keys):
     sk, _ = keys
     ct = fresh(hp, sk, [0.0, 2.0**19 / 3.0], seed=75, scale=2.0**40 / 1.37)
     rng = np.random.default_rng(76)
-    out = reencrypt(ct, sk, common_poly(hp, seed=b"re-a"), rng, index=1, scale=2.0**60)
+    out = reencrypt(ct, sk, common_poly(hp, seed=b"re-a"), rng, index=1, scale=2.0**60, total=1)
     assert (out.level, out.length, out.scale) == (hp.ring.max_level, 1, 2.0**60)
     want = Fraction(int(_phase(ct, sk, [1]).to_ints()[0])) / Fraction(ct.scale)
     got = int(_phase(out, sk, [0]).to_ints()[0])
     assert abs(got - want * 2**60) < 64  # fresh encryption noise only
     np.testing.assert_allclose(decrypt(out, sk).values, [2.0**19 / 3.0], rtol=1e-12)
+
+
+def test_reencrypt_divides_by_the_public_total(hp, keys, monkeypatch):
+    # the share coeff / (ct.scale * total) is one exact rational, rounded
+    # once at the fresh scale: a total of 3 * 10.3, which no float divides
+    # exactly, and the fresh value within its encryption noise of it
+    sk, _ = keys
+    ct = fresh(hp, sk, [0.0, 2.0**19 / 3.0], seed=83, scale=2.0**40 / 1.37)
+    total = 3 * 10.3
+    coeff = int(_phase(ct, sk, [1]).to_ints()[0])
+    want = _scaled_round(2.0**60, Fraction(coeff) / (Fraction(ct.scale) * Fraction(total)))
+    encoded = []
+
+    def plaintext(*args, real=he_mod._plaintext, **kw):
+        encoded.append(list(args[1]))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(he_mod, "_plaintext", plaintext)
+    rng = np.random.default_rng(84)
+    a = common_poly(hp, seed=b"re-t")
+    out = reencrypt(ct, sk, a, rng, index=1, scale=2.0**60, total=total)
+    assert encoded == [[want]]
+    assert abs(int(_phase(out, sk, [0]).to_ints()[0]) - want) <= 2.0**out.noise_log2
+    assert out.scale == 2.0**60
+    for bad in (0, -1.0, math.nan):
+        with pytest.raises(ParameterError, match="positive total"):
+            reencrypt(ct, sk, a, rng, index=1, scale=2.0**60, total=bad)
 
 
 def test_reencrypt_refuses_an_index_outside_the_ring(hp, keys):
@@ -332,7 +361,7 @@ def test_reencrypt_refuses_an_index_outside_the_ring(hp, keys):
     a = common_poly(hp, seed=b"re-out")
     for index in (hp.ring.n, -1):
         with pytest.raises(ParameterError, match="read set"):
-            reencrypt(ct, sk, a, np.random.default_rng(80), index=index, scale=2.0**40)
+            reencrypt(ct, sk, a, np.random.default_rng(80), index=index, scale=2.0**40, total=1)
 
 
 def test_reencrypt_encrypts_at_the_level_of_a(hp, keys):
@@ -340,15 +369,9 @@ def test_reencrypt_encrypts_at_the_level_of_a(hp, keys):
     ct = fresh(hp, sk, [0.25, -3.5], seed=77)
     rng = np.random.default_rng(78)
     a = common_poly(hp, seed=b"re-low", level=1)
-    out = reencrypt(ct, sk, a, rng, index=1, scale=2.0**50)
+    out = reencrypt(ct, sk, a, rng, index=1, scale=2.0**50, total=1)
     assert (out.level, out.special) == (1, False) and out.c1 == a
     np.testing.assert_allclose(decrypt(out, sk).values, [-3.5], rtol=1e-9)
-    # and in its layout: with the special row P when a carries it, which a
-    # rescale then divides away
-    a = common_poly(hp, seed=b"re-low", level=1, special=True)
-    out = reencrypt(ct, sk, a, rng, index=1, scale=2.0**40 * hp.ring.special)
-    assert (out.level, out.special) == (1, True) and out.c1 == a
-    np.testing.assert_allclose(decrypt(rescale(out), sk).values, [-3.5], rtol=1e-9)
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -718,17 +741,28 @@ def test_plain_affine_zero_mult(hp, keys):
 
 
 def test_plain_affine_refuses_a_multiplier_beyond_the_headroom(hp, keys):
+    # a fractional multiplier is encoded at the scale: at a scale of 2^60,
+    # 2^33.5 encodes above half of q_0*q_1 (2^93); an integer one is refused
+    # above it as it is
     sk, _ = keys
     ct = fresh(hp, sk, [1.0], seed=68, level=1)
+    wide = replace(ct, params=HeParams(ring=hp.ring, scale_bits=60, name="wide"))
     with pytest.raises(EncodingError, match="headroom"):
-        plain_affine(ct, 2.0**60, 0.0)
+        plain_affine(wide, 2.0**33 + 0.5, 0.0)
+    with pytest.raises(EncodingError, match="headroom"):
+        plain_affine(ct, 2.0**93, 0.0)
 
 
 def test_plain_affine_level_exhaustion(hp, keys):
+    # a fractional multiplier costs a level; an integer one keeps it, at
+    # level 0 too
     sk, _ = keys
     ct = fresh(hp, sk, [1.0], seed=64, level=0)
     with pytest.raises(LevelError):
-        plain_affine(ct, 1.0, 0.0)
+        plain_affine(ct, 0.5, 0.0)
+    out = plain_affine(ct, -3, 0.5)
+    assert (out.level, out.scale) == (0, ct.scale)
+    assert decrypt(out, sk).values[0] == pytest.approx(-2.5, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -808,6 +842,7 @@ def test_noise_tracker_bounds_the_measured_error(name):
         q_top = ring.chain[raw.level]
         rescaled = rescale(relin, level=raw.level - 1)
         affine = plain_affine(rescaled, mult, add, add_index=add_index)
+        whole = plain_affine(rescaled, -3, add, add_index=add_index)
         q_mid = ring.chain[rescaled.level]
         out_scale = Fraction(2**delta) ** 2 / q_top * 2**delta / q_mid
         want_affine = [out_scale * Fraction(mult) * w / 2 ** (2 * delta) for w in want_prod]
@@ -816,6 +851,9 @@ def test_noise_tracker_bounds_the_measured_error(name):
         checks["relinearize"] = (relin, [ring.special * w for w in want_prod])
         checks["rescale"] = (rescaled, [w / q_top for w in want_prod])
         checks["plain_affine"] = (affine, want_affine)
+        want_whole = [-3 * w / q_top for w in want_prod]
+        want_whole[add_index] += Fraction(_scaled_round(whole.scale, add))
+        checks["plain_affine, integer"] = (whole, want_whole)
         scaled = _he_mult_raw(p, x)
         checks["scalar * mirrored"] = (scaled, want_scaled)
         checks["scalar * mirrored, rescaled"] = (
@@ -1023,15 +1061,13 @@ def test_ciphertext_wire_rejects_inconsistent_layouts(hp, keys):
 
 def test_ciphertext_wire_refuses_a_ciphertext_on_the_special_prime(hp, keys):
     # the header states chain elements at its level, so a ciphertext whose
-    # components carry the special row has no record: its residues would
-    # misframe the reader, and its seeded c1 would be rebuilt without P.
-    # Rescaled by P it is a chain ciphertext again, and travels
-    sk, _ = keys
+    # components carry the special row (a relinearized product) has no
+    # record: its residues would misframe the reader.  Rescaled by P it is a
+    # chain ciphertext again, and travels
+    sk, evk = keys
     ct = fresh(hp, sk, [1.0], seed=74)
-    a2 = common_poly(hp, seed=b"wire-a2", level=ct.level, special=True)
-    scale = hp.scale * hp.ring.special
-    on_p = reencrypt(ct, sk, a2, np.random.default_rng(75), index=0, scale=scale)
-    assert on_p.special and on_p.c1.seed == b"wire-a2"
+    on_p = relinearize(_he_mult_raw(ct, ct), evk)
+    assert on_p.special
     with pytest.raises(SerializationError, match="special prime"):
         ciphertext_to_bytes(on_p)
     down = rescale(on_p)

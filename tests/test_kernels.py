@@ -33,6 +33,7 @@ from fhefl.aggregation import (
 )
 from fhefl.errors import DomainError, LevelError, ParameterError
 from fhefl.he import (
+    EvalKey,
     SecretKey,
     _scaled_ints,
     ciphertext_to_bytes,
@@ -412,20 +413,19 @@ def test_drop_refuses_a_level_it_cannot_reach():
 
 @pytest.mark.parametrize("name", ["test-16", "test-1024"])
 def test_plain_affine_divides_a_shared_c1_once(monkeypatch, name):
-    # the rate stage's fresh distances all hold c1 = a2 on P: the batched
-    # affine map multiplies and divides it once, and every rate holds the
-    # one result, byte-equal to mapping each distance alone
+    # fresh distances that all hold c1 = a2: the batched affine map with a
+    # fractional multiplier multiplies and divides it once, and every result
+    # holds the one result, byte-equal to mapping each distance alone
     params = get_params(name)
-    ring, level = params.ring, 2
+    level = 2
     sk = SecretKey.generate(params, seed=b"shared-c1")
     rng = np.random.default_rng(41)
     d = encrypt(
         params, [1.5, 0.25, -2.0], sk, common_poly(params, seed=b"shared-a", level=level),
         rng, level=level,
     )
-    a2 = common_poly(params, seed=b"shared-a2", level=level, special=True)
-    scale = params.scale * ring.special
-    fresh = [reencrypt(d, sk, a2, rng, index=k, scale=scale) for k in range(3)]
+    a2 = common_poly(params, seed=b"shared-a2", level=level)
+    fresh = [reencrypt(d, sk, a2, rng, index=k, scale=params.scale, total=1) for k in range(3)]
     assert all(f.c1 is a2 for f in fresh)
     singles = tuple(he_mod.plain_affine(f, -0.375, 0.25) for f in fresh)
     scaled, dropped = [], []
@@ -451,6 +451,51 @@ def test_plain_affine_divides_a_shared_c1_once(monkeypatch, name):
     assert len(dropped) == 4
 
 
+@pytest.mark.parametrize("name", ["test-16", "test-1024"])
+def test_plain_affine_integer_multiplier_keeps_level_and_scale(monkeypatch, name):
+    # the rate stage's map: an integer multiplier scales the components as
+    # they are, so the results keep the fresh values' level and scale, with
+    # no transform and no rescale, and the shared c1 is multiplied once
+    params = get_params(name)
+    level, scale = 2, 2.0**60
+    sk = SecretKey.generate(params, seed=b"integer-map")
+    rng = np.random.default_rng(42)
+    values = [1.5, 0.25, -2.0]
+    d = encrypt(
+        params, values, sk, common_poly(params, seed=b"integer-a", level=level), rng, level=level
+    )
+    a2 = common_poly(params, seed=b"integer-a2", level=level)
+    fresh = [reencrypt(d, sk, a2, rng, index=k, scale=scale, total=4) for k in range(3)]
+    scaled, work = [], []
+
+    def count_scalar(x, c, real=RingElement.mul_scalar):
+        scaled.append(x)
+        return real(x, c)
+
+    def counted(kind, real):
+        def run(*args, **kwargs):
+            work.append(kind)
+            return real(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(RingElement, "mul_scalar", count_scalar)
+    monkeypatch.setattr(
+        RingElement, "drop_last_modulus", counted("drop", RingElement.drop_last_modulus)
+    )
+    monkeypatch.setattr(ring_mod, "ntt_forward_inplace", counted("forward", ntt_forward_inplace))
+    monkeypatch.setattr(ring_mod, "ntt_inverse_inplace", counted("inverse", ntt_inverse_inplace))
+    rates = he_mod.plain_affine(fresh, -1, 0.25)
+    monkeypatch.undo()
+    assert work == []
+    assert {(r.level, r.scale) for r in rates} == {(level, scale)}
+    assert len({id(r.c1) for r in rates}) == 1
+    comps = [c for f in fresh for c in f.comps]
+    assert [sum(x is c for x in scaled) for c in comps] == [1, 1, 1, 1, 1, 1]
+    got = [decrypt(r, sk).values[0] for r in rates]
+    np.testing.assert_allclose(got, [0.25 - v / 4 for v in values], rtol=0, atol=2.0**-40)
+
+
 def test_batched_rescale_refuses_mixed_layouts():
     params = get_params("test-1024").ring
     x = RingElement(params, _residues(params, params.rows(2), 1, -1), 2, False, True)
@@ -464,29 +509,29 @@ def test_batched_rescale_refuses_mixed_layouts():
 
 @pytest.mark.parametrize("name", ["test-16", "test-1024"])
 def test_rescale_of_a_special_row_ciphertext_divides_by_p(name):
-    # a ciphertext on the special prime P, as the round's fresh distances
-    # are, rescales by P: each component is the reference drop of its P
-    # row, the level stays, and the scale and the phase divide by P
+    # a relinearized product sits on the special prime P and rescales by P:
+    # each component is the reference drop of its P row, the level stays,
+    # and the scale and the phase divide by P
     params = get_params(name)
     ring, level = params.ring, 2
     sk = SecretKey.generate(params, seed=b"rescale-p")
     rng = np.random.default_rng(40)
+    evk = EvalKey.generate(params, sk, rng, level=level)
     d = encrypt(params, [1.5], sk, common_poly(params, seed=b"p-a", level=level), rng, level=level)
-    a2 = common_poly(params, seed=b"p-a2", level=level, special=True)
-    fresh = reencrypt(d, sk, a2, rng, index=0, scale=params.scale * ring.special)
-    assert fresh.special and fresh.c0.moduli == ring.moduli(level, special=True)
-    out = he_mod.rescale(fresh)
-    for got, comp in zip(out.comps, fresh.comps):
+    on_p = he_mod.relinearize(he_mod._he_mult_raw(d, d), evk)
+    assert on_p.special and on_p.c0.moduli == ring.moduli(level, special=True)
+    out = he_mod.rescale(on_p)
+    for got, comp in zip(out.comps, on_p.comps):
         assert (got.level, got.special, got.ntt) == (level, False, True)
         assert np.array_equal(got.data, _reference_drop(comp))
-    assert out.scale == fresh.scale / ring.special
+    assert out.scale == on_p.scale / ring.special
 
     def phase(ct):
         s = sk.s.mod_reduce_to(level, ct.special)
         return ref.int_coeffs(ct.c0.sub(ct.c1.mul(s)).to_coeff())[0]
 
-    assert abs(phase(out) - Fraction(phase(fresh), ring.special)) <= 2.0**out.noise_log2
-    assert decrypt(out, sk).values[0] == pytest.approx(1.5, abs=2.0**-30)
+    assert abs(phase(out) - Fraction(phase(on_p), ring.special)) <= 2.0**out.noise_log2
+    assert decrypt(out, sk).values[0] == pytest.approx(2.25, abs=2.0**-30)
 
 
 @settings(max_examples=25, deadline=None)
@@ -757,14 +802,14 @@ def counted_round():
 
 def test_pinned_round_output(counted_round):
     # digest of the opened model taken when each user began to re-encrypt
-    # its own distance on the special prime: the uploads dropped to level 2
-    # and the rates are now the affine map of the fresh distances
+    # its distance divided by the public (U-1)*sum_d, at the rate scale and
+    # off the special prime, and each rate became that share mapped by -1
     # (test_pinned_round_precision bounds the opened step against the plain
     # oracle)
     w, *_ = counted_round
     assert (
         hashlib.sha256(w.tobytes()).hexdigest()
-        == "5d004de5efc88182fb881e1c424f54927d80ab7e682b3f8c8bc9e70705fd9d48"
+        == "97fc15a90a908794fcecdd5a51e65bb836bafc139ad8a9c898fc9b11152af2d8"
     )
 
 
@@ -784,12 +829,14 @@ def test_round_transform_budget(counted_round):
     # decoded coefficients alone, then 286 forward and 150 inverse rows
     # before the uploads dropped to level 2, then 249 forward and 149
     # inverse rows in 18 and 12 calls before a norm product dropped P and
-    # q_L in one pass and the rates' shared c1 was divided once
+    # q_L in one pass and the rates' shared c1 was divided once, then 162
+    # forward and 140 inverse rows in 15 and 9 calls before the fresh
+    # distances left the special prime and the rate map its rescale
     _, work, *_ = counted_round
-    assert work["forward"] <= 162
-    assert work["inverse"] <= 140
-    assert work["forward calls"] <= 15
-    assert work["inverse calls"] <= 9
+    assert work["forward"] <= 119
+    assert work["inverse"] <= 129
+    assert work["forward calls"] <= 14
+    assert work["inverse calls"] <= 8
 
 
 def test_round_work_budget(counted_round):
@@ -814,15 +861,14 @@ _STAGE_BUDGET = {
     # 6 inverse calls before each product dropped P and q_L in one pass
     "norm": (89, 4, 63, 4, 41, 122_880),
     "distance-sum": (0, 0, 0, 0, 10, 180),
-    # the two stages the drop raised: the rates' affine map now transforms
-    # the rows of the aggregate level and P (40 forward rows before), and
-    # the fresh distances carry the P row (30 forward rows and 3,072
-    # coefficients before, when the rates were re-encrypted without it).
-    # 20 and 3 inverse rows in 10 and 1 calls before re-encryption and
-    # decryption read one coefficient as a dot product.  The rates divide
-    # their shared c1 once: (60, 2, 20, 2) before
-    "re-encrypt": (40, 10, 0, 0, 20, 4_096),
-    "rate": (33, 1, 11, 1, 0, 0),
+    # the fresh distances sit at the aggregate level without the special
+    # prime, at the rate scale, and the rate is their integer map by -1,
+    # with no rescale: (40, 10, 0, 0, 20, 4,096) and (33, 1, 11, 1, 0, 0)
+    # before, when they carried P for the fractional slope's rescale to
+    # drop.  20 and 3 inverse rows in 10 and 1 calls before re-encryption
+    # and decryption read one coefficient as a dot product
+    "re-encrypt": (30, 10, 0, 0, 20, 3_072),
+    "rate": (0, 0, 0, 0, 0, 0),
     "rate-sum-check": (0, 0, 0, 0, 1, 276_480),
     "aggregate": (0, 0, 66, 4, 101, 184_320),
 }

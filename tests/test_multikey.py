@@ -141,15 +141,16 @@ def test_evaluation_keys_sit_at_the_upload_level(name):
 
 @pytest.mark.parametrize(
     "bits, leg",
-    [((53, 41, 41), "rate"), ((53, 30, 30), "distance-sum"), ((53, 41, 30), "aggregate")],
+    [((53, 41, 41), "norm"), ((53, 30, 30), "distance-sum"), ((53, 41, 30), "aggregate")],
 )
 def test_setup_refuses_a_chain_that_cannot_hold_the_round(monkeypatch, bits, leg):
-    # test-16's chain with no special prime leaves the rate's rescale no
-    # prime to drop, no level of [53, 30, 30] opens a distance a level below
-    # it, and no level of [53, 41, 30] holds a rate times a gradient.  Such
+    # test-16's chain with no special prime leaves the norm products' key
+    # switch no prime to switch over, no level of [53, 30, 30] opens a
+    # distance a level below it, and no level of [53, 41, 30] holds a rate
+    # times a gradient.  Such
     # chains used to pass set-up and the uploads and fail mid-round; set-up
     # now refuses them before it builds any key
-    special = None if leg == "rate" else find_ntt_primes(16, 53, 1)[0]
+    special = None if leg == "norm" else find_ntt_primes(16, 53, 1)[0]
     chain = []
     for b in bits:
         chain += find_ntt_primes(16, b, 1, avoid=[special, *chain] if special else chain)

@@ -247,7 +247,7 @@ def test_coeffs_at_reads_a_coefficient_without_a_transform(name, monkeypatch):
     monkeypatch.setattr(he_mod, "_plaintext", plaintext)
     calls.clear()
     assert decrypt(ct, sk).values.tolist() == [float(phase[0]) / ct.scale]
-    reencrypt(ct, sk, a, rng, index=params.n - 1, scale=ct.scale)
+    reencrypt(ct, sk, a, rng, index=params.n - 1, scale=ct.scale, total=1)
     assert encoded == [[phase[-1]]]
     assert calls == []
     read = [params.n - 1, 0, 3]

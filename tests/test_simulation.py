@@ -530,6 +530,22 @@ def test_malicious_rates_fall_below_uniform():
     assert max(mal_rates) < 1.0 / cfg.roster_size
 
 
+def test_run_experiment_validates_its_config():
+    # a config the CLI refuses is refused by the library too, before any
+    # data is loaded: an encrypted baseline would run in the clear, a zero
+    # batch size would die in the training loop and zero rounds on reading
+    # the last round; only the 20% attacker cap is lifted
+    for bad in (
+        _tiny_cfg(mode="encrypted", aggregator="krum", rounds=2),
+        _tiny_cfg(batch_size=0),
+        _tiny_cfg(rounds=0),
+    ):
+        with pytest.raises(ParameterError):
+            run_experiment(bad, seed=0)
+    history, _ = run_experiment(_tiny_cfg(attacker_fraction=0.5, rounds=1), seed=0)
+    assert len(history) == 1
+
+
 def test_epsilon_stop_rule():
     cfg = _tiny_cfg(rounds=6, eta=0.0, epsilon=1e-9)
     history, summary = run_experiment(cfg, seed=0)
