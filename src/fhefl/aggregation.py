@@ -514,14 +514,17 @@ def secure_aggregate_round(
     with _stage("aggregate"):
         # every rate carries one c1 (aggregate_fresh checked it), so every
         # product's quadratic component is the public d2 = c1*a; the products
-        # stay three-component and open with no key switch
-        d2 = rates[users[0]].c1.mul(a.mod_reduce_to(l_agg))
+        # stay three-component and open with no key switch.  c1 and a
+        # multiply every product's c0 parts: prepared once, dropped before
+        # the openings
+        c1s = (rates[users[0]].c1.prepared(), a.mod_reduce_to(l_agg).prepared())
+        d2 = c1s[0].mul(c1s[1])
         openings = [{} for _ in range(n_chunks)]
         for u in users:
             x = rates.pop(u)
             for opening, y in zip(openings, enc_updates[u].chunks):
-                opening[u] = _he_mult_raw(x, y.mod_reduce_to(l_agg), d2)
-        del x
+                opening[u] = _he_mult_raw(x, y.mod_reduce_to(l_agg), d2, c1s)
+        del x, c1s
         tags = [round_tag + b"|agg|" + str(c).encode() for c in range(n_chunks)]
         out = np.concatenate(_open_sums(openings, keyrings, range(chunk_len), tags, roster, rng))
         agg = out[: w_prev.size]

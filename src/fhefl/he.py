@@ -48,7 +48,11 @@ product of a round's stage has the same one.
 their c1 parts: it forms the component once, decomposes it into key-switch
 digits once and key-switches it once per run of products under one key
 (``switch_quadratic``) — the hoisting of Halevi & Shoup (CRYPTO 2018), across
-users instead of rotations.
+users instead of rotations.  The operands a batch shares are prepared once
+(``RingElement.prepared``): the digits, for both halves of every key, and
+the shared c1 parts, for every product's cross terms; so is a secret that
+multiplies more than once (key generation, re-encryption, the phase of a
+three-component product).
 
 An ``EvalKey`` is built at a level L: one pair per prime q_0..q_L, each over
 q_0..q_L and the special prime.  It switches a component at any level up to
@@ -125,7 +129,7 @@ from .errors import (
     ParameterError,
     SerializationError,
 )
-from .ntt import add_mod, find_ntt_primes, mul_mod
+from .ntt import add_mod, find_ntt_primes, mul_prepared, prepare_rows
 from .ring import (
     RingElement,
     RingParams,
@@ -395,7 +399,7 @@ class EvalKey:
     @property
     def ks_a(self) -> tuple[RingElement, ...]:
         """The public half a_0..a_L, expanded from the seed."""
-        return _public_half(self.ks_b[0].params, self.a_seed, self.level)
+        return tuple(_public_half(self.ks_b[0].params, self.a_seed, self.level))
 
     @classmethod
     def generate(
@@ -432,25 +436,25 @@ class EvalKey:
                 for _ in range(level + 1)
             ]
         )
-        s = sk.s.mod_reduce_to(level, special=True)
+        # s multiplies every a_i and itself: prepared once for the key
+        s = sk.s.mod_reduce_to(level, special=True).prepared()
         # P_i * s^2 is (p mod q_i) * s^2 on chain row i and zero on every
         # other row, so row i of p * s^2 (zero on the special row) is all of it
         p_s2 = s.mul(s).mul_scalar(ring.special)
         q = ring.tables.q
+        # the a_i are expanded one at a time, each dropped once b_i holds it
         for i, (a_i, b_i) in enumerate(zip(_public_half(ring, a_seed, level), errors)):
             b_i.data[:] = a_i.mul(s).add(b_i).data
             b_i.data[i] = add_mod(b_i.data[i], p_s2.data[i], q[i])
         return cls(ks_b=tuple(errors), a_seed=a_seed)
 
 
-def _public_half(ring: RingParams, a_seed: bytes, level: int) -> tuple[RingElement, ...]:
-    """The level-``level`` public half a_0..a_level that ``a_seed`` expands to:
-    each a_i uniform over q_0..q_level and the special prime, in the NTT
-    domain, from its own tag of the seed's stream."""
-    return tuple(
-        sample_uniform(ring, a_seed, level=level, special=True, ntt=True, tag=b"evk-a|%d" % i)
-        for i in range(level + 1)
-    )
+def _public_half(ring: RingParams, a_seed: bytes, level: int) -> Iterator[RingElement]:
+    """The level-``level`` public half a_0..a_level that ``a_seed`` expands to,
+    one at a time: each a_i uniform over q_0..q_level and the special prime,
+    in the NTT domain, from its own tag of the seed's stream."""
+    for i in range(level + 1):
+        yield sample_uniform(ring, a_seed, level=level, special=True, ntt=True, tag=b"evk-a|%d" % i)
 
 
 def common_poly(params: HeParams, seed, level: int | None = None) -> RingElement:
@@ -536,7 +540,7 @@ def encrypt(
     )
     pvs = [_packed(params, v) for v in (values if batch else [values])]
     ms = [encode(params, pv, level, scale=scale) for pv in pvs]
-    cts = _encrypt_plaintexts(params, ms, pvs, sk, a, rng, scale)
+    cts = _encrypt_plaintexts(params, ms, pvs, sk.s, a, rng, scale)
     return cts if batch else cts[0]
 
 
@@ -544,16 +548,17 @@ def _encrypt_plaintexts(
     params: HeParams,
     ms: list[RingElement],
     pvs: list[PlainVector],
-    sk: SecretKey,
+    s: RingElement,
     a: RingElement,
     rng: np.random.Generator,
     scale: float,
 ) -> tuple[Ciphertext, ...]:
     """c0 = a*s + m + e, c1 = a for each encoded plaintext m, all of one
-    level; ``pvs`` give each ciphertext's length, direction and message bound."""
+    level, under the secret ``s`` at that level or above; ``pvs`` give each
+    ciphertext's length, direction and message bound."""
     level = ms[0].level
     a = a.mod_reduce_to(level)
-    a_s = a.mul(sk.s.mod_reduce_to(level))
+    a_s = a.mul(s.mod_reduce_to(level))
     # the NTT is linear mod q, so each m + e takes one transform, and the
     # transforms of the whole batch run as one over their stacked rows
     m_e = to_ntt_all(
@@ -573,10 +578,12 @@ def _encrypt_plaintexts(
     )
 
 
-def _phase(ct: Ciphertext, sk: SecretKey, read) -> Residues:
+def _phase(ct: Ciphertext, s: RingElement, read) -> Residues:
     """Coefficients ``read`` of the phase c0 - c1*s (+ c2*s^2 for an
-    unrelinearized product), read off the NTT domain by ``coeffs_at``."""
-    s = sk.s.mod_reduce_to(ct.level)
+    unrelinearized product), read off the NTT domain by ``coeffs_at``.  ``s``
+    is the secret at the ciphertext's level or above, prepared when the
+    caller multiplies by it again."""
+    s = s.mod_reduce_to(ct.level)
     phase = ct.c0.sub(ct.c1.mul(s))
     if len(ct.comps) == 3:
         phase = phase.add(ct.comps[2].mul(s.mul(s)))
@@ -590,7 +597,10 @@ def decrypt(ct: Ciphertext, sk: SecretKey) -> PlainVector:
             f"tracked noise 2^{ct.noise_log2:.1f} exceeds half the scale "
             f"2^{math.log2(ct.scale):.1f}; precision has collapsed"
         )
-    return PlainVector(decode(_phase(ct, sk, range(ct.length)), ct.scale), ct.direction)
+    s = sk.s.mod_reduce_to(ct.level)
+    if len(ct.comps) == 3:  # s multiplies c1 and itself
+        s = s.prepared()
+    return PlainVector(decode(_phase(ct, s, range(ct.length)), ct.scale), ct.direction)
 
 
 def reencrypt(
@@ -616,10 +626,12 @@ def reencrypt(
     if not total > 0:
         raise ParameterError(f"a re-encryption divides by a positive total, not {total}")
     params = ct.params
-    coeff = int(_phase(ct, sk, [index]).to_ints()[0])
+    # s multiplies the phase's c1 and a: prepared once for both
+    s = sk.s.mod_reduce_to(max(ct.level, a.level)).prepared()
+    coeff = int(_phase(ct, s, [index]).to_ints()[0])
     value = Fraction(coeff) / (Fraction(ct.scale) * Fraction(total))
     m = _plaintext(params, [_scaled_round(scale, value)], a.level)
-    return _encrypt_plaintexts(params, [m], [PlainVector([float(value)])], sk, a, rng, scale)[0]
+    return _encrypt_plaintexts(params, [m], [PlainVector([float(value)])], s, a, rng, scale)[0]
 
 
 def _check_addable(cts) -> None:
@@ -695,16 +707,22 @@ def _check_product(
     return mirrored.length, "mirrored", 1.0
 
 
-def _he_mult_raw(x: Ciphertext, y: Ciphertext, d2: RingElement | None = None) -> Ciphertext:
+def _he_mult_raw(
+    x: Ciphertext, y: Ciphertext, d2: RingElement | None = None, c1s=None
+) -> Ciphertext:
     """Tensor product -> three components (d0, d1, d2), scale multiplied.
 
     ``d2`` is x1*y1 when the caller has formed it already (``he_mult_relin``
-    forms it once per batch); otherwise it is formed here.  A square (``y``
-    is ``x``) forms d1 = 2*x0*x1 from one product.
+    forms it once per batch); otherwise it is formed here.  ``c1s`` is
+    (x1, y1) as the caller prepared them for every product of a batch that
+    shares them.  A square (``y`` is ``x``) forms d1 = 2*x0*x1 from one
+    product.
     """
     length, direction, spread = _check_product(x, y)
     x0, x1 = x.comps
     y0, y1 = y.comps
+    if c1s is not None:
+        x1, y1 = c1s
     d0 = x0.mul(y0)
     if y is x:
         cross = x0.mul(x1)
@@ -757,7 +775,8 @@ def switch_quadratic(d2: RingElement, evks) -> Iterator[SwitchedQuadratic]:
     ring, level = d2.params, d2.level
     rows = ring.rows(level, special=True)
     q = ring.tables.q[rows]
-    digits = rns_digits(d2)
+    # the digits multiply both halves of every key: prepared once
+    digits = prepare_rows(rns_digits(d2), ring.tables, rows * (level + 1))
 
     # each pair's rows of q_0..q_level and its special row, by position: a
     # key below the top level holds fewer rows than the tables
@@ -769,8 +788,8 @@ def switch_quadratic(d2: RingElement, evks) -> Iterator[SwitchedQuadratic]:
         terms = np.empty((level + 1, len(rows), ring.n), dtype=np.uint64)
         for k, term in zip(half, terms):
             np.take(k.data, key_rows, axis=0, out=term)
-        flat = terms.reshape(digits.shape)
-        mul_mod(digits, flat, ring.tables, rows * (level + 1), out=flat)
+        flat = terms.reshape(digits[0].shape)
+        mul_prepared(flat, digits, ring.tables, rows * (level + 1), out=flat)
         acc = terms[0]
         for term in terms[1:]:
             acc = add_mod(acc, term, q)
@@ -956,6 +975,8 @@ def he_mult_relin(x, y, evk) -> Ciphertext | tuple[Ciphertext, ...]:
     if any(a.c1 != x1 or b.c1 != y1 for a, b in zip(xs, ys)):
         raise ParameterError("a batch's products must share their operands' c1 parts")
     d2 = x1.mul(y1)
+    # the shared c1 parts multiply every product's c0 parts: prepared once
+    c1s = (x1.prepared(),) * 2 if y1 is x1 else (x1.prepared(), y1.prepared())
     new_run = [i == 0 or k is not evks[i - 1] for i, k in enumerate(evks)]
     switched = switch_quadratic(d2, [k for k, new in zip(evks, new_run) if new])
     step = max(1, d2.params.group_size // 2)
@@ -965,7 +986,7 @@ def he_mult_relin(x, y, evk) -> Ciphertext | tuple[Ciphertext, ...]:
         for i in range(first, min(first + step, len(xs))):
             if new_run[i]:
                 sw = next(switched)
-            raws.append(relinearize(_he_mult_raw(xs[i], ys[i], d2), evks[i], sw))
+            raws.append(relinearize(_he_mult_raw(xs[i], ys[i], d2, c1s), evks[i], sw))
         out += rescale(raws, level=d2.level - 1)
     return tuple(out) if batch else out[0]
 
@@ -1012,11 +1033,15 @@ def plain_affine(
         ))
     outs = mids if whole else list(rescale(mids))
     if add != 0.0:
+        # the constant is encoded once per (level, scale) of the results
+        pas = {}
         for k, out in enumerate(outs):
-            pa = encode_monomial(out.params, add, add_index, out.level, scale=out.scale)
+            at = (out.level, out.scale)
+            if at not in pas:
+                pas[at] = encode_monomial(out.params, add, add_index, out.level, scale=out.scale)
             outs[k] = replace(
                 out,
-                comps=(out.c0.add(pa), out.c1),
+                comps=(out.c0.add(pas[at]), out.c1),
                 noise_log2=_log2_add(out.noise_log2, -1.0),
                 msg_bound=out.msg_bound + abs(add),
             )

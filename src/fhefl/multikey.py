@@ -29,7 +29,7 @@ divides [sum_u d0_u]_R the same way.  ``key_terms`` computes a roster's
 terms side by side, for one or more openings: one coefficient is a dot
 product with no transform, more take the users' elements through grouped
 inverse transforms, and a user forms d2 * s_u^2 once for all of its products
-over one d2.
+over one d2, with s_u prepared once when it multiplies more than once.
 ``combine_partials`` is the one opening routine, and ``opening_noise``
 bounds what an opening adds to a decoded value.  The roster sums follow the
 adding rule of :mod:`fhefl.he`.
@@ -347,20 +347,29 @@ def opening_noise(cts) -> float:
     return (sum(2.0**ct.noise_log2 / q + rounding + flood for ct in cts) + rounding) / scale
 
 
-def _terms(kr: UserKeyring, quads: dict, c1: RingElement, d2: RingElement | None = None):
-    """The user's key terms of its own ciphertext in the NTT domain: c1 * s_u,
-    less d2 * s_u^2 for a three-component product.  ``quads`` keeps each
-    d2 * s_u^2 by (user, d2), so products that share d2 form it once."""
-    if not c1.ntt:
+def _terms(kr: UserKeyring, parts) -> list[RingElement]:
+    """The user's key terms in the NTT domain of its own ciphertexts, each
+    given by its parts after c0, (c1,) or (c1, d2), in order: c1 * s_u, less
+    d2 * s_u^2 for a three-component product.
+
+    d2 * s_u^2 is formed once per d2 (by identity) for all the products that
+    share it, and s_u is prepared once when it multiplies more than once
+    (several c1, or a c1 and itself)."""
+    if any(not p[0].ntt for p in parts):
         raise ProtocolError("partial decryption expects an NTT-domain c1")
-    s = kr.sk.s.mod_reduce_to(c1.level)
-    terms = c1.mul(s)
-    if d2 is None:
-        return terms
-    key = (kr.user_id, id(d2))
-    if key not in quads:
-        quads[key] = d2.mul(s.mul(s))
-    return terms.sub(quads[key])
+    d2s = {id(p[1]): p[1] for p in parts if len(p) == 2}
+    s = kr.sk.s.mod_reduce_to(max(p[0].level for p in parts))
+    if len(parts) + len(d2s) > 1:
+        s = s.prepared()
+    quads = {}
+    for key, d2 in d2s.items():
+        s_l = s.mod_reduce_to(d2.level)
+        quads[key] = d2.mul(s_l.mul(s_l))
+    out = []
+    for p in parts:
+        terms = p[0].mul(s.mod_reduce_to(p[0].level))
+        out.append(terms.sub(quads[id(p[1])]) if len(p) == 2 else terms)
+    return out
 
 
 def key_terms(keyrings: dict, openings, read) -> list[dict[int, Residues]]:
@@ -370,19 +379,19 @@ def key_terms(keyrings: dict, openings, read) -> list[dict[int, Residues]]:
     per opening of ``openings`` (each a dict of ciphertexts by user), in
     order.
 
-    Each user computes only its own terms, and forms d2 * s_u^2 once for all
-    of its products that share d2 (by identity).  Every element goes through
-    one ``coeffs_at`` call, so a read of more than one coefficient takes one
-    inverse transform per ``RingParams.group_size`` elements, not one per
-    user.
+    Each user computes only its own terms, of all of its ciphertexts at once
+    (``_terms``), and holds its prepared s_u only meanwhile.  Every element
+    goes through one ``coeffs_at`` call, so a read of more than one
+    coefficient takes one inverse transform per ``RingParams.group_size``
+    elements, not one per user.
     """
     openings = list(openings)
-    quads: dict = {}
-    elems = [
-        _terms(keyrings[u], quads, *ct.comps[1:])
-        for opening in openings
-        for u, ct in opening.items()
-    ]
+    mine: dict = {}
+    for opening in openings:
+        for u, ct in opening.items():
+            mine.setdefault(u, []).append(ct.comps[1:])
+    by_user = {u: iter(_terms(keyrings[u], parts)) for u, parts in mine.items()}
+    elems = [next(by_user[u]) for opening in openings for u in opening]
     terms = iter(coeffs_at(elems, read))
     out = []
     for opening in openings:
@@ -417,7 +426,7 @@ def masked_partial_decrypt(
         terms = c1
     else:
         read = range(kr.params.ring.n) if read is None else read
-        (terms,) = coeffs_at([_terms(kr, {}, c1)], read)
+        (terms,) = coeffs_at(_terms(kr, [(c1,)]), read)
     flood = sample_error(
         kr.params.ring, rng, _flood_sigma(kr.params), level=terms.level, count=terms.count
     )

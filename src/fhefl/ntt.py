@@ -31,8 +31,15 @@ keeps 4q below 2^64, which is what makes the lazy ranges exact.
 kernels, over all rows at once: the twiddle powers by doubling in Montgomery
 form (Montgomery, Math. Comp. 1985), log2 n products in all.  A Montgomery
 form r = w·2^64 mod q also gives w's Shoup quotient exactly, as the wrapping
-product r·(−q^-1) mod 2^64; `shoup_stack` is that one rule, for tables and
-scalar multipliers alike.
+product r·(−q^-1) mod 2^64; `shoup_stack` is that one rule, for tables,
+scalar multipliers and prepared operands alike.
+
+A pointwise product of two residue matrices takes one of two kernels.  If
+one operand is shared by several products, it is prepared once
+(`prepare_rows`: r by one Shoup multiply by 2^64 mod q, then its quotient),
+and each product by it is one Shoup multiply per residue (`mul_prepared`).
+Otherwise the product is one Montgomery reduction followed by a Shoup
+multiply by 2^64 mod q, which cancels the Montgomery factor (`mul_mod`).
 
 Transforms run over blocks of rows of at most ``BLOCK_ELEMS`` residues: all
 rows at once for small rings, one row at a time at n = 16384, so the
@@ -165,6 +172,33 @@ def mul_mod(a: np.ndarray, b: np.ndarray, tab: NttTables, rows, out=None) -> np.
         q = tab.q[sel]
         t = mont_mul(a[start:stop], b[start:stop], q, tab.neg_qinv[sel])
         out[start:stop] = mul_shoup(t, *tab.mont[:, sel], q)
+    return out
+
+
+def prepare_rows(b: np.ndarray, tab: NttTables, rows) -> np.ndarray:
+    """The prepared form of a residue matrix: the ``shoup_stack`` of every
+    residue, a (3, rows, n) stack whose [0] is ``b``.
+
+    r = b*2^64 mod q is one Shoup multiply by the table's 2^64 mod q, and the
+    quotient one wrapping multiply of r, as for the twiddle tables; over the
+    transforms' row blocks.
+    """
+    out = np.empty((3, *b.shape), dtype=np.uint64)
+    for start, stop, sel in _row_blocks(rows, b.shape[1]):
+        blk = b[start:stop]
+        r = mul_shoup(blk, *tab.mont[:, sel], tab.q[sel])
+        out[:, start:stop] = shoup_stack(blk, r, tab.neg_qinv[sel])
+    return out
+
+
+def mul_prepared(a: np.ndarray, w: np.ndarray, tab: NttTables, rows, out=None) -> np.ndarray:
+    """Row-wise product a*b mod q against a multiplicand b in prepared form
+    (``prepare_rows``): one Shoup multiply per residue, over the transforms'
+    row blocks.  ``out`` may be ``a``: a block is read before it is written.
+    """
+    out = np.empty_like(a) if out is None else out
+    for start, stop, sel in _row_blocks(rows, a.shape[1]):
+        out[start:stop] = mul_shoup(a[start:stop], *w[:, start:stop], tab.q[sel])
     return out
 
 

@@ -20,9 +20,16 @@ kernels themselves, when a :class:`RingParams` is constructed: one table row
 per prime of the chain plus the special prime, and an element selects the
 rows of the moduli it carries.  Nothing else is cached on the params but the
 wire reader's last seeded polynomial.  Every stack of Shoup constants, scalar
-multipliers included, comes from one rule, `fhefl.ntt.shoup_stack`.  The
-pointwise product is one Montgomery reduction followed by a Shoup multiply by
-2^64 mod q, which cancels the Montgomery factor.
+multipliers included, comes from one rule, `fhefl.ntt.shoup_stack`.
+
+An operand that several products share is prepared once
+(`RingElement.prepared`): it then carries the Shoup quotients of its
+residues, and each product by it is one Shoup multiply per residue.  The
+operand's form selects the kernel: a product with no prepared operand is one
+Montgomery reduction followed by a Shoup multiply by 2^64 mod q, which
+cancels the Montgomery factor.  The party that reuses an operand prepares it
+in that stage and drops it after; keys, tables and ciphertexts hold no
+quotients, and no arithmetic result carries them.
 
 Integers enter through one constructor, `RingElement.from_int_coeffs`: up
 to n of them, zero-padded, reduced as int64 when they fit and as Python
@@ -90,10 +97,12 @@ from .ntt import (
     is_prime,
     make_ntt_tables,
     mul_mod,
+    mul_prepared,
     mul_shoup,
     neg_mod,
     ntt_forward_inplace,
     ntt_inverse_inplace,
+    prepare_rows,
     shoup_stack,
     sub_mod,
 )
@@ -195,6 +204,9 @@ class RingElement:
     # the seed this element was drawn from, if it is the round's public
     # polynomial (provenance only: equality ignores it, arithmetic drops it)
     seed: bytes | None = field(default=None, repr=False, compare=False)
+    # the prepared form (`prepared`): (3, rows, n), the residues (``data`` is
+    # its [0]) and the 32-bit halves of their Shoup quotients
+    shoup: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         want = self.level + 1 + bool(self.special)
@@ -204,6 +216,8 @@ class RingElement:
             )
         if self.data.dtype != np.uint64:
             raise ParameterError("residues must be uint64")
+        if self.shoup is not None and self.shoup.shape != (3, *self.data.shape):
+            raise ParameterError("a prepared form is the residues and two quotient rows each")
 
     # -- basics ----------------------------------------------------------------
 
@@ -260,11 +274,25 @@ class RingElement:
         return self._like(neg_mod(self.data, self._q()))
 
     def mul(self, other: "RingElement") -> "RingElement":
-        """Pointwise product; both operands must be in NTT domain."""
+        """Pointwise product; both operands must be in NTT domain.  An operand
+        in prepared form is the multiplicand of one Shoup product per
+        residue; without one the product is `ntt.mul_mod`."""
         self._check_compat(other)
         if not self.ntt:
             raise DomainError("pointwise product requires NTT domain")
-        return self._like(mul_mod(self.data, other.data, self.params.tables, self.rows))
+        tab, rows = self.params.tables, self.rows
+        x, w = (self, other) if other.shoup is not None else (other, self)
+        if w.shoup is None:
+            return self._like(mul_mod(self.data, other.data, tab, rows))
+        return self._like(mul_prepared(x.data, w.shoup, tab, rows))
+
+    def prepared(self) -> "RingElement":
+        """This element with the Shoup quotients floor(x*2^64/q) of its
+        residues (`ntt.prepare_rows`), for an operand that several products
+        share: each product by it is then one Shoup multiply.  A new element;
+        arithmetic results and copies hold no quotients."""
+        stack = prepare_rows(self.data, self.params.tables, self.rows)
+        return RingElement(self.params, stack[0], self.level, self.special, self.ntt, shoup=stack)
 
     def mul_scalar(self, c: int) -> "RingElement":
         """Multiply every coefficient by the integer c (any domain)."""
@@ -293,7 +321,8 @@ class RingElement:
         """Drop residue rows (exact modulus reduction; scale is unchanged).
 
         Dropping no row returns the element itself.  The seed is kept: the
-        rows that remain are the draw at the lower level.
+        rows that remain are the draw at the lower level; so are the
+        quotients of a prepared element.
         """
         if level > self.level or (special and not self.special):
             raise LevelError("mod_reduce_to can only drop moduli")
@@ -302,8 +331,9 @@ class RingElement:
         rows = list(range(level + 1))
         if special:
             rows.append(self.data.shape[0] - 1)
-        data = np.ascontiguousarray(self.data[rows])
-        return RingElement(self.params, data, level, special, self.ntt, self.seed)
+        shoup = None if self.shoup is None else self.shoup[:, rows]
+        data = np.ascontiguousarray(self.data[rows]) if shoup is None else shoup[0]
+        return RingElement(self.params, data, level, special, self.ntt, self.seed, shoup)
 
     def drop_last_modulus(self, *more: "RingElement", level: int | None = None):
         """Exact divide-and-round by the last active modulus, or with ``level``
@@ -395,11 +425,16 @@ class RingElement:
 
         NTT slot j is the evaluation at psi^(2 brv(j) + 1), so X^k there is
         psi^e with e = k (2 brv(j) + 1) mod 2n.  The table holds psi^brv(i),
-        i.e. psi^e at index brv(e), and psi^(e + n) = -psi^e.
+        i.e. psi^e at index brv(e), and psi^(e + n) = -psi^e.  X^0 is 1 in
+        every slot, so a constant is coeff mod q_i on row i, with no gather.
         """
         n = params.n
         if not 0 <= k < n:
             raise ParameterError(f"monomial degree {k} outside 0..{n - 1}")
+        if k == 0:
+            consts = [[coeff % q] for q in params.moduli(level, special)]
+            data = np.repeat(np.array(consts, dtype=np.uint64), n, axis=1)
+            return cls(params, data, level, special, True)
         rows = params.rows(level, special)
         tab = params.tables
         e = k * (2 * tab.brv + 1) & (2 * n - 1)
@@ -638,10 +673,10 @@ def coeffs_at(elems, read) -> list[Residues]:
     One coefficient is a dot product and needs no transform: coefficient k
     of x is n^-1 * sum_j x_j * w_j^-k over the slots j, where w_j is slot
     j's root, and w_j^-k = -w_j^(n-k) is what `RingElement.monomial` gathers
-    for X^(n-k).  So it is one modular product with those roots and a
-    modular sum.  More coefficients take the elements through inverse
-    transforms, `RingParams.group_size` elements per call, as
-    `RingElement.drop_last_modulus` groups them.
+    for X^(n-k).  So it is one modular product with those roots, prepared
+    once for every element, and a modular sum.  More coefficients take the
+    elements through inverse transforms, `RingParams.group_size` elements per
+    call, as `RingElement.drop_last_modulus` groups them.
     """
     first = elems[0]
     if not first.ntt or first.special:
@@ -657,11 +692,12 @@ def coeffs_at(elems, read) -> list[Residues]:
         k = int(read[0])
         big_q = params.crt_constants(first.moduli)[0]
         inv_n = pow(n, -1, big_q)
-        roots = RingElement.monomial(params, inv_n if k == 0 else big_q - inv_n, -k % n, level)
-        stack = np.concatenate([e.data for e in elems])
-        roots = np.tile(roots.data, (len(elems), 1))
-        prod = mul_mod(stack, roots, params.tables, rows * len(elems))
-        sums = _sum_mod(prod.reshape(len(elems), len(rows), n), params.tables.q[rows])
+        c = inv_n if k == 0 else big_q - inv_n
+        roots = RingElement.monomial(params, c, -k % n, level).prepared()
+        prod = np.empty((len(elems), len(rows), n), dtype=np.uint64)
+        for e, out in zip(elems, prod):
+            mul_prepared(e.data, roots.shoup, params.tables, rows, out=out)
+        sums = _sum_mod(prod, params.tables.q[rows])
         return [Residues(params, col[:, None], level) for col in sums]
     out = []
     for start in range(0, len(elems), params.group_size):

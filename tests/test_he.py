@@ -320,8 +320,8 @@ def test_reencrypt_keeps_the_exact_coefficient(hp, keys):
     rng = np.random.default_rng(76)
     out = reencrypt(ct, sk, common_poly(hp, seed=b"re-a"), rng, index=1, scale=2.0**60, total=1)
     assert (out.level, out.length, out.scale) == (hp.ring.max_level, 1, 2.0**60)
-    want = Fraction(int(_phase(ct, sk, [1]).to_ints()[0])) / Fraction(ct.scale)
-    got = int(_phase(out, sk, [0]).to_ints()[0])
+    want = Fraction(int(_phase(ct, sk.s, [1]).to_ints()[0])) / Fraction(ct.scale)
+    got = int(_phase(out, sk.s, [0]).to_ints()[0])
     assert abs(got - want * 2**60) < 64  # fresh encryption noise only
     np.testing.assert_allclose(decrypt(out, sk).values, [2.0**19 / 3.0], rtol=1e-12)
 
@@ -333,7 +333,7 @@ def test_reencrypt_divides_by_the_public_total(hp, keys, monkeypatch):
     sk, _ = keys
     ct = fresh(hp, sk, [0.0, 2.0**19 / 3.0], seed=83, scale=2.0**40 / 1.37)
     total = 3 * 10.3
-    coeff = int(_phase(ct, sk, [1]).to_ints()[0])
+    coeff = int(_phase(ct, sk.s, [1]).to_ints()[0])
     want = _scaled_round(2.0**60, Fraction(coeff) / (Fraction(ct.scale) * Fraction(total)))
     encoded = []
 
@@ -346,7 +346,7 @@ def test_reencrypt_divides_by_the_public_total(hp, keys, monkeypatch):
     a = common_poly(hp, seed=b"re-t")
     out = reencrypt(ct, sk, a, rng, index=1, scale=2.0**60, total=total)
     assert encoded == [[want]]
-    assert abs(int(_phase(out, sk, [0]).to_ints()[0]) - want) <= 2.0**out.noise_log2
+    assert abs(int(_phase(out, sk.s, [0]).to_ints()[0]) - want) <= 2.0**out.noise_log2
     assert out.scale == 2.0**60
     for bad in (0, -1.0, math.nan):
         with pytest.raises(ParameterError, match="positive total"):
@@ -729,7 +729,9 @@ def test_plain_affine_adds_the_exactly_rounded_constant(hp, keys):
         float_misses += int(round(add * base.scale)) != want
         for index in (1, hp.ring.n - 1):
             out = plain_affine(ct, -0.5, add, add_index=index)
-            step = _phase(out, sk, [index]).to_ints()[0] - _phase(base, sk, [index]).to_ints()[0]
+            step = (
+                _phase(out, sk.s, [index]).to_ints()[0] - _phase(base, sk.s, [index]).to_ints()[0]
+            )
             assert int(step) == want
     assert float_misses > 0
 
@@ -796,7 +798,7 @@ def _tracker_margin(ct, sk, want) -> float:
         s = sk.s.mod_reduce_to(ct.level, special=True)
         got = ref.int_coeffs(ct.c0.sub(ct.c1.mul(s)).to_coeff())[: len(want)]
     else:
-        got = _phase(ct, sk, range(len(want))).to_ints()
+        got = _phase(ct, sk.s, range(len(want))).to_ints()
     err = max(abs(int(g) - w) for g, w in zip(got, want))
     return ct.noise_log2 - math.log2(max(float(err), 2.0**-30))
 

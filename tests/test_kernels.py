@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from fhefl import aggregation as agg_mod
 from fhefl import he as he_mod
 from fhefl import multikey as mk_mod
+from fhefl import ntt as ntt_mod
 from fhefl import ring as ring_mod
 from fhefl.aggregation import (
     encrypt_update,
@@ -47,7 +48,15 @@ from fhefl.he import (
     round_plan,
 )
 from fhefl.multikey import setup_pairwise
-from fhefl.ntt import mul_mod, ntt_forward_inplace, ntt_inverse_inplace, shoup_stack
+from fhefl.ntt import (
+    BLOCK_ELEMS,
+    mul_mod,
+    mul_prepared,
+    ntt_forward_inplace,
+    ntt_inverse_inplace,
+    prepare_rows,
+    shoup_stack,
+)
 from fhefl.ring import RingElement, RingParams, sample_uniform
 
 
@@ -170,6 +179,69 @@ def test_transforms_match_reference_one_row_16384():
     ctx = ref.make_prime_context(q, params.n)
     assert np.array_equal(fwd[0], ref.ntt_forward(x[0], ctx))
     assert np.array_equal(inv[0], ref.ntt_inverse(x[0], ctx))
+
+
+def _edge_pairs(params, rows, seed):
+    """Two residue matrices over table rows ``rows`` whose first nine columns
+    pair each of 0, 1 and q - 1 with each of them; the rest is random."""
+    rng = np.random.default_rng(seed)
+    x = np.empty((2, len(rows), params.n), dtype=np.uint64)
+    for i, r in enumerate(rows):
+        q = params.tables.primes[r]
+        x[:, i] = rng.integers(0, q, (2, params.n), dtype=np.uint64)
+        edges = (0, 1, q - 1)
+        x[0, i, :9] = edges * 3
+        x[1, i, :9] = [e for e in edges for _ in range(3)]
+    return x
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_prepared_product_matches_mul_mod(name):
+    # a product by a prepared multiplicand (its residues with their Shoup
+    # quotients) is mul_mod's, bit for bit, on every chain and special row
+    # of the preset: at n = 16 over more rows than one block holds, and at
+    # the preset's own degree (n = 16384 for fhefl-16384)
+    for params, copies in ((_ring(name, 16), 400), (get_params(name).ring, 1)):
+        rows = params.rows(params.max_level, special=True) * copies
+        assert copies == 1 or len(rows) * params.n > BLOCK_ELEMS
+        x, y = _edge_pairs(params, rows, params.n + len(rows))
+        w = prepare_rows(y, params.tables, rows)
+        assert np.array_equal(w[0], y)
+        for i, r in enumerate(rows[: len(rows) // copies]):
+            q = params.tables.primes[r]
+            got = [int(hi) << 32 | int(lo) for hi, lo in zip(w[1, i, :16], w[2, i, :16])]
+            assert got == [(int(v) << 64) // q for v in y[i, :16]]
+        want = mul_mod(x, y, params.tables, rows)
+        assert np.array_equal(mul_prepared(x, w, params.tables, rows), want)
+        # in place, as the key switch multiplies the key rows
+        assert np.array_equal(mul_prepared(x, w, params.tables, rows, out=x), want)
+
+
+def test_ring_product_takes_the_prepared_operand():
+    # RingElement.mul multiplies by whichever operand is prepared, with the
+    # same bytes either way round; no result, sum or copy keeps quotients
+    params = get_params("test-1024").ring
+    x, y = (
+        sample_uniform(params, b"prepared", special=True, ntt=True, tag=t) for t in (b"x", b"y")
+    )
+    xp, yp = x.prepared(), y.prepared()
+    assert xp == x and xp.shoup.shape == (3, *x.data.shape) and x.shoup is None
+    want = x.mul(y)
+    for got in (x.mul(yp), yp.mul(x), xp.mul(yp)):
+        assert got == want and got.shoup is None
+    assert xp.add(y).shoup is None and xp.copy().shoup is None
+
+
+def test_mod_reduce_to_keeps_the_quotients_of_the_rows_it_keeps():
+    params = get_params("test-1024").ring
+    x = sample_uniform(params, b"reduce", special=True, ntt=True)
+    xp = x.prepared()
+    assert xp.mod_reduce_to(x.level, special=True) is xp
+    for level, special in ((x.level, False), (1, True), (0, False)):
+        got = xp.mod_reduce_to(level, special)
+        want = x.mod_reduce_to(level, special).prepared()
+        assert got == want and np.array_equal(got.shoup, want.shoup)
+        assert np.shares_memory(got.data, got.shoup)
 
 
 def test_transforms_take_any_row_subset():
@@ -452,6 +524,33 @@ def test_plain_affine_divides_a_shared_c1_once(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", ["test-16", "test-1024"])
+def test_plain_affine_encodes_its_constant_once(monkeypatch, name):
+    # a batch of ten results at one level and one scale adds one monomial,
+    # byte-equal to mapping each ciphertext alone, for the rates' integer map
+    # (constant on coefficient 0) and a fractional one read at n - 1
+    params = get_params(name)
+    sk = SecretKey.generate(params, seed=b"one-monomial")
+    rng = np.random.default_rng(43)
+    a = common_poly(params, seed=b"one-monomial-a", level=2)
+    cts = [encrypt(params, [v], sk, a, rng, level=2) for v in rng.uniform(-1, 1, 10)]
+    for mult, index in ((-1, 0), (-0.375, params.ring.n - 1)):
+        singles = [he_mod.plain_affine(ct, mult, 0.25, add_index=index) for ct in cts]
+        built = []
+
+        def count(*args, real=he_mod.encode_monomial, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(he_mod, "encode_monomial", count)
+        batch = he_mod.plain_affine(cts, mult, 0.25, add_index=index)
+        monkeypatch.undo()
+        assert len(built) == 1
+        assert [ciphertext_to_bytes(ct) for ct in batch] == [
+            ciphertext_to_bytes(ct) for ct in singles
+        ]
+
+
+@pytest.mark.parametrize("name", ["test-16", "test-1024"])
 def test_plain_affine_integer_multiplier_keeps_level_and_scale(monkeypatch, name):
     # the rate stage's map: an integer multiplier scales the components as
     # they are, so the results keep the fresh values' level and scale, with
@@ -646,8 +745,9 @@ def test_batched_products_hoist_one_key_switch_per_run(monkeypatch, name):
     # and four products: nine, across relinearize/rescale groups of 512, 8,
     # 1 and 1 products at test-16, test-1024, fhefl-8192 and fhefl-16384.
     # The products sit at the upload level, the level of the round's keys.
-    # Each key's two halves take one inner product with the digits each, the
-    # public half expanded from the key's seed
+    # Each key's two halves take one inner product with the digits each, a
+    # product by the prepared digits, the public half expanded from the
+    # key's seed
     params = get_params(name)
     level = round_plan(params).upload_level
     krs = setup_pairwise(params, [0, 1], 0, b"hoist")
@@ -681,14 +781,14 @@ def test_batched_products_hoist_one_key_switch_per_run(monkeypatch, name):
             d2_muls.append(v)
         return real(u, v)
 
-    def count_inner(*args, real=he_mod.mul_mod, **kwargs):
+    def count_inner(*args, real=he_mod.mul_prepared, **kwargs):
         inner.append(args)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(he_mod, "rns_digits", count_digits)
     monkeypatch.setattr(he_mod, "switch_quadratic", count_switches)
     monkeypatch.setattr(RingElement, "mul", count_muls)
-    monkeypatch.setattr(he_mod, "mul_mod", count_inner)
+    monkeypatch.setattr(he_mod, "mul_prepared", count_inner)
     batched = he_mult_relin(xs, ys, evks)
     assert [ciphertext_to_bytes(ct) for ct in batched] == wants
     assert len(digits) == 1 and len(d2_muls) == 1
@@ -700,7 +800,7 @@ def test_batched_products_hoist_one_key_switch_per_run(monkeypatch, name):
     for ct, (sk, xv, yv) in zip(batched, vals):
         mx, my = (_scaled_ints(params.scale, v) for v in (xv, yv))
         want = [Fraction(int(mx[0]) * int(m), q_l) for m in my]
-        got = he_mod._phase(ct, sk, range(len(want))).to_ints()
+        got = he_mod._phase(ct, sk.s, range(len(want))).to_ints()
         err = max(abs(int(g) - w) for g, w in zip(got, want))
         assert err <= 2.0**ct.noise_log2
     # a batch whose products do not share their c1 parts is refused
@@ -719,7 +819,8 @@ def test_batched_products_hoist_one_key_switch_per_run(monkeypatch, name):
 
 
 # the work a round is counted in: transform rows and calls, `RingElement.mul`
-# calls and the coefficients `sample_uniform` draws
+# calls, the coefficients `sample_uniform` draws and the residues of its
+# Montgomery products (`ntt.mont_mul`, the products by no prepared operand)
 _WORK = (
     "forward",
     "forward calls",
@@ -727,6 +828,7 @@ _WORK = (
     "inverse calls",
     "ring.mul",
     "uniform coeffs",
+    "montgomery residues",
 )
 
 
@@ -781,10 +883,16 @@ def counted_round():
         tally("uniform coeffs", out.data.size)
         return out
 
+    def counting_mont(*args, real=ntt_mod.mont_mul):
+        out = real(*args)
+        tally("montgomery residues", out.size)
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ring_mod, "ntt_forward_inplace", counting("forward", ntt_forward_inplace))
         mp.setattr(ring_mod, "ntt_inverse_inplace", counting("inverse", ntt_inverse_inplace))
         mp.setattr(RingElement, "mul", counting_mul)
+        mp.setattr(ntt_mod, "mont_mul", counting_mont)
         for mod in (ring_mod, he_mod, mk_mod):
             mp.setattr(mod, "sample_uniform", counting_uniform)
         mp.setattr(agg_mod, "_stage", counted_stage)
@@ -840,16 +948,20 @@ def test_round_transform_budget(counted_round):
 
 
 def test_round_work_budget(counted_round):
-    # two more counts of the same round, each bounded at its measured value:
-    # its ring products (213 before each user formed d2 * s_u^2 once for all
-    # of its aggregate chunks, 193 before a chunk's square formed its d1 from
-    # one product) and the peak of its traced memory above its inputs,
-    # 3.29 MiB rounded up (5.27 MiB before each stage's intermediates were
-    # dropped once the next stage had used them, 3.78 MiB before the uploads
-    # dropped to level 2)
+    # three more counts of the same round, each bounded at its measured
+    # value: its ring products (213 before each user formed d2 * s_u^2 once
+    # for all of its aggregate chunks, 193 before a chunk's square formed its
+    # d1 from one product), the residues of its Montgomery products (802,816
+    # before every operand that a stage reuses was prepared once and its
+    # products became Shoup products) and the peak of its traced memory
+    # above its inputs, 3.22 MiB rounded up (5.27 MiB before each stage's
+    # intermediates were dropped once the next stage had used them, 3.78 MiB
+    # before the uploads dropped to level 2, 3.29 MiB before the operands a
+    # stage reuses were prepared and each user formed its key terms alone)
     _, work, *_ = counted_round
     assert work["ring.mul"] <= 173
-    assert work["peak bytes"] <= 3.3 * 2**20
+    assert work["montgomery residues"] <= 180_224
+    assert work["peak bytes"] <= 3.25 * 2**20
 
 
 # each stage's work in the same round, in ``_WORK`` order, bounded at its
@@ -858,19 +970,21 @@ def test_round_work_budget(counted_round):
 _STAGE_BUDGET = {
     # 61 products before squares; 216 forward rows and 204,800 coefficients
     # before the uploads dropped to level 2; 149 forward rows in 6 calls and
-    # 6 inverse calls before each product dropped P and q_L in one pass
-    "norm": (89, 4, 63, 4, 41, 122_880),
-    "distance-sum": (0, 0, 0, 0, 10, 180),
+    # 6 inverse calls before each product dropped P and q_L in one pass.
+    # Montgomery residues, before the operands a stage reuses were prepared:
+    # 371,712 / 43,008 / 71,680 / 0 / 6,144 / 310,272 by stage
+    "norm": (89, 4, 63, 4, 41, 122_880, 64_512),
+    "distance-sum": (0, 0, 0, 0, 10, 180, 20_480),
     # the fresh distances sit at the aggregate level without the special
     # prime, at the rate scale, and the rate is their integer map by -1,
     # with no rescale: (40, 10, 0, 0, 20, 4,096) and (33, 1, 11, 1, 0, 0)
     # before, when they carried P for the fractional slope's rescale to
     # drop.  20 and 3 inverse rows in 10 and 1 calls before re-encryption
     # and decryption read one coefficient as a dot product
-    "re-encrypt": (30, 10, 0, 0, 20, 3_072),
-    "rate": (0, 0, 0, 0, 0, 0),
-    "rate-sum-check": (0, 0, 0, 0, 1, 276_480),
-    "aggregate": (0, 0, 66, 4, 101, 184_320),
+    "re-encrypt": (30, 10, 0, 0, 20, 3_072, 0),
+    "rate": (0, 0, 0, 0, 0, 0, 0),
+    "rate-sum-check": (0, 0, 0, 0, 1, 276_480, 3_072),
+    "aggregate": (0, 0, 66, 4, 101, 184_320, 92_160),
 }
 
 
